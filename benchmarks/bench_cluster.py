@@ -197,7 +197,6 @@ def _build_cluster(metro, num_shards, max_inflight=64):
         "beta": spec_cfg.dataset.beta,
         "max_gps_error": spec_cfg.dataset.max_gps_error,
         "max_batch_size": 16,
-        "max_wait_ms": 25.0,
         "cache_capacity": 2048,
     }
     for shard_index, members in enumerate(groups):
@@ -513,7 +512,7 @@ def test_memory_scaling_shared_artifacts(tmp_path):
     serve_kwargs = dict(interval=spec.simulation.sample_interval,
                         beta=spec.dataset.beta,
                         max_gps_error=spec.dataset.max_gps_error,
-                        max_batch_size=8, max_wait_ms=10.0, cache_capacity=16)
+                        max_batch_size=8, cache_capacity=16)
     prime = RecoveryRequest(traces[f"xy{pool_size}"], traces[f"t{pool_size}"],
                             hour=int(hours[-1]), holiday=bool(holidays[-1]),
                             request_id="prime")
@@ -751,7 +750,7 @@ def test_process_backend_scaling(tmp_path):
     serve = dict(interval=spec.simulation.sample_interval,
                  beta=spec.dataset.beta,
                  max_gps_error=spec.dataset.max_gps_error,
-                 max_batch_size=8, max_wait_ms=10.0, cache_capacity=16)
+                 max_batch_size=8, cache_capacity=16)
 
     def build_shard(backend, replicas):
         shard_spec = ShardSpec(name="city", bbox=(0.0, 0.0, 1.0, 1.0),

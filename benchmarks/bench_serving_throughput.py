@@ -1,50 +1,22 @@
-"""Serving benchmark: continuous batching vs run-to-completion draining.
+"""Serving benchmark: the continuous-batching engine in a closed loop.
 
-The headline test replays a **mixed-length open-loop workload** — requests
-of five different trace lengths arriving at a fixed offered rate, the
-standard serving-benchmark methodology — against two schedulers over the
-same trained model:
+* ``test_serving_throughput_vs_batch_size`` — QPS / latency / slot
+  occupancy as the slot count grows (1, 4, 16) under 8 concurrent
+  submitters;
+* ``test_serving_cache_hot_path`` — a repeated trace answers from the
+  request-level cache.
 
-* ``continuous`` (default): the slot-table decode engine; admission is
-  immediate, every in-flight sequence advances one step per kernel sweep,
-  short requests retire without waiting for long co-residents.
-* ``microbatch``: the PR 1 run-to-completion path; requests coalesce by
-  input length behind a wait window and each admitted batch decodes to
-  completion before the next starts.  Mixed-length traffic fragments its
-  groups, so most dispatches ride the window expiry.
-
-Before any perf claim the test hard-asserts the correctness anchor: every
-continuous response of every trial is **bit-identical** (segments and
-rates) to a solo one-shot ``recover`` of the same request.  Then it gates
-
-* mean latency improvement ≥ ``REPRO_BENCH_SERVE_MIN_LATENCY_GAIN``
-  (default 1.5×), and
-* achieved QPS ratio ≥ ``REPRO_BENCH_SERVE_MIN_QPS_RATIO`` (default 1.0 —
-  "no worse"; the continuous run drains its tail sooner, so achieved QPS
-  over the same arrival span is at parity or better),
-
-and writes ``BENCH_serving.json`` into ``REPRO_CACHE_DIR`` (default
-``benchmarks/_cache``).
-
-The replay runs ``REPRO_BENCH_SERVE_TRIALS`` times per scheduler and the
-gated mean is the **mean of per-request minima across trials** — the
-``timeit`` rationale, applied per request: every trial replays the same
-request against the same trained model, so on a shared CPU interference
-only ever *adds* latency and a request's minimum across trials is its
-interference-free latency under that scheduling discipline.  Averaging
-the per-request minima keeps the estimator low-variance (64 independent
-minima) where picking one "best trial" would still need a single fully
-clean window.  The summary table shows each scheduler's best trial.
+Both write into ``BENCH_serving.json`` under ``REPRO_CACHE_DIR`` (default
+``benchmarks/_cache``).  End-to-end latency under open-loop mixed traffic,
+and bit-identity against solo decodes, are measured by the perf ledger
+(``benchmarks/ledger``) and asserted by ``tests/test_engine.py``.
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_serving_throughput.py -q -s
 
-Budget knobs: ``REPRO_BENCH_SERVE_TRAJECTORIES`` (default 160),
-``REPRO_BENCH_SERVE_EPOCHS`` (default 2), ``REPRO_BENCH_SERVE_REQUESTS``
-(default 64), ``REPRO_BENCH_SERVE_GAP_MS`` (default 15.0, the arrival
-spacing of the open-loop replay) and ``REPRO_BENCH_SERVE_TRIALS``
-(default 3).
+Budget knobs: ``REPRO_BENCH_SERVE_TRAJECTORIES`` (default 160) and
+``REPRO_BENCH_SERVE_EPOCHS`` (default 2).
 """
 
 import json
@@ -53,7 +25,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import RNTrajRec
@@ -66,32 +37,15 @@ from repro.experiments import (
 )
 from repro.serve import RecoveryRequest, RecoveryService, ServeConfig
 from repro.train import Trainer
-from repro.trajectory import (
-    DatasetConfig,
-    SimulationConfig,
-    TrajectorySimulator,
-    build_samples,
-    make_batch,
-)
 
 BATCH_SIZES = (1, 4, 16)
 ARTIFACT_NAME = "BENCH_serving.json"
-#: the arrival cycle of the mixed workload, as trace lengths (simulator
-#: points).  Mostly short trips with a periodic long straggler — the
-#: high-variance traffic shape that run-to-completion handles worst: a
-#: straggler's whole decode blocks the queue, and distinct input lengths
-#: keep requests from coalescing into one padded batch.  At keep_every=8
-#: the ε_ρ grids span ~9 to ~97 decode steps.
-MIX_PATTERN = (9, 17, 9, 25, 65)
 
 
 def _serve_budget():
     return {
         "trajectories": int(os.environ.get("REPRO_BENCH_SERVE_TRAJECTORIES", 160)),
         "epochs": int(os.environ.get("REPRO_BENCH_SERVE_EPOCHS", 2)),
-        "requests": int(os.environ.get("REPRO_BENCH_SERVE_REQUESTS", 64)),
-        "gap_ms": float(os.environ.get("REPRO_BENCH_SERVE_GAP_MS", 15.0)),
-        "trials": int(os.environ.get("REPRO_BENCH_SERVE_TRIALS", 4)),
         "hidden": bench_budget()["hidden"],
     }
 
@@ -106,36 +60,6 @@ def trained():
     return data, model
 
 
-@pytest.fixture(scope="module")
-def mixed_workload(trained):
-    """Mixed-length samples simulated on the serving network, arriving in
-    the ``MIX_PATTERN`` cycle: mostly short trips, a long straggler every
-    seventh request, consecutive arrivals almost never sharing an input
-    length."""
-    data, _ = trained
-    budget = _serve_budget()
-    pools = {}
-    for class_index, points in enumerate(sorted(set(MIX_PATTERN))):
-        sim = TrajectorySimulator(
-            data.network,
-            SimulationConfig(target_points=points, seed=100 + class_index))
-        pools[points] = build_samples(sim.simulate(12), data.network,
-                                      DatasetConfig(keep_every=8))
-    samples = []
-    for i in range(budget["requests"]):
-        pool = pools[MIX_PATTERN[i % len(MIX_PATTERN)]]
-        samples.append(pool[(i // len(MIX_PATTERN)) % len(pool)])
-    return samples
-
-
-def _requests(samples, prefix):
-    return [
-        RecoveryRequest(s.raw_low.xy, s.raw_low.times, hour=s.hour,
-                        holiday=s.holiday, request_id=f"{prefix}-{i}")
-        for i, s in enumerate(samples)
-    ]
-
-
 def _replay_closed_loop(service, requests):
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -143,20 +67,6 @@ def _replay_closed_loop(service, requests):
     for future in futures:
         future.result(timeout=600.0)
     return time.perf_counter() - start
-
-
-def _replay_open_loop(service, requests, gap_s):
-    """Submit at a fixed offered rate; returns (responses, elapsed) where
-    elapsed spans first submission → last completion."""
-    futures = []
-    start = time.perf_counter()
-    for i, request in enumerate(requests):
-        lag = start + i * gap_s - time.perf_counter()
-        if lag > 0:
-            time.sleep(lag)
-        futures.append(service.submit(request))
-    responses = [future.result(timeout=600.0) for future in futures]
-    return responses, time.perf_counter() - start
 
 
 def _write_artifact(payload):
@@ -173,132 +83,8 @@ def _write_artifact(payload):
     print(f"wrote {path}")
 
 
-def test_continuous_vs_run_to_completion(trained, mixed_workload):
-    data, model = trained
-    budget = _serve_budget()
-    gap_s = budget["gap_ms"] / 1000.0
-
-    def service_for(scheduler):
-        return RecoveryService.from_model(model, ServeConfig.for_dataset(
-            data,
-            scheduler=scheduler,
-            max_batch_size=16,
-            cache_capacity=0,       # measure the model path, not the cache
-        ))
-
-    def run_once(scheduler, trial):
-        service = service_for(scheduler)
-        try:
-            # Warm shared caches (X_road, sub-graph arena) outside timing.
-            for response in [service.recover(r, timeout=600.0)
-                             for r in _requests(mixed_workload[:4], "warm")]:
-                assert response.trajectory is not None
-            responses, elapsed = _replay_open_loop(
-                service, _requests(mixed_workload, f"{scheduler}-{trial}"),
-                gap_s)
-            stats = service.stats()
-        finally:
-            service.close()
-        latencies = np.array([r.latency_ms for r in responses])
-        return {
-            "responses": responses,
-            "row": {
-                "scheduler": scheduler,
-                "trial": trial,
-                "requests": len(responses),
-                "offered_gap_ms": budget["gap_ms"],
-                "wall_seconds": round(elapsed, 3),
-                "qps": round(len(responses) / elapsed, 3),
-                "latency_ms_mean": round(float(latencies.mean()), 3),
-                "latency_ms_p50": round(float(np.percentile(latencies, 50)), 3),
-                "latency_ms_p95": round(float(np.percentile(latencies, 95)), 3),
-                "mean_batch_occupancy": stats["mean_batch_occupancy"],
-                "max_batch_occupancy": stats["max_batch_occupancy"],
-            },
-        }
-
-    trials = {"microbatch": [], "continuous": []}
-    for trial in range(budget["trials"]):
-        for scheduler in ("microbatch", "continuous"):
-            trials[scheduler].append(run_once(scheduler, trial))
-
-    # ------------------------------------------------------------------
-    # Correctness anchor first: every continuous response of every trial
-    # bit-identical to the solo one-shot recover of its own request, rates
-    # included — each trial is a different interleaving, and none of them
-    # may be observable in the output.
-    # ------------------------------------------------------------------
-    solo = [model.recover(make_batch([sample])) for sample in mixed_workload]
-    for run in trials["continuous"]:
-        for (seg, rate), response in zip(solo, run["responses"]):
-            assert np.array_equal(response.trajectory.segments, seg[0]), \
-                f"segment divergence on {response.request_id}"
-            assert np.array_equal(response.trajectory.ratios, rate[0]), \
-                f"rate divergence on {response.request_id}"
-
-    # The gated means are the per-request minima across trials (see the
-    # module docstring); the displayed rows are each scheduler's best
-    # trial, whose p50/p95/occupancy stay internally coherent.
-    def floor_mean(runs):
-        per_trial = np.array([[r.latency_ms for r in run["responses"]]
-                              for run in runs])
-        return float(per_trial.min(axis=0).mean())
-
-    rtc = min((r["row"] for r in trials["microbatch"]),
-              key=lambda row: row["latency_ms_mean"])
-    cont = min((r["row"] for r in trials["continuous"]),
-               key=lambda row: row["latency_ms_mean"])
-    rtc_floor = floor_mean(trials["microbatch"])
-    cont_floor = floor_mean(trials["continuous"])
-    latency_gain = rtc_floor / max(cont_floor, 1e-9)
-    qps_ratio = cont["qps"] / max(rtc["qps"], 1e-9)
-
-    print("\nContinuous batching vs run-to-completion — mixed-length open loop"
-          f" (best of {budget['trials']} trials)")
-    header = (f"{'scheduler':>12}{'QPS':>9}{'mean ms':>9}{'p50 ms':>9}"
-              f"{'p95 ms':>9}{'occ mean':>10}{'occ max':>9}")
-    print(header)
-    print("-" * len(header))
-    for row in (rtc, cont):
-        print(f"{row['scheduler']:>12}{row['qps']:>9.1f}"
-              f"{row['latency_ms_mean']:>9.1f}{row['latency_ms_p50']:>9.1f}"
-              f"{row['latency_ms_p95']:>9.1f}{row['mean_batch_occupancy']:>10.2f}"
-              f"{row['max_batch_occupancy']:>9}")
-    per_trial = [r["row"]["latency_ms_mean"] for r in trials["microbatch"]], \
-                [r["row"]["latency_ms_mean"] for r in trials["continuous"]]
-    print(f"trial means rtc={per_trial[0]} cont={per_trial[1]}")
-    print(f"per-request floor means: rtc {rtc_floor:.2f} ms, "
-          f"cont {cont_floor:.2f} ms")
-    print(f"mean latency gain {latency_gain:.2f}x, QPS ratio {qps_ratio:.2f}")
-
-    _write_artifact({
-        "benchmark": "serving_throughput",
-        "env": bench_environment(),
-        "dataset": "chengdu_x8",
-        "budget": _serve_budget(),
-        "num_parameters": int(model.num_parameters()),
-        "mixed_workload": {
-            "trace_points": list(MIX_PATTERN),
-            "rows": [rtc, cont],
-            "trial_rows": [r["row"] for s in ("microbatch", "continuous")
-                           for r in trials[s]],
-            "latency_ms_mean_floor": {"microbatch": round(rtc_floor, 3),
-                                      "continuous": round(cont_floor, 3)},
-            "latency_gain": round(latency_gain, 3),
-            "qps_ratio": round(qps_ratio, 3),
-        },
-    })
-
-    min_gain = float(os.environ.get("REPRO_BENCH_SERVE_MIN_LATENCY_GAIN", 1.5))
-    min_qps = float(os.environ.get("REPRO_BENCH_SERVE_MIN_QPS_RATIO", 1.0))
-    assert latency_gain >= min_gain, (
-        f"continuous mean latency gain {latency_gain:.2f}x < {min_gain}x")
-    assert qps_ratio >= min_qps, (
-        f"continuous QPS ratio {qps_ratio:.2f} < {min_qps}")
-
-
 def test_serving_throughput_vs_batch_size(trained):
-    """The historical closed-loop sweep: QPS/latency vs slot count."""
+    """Closed-loop sweep: QPS/latency vs slot count."""
     data, model = trained
     pool = data.test + data.val
     requests = [

@@ -10,7 +10,7 @@ End to end this
    *cold* (spec-only) and each trains a small model lazily on its first
    routed request;
 2. replays held-out traces from both cities concurrently — the router
-   sends each to its owning shard, which micro-batches and caches like a
+   sends each to its owning shard, which schedules and caches like a
    standalone :class:`~repro.serve.RecoveryService`;
 3. shows the cluster-only failure modes: a trace outside every shard and
    a trace straddling the two cities are **dead-lettered**, never served
@@ -117,8 +117,7 @@ def main() -> None:
     print("\nOverload (hammering chengdu with admission bound 2):")
     tight_map = ShardMap(shards=tuple(
         ShardSpec(name=s.name, dataset=s.dataset, origin=s.origin,
-                  max_inflight=2) for s in shard_map),
-        serve={"max_wait_ms": 100.0})
+                  max_inflight=2) for s in shard_map))
     overloaded = RecoveryCluster(
         tight_map,
         model_factory=lambda spec, network:

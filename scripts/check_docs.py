@@ -31,6 +31,9 @@ SRC_PATH_PATTERN = re.compile(r"src/repro[\w./-]*")
 BENCH_ARTIFACT_PATTERN = re.compile(r"BENCH_\w+\.json")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 SKIP_DIRS = {".git", "__pycache__", "_cache", "node_modules", ".pytest_cache"}
+# The per-PR task statement is not documentation: it names the paths a PR
+# is asked to delete, which therefore cannot exist once the PR is done.
+SKIP_FILES = {"ISSUE.md"}
 
 
 def heading_anchors(markdown: str) -> set:
@@ -49,7 +52,8 @@ def heading_anchors(markdown: str) -> set:
 
 def markdown_files(root: Path):
     for path in sorted(root.rglob("*.md")):
-        if not any(part in SKIP_DIRS for part in path.parts):
+        if (path.name not in SKIP_FILES
+                and not any(part in SKIP_DIRS for part in path.parts)):
             yield path
 
 

@@ -83,11 +83,11 @@ bundle trained with ``train`` always matches the network ``oneshot``,
 
 import argparse
 import json
+import signal
 import sys
 import time
 from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -111,6 +111,13 @@ from repro.serve import (  # noqa: E402
     RecoveryService,
     RequestError,
     ServeConfig,
+)
+from repro.serve.http import (  # noqa: E402
+    JsonServer,
+    parse_request as _parse_request,  # noqa: F401  (benchmarks/ledger/replay.py)
+    recover_route,
+    response_payload as _response_payload,
+    update_payload,
 )
 from repro.stream import (  # noqa: E402
     SessionOverloaded,
@@ -164,9 +171,7 @@ def build_service(args, need_samples: bool = True) -> tuple:
     building — which cuts server start time to the city-generation cost.
     """
     common = dict(
-        scheduler=args.scheduler,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         cache_capacity=args.cache_capacity,
     )
     if args.bundle is not None and not need_samples:
@@ -244,193 +249,91 @@ def run_oneshot(args) -> None:
         service.close()
 
 
-def _parse_request(payload: dict) -> RecoveryRequest:
-    return RecoveryRequest(
-        xy=payload["points"], times=payload["times"],
-        hour=int(payload.get("hour", 12)),
-        holiday=bool(payload.get("holiday", False)),
-        request_id=str(payload.get("request_id", "")),
-    )
+def service_routes(service: RecoveryService,
+                   streaming: StreamingRecoveryService) -> dict:
+    """Route table of ``serve.py http``: one city, one-shot + sessions."""
+    def stats(_):
+        payload = service.stats()
+        payload["sessions"] = streaming.store.stats()
+        return 200, payload
 
+    def session_open(payload):
+        session_id = streaming.open(
+            session_id=payload.get("session_id"),
+            hour=int(payload.get("hour", 12)),
+            holiday=bool(payload.get("holiday", False)))
+        return 200, {"session_id": session_id}
 
-def _response_payload(response) -> dict:
+    def session_append(payload):
+        return 200, update_payload(streaming.append(
+            str(payload["session_id"]), payload["points"], payload["times"]))
+
+    def session_finalize(payload):
+        return 200, _response_payload(
+            streaming.finalize(str(payload["session_id"])))
+
     return {
-        "request_id": response.request_id,
-        "segments": response.trajectory.segments.tolist(),
-        "ratios": [round(float(r), 6) for r in response.trajectory.ratios],
-        "times": response.trajectory.times.tolist(),
-        "cached": response.cached,
-        "latency_ms": round(response.latency_ms, 3),
-        "model": response.model,
-        "model_tag": response.model_tag,
-        "shard": response.shard,
-        "session_id": response.session_id,
-        "revised_from": response.revised_from,
+        ("GET", "/healthz"): lambda _: (200, {"status": "ok"}),
+        ("GET", "/stats"): stats,
+        ("GET", "/session/evictions"):
+            lambda _: (200, {"evictions": streaming.evictions()}),
+        ("POST", "/recover"): recover_route(service.recover),
+        ("POST", "/session/open"): session_open,
+        ("POST", "/session/append"): session_append,
+        ("POST", "/session/finalize"): session_finalize,
     }
 
 
-def _update_payload(update) -> dict:
-    """JSON body for one streaming append (``StreamUpdate``)."""
-    payload = {
-        "session_id": update.session_id,
-        "grid_length": update.grid_length,
-        "committed_steps": update.committed_steps,
-        "revised_from": update.revised_from,
-        "decoded_steps": update.decoded_steps,
-        "skipped_steps": update.skipped_steps,
-        "latency_ms": round(update.latency_ms, 3),
-        "model": update.model,
-        "model_tag": update.model_tag,
-        "shard": update.shard,
+SERVICE_ERRORS = (
+    (SessionOverloaded, 429, None),   # bounded session store sheds
+    (UnknownSession, 404, None),      # expired/evicted/finalized
+    (RequestError, 400, None),        # ingest rejected the trace/append
+    (KeyError, 400, lambda exc: {"error": f"missing field {exc}"}),
+    ((TypeError, ValueError), 400, None),
+)
+
+
+def cluster_routes(cluster: RecoveryCluster) -> dict:
+    """Route table of ``serve.py cluster``: the multi-city front door."""
+    def healthz(_):
+        return 200, {"status": "ok", "shards": {
+            shard.name: {"materialized": shard.materialized}
+            for shard in cluster.shards}}
+
+    def deploy(needed, apply):
+        def route(payload):
+            missing = [field for field in needed if field not in payload]
+            if missing:
+                return 400, {"error": f"missing field(s) {missing}"}
+            return 200, {"shard": payload["shard"], **apply(payload)}
+        return route
+
+    return {
+        ("GET", "/healthz"): healthz,
+        ("GET", "/stats"): lambda _: (200, cluster.stats()),
+        ("GET", "/deadletters"):
+            lambda _: (200, {"dead_letters": cluster.dead_letters()}),
+        ("POST", "/recover"): recover_route(cluster.recover),
+        ("POST", "/swap"): deploy(
+            ("shard", "model"),
+            lambda p: cluster.swap_model(str(p["shard"]), str(p["model"]))),
+        ("POST", "/register"): deploy(
+            ("shard", "model", "bundle"),
+            lambda p: cluster.deploy_model(
+                str(p["shard"]), str(p["model"]), str(p["bundle"]),
+                activate=bool(p.get("activate", True)))),
     }
-    if update.trajectory is not None:
-        payload.update({
-            "segments": update.trajectory.segments.tolist(),
-            "ratios": [round(float(r), 6) for r in update.trajectory.ratios],
-            "times": update.trajectory.times.tolist(),
-        })
-    return payload
 
 
-class _Handler(BaseHTTPRequestHandler):
-    service: RecoveryService = None  # set by run_http
-    streaming: StreamingRecoveryService = None  # set by run_http
-
-    def _send(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *log_args):  # quiet default access log
-        pass
-
-    def do_GET(self) -> None:
-        if self.path == "/healthz":
-            self._send(200, {"status": "ok"})
-        elif self.path == "/stats":
-            stats = self.service.stats()
-            stats["sessions"] = self.streaming.store.stats()
-            self._send(200, stats)
-        elif self.path == "/session/evictions":
-            self._send(200, {"evictions": self.streaming.evictions()})
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
-
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        return json.loads(self.rfile.read(length) or b"{}")
-
-    def do_POST(self) -> None:
-        try:
-            if self.path == "/recover":
-                try:
-                    request = _parse_request(self._body())
-                except (KeyError, TypeError, ValueError) as exc:
-                    self._send(400, {"error": str(exc)})
-                    return
-                response = self.service.recover(request, timeout=300.0)
-                self._send(200, _response_payload(response))
-            elif self.path == "/session/open":
-                payload = self._body()
-                session_id = self.streaming.open(
-                    session_id=payload.get("session_id"),
-                    hour=int(payload.get("hour", 12)),
-                    holiday=bool(payload.get("holiday", False)))
-                self._send(200, {"session_id": session_id})
-            elif self.path == "/session/append":
-                payload = self._body()
-                update = self.streaming.append(
-                    str(payload["session_id"]),
-                    payload["points"], payload["times"])
-                self._send(200, _update_payload(update))
-            elif self.path == "/session/finalize":
-                payload = self._body()
-                response = self.streaming.finalize(str(payload["session_id"]))
-                self._send(200, _response_payload(response))
-            else:
-                self._send(404, {"error": f"unknown path {self.path}"})
-        except SessionOverloaded as exc:  # bounded session store sheds
-            self._send(429, {"error": str(exc)})
-        except UnknownSession as exc:  # expired/evicted/finalized
-            self._send(404, {"error": str(exc)})
-        except RequestError as exc:  # ingest rejected the trace/append
-            self._send(400, {"error": str(exc)})
-        except KeyError as exc:  # missing JSON field
-            self._send(400, {"error": f"missing field {exc}"})
-        except (TypeError, ValueError) as exc:
-            self._send(400, {"error": str(exc)})
-        except Exception as exc:  # timeouts / model faults are server errors
-            self._send(500, {"error": str(exc)})
-
-
-class _ClusterHandler(BaseHTTPRequestHandler):
-    cluster: RecoveryCluster = None  # set by run_cluster
-
-    _send = _Handler._send
-
-    def log_message(self, fmt, *log_args):  # quiet default access log
-        pass
-
-    def do_GET(self) -> None:
-        if self.path == "/healthz":
-            self._send(200, {"status": "ok", "shards": {
-                shard.name: {"materialized": shard.materialized}
-                for shard in self.cluster.shards}})
-        elif self.path == "/stats":
-            self._send(200, self.cluster.stats())
-        elif self.path == "/deadletters":
-            self._send(200, {"dead_letters": self.cluster.dead_letters()})
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
-
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        return json.loads(self.rfile.read(length) or b"{}")
-
-    def do_POST(self) -> None:
-        try:
-            if self.path == "/recover":
-                try:
-                    request = _parse_request(self._body())
-                except (KeyError, TypeError, ValueError) as exc:
-                    self._send(400, {"error": str(exc)})
-                    return
-                response = self.cluster.recover(request, timeout=300.0)
-                self._send(200, _response_payload(response))
-            elif self.path in ("/swap", "/register"):
-                payload = self._body()
-                needed = ("shard", "model") if self.path == "/swap" else (
-                    "shard", "model", "bundle")
-                missing = [field for field in needed if field not in payload]
-                if missing:
-                    self._send(400, {"error": f"missing field(s) {missing}"})
-                    return
-                if self.path == "/swap":
-                    active = self.cluster.swap_model(str(payload["shard"]),
-                                                     str(payload["model"]))
-                else:
-                    active = self.cluster.deploy_model(
-                        str(payload["shard"]), str(payload["model"]),
-                        str(payload["bundle"]),
-                        activate=bool(payload.get("activate", True)))
-                self._send(200, {"shard": payload["shard"], **active})
-            else:
-                self._send(404, {"error": f"unknown path {self.path}"})
-        except RouteError as exc:  # no shard owns the trace
-            self._send(422, {"error": str(exc), "reason": exc.reason})
-        except ShardOverloaded as exc:  # bounded queues shed, HTTP-style 429
-            self._send(429, {"error": str(exc), "shard": exc.shard})
-        except RequestError as exc:
-            self._send(400, {"error": str(exc)})
-        except ValueError as exc:  # malformed input the parser let through
-            self._send(400, {"error": str(exc)})
-        except KeyError as exc:  # unknown shard/model name
-            self._send(404, {"error": str(exc)})
-        except Exception as exc:
-            self._send(500, {"error": str(exc)})
+CLUSTER_ERRORS = (
+    # no shard owns the trace
+    (RouteError, 422, lambda exc: {"error": str(exc), "reason": exc.reason}),
+    # bounded queues shed, HTTP-style 429
+    (ShardOverloaded, 429, lambda exc: {"error": str(exc), "shard": exc.shard}),
+    (RequestError, 400, None),
+    (ValueError, 400, None),          # malformed input the parser let through
+    (KeyError, 404, None),            # unknown shard/model name
+)
 
 
 def build_cluster(args) -> RecoveryCluster:
@@ -446,10 +349,8 @@ def build_cluster(args) -> RecoveryCluster:
                                  gap=args.gap)
     else:
         raise SystemExit("cluster needs --shard-map or --datasets")
-    # CLI scheduler/cache knobs are defaults; a shard-map [serve] section wins.
-    serve = dict(scheduler=args.scheduler,
-                 max_batch_size=args.max_batch_size,
-                 max_wait_ms=args.max_wait_ms,
+    # CLI slot/cache knobs are defaults; a shard-map [serve] section wins.
+    serve = dict(max_batch_size=args.max_batch_size,
                  cache_capacity=args.cache_capacity)
     serve.update(shard_map.serve)
     shard_map = replace(shard_map, serve=serve)
@@ -475,57 +376,64 @@ def build_cluster(args) -> RecoveryCluster:
                            artifact_dir=args.artifact_dir)
 
 
-def run_cluster(args) -> None:
-    cluster = build_cluster(args)
-    names = cluster.shard_map.names()
-    if args.warm or args.datasets:
-        # Bundle-less shards train on first request otherwise — warming up
-        # front-loads that cost.  Bundle-backed maps can stay lazy.
-        for name in names:
-            print(f"warming shard {name!r} ...")
-            cluster.warm([name])
-            if args.artifact_dir:
-                info = cluster.shard(name).artifact_info()
-                print(f"[{name}] artifacts {info['source']} in "
-                      f"{info['seconds']:.2f}s")
-    _ClusterHandler.cluster = cluster
-    server = ThreadingHTTPServer((args.host, args.port), _ClusterHandler)
-    print(f"Serving {len(names)} shard(s) {names} on "
-          f"http://{args.host}:{args.port} (POST /recover /swap /register, "
-          "GET /stats /healthz /deadletters); Ctrl-C to stop")
+def serve_until_interrupted(server: JsonServer) -> None:
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
+    except KeyboardInterrupt:  # Ctrl-C, or SIGTERM (see run_cluster)
         pass
     finally:
         server.server_close()
+
+
+def run_cluster(args) -> None:
+    # SIGTERM unwinds through the same ``finally`` as Ctrl-C, so worker
+    # processes are reaped; installed before any of them forks.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    cluster = build_cluster(args)
+    try:
+        names = cluster.shard_map.names()
+        if args.warm or args.datasets:
+            # Bundle-less shards train on first request otherwise — warming
+            # up front-loads that cost.  Bundle-backed maps can stay lazy.
+            for name in names:
+                print(f"warming shard {name!r} ...")
+                cluster.warm([name])
+                if args.artifact_dir:
+                    info = cluster.shard(name).artifact_info()
+                    print(f"[{name}] artifacts {info['source']} in "
+                          f"{info['seconds']:.2f}s")
+        server = JsonServer((args.host, args.port), cluster_routes(cluster),
+                            CLUSTER_ERRORS)
+        print(f"Serving {len(names)} shard(s) {names} on "
+              f"http://{args.host}:{args.port} (POST /recover /swap /register, "
+              "GET /stats /healthz /deadletters); Ctrl-C to stop")
+        serve_until_interrupted(server)
+    finally:
         cluster.close()
         print(json.dumps(cluster.stats()["cluster"], indent=1))
 
 
 def run_http(args) -> None:
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     service, _ = build_service(args, need_samples=False)
     # The streaming facade shares the registry (hot swaps reach both
-    # traffic classes) and the telemetry (one /stats splits them).
+    # traffic classes), the telemetry (one /stats splits them) and the
+    # decode slot table (session suffixes join the one-shot ragged batch).
     streaming = StreamingRecoveryService(
         service.registry,
         StreamConfig.from_serve(service.config,
                                 commit_horizon=args.commit_horizon,
                                 capacity=args.session_capacity,
                                 ttl_seconds=args.session_ttl),
-        telemetry=service.telemetry)
-    _Handler.service = service
-    _Handler.streaming = streaming
-    server = ThreadingHTTPServer((args.host, args.port), _Handler)
-    print(f"Serving recovery API on http://{args.host}:{args.port} "
-          f"(POST /recover /session/open /session/append /session/finalize, "
-          f"GET /stats /healthz /session/evictions); Ctrl-C to stop")
+        telemetry=service.telemetry, scheduler=service.scheduler)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        server = JsonServer((args.host, args.port),
+                            service_routes(service, streaming), SERVICE_ERRORS)
+        print(f"Serving recovery API on http://{args.host}:{args.port} "
+              f"(POST /recover /session/open /session/append /session/finalize, "
+              f"GET /stats /healthz /session/evictions); Ctrl-C to stop")
+        serve_until_interrupted(server)
     finally:
-        server.server_close()
         streaming.close()
         service.close()
         print(json.dumps(service.stats(), indent=1))
@@ -567,11 +475,7 @@ def main(argv=None) -> None:
         p = sub.add_parser(name, help=help_text)
         common(p)
         p.add_argument("--bundle", default=None, help="bundle prefix from `train`")
-        p.add_argument("--scheduler", default="continuous",
-                       choices=("continuous", "microbatch"),
-                       help="decode scheduler (see docs/serving.md)")
         p.add_argument("--max-batch-size", type=int, default=16)
-        p.add_argument("--max-wait-ms", type=float, default=20.0)
         p.add_argument("--cache-capacity", type=int, default=1024)
         if name == "oneshot":
             p.add_argument("--requests", type=int, default=20)
@@ -600,11 +504,7 @@ def main(argv=None) -> None:
     c.add_argument("--trajectories", type=int, default=160)
     c.add_argument("--hidden", type=int, default=32)
     c.add_argument("--epochs", type=int, default=5)
-    c.add_argument("--scheduler", default="continuous",
-                   choices=("continuous", "microbatch"),
-                   help="decode scheduler (see docs/serving.md)")
     c.add_argument("--max-batch-size", type=int, default=16)
-    c.add_argument("--max-wait-ms", type=float, default=20.0)
     c.add_argument("--cache-capacity", type=int, default=1024)
     c.add_argument("--backend", default=None,
                    choices=("inproc", "process"),

@@ -22,7 +22,7 @@ This package reimplements the complete system in pure numpy:
 * :mod:`repro.datasets` / :mod:`repro.experiments` — dataset registry and
   the cached experiment harness behind every benchmark;
 * :mod:`repro.serve` — online serving: :class:`~repro.serve.RecoveryService`
-  with micro-batching, a hot-swappable model registry, request-level
+  with continuous batching, a hot-swappable model registry, request-level
   caching and telemetry (see ``scripts/serve.py``);
 * :mod:`repro.cluster` — sharded multi-city serving: a grid-backed router
   over many per-city services with lazy warm-up, bounded-queue load

@@ -24,6 +24,7 @@ from .shardmap import ShardMap, ShardSpec, load_shard_map, side_by_side
 from .telemetry import ClusterTelemetry
 from .workers import (
     BackendDegraded,
+    StreamingUnsupported,
     WorkerCrashed,
     WorkerError,
     WorkerPool,
@@ -43,6 +44,7 @@ __all__ = [
     "side_by_side",
     "ClusterTelemetry",
     "BackendDegraded",
+    "StreamingUnsupported",
     "WorkerCrashed",
     "WorkerError",
     "WorkerPool",

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .. import profile
 from ..serve.request import RecoveryRequest, RecoveryResponse
-from ..serve.telemetry import ServingTelemetry
+from ..serve.telemetry import rollup
 from .router import RouteError, ShardRouter
 from .shard import ModelFactory, NetworkFactory, Shard, ShardOverloaded
 from .shardmap import ShardMap
@@ -137,8 +137,8 @@ class RecoveryCluster:
 
     def recover_many(self, requests: Sequence[RecoveryRequest],
                      timeout: Optional[float] = None) -> List[ClusterResult]:
-        """Submit everything up front (per-shard micro-batching coalesces
-        concurrent peers), then gather per-request outcomes."""
+        """Submit everything up front (concurrent peers share each shard's
+        decode slots), then gather per-request outcomes."""
         futures = [self.submit(request) for request in requests]
         results: List[ClusterResult] = []
         for request, future in zip(requests, futures):
@@ -200,26 +200,20 @@ class RecoveryCluster:
             shard.name: shard.stats(latencies=shard_latencies[shard.name])
             for shard in self.shards
         }
-        latencies: List[float] = []
-        for values in shard_latencies.values():
-            latencies.extend(values)
-        latencies.sort()
-        requests = sum(s.get("requests", 0) for s in shard_stats.values())
-        cache_hits = sum(s.get("cache_hits", 0) for s in shard_stats.values())
+        total = rollup(shard_stats.values(), [
+            value for values in shard_latencies.values() for value in values])
         router = self.telemetry.stats()
         payload: Dict[str, Any] = {
             "cluster": {
                 "shards": len(self.shards),
                 "materialized": sum(
                     1 for s in shard_stats.values() if s["materialized"]),
-                "requests": requests,
-                "cache_hits": cache_hits,
+                "requests": total["requests"],
+                "cache_hits": total["cache_hits"],
                 "shed": router["shed"],
                 "unroutable": router["unroutable"],
-                "latency_ms_p50": round(
-                    1000.0 * ServingTelemetry._percentile(latencies, 0.50), 3),
-                "latency_ms_p99": round(
-                    1000.0 * ServingTelemetry._percentile(latencies, 0.99), 3),
+                "latency_ms_p50": total["latency_ms_p50"],
+                "latency_ms_p99": total["latency_ms_p99"],
             },
             "router": router,
             "shards": shard_stats,

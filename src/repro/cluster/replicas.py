@@ -1,0 +1,96 @@
+"""The replica surface a shard serves through, and its in-process form.
+
+A :class:`~repro.cluster.shard.Shard` owns placement (round-robin,
+admission, shedding) and talks to its N replicas through one surface —
+``submit_to(index, request)``, ``decode_scheduler()``, ``deploy``,
+``swap``, ``latencies``, ``stats(latencies)``, ``pids``, ``close`` — with two
+implementations: :class:`ThreadReplicas` here (``backend="inproc"``) and
+:class:`~repro.cluster.workers.ProcessReplicas` (``backend="process"``).
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Future
+from typing import Any, Dict, Iterable, List
+
+from ..serve.batching import ContinuousScheduler
+from ..serve.registry import ModelRegistry
+from ..serve.request import RecoveryRequest, RecoveryResponse
+from ..serve.service import RecoveryService, ServeConfig
+from ..serve.telemetry import rollup
+from .shardmap import ShardSpec
+
+
+def deploy_generation(registry: ModelRegistry, name: str, model_or_prefix,
+                      activate: bool, load: bool = True) -> None:
+    """Register a model generation — a bundle prefix (str) or an in-memory
+    model — and on activation evict every loaded generation but it and its
+    immediate predecessor, so rolling deploys hold at most two resident
+    models (the previous one stays warm for instant rollback).
+
+    ``load=False`` activates without loading: a process-backend parent
+    registry only tracks generation tags, its workers hold the models.
+    """
+    previous = registry.active_name
+    if isinstance(model_or_prefix, str):
+        registry.register(name, model_or_prefix, activate=False)
+    else:
+        registry.add_loaded(name, model_or_prefix, activate=False)
+    if activate:
+        if load:
+            registry.activate(name)
+        else:
+            registry.activate_unloaded(name)
+        for stale in registry.names():
+            if stale not in (name, previous):
+                registry.evict(stale)
+
+
+class ThreadReplicas:
+    """N :class:`~repro.serve.RecoveryService` replicas in this process,
+    all over one shared registry — a deploy or swap reaches every replica
+    at once."""
+
+    def __init__(self, registry: ModelRegistry, config: ServeConfig,
+                 spec: ShardSpec) -> None:
+        self._registry = registry
+        self.services = [RecoveryService(registry, config, shard=spec.name)
+                         for _ in range(spec.replicas)]
+
+    def submit_to(self, index: int,
+                  request: RecoveryRequest) -> "Future[RecoveryResponse]":
+        return self.services[index].submit(request)
+
+    def decode_scheduler(self) -> ContinuousScheduler:
+        """Replica 0's slot table — streaming suffix decodes join it."""
+        return self.services[0].scheduler
+
+    def deploy(self, name: str, model_or_prefix, activate: bool) -> None:
+        deploy_generation(self._registry, name, model_or_prefix, activate)
+
+    def swap(self, name: str) -> None:
+        self._registry.activate(name)
+
+    def latencies(self) -> List[float]:
+        out: List[float] = []
+        for service in self.services:
+            out.extend(service.telemetry.latencies())
+        return out
+
+    def stats(self, latencies: Iterable[float]) -> Dict[str, Any]:
+        rows = [service.stats() for service in self.services]
+        payload = rollup(rows, latencies)
+        engine: Dict[str, int] = {}
+        for row in rows:
+            for gauge, value in row["engine"].items():
+                engine[gauge] = engine.get(gauge, 0) + value
+        payload["engine"] = engine
+        payload["replica_stats"] = rows
+        return payload
+
+    def pids(self) -> List[int]:
+        return []
+
+    def close(self) -> None:
+        for service in self.services:
+            service.close()

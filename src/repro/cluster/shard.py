@@ -2,8 +2,9 @@
 
 A :class:`Shard` owns everything needed to serve one region: the road
 network, a shared :class:`~repro.serve.ModelRegistry` (so a hot swap
-reaches every replica at once), and N :class:`~repro.serve.RecoveryService`
-replicas drained round-robin.  Two cluster-level concerns live here
+reaches every replica at once), and N replicas drained round-robin
+through one surface (:mod:`repro.cluster.replicas`) whether they are
+threads or worker processes.  Two cluster-level concerns live here
 because a single service cannot express them:
 
 * **Lazy warm-up** — a shard starts *spec-only*: routing works against
@@ -22,23 +23,21 @@ import os
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import asdict
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from ..core.model import RNTrajRec
 from ..datasets.registry import get_spec
-from ..nn.tensor import Tensor
 from ..roadnet.artifacts import CityArtifacts
 from ..roadnet.generator import generate_city
 from ..roadnet.network import RoadNetwork
 from ..serve.registry import ModelRegistry
 from ..serve.request import RecoveryRequest, RecoveryResponse
-from ..serve.service import RecoveryService, ServeConfig
-from ..serve.telemetry import ServingTelemetry
+from ..serve.service import ServeConfig
+from .replicas import ThreadReplicas
 from .shardmap import ShardSpec
-from .workers import WorkerError, WorkerFactory, WorkerPool
+from .workers import ProcessReplicas
 
 #: model_factory(spec, network) -> eval-mode RNTrajRec (bundle-less shards)
 ModelFactory = Callable[[ShardSpec, RoadNetwork], RNTrajRec]
@@ -89,8 +88,7 @@ class Shard:
         self._deploy_lock = threading.Lock()
         self._network: Optional[RoadNetwork] = None
         self._registry: Optional[ModelRegistry] = None
-        self._services: Optional[List[RecoveryService]] = None
-        self._pool: Optional[WorkerPool] = None  # backend == "process"
+        self._replicas: Union[ThreadReplicas, ProcessReplicas, None] = None
         self._inflight: List[int] = [0] * spec.replicas
         self._rr = 0
         self.shed_count = 0
@@ -105,7 +103,7 @@ class Shard:
     @property
     def materialized(self) -> bool:
         with self._lock:
-            return self._services is not None
+            return self._network is not None
 
     @property
     def network(self) -> RoadNetwork:
@@ -135,17 +133,17 @@ class Shard:
         with self._lock:
             if self._closed:
                 raise RuntimeError(f"shard {self.name!r} is closed")
-            if self._services is not None:
+            if self._network is not None:
                 return self
             started = time.perf_counter()
             artifacts: Optional[CityArtifacts] = None
             network: Optional[RoadNetwork] = None
-            if self._artifact_dir:
-                path = self._artifact_path()
-                if CityArtifacts.exists(path):
-                    artifacts = CityArtifacts.load(path, mmap=True)
-                    network = artifacts.network()
-                    self.artifact_source = "loaded"
+            path = (os.path.join(self._artifact_dir, self.name)
+                    if self._artifact_dir else None)
+            if path and CityArtifacts.exists(path):
+                artifacts = CityArtifacts.load(path, mmap=True)
+                network = artifacts.network()
+                self.artifact_source = "loaded"
             if network is None:
                 network = self._network_factory(self.spec)
             registry = ModelRegistry(network, artifacts=artifacts)
@@ -164,80 +162,24 @@ class Shard:
                 raise ValueError(
                     f"shard {self.name!r} has neither a bundle nor a "
                     "model_factory; nothing to serve")
-            if self._artifact_dir and artifacts is None:
+            if path and artifacts is None:
                 # First boot: freeze this shard's city (structures + the
                 # just-loaded model) so every later boot mmap-loads it.
                 _, _, model = registry.active_ref()
-                CityArtifacts.build(network, model=model).save(self._artifact_path())
+                CityArtifacts.build(network, model=model).save(path)
                 self.artifact_source = "built"
             config = self.serve_config()
-            self._network = network
-            self._registry = registry
             if self.spec.backend == "process":
-                # Replicas become forked worker processes; the parent keeps
-                # the registry purely for generation-tag bookkeeping (and,
-                # on first boot, to freeze the artifacts the workers map).
-                self._pool = WorkerPool(
-                    self._worker_factory(network, registry, config),
-                    workers=self.spec.replicas, label=self.name,
-                    request_timeout=self.spec.worker_timeout or None)
-                self._pool.start()
-                self._services = []
+                # The artifact directory, when there is one, exists by now
+                # (loaded or just built) for the workers to map.
+                replicas = ProcessReplicas(registry, config, self.spec, path)
             else:
-                self._services = [
-                    RecoveryService(registry, config, shard=self.name)
-                    for _ in range(self.spec.replicas)]
+                replicas = ThreadReplicas(registry, config, self.spec)
+            self._network, self._registry, self._replicas = (
+                network, registry, replicas)
             if self._artifact_dir:
                 self.artifact_seconds = time.perf_counter() - started
             return self
-
-    def _worker_factory(self, network: RoadNetwork, registry: ModelRegistry,
-                        config: ServeConfig) -> WorkerFactory:
-        """The closure each worker process runs post-fork to build its
-        serving stack from scratch (fresh locks, fresh scheduler thread).
-
-        With an artifact dir the child is fully independent: it mmap-loads
-        the same frozen city, so N workers share one physical copy via the
-        page cache.  Without one, the closure captures the parent's warmed
-        network and the active model's arrays — fork shares those pages
-        copy-on-write, and the child only rebuilds the cheap object shell
-        around them.
-        """
-        shard_name = self.name
-        if self._artifact_dir:
-            # warm() guaranteed the directory exists (loaded or just built).
-            path = self._artifact_path()
-
-            def factory() -> RecoveryService:
-                artifacts = CityArtifacts.load(path, mmap=True)
-                worker_registry = ModelRegistry(artifacts=artifacts)
-                worker_registry.register_artifact_model("default", activate=True)
-                return RecoveryService(worker_registry, config, shard=shard_name)
-
-            return factory
-
-        _, _, model = registry.active_ref()
-        state = model.state_dict()
-        model_config = model.config
-        road_cache = getattr(model.encoder, "_road_cache", None)
-        x_road = road_cache.data if road_cache is not None else None
-
-        def factory() -> RecoveryService:
-            worker_registry = ModelRegistry(network)
-            child = RNTrajRec(network, model_config,
-                              grid=worker_registry._shared_grid(model_config))
-            child.load_state_dict(state, copy=False)
-            worker_registry.add_loaded("default", child, activate=True)
-            if x_road is not None:
-                # Installed after add_loaded's eval() — mode flips clear
-                # the memo (see ModelRegistry.register_artifact_model).
-                child.encoder._road_cache = Tensor(x_road)
-            return RecoveryService(worker_registry, config, shard=shard_name)
-
-        return factory
-
-    def _artifact_path(self) -> str:
-        return os.path.join(self._artifact_dir, self.spec.name)
 
     def artifact_info(self) -> Dict[str, Any]:
         """{"source": "built"|"loaded"|"", "seconds": float} for logs/stats."""
@@ -261,11 +203,7 @@ class Shard:
     def submit(self, request: RecoveryRequest) -> "Future[RecoveryResponse]":
         """Admit onto the least-recently-used non-saturated replica, or
         shed with :class:`ShardOverloaded`; ``request`` is global-frame.
-
-        Admission is backend-agnostic: a process-backed shard bounds
-        in-flight work per worker exactly like an in-process one bounds it
-        per service; only the execution target differs.
-        """
+        In-flight work is bounded per replica, whatever executes it."""
         self.warm()
         with self._lock:
             replica = self._pick_replica()
@@ -274,18 +212,13 @@ class Shard:
                 raise ShardOverloaded(self.name, self.spec.max_inflight,
                                       self.spec.replicas)
             self._inflight[replica] += 1
-            pool = self._pool
-            service = None if pool is not None else self._services[replica]
 
         def _release(_: Future) -> None:
             with self._lock:
                 self._inflight[replica] -= 1
 
         try:
-            if pool is not None:
-                future = pool.submit_to(replica, self.localize(request))
-            else:
-                future = service.submit(self.localize(request))
+            future = self._replicas.submit_to(replica, self.localize(request))
         except Exception:
             _release(None)
             raise
@@ -293,20 +226,15 @@ class Shard:
         return future
 
     def decode_scheduler(self):
-        """Replica 0's continuous decode scheduler (``None`` when the shard
-        was configured with ``scheduler="microbatch"``).  The streaming
+        """Replica 0's continuous decode scheduler.  The streaming
         affinity layer joins session suffix decodes to this slot table, so
         one shard's streaming and one-shot traffic share a ragged batch.
 
-        Process-backed shards return ``None``: their decode slots live in
-        other processes, so streaming sessions fall back to solo suffix
-        decodes in this process (see docs/cluster.md, Execution backends).
+        Raises :class:`~repro.cluster.workers.StreamingUnsupported` on a
+        process-backed shard, whose decode slots live in other processes.
         """
         self.warm()
-        with self._lock:
-            if self._pool is not None:
-                return None
-            return self._services[0].scheduler
+        return self._replicas.decode_scheduler()
 
     def _pick_replica(self) -> Optional[int]:
         """Round-robin over replicas with admission headroom (lock held)."""
@@ -339,73 +267,16 @@ class Shard:
             # Serialized with other deploys/swaps: a concurrent deploy
             # could otherwise evict this not-yet-active registration (or
             # crash evicting a freshly activated one).
-            previous = self._registry.active_name
-            if isinstance(model_or_prefix, str):
-                self._registry.register(name, model_or_prefix, activate=False)
-            else:
-                model_or_prefix.eval()
-                self._registry.add_loaded(name, model_or_prefix, activate=False)
-            if self._pool is not None:
-                # The parent mirrors the registry ops without loading, so
-                # its generation counter stays in lockstep with the
-                # workers' — every ack tag must match the parent's tag.
-                payload = self._deploy_payload(name, model_or_prefix, activate)
-                if activate:
-                    self._registry.activate_unloaded(name)
-                    self._evict_stale(name, previous)
-                acks = self._pool.deploy(payload)
-                self._check_acks("deploy", acks)
-            elif activate:
-                self._registry.activate(name)
-                self._evict_stale(name, previous)
+            self._replicas.deploy(name, model_or_prefix, activate)
         with self._lock:
             self.deploy_count += 1
 
-    def _deploy_payload(self, name: str, model_or_prefix,
-                        activate: bool) -> Dict[str, Any]:
-        """What crosses the pipe for one deploy: a bundle path (workers
-        load from disk), or the model's arrays + config (workers rebuild
-        the object shell around them).  Never the network or grid."""
-        if isinstance(model_or_prefix, str):
-            return {"name": name, "activate": activate,
-                    "prefix": model_or_prefix}
-        road_cache = getattr(model_or_prefix.encoder, "_road_cache", None)
-        return {"name": name, "activate": activate,
-                "config": asdict(model_or_prefix.config),
-                "state": model_or_prefix.state_dict(),
-                "x_road": road_cache.data if road_cache is not None else None}
-
-    def _evict_stale(self, name: str, previous: Optional[str]) -> None:
-        for stale in self._registry.names():
-            if stale not in (name, previous):
-                self._registry.evict(stale)
-
-    def _check_acks(self, op: str, acks: List[Dict[str, Any]]) -> None:
-        """Every worker must ack with the parent's active generation tag;
-        divergence (a failed apply, a worker serving a stale generation)
-        is an operator-visible error, not a silent split-brain."""
-        _, expected = self._registry.active_tag()
-        bad = [ack for ack in acks
-               if ack.get("error") or ack.get("model_tag") != expected]
-        if bad:
-            raise WorkerError(
-                f"shard {self.name!r} {op} diverged on workers {bad}; "
-                f"expected model_tag {expected!r}")
-
     def swap(self, name: str) -> None:
         """Hot-swap this shard's active model; in-flight work finishes on
-        the old generation (see ``RecoveryService.swap_model``).  On a
-        process backend the swap is broadcast worker by worker — each
-        worker applies it atomically between requests and acks with the
-        new tag."""
+        the old generation (see ``RecoveryService.swap_model``)."""
         self.warm()
         with self._deploy_lock:
-            if self._pool is not None:
-                self._registry.activate_unloaded(name)
-                acks = self._pool.swap(name)
-                self._check_acks("swap", acks)
-            else:
-                self._registry.activate(name)
+            self._replicas.swap(name)
 
     def active_model(self) -> Dict[str, str]:
         """{"model": active name, "model_tag": generation tag} (warm only)."""
@@ -415,7 +286,7 @@ class Shard:
         return {"model": name, "model_tag": tag}
 
     # ------------------------------------------------------------------
-    def stats(self, latencies: Optional[List[float]] = None) -> Dict[str, Any]:
+    def stats(self, latencies: Optional[Iterable[float]] = None) -> Dict[str, Any]:
         """Shard gauge snapshot plus rolled-up replica serving stats.
 
         ``latencies`` lets a caller that already snapshotted the replica
@@ -424,8 +295,9 @@ class Shard:
         reservoir a second time.
         """
         with self._lock:
+            replicas = self._replicas
             payload: Dict[str, Any] = {
-                "materialized": self._services is not None,
+                "materialized": self.materialized,
                 "backend": self.spec.backend,
                 "replicas": self.spec.replicas,
                 "max_inflight": self.spec.max_inflight,
@@ -434,95 +306,26 @@ class Shard:
                 "deploys": self.deploy_count,
             }
             if self._artifact_dir:
-                payload["artifacts"] = {"source": self.artifact_source,
-                                        "seconds": round(self.artifact_seconds, 3)}
-            services = list(self._services or ())
-            pool = self._pool
-        if pool is not None:
-            payload.update(self.active_model())
-            pool_stats = pool.stats()
-            if latencies is None:
-                latencies = pool.latencies()
-            else:
-                latencies = list(latencies)
-            latencies.sort()
-            requests = pool_stats["requests"]
-            payload.update({
-                "requests": requests,
-                "cache_hits": pool_stats["cache_hits"],
-                "cache_hit_rate": round(pool_stats["cache_hits"] / requests, 4)
-                if requests else 0.0,
-                "errors": pool_stats["errors"],
-                "requests_by_model": pool_stats["requests_by_model"],
-                "latency_ms_p50": round(
-                    1000.0 * ServingTelemetry._percentile(latencies, 0.50), 3),
-                "latency_ms_p99": round(
-                    1000.0 * ServingTelemetry._percentile(latencies, 0.99), 3),
-                "crashes": pool_stats["crashes"],
-                "respawns": pool_stats["respawns"],
-                "degraded": pool_stats["degraded"],
-                "worker_stats": pool_stats["workers"],
-            })
+                payload["artifacts"] = self.artifact_info()
+        if replicas is None:
             return payload
-        if not services:
-            return payload
-
         payload.update(self.active_model())
-        if latencies is None:
-            latencies = []
-            for service in services:
-                latencies.extend(service.telemetry.latencies())
-        else:
-            latencies = list(latencies)
-        requests = cache_hits = errors = 0
-        by_model: Dict[str, int] = {}
-        replica_stats = []
-        engine_rollup: Dict[str, int] = {}
-        for service in services:
-            stats = service.stats()
-            replica_stats.append(stats)
-            requests += stats["requests"]
-            cache_hits += stats["cache_hits"]
-            errors += stats["errors"]
-            for tag, count in stats["requests_by_model"].items():
-                by_model[tag] = by_model.get(tag, 0) + count
-            for gauge, value in stats.get("engine", {}).items():
-                engine_rollup[gauge] = engine_rollup.get(gauge, 0) + value
-        latencies.sort()
-        if engine_rollup:
-            payload["engine"] = engine_rollup
-        payload.update({
-            "requests": requests,
-            "cache_hits": cache_hits,
-            "cache_hit_rate": round(cache_hits / requests, 4) if requests else 0.0,
-            "errors": errors,
-            "requests_by_model": dict(sorted(by_model.items())),
-            "latency_ms_p50": round(
-                1000.0 * ServingTelemetry._percentile(latencies, 0.50), 3),
-            "latency_ms_p99": round(
-                1000.0 * ServingTelemetry._percentile(latencies, 0.99), 3),
-            "replica_stats": replica_stats,
-        })
+        payload.update(replicas.stats(
+            replicas.latencies() if latencies is None else latencies))
         return payload
 
     def latencies(self) -> List[float]:
         """All replicas' latency observations (seconds), for cluster rollup."""
         with self._lock:
-            services = list(self._services or ())
-            pool = self._pool
-        if pool is not None:
-            return pool.latencies()
-        out: List[float] = []
-        for service in services:
-            out.extend(service.telemetry.latencies())
-        return out
+            replicas = self._replicas
+        return [] if replicas is None else replicas.latencies()
 
     def worker_pids(self) -> List[int]:
         """Alive worker-process pids (empty for in-process shards) — the
         cluster folds them into its children-aware memory snapshot."""
         with self._lock:
-            pool = self._pool
-        return pool.pids() if pool is not None else []
+            replicas = self._replicas
+        return [] if replicas is None else replicas.pids()
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -530,9 +333,7 @@ class Shard:
             if self._closed:
                 return
             self._closed = True
-            services = list(self._services or ())
-            pool = self._pool
-        for service in services:
-            service.close()
-        if pool is not None:
-            pool.close(drain=True)
+            replicas = self._replicas
+        if replicas is None:
+            return
+        replicas.close()

@@ -31,8 +31,8 @@ respawn-looping.  ``close(drain=True)`` lets queued work finish first.
 
 The pool is deliberately *dumb about placement*: admission control,
 shedding and round-robin stay in :class:`~repro.cluster.shard.Shard`,
-which treats ``submit_to(index, ...)`` as the process twin of
-``services[index].submit(...)``.
+which reaches it through :class:`ProcessReplicas` — the process form of
+the replica surface described in :mod:`repro.cluster.replicas`.
 """
 
 from __future__ import annotations
@@ -40,23 +40,32 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import signal
 import struct
 import threading
 import time
 import traceback
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import multiprocessing as mp
 
 import numpy as np
 
+from ..core.config import RNTrajRecConfig
+from ..core.model import RNTrajRec
+from ..nn.tensor import Tensor
 from ..profile import proc_rss_mb
+from ..roadnet.artifacts import CityArtifacts
+from ..serve.registry import ModelRegistry
 from ..serve.request import RecoveryRequest, RecoveryResponse, RequestError
-from ..serve.service import RecoveryService
-from ..serve.telemetry import ServingTelemetry
+from ..serve.service import RecoveryService, ServeConfig
+from ..serve.telemetry import ServingTelemetry, rollup
 from ..trajectory.trajectory import MatchedTrajectory
+from .replicas import deploy_generation
+from .shardmap import ShardSpec
 
 #: worker_factory() -> RecoveryService, called once inside the forked child.
 WorkerFactory = Callable[[], RecoveryService]
@@ -82,6 +91,15 @@ class BackendDegraded(WorkerError):
     crashes deterministically (bad artifact dir, poisoned deploy); the
     shard stays up and reports ``degraded`` in stats so an operator can
     swap the backend or fix the cause and restart.
+    """
+
+
+class StreamingUnsupported(WorkerError):
+    """Streaming sessions were asked of a process-backed shard.
+
+    A session's suffix decodes join the shard's own slot table, and a
+    process backend's slot tables live in its workers — so sessions need
+    ``backend="inproc"``; there is no solo-decode fallback.
     """
 
 
@@ -178,34 +196,70 @@ def _encode_ack(seq: int, result: Dict[str, Any]) -> bytes:
 # ----------------------------------------------------------------------
 # Child side
 # ----------------------------------------------------------------------
-def _apply_deploy(service: RecoveryService, payload: Dict[str, Any]) -> None:
-    """Mirror ``Shard.deploy`` inside the worker: register the new
-    generation, optionally activate it and evict all but it and its
-    immediate predecessor.  The parent runs the same registry ops in
-    lockstep, so generation tags agree on both sides."""
-    from ..core.config import RNTrajRecConfig
-    from ..core.model import RNTrajRec
-    from ..nn.tensor import Tensor
+def _model_payload(name: str, model_or_prefix, activate: bool) -> Dict[str, Any]:
+    """What crosses the process boundary for one model generation: a
+    bundle path (workers load from disk), or the model's arrays + config
+    (workers rebuild the object shell around them).  Never the network or
+    grid."""
+    if isinstance(model_or_prefix, str):
+        return {"name": name, "activate": activate, "prefix": model_or_prefix}
+    road_cache = getattr(model_or_prefix.encoder, "_road_cache", None)
+    return {"name": name, "activate": activate,
+            "config": asdict(model_or_prefix.config),
+            "state": model_or_prefix.state_dict(),
+            "x_road": road_cache.data if road_cache is not None else None}
 
-    registry = service.registry
-    name = payload["name"]
-    previous = registry.active_name
+
+def _install(registry: ModelRegistry, payload: Dict[str, Any]) -> None:
+    """Apply one :func:`_model_payload` to a worker's registry.  The
+    parent runs the same registry ops in lockstep (without loading), so
+    generation tags agree on both sides."""
     if "prefix" in payload:
-        registry.register(name, payload["prefix"], activate=False)
-    else:
-        config = RNTrajRecConfig(**payload["config"])
-        model = RNTrajRec(registry.network, config,
-                          grid=registry._shared_grid(config))
-        model.load_state_dict(payload["state"], copy=False)
-        registry.add_loaded(name, model, activate=False)
-        x_road = payload.get("x_road")
-        if x_road is not None:
-            model.encoder._road_cache = Tensor(x_road)
-    if payload.get("activate", True):
-        registry.activate(name)
-        for stale in registry.names():
-            if stale not in (name, previous):
-                registry.evict(stale)
+        deploy_generation(registry, payload["name"], payload["prefix"],
+                          payload["activate"])
+        return
+    config = RNTrajRecConfig(**payload["config"])
+    model = RNTrajRec(registry.network, config,
+                      grid=registry._shared_grid(config))
+    model.load_state_dict(payload["state"], copy=False)
+    deploy_generation(registry, payload["name"], model, payload["activate"])
+    if payload["x_road"] is not None:
+        # Installed after add_loaded's eval() — mode flips clear the memo
+        # (see ModelRegistry.register_artifact_model).
+        model.encoder._road_cache = Tensor(payload["x_road"])
+
+
+def _service_factory(label: str, registry: ModelRegistry, config: ServeConfig,
+                     artifact_path: Optional[str]) -> WorkerFactory:
+    """The closure each worker process runs post-fork to build its
+    serving stack from scratch (fresh locks, fresh scheduler thread).
+
+    With an artifact path the child is fully independent: it mmap-loads
+    the same frozen city, so N workers share one physical copy via the
+    page cache.  Without one, the closure captures the parent's warmed
+    network and the active model's arrays — fork shares those pages
+    copy-on-write, and the child only rebuilds the cheap object shell
+    around them.
+    """
+    if artifact_path:
+
+        def factory() -> RecoveryService:
+            artifacts = CityArtifacts.load(artifact_path, mmap=True)
+            worker_registry = ModelRegistry(artifacts=artifacts)
+            worker_registry.register_artifact_model("default", activate=True)
+            return RecoveryService(worker_registry, config, shard=label)
+
+        return factory
+
+    network = registry.network
+    payload = _model_payload("default", registry.active_ref()[2], True)
+
+    def factory() -> RecoveryService:
+        worker_registry = ModelRegistry(network)
+        _install(worker_registry, payload)
+        return RecoveryService(worker_registry, config, shard=label)
+
+    return factory
 
 
 def _worker_main(conn, factory: WorkerFactory) -> None:
@@ -213,9 +267,10 @@ def _worker_main(conn, factory: WorkerFactory) -> None:
     loop.  One request decodes at a time, so a swap applied between two
     requests is atomic — no request is ever served by a half-swapped
     worker — and parallelism comes from running N workers."""
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns shutdown
+    # The front door turns SIGTERM into an unwinding exit and fork copies
+    # that handler; a worker told to terminate must simply die.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         service = factory()
     except Exception:
@@ -247,7 +302,7 @@ def _worker_main(conn, factory: WorkerFactory) -> None:
                     if op == "ping":
                         result = {"pid": os.getpid()}
                     elif op == "deploy":
-                        _apply_deploy(service, payload)
+                        _install(service.registry, payload)
                         result = {}
                     elif op == "swap":
                         service.swap_model(payload)
@@ -645,8 +700,8 @@ class WorkerPool:
 
     def deploy(self, payload: Dict[str, Any],
                timeout: float = 120.0) -> List[Dict[str, Any]]:
-        """Broadcast one model deploy (see ``Shard.deploy`` for payload
-        construction); logged first so respawned workers replay it."""
+        """Broadcast one model deploy (a :func:`_model_payload`); logged
+        first so respawned workers replay it."""
         with self._lock:
             self._log.append(("deploy", payload))
         return self._broadcast("deploy", payload, timeout)
@@ -670,7 +725,7 @@ class WorkerPool:
             out.extend(telemetry.latencies())
         return out
 
-    def stats(self) -> Dict[str, Any]:
+    def stats(self, latencies: Optional[Iterable[float]] = None) -> Dict[str, Any]:
         with self._lock:
             workers = [w for w in self._workers if w is not None]
             payload: Dict[str, Any] = {
@@ -681,16 +736,9 @@ class WorkerPool:
                 "degraded": self.degraded,
             }
             inflight = {w.index: len(w.pending) for w in workers}
-        requests = cache_hits = errors = 0
-        by_model: Dict[str, int] = {}
         rows: List[Dict[str, Any]] = []
         for worker in workers:
             stats = self._telemetry[worker.index].stats()
-            requests += stats["requests"]
-            cache_hits += stats["cache_hits"]
-            errors += stats["errors"]
-            for tag, count in stats["requests_by_model"].items():
-                by_model[tag] = by_model.get(tag, 0) + count
             rows.append({
                 "index": worker.index,
                 "pid": worker.process.pid,
@@ -706,13 +754,9 @@ class WorkerPool:
                 # every shared page N times); 0.0 once it is gone.
                 "rss_mb": proc_rss_mb(worker.process.pid) if worker.alive else 0.0,
             })
-        payload.update({
-            "requests": requests,
-            "cache_hits": cache_hits,
-            "errors": errors,
-            "requests_by_model": dict(sorted(by_model.items())),
-            "workers": rows,
-        })
+        payload.update(rollup(rows, self.latencies() if latencies is None
+                              else latencies))
+        payload["workers"] = rows
         return payload
 
     # ------------------------------------------------------------------
@@ -759,3 +803,70 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class ProcessReplicas:
+    """The process form of the replica surface (see
+    :mod:`repro.cluster.replicas`): a :class:`WorkerPool` plus the
+    parent-side registry bookkeeping that keeps generation tags in
+    lockstep with the workers'."""
+
+    def __init__(self, registry: ModelRegistry, config: ServeConfig,
+                 spec: ShardSpec, artifact_path: Optional[str] = None) -> None:
+        # The parent keeps the registry purely for generation-tag
+        # bookkeeping: after the first deploy it stops loading models.
+        self._registry = registry
+        self._label = spec.name
+        self._pool = WorkerPool(
+            _service_factory(spec.name, registry, config, artifact_path),
+            workers=spec.replicas, label=spec.name,
+            request_timeout=spec.worker_timeout or None)
+        self._pool.start()
+
+    def submit_to(self, index: int,
+                  request: RecoveryRequest) -> "Future[RecoveryResponse]":
+        return self._pool.submit_to(index, request)
+
+    def decode_scheduler(self):
+        raise StreamingUnsupported(
+            f"shard {self._label!r} runs backend='process': its decode "
+            "slots live in worker processes; streaming sessions need "
+            "backend='inproc'")
+
+    def deploy(self, name: str, model_or_prefix, activate: bool) -> None:
+        deploy_generation(self._registry, name, model_or_prefix, activate,
+                          load=False)
+        self._check_acks("deploy", self._pool.deploy(
+            _model_payload(name, model_or_prefix, activate)))
+
+    def swap(self, name: str) -> None:
+        """Broadcast worker by worker — each worker applies the swap
+        atomically between requests and acks with the new tag."""
+        self._registry.activate_unloaded(name)
+        self._check_acks("swap", self._pool.swap(name))
+
+    def _check_acks(self, op: str, acks: List[Dict[str, Any]]) -> None:
+        """Every worker must ack with the parent's active generation tag;
+        divergence (a failed apply, a worker serving a stale generation)
+        is an operator-visible error, not a silent split-brain."""
+        _, expected = self._registry.active_tag()
+        bad = [ack for ack in acks
+               if ack.get("error") or ack.get("model_tag") != expected]
+        if bad:
+            raise WorkerError(
+                f"shard {self._label!r} {op} diverged on workers {bad}; "
+                f"expected model_tag {expected!r}")
+
+    def latencies(self) -> List[float]:
+        return self._pool.latencies()
+
+    def stats(self, latencies: Iterable[float]) -> Dict[str, Any]:
+        payload = self._pool.stats(latencies)
+        payload["worker_stats"] = payload.pop("workers")
+        return payload
+
+    def pids(self) -> List[int]:
+        return self._pool.pids()
+
+    def close(self) -> None:
+        self._pool.close(drain=True)

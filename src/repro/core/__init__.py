@@ -15,9 +15,6 @@ from .grid_gnn import GridGNN, PlainRoadEncoder, build_road_encoder
 from .loss import LossBreakdown, graph_classification_loss, rate_loss, segment_id_loss, total_loss
 from .model import RNTrajRec
 from .subgraph_gen import PointSubGraph, SubGraphBatch, SubGraphGenerator
-# Deprecated re-exports: the trainer lives in repro.train now (see
-# core/train.py, kept as a shim so historical imports stay valid).
-from .train import EpochStats, TrainConfig, Trainer, TrainResult, quick_accuracy
 
 __all__ = [
     "RNTrajRecConfig",
@@ -46,9 +43,4 @@ __all__ = [
     "PointSubGraph",
     "SubGraphBatch",
     "SubGraphGenerator",
-    "EpochStats",
-    "TrainConfig",
-    "Trainer",
-    "TrainResult",
-    "quick_accuracy",
 ]

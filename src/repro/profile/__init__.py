@@ -3,7 +3,7 @@
 A :class:`Profiler` is a thread-safe registry of named **sections** (timed
 spans) and **counters**.  The hot paths of the model and the serving layer
 are instrumented with ``profile.section("...")`` context managers — encode,
-decode, sub-graph generation, and the micro-batch scheduler — so any
+decode, sub-graph generation, and the serving scheduler — so any
 caller (benchmarks, the serving CLI, a notebook) can flip profiling on and
 read a per-stage wall-clock breakdown without touching model code:
 
@@ -32,7 +32,8 @@ Section names used by the built-in instrumentation:
 ``decode.prior``            interpolation-prior construction
 ``decode.greedy``           greedy decode step loop (also ``recover_padded``)
 ``decode.beam``             beam-search decode
-``serve.batch``             one micro-batched decode in the serving scheduler
+``serve.admit``             one serving-engine admission (encode + constraint)
+``engine.step``             one serving-engine sweep over all active slots
 ==========================  ====================================================
 """
 

@@ -9,7 +9,7 @@ hot-swappable model registry, request-level caching and telemetry.  See
 ``examples/serve_demo.py`` for runnable entries.
 """
 
-from .batching import BatchPolicy, ContinuousScheduler, MicroBatcher
+from .batching import ContinuousScheduler
 from .cache import LRUCache, quantize_key
 from .engine import (
     ContinuousEngine,
@@ -33,13 +33,11 @@ from .service import RecoveryService, ServeConfig
 from .telemetry import ServingTelemetry
 
 __all__ = [
-    "BatchPolicy",
     "ContinuousEngine",
     "ContinuousScheduler",
     "DecodeJob",
     "DecodeResult",
     "EngineError",
-    "MicroBatcher",
     "SlotTable",
     "run_to_completion",
     "LRUCache",

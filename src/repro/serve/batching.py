@@ -1,249 +1,31 @@
-"""Micro-batching scheduler: coalesce concurrent requests into one decode.
+"""Continuous-batching scheduler: the one decode path of the serving layer.
 
-The transformer encoder and GRU decoder are batched row-independent
-computations, so recovering 16 trajectories in one call costs far less than
-16 calls.  The scheduler holds each arriving request for at most
-``max_wait_ms``; if ``max_batch_size`` peers (with a compatible shape)
-arrive first, the batch dispatches early.  Requests are grouped by a caller
--supplied key — the serving layer groups by input length, padding target
-lengths inside the runner — because heterogeneous input lengths cannot
-share one encoder pass.
+Every request — one-shot or a streaming suffix decode — is admitted into
+a slot of one :class:`~repro.serve.engine.ContinuousEngine` and advances
+one greedy step per kernel sweep next to everything else in flight.
 
 The worker thread owns all scheduling state; callers interact only through
-``submit`` (returns a ``concurrent.futures.Future``), ``flush`` and
-``close``.
+``submit`` / ``submit_job`` (each returns a ``concurrent.futures.Future``),
+``flush`` and ``close``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
-
-Entry = Tuple[float, Any, Future]
-
-# Group keys are caller-supplied and may be falsy (None, 0, "") — group
-# selection must distinguish "no group found" from "found a falsy key".
-_NO_GROUP = object()
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Coalescing policy: dispatch at ``max_batch_size`` or after
-    ``max_wait_ms`` since the oldest pending request, whichever first."""
-
-    max_batch_size: int = 16
-    max_wait_ms: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
-
-
-class MicroBatcher:
-    """Coalesces ``submit`` calls into grouped ``run_batch`` invocations."""
-
-    def __init__(
-        self,
-        run_batch: Callable[[List[Any]], Sequence[Any]],
-        policy: Optional[BatchPolicy] = None,
-        group_key: Optional[Callable[[Any], Hashable]] = None,
-        on_batch: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        self._run_batch = run_batch
-        self.policy = policy or BatchPolicy()
-        self._group_key = group_key or (lambda item: None)
-        self._on_batch = on_batch
-        self._cond = threading.Condition()
-        self._groups: Dict[Hashable, List[Entry]] = {}
-        self._order: List[Hashable] = []  # groups in oldest-first arrival order
-        self._inflight = 0
-        self._inflight_futures: set = set()
-        self._closed = False
-        self._force = False
-        self._worker = threading.Thread(target=self._loop, daemon=True,
-                                        name="microbatcher")
-        self._worker.start()
-
-    # ------------------------------------------------------------------
-    def submit(self, item: Any) -> Future:
-        """Enqueue one item; the future resolves to its batch result."""
-        future: Future = Future()
-        key = self._group_key(item)
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("MicroBatcher is closed")
-            if key not in self._groups:
-                self._groups[key] = []
-                self._order.append(key)
-            self._groups[key].append((time.monotonic(), item, future))
-            self._cond.notify_all()
-        return future
-
-    def flush(self) -> None:
-        """Dispatch everything pending *now* and block until it completes.
-
-        Waits on a snapshot of the queued and in-flight work at call time —
-        not on the queue becoming empty — so sustained concurrent traffic
-        cannot keep a flush blocked forever.
-        """
-        with self._cond:
-            snapshot = [future for group in self._groups.values()
-                        for _, _, future in group]
-            snapshot.extend(self._inflight_futures)
-            if not snapshot:
-                return
-            self._force = True
-            self._cond.notify_all()
-        for future in snapshot:
-            try:
-                future.exception()  # blocks; runner errors stay in the future
-            except CancelledError:
-                pass
-        with self._cond:
-            # Re-arm coalescing: without this, submissions arriving right
-            # after the drain would keep dispatching as batches of one.
-            if not self._closed:
-                self._force = False
-            self._cond.notify_all()
-
-    def close(self, drain: bool = True) -> None:
-        """Stop the worker; ``drain`` dispatches pending work first."""
-        failed: List[Entry] = []
-        with self._cond:
-            if drain:
-                self._force = True
-            else:
-                failed = [entry for group in self._groups.values() for entry in group]
-                self._groups.clear()
-                self._order.clear()
-            self._closed = True
-            self._cond.notify_all()
-        for _, _, future in failed:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(RuntimeError("MicroBatcher closed"))
-        # A drain must actually wait out in-flight decodes (they can take
-        # minutes on large batches); without drain the worker exits promptly.
-        self._worker.join(timeout=None if drain else 30.0)
-
-    @property
-    def pending(self) -> int:
-        """Outstanding *requests*: queued plus currently decoding."""
-        with self._cond:
-            return sum(len(group) for group in self._groups.values()) + self._inflight
-
-    def _full_group(self) -> Any:
-        """The first group with a full batch, else ``_NO_GROUP`` (caller
-        must hold the lock)."""
-        for key in self._order:
-            if len(self._groups[key]) >= self.policy.max_batch_size:
-                return key
-        return _NO_GROUP
-
-    def _ready_group(self, now: float) -> Any:
-        """The oldest group whose wait window has expired, else
-        ``_NO_GROUP`` (caller must hold the lock)."""
-        wait_seconds = self.policy.max_wait_ms / 1000.0
-        for key in self._order:
-            if now >= self._groups[key][0][0] + wait_seconds:
-                return key
-        return _NO_GROUP
-
-    # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        wait_seconds = self.policy.max_wait_ms / 1000.0
-        while True:
-            with self._cond:
-                while not self._groups and not self._closed:
-                    self._force = False
-                    self._cond.notify_all()  # wake flush() waiters
-                    self._cond.wait()
-                if self._closed and not self._groups:
-                    self._cond.notify_all()
-                    return
-                # Expired windows dispatch first (oldest-first, so a partial
-                # group can never starve behind a continuously full one),
-                # then any full batch; otherwise sleep until the oldest
-                # group's window expires or a submission wakes us.
-                key: Any = _NO_GROUP
-                while not self._force and not self._closed:
-                    now = time.monotonic()
-                    key = self._ready_group(now)
-                    if key is _NO_GROUP:
-                        key = self._full_group()
-                    if key is not _NO_GROUP:
-                        break
-                    # Sleep until the *earliest-expiring* group's window, not
-                    # the first-created one's — group heads re-anchor after a
-                    # partial dispatch, so creation order ≠ expiry order.
-                    next_expiry = min(group[0][0] for group in self._groups.values())
-                    self._cond.wait(max(next_expiry + wait_seconds - now, 0.0))
-                    if not self._groups:  # close(drain=False) cleared the queue
-                        break
-                if not self._groups:
-                    continue
-                if key is _NO_GROUP:  # force/close: drain in arrival order
-                    key = self._order[0]
-                group = self._groups[key]
-                take = group[: self.policy.max_batch_size]
-                rest = group[self.policy.max_batch_size:]
-                if rest:
-                    # Keep the group's position; its new head re-anchors the
-                    # wait window on the next iteration.
-                    self._groups[key] = rest
-                else:
-                    del self._groups[key]
-                    self._order.remove(key)
-                self._inflight += len(take)
-                self._inflight_futures.update(future for _, _, future in take)
-            self._dispatch(take)
-            with self._cond:
-                self._inflight -= len(take)
-                self._inflight_futures.difference_update(
-                    future for _, _, future in take)
-                self._cond.notify_all()
-
-    def _dispatch(self, entries: List[Entry]) -> None:
-        live = [entry for entry in entries
-                if entry[2].set_running_or_notify_cancel()]
-        if not live:
-            return
-        items = [item for _, item, _ in live]
-        if self._on_batch is not None:
-            try:
-                self._on_batch(len(items))
-            except Exception:
-                pass  # a broken metrics hook must never kill the worker
-        try:
-            results = list(self._run_batch(items))
-            if len(results) != len(items):
-                raise RuntimeError(
-                    f"run_batch returned {len(results)} results for {len(items)} items"
-                )
-        except BaseException as exc:  # propagate to every waiter
-            for _, _, future in live:
-                future.set_exception(exc)
-            return
-        for (_, _, future), result in zip(live, results):
-            future.set_result(result)
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class ContinuousScheduler:
     """Continuous-batching scheduler over a :class:`ContinuousEngine`.
 
-    Replaces run-to-completion draining: the worker thread admits queued
-    work into free slots before *every* kernel sweep, steps all in-flight
-    sequences once, and resolves each retiring slot's future the moment
-    its own sequence finishes.  Futures are keyed by slot, not by
-    submission position — completion order is independent of admission
-    order, so a short request spliced in late resolves before an earlier
-    long one without any cross-wiring of results (the fix for the
-    micro-batcher's positional future↔result zip, which only holds
-    within one run-to-completion batch).
+    The worker thread admits queued work into free slots before *every*
+    kernel sweep, steps all in-flight sequences once, and resolves each
+    retiring slot's future the moment its own sequence finishes.  Futures
+    are keyed by slot, not by submission position — completion order is
+    independent of admission order, so a short request spliced in late
+    resolves before an earlier long one without any cross-wiring of
+    results.
 
     Two front doors share the same slot table:
 
@@ -264,11 +46,7 @@ class ContinuousScheduler:
     single thread keeps admission naturally paced at one prepare per
     sweep round.
 
-    The API mirrors :class:`MicroBatcher` (``submit`` / ``flush`` /
-    ``close`` / ``pending``) so the serving layer can swap schedulers by
-    config.  ``on_step`` receives the slot occupancy of every kernel
-    sweep — the continuous analogue of the micro-batcher's per-batch
-    occupancy metric.
+    ``on_step`` receives the slot occupancy of every kernel sweep.
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """Continuous-batching decode engine: the shard-level slot table.
 
-The micro-batching scheduler admits a batch and runs it to completion —
+A run-to-completion scheduler admits a batch and decodes all of it —
 a short request admitted behind a long one waits for the whole decode.
 This module is the LLM-serving-style alternative: a
 :class:`ContinuousEngine` holds a fixed pool of decode *slots*, each one

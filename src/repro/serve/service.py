@@ -7,13 +7,10 @@ pipeline per request:
    model name, so hot-swaps never serve stale results);
 2. **assembly** — :func:`~repro.serve.request.assemble_sample` turns the
    raw fixes into the same sample structure the offline pipeline builds;
-3. **scheduling** — by default the continuous-batching engine
+3. **scheduling** — the continuous-batching engine
    (:mod:`repro.serve.engine`): the request is admitted into a decode
    slot and advances one step per kernel sweep next to everything else
-   in flight, retiring as soon as its own grid ends.  The legacy
-   ``microbatch`` scheduler (coalesce by input length, pad targets, one
-   :meth:`RNTrajRec.recover_padded` call, run to completion) remains
-   selectable via ``ServeConfig.scheduler``;
+   in flight, retiring as soon as its own grid ends;
 4. **telemetry** — latency, QPS, cache and occupancy counters behind
    :meth:`RecoveryService.stats`.
 
@@ -35,9 +32,9 @@ from ..core.decoder import GreedyWeights
 from ..core.model import RNTrajRec
 from ..nn.tensor import no_grad
 from ..roadnet.network import RoadNetwork
-from ..trajectory.dataset import RecoverySample, make_batch, make_padded_batch
+from ..trajectory.dataset import RecoverySample, make_batch
 from ..trajectory.trajectory import MatchedTrajectory
-from .batching import BatchPolicy, ContinuousScheduler, MicroBatcher
+from .batching import ContinuousScheduler
 from .cache import LRUCache, quantize_key
 from .engine import DecodeJob, DecodeResult
 from .registry import ModelRegistry
@@ -54,26 +51,15 @@ from .telemetry import ServingTelemetry
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Serving-layer knobs: ingest grid, batching policy, cache sizing."""
+    """Serving-layer knobs: ingest grid, decode slots, cache sizing."""
 
     interval: float = 12.0         # ε_ρ output grid spacing (seconds)
     beta: float = 15.0             # constraint kernel scale (meters)
     max_gps_error: float = 100.0   # constraint search radius (meters)
-    # "continuous" (default): the slot-table decode engine — max_batch_size
-    # is the slot count, max_wait_ms is unused (admission is immediate).
-    # "microbatch": the PR 1 run-to-completion coalescing scheduler.
-    scheduler: str = "continuous"
-    max_batch_size: int = 16
-    max_wait_ms: float = 5.0
+    max_batch_size: int = 16       # decode slots in the engine's slot table
     cache_capacity: int = 1024
     xy_precision: float = 0.1      # cache-key quantization (meters)
     time_precision: float = 0.1    # cache-key quantization (seconds)
-
-    def __post_init__(self) -> None:
-        if self.scheduler not in ("continuous", "microbatch"):
-            raise ValueError(
-                f"scheduler must be 'continuous' or 'microbatch'; "
-                f"got {self.scheduler!r}")
 
     @classmethod
     def for_spec(cls, spec, **overrides) -> "ServeConfig":
@@ -99,10 +85,6 @@ class ServeConfig:
         return IngestConfig(interval=self.interval, beta=self.beta,
                             max_gps_error=self.max_gps_error)
 
-    def policy(self) -> BatchPolicy:
-        return BatchPolicy(max_batch_size=self.max_batch_size,
-                           max_wait_ms=self.max_wait_ms)
-
 
 class RecoveryService:
     """Online recovery over a :class:`ModelRegistry`."""
@@ -119,21 +101,14 @@ class RecoveryService:
         # once at submit time, and the tag travels with the item, so a
         # hot-swap or re-register mid-window never mixes models within a
         # batch nor caches a result under the wrong model's key.
-        if self.config.scheduler == "continuous":
-            self._weights: dict = {}  # model tag -> GreedyWeights (worker-only)
-            self._batcher = ContinuousScheduler(
-                self._prepare_job,
-                self._finish_job,
-                max_slots=self.config.max_batch_size,
-                on_step=self.telemetry.record_batch,
-            )
-        else:
-            self._batcher = MicroBatcher(
-                self._run_batch,
-                policy=self.config.policy(),
-                group_key=lambda item: (item[0].input_length, item[1]),
-                on_batch=self.telemetry.record_batch,
-            )
+        self._weights: dict = {}  # model tag -> GreedyWeights (worker-only)
+        # Streaming services join this scheduler's slot table.
+        self.scheduler = ContinuousScheduler(
+            self._prepare_job,
+            self._finish_job,
+            max_slots=self.config.max_batch_size,
+            on_step=self.telemetry.record_batch,
+        )
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -216,8 +191,8 @@ class RecoveryService:
                                      self.config.ingest(),
                                      alignment=(grid_times, steps))
             # close() may race us past the _closed check at entry; the
-            # batcher's own refusal must fail the future, not submit().
-            inner = self._batcher.submit((sample, model_tag, model))
+            # scheduler's own refusal must fail the future, not submit().
+            inner = self.scheduler.submit((sample, model_tag, model))
         except Exception as exc:
             self.telemetry.record_error()
             outer.set_exception(exc)
@@ -264,56 +239,33 @@ class RecoveryService:
         one, new submissions (and cache keys) use the new one."""
         self.registry.activate(name)
 
-    @property
-    def scheduler(self) -> Optional[ContinuousScheduler]:
-        """The continuous decode scheduler, when running one — streaming
-        services join its slot table (``None`` under ``microbatch``)."""
-        batcher = self._batcher
-        return batcher if isinstance(batcher, ContinuousScheduler) else None
-
     def stats(self) -> dict:
         """Telemetry snapshot plus cache/scheduler/registry gauges."""
         payload = self.telemetry.stats()
         payload.update({
             "shard": self.shard,
-            "scheduler": self.config.scheduler,
             "cache_size": len(self.cache),
             "cache_capacity": self.cache.capacity,
-            "pending": self._batcher.pending,
+            "pending": self.scheduler.pending,
             "active_model": self.registry.active_name,
             "models": self.registry.names(),
+            "engine": self.scheduler.stats(),
         })
-        if self.scheduler is not None:
-            payload["engine"] = self.scheduler.stats()
         return payload
 
     def flush(self) -> None:
-        self._batcher.flush()
+        self.scheduler.flush()
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._batcher.close(drain=True)
+            self.scheduler.close(drain=True)
 
     def __enter__(self) -> "RecoveryService":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    def _run_batch(self, items: List[Tuple[RecoverySample, str, RNTrajRec]]
-                   ) -> List[MatchedTrajectory]:
-        """The micro-batch scheduler's runner: one padded batched decode.
-
-        All items share one group key, hence one (submit-time) model — so
-        in-flight requests finish on the model that was active when they
-        arrived, even across a hot-swap.
-        """
-        with profile.section("serve.batch"):
-            batch, lengths = make_padded_batch([sample for sample, _, _ in items])
-            model = items[0][2]
-            return model.recover_padded(batch, lengths)
 
     # ------------------------------------------------------------------
     # Continuous-batching hooks (scheduler-worker thread only)

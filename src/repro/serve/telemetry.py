@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List
+from typing import Any, Deque, Dict, Iterable, List
 
 from .. import profile
 
@@ -124,3 +124,33 @@ class ServingTelemetry:
                     if count
                 },
             }
+
+
+def rollup(rows: Iterable[Dict[str, Any]],
+           latencies: Iterable[float]) -> Dict[str, Any]:
+    """One aggregate block over per-replica :meth:`ServingTelemetry.stats`
+    rows and their pooled latency observations (seconds).
+
+    The percentiles are taken over the pooled observations, not averaged
+    across replicas; rows without counters (a shard that never warmed)
+    contribute zeros.
+    """
+    requests = cache_hits = errors = 0
+    by_model: Dict[str, int] = {}
+    for row in rows:
+        requests += row.get("requests", 0)
+        cache_hits += row.get("cache_hits", 0)
+        errors += row.get("errors", 0)
+        for tag, count in row.get("requests_by_model", {}).items():
+            by_model[tag] = by_model.get(tag, 0) + count
+    ordered = sorted(latencies)
+    percentile = ServingTelemetry._percentile
+    return {
+        "requests": requests,
+        "cache_hits": cache_hits,
+        "cache_hit_rate": round(cache_hits / requests, 4) if requests else 0.0,
+        "errors": errors,
+        "requests_by_model": dict(sorted(by_model.items())),
+        "latency_ms_p50": round(1000.0 * percentile(ordered, 0.50), 3),
+        "latency_ms_p99": round(1000.0 * percentile(ordered, 0.99), 3),
+    }

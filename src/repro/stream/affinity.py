@@ -48,9 +48,11 @@ class StreamingCluster:
              session_id: Optional[str] = None) -> Tuple[str, str]:
         """Open a session pinned to the shard owning the given global-frame
         position(s); returns (session_id, shard name).  Raises
-        :class:`~repro.cluster.router.RouteError` when no shard owns them
-        and :class:`~repro.stream.SessionOverloaded` when the owning
-        shard's session store sheds."""
+        :class:`~repro.cluster.router.RouteError` when no shard owns them,
+        :class:`~repro.stream.SessionOverloaded` when the owning shard's
+        session store sheds, and
+        :class:`~repro.cluster.StreamingUnsupported` when that shard runs
+        ``backend="process"`` (sessions decode on the shard's own slots)."""
         points = np.atleast_2d(np.asarray(xy, dtype=np.float64))
         shard = self.cluster.shards[
             self.cluster.router.shard_of_points(points)]

@@ -1,8 +1,5 @@
 """``repro.train`` — the production training subsystem.
 
-Grown out of the seed loop in ``repro.core.train`` (which remains as a
-deprecation shim re-exporting these names):
-
 * :class:`Trainer` — Adam + teacher forcing, driven by a callback/event
   pipeline (:mod:`~repro.train.callbacks`): quiet-by-default logging,
   early stopping, best-model tracking, periodic checkpoints, ad-hoc

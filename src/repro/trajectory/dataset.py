@@ -256,8 +256,8 @@ def pad_sample_target(sample: RecoverySample, target_length: int) -> RecoverySam
     """Extend a sample's target grid to ``target_length`` with dummy steps.
 
     Padded steps carry segment 0 / ratio 0, continue the ε_ρ time grid, and
-    are unconstrained (mask of all ones).  The serving layer uses this to
-    coalesce requests of different output lengths into one decoder call:
+    are unconstrained (mask of all ones).  Batched decoding uses this to
+    put samples of different output lengths into one decoder call:
     greedy decoding is stepwise-causal, so truncating the padded output at
     each sample's true length reproduces the unpadded decode exactly.
     """

@@ -282,7 +282,7 @@ class TestShardArtifacts:
         return factory
 
     def test_first_warm_builds_then_loads(self, data, tmp_path):
-        serve = {"max_batch_size": 4, "max_wait_ms": 30.0}
+        serve = {"max_batch_size": 4}
         first = Shard(self._spec(), model_factory=self._factory(data),
                       network_factory=lambda spec: data.network,
                       serve_overrides=serve, artifact_dir=str(tmp_path))
@@ -321,7 +321,7 @@ class TestShardArtifacts:
                       artifact_dir=str(tmp_path))
         shard.warm()
         # Every replica serves off ONE registry pinning ONE mmap network.
-        services = shard._services
+        services = shard._replicas.services
         assert len(services) == 2
         assert services[0].registry is services[1].registry
         assert shard.registry.artifacts is not None

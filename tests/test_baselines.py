@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import BASELINE_NAMES, LinearHMMRecovery, build_baseline
-from repro.core import RNTrajRecConfig, TrainConfig, Trainer
+from repro.core import RNTrajRecConfig
 from repro.roadnet import CityConfig, generate_city
+from repro.train import TrainConfig, Trainer
 from repro.trajectory import (
     DatasetConfig,
     SimulationConfig,

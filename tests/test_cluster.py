@@ -96,7 +96,7 @@ class TestShardMap:
     def test_json_round_trip(self, tmp_path):
         payload = {
             "cluster": {"cell_size": 123.0, "dead_letter_capacity": 9},
-            "serve": {"max_batch_size": 4, "max_wait_ms": 7.5},
+            "serve": {"max_batch_size": 4, "cache_capacity": 64},
             "shards": [
                 {"name": "cd", "dataset": "chengdu", "origin": [0.0, 0.0],
                  "replicas": 2, "max_inflight": 3},
@@ -109,7 +109,7 @@ class TestShardMap:
         smap = load_shard_map(str(path))
         assert smap.cell_size == 123.0
         assert smap.dead_letter_capacity == 9
-        assert smap.serve == {"max_batch_size": 4, "max_wait_ms": 7.5}
+        assert smap.serve == {"max_batch_size": 4, "cache_capacity": 64}
         assert smap.names() == ["cd", "pt"]
         assert smap.shards[0].replicas == 2
         assert smap.shards[0].max_inflight == 3
@@ -139,15 +139,16 @@ class TestShardMap:
             load_shard_map(str(path))
 
     def test_unknown_serve_keys_rejected_at_parse_time(self, tmp_path):
-        """A [serve] typo must fail at load, not as an HTTP 500 on the
-        first lazily warmed request."""
+        """A [serve] typo — or a retired key in a stale map — must fail at
+        load, not as an HTTP 500 on the first lazily warmed request."""
         path = tmp_path / "map.json"
-        path.write_text(json.dumps({
-            "serve": {"max_batchsize": 8},
-            "shards": [{"name": "cd", "dataset": "chengdu"}],
-        }))
-        with pytest.raises(ValueError, match="unknown serve override keys"):
-            load_shard_map(str(path))
+        for serve in ({"max_batchsize": 8}, {"scheduler": "continuous"}):
+            path.write_text(json.dumps({
+                "serve": serve,
+                "shards": [{"name": "cd", "dataset": "chengdu"}],
+            }))
+            with pytest.raises(ValueError, match="unknown serve override keys"):
+                load_shard_map(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ class TestShedding:
         smap = ShardMap(shards=(
             ShardSpec(name="cd", dataset="chengdu", replicas=replicas,
                       max_inflight=max_inflight),
-        ), serve={"max_wait_ms": 400.0, "max_batch_size": 1})
+        ), serve={"max_batch_size": 1})
         return RecoveryCluster(smap, model_factory=tiny_factory,
                                network_factory=lambda spec: data.network)
 

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import (
-    RNTrajRec,
-    RNTrajRecConfig,
-    TrainConfig,
-    Trainer,
-    quick_accuracy,
-)
+from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import ReachabilityMask, RecoveryDecoder, interpolation_prior
 from repro.roadnet import CityConfig, generate_city
+from repro.train import TrainConfig, Trainer, quick_accuracy
 from repro.trajectory import (
     DatasetConfig,
     SimulationConfig,

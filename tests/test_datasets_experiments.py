@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import RNTrajRecConfig, TrainConfig
+from repro.core import RNTrajRecConfig
 from repro.datasets import dataset_names, get_spec, load_dataset
 from repro.experiments import METHOD_NAMES, format_table, run_experiment
 from repro.experiments.harness import ExperimentResult, load_cached
+from repro.train import TrainConfig
 
 
 class TestRegistry:

@@ -503,31 +503,11 @@ class TestServiceEquivalence:
             stats = service.stats()
         finally:
             service.close()
-        assert stats["scheduler"] == "continuous"
         assert stats["engine"]["admitted"] == len(samples)
         for sample, response in zip(samples, responses):
             seg, rate = model.recover(make_batch([sample]))
             assert np.array_equal(response.trajectory.segments, seg[0])
             assert np.array_equal(response.trajectory.ratios, rate[0])
-
-    def test_microbatch_scheduler_still_selectable(self, model, pools):
-        service = RecoveryService.from_model(
-            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
-                               scheduler="microbatch", max_batch_size=4,
-                               max_wait_ms=10.0, cache_capacity=0))
-        try:
-            response = service.recover(_request(pools["short"][0], "m0"),
-                                       timeout=300.0)
-            assert service.stats()["scheduler"] == "microbatch"
-            assert service.scheduler is None
-        finally:
-            service.close()
-        seg, rate = model.recover(make_batch([pools["short"][0]]))
-        assert np.array_equal(response.trajectory.segments, seg[0])
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            ServeConfig(scheduler="magic")
 
 
 # ---------------------------------------------------------------------------

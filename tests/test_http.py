@@ -1,0 +1,332 @@
+"""The HTTP layer, driven in-process on port 0.
+
+``repro.serve.http`` has one handler; ``scripts/serve.py`` supplies two
+route tables (single-city service + streaming, cluster).  Every route,
+status code and body is asserted here against the objects behind it.
+"""
+
+import importlib.util
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.cluster import RecoveryCluster, ShardMap, ShardSpec
+from repro.core import RNTrajRec, RNTrajRecConfig
+from repro.datasets import load_dataset
+from repro.serve import RecoveryService, ServeConfig, save_model_bundle
+from repro.serve import http
+from repro.stream import StreamConfig, StreamingRecoveryService
+
+REPO = Path(__file__).resolve().parent.parent
+TINY = RNTrajRecConfig(hidden_dim=16, num_heads=2, dropout=0.0,
+                       receptive_delta=300.0, max_subgraph_nodes=24)
+
+
+@pytest.fixture(scope="module")
+def cli():
+    """``scripts/serve.py`` as a module (it is import-safe by contract)."""
+    spec = importlib.util.spec_from_file_location(
+        "serve_cli", REPO / "scripts" / "serve.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def data():
+    return load_dataset("chengdu", num_trajectories=24)
+
+
+@pytest.fixture(scope="module")
+def model(data):
+    return RNTrajRec(data.network, TINY).eval()
+
+
+def trace(sample, **extra):
+    return {"points": sample.raw_low.xy.tolist(),
+            "times": sample.raw_low.times.tolist(),
+            "hour": sample.hour, "holiday": sample.holiday, **extra}
+
+
+class Client:
+    """One HTTP/1.0 exchange per call against a server on port 0."""
+
+    def __init__(self, server):
+        self.port = server.server_address[1]
+        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        self._thread.start()
+        self._server = server
+
+    def raw(self, payload: bytes, timeout: float = 10.0):
+        with socket.create_connection(("127.0.0.1", self.port),
+                                      timeout=timeout) as conn:
+            conn.sendall(payload)
+            chunks = []
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        return int(head[9:12]), json.loads(body)
+
+    def get(self, path):
+        return self.raw(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+
+    def post(self, path, payload, length=None):
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        length = len(body) if length is None else length
+        return self.raw(f"POST {path} HTTP/1.0\r\nContent-Length: {length}"
+                        f"\r\n\r\n".encode() + body)
+
+    def stop(self):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10.0)
+        assert not self._thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# serve.py cluster
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def cluster(data, model):
+    shard_map = ShardMap(shards=(ShardSpec(name="cd", dataset="chengdu"),),
+                         serve={"cache_capacity": 0})
+    with RecoveryCluster(shard_map, model_factory=lambda spec, network: model,
+                         network_factory=lambda spec: data.network) as cluster:
+        yield cluster
+
+
+@pytest.fixture(scope="module")
+def front(cli, cluster):
+    client = Client(http.JsonServer(("127.0.0.1", 0), cli.cluster_routes(cluster),
+                                    cli.CLUSTER_ERRORS))
+    yield client
+    client.stop()
+
+
+class TestClusterRoutes:
+    def test_recover_body_is_the_response_payload(self, cli, cluster, front, data):
+        body = trace(data.train[0], request_id="h0")
+        status, reply = front.post("/recover", body)
+        direct = cli._response_payload(
+            cluster.recover(cli._parse_request(body), timeout=60.0))
+        assert status == 200 and reply["request_id"] == "h0"
+        assert reply["shard"] == "cd" and reply["model_tag"] == "default#1"
+        reply.pop("latency_ms"), direct.pop("latency_ms")
+        assert reply == direct
+
+    def test_get_routes(self, front):
+        status, health = front.get("/healthz")
+        assert (status, health) == (200, {
+            "status": "ok", "shards": {"cd": {"materialized": True}}})
+        status, stats = front.get("/stats")
+        assert status == 200
+        assert {"cluster", "router", "shards", "memory"} <= set(stats)
+        assert front.get("/deadletters")[0] == 200
+
+    def test_malformed_requests_are_400(self, front, data):
+        assert front.post("/recover", b"{not json")[0] == 400
+        assert front.post("/recover", {"times": [0, 12]}) == (
+            400, {"error": "'points'"})
+        assert front.post("/recover", [1, 2]) == (
+            400, {"error": "request body must be a JSON object"})
+        reversed_times = trace(data.train[0])
+        reversed_times["times"] = reversed_times["times"][::-1]
+        assert front.post("/recover", reversed_times)[0] == 400
+
+    def test_unknown_path_shard_and_model_are_404(self, front):
+        assert front.get("/nope") == (404, {"error": "unknown path /nope"})
+        assert front.post("/nope", {}) == (404, {"error": "unknown path /nope"})
+        assert front.post("/swap", {"shard": "zz", "model": "m"})[0] == 404
+        assert front.post("/swap", {"shard": "cd", "model": "zz"})[0] == 404
+
+    def test_unroutable_is_422_with_reason(self, front, data):
+        far = trace(data.train[0])
+        far["points"] = (np.asarray(far["points"]) + 1e7).tolist()
+        status, reply = front.post("/recover", far)
+        assert status == 422 and reply["reason"] == "outside"
+        assert front.get("/deadletters")[1]["dead_letters"]
+
+    def test_shed_is_429_with_shard(self, front, cluster, data, monkeypatch):
+        monkeypatch.setattr(cluster.shard("cd"), "_pick_replica", lambda: None)
+        status, reply = front.post("/recover", trace(data.train[1]))
+        assert status == 429 and reply["shard"] == "cd"
+
+    def test_model_fault_is_500(self, front, model, data, monkeypatch):
+        def fault(batch):
+            raise RuntimeError("encoder fault")
+
+        monkeypatch.setattr(model, "encode", fault)
+        assert front.post("/recover", trace(data.train[2])) == (
+            500, {"error": "encoder fault"})
+
+    def test_swap_and_register(self, front, model, tmp_path):
+        assert front.post("/swap", {"shard": "cd"}) == (
+            400, {"error": "missing field(s) ['model']"})
+        assert front.post("/register", {"model": "v2"}) == (
+            400, {"error": "missing field(s) ['shard', 'bundle']"})
+        prefix = str(tmp_path / "bundle")
+        save_model_bundle(model, prefix)
+        assert front.post("/register", {
+            "shard": "cd", "model": "v2", "bundle": prefix}) == (
+            200, {"shard": "cd", "model": "v2", "model_tag": "v2#1"})
+        assert front.post("/swap", {"shard": "cd", "model": "default"}) == (
+            200, {"shard": "cd", "model": "default", "model_tag": "default#1"})
+
+
+# ---------------------------------------------------------------------------
+# The body reader
+# ---------------------------------------------------------------------------
+class TestBodyReader:
+    @pytest.mark.parametrize("length, status", [
+        ("abc", 400), ("-1", 400), (str(http.MAX_BODY_BYTES + 1), 413)])
+    def test_bad_content_length_is_answered_at_once(self, front, length, status):
+        started = time.monotonic()
+        assert front.post("/recover", b"{}", length=length)[0] == status
+        assert time.monotonic() - started < 2.0
+
+    def test_overstated_length_is_dropped_at_the_socket_timeout(
+            self, front, monkeypatch):
+        monkeypatch.setattr(http.JsonHandler, "timeout", 0.3)
+        started = time.monotonic()
+        assert front.post("/recover", b"{}", length=999999)[0] == 408
+        assert time.monotonic() - started < 5.0
+
+
+# ---------------------------------------------------------------------------
+# serve.py http: one city, one-shot + streaming sessions
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def city(cli, data, model):
+    service = RecoveryService.from_model(
+        model, ServeConfig.for_dataset(data, cache_capacity=0))
+    streaming = StreamingRecoveryService(
+        service.registry,
+        StreamConfig.from_serve(service.config, capacity=2,
+                                evict_idle_seconds=3600.0),
+        telemetry=service.telemetry, scheduler=service.scheduler)
+    client = Client(http.JsonServer(("127.0.0.1", 0),
+                                    cli.service_routes(service, streaming),
+                                    cli.SERVICE_ERRORS))
+    yield client, service
+    client.stop()
+    streaming.close()
+    service.close()
+
+
+class TestServiceRoutes:
+    def test_recover_and_stats(self, cli, city, data):
+        client, service = city
+        body = trace(data.train[0], request_id="s0")
+        status, reply = client.post("/recover", body)
+        direct = cli._response_payload(service.recover(cli._parse_request(body)))
+        reply.pop("latency_ms"), direct.pop("latency_ms")
+        assert status == 200 and reply == direct
+        assert client.get("/healthz") == (200, {"status": "ok"})
+        status, stats = client.get("/stats")
+        assert status == 200 and stats["requests"] >= 2
+        assert stats["sessions"]["capacity"] == 2
+
+    def test_open_append_finalize_equals_one_shot(self, cli, city, data):
+        client, service = city
+        sample = data.train[3]
+        status, opened = client.post("/session/open", {"hour": sample.hour,
+                                                       "holiday": sample.holiday})
+        assert status == 200
+        sid = opened["session_id"]
+        xy, times = sample.raw_low.xy.tolist(), sample.raw_low.times.tolist()
+        for point, stamp in zip(xy, times):
+            status, update = client.post("/session/append", {
+                "session_id": sid, "points": [point], "times": [stamp]})
+            assert status == 200 and update["session_id"] == sid
+        assert update["grid_length"] == len(update["segments"])
+        status, final = client.post("/session/finalize", {"session_id": sid})
+        one_shot = cli._response_payload(
+            service.recover(cli._parse_request(trace(sample))))
+        assert status == 200 and final["session_id"] == sid
+        for key in ("segments", "ratios", "times", "model_tag"):
+            assert final[key] == one_shot[key]
+        # Finalized sessions are gone.
+        assert client.post("/session/finalize", {"session_id": sid})[0] == 404
+
+    def test_session_status_map(self, city):
+        client, _ = city
+        assert client.post("/session/append", {"points": [], "times": []}) == (
+            400, {"error": "missing field 'session_id'"})
+        assert client.post("/session/append", {
+            "session_id": "ghost", "points": [[0, 0]], "times": [0]})[0] == 404
+        assert client.post("/session/open", b"[]")[0] == 400
+        ids = [client.post("/session/open", {})[1]["session_id"] for _ in range(2)]
+        status, reply = client.post("/session/open", {})  # store is full
+        assert status == 429 and "overloaded" in reply["error"]
+        for sid in ids:  # too short to finalize: the ingest rejects it
+            assert client.post("/session/finalize", {"session_id": sid})[0] == 400
+        assert client.get("/session/evictions") == (200, {"evictions": []})
+
+
+# ---------------------------------------------------------------------------
+# SIGTERM to the front door reaps its worker processes
+# ---------------------------------------------------------------------------
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_sigterm_leaves_no_worker_process(model, tmp_path):
+    prefix = str(tmp_path / "bundle")
+    save_model_bundle(model, prefix)
+    shard_map = tmp_path / "map.json"
+    shard_map.write_text(json.dumps({"shards": [{
+        "name": "cd", "dataset": "chengdu", "bundle": prefix,
+        "backend": "process", "replicas": 2}]}))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    server = subprocess.Popen(
+        [sys.executable, str(REPO / "scripts" / "serve.py"), "cluster",
+         "--shard-map", str(shard_map), "--warm", "--port", str(port)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        stats = None
+        deadline = time.monotonic() + 120.0
+        while stats is None and time.monotonic() < deadline:
+            assert server.poll() is None, "front door exited before serving"
+            try:
+                with socket.create_connection(("127.0.0.1", port), 5.0) as conn:
+                    conn.sendall(b"GET /stats HTTP/1.0\r\n\r\n")
+                    raw = b"".join(iter(lambda: conn.recv(65536), b""))
+                stats = json.loads(raw.partition(b"\r\n\r\n")[2])
+            except OSError:
+                time.sleep(0.1)
+        assert stats is not None, "front door never answered"
+        workers = [row["pid"] for row in stats["shards"]["cd"]["worker_stats"]]
+        assert len(workers) == 2 and all(_alive(pid) for pid in workers)
+
+        server.send_signal(signal.SIGTERM)  # the front door only
+        assert server.wait(timeout=30.0) == 0
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in workers)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10.0)
+        for pid in workers:  # a failed run must not leak what it asserts on
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

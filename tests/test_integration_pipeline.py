@@ -5,10 +5,11 @@ import pytest
 
 from repro import nn
 from repro.baselines import build_baseline
-from repro.core import RNTrajRec, RNTrajRecConfig, TrainConfig, Trainer
+from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
 from repro.eval import evaluate_model, evaluate_sr_at_k
 from repro.experiments import get_engine
+from repro.train import TrainConfig, Trainer
 from repro.trajectory import iterate_batches
 
 
@@ -111,7 +112,7 @@ class TestFailureInjection:
         assert result.history[0].val_accuracy is None
 
     def test_quick_accuracy_empty_samples(self, porto):
-        from repro.core import quick_accuracy
+        from repro.train import quick_accuracy
 
         model = build_baseline("mtrajrec", porto.network, CFG)
         assert np.isnan(quick_accuracy(model, []))

@@ -1,17 +1,12 @@
 """Tests for the ``repro.serve`` online recovery subsystem."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
 from repro.serve import (
-    BatchPolicy,
     LRUCache,
-    MicroBatcher,
     ModelRegistry,
     RecoveryRequest,
     RecoveryService,
@@ -22,141 +17,6 @@ from repro.serve import (
     save_model_bundle,
 )
 from repro.trajectory import make_batch, make_padded_batch, pad_sample_target
-
-
-# ---------------------------------------------------------------------------
-# Micro-batching scheduler (no model involved — generic over items)
-# ---------------------------------------------------------------------------
-class TestMicroBatcher:
-    def _batcher(self, max_batch_size=8, max_wait_ms=250.0, group_key=None,
-                 runner=None, sizes=None):
-        def default_runner(items):
-            return [item * 2 for item in items]
-
-        return MicroBatcher(
-            runner or default_runner,
-            policy=BatchPolicy(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms),
-            group_key=group_key,
-            on_batch=(sizes.append if sizes is not None else None),
-        )
-
-    def test_requests_under_window_coalesce_into_one_batch(self):
-        sizes = []
-        batcher = self._batcher(max_batch_size=8, max_wait_ms=300.0, sizes=sizes)
-        futures = [batcher.submit(i) for i in range(3)]
-        results = [f.result(timeout=10.0) for f in futures]
-        batcher.close()
-        assert results == [0, 2, 4]
-        assert sizes == [3]  # one coalesced batch, dispatched at the window
-
-    def test_max_batch_size_enforced_over_window(self):
-        sizes = []
-        batcher = self._batcher(max_batch_size=4, max_wait_ms=400.0, sizes=sizes)
-        futures = [batcher.submit(i) for i in range(10)]
-        results = [f.result(timeout=10.0) for f in futures]
-        batcher.close()
-        assert results == [i * 2 for i in range(10)]
-        assert all(size <= 4 for size in sizes)
-        assert sizes[0] == 4  # a full batch dispatches before its window
-        assert sum(sizes) == 10
-
-    def test_single_request_dispatches_after_window(self):
-        sizes = []
-        batcher = self._batcher(max_batch_size=16, max_wait_ms=30.0, sizes=sizes)
-        start = time.monotonic()
-        assert batcher.submit(21).result(timeout=10.0) == 42
-        assert time.monotonic() - start >= 0.02  # waited for the window
-        batcher.close()
-        assert sizes == [1]
-
-    def test_groups_never_mix(self):
-        seen = []
-
-        def runner(items):
-            seen.append(list(items))
-            return items
-
-        batcher = self._batcher(max_batch_size=8, max_wait_ms=150.0,
-                                group_key=lambda item: item % 2, runner=runner)
-        futures = [batcher.submit(i) for i in range(8)]
-        for future in futures:
-            future.result(timeout=10.0)
-        batcher.close()
-        for batch in seen:
-            assert len({item % 2 for item in batch}) == 1
-
-    def test_flush_dispatches_immediately(self):
-        sizes = []
-        batcher = self._batcher(max_batch_size=16, max_wait_ms=10_000.0, sizes=sizes)
-        futures = [batcher.submit(i) for i in range(5)]
-        start = time.monotonic()
-        batcher.flush()
-        assert time.monotonic() - start < 5.0  # did not wait the 10s window
-        assert [f.result(timeout=1.0) for f in futures] == [0, 2, 4, 6, 8]
-        assert sizes == [5]
-        batcher.close()
-
-    def test_full_group_preempts_waiting_group(self):
-        """A group reaching max_batch_size dispatches immediately even while
-        an older, partial group is still inside its wait window."""
-        sizes = []
-        batcher = self._batcher(max_batch_size=4, max_wait_ms=10_000.0,
-                                group_key=lambda item: item % 2, sizes=sizes)
-        lone = batcher.submit(1)  # odd group anchors a 10s window
-        evens = [batcher.submit(i * 2) for i in range(4)]  # even group fills
-        results = [f.result(timeout=5.0) for f in evens]  # must not wait 10s
-        assert results == [0, 4, 8, 12]
-        assert sizes[0] == 4
-        batcher.close(drain=True)  # drains the lone odd request
-        assert lone.result(timeout=1.0) == 2
-
-    def test_flush_does_not_disable_coalescing(self):
-        sizes = []
-        batcher = self._batcher(max_batch_size=8, max_wait_ms=250.0, sizes=sizes)
-        first = [batcher.submit(i) for i in range(2)]
-        batcher.flush()
-        assert [f.result(timeout=1.0) for f in first] == [0, 2]
-        # Submissions after a flush must still coalesce into one batch.
-        second = [batcher.submit(i) for i in range(3)]
-        assert [f.result(timeout=10.0) for f in second] == [0, 2, 4]
-        batcher.close()
-        assert sizes == [2, 3]
-
-    def test_runner_errors_propagate_to_every_future(self):
-        def runner(items):
-            raise RuntimeError("boom")
-
-        batcher = self._batcher(max_wait_ms=20.0, runner=runner)
-        futures = [batcher.submit(i) for i in range(3)]
-        for future in futures:
-            with pytest.raises(RuntimeError, match="boom"):
-                future.result(timeout=10.0)
-        batcher.close()
-
-    def test_close_drains_pending(self):
-        batcher = self._batcher(max_batch_size=16, max_wait_ms=10_000.0)
-        futures = [batcher.submit(i) for i in range(4)]
-        batcher.close(drain=True)
-        assert [f.result(timeout=1.0) for f in futures] == [0, 2, 4, 6]
-        with pytest.raises(RuntimeError):
-            batcher.submit(1)
-
-    def test_concurrent_submitters_share_batches(self):
-        sizes = []
-        batcher = self._batcher(max_batch_size=32, max_wait_ms=200.0, sizes=sizes)
-
-        def submit_one(i, out):
-            out[i] = batcher.submit(i).result(timeout=10.0)
-
-        out = {}
-        threads = [threading.Thread(target=submit_one, args=(i, out)) for i in range(12)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        batcher.close()
-        assert out == {i: i * 2 for i in range(12)}
-        assert max(sizes) > 1  # concurrency actually coalesced
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +81,7 @@ def _request(sample, request_id=""):
 
 
 def _serve_config(data, **overrides):
-    defaults = dict(max_batch_size=8, max_wait_ms=60.0)
+    defaults = dict(max_batch_size=8)
     defaults.update(overrides)
     return ServeConfig.for_dataset(data, **defaults)
 
@@ -318,7 +178,7 @@ class TestRecoveryService:
 
     def test_cache_hit_on_resubmission(self, data, model):
         service = RecoveryService.from_model(
-            model, _serve_config(data, max_wait_ms=5.0))
+            model, _serve_config(data))
         request = _request(data.test[0], "first")
         first = service.recover(request, timeout=120.0)
         second = service.recover(request, timeout=120.0)
@@ -333,7 +193,7 @@ class TestRecoveryService:
 
     def test_time_shifted_duplicate_hits_cache_with_rebased_times(self, data, model):
         service = RecoveryService.from_model(
-            model, _serve_config(data, max_wait_ms=5.0))
+            model, _serve_config(data))
         sample = data.test[0]
         original = service.recover(_request(sample, "t0"), timeout=120.0)
         shifted = service.recover(RecoveryRequest(
@@ -350,7 +210,7 @@ class TestRecoveryService:
 
     def test_bad_request_fails_future_and_counts_error(self, data, model):
         service = RecoveryService.from_model(
-            model, _serve_config(data, max_wait_ms=5.0))
+            model, _serve_config(data))
         futures = [
             service.submit(RecoveryRequest(np.zeros((1, 2)), np.zeros(1))),
             service.submit(RecoveryRequest(np.zeros((0, 2)), np.zeros(0))),
@@ -404,7 +264,7 @@ class TestModelRegistry:
         save_model_bundle(model, str(tmp_path / "v1"))
         registry = ModelRegistry(data.network)
         registry.register("v1", str(tmp_path / "v1"), activate=True)
-        service = RecoveryService(registry, _serve_config(data, max_wait_ms=5.0))
+        service = RecoveryService(registry, _serve_config(data))
 
         request = _request(data.test[0], "swap-check")
         first = service.recover(request, timeout=120.0)
@@ -423,9 +283,9 @@ class TestModelRegistry:
     def test_in_flight_requests_finish_on_submit_time_model(self, data, model):
         registry = ModelRegistry(data.network)
         registry.add_loaded("v1", model, activate=True)
-        service = RecoveryService(registry, _serve_config(data, max_wait_ms=500.0))
+        service = RecoveryService(registry, _serve_config(data))
 
-        # Submit while v1 is active, then hot-swap inside the wait window.
+        # Submit while v1 is active, then hot-swap while it is in flight.
         future = service.submit(_request(data.test[0], "inflight"))
         registry.add_loaded("v2", RNTrajRec(data.network, model.config).eval())
         service.swap_model("v2")
@@ -439,7 +299,7 @@ class TestModelRegistry:
     def test_reregistering_a_name_invalidates_cached_results(self, data, model):
         registry = ModelRegistry(data.network)
         registry.add_loaded("default", model, activate=True)
-        service = RecoveryService(registry, _serve_config(data, max_wait_ms=5.0))
+        service = RecoveryService(registry, _serve_config(data))
 
         request = _request(data.test[0], "regen")
         first = service.recover(request, timeout=120.0)

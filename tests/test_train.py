@@ -448,21 +448,6 @@ class TestParallelTrainer:
         assert np.isfinite(result.final_loss)
 
 
-class TestDeprecationShim:
-    def test_core_names_are_the_new_objects(self):
-        from repro.core import train as shim
-        import repro.train as new
-        assert shim.Trainer is new.Trainer
-        assert shim.TrainConfig is new.TrainConfig
-        assert shim.quick_accuracy is new.quick_accuracy
-        assert shim.ParallelTrainer is new.ParallelTrainer
-
-    def test_core_package_reexports(self):
-        from repro.core import TrainConfig as core_cfg
-        from repro.train import TrainConfig as train_cfg
-        assert core_cfg is train_cfg
-
-
 class TestFitAndBundle:
     def test_bundle_has_provenance_and_serves(self, city, samples, tmp_path):
         from repro.serve import ModelRegistry

@@ -23,6 +23,7 @@ from repro.cluster import (
     RecoveryCluster,
     ShardMap,
     ShardSpec,
+    StreamingUnsupported,
     WorkerCrashed,
     WorkerError,
     WorkerPool,
@@ -43,6 +44,8 @@ from repro.serve import (
     RecoveryService,
     ServeConfig,
 )
+from repro.serve.telemetry import rollup
+from repro.stream import StreamingCluster
 from repro.trajectory import MatchedTrajectory
 
 TINY = RNTrajRecConfig(hidden_dim=16, num_heads=2, dropout=0.0,
@@ -390,6 +393,99 @@ class TestWorkerFailures:
                 lambda: shard.worker_pids() and shard.worker_pids()[0] != pid)
             response = shard.submit(requests[0]).result(timeout=120)
             assert response.model_tag == "v2#1"
+
+
+# ---------------------------------------------------------------------------
+# One replica surface: a shard behaves the same whatever executes it
+# ---------------------------------------------------------------------------
+#: stats keys every warmed shard reports, whichever backend serves it
+SHARED_STATS = {
+    "materialized", "backend", "replicas", "max_inflight", "inflight",
+    "shed", "deploys", "model", "model_tag", "requests", "cache_hits",
+    "cache_hit_rate", "errors", "requests_by_model", "latency_ms_p50",
+    "latency_ms_p99",
+}
+BACKEND_STATS = {
+    "inproc": {"engine", "replica_stats"},
+    "process": {"crashes", "respawns", "degraded", "worker_stats"},
+}
+
+
+class TestReplicaSurface:
+    @pytest.mark.parametrize("backend", ["inproc", "process"])
+    def test_shard_behaves_the_same_on_either_backend(self, data, model,
+                                                      requests, backend):
+        cluster = build_cluster(data, model, replicas=2, backend=backend)
+        shard = cluster.shard("chengdu")
+        try:
+            first = [shard.submit(r).result(timeout=120) for r in requests[:3]]
+            assert {r.model_tag for r in first} == {"default#1"}
+
+            shard.deploy("v2", RNTrajRec(data.network, TINY), activate=True)
+            assert shard.active_model() == {"model": "v2", "model_tag": "v2#1"}
+            rolled = shard.submit(requests[0]).result(timeout=120)
+            assert rolled.model_tag == "v2#1" and not rolled.cached
+
+            shard.swap("default")
+            back = shard.submit(requests[0]).result(timeout=120)
+            assert back.model_tag == "default#1"
+            assert_same_trajectory(back.trajectory, first[0].trajectory)
+            with pytest.raises(KeyError):
+                shard.swap("never-registered")
+
+            stats = shard.stats()
+            assert SHARED_STATS | BACKEND_STATS[backend] <= set(stats)
+            assert stats["backend"] == backend and stats["materialized"]
+            assert (stats["requests"], stats["errors"]) == (5, 0)
+            assert stats["requests_by_model"] == {"default#1": 4, "v2#1": 1}
+            assert (stats["deploys"], stats["inflight"]) == (1, 0)
+            assert len(shard.latencies()) == 5
+            assert len(shard.worker_pids()) == (2 if backend == "process" else 0)
+        finally:
+            cluster.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            shard.submit(requests[0])
+        shard.close()  # idempotent
+        assert shard.worker_pids() == []
+
+    def test_rollup_block_depends_only_on_the_rows(self, data, model, requests):
+        """The aggregate block is one function of (per-replica rows,
+        latencies): both backends fed the same traffic report the same
+        counters, and the function itself is checked on fixed rows."""
+        blocks = {}
+        for backend in ("inproc", "process"):
+            with build_cluster(data, model, replicas=2,
+                               backend=backend) as cluster:
+                for _ in range(2):  # round two lands on the same replicas
+                    assert all(r.ok for r in cluster.recover_many(requests))
+                stats = cluster.stats()["shards"]["chengdu"]
+            blocks[backend] = {key: stats[key] for key in (
+                "requests", "cache_hits", "cache_hit_rate", "errors",
+                "requests_by_model")}
+        assert blocks["inproc"] == blocks["process"]
+        assert blocks["inproc"]["requests"] == 2 * len(requests)
+        assert blocks["inproc"]["cache_hits"] == len(requests)
+
+        rows = [{"requests": 3, "cache_hits": 1, "errors": 1,
+                 "requests_by_model": {"b#1": 1, "a#2": 2}},
+                {"requests": 1, "cache_hits": 0, "errors": 0,
+                 "requests_by_model": {"a#2": 1}},
+                {}]  # a shard that never warmed has no counters
+        assert rollup(rows, [0.004, 0.001, 0.003, 0.002]) == {
+            "requests": 4, "cache_hits": 1, "cache_hit_rate": 0.25,
+            "errors": 1, "requests_by_model": {"a#2": 3, "b#1": 1},
+            "latency_ms_p50": 3.0, "latency_ms_p99": 4.0}
+        assert rollup([], [])["latency_ms_p99"] == 0.0
+
+    def test_streaming_on_a_process_backend_is_a_typed_error(self, data, model):
+        with build_cluster(data, model, replicas=1) as cluster:
+            streaming = StreamingCluster(cluster)
+            with pytest.raises(StreamingUnsupported, match="inproc"):
+                streaming.open(data.train[0].raw_low.xy[0])
+            # Failed fast: nothing pinned, no per-shard streaming service.
+            assert streaming.stats() == {"pinned_sessions": 0, "shards": {}}
+            with pytest.raises(StreamingUnsupported):
+                cluster.shard("chengdu").decode_scheduler()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Validate the documentation against the repo (run by the CI docs job).
 
-Four checks over every tracked ``*.md`` file:
+Five checks over every tracked ``*.md`` file:
 
 1. **links** — inline links/images must resolve to an existing file or
    directory; ``path#anchor`` anchors are verified against the target's
@@ -12,7 +12,12 @@ Four checks over every tracked ``*.md`` file:
    docs must be produced by some benchmark under ``benchmarks/`` (catches
    tables advertising artifacts nothing writes);
 4. **package index** — ``docs/api.md`` must name every package under
-   ``src/repro/`` (catches new subsystems that never got documented).
+   ``src/repro/`` (catches new subsystems that never got documented);
+5. **env knobs** — every fully spelled ``REPRO_*`` name in the docs or in
+   ``.github/workflows/ci.yml`` must appear in some ``*.py`` under
+   ``src/``, ``benchmarks/``, ``tests/`` or ``scripts/`` (catches docs and
+   CI steps setting knobs nothing reads; prefix mentions such as
+   ``REPRO_BENCH_SERVE_*`` are skipped).
 
     python scripts/check_docs.py [root]
 
@@ -29,11 +34,16 @@ LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 # Repo paths named in prose/tables (``src/repro/serve/``, src/repro/geo/grid.py ...)
 SRC_PATH_PATTERN = re.compile(r"src/repro[\w./-]*")
 BENCH_ARTIFACT_PATTERN = re.compile(r"BENCH_\w+\.json")
+ENV_KNOB_PATTERN = re.compile(r"REPRO_[A-Z0-9_]+")
+KNOB_SOURCE_DIRS = ("src", "benchmarks", "tests", "scripts")
+CI_WORKFLOW = Path(".github") / "workflows" / "ci.yml"
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
 SKIP_DIRS = {".git", "__pycache__", "_cache", "node_modules", ".pytest_cache"}
-# The per-PR task statement is not documentation: it names the paths a PR
-# is asked to delete, which therefore cannot exist once the PR is done.
-SKIP_FILES = {"ISSUE.md"}
+# Neither is documentation of the current tree.  The per-PR task statement
+# names the paths a PR is asked to delete, which therefore cannot exist
+# once the PR is done; the change log's past entries name modules,
+# artifacts and knobs that later PRs retired.
+SKIP_FILES = {"ISSUE.md", "CHANGES.md"}
 
 
 def heading_anchors(markdown: str) -> set:
@@ -104,6 +114,27 @@ def check_bench_artifacts(path: Path, root: Path, text: str,
     return problems
 
 
+def knobs_read(root: Path) -> set:
+    """Every ``REPRO_*`` name spelled in the repo's python sources."""
+    names = set()
+    for directory in KNOB_SOURCE_DIRS:
+        for source in (root / directory).rglob("*.py"):
+            if not any(part in SKIP_DIRS for part in source.parts):
+                names.update(ENV_KNOB_PATTERN.findall(
+                    source.read_text(encoding="utf-8")))
+    return names
+
+
+def check_env_knobs(path: Path, root: Path, text: str, known: set) -> list:
+    """Every fully spelled ``REPRO_*`` name must be read by some ``*.py``."""
+    return [
+        f"{path.relative_to(root)}: env knob {knob!r} is not read by any "
+        f"*.py under {', '.join(KNOB_SOURCE_DIRS)}"
+        for knob in sorted(set(ENV_KNOB_PATTERN.findall(text)))
+        if not knob.endswith("_") and knob not in known
+    ]
+
+
 def repo_packages(root: Path) -> list:
     """Package names under ``src/repro/`` (directories with __init__.py)."""
     return sorted(
@@ -133,6 +164,7 @@ def main() -> int:
     bench_sources = "\n".join(
         bench.read_text(encoding="utf-8")
         for bench in sorted((root / "benchmarks").glob("*.py")))
+    known_knobs = knobs_read(root)
     problems = []
     count = 0
     for path in markdown_files(root):
@@ -141,6 +173,11 @@ def main() -> int:
         problems.extend(check_file(path, root, text))
         problems.extend(check_source_paths(path, root, text))
         problems.extend(check_bench_artifacts(path, root, text, bench_sources))
+        problems.extend(check_env_knobs(path, root, text, known_knobs))
+    workflow = root / CI_WORKFLOW
+    if workflow.exists():
+        problems.extend(check_env_knobs(
+            workflow, root, workflow.read_text(encoding="utf-8"), known_knobs))
     problems.extend(check_package_index(root))
     if problems:
         print(f"checked {count} markdown files — {len(problems)} problem(s):")
@@ -148,8 +185,9 @@ def main() -> int:
             print(f"  {problem}")
         return 1
     packages = ", ".join(repo_packages(root))
-    print(f"checked {count} markdown files — links, src/repro paths and "
-          f"BENCH artifacts all resolve; docs/api.md covers: {packages}")
+    print(f"checked {count} markdown files — links, src/repro paths, "
+          f"BENCH artifacts and REPRO_* knobs all resolve; docs/api.md "
+          f"covers: {packages}")
     return 0
 
 

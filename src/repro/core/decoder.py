@@ -56,13 +56,11 @@ class GreedyWeights:
     """Raw arrays of every parameter the greedy kernel touches, unpacked once.
 
     The run-to-completion kernel unpacks these at the top of each decode
-    call; the continuous-batching engine (``repro.serve.engine``) instead
-    caches one bundle per model generation tag, so every slot decoding
-    under the same tag shares the same unpacked weights and the per-step
-    cost is pure math.  The arrays are references to (not copies of) the
-    decoder's parameters — a bundle is only valid for as long as the model
-    generation it was built from (generation tags are immutable: a
-    re-register bumps the tag, so the serving layer can key caches on it).
+    call, the continuous-batching engine (``repro.serve.engine``) once per
+    admitted job, so the per-step cost is pure math.  The arrays are
+    references to (not copies of) the decoder's parameters — building a
+    bundle is sixteen attribute reads, and it is only valid for as long as
+    the model generation it was built from.
     """
 
     w_h: np.ndarray          # attention key projection (d, d)
@@ -118,8 +116,8 @@ def greedy_step(
 ) -> Tuple[np.ndarray, np.ndarray, "GreedyCarry"]:
     """One greedy decode step; returns (predicted (b,), rates (b,), carry).
 
-    This is the loop body of :meth:`RecoveryDecoder._greedy_kernel`, shared
-    verbatim between the run-to-completion kernel and the continuous-
+    This is the loop body of :meth:`RecoveryDecoder.decode_greedy_from`,
+    shared verbatim between the run-to-completion kernel and the continuous-
     batching engine's per-slot stepper so the two can never drift: a slot
     stepped ``n`` times replays the exact floating-point op sequence of an
     ``n``-step kernel call on the same carry.  ``mask_row`` is the step's
@@ -173,8 +171,8 @@ class GreedyCarry:
     rate (the step's inputs), and the previous segment id (for the
     reachability mask).  Splitting a decode at any step and resuming from
     the carry therefore replays the exact floating-point op sequence of the
-    unsplit decode, which is what the streaming engine's replay + suffix
-    path builds on (asserted bit-for-bit by ``tests/test_stream.py``).
+    unsplit decode, which is what the streaming engine's checkpointed
+    suffix decode builds on (asserted bit-for-bit by ``tests/test_stream.py``).
     """
 
     state: np.ndarray                     # (b, d) GRU hidden state
@@ -321,13 +319,10 @@ class RecoveryDecoder(nn.Module):
         selection uses ``argmax(logits + log mask)`` — the log-softmax
         normalizer is a constant per row and cannot change the argmax.
         """
-        with profile.section("decode.greedy"):
-            carry = self.initial_carry(initial_state.data)
-            segments, rates, _ = self._greedy_kernel(
-                encoder_outputs.data, carry, target_length, constraint,
-                reachability,
-            )
-            return segments, rates
+        segments, rates, _ = self.decode_greedy_from(
+            encoder_outputs, self.initial_carry(initial_state.data),
+            target_length, constraint, reachability)
+        return segments, rates
 
     # ------------------------------------------------------------------
     # Split greedy decoding (the streaming engine's primitives)
@@ -356,127 +351,30 @@ class RecoveryDecoder(nn.Module):
 
         ``constraint`` covers exactly the decoded span — (b, num_steps, |V|)
         — not the whole grid.  With ``carry = initial_carry(...)`` this IS
-        :meth:`decode_greedy`; with the carry returned by
-        :meth:`replay_greedy` over a committed prefix it continues the
-        decode bit-identically to the unsplit run (the reachability mask at
-        the first step uses ``carry.prev_segments``, exactly as the full
-        decode would use the prefix's last prediction).
-        """
-        with profile.section("decode.greedy"):
-            enc = getattr(encoder_outputs, "data", encoder_outputs)
-            return self._greedy_kernel(enc, carry, num_steps, constraint,
-                                       reachability)
-
-    def replay_greedy(
-        self,
-        encoder_outputs,
-        carry: GreedyCarry,
-        segments: np.ndarray,
-    ) -> Tuple[np.ndarray, GreedyCarry]:
-        """Advance the greedy carry along an already-decided segment path.
-
-        Replays attention + GRU + rate head for each step of ``segments``
-        (b, n) **without** the |V|-wide segment head, the constraint mask
-        materialization or the argmax — the decisions are given.  Costs
-        O(l_τ·d + d²) per step instead of O(d·|V|), which is what makes
-        re-synchronizing a session's committed prefix against fresh encoder
-        outputs cheap.  Given the same encoder outputs and the same
-        decisions, state and rates are bit-identical to the full kernel's
-        (same op order; the skipped logits/argmax never feed the state).
-        """
-        with profile.section("decode.replay"):
-            enc = getattr(encoder_outputs, "data", encoder_outputs)
-            attention, gru = self.attention, self.gru
-            w_g, v = attention.w_g.weight.data, attention.v.data
-            w_z, b_z = gru.w_z.data, gru.b_z.data
-            w_r, b_r = gru.w_r.data, gru.b_r.data
-            w_c, b_c = gru.w_c.data, gru.b_c.data
-            rate_w = self.rate_head.weight.data
-            rate_b = self.rate_head.bias.data
-            embed_table = self.segment_embedding.weight.data
-
-            segments = np.asarray(segments, dtype=np.int64)
-            b, length = enc.shape[0], enc.shape[1]
-            n = segments.shape[1]
-            keys = enc @ attention.w_h.weight.data
-            state, prev_embed, prev_rate = (
-                carry.state, carry.prev_embed, carry.prev_rate)
-            prev_segments = carry.prev_segments
-
-            rates = np.zeros((b, n))
-            for j in range(n):
-                energy = np.tanh((state @ w_g).reshape(b, 1, -1) + keys) @ v
-                scores = energy.reshape(b, length)
-                shifted = scores - scores.max(axis=-1, keepdims=True)
-                exp = np.exp(shifted)
-                weights = exp / exp.sum(axis=-1, keepdims=True)
-                context = (weights.reshape(b, 1, -1) @ enc).reshape(b, -1)
-                x = np.concatenate([prev_embed, prev_rate, context], axis=-1)
-                hx = np.concatenate([state, x], axis=-1)
-                z = _sigmoid(hx @ w_z + b_z)
-                r = _sigmoid(hx @ w_r + b_r)
-                rhx = np.concatenate([r * state, x], axis=-1)
-                c = np.tanh(rhx @ w_c + b_c)
-                state = (1.0 - z) * state + z * c
-                prev_segments = segments[:, j]
-                prev_embed = embed_table[prev_segments]
-                rate = _sigmoid(
-                    np.concatenate([prev_embed, state], axis=-1) @ rate_w + rate_b
-                )
-                rates[:, j] = np.clip(rate.reshape(b), 0.0, 1.0 - 1e-9)
-                prev_rate = rates[:, j][:, None]
-            return rates, GreedyCarry(state, prev_embed, prev_rate, prev_segments)
-
-    def _greedy_kernel(
-        self,
-        enc: np.ndarray,
-        carry: GreedyCarry,
-        num_steps: int,
-        constraint: Optional[np.ndarray],
-        reachability: Optional["ReachabilityMask"],
-    ) -> Tuple[np.ndarray, np.ndarray, GreedyCarry]:
-        """The shared raw-numpy greedy step loop (see :meth:`decode_greedy`).
+        :meth:`decode_greedy`; with the carry a previous call returned it
+        continues that decode bit-identically to the unsplit run (the
+        reachability mask at the first step uses ``carry.prev_segments``,
+        exactly as the full decode would use the prefix's last prediction).
 
         Weight unpacking + key projection happen once per call; each loop
         iteration is one :func:`greedy_step`, the same primitive the
         continuous-batching engine drives slot by slot.
         """
-        weights = GreedyWeights.from_decoder(self)
-        keys = weights.project_keys(enc)  # W_h·enc, constant per decode
-        b = enc.shape[0]
-        segments = np.zeros((b, num_steps), dtype=np.int64)
-        rates = np.zeros((b, num_steps))
-        for j in range(num_steps):
-            # No step mutates the mask, so a view (not a copy) is safe.
-            mask_row = constraint[:, j, :] if constraint is not None else None
-            predicted, step_rates, carry = greedy_step(
-                weights, enc, keys, carry, mask_row, reachability)
-            segments[:, j] = predicted
-            rates[:, j] = step_rates
-        return segments, rates, carry
-
-    def decode_greedy_step(
-        self,
-        enc: np.ndarray,
-        keys: np.ndarray,
-        carry: GreedyCarry,
-        mask_row: Optional[np.ndarray],
-        reachability: Optional["ReachabilityMask"] = None,
-        weights: Optional[GreedyWeights] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, GreedyCarry]:
-        """Advance every row one greedy step from its carry.
-
-        The continuous-batching engine's primitive: ``n`` calls with the
-        per-step constraint rows of an ``n``-step decode reproduce
-        :meth:`decode_greedy_from` bit for bit (same shared loop body).
-        ``keys`` is the hoisted ``W_h·enc`` projection
-        (:meth:`GreedyWeights.project_keys`); pass ``weights`` to reuse a
-        cached bundle across calls.
-        """
-        if weights is None:
+        with profile.section("decode.greedy"):
+            enc = getattr(encoder_outputs, "data", encoder_outputs)
             weights = GreedyWeights.from_decoder(self)
-        return greedy_step(weights, enc, keys, carry, mask_row, reachability)
-
+            keys = weights.project_keys(enc)  # W_h·enc, constant per decode
+            b = enc.shape[0]
+            segments = np.zeros((b, num_steps), dtype=np.int64)
+            rates = np.zeros((b, num_steps))
+            for j in range(num_steps):
+                # No step mutates the mask, so a view (not a copy) is safe.
+                mask_row = constraint[:, j, :] if constraint is not None else None
+                predicted, step_rates, carry = greedy_step(
+                    weights, enc, keys, carry, mask_row, reachability)
+                segments[:, j] = predicted
+                rates[:, j] = step_rates
+            return segments, rates, carry
 
     # ------------------------------------------------------------------
     def decode_beam(
@@ -561,8 +459,9 @@ class RecoveryDecoder(nn.Module):
             return segments, rates
 
 
-def interpolation_prior(batch: Batch, network, scale: float, floor: float) -> np.ndarray:
-    """(b, l_ρ, |V|) decode prior from linear position interpolation.
+def interpolation_prior(batch: Batch, network, scale: float, floor: float,
+                        start: int = 0) -> np.ndarray:
+    """(b, l_ρ − start, |V|) decode prior from linear position interpolation.
 
     For each target timestamp the low-sample input is linearly interpolated
     to an approximate position; segments within ~3·scale meters receive
@@ -576,9 +475,14 @@ def interpolation_prior(batch: Batch, network, scale: float, floor: float) -> np
     the *whole batch*, not just consecutive steps) share one R-tree query,
     and each query's hits scatter into the prior in one fancy-indexed
     assignment rather than a per-hit Python loop.
+
+    Only grid steps ``[start:]`` are materialized (a streaming suffix
+    decode needs no more); a step's row depends on that step's position
+    alone, so the result is bit-equal to slicing the full-grid prior.
     """
     with profile.section("decode.prior"):
-        b, l_rho = batch.target_segments.shape
+        b = batch.size
+        l_rho = batch.target_length - start
         num_segments = network.num_segments
         prior = np.full((b * l_rho, num_segments), floor)
         radius = 3.0 * scale
@@ -586,8 +490,9 @@ def interpolation_prior(batch: Batch, network, scale: float, floor: float) -> np
         positions = np.empty((b, l_rho, 2))
         for i, sample in enumerate(batch.samples):
             low = sample.raw_low
-            positions[i, :, 0] = np.interp(batch.target_times[i], low.times, low.xy[:, 0])
-            positions[i, :, 1] = np.interp(batch.target_times[i], low.times, low.xy[:, 1])
+            times = batch.target_times[i, start:]
+            positions[i, :, 0] = np.interp(times, low.times, low.xy[:, 0])
+            positions[i, :, 1] = np.interp(times, low.times, low.xy[:, 1])
 
         flat = positions.reshape(-1, 2)
         _, first, inverse = np.unique(flat, axis=0, return_index=True,
@@ -636,7 +541,7 @@ class ReachabilityMask:
         # root * n + node; each hop expands every pair's neighbors with one
         # ragged gather and dedupes against the reached set with sorted
         # searchsorted membership.  Replaces the per-node Python set-union
-        # BFS (see repro.core.reference.ReferenceReachability).
+        # BFS (kept as tests/reference.py's ReferenceReachability).
         identity = np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
         reached_keys = identity  # sorted
         frontier_keys = identity

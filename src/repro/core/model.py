@@ -12,7 +12,7 @@ constraint masks and multi-task heads.  The public surface is:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
 from ..trajectory.trajectory import MatchedTrajectory
 from .config import RNTrajRecConfig
-from .decoder import ReachabilityMask, RecoveryDecoder
+from .decoder import ReachabilityMask, RecoveryDecoder, interpolation_prior
 from .gps_former import EncoderOutput, GPSFormer
 from .loss import LossBreakdown, total_loss
 
@@ -94,18 +94,18 @@ class RNTrajRec(nn.Module):
         )
 
     # ------------------------------------------------------------------
-    def decode_constraint(self, batch: Batch) -> np.ndarray:
-        """The (b, l_ρ, |V|) decode-time mask: the paper's Eq. 16 distance
-        constraint, sharpened by the interpolation prior when configured.
-        Factored out of :meth:`recover` so the continuous-batching engine's
-        per-request admission replays the exact same ops."""
-        constraint = batch.constraint_tensor(self.network.num_segments)
+    def decode_constraint(self, batch: Batch, start: int = 0) -> np.ndarray:
+        """The (b, l_ρ − start, |V|) decode-time mask for grid steps
+        ``[start:]``: the paper's Eq. 16 distance constraint, sharpened by
+        the interpolation prior when configured.  The one builder behind
+        :meth:`recover` and every engine admission (one-shot requests and
+        streaming suffixes alike); rows are bit-equal to slicing the
+        full-grid mask."""
+        constraint = batch.constraint_tensor(self.network.num_segments, start)
         if self.config.decode_prior_scale > 0:
-            from .decoder import interpolation_prior
-
             constraint = constraint * interpolation_prior(
                 batch, self.network, self.config.decode_prior_scale,
-                self.config.decode_prior_floor,
+                self.config.decode_prior_floor, start,
             )
         return constraint
 
@@ -136,26 +136,4 @@ class RNTrajRec(nn.Module):
         return [
             MatchedTrajectory(segments[i], rates[i], batch.target_times[i])
             for i in range(batch.size)
-        ]
-
-    def recover_padded(
-        self, batch: Batch, target_lengths: Sequence[int]
-    ) -> List[MatchedTrajectory]:
-        """Batched no-teacher-forcing recovery of a target-padded batch.
-
-        The serving scheduler coalesces concurrent requests whose target
-        lengths differ by padding them to a common grid
-        (:func:`~repro.trajectory.dataset.make_padded_batch`); this decodes
-        the whole batch in one greedy pass and truncates each output back
-        to its true length.  Greedy decoding is stepwise-causal and every
-        per-step computation is row-independent, so the truncated outputs
-        equal per-request :meth:`recover` calls.
-        """
-        if len(target_lengths) != batch.size:
-            raise ValueError("target_lengths must have one entry per sample")
-        segments, rates = self.recover(batch)
-        return [
-            MatchedTrajectory(segments[i, :length], rates[i, :length],
-                              batch.target_times[i, :length])
-            for i, length in enumerate(target_lengths)
         ]

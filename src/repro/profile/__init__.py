@@ -16,8 +16,6 @@ read a per-stage wall-clock breakdown without touching model code:
 Profiling is **disabled by default** and costs one attribute check plus a
 shared no-op context manager per instrumented span when off, so the
 instrumentation can stay in the production code path permanently.
-``benchmarks/bench_hotpath.py`` uses the same registry to emit the
-``BENCH_hotpath.json`` perf-trajectory artifact.
 
 Section names used by the built-in instrumentation:
 
@@ -30,7 +28,7 @@ Section names used by the built-in instrumentation:
 ``road.gat``                GridGNN GAT stack (inside road features)
 ``subgraph.batch``          sub-graph generation over a (b, l) point grid
 ``decode.prior``            interpolation-prior construction
-``decode.greedy``           greedy decode step loop (also ``recover_padded``)
+``decode.greedy``           greedy decode step loop (run-to-completion kernel)
 ``decode.beam``             beam-search decode
 ``serve.admit``             one serving-engine admission (encode + constraint)
 ``engine.step``             one serving-engine sweep over all active slots

@@ -17,6 +17,7 @@ from .engine import (
     DecodeResult,
     EngineError,
     SlotTable,
+    build_job,
     run_to_completion,
 )
 from .registry import ModelRegistry, bundle_paths, load_bundle_config, save_model_bundle
@@ -39,6 +40,7 @@ __all__ = [
     "DecodeResult",
     "EngineError",
     "SlotTable",
+    "build_job",
     "run_to_completion",
     "LRUCache",
     "quantize_key",

@@ -32,10 +32,11 @@ class ContinuousScheduler:
     * ``submit(item)`` — the one-shot path; ``prepare(item)`` builds the
       :class:`DecodeJob` on the worker thread (encode + constraint), and
       ``finish(item, result)`` shapes the resolved value.
-    * ``submit_job(job)`` — the streaming path; the caller already holds
-      an encoder output and a carry checkpoint (PR 6 sessions), so its
-      suffix decode joins the ragged batch as-is and the future resolves
-      to the raw :class:`DecodeResult`.
+    * ``submit_job(job)`` — the streaming path; a session has already
+      built its job (:func:`~repro.serve.engine.build_job` from a carry
+      checkpoint for an append's suffix, from step 0 for ``finalize``), so
+      it joins the ragged batch as-is and the future resolves to the raw
+      :class:`DecodeResult`.
 
     Everything — admission, prepare, sweeps, resolution — runs on the one
     worker thread by design.  A disaggregated-admission variant (prepare
@@ -85,7 +86,7 @@ class ContinuousScheduler:
         return self._enqueue(False, item)
 
     def submit_job(self, job: Any) -> Future:
-        """Enqueue a pre-built :class:`DecodeJob` (streaming suffix
+        """Enqueue a pre-built :class:`DecodeJob` (streaming session
         decodes join here); resolves to its :class:`DecodeResult`."""
         return self._enqueue(True, job)
 

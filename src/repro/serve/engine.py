@@ -26,10 +26,11 @@ projection hoisted to admission — not from cross-slot GEMM fusion.
 The slot table packs per-sequence carries into contiguous arrays
 (``state``/``prev_embed``/``prev_rate``/``prev_segment`` rows) with a
 LIFO free list, so slot reuse is O(1) and the hot step loop works on row
-views without allocation.  Streaming suffix decodes join the same table:
-a :class:`DecodeJob` built from a PR 6 carry checkpoint (with
-``checkpoint_at`` marking the commit boundary) decodes next to fresh
-one-shot requests, and its boundary carry is snapshotted in-flight.
+views without allocation.  Every job comes from :func:`build_job`, and
+streaming sessions join the same table: a job built from a session's
+carry checkpoint (with ``checkpoint_at`` marking the commit boundary)
+decodes next to fresh one-shot requests, and its boundary carry is
+snapshotted in-flight.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ import numpy as np
 
 from .. import profile
 from ..core.decoder import GreedyCarry, GreedyWeights, greedy_step
+from ..core.model import RNTrajRec
+from ..nn.tensor import no_grad
+from ..trajectory.dataset import RecoverySample, make_batch
 
 
 class EngineError(RuntimeError):
@@ -67,9 +71,8 @@ class DecodeJob:
     :class:`GreedyCarry` (``initial_carry`` for one-shot requests, a
     session checkpoint for streaming joins), ``constraint`` the
     (1, num_steps, |V|) mask rows for exactly the decoded span (or
-    ``None``).  ``weights`` is the unpacked parameter bundle — cached per
-    model ``tag`` by the scheduler so slots under the same generation
-    share it.  ``keys`` is the hoisted attention-key projection; leave it
+    ``None``).  ``weights`` is the model's unpacked parameter bundle.
+    ``keys`` is the hoisted attention-key projection; leave it
     ``None`` and admission computes ``weights.project_keys(enc)`` once.
     ``checkpoint_at`` ≥ 0 asks for a carry snapshot after that many steps
     (the streaming commit boundary); −1 disables it.
@@ -84,6 +87,37 @@ class DecodeJob:
     tag: str = ""
     keys: Optional[np.ndarray] = None
     checkpoint_at: int = -1
+
+
+def build_job(model: RNTrajRec, sample: RecoverySample, tag: str, *,
+              start: int = 0, carry: Optional[GreedyCarry] = None,
+              checkpoint_at: int = -1) -> DecodeJob:
+    """The decode of ``sample``'s grid steps ``[start:]`` under ``model``.
+
+    The one place a decode is assembled — one-shot admissions, streaming
+    suffix decodes and ``finalize`` all come through here: a batch-of-1
+    encode, the starting carry (``initial_carry`` unless a session
+    checkpoint is given) and the constraint rows of the decoded span,
+    replaying exactly the ops ``RNTrajRec.recover`` runs before its decode
+    — the structural half of the engine's bit-identity guarantee (the
+    other half is the shared per-step kernel).
+    """
+    with no_grad():
+        batch = make_batch([sample])
+        with profile.section("model.encode"):
+            encoded = model.encode(batch)
+        if carry is None:
+            carry = model.decoder.initial_carry(encoded.trajectory_feature.data)
+        return DecodeJob(
+            enc=encoded.point_features.data,
+            carry=carry,
+            num_steps=batch.target_length - start,
+            constraint=model.decode_constraint(batch, start),
+            weights=GreedyWeights.from_decoder(model.decoder),
+            reachability=model.reachability,
+            tag=tag,
+            checkpoint_at=checkpoint_at,
+        )
 
 
 @dataclass

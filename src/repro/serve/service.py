@@ -28,15 +28,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import profile
 from ..core.config import RNTrajRecConfig
-from ..core.decoder import GreedyWeights
 from ..core.model import RNTrajRec
-from ..nn.tensor import no_grad
 from ..roadnet.network import RoadNetwork
-from ..trajectory.dataset import RecoverySample, make_batch
+from ..trajectory.dataset import RecoverySample
 from ..trajectory.trajectory import MatchedTrajectory
 from .batching import ContinuousScheduler
 from .cache import LRUCache, quantize_key
-from .engine import DecodeJob, DecodeResult
+from .engine import DecodeJob, DecodeResult, build_job
 from .registry import ModelRegistry
 from .request import (
     IngestConfig,
@@ -101,7 +99,6 @@ class RecoveryService:
         # once at submit time, and the tag travels with the item, so a
         # hot-swap or re-register mid-window never mixes models within a
         # batch nor caches a result under the wrong model's key.
-        self._weights: dict = {}  # model tag -> GreedyWeights (worker-only)
         # Streaming services join this scheduler's slot table.
         self.scheduler = ContinuousScheduler(
             self._prepare_job,
@@ -271,39 +268,13 @@ class RecoveryService:
     # Continuous-batching hooks (scheduler-worker thread only)
     # ------------------------------------------------------------------
     def _prepare_job(self, item: Tuple[RecoverySample, str, RNTrajRec]) -> DecodeJob:
-        """Admission: one batch-of-1 encode + constraint build, replaying
-        exactly the ops ``RNTrajRec.recover`` runs before its decode — the
-        structural half of the engine's bit-identity guarantee (the other
-        half is the shared per-step kernel)."""
+        """Admission: the request's whole grid as one decode job."""
         sample, tag, model = item
-        with no_grad(), profile.section("serve.admit"):
-            batch = make_batch([sample])
-            with profile.section("model.encode"):
-                encoded = model.encode(batch)
-            return DecodeJob(
-                enc=encoded.point_features.data,
-                carry=model.decoder.initial_carry(
-                    encoded.trajectory_feature.data),
-                num_steps=batch.target_length,
-                constraint=model.decode_constraint(batch),
-                weights=self._greedy_weights(tag, model),
-                reachability=model.reachability,
-                tag=tag,
-            )
+        with profile.section("serve.admit"):
+            return build_job(model, sample, tag)
 
     def _finish_job(self, item: Tuple[RecoverySample, str, RNTrajRec],
                     result: DecodeResult) -> MatchedTrajectory:
         sample = item[0]
         return MatchedTrajectory(result.segments, result.rates,
                                  sample.target.times)
-
-    def _greedy_weights(self, tag: str, model: RNTrajRec) -> GreedyWeights:
-        """Per-generation unpacked weight bundle, shared by every slot
-        decoding under that tag (only the scheduler worker touches this)."""
-        weights = self._weights.get(tag)
-        if weights is None:
-            if len(self._weights) >= 8:  # generations are short-lived
-                self._weights.pop(next(iter(self._weights)))
-            weights = GreedyWeights.from_decoder(model.decoder)
-            self._weights[tag] = weights
-        return weights

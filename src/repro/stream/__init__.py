@@ -9,9 +9,9 @@ time while the trip is still underway:
   TTL expiry, LRU eviction under capacity pressure, 429-style
   :class:`SessionOverloaded` backpressure, and an eviction-record ring;
 * :class:`IncrementalEngine` (``engine.py``) — per-append split decode:
-  incremental constraint ingest, committed-prefix *replay* (no |V|-wide
-  segment head) and full decoding of only the suffix behind the commit
-  horizon;
+  incremental constraint ingest, and one decode job per append covering
+  only the suffix behind the commit horizon, resumed from the carry
+  checkpointed at the commit boundary;
 * :class:`StreamingRecoveryService` (``service.py``) — the
   open → append* → finalize facade, wired through the one-shot serving
   telemetry (streaming vs one-shot traffic, per-model-tag revision rates);

@@ -13,13 +13,14 @@ lifetime.  This engine exploits two structural facts:
 * **Greedy decoding is stepwise-causal.**  Everything step j consumes
   from steps < j is the :class:`~repro.core.decoder.GreedyCarry`, so the
   engine checkpoints the carry at the commit boundary inside the session.
-  An append resumes :meth:`~repro.core.decoder.RecoveryDecoder.\
-decode_greedy_from` (the PR 2 raw-numpy step kernel, attention keys
-  hoisted once per call) from that checkpoint and decodes **only the
-  steps past it** — the still-revisable window behind the commit horizon
-  plus whatever the new fix added — with constraint rows and the
-  interpolation prior built for those steps alone.  Per-append decode
-  work is O(horizon + new steps), independent of session length.
+  An append is one :func:`~repro.serve.engine.build_job` decode job — the
+  same builder one-shot admissions use — started from that checkpoint: it
+  decodes **only the steps past it** (the still-revisable window behind
+  the commit horizon plus whatever the new fix added), with constraint
+  rows and the interpolation prior built for those steps alone, and
+  ``checkpoint_at`` snapshots the next boundary carry in flight.
+  Per-append decode work is O(horizon + new steps), independent of
+  session length.
 
 The encoder *is* re-run per append: GPSFormer attends bidirectionally and
 normalizes time by the trace duration, so a new fix legitimately shifts
@@ -30,11 +31,17 @@ sub-graphs are memoized across appends).
 Because encoder outputs drift as the trace grows, a committed decision —
 and the checkpointed carry that extends it — is an *approximation* of
 what a from-scratch decode would now pick; that is the commit-horizon
-trade.  ``finalize`` therefore runs the one-shot path (unless the last
-append already decoded from step 0, in which case the split-kernel
-equivalence makes the stored result bit-identical to it), giving the
-exact guarantee: finalize after N appends ≡ one-shot recovery of the
-same N points.  ``tests/test_stream.py`` asserts both halves.
+trade.  ``finalize`` therefore decodes the whole grid again as a
+``start=0`` job (unless the last append already decoded from step 0, in
+which case the split-kernel equivalence makes the stored result
+bit-identical to it), giving the exact guarantee: finalize after N
+appends ≡ one-shot recovery of the same N points.
+``tests/test_stream.py`` asserts both halves.
+
+A built job runs wherever the caller's scheduler says: in the slot table
+of a :class:`~repro.serve.ContinuousScheduler` when one is attached (a
+shard's one-shot traffic decodes next to it), else in a private one-slot
+engine on the calling thread.  Same job, same per-step kernel, same bits.
 """
 
 from __future__ import annotations
@@ -46,14 +53,16 @@ import numpy as np
 
 from .. import profile
 from ..core.model import RNTrajRec
-from ..nn.tensor import no_grad
 from ..roadnet.network import RoadNetwork
-from ..serve.request import IngestConfig, RequestError, validate_append_times
-from ..trajectory.dataset import (
-    RecoverySample,
-    constraint_for_fix,
-    make_batch,
+from ..serve.engine import (
+    ContinuousEngine,
+    DecodeJob,
+    DecodeResult,
+    build_job,
+    run_to_completion,
 )
+from ..serve.request import IngestConfig, RequestError, validate_append_times
+from ..trajectory.dataset import RecoverySample, constraint_for_fix
 from ..trajectory.resample import epsilon_grid
 from ..trajectory.trajectory import MatchedTrajectory, RawTrajectory
 from .session import SessionState
@@ -154,73 +163,29 @@ class IncrementalEngine:
                scheduler=None) -> DecodeOutcome:
         """Extend the session's recovery from the checkpointed carry.
 
-        Decodes the grid steps past the commit boundary in two chunks of
-        the same kernel — the steps now aging past the horizon (their
-        carry becomes the next checkpoint) and the still-provisional tail
-        — which by the split-kernel equivalence is bit-identical to
-        decoding the span in one call.
-
-        With a ``scheduler`` (a :class:`~repro.serve.ContinuousScheduler`,
-        the cluster-affinity path), the suffix is decoded as **one**
-        continuous-batching job joining the shard's slot table next to
-        one-shot traffic, with ``checkpoint_at`` snapshotting the carry at
-        the commit boundary in-flight — the same bits as the two-chunk
-        local path, again by the split-kernel equivalence."""
+        Decodes the grid steps past the commit boundary as **one** job
+        whose ``checkpoint_at`` snapshots the carry where the steps now
+        aging past the horizon end (the next checkpoint); the
+        still-provisional tail decodes on from there.  By the split-kernel
+        equivalence this is bit-identical to decoding the two spans
+        separately.  ``scheduler`` picks where the job runs (see
+        :func:`_run_job`)."""
         sample = self.sample_for(session)
-        batch = make_batch([sample])
         length = sample.target_length
-        start = int(min(session.committed, length))
+        # A missing carry (first decode, or dropped by a hot swap) means a
+        # full decode: step 0's carry comes from the *current* encoding.
+        start = (int(min(session.committed, length))
+                 if session.carry is not None else 0)
         commit = max(start, length - max(int(commit_horizon), 0))
 
-        with no_grad(), profile.section("stream.decode"):
-            with profile.section("model.encode"):
-                encoded = model.encode(batch)
-            enc = encoded.point_features.data
-            if start and session.carry is not None:
-                carry = session.carry
-            else:
-                start = 0
-                commit = max(0, length - max(int(commit_horizon), 0))
-                carry = model.decoder.initial_carry(
-                    encoded.trajectory_feature.data)
-            constraint = self._suffix_constraint(model, sample, start)
-            chunks = []
-            if scheduler is not None and length > start:
-                from ..core.decoder import GreedyWeights
-                from ..serve.engine import DecodeJob
+        with profile.section("stream.decode"):
+            job = build_job(model, sample, session.model_tag, start=start,
+                            carry=session.carry if start else None,
+                            checkpoint_at=commit - start)
+            result = _run_job(job, scheduler)
 
-                job = DecodeJob(
-                    enc=enc, carry=carry, num_steps=length - start,
-                    constraint=constraint,
-                    weights=GreedyWeights.from_decoder(model.decoder),
-                    reachability=model.reachability,
-                    tag=session.model_tag,
-                    checkpoint_at=commit - start,
-                )
-                result = scheduler.submit_job(job).result()
-                # checkpoint is the carry after (commit - start) steps —
-                # the admitted carry itself when nothing commits this turn.
-                carry = result.checkpoint
-                chunks.append((result.segments, result.rates))
-            else:
-                if commit > start:  # committing steps: checkpoint their carry
-                    seg, rate, carry = model.decoder.decode_greedy_from(
-                        enc, carry, commit - start,
-                        constraint[:, :commit - start],
-                        reachability=model.reachability)
-                    chunks.append((seg[0], rate[0]))
-                if length > commit:  # the provisional tail (carry discarded)
-                    seg, rate, _ = model.decoder.decode_greedy_from(
-                        enc, carry, length - commit,
-                        constraint[:, commit - start:],
-                        reachability=model.reachability)
-                    chunks.append((seg[0], rate[0]))
-
-        segments = np.concatenate(
-            [session.segments[:start]] + [seg for seg, _ in chunks])
-        rates = np.concatenate(
-            [session.rates[:start]] + [rate for _, rate in chunks])
-
+        segments = np.concatenate([session.segments[:start], result.segments])
+        rates = np.concatenate([session.rates[:start], result.rates])
         revised_from = self._first_revision(session.segments, segments, start)
         outcome = DecodeOutcome(
             segments=segments, rates=rates, times=sample.target.times,
@@ -231,84 +196,42 @@ class IncrementalEngine:
         session.segments = segments
         session.rates = rates
         session.committed = commit
-        session.carry = carry  # the carry at the (new) commit boundary
+        # The carry after (commit - start) steps — the admitted carry
+        # itself when nothing commits this turn.
+        session.carry = result.checkpoint
         session.full_decode = outcome.full_decode
         if revised_from >= 0:
             session.revisions += 1
         return outcome
 
-    def finalize(self, model: RNTrajRec,
-                 session: SessionState) -> Tuple[MatchedTrajectory, int, bool]:
+    def finalize(self, model: RNTrajRec, session: SessionState,
+                 scheduler=None) -> Tuple[MatchedTrajectory, int, bool]:
         """The exact recovery of the session's full fix set.
 
         Returns (trajectory, revised_from vs the last streamed result,
         whether a fresh full decode ran).  When the last append already
-        decoded from step 0 — short sessions that never crossed the commit
-        horizon — the stored result is bit-identical to the one-shot path
-        (split-kernel equivalence) and is returned without another decode.
+        decoded from step 0 under this model — short sessions that never
+        crossed the commit horizon — the stored result is bit-identical to
+        the one-shot path (split-kernel equivalence) and is returned
+        without another decode.  (``session.full_decode`` is cleared by a
+        hot swap, so a result decoded under other weights never
+        qualifies.)
         """
         sample = self.sample_for(session)
         with profile.section("stream.finalize"):
-            if session.full_decode and len(session.segments) == sample.target_length:
-                segments, rates = session.segments, session.rates
-                decoded = False
+            decoded = not (session.full_decode
+                           and len(session.segments) == sample.target_length)
+            if decoded:
+                result = _run_job(
+                    build_job(model, sample, session.model_tag), scheduler)
+                segments, rates = result.segments, result.rates
             else:
-                seg2d, rate2d = model.recover(make_batch([sample]))
-                segments, rates = seg2d[0], rate2d[0]
-                decoded = True
+                segments, rates = session.segments, session.rates
         revised_from = self._first_revision(session.segments, segments, 0)
         trajectory = MatchedTrajectory(segments, rates, sample.target.times)
         return trajectory, revised_from, decoded
 
     # ------------------------------------------------------------------
-    def _suffix_constraint(self, model: RNTrajRec, sample: RecoverySample,
-                           start: int) -> np.ndarray:
-        """(1, l_ρ-start, |V|) constraint rows for the decoded suffix only.
-
-        Row values are identical to slicing the full-grid tensor the
-        one-shot path builds (``constraint_tensor * interpolation_prior``)
-        at ``[start:]`` — per-step values never depend on other steps —
-        but only the suffix rows are materialized and only the suffix's
-        distinct interpolated positions hit the R-tree.
-        """
-        num_segments = self.network.num_segments
-        length = sample.target_length
-        n = length - start
-        mask = np.ones((n, num_segments), dtype=np.float64)
-        for step, entry in enumerate(sample.constraints[start:]):
-            if entry is None:
-                continue
-            mask[step] = 0.0
-            mask[step, entry[0]] = entry[1]
-
-        config = model.config
-        if config.decode_prior_scale > 0:
-            scale, floor = config.decode_prior_scale, config.decode_prior_floor
-            low = sample.raw_low
-            times = sample.target.times[start:]
-            positions = np.stack([
-                np.interp(times, low.times, low.xy[:, 0]),
-                np.interp(times, low.times, low.xy[:, 1]),
-            ], axis=1)
-            prior = np.full((n, num_segments), floor)
-            _, first, inverse = np.unique(positions, axis=0, return_index=True,
-                                          return_inverse=True)
-            inverse = inverse.reshape(-1)
-            order = np.argsort(inverse, kind="stable")
-            boundaries = np.searchsorted(inverse[order],
-                                         np.arange(len(first) + 1))
-            for u, representative in enumerate(first):
-                x, y = positions[representative]
-                ids, dists = self.network.segments_within_arrays(
-                    float(x), float(y), 3.0 * scale)
-                if not len(ids):
-                    continue
-                weights = np.maximum(np.exp(-(dists / scale) ** 2), floor)
-                rows = order[boundaries[u]:boundaries[u + 1]]
-                prior[np.ix_(rows, ids)] = weights
-            mask = mask * prior
-        return mask[None, :, :]
-
     @staticmethod
     def _first_revision(old: np.ndarray, new: np.ndarray, start: int) -> int:
         """First index where the new result contradicts the old one (-1 if
@@ -318,3 +241,12 @@ class IncrementalEngine:
             return -1
         changed = np.nonzero(old[start:overlap] != new[start:overlap])[0]
         return int(changed[0]) + start if len(changed) else -1
+
+
+def _run_job(job: DecodeJob, scheduler) -> DecodeResult:
+    """Run a built job to completion: in ``scheduler``'s slot table next to
+    the shard's other traffic when one is attached, else in a private
+    one-slot engine on the calling thread."""
+    if scheduler is not None:
+        return scheduler.submit_job(job).result()
+    return run_to_completion(ContinuousEngine(1), [job])[0]

@@ -15,9 +15,9 @@ Telemetry flows through the same :class:`~repro.serve.ServingTelemetry`
 the one-shot service uses, with ``streaming=True`` so operators can split
 the two traffic classes and watch per-model-tag revision rates.  Hot
 swaps are safe mid-session: each append resolves the registry's active
-model, a tag change invalidates the session's carry checkpoint (the next
-decode restarts from step 0 under the new weights), and ``finalize``
-re-decodes fully under whatever model is then active.
+model, a tag change invalidates the session's carry checkpoint and its
+stored result (the next decode restarts from step 0 under the new
+weights), and ``finalize`` answers under whatever model is then active.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ class StreamingRecoveryService:
         self.telemetry = telemetry or ServingTelemetry()
         self.engine = IncrementalEngine(registry.network, self.config.ingest())
         self.store = SessionStore(self.config.store(), clock=clock)
-        # Optional ContinuousScheduler: suffix decodes then join the same
-        # slot table as the shard's one-shot traffic (see engine.decode).
+        # Optional ContinuousScheduler: every session decode (append
+        # suffixes and finalize) then joins the same slot table as the
+        # shard's one-shot traffic.
         self.scheduler = scheduler
         self._closed = False
 
@@ -167,13 +168,7 @@ class StreamingRecoveryService:
         model_name, model_tag, model = self.registry.active_ref()
         try:
             with session.lock:
-                if session.model_tag and session.model_tag != model_tag:
-                    # Hot swap mid-session: the checkpointed carry was
-                    # computed under the old weights, so the next decode
-                    # restarts from step 0 under the new model.
-                    session.carry = None
-                    session.committed = 0
-                session.model_tag = model_tag
+                self._adopt_model(session, model_tag)
                 self.engine.append_fixes(session, xy, times)
                 session.appends += 1
                 outcome = (self.engine.decode(model, session,
@@ -220,7 +215,9 @@ class StreamingRecoveryService:
                     raise RequestError(
                         "a recovery needs at least two GPS fixes; session "
                         f"{session_id!r} has {session.num_fixes}")
-                trajectory, revised_from, _ = self.engine.finalize(model, session)
+                self._adopt_model(session, model_tag)
+                trajectory, revised_from, _ = self.engine.finalize(
+                    model, session, scheduler=self.scheduler)
         except Exception:
             self.telemetry.record_error()
             raise
@@ -262,6 +259,18 @@ class StreamingRecoveryService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    @staticmethod
+    def _adopt_model(session: SessionState, model_tag: str) -> None:
+        """Stamp the session with the model about to serve it.  On a hot
+        swap mid-session the checkpointed carry and the stored result were
+        computed under the old weights, so the next decode restarts from
+        step 0 and ``finalize`` may not return the stored result."""
+        if session.model_tag and session.model_tag != model_tag:
+            session.carry = None
+            session.committed = 0
+            session.full_decode = False
+        session.model_tag = model_tag
 
     def _check_open(self) -> None:
         if self._closed:

@@ -89,8 +89,9 @@ class SessionState:
         default_factory=lambda: np.zeros(0, dtype=np.int64))
     rates: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # True while ``segments`` came from a decode that started at step 0
-    # over the *current* fix set — finalize can then return it verbatim
-    # instead of re-decoding (it already IS the one-shot result).
+    # over the *current* fix set under ``model_tag`` — finalize can then
+    # return it verbatim instead of re-decoding (it already IS the
+    # one-shot result).
     full_decode: bool = False
 
     appends: int = 0

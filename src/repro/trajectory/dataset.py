@@ -69,25 +69,6 @@ class RecoverySample:
     def target_length(self) -> int:
         return len(self.target)
 
-    def constraint_matrix(self, num_segments: int) -> np.ndarray:
-        """Dense (l_ρ, |V|) constraint mask (1.0 where unconstrained).
-
-        Materialized with one allocation plus two scatter writes (zero the
-        constrained rows, then place the sparse weights) instead of
-        building a |V|-sized row buffer per observed step.
-        """
-        mask = np.ones((self.target_length, num_segments), dtype=np.float64)
-        steps = [step for step, entry in enumerate(self.constraints)
-                 if entry is not None]
-        if not steps:
-            return mask
-        mask[steps] = 0.0
-        ids = np.concatenate([self.constraints[step][0] for step in steps])
-        weights = np.concatenate([self.constraints[step][1] for step in steps])
-        lengths = [len(self.constraints[step][0]) for step in steps]
-        mask[np.repeat(steps, lengths), ids] = weights
-        return mask
-
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -205,20 +186,22 @@ class Batch:
     def target_length(self) -> int:
         return self.target_segments.shape[1]
 
-    def constraint_tensor(self, num_segments: int) -> np.ndarray:
-        """(b, l_ρ, |V|) dense constraint masks.
+    def constraint_tensor(self, num_segments: int, start: int = 0) -> np.ndarray:
+        """(b, l_ρ − start, |V|) dense constraint masks (1.0 where
+        unconstrained) for grid steps ``[start:]`` — the rows of the
+        full-grid tensor, without materializing the prefix.
 
         One allocation + batched scatter writes across all samples, rather
         than stacking per-sample matrices (which copies every row twice).
         """
-        mask = np.ones((self.size, self.target_length, num_segments),
+        mask = np.ones((self.size, self.target_length - start, num_segments),
                        dtype=np.float64)
         rows_i: List[int] = []
         rows_j: List[int] = []
         id_blocks: List[np.ndarray] = []
         weight_blocks: List[np.ndarray] = []
         for i, sample in enumerate(self.samples):
-            for j, entry in enumerate(sample.constraints):
+            for j, entry in enumerate(sample.constraints[start:]):
                 if entry is None:
                     continue
                 rows_i.append(i)

@@ -2,17 +2,11 @@
 
 Every function/class here is a faithful copy of the per-step / per-node
 Python-loop code that shipped before the hot path was vectorized (PR 2).
-They exist for two reasons:
-
-1. **Equivalence guarantees** — ``tests/test_vectorized_equivalence.py``
-   asserts on randomized inputs that each vectorized implementation
-   produces bit-identical (or allclose, where autograd bookkeeping differs
-   by design) outputs to its reference twin.
-2. **Perf trajectory** — ``benchmarks/bench_hotpath.py`` times reference
-   vs. vectorized per stage and emits ``BENCH_hotpath.json``, so every
-   future PR can see whether the hot path regressed.
-
-Nothing in the production path imports this module.
+They exist for the equivalence guarantees:
+``tests/test_vectorized_equivalence.py`` asserts on randomized inputs that
+each vectorized implementation produces bit-identical (or allclose, where
+autograd bookkeeping differs by design) outputs to its reference twin.
+The module lives beside the tests because only they import it.
 """
 
 from __future__ import annotations
@@ -22,12 +16,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..geo.distance import gaussian_weight, project_point_to_polyline
-from ..nn.tensor import Tensor
-from ..roadnet.network import RoadNetwork
-from ..trajectory.dataset import Batch
-from .config import RNTrajRecConfig
-from .subgraph_gen import PointSubGraph, SubGraphBatch
+from repro.core.config import RNTrajRecConfig
+from repro.core.subgraph_gen import PointSubGraph, SubGraphBatch
+from repro.geo.distance import gaussian_weight, project_point_to_polyline
+from repro.nn.tensor import Tensor
+from repro.roadnet.network import RoadNetwork
+from repro.trajectory.dataset import Batch, make_padded_batch
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +302,8 @@ def reference_scatter_sum(values: np.ndarray, segment_ids: np.ndarray,
 
 
 def reference_constraint_matrix(sample, num_segments: int) -> np.ndarray:
-    """Row-buffer loop version of ``RecoverySample.constraint_matrix``."""
+    """Row-buffer loop building one sample's dense (l_ρ, |V|) mask — the
+    per-sample twin of ``Batch.constraint_tensor``."""
     mask = np.ones((sample.target_length, num_segments), dtype=np.float64)
     for step, entry in enumerate(sample.constraints):
         if entry is None:
@@ -334,21 +329,20 @@ def reference_constraint_tensor(batch: Batch, num_segments: int) -> np.ndarray:
 def reference_run_to_completion(model, samples) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The serving decode path as it existed before the continuous engine:
     group concurrent samples by input length (the micro-batcher's group
-    key), pad each group's target grids to a common length, run one
-    ``recover_padded`` call per group to completion, and only then start
-    the next group.  Returns per-sample (segments, rates) in submission
-    order — the twin the engine's interleaved decode is pinned against in
+    key), pad each group's target grids to a common length, decode the
+    padded batch in one ``recover`` call to completion and truncate each
+    row back to its true length, and only then start the next group.
+    Returns per-sample (segments, rates) in submission order — the twin
+    the engine's interleaved decode is pinned against in
     ``tests/test_vectorized_equivalence.py``.
     """
-    from ..trajectory.dataset import make_padded_batch
-
     groups: Dict[int, List[int]] = {}
     for index, sample in enumerate(samples):
         groups.setdefault(sample.input_length, []).append(index)
     results: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(samples)
     for indices in groups.values():
         batch, lengths = make_padded_batch([samples[i] for i in indices])
-        trajectories = model.recover_padded(batch, lengths)
-        for i, trajectory in zip(indices, trajectories):
-            results[i] = (trajectory.segments, trajectory.ratios)
+        segments, rates = model.recover(batch)
+        for row, (i, length) in enumerate(zip(indices, lengths)):
+            results[i] = (segments[row, :length], rates[row, :length])
     return [result for result in results if result is not None]

@@ -33,7 +33,7 @@ from repro.nn.serialization import (
 from repro import profile
 from repro.roadnet import CityArtifacts
 from repro.serve import ModelRegistry, RecoveryRequest, RecoveryService, ServeConfig
-from repro.trajectory import make_padded_batch
+from repro.trajectory import make_batch
 
 TINY = RNTrajRecConfig(hidden_dim=16, num_heads=2, dropout=0.0,
                        receptive_delta=300.0, max_subgraph_nodes=24)
@@ -225,14 +225,11 @@ class TestCityArtifacts:
             artifacts=CityArtifacts.load(artifact_dir, mmap=True))
         packed_model = registry.register_artifact_model("default",
                                                         activate=True)
-        samples = data.test[:3]
-        batch, lengths = make_padded_batch(samples)
-        want = model.recover_padded(batch, lengths)
-        got = packed_model.recover_padded(*make_padded_batch(samples))
-        for ours, theirs in zip(got, want):
-            assert np.array_equal(ours.segments, theirs.segments)
-            assert np.array_equal(np.asarray(ours.ratios),
-                                  np.asarray(theirs.ratios))
+        batch = make_batch(data.test[:3])
+        want_segments, want_rates = model.recover(batch)
+        got_segments, got_rates = packed_model.recover(batch)
+        assert np.array_equal(got_segments, want_segments)
+        assert np.array_equal(got_rates, want_rates)
 
     def test_registries_share_one_artifact_set(self, artifact_dir):
         artifacts = CityArtifacts.load(artifact_dir, mmap=True)

@@ -1,10 +1,7 @@
-"""Tests for the profiling registry and the hot-path benchmark harness."""
+"""Tests for the profiling registry and the sections wired into the hot path."""
 
-import importlib.util
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +17,6 @@ from repro.trajectory import (
     build_samples,
     make_batch,
 )
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 class TestProfiler:
@@ -101,30 +96,6 @@ class TestWiredSections:
                      "decode.greedy", "decode.prior", "encoder.road_features"):
             assert name in sections, name
         profile.reset()
-
-
-class TestHotpathBenchSmoke:
-    def test_run_hotpath_bench_tiny(self):
-        """The benchmark harness runs end to end at a tiny budget and
-        produces a well-formed artifact with matching outputs (the >= 2x
-        speedup bar is asserted only by the full benchmark)."""
-        spec = importlib.util.spec_from_file_location(
-            "bench_hotpath", REPO / "benchmarks" / "bench_hotpath.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_hotpath"] = module
-        spec.loader.exec_module(module)
-
-        artifact = module.run_hotpath_bench(trajectories=24, batch_size=6,
-                                            repeats=1, hidden=16)
-        stages = {row["stage"] for row in artifact["rows"]}
-        assert {"decode_greedy_steps", "beam_search", "subgraph_generation",
-                "interpolation_prior", "constraint_ingest", "constraint_tensor",
-                "gnn_scatter"} <= stages
-        assert all(row["outputs_match"] for row in artifact["rows"])
-        assert all(row["after_ms"] > 0 for row in artifact["rows"])
-        assert "decode.greedy" in artifact["profile_sections"]
-        assert artifact["required"].keys() == {"decode_greedy_steps",
-                                               "subgraph_generation"}
 
 
 class TestMemorySnapshot:

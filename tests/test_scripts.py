@@ -46,6 +46,46 @@ class TestStreamDemo:
         assert "FAIL" not in out.stdout
 
 
+class TestCheckDocs:
+    """``scripts/check_docs.py`` — the env-knob check over a scratch tree
+    (the names below are assembled at run time so this file never counts
+    as "reading" them)."""
+
+    READ, UNREAD, PREFIX = ("REPRO_" + "DOCTEST_READ", "REPRO_" + "DOCTEST_GONE",
+                            "REPRO_" + "DOCTEST_")
+
+    def _tree(self, tmp_path, doc="", workflow=""):
+        (tmp_path / "src" / "repro" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "pkg" / "__init__.py").write_text("")
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_x.py").write_text(
+            f'import os\nBUDGET = os.environ.get("{self.READ}", 1)\n')
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "api.md").write_text(f"`repro.pkg`\n{doc}\n")
+        (tmp_path / ".github" / "workflows").mkdir(parents=True)
+        (tmp_path / ".github" / "workflows" / "ci.yml").write_text(workflow)
+        return subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "check_docs.py"),
+             str(tmp_path)], capture_output=True, text=True)
+
+    def test_read_knobs_and_prefix_mentions_pass(self, tmp_path):
+        out = self._tree(tmp_path,
+                         doc=f"`{self.READ}` sets it; see `{self.PREFIX}*`.",
+                         workflow=f"run: {self.READ}=2 python x.py\n")
+        assert out.returncode == 0, out.stdout
+
+    def test_documented_knob_nothing_reads_fails(self, tmp_path):
+        out = self._tree(tmp_path, doc=f"| `{self.UNREAD}` | model width |")
+        assert out.returncode == 1
+        assert f"docs/api.md: env knob '{self.UNREAD}'" in out.stdout
+
+    def test_ci_step_setting_a_dead_knob_fails(self, tmp_path):
+        out = self._tree(tmp_path,
+                         workflow=f"run: {self.UNREAD}=1.3 python x.py\n")
+        assert out.returncode == 1
+        assert f"ci.yml: env knob '{self.UNREAD}'" in out.stdout
+
+
 class TestPopulateCacheScript:
     def test_job_table_lists_all_jobs(self):
         sys.path.insert(0, str(REPO / "scripts"))

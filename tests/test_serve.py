@@ -16,7 +16,7 @@ from repro.serve import (
     quantize_key,
     save_model_bundle,
 )
-from repro.trajectory import make_batch, make_padded_batch, pad_sample_target
+from repro.trajectory import make_batch, pad_sample_target
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,9 @@ class TestAssembleSample:
         assert np.array_equal(serving.observed_steps, offline.observed_steps)
         assert np.array_equal(serving.target.times, offline.target.times)
         num_segments = data.network.num_segments
-        assert np.allclose(serving.constraint_matrix(num_segments),
-                           offline.constraint_matrix(num_segments))
+        assert np.allclose(
+            make_batch([serving]).constraint_tensor(num_segments),
+            make_batch([offline]).constraint_tensor(num_segments))
 
     def test_rejects_degenerate_requests(self, data):
         config = _serve_config(data).ingest()
@@ -130,31 +131,6 @@ class TestPaddedRecovery:
         assert np.allclose(np.diff(padded.target.times), interval)
         with pytest.raises(ValueError):
             pad_sample_target(sample, sample.target_length - 1)
-
-    def test_recover_padded_equals_per_request(self, data, model):
-        # Two samples with equal input lengths but different target lengths
-        # (one native, one on a longer ε_ρ grid) cannot stack directly ...
-        short_sample = data.test[0]
-        long_sample = pad_sample_target(data.test[1],
-                                        short_sample.target_length + 3)
-        with pytest.raises(ValueError):
-            make_batch([short_sample, long_sample])
-
-        # ... but the padded path coalesces them into one decode whose
-        # truncated outputs match per-request recovery exactly.
-        batch, lengths = make_padded_batch([short_sample, long_sample])
-        assert lengths == [short_sample.target_length, long_sample.target_length]
-        batched = model.recover_padded(batch, lengths)
-
-        for sample, result in zip([short_sample, long_sample], batched):
-            direct = model.recover_trajectories(make_batch([sample]))[0]
-            assert np.array_equal(direct.segments, result.segments)
-            assert np.allclose(direct.ratios, result.ratios)
-
-    def test_recover_padded_validates_lengths(self, data, model):
-        batch, lengths = make_padded_batch(data.test[:2])
-        with pytest.raises(ValueError):
-            model.recover_padded(batch, lengths[:1])
 
 
 # ---------------------------------------------------------------------------

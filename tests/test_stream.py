@@ -8,6 +8,8 @@ LRU, backpressure), the typed append validation, the decoder's
 split/replay kernel invariants, telemetry, and session→shard affinity.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
 from repro.serve import (
     RecoveryRequest,
+    RecoveryService,
     RequestError,
+    ServeConfig,
     assemble_sample,
     validate_append_times,
 )
@@ -254,37 +258,22 @@ class TestDecoderPrimitives:
         assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1),
                               whole_rate)
 
-    def test_replay_reproduces_decode_rates_and_carry(self, data, model):
-        batch = make_batch(data.test[:2])
-        encoded = model.encode(batch)
-        constraint = batch.constraint_tensor(data.network.num_segments)
-        carry = model.decoder.initial_carry(encoded.trajectory_feature.data)
-        segments, rates, end_carry = model.decoder.decode_greedy_from(
-            encoded.point_features, carry, batch.target_length, constraint,
-            reachability=model.reachability)
-
-        replay_carry = model.decoder.initial_carry(
-            encoded.trajectory_feature.data)
-        replay_rates, replay_end = model.decoder.replay_greedy(
-            encoded.point_features, replay_carry, segments)
-        assert np.array_equal(replay_rates, rates)
-        assert np.array_equal(replay_end.state, end_carry.state)
-        assert np.array_equal(replay_end.prev_segments,
-                              end_carry.prev_segments)
-
     def test_suffix_constraint_matches_full_tensor_slice(self, data, model):
-        from repro.core.decoder import interpolation_prior
-
-        sample = data.test[0]
-        engine = IncrementalEngine(data.network, _config(data).ingest())
-        batch = make_batch([sample])
-        full = batch.constraint_tensor(data.network.num_segments)
-        full = full * interpolation_prior(
-            batch, data.network, model.config.decode_prior_scale,
-            model.config.decode_prior_floor)
-        for start in (0, 3, sample.target_length - 1):
-            suffix = engine._suffix_constraint(model, sample, start)
-            assert np.array_equal(suffix, full[:, start:])
+        """``decode_constraint(batch, start)`` materializes only grid rows
+        ``[start:]``, bit-equal to slicing the full tensor — with the
+        interpolation prior configured and off, for a batch of 1 and of 3."""
+        no_prior = RNTrajRec(data.network,
+                             replace(TINY, decode_prior_scale=0.0)).eval()
+        assert model.config.decode_prior_scale > 0
+        for variant in (model, no_prior):
+            for size in (1, 3):
+                batch = make_batch(data.test[:size])
+                length = batch.target_length
+                full = variant.decode_constraint(batch)
+                assert full.shape == (size, length, data.network.num_segments)
+                for start in (0, length // 2, length - 1):
+                    suffix = variant.decode_constraint(batch, start)
+                    assert np.array_equal(suffix, full[:, start:])
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +426,56 @@ class TestStreamingService:
         expected = _reference(challenger, data, sample)
         assert np.array_equal(response.trajectory.segments,
                               expected.segments)
+
+    def test_hot_swap_invalidates_the_stored_full_decode(self, data, model):
+        """Purity: a session that never crossed its horizon holds a full
+        decode finalize may return verbatim — but only under the model
+        that decoded it.  After a swap, finalize must answer with the
+        active model's recovery, not the old one under a new stamp."""
+        service = StreamingRecoveryService.from_model(
+            model, _config(data, commit_horizon=10_000))
+        challenger = RNTrajRec(data.network, TINY).eval()
+        service.registry.add_loaded("challenger", challenger)
+        sample = data.test[0]
+        sid = service.open(hour=sample.hour, holiday=sample.holiday)
+        service.append(sid, sample.raw_low.xy, sample.raw_low.times)
+
+        service.registry.activate("challenger")
+        response = service.finalize(sid)
+        assert response.model == "challenger"
+        expected = _reference(challenger, data, sample)
+        stale = _reference(model, data, sample)
+        assert not np.array_equal(expected.segments, stale.segments)
+        assert np.array_equal(response.trajectory.segments, expected.segments)
+        assert np.array_equal(response.trajectory.ratios, expected.ratios)
+
+    def test_finalize_joins_the_slot_table(self, data, model):
+        """With a scheduler attached, a session past its horizon finalizes
+        as exactly one more admission into the shard's slot table, and the
+        answer is the one-shot recovery."""
+        serve = RecoveryService.from_model(
+            model, ServeConfig.for_spec(data.spec, cache_capacity=0))
+        service = StreamingRecoveryService.from_model(
+            model, _config(data, commit_horizon=2),
+            scheduler=serve.scheduler)
+        sample = data.test[0]
+        raw = sample.raw_low
+        try:
+            sid = service.open(hour=sample.hour, holiday=sample.holiday)
+            for j in range(len(raw)):
+                update = service.append(sid, raw.xy[j:j + 1],
+                                        raw.times[j:j + 1])
+            assert update.skipped_steps > 0  # past the horizon
+            before = serve.scheduler.stats()["admitted"]
+            response = service.finalize(sid)
+            assert serve.scheduler.stats()["admitted"] == before + 1
+        finally:
+            service.close()
+            serve.close()
+        expected = _reference(model, data, sample)
+        assert np.array_equal(response.trajectory.segments, expected.segments)
+        assert np.array_equal(response.trajectory.ratios, expected.ratios)
+        assert np.array_equal(response.trajectory.times, expected.times)
 
     def test_closed_service_refuses_work(self, data, model):
         service = StreamingRecoveryService.from_model(model, _config(data))

@@ -217,7 +217,7 @@ class TestDataset:
 
     def test_constraint_matrix_dense(self, city, pairs):
         samples = build_samples(pairs, city, DatasetConfig(keep_every=8))
-        mat = samples[0].constraint_matrix(city.num_segments)
+        mat = make_batch(samples[:1]).constraint_tensor(city.num_segments)[0]
         assert mat.shape == (17, city.num_segments)
         unobserved = [j for j in range(17) if j not in samples[0].observed_steps]
         assert np.allclose(mat[unobserved], 1.0)
@@ -227,8 +227,8 @@ class TestDataset:
         100 m constraint radius."""
         samples = build_samples(pairs, city, DatasetConfig(keep_every=8))
         hits = total = 0
-        for sample in samples:
-            mat = sample.constraint_matrix(city.num_segments)
+        masks = make_batch(samples).constraint_tensor(city.num_segments)
+        for sample, mat in zip(samples, masks):
             for step in sample.observed_steps:
                 total += 1
                 hits += bool(mat[step, sample.target.segments[step]] > 0)

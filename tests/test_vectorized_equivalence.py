@@ -1,7 +1,7 @@
 """Equivalence tests: vectorized hot paths vs pre-vectorization references.
 
 Every vectorized implementation introduced by the hot-path sweep must
-reproduce its reference twin from :mod:`repro.core.reference` on
+reproduce its reference twin from ``tests/reference.py`` on
 randomized inputs — bitwise wherever the floating-point operations are
 order-preserved, and to ulp precision where vectorized SIMD transcendental
 kernels may legitimately differ from their scalar counterparts (see the
@@ -11,8 +11,9 @@ interpolation-prior test).
 import numpy as np
 import pytest
 
+import reference
 from repro import nn
-from repro.core import RNTrajRec, RNTrajRecConfig, reference
+from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import ReachabilityMask, RecoveryDecoder, interpolation_prior
 from repro.core.subgraph_gen import SubGraphGenerator
 from repro.nn.graph import ragged_positions
@@ -203,7 +204,7 @@ class TestConstraintMasks:
         for sample in batch.samples:
             assert np.array_equal(
                 reference.reference_constraint_matrix(sample, num_segments),
-                sample.constraint_matrix(num_segments),
+                make_batch([sample]).constraint_tensor(num_segments)[0],
             )
         assert np.array_equal(
             reference.reference_constraint_tensor(batch, num_segments),

@@ -26,7 +26,7 @@ from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
 from ..trajectory.trajectory import MatchedTrajectory
 from ..core.config import RNTrajRecConfig
-from ..core.decoder import ReachabilityMask, RecoveryDecoder
+from ..core.decoder import ReachabilityMask, RecoveryDecoder, decode_constraint
 from ..core.gps_former import ENV_CONTEXT_DIM, POINT_CONTEXT_DIM, point_context_features
 from ..core.loss import LossBreakdown, total_loss
 
@@ -114,14 +114,9 @@ class Seq2SeqRecovery(nn.Module):
 
     def recover(self, batch: Batch) -> Tuple[np.ndarray, np.ndarray]:
         point_features, trajectory_feature = self._encode(batch)
-        constraint = batch.constraint_tensor(self.network.num_segments)
-        if self.config.decode_prior_scale > 0:
-            from ..core.decoder import interpolation_prior
-
-            constraint = constraint * interpolation_prior(
-                batch, self.network, self.config.decode_prior_scale,
-                self.config.decode_prior_floor,
-            )
+        constraint = decode_constraint(
+            batch, self.network, self.config.decode_prior_scale,
+            self.config.decode_prior_floor)
         return self.decoder.decode_greedy(
             point_features, trajectory_feature, batch.target_length, constraint,
             reachability=self.reachability,

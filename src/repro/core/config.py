@@ -60,6 +60,14 @@ class RNTrajRecConfig:
     decode_prior_scale: float = 150.0
     decode_prior_floor: float = 0.005
 
+    def __post_init__(self) -> None:
+        if not self.decode_prior_scale >= 0:
+            raise ValueError(
+                f"decode_prior_scale must be >= 0, got {self.decode_prior_scale}")
+        if not 0.0 <= self.decode_prior_floor <= 1.0:
+            raise ValueError(
+                f"decode_prior_floor must be in [0, 1], got {self.decode_prior_floor}")
+
     def variant(self, **overrides) -> "RNTrajRecConfig":
         """A copy with some fields replaced (ablation helper)."""
         return replace(self, **overrides)

@@ -459,13 +459,32 @@ class RecoveryDecoder(nn.Module):
             return segments, rates
 
 
+def _prior_radius(scale: float, floor: float) -> float:
+    """Query radius of the interpolation prior: 3·scale, or the kernel's
+    support scale·sqrt(ln(1/floor)) where that is smaller.  Past the
+    support exp(-d²/scale²) < ``floor``, so a hit would only rewrite
+    ``floor`` with ``floor``; the 1e-9 relative pad keeps the first dropped
+    hit's weight ~1e-8·floor below ``floor``, far beyond any rounding in
+    the kernel, so the shrunk query is exact.  ``floor`` ≥ 1 clamps every
+    weight (empty support); ``floor`` ≤ 0 clamps none."""
+    if floor >= 1.0:
+        return 0.0
+    radius = 3.0 * scale
+    if floor > 0.0:
+        radius = min(radius, scale * np.sqrt(-np.log(floor)) * (1.0 + 1e-9))
+    return radius
+
+
 def interpolation_prior(batch: Batch, network, scale: float, floor: float,
                         start: int = 0) -> np.ndarray:
     """(b, l_ρ − start, |V|) decode prior from linear position interpolation.
 
     For each target timestamp the low-sample input is linearly interpolated
-    to an approximate position; segments within ~3·scale meters receive
-    weight exp(-d²/scale²) (Eq. 5's kernel) and everything else ``floor``.
+    to an approximate position; segments within the kernel's support
+    (:func:`_prior_radius` — at most 3·scale meters, and no further than
+    the weight can exceed ``floor``, which leaves the array unchanged)
+    receive weight exp(-d²/scale²) (Eq. 5's kernel) and everything else
+    ``floor``.
     Combining this prior with the learned logits at decode time is a
     Bayesian product of experts: the uniform-speed prior anchors positions
     while the model disambiguates direction, route and timing.
@@ -473,8 +492,9 @@ def interpolation_prior(batch: Batch, network, scale: float, floor: float,
     Steps that interpolate to the same position (clamped tails past the
     last fix, padded serving grids, stationary spans — deduplicated across
     the *whole batch*, not just consecutive steps) share one R-tree query,
-    and each query's hits scatter into the prior in one fancy-indexed
-    assignment rather than a per-hit Python loop.
+    all distinct positions go through one batched distance pass (bit-equal
+    to a per-position loop), and each row's hits land in one fancy-indexed
+    assignment.
 
     Only grid steps ``[start:]`` are materialized (a streaming suffix
     decode needs no more); a step's row depends on that step's position
@@ -485,7 +505,6 @@ def interpolation_prior(batch: Batch, network, scale: float, floor: float,
         l_rho = batch.target_length - start
         num_segments = network.num_segments
         prior = np.full((b * l_rho, num_segments), floor)
-        radius = 3.0 * scale
 
         positions = np.empty((b, l_rho, 2))
         for i, sample in enumerate(batch.samples):
@@ -497,22 +516,39 @@ def interpolation_prior(batch: Batch, network, scale: float, floor: float,
         flat = positions.reshape(-1, 2)
         _, first, inverse = np.unique(flat, axis=0, return_index=True,
                                       return_inverse=True)
-        inverse = inverse.reshape(-1)
-        # Rows of ``prior`` grouped by their distinct interpolated position.
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.searchsorted(inverse[order], np.arange(len(first) + 1))
-        # All distinct positions' radius queries and kernel weights in one
-        # batched pass (identical per-element math to the single-point
-        # query, so the prior is bit-equal to a per-position loop).
-        indptr, ids, dists = network.segments_within_batch(flat[first], radius)
+        indptr, ids, dists = network.segments_within_batch(
+            flat[first], _prior_radius(scale, floor))
         weights = np.maximum(np.exp(-(dists / scale) ** 2), floor)
-        for u in range(len(first)):
-            cols = ids[indptr[u] : indptr[u + 1]]
-            if not len(cols):
-                continue
-            rows = order[boundaries[u] : boundaries[u + 1]]
-            prior[np.ix_(rows, cols)] = weights[indptr[u] : indptr[u + 1]]
+        for row, u in enumerate(inverse.reshape(-1)):
+            hits = slice(indptr[u], indptr[u + 1])
+            prior[row, ids[hits]] = weights[hits]
         return prior.reshape(b, l_rho, num_segments)
+
+
+def decode_constraint(batch: Batch, network, scale: float, floor: float,
+                      start: int = 0) -> np.ndarray:
+    """The (b, l_ρ − start, |V|) decode-time mask for grid steps
+    ``[start:]``: the paper's Eq. 16 distance constraint, sharpened by the
+    interpolation prior when ``scale`` > 0 — by definition
+    ``batch.constraint_tensor(|V|, start) * interpolation_prior(..., start)``,
+    built in the prior's one allocation instead of three.
+
+    An unobserved step's constraint row is all ones, so its product row
+    *is* the prior row (1.0·p == p).  An observed step's row is zero off
+    its Eq. 16 entry (0.0·p == 0.0) and ``weight · prior`` on it, so that
+    row is rewritten in place from the entry's few segments.
+    """
+    if scale <= 0:
+        return batch.constraint_tensor(network.num_segments, start)
+    out = interpolation_prior(batch, network, scale, floor, start)
+    for i, sample in enumerate(batch.samples):
+        for j, entry in enumerate(sample.constraints[start:]):
+            if entry is not None:
+                ids, weights = entry
+                kept = weights * out[i, j, ids]
+                out[i, j] = 0.0
+                out[i, j, ids] = kept
+    return out
 
 
 class ReachabilityMask:

@@ -22,7 +22,7 @@ from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
 from ..trajectory.trajectory import MatchedTrajectory
 from .config import RNTrajRecConfig
-from .decoder import ReachabilityMask, RecoveryDecoder, interpolation_prior
+from .decoder import ReachabilityMask, RecoveryDecoder, decode_constraint
 from .gps_former import EncoderOutput, GPSFormer
 from .loss import LossBreakdown, total_loss
 
@@ -97,17 +97,14 @@ class RNTrajRec(nn.Module):
     def decode_constraint(self, batch: Batch, start: int = 0) -> np.ndarray:
         """The (b, l_ρ − start, |V|) decode-time mask for grid steps
         ``[start:]``: the paper's Eq. 16 distance constraint, sharpened by
-        the interpolation prior when configured.  The one builder behind
-        :meth:`recover` and every engine admission (one-shot requests and
-        streaming suffixes alike); rows are bit-equal to slicing the
-        full-grid mask."""
-        constraint = batch.constraint_tensor(self.network.num_segments, start)
-        if self.config.decode_prior_scale > 0:
-            constraint = constraint * interpolation_prior(
-                batch, self.network, self.config.decode_prior_scale,
-                self.config.decode_prior_floor, start,
-            )
-        return constraint
+        the interpolation prior when configured
+        (:func:`~repro.core.decoder.decode_constraint`).  The one builder
+        behind :meth:`recover` and every engine admission (one-shot
+        requests and streaming suffixes alike); rows are bit-equal to
+        slicing the full-grid mask."""
+        return decode_constraint(
+            batch, self.network, self.config.decode_prior_scale,
+            self.config.decode_prior_floor, start)
 
     def recover(self, batch: Batch, beam_width: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """Recover segments/rates (b, l_ρ); greedy, or beam search if

@@ -152,6 +152,17 @@ class RTree:
             self._scan_boxes = self._bboxes[self._scan_order]
         return self._scan_order, self._scan_boxes
 
+    def _scan_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(order, xmin, ymin, xmax, ymax)``: the scan boxes as four
+        contiguous columns, derived on first query — a strided column of
+        the ``(n, 4)`` table costs the bbox test ~2x in cache lines."""
+        columns = self.__dict__.get("_scan_cols")
+        if columns is None:
+            order, boxes = self._scan_arrays()
+            columns = (order, *(np.ascontiguousarray(boxes[:, k]) for k in range(4)))
+            self.__dict__["_scan_cols"] = columns
+        return columns
+
     def query_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> List[int]:
         """Ids of items whose bounding box intersects the query rectangle.
 
@@ -165,9 +176,8 @@ class RTree:
         """
         if self.root is None:
             return []
-        order, boxes = self._scan_arrays()
-        hit = ~((boxes[:, 2] < xmin) | (xmax < boxes[:, 0])
-                | (boxes[:, 3] < ymin) | (ymax < boxes[:, 1]))
+        order, x0, y0, x1, y1 = self._scan_columns()
+        hit = ~((x1 < xmin) | (xmax < x0) | (y1 < ymin) | (ymax < y0))
         return order[hit].tolist()
 
     def query_radius(self, x: float, y: float, radius: float) -> List[int]:
@@ -194,7 +204,7 @@ class RTree:
         points = np.asarray(points, dtype=np.float64)
         if self.root is None or not len(points):
             return np.zeros(len(points) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        order, boxes = self._scan_arrays()
+        order, x0, y0, x1, y1 = self._scan_columns()
         if block is None:
             block = (1 << 22) // max(1, len(order))
         block = max(1, min(len(points), block))
@@ -203,8 +213,8 @@ class RTree:
         for start in range(0, len(points), block):
             x = points[start:start + block, 0:1]
             y = points[start:start + block, 1:2]
-            hit = ~((boxes[None, :, 2] < x - radius) | (x + radius < boxes[None, :, 0])
-                    | (boxes[None, :, 3] < y - radius) | (y + radius < boxes[None, :, 1]))
+            hit = ~((x1 < x - radius) | (x + radius < x0)
+                    | (y1 < y - radius) | (y + radius < y0))
             counts[start:start + block] = hit.sum(axis=1)
             id_blocks.append(np.broadcast_to(order, hit.shape)[hit])
         indptr = np.zeros(len(points) + 1, dtype=np.int64)

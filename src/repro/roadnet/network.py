@@ -391,42 +391,64 @@ class RoadNetwork:
             self._flat_geom = (indptr, starts, vectors, length2)
         return self._flat_geom
 
+    def _geometry_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(indptr, x0, y0, vx, vy, length²)`` — the flat sub-segment table
+        as contiguous 1-D columns with ``length²`` pre-clamped to 1e-12, so
+        the distance kernel gathers each column once.  Derived from
+        :meth:`_flat_geometry` on first use (built and packed networks
+        alike); the archive format carries only the ``(n, 2)`` form."""
+        columns = self.__dict__.get("_geom_columns")
+        if columns is None:
+            indptr, starts, vectors, length2 = self._flat_geometry()
+            columns = (indptr,
+                       np.ascontiguousarray(starts[:, 0]),
+                       np.ascontiguousarray(starts[:, 1]),
+                       np.ascontiguousarray(vectors[:, 0]),
+                       np.ascontiguousarray(vectors[:, 1]),
+                       np.maximum(length2, 1e-12))
+            self.__dict__["_geom_columns"] = columns
+        return columns
+
+    def _pair_distances(self, px, py, segment_ids: np.ndarray) -> np.ndarray:
+        """Exact distance from a query point to each of ``segment_ids``
+        (non-empty): clamp the projection parameter per sub-segment, take
+        the per-segment minimum — ``project_point_to_polyline``'s math over
+        every candidate's sub-segments in one vectorized pass.
+
+        ``px``/``py`` are one point's scalars or one coordinate per
+        candidate.  A pair's distance is the same elementwise op sequence
+        either way, so it does not depend on what else is in the call.
+        """
+        indptr, x0, y0, vx, vy, length2 = self._geometry_columns()
+        first = indptr[segment_ids]
+        counts = indptr[segment_ids + 1] - first
+        rows = ragged_positions(first, counts)
+        if np.ndim(px):
+            px, py = np.repeat(px, counts), np.repeat(py, counts)
+        sx, sy, ux, uy = x0[rows], y0[rows], vx[rows], vy[rows]
+        t = ((px - sx) * ux + (py - sy) * uy) / length2[rows]
+        t = np.clip(t, 0.0, 1.0)
+        dx = px - (sx + t * ux)
+        dy = py - (sy + t * uy)
+        dists = np.sqrt(dx * dx + dy * dy)
+        return np.minimum.reduceat(dists, np.cumsum(counts) - counts)
+
     def segment_distances(self, x: float, y: float,
                           segment_ids: np.ndarray) -> np.ndarray:
-        """Exact point-to-geometry distances for an array of segment ids.
-
-        Identical math to ``project_point_to_polyline`` (clamp the
-        projection parameter per sub-segment, take the per-segment minimum)
-        evaluated over all candidates' sub-segments in one vectorized pass.
-        """
-        indptr, starts, vectors, length2 = self._flat_geometry()
+        """Exact point-to-geometry distances for an array of segment ids."""
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         if not len(segment_ids):
             return np.zeros(0)
-        counts = indptr[segment_ids + 1] - indptr[segment_ids]
-        rows = ragged_positions(indptr[segment_ids], counts)
-        sub_starts = starts[rows]
-        sub_vecs = vectors[rows]
-        rel_x = x - sub_starts[:, 0]
-        rel_y = y - sub_starts[:, 1]
-        t = (rel_x * sub_vecs[:, 0] + rel_y * sub_vecs[:, 1]) / np.maximum(
-            length2[rows], 1e-12)
-        t = np.clip(t, 0.0, 1.0)
-        foot = sub_starts + t[:, None] * sub_vecs
-        delta = np.array([x, y])[None, :] - foot
-        dists = np.linalg.norm(delta, axis=1)
-        group_offsets = np.zeros(len(segment_ids), dtype=np.int64)
-        np.cumsum(counts[:-1], out=group_offsets[1:])
-        return np.minimum.reduceat(dists, group_offsets)
+        return self._pair_distances(x, y, segment_ids)
 
     def segments_within_arrays(self, x: float, y: float,
                                radius: float) -> Tuple[np.ndarray, np.ndarray]:
         """(ids, distances) of segments within ``radius``, nearest first.
 
         The array-native twin of :meth:`segments_within` used by the hot
-        callers (constraint masks, decode prior, sub-graph generation); the
-        sort is stable over the R-tree candidate order, matching the
-        original list-based implementation tie for tie.
+        callers (constraint masks, sub-graph generation); the sort is
+        stable over the R-tree candidate order, matching the original
+        list-based implementation tie for tie.
         """
         candidates = self.rtree.query_radius(x, y, radius)
         if not candidates:
@@ -445,41 +467,18 @@ class RoadNetwork:
 
         The multi-point twin of :meth:`segments_within_arrays` for callers
         that scatter by segment id and don't need the nearest-first sort
-        (the decode prior).  Every arithmetic op is elementwise identical
-        to :meth:`segment_distances`, so the distances — and anything
-        derived from them — are bit-equal to Q separate single-point
-        calls.
+        (the decode prior).  Both go through one distance kernel, so the
+        distances — and anything derived from them — are bit-equal to Q
+        separate single-point calls.
         """
         points = np.asarray(points, dtype=np.float64)
         indptr, ids = self.rtree.query_radius_many(points, radius)
         if not len(ids):
             return indptr, ids, np.zeros(0)
-        g_indptr, starts, vectors, length2 = self._flat_geometry()
-        ids = np.asarray(ids, dtype=np.int64)
-        # Per-candidate query coordinates, expanded to sub-segment rows.
-        px = np.repeat(points[:, 0], np.diff(indptr))
-        py = np.repeat(points[:, 1], np.diff(indptr))
-        counts = g_indptr[ids + 1] - g_indptr[ids]
-        rows = ragged_positions(g_indptr[ids], counts)
-        sub_starts = starts[rows]
-        sub_vecs = vectors[rows]
-        sub_px = np.repeat(px, counts)
-        sub_py = np.repeat(py, counts)
-        rel_x = sub_px - sub_starts[:, 0]
-        rel_y = sub_py - sub_starts[:, 1]
-        t = (rel_x * sub_vecs[:, 0] + rel_y * sub_vecs[:, 1]) / np.maximum(
-            length2[rows], 1e-12)
-        t = np.clip(t, 0.0, 1.0)
-        foot = sub_starts + t[:, None] * sub_vecs
-        delta = np.stack([sub_px, sub_py], axis=1) - foot
-        dists = np.linalg.norm(delta, axis=1)
-        group_offsets = np.zeros(len(ids), dtype=np.int64)
-        np.cumsum(counts[:-1], out=group_offsets[1:])
-        seg_dists = np.minimum.reduceat(dists, group_offsets)
-        keep = seg_dists <= radius
-        kept_cum = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])
-        out_indptr = kept_cum[indptr]
-        return out_indptr, ids[keep], seg_dists[keep]
+        owner = np.repeat(np.arange(len(points)), np.diff(indptr))
+        dists = self._pair_distances(points[owner, 0], points[owner, 1], ids)
+        kept = np.flatnonzero(dists <= radius)
+        return np.searchsorted(kept, indptr), ids[kept], dists[kept]
 
     def segments_within(self, x: float, y: float, radius: float) -> List[Tuple[int, float]]:
         """(segment_id, exact distance) pairs within ``radius`` of (x, y)."""

@@ -5,7 +5,12 @@ import pytest
 
 from repro import nn
 from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.core.decoder import ReachabilityMask, RecoveryDecoder, interpolation_prior
+from repro.core.decoder import (
+    ReachabilityMask,
+    RecoveryDecoder,
+    decode_constraint,
+    interpolation_prior,
+)
 from repro.roadnet import CityConfig, generate_city
 from repro.train import TrainConfig, Trainer, quick_accuracy
 from repro.trajectory import (
@@ -118,6 +123,72 @@ class TestInterpolationPrior:
         x, y = sample.raw_low.xy[0]
         near_sid, _, _ = city.nearest_segment(float(x), float(y))
         assert prior[0, step, near_sid] > 0.5
+
+    @pytest.mark.parametrize("floor", [0.0, 0.005, 0.5, 1.0])
+    def test_support_radius_prior_equals_three_scale_prior(
+            self, city, batch, floor, monkeypatch):
+        """Querying only the kernel's support drops hits whose weight was
+        clamped to ``floor`` anyway: the prior is the same array."""
+        from repro.core import decoder
+
+        new = interpolation_prior(batch, city, 150.0, floor)
+        monkeypatch.setattr(decoder, "_prior_radius",
+                            lambda scale, floor: 3.0 * scale)
+        old = interpolation_prior(batch, city, 150.0, floor)
+        assert np.array_equal(new, old)
+        if floor == 1.0:
+            assert np.all(new == 1.0)
+        else:
+            assert new.max() > floor  # the kernel did write something
+
+
+class TestDecodeConstraint:
+    """``decode_constraint`` against its definition: the Eq. 16 constraint
+    tensor times the interpolation prior, bit for bit."""
+
+    @pytest.mark.parametrize("floor", [0.0, 0.005, 0.5, 1.0])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_equals_constraint_times_prior(self, city, samples, size, floor):
+        batch = make_batch(samples[:size])
+        length = batch.target_length
+        for start in (0, length // 2, length - 1):
+            built = decode_constraint(batch, city, 150.0, floor, start)
+            defined = (batch.constraint_tensor(city.num_segments, start)
+                       * interpolation_prior(batch, city, 150.0, floor, start))
+            assert built.shape == (size, length - start, city.num_segments)
+            assert np.array_equal(built, defined)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_without_prior_is_the_constraint_tensor(self, city, samples, size):
+        batch = make_batch(samples[:size])
+        for start in (0, batch.target_length // 2, batch.target_length - 1):
+            assert np.array_equal(
+                decode_constraint(batch, city, 0.0, 0.005, start),
+                batch.constraint_tensor(city.num_segments, start))
+
+    def test_model_method_is_the_builder(self, city, batch):
+        model = RNTrajRec(city, CFG)
+        assert np.array_equal(
+            model.decode_constraint(batch, 3),
+            decode_constraint(batch, city, CFG.decode_prior_scale,
+                              CFG.decode_prior_floor, 3))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        {"decode_prior_floor": -0.1}, {"decode_prior_floor": 1.5},
+        {"decode_prior_floor": float("nan")}, {"decode_prior_scale": -1.0},
+        {"decode_prior_scale": float("nan")},
+    ])
+    def test_rejects_out_of_range_prior(self, overrides):
+        with pytest.raises(ValueError, match="decode_prior"):
+            RNTrajRecConfig(**overrides)
+        with pytest.raises(ValueError, match="decode_prior"):
+            CFG.variant(**overrides)
+
+    def test_accepts_the_boundaries(self):
+        RNTrajRecConfig(decode_prior_floor=0.0, decode_prior_scale=0.0)
+        RNTrajRecConfig(decode_prior_floor=1.0)
 
 
 class TestRNTrajRecEndToEnd:

@@ -86,6 +86,36 @@ class TestRoadNetwork:
         assert dists == sorted(dists)
         assert hits[0][0] == 0
 
+    def test_segments_within_batch_equals_single_point_queries(self):
+        """The multi-point query is Q single-point queries: same id sets,
+        bit-equal distances — over multi-vertex polylines, a zero-length
+        sub-segment, a point with no hit, and Q = 0."""
+        segments = [
+            RoadSegment(0, np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 30.0],
+                                     [90.0, 30.0]])),
+            RoadSegment(1, np.array([[90.0, 30.0], [90.0, 30.0], [150.0, 80.0]])),
+            RoadSegment(2, np.array([[150.0, 80.0], [0.0, 0.0]])),
+            RoadSegment(3, np.array([[-60.0, 120.0], [-20.0, 160.0],
+                                     [30.0, 140.0]])),
+        ]
+        net = RoadNetwork(segments, [(0, 1), (1, 2), (2, 0)])
+        rng = np.random.default_rng(5)
+        points = np.vstack([rng.uniform(-80.0, 170.0, size=(30, 2)),
+                            [[90.0, 30.0], [40.0, 0.0], [5000.0, 5000.0]]])
+        for radius in (25.0, 70.0, 400.0):
+            indptr, ids, dists = net.segments_within_batch(points, radius)
+            assert indptr[0] == 0 and indptr[-1] == len(ids) == len(dists)
+            for q, (x, y) in enumerate(points):
+                one_ids, one_dists = net.segments_within_arrays(x, y, radius)
+                got = slice(indptr[q], indptr[q + 1])
+                order = np.argsort(ids[got])
+                expected = np.argsort(one_ids)
+                assert np.array_equal(ids[got][order], one_ids[expected])
+                assert np.array_equal(dists[got][order], one_dists[expected])
+            assert indptr[-1] == indptr[-2]  # the far point hits nothing
+        indptr, ids, dists = net.segments_within_batch(np.zeros((0, 2)), 70.0)
+        assert indptr.tolist() == [0] and len(ids) == len(dists) == 0
+
     def test_position_projection_roundtrip(self):
         net = tiny_network()
         xy = net.position(1, 0.4)

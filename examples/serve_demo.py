@@ -10,11 +10,14 @@ End to end this
    model registry rebuilds the model, restores parameters *and* running
    statistics, and pins the shared road network / grid / reachability
    structures),
-3. submits 24 concurrent raw-GPS requests through the continuous-batching
-   scheduler,
+3. submits 24 concurrent raw-GPS requests through the decode scheduler,
 4. verifies every recovered trajectory is identical to a direct
-   ``RNTrajRec.recover_trajectories`` call on the same input, and
-5. prints ``stats()`` — slot occupancy > 1 shows requests decoded side by side.
+   ``RNTrajRec.recover_trajectories`` call on the same input,
+5. submits a short request behind three long ones and checks it resolves
+   first (the scheduler serves the earliest solo finish, not the earliest
+   arrival) with every output still equal to direct recovery, and
+6. prints ``stats()`` — ``engine.preemptions`` and ``engine.queue_wait_ms_*``
+   show where a request waited.
 """
 
 import tempfile
@@ -28,7 +31,13 @@ from repro.core import RNTrajRec
 from repro.train import Trainer
 from repro.datasets import load_dataset
 from repro.experiments import quick_train_config, small_model_config
-from repro.serve import RecoveryRequest, RecoveryService, ServeConfig, save_model_bundle
+from repro.serve import (
+    RecoveryRequest,
+    RecoveryService,
+    ServeConfig,
+    assemble_sample,
+    save_model_bundle,
+)
 from repro.trajectory import make_batch
 
 NUM_REQUESTS = 24
@@ -89,16 +98,49 @@ def main() -> None:
         print(f"  resubmitted {again.request_id}: cached={again.cached} "
               f"({again.latency_ms:.2f} ms)")
 
+        # A decode's length is known at ingest, so a short request does not
+        # wait behind long ones that merely arrived first.
+        print("Submitting a 2-fix request behind three full-length ones ...")
+        long_samples = pool[NUM_REQUESTS:NUM_REQUESTS + 3]
+        tail = pool[NUM_REQUESTS + 3]
+        burst = [
+            RecoveryRequest(s.raw_low.xy, s.raw_low.times, hour=s.hour,
+                            holiday=s.holiday, request_id=f"long-{i}")
+            for i, s in enumerate(long_samples)
+        ] + [RecoveryRequest(tail.raw_low.xy[:2], tail.raw_low.times[:2],
+                             hour=tail.hour, holiday=tail.holiday,
+                             request_id="short")]
+        burst_samples = long_samples + [assemble_sample(
+            burst[-1], data.network, service.config.ingest())]
+        order = []
+        futures = []
+        for request in burst:
+            future = service.submit(request)
+            future.add_done_callback(
+                lambda _, rid=request.request_id: order.append(rid))
+            futures.append(future)
+        burst_responses = [future.result(timeout=300.0) for future in futures]
+        print(f"  resolved in order: {', '.join(order)}")
+        if order[0] != "short":
+            raise SystemExit("FAIL: the short request waited behind the "
+                             "long ones")
+        for sample, response in zip(burst_samples, burst_responses):
+            direct = served_model.recover_trajectories(make_batch([sample]))[0]
+            if not (np.array_equal(direct.segments, response.trajectory.segments)
+                    and np.array_equal(direct.ratios, response.trajectory.ratios)):
+                raise SystemExit(f"FAIL: {response.request_id} differs from "
+                                 "direct recovery")
+        print("  all four identical to direct recovery")
+
         stats = service.stats()
         print("\nservice.stats():")
         for key, value in stats.items():
             print(f"  {key:<22}: {value}")
-        if stats["max_batch_occupancy"] <= 1:
-            raise SystemExit("FAIL: requests never shared the slot table "
-                             "(max_batch_occupancy <= 1)")
-        print(f"\nThe engine decoded up to "
-              f"{stats['max_batch_occupancy']} requests per sweep "
-              f"(mean occupancy {stats['mean_batch_occupancy']}).")
+        engine = stats["engine"]
+        print(f"\nThe scheduler preempted a running decode "
+              f"{engine['preemptions']} time(s); requests waited "
+              f"{engine['queue_wait_ms_p50']} ms (p50) / "
+              f"{engine['queue_wait_ms_p95']} ms (p95) in its queue.")
         service.close()
 
 

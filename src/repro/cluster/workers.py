@@ -540,44 +540,66 @@ class WorkerPool:
     # Reader / lifecycle
     # ------------------------------------------------------------------
     def _read_loop(self, worker: _Worker) -> None:
-        telemetry = self._telemetry[worker.index]
         while True:
             try:
                 frame = worker.conn.recv_bytes()
             except (EOFError, OSError):
                 break
-            kind = frame[0]
-            if kind == _RESPONSE:
-                seq = _RESP_HEADER.unpack_from(frame)[1]
-                with self._lock:
-                    pending = worker.pending.pop(seq, None)
-                if pending is None:
-                    continue
-                elapsed = time.perf_counter() - pending.start
+            try:
+                self._handle_frame(worker, frame)
+            except Exception:
+                # A frame that does not decode (truncated header, bad
+                # lengths, bad pickle) means the worker's stream can no
+                # longer be trusted: treat it as a crash of that worker,
+                # so the futures it owns are failed or retried instead of
+                # waiting on a reader that died.
+                traceback.print_exc()
+                worker.process.kill()
+                break
+        self._on_worker_exit(worker)
+
+    def _handle_frame(self, worker: _Worker, frame: bytes) -> None:
+        """Resolve the future one worker frame answers; raises on a frame
+        that cannot be decoded."""
+        telemetry = self._telemetry[worker.index]
+        kind = frame[0]
+        if kind == _RESPONSE:
+            seq = _RESP_HEADER.unpack_from(frame)[1]
+            with self._lock:
+                pending = worker.pending.pop(seq, None)
+            if pending is None:
+                return
+            elapsed = time.perf_counter() - pending.start
+            try:
                 _, response = decode_response(frame, shard=self._label,
                                               latency_ms=1000.0 * elapsed)
-                telemetry.record_request(elapsed, cache_hit=response.cached,
-                                         model_tag=response.model_tag)
-                pending.future.set_result(response)
-            elif kind == _ERROR:
-                seq, type_name, message = pickle.loads(frame[1:])
-                with self._lock:
-                    pending = worker.pending.pop(seq, None)
-                if pending is None:
-                    continue
-                telemetry.record_error()
-                if type_name in ("RequestError", "ValueError"):
-                    pending.future.set_exception(RequestError(message))
-                else:
-                    pending.future.set_exception(
-                        WorkerError(f"{type_name}: {message}"))
-            elif kind == _ACK:
-                seq, result = pickle.loads(frame[1:])
-                with self._lock:
-                    entry = self._acks.pop(seq, None)
-                if entry is not None:
-                    entry[1].set_result(result)
-        self._on_worker_exit(worker)
+            except Exception:
+                with self._lock:  # still owed an outcome by the exit handler
+                    worker.pending[seq] = pending
+                raise
+            telemetry.record_request(elapsed, cache_hit=response.cached,
+                                     model_tag=response.model_tag)
+            pending.future.set_result(response)
+        elif kind == _ERROR:
+            seq, type_name, message = pickle.loads(frame[1:])
+            with self._lock:
+                pending = worker.pending.pop(seq, None)
+            if pending is None:
+                return
+            telemetry.record_error()
+            if type_name in ("RequestError", "ValueError"):
+                pending.future.set_exception(RequestError(message))
+            else:
+                pending.future.set_exception(
+                    WorkerError(f"{type_name}: {message}"))
+        elif kind == _ACK:
+            seq, result = pickle.loads(frame[1:])
+            with self._lock:
+                entry = self._acks.pop(seq, None)
+            if entry is not None:
+                entry[1].set_result(result)
+        else:
+            raise ValueError(f"unknown frame kind {kind!r}")
 
     def _on_worker_exit(self, worker: _Worker) -> None:
         """The reader saw EOF: crash or shutdown.  Runs entirely in the

@@ -31,7 +31,7 @@ Section names used by the built-in instrumentation:
 ``decode.greedy``           greedy decode step loop (run-to-completion kernel)
 ``decode.beam``             beam-search decode
 ``serve.admit``             one serving-engine admission (encode + constraint)
-``engine.step``             one serving-engine sweep over all active slots
+``engine.step``             one serving-engine decode step of the running slot
 ==========================  ====================================================
 """
 

@@ -2,9 +2,10 @@
 
 Turns the offline RNTrajRec reproduction into a service: raw low-sample
 GPS traces in, recovered ε_ρ map-matched trajectories out, with a
-continuous-batching decode engine (slot table advancing every in-flight
-sequence one step per kernel sweep; see :mod:`repro.serve.engine`), a
-hot-swappable model registry, request-level caching and telemetry.  See
+length-aware decode scheduler (earliest solo finish first over a slot
+table that parks preempted decodes; see :mod:`repro.serve.batching` and
+:mod:`repro.serve.engine`), a hot-swappable model registry,
+request-level caching and telemetry.  See
 :class:`RecoveryService` for the facade and ``scripts/serve.py`` /
 ``examples/serve_demo.py`` for runnable entries.
 """

@@ -1,8 +1,13 @@
-"""Continuous-batching scheduler: the one decode path of the serving layer.
+"""Decode scheduler: the one decode path of the serving layer.
 
 Every request — one-shot or a streaming suffix decode — is admitted into
-a slot of one :class:`~repro.serve.engine.ContinuousEngine` and advances
-one greedy step per kernel sweep next to everything else in flight.
+a slot of one :class:`~repro.serve.engine.ContinuousEngine`.  A decode's
+length is known before anything is encoded (l_ρ = duration/ε_ρ grid
+steps), so the scheduler serves *earliest solo finish first*: each entry
+is keyed at enqueue by ``due = clock + its own grid steps`` (the clock is
+the engine's executed-step counter), and every worker round steps only
+the in-flight slot with the smallest key.  The slot table is what holds
+a preempted decode's carry while a shorter one runs.
 
 The worker thread owns all scheduling state; callers interact only through
 ``submit`` / ``submit_job`` (each returns a ``concurrent.futures.Future``),
@@ -11,43 +16,80 @@ The worker thread owns all scheduling state; callers interact only through
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
+import time
+from collections import deque
 from concurrent.futures import CancelledError, Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+
+from .telemetry import percentile
+
+
+class _Entry:
+    """One outstanding decode: its fixed ``(due, arrival)`` key, payload,
+    future and enqueue time."""
+
+    __slots__ = ("key", "is_job", "payload", "future", "enqueued")
+
+    def __init__(self, key: Tuple[int, int], is_job: bool,
+                 payload: Any) -> None:
+        self.key = key
+        self.is_job = is_job
+        self.payload = payload
+        self.future: Future = Future()
+        self.enqueued = time.perf_counter()
+
+    def __lt__(self, other: "_Entry") -> bool:
+        return self.key < other.key
 
 
 class ContinuousScheduler:
-    """Continuous-batching scheduler over a :class:`ContinuousEngine`.
+    """Earliest-solo-finish-first scheduler over a :class:`ContinuousEngine`.
 
-    The worker thread admits queued work into free slots before *every*
-    kernel sweep, steps all in-flight sequences once, and resolves each
-    retiring slot's future the moment its own sequence finishes.  Futures
-    are keyed by slot, not by submission position — completion order is
-    independent of admission order, so a short request spliced in late
-    resolves before an earlier long one without any cross-wiring of
-    results.
+    In exact mode every slot is stepped at batch-of-1 (no cross-slot GEMM,
+    by the bit-identity contract), so advancing all slots side by side is
+    processor sharing with no batching benefit: every decode of a burst
+    finishes near the end of the burst's total work.  Instead each entry
+    gets a fixed key at enqueue — ``due = engine.slot_steps + steps``,
+    ties by arrival — and each worker round
+
+    a. admits the queued entry with the smallest key (at most one
+       ``prepare`` per round), but only if a slot is free, no deferred
+       head exists, and its key is smaller than every in-flight key (or
+       nothing is in flight) — an entry is prepared when it is about to
+       run, not ahead of need;
+    b. advances **only** the in-flight slot with the smallest key by one
+       greedy step, and resolves its future the moment it retires.
+
+    The key is knob-free and starvation-free: an entry enqueued at clock
+    ``c`` with ``S`` steps can only be overtaken by entries that arrive
+    before the clock reaches ``c + S`` — requests whose solo finish would
+    have preceded its own; every later arrival sorts behind it.  A slot
+    still replays the exact op sequence of a solo decode; only the order
+    of steps across slots changes.
 
     Two front doors share the same slot table:
 
-    * ``submit(item)`` — the one-shot path; ``prepare(item)`` builds the
+    * ``submit(item, steps)`` — the one-shot path; ``steps`` is the
+      request's grid length, ``prepare(item)`` builds the
       :class:`DecodeJob` on the worker thread (encode + constraint), and
       ``finish(item, result)`` shapes the resolved value.
     * ``submit_job(job)`` — the streaming path; a session has already
       built its job (:func:`~repro.serve.engine.build_job` from a carry
       checkpoint for an append's suffix, from step 0 for ``finalize``), so
-      it joins the ragged batch as-is and the future resolves to the raw
+      it is keyed by ``job.num_steps`` and the future resolves to the raw
       :class:`DecodeResult`.
 
-    Everything — admission, prepare, sweeps, resolution — runs on the one
+    Everything — admission, prepare, steps, resolution — runs on the one
     worker thread by design.  A disaggregated-admission variant (prepare
     on its own thread, vLLM prefill/decode style) was measured and
     rejected: at this model scale both threads are GIL-bound, so overlap
-    buys nothing, and removing the prepare-rate admission throttle lets a
-    noise burst flood the slot table and melt down tail latency.  The
-    single thread keeps admission naturally paced at one prepare per
-    sweep round.
+    buys nothing.
 
-    ``on_step`` receives the slot occupancy of every kernel sweep.
+    ``on_step`` receives, at every step, the number of admitted decodes
+    (the running one plus the preempted ones).
     """
 
     def __init__(
@@ -64,16 +106,21 @@ class ContinuousScheduler:
         self._on_step = on_step
         self.engine = ContinuousEngine(max_slots)
         self._cond = threading.Condition()
-        # queue entries: (is_job, payload, future); _inflight: slot -> entry
-        self._queue: List[Tuple[bool, Any, Future]] = []
-        self._inflight: Dict[int, Tuple[bool, Any, Future]] = {}
-        # Hidden-dim conflicts park here: (is_job, payload, future, job).
-        # The future is already RUNNING and the job already prepared, so a
+        self._arrivals = itertools.count()
+        self._queue: List[_Entry] = []          # heap on _Entry.key
+        self._inflight: Dict[int, _Entry] = {}  # slot -> entry
+        # The in-flight slot with the smallest key — the only one stepped.
+        # Worker-owned; reselected only when a slot is admitted or retired.
+        self._running: Optional[int] = None
+        # Hidden-dim conflicts park here as (entry, prepared job).  The
+        # future is already RUNNING and the job already prepared, so a
         # retry re-attempts only ``engine.admit`` — no second
         # set_running_or_notify_cancel, no repeated encode.  Only the
         # worker mutates this list (under the lock, so ``pending`` /
         # ``flush`` see a consistent view).
-        self._deferred: List[Tuple[bool, Any, Future, Any]] = []
+        self._deferred: List[Tuple[_Entry, Any]] = []
+        self._queue_waits: Deque[float] = deque(maxlen=1024)
+        self._preemptions = 0
         self._closed = False
         self._drop = False  # close(drain=False): abandon in-flight slots too
         self._worker = threading.Thread(target=self._loop, daemon=True,
@@ -81,35 +128,38 @@ class ContinuousScheduler:
         self._worker.start()
 
     # ------------------------------------------------------------------
-    def submit(self, item: Any) -> Future:
-        """Enqueue one request; resolves to ``finish(item, result)``."""
-        return self._enqueue(False, item)
+    def submit(self, item: Any, steps: int) -> Future:
+        """Enqueue one request of ``steps`` grid steps; resolves to
+        ``finish(item, result)``."""
+        return self._enqueue(False, item, steps)
 
     def submit_job(self, job: Any) -> Future:
         """Enqueue a pre-built :class:`DecodeJob` (streaming session
         decodes join here); resolves to its :class:`DecodeResult`."""
-        return self._enqueue(True, job)
+        return self._enqueue(True, job, job.num_steps)
 
-    def _enqueue(self, is_job: bool, payload: Any) -> Future:
-        future: Future = Future()
+    def _enqueue(self, is_job: bool, payload: Any, steps: int) -> Future:
         with self._cond:
             if self._closed:
                 raise RuntimeError("ContinuousScheduler is closed")
-            self._queue.append((is_job, payload, future))
+            entry = _Entry((self.engine.slot_steps + int(steps),
+                            next(self._arrivals)), is_job, payload)
+            heapq.heappush(self._queue, entry)
             self._cond.notify_all()
-        return future
+        return entry.future
 
     def flush(self) -> None:
         """Block until everything pending at call time has completed.
 
         The engine never idles while work exists (there is no coalescing
-        window), so flushing is purely waiting on a snapshot — sustained
-        traffic cannot keep it blocked forever.
+        window) and no entry can be overtaken forever, so flushing is
+        purely waiting on a snapshot — sustained traffic cannot keep it
+        blocked forever.
         """
         with self._cond:
-            snapshot = [future for _, _, future in self._queue]
-            snapshot.extend(future for _, _, future, _ in self._deferred)
-            snapshot.extend(future for _, _, future in self._inflight.values())
+            snapshot = [entry.future for entry in self._queue]
+            snapshot.extend(entry.future for entry, _ in self._deferred)
+            snapshot.extend(entry.future for entry in self._inflight.values())
         for future in snapshot:
             try:
                 future.exception()
@@ -123,7 +173,7 @@ class ContinuousScheduler:
         with self._cond:
             self._closed = True
             if not drain:
-                abandoned = [future for _, _, future in self._queue]
+                abandoned = [entry.future for entry in self._queue]
                 self._queue.clear()
                 self._drop = True
             self._cond.notify_all()
@@ -140,10 +190,18 @@ class ContinuousScheduler:
                     + len(self._inflight))
 
     def stats(self) -> Dict[str, Any]:
+        """Engine counters plus the queue's view: ``queue_wait_ms_*`` is
+        enqueue → taken up for admission over the last 1024 admissions,
+        ``preemptions`` counts admissions made while another decode was
+        in flight."""
         with self._cond:
             payload = self.engine.stats()
             payload["queued"] = len(self._queue)
-            return payload
+            payload["preemptions"] = self._preemptions
+            waits = sorted(self._queue_waits)
+        payload["queue_wait_ms_p50"] = round(1e3 * percentile(waits, 0.50), 3)
+        payload["queue_wait_ms_p95"] = round(1e3 * percentile(waits, 0.95), 3)
+        return payload
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
@@ -160,96 +218,103 @@ class ContinuousScheduler:
                         and not self._inflight):
                     self._cond.notify_all()
                     return
-                # At most ONE admission per round: prepare (encode +
-                # constraint build) costs many sweeps' worth of time, so
-                # admitting a whole backlog back-to-back would stall every
-                # in-flight slot for the duration — exactly the
-                # head-of-line blocking this scheduler exists to remove.
-                # One prepare between sweeps bounds the stall and keeps
-                # admission throughput unchanged (prepare is the
-                # bottleneck either way).  A deferred head blocks new
-                # admissions outright: it arrived first, and anything
-                # admitted around it would push its drain further out.
+                # At most ONE admission per round, and only of an entry
+                # that is about to run: prepare (encode + constraint
+                # build) costs many steps' worth of time, so preparing a
+                # backlog ahead of need would stall the running decode
+                # and hold constraint tensors nobody reads yet.  A
+                # deferred head blocks new admissions outright: it
+                # arrived first, and anything admitted around it would
+                # push its drain further out.
                 admission = None
-                if (not self._deferred and self._queue
-                        and self.engine.free_slots):
-                    admission = self._queue.pop(0)
+                if (self._queue and not self._deferred
+                        and self.engine.free_slots
+                        and (self._running is None
+                             or self._queue[0] < self._inflight[self._running])):
+                    admission = heapq.heappop(self._queue)
+                    self._queue_waits.append(
+                        time.perf_counter() - admission.enqueued)
             # The prepare runs outside the lock — submitters must not
             # block behind it.
             self._retry_deferred()
-            self._admit(admission)
-            retired = self._sweep()
-            self._resolve(retired)
+            if admission is not None:
+                self._admit(admission)
+            if self._running is not None:
+                self._resolve(self._step())
 
-    def _admit(self, entry: Optional[Tuple[bool, Any, Future]]) -> None:
-        if entry is None:
-            return
-        is_job, payload, future = entry
+    def _seat(self, slot: int, entry: _Entry) -> None:
+        """Caller holds the lock: record an engine admission."""
+        if self._inflight:
+            self._preemptions += 1
+        self._inflight[slot] = entry
+        self._reselect()
+
+    def _reselect(self) -> None:
+        self._running = (min(self._inflight, key=self._inflight.__getitem__)
+                         if self._inflight else None)
+
+    def _admit(self, entry: _Entry) -> None:
+        future = entry.future
         if not future.set_running_or_notify_cancel():
             return
         try:
-            job = payload if is_job else self._prepare(payload)
+            job = (entry.payload if entry.is_job
+                   else self._prepare(entry.payload))
             slot = self.engine.admit(job)
         except BaseException as exc:
             future.set_exception(exc)
             return
-        if slot is None:
-            # Hidden-dim conflict: park the *prepared* job until the table
-            # drains.  The future stays RUNNING — retries go through
-            # _retry_deferred, which never calls
-            # set_running_or_notify_cancel or prepare() again.
-            with self._cond:
-                self._deferred.append((is_job, payload, future, job))
-            return
         with self._cond:
-            self._inflight[slot] = entry
+            if slot is None:
+                # Hidden-dim conflict: park the *prepared* job until the
+                # table drains.  The future stays RUNNING — retries go
+                # through _retry_deferred, which never calls
+                # set_running_or_notify_cancel or prepare() again.
+                self._deferred.append((entry, job))
+            else:
+                self._seat(slot, entry)
 
     def _retry_deferred(self) -> None:
-        while True:
-            with self._cond:
-                if not self._deferred:
-                    return
-                is_job, payload, future, job = self._deferred[0]
+        while self._deferred:
+            entry, job = self._deferred[0]
             try:
                 slot = self.engine.admit(job)
             except BaseException as exc:
-                future.set_exception(exc)
+                entry.future.set_exception(exc)
                 slot = None
-                admitted = False
             else:
                 if slot is None:  # table still occupied by the old dim
-                    return        # retry after the next sweep retires slots
-                admitted = True
+                    return        # retry after the next retirement
             with self._cond:
                 self._deferred.pop(0)
-                if admitted:
-                    self._inflight[slot] = (is_job, payload, future)
+                if slot is not None:
+                    self._seat(slot, entry)
 
-    def _sweep(self) -> list:
-        occupancy = self.engine.inflight
-        if occupancy and self._on_step is not None:
+    def _step(self) -> list:
+        if self._on_step is not None:
             try:
-                self._on_step(occupancy)
+                self._on_step(len(self._inflight))
             except Exception:
                 pass  # a broken metrics hook must never kill the worker
-        return self.engine.step()
+        return self.engine.step((self._running,))
 
     def _resolve(self, retired: list) -> None:
         if not retired:
             return
         with self._cond:
             entries = [(self._inflight.pop(r.slot, None), r) for r in retired]
+            self._reselect()
             self._cond.notify_all()
         for entry, retirement in entries:
             if entry is None:
                 continue
-            is_job, payload, future = entry
+            future = entry.future
             if retirement.error is not None:
                 future.set_exception(retirement.error)
                 continue
             try:
-                value = (retirement.result if is_job
-                         else self._finish(payload, retirement.result))
+                value = (retirement.result if entry.is_job
+                         else self._finish(entry.payload, retirement.result))
             except BaseException as exc:
                 future.set_exception(exc)
                 continue
@@ -262,14 +327,14 @@ class ContinuousScheduler:
             entry = self._inflight.pop(retirement.slot, None)
             # In-flight futures were marked running at admission, so only
             # set the exception (set_running_... would raise here).
-            if entry is not None and not entry[2].done():
-                entry[2].set_exception(
+            if entry is not None and not entry.future.done():
+                entry.future.set_exception(
                     RuntimeError("ContinuousScheduler closed"))
         # Deferred futures are running too (they were marked at first
         # admission attempt) — same exception-only treatment.
-        for _, _, future, _ in self._deferred:
-            if not future.done():
-                future.set_exception(
+        for entry, _ in self._deferred:
+            if not entry.future.done():
+                entry.future.set_exception(
                     RuntimeError("ContinuousScheduler closed"))
         self._deferred.clear()
         self._cond.notify_all()

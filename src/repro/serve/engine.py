@@ -1,13 +1,16 @@
-"""Continuous-batching decode engine: the shard-level slot table.
+"""Decode engine: the shard-level slot table.
 
 A run-to-completion scheduler admits a batch and decodes all of it —
 a short request admitted behind a long one waits for the whole decode.
 This module is the LLM-serving-style alternative: a
 :class:`ContinuousEngine` holds a fixed pool of decode *slots*, each one
-in-flight greedy decode, and :meth:`ContinuousEngine.step` advances
-**every** active slot one decode step.  Finished slots retire the moment
-their own sequence ends (not when the longest neighbor does), and new
-arrivals splice into freed slots mid-flight.
+in-flight greedy decode whose carry lives in the table between steps, and
+:meth:`ContinuousEngine.step` advances the slots it is given (by default
+every active one) one decode step.  Finished slots retire the moment
+their own sequence ends, and new arrivals splice into freed slots
+mid-flight.  Which slot to step next is the caller's policy — the serving
+path's :class:`~repro.serve.batching.ContinuousScheduler` steps the
+decode with the earliest solo finish and leaves the others parked.
 
 Bit-identity is the design constraint, not an aspiration.  On this
 platform OpenBLAS GEMM results are *not* row-stable — ``(A @ B)[i]``
@@ -16,12 +19,13 @@ differs bitwise from ``A[i:i+1] @ B`` — so stacking slots into one
 flight.  The engine therefore advances each slot with the exact
 batch-of-1 op sequence of ``decode_greedy`` (:func:`~repro.core.decoder.\
 greedy_step` on that slot's row views), which makes interleaving
-unobservable *by construction*: any admission order, retirement order, or
-splice pattern replays precisely the floating-point ops of a solo
-run-to-completion decode.  The throughput win comes from what continuous
-batching actually changes — no head-of-line blocking, no padding to the
-group's longest grid, per-sequence weight unpacking and attention-key
-projection hoisted to admission — not from cross-slot GEMM fusion.
+unobservable *by construction*: any admission order, step order,
+retirement order or splice pattern replays precisely the floating-point
+ops of a solo run-to-completion decode.  What the slot table buys is
+therefore scheduling freedom — no head-of-line blocking, a decode can be
+parked mid-flight at no cost, no padding to a group's longest grid,
+per-sequence weight unpacking and attention-key projection hoisted to
+admission — not cross-slot GEMM fusion.
 
 The slot table packs per-sequence carries into contiguous arrays
 (``state``/``prev_embed``/``prev_rate``/``prev_segment`` rows) with a
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -286,8 +290,8 @@ class ContinuousEngine:
             raise ValueError(f"engine capacity must be >= 1; got {capacity}")
         self.capacity = int(capacity)
         self.table: Optional[SlotTable] = None
-        self.steps = 0        # kernel sweeps run
-        self.slot_steps = 0   # per-slot decode steps run (Σ occupancy)
+        self.steps = 0        # step() calls that advanced a slot
+        self.slot_steps = 0   # per-slot decode steps run
         self.admitted = 0
         self.retired = 0
 
@@ -324,18 +328,21 @@ class ContinuousEngine:
         self.admitted += 1
         return slot
 
-    def step(self) -> List[Retirement]:
-        """Advance every active slot one decode step; returns retirements.
+    def step(self, slots: Optional[Sequence[int]] = None) -> List[Retirement]:
+        """Advance the given active slots (default: every active slot) one
+        decode step; returns retirements.
 
         Each slot runs :func:`greedy_step` on its own (1, ·) row views —
         the exact batch-of-1 op sequence of the run-to-completion kernel —
-        so results cannot depend on co-residents.  A slot whose step
-        raises retires with the error; the others are unaffected.
+        so results cannot depend on co-residents, nor on which slots a
+        call steps.  A slot whose step raises retires with the error; the
+        others are unaffected.
         """
         table = self.table
         if table is None:
             return []
-        slots = table.active_ids()
+        if slots is None:
+            slots = table.active_ids()
         if not slots:
             return []
         retirements: List[Retirement] = []

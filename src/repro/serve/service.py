@@ -7,10 +7,10 @@ pipeline per request:
    model name, so hot-swaps never serve stale results);
 2. **assembly** — :func:`~repro.serve.request.assemble_sample` turns the
    raw fixes into the same sample structure the offline pipeline builds;
-3. **scheduling** — the continuous-batching engine
-   (:mod:`repro.serve.engine`): the request is admitted into a decode
-   slot and advances one step per kernel sweep next to everything else
-   in flight, retiring as soon as its own grid ends;
+3. **scheduling** — the decode scheduler (:mod:`repro.serve.batching`)
+   keys the request by its own grid length, admits it into a decode slot
+   (:mod:`repro.serve.engine`) when it is the outstanding decode with the
+   earliest solo finish, and steps it until its own grid ends;
 4. **telemetry** — latency, QPS, cache and occupancy counters behind
    :meth:`RecoveryService.stats`.
 
@@ -189,7 +189,8 @@ class RecoveryService:
                                      alignment=(grid_times, steps))
             # close() may race us past the _closed check at entry; the
             # scheduler's own refusal must fail the future, not submit().
-            inner = self.scheduler.submit((sample, model_tag, model))
+            inner = self.scheduler.submit((sample, model_tag, model),
+                                          sample.target_length)
         except Exception as exc:
             self.telemetry.record_error()
             outer.set_exception(exc)

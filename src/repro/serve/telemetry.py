@@ -17,6 +17,14 @@ from typing import Any, Deque, Dict, Iterable, List
 from .. import profile
 
 
+def percentile(sorted_values, fraction: float) -> float:
+    """Nearest-rank percentile of an ascending sequence (0.0 when empty)."""
+    if not sorted_values:
+        return 0.0
+    index = min(len(sorted_values) - 1, int(round(fraction * (len(sorted_values) - 1))))
+    return sorted_values[index]
+
+
 class ServingTelemetry:
     """Counters behind ``RecoveryService.stats()``."""
 
@@ -81,13 +89,6 @@ class ServingTelemetry:
         with self._lock:
             return list(self._latencies)
 
-    @staticmethod
-    def _percentile(sorted_values, fraction: float) -> float:
-        if not sorted_values:
-            return 0.0
-        index = min(len(sorted_values) - 1, int(round(fraction * (len(sorted_values) - 1))))
-        return sorted_values[index]
-
     def stats(self) -> Dict[str, float]:
         # Sampled outside the lock: a /proc read, not a counter.  Memory
         # is process-wide (replicas share one process), so every replica
@@ -105,8 +106,8 @@ class ServingTelemetry:
                 "errors": self.errors,
                 "uptime_seconds": round(elapsed, 3),
                 "qps": round(self.requests / elapsed, 3),
-                "latency_ms_p50": round(1000.0 * self._percentile(latencies, 0.50), 3),
-                "latency_ms_p95": round(1000.0 * self._percentile(latencies, 0.95), 3),
+                "latency_ms_p50": round(1000.0 * percentile(latencies, 0.50), 3),
+                "latency_ms_p95": round(1000.0 * percentile(latencies, 0.95), 3),
                 "latency_ms_max": round(1000.0 * (latencies[-1] if latencies else 0.0), 3),
                 "cache_hits": self.cache_hits,
                 "cache_hit_rate": round(cache_hit_rate, 4),
@@ -144,7 +145,6 @@ def rollup(rows: Iterable[Dict[str, Any]],
         for tag, count in row.get("requests_by_model", {}).items():
             by_model[tag] = by_model.get(tag, 0) + count
     ordered = sorted(latencies)
-    percentile = ServingTelemetry._percentile
     return {
         "requests": requests,
         "cache_hits": cache_hits,

@@ -13,6 +13,7 @@ guarantee at the scheduler, service and streaming-join layers.
 assertion.
 """
 
+import dataclasses
 import os
 import threading
 import time
@@ -370,8 +371,10 @@ class TestContinuousScheduler:
         )
         try:
             futures = {
-                "long": scheduler.submit(long_sample),
-                "short": scheduler.submit(short_sample),
+                "long": scheduler.submit(long_sample,
+                                         long_sample.target_length),
+                "short": scheduler.submit(short_sample,
+                                          short_sample.target_length),
             }
             for name, future in futures.items():
                 future.add_done_callback(
@@ -388,10 +391,126 @@ class TestContinuousScheduler:
             assert np.array_equal(result.segments, seg_solo)
             assert np.array_equal(result.rates, rate_solo)
 
+    # -- earliest-solo-finish-first order --------------------------------
+    # Order is forced, never timed: ``prepare`` is gated so entries queue
+    # before anything steps, and later arrivals are injected from the
+    # ``on_step`` hook at an exact value of the step clock.
+
+    @staticmethod
+    def _sized_jobs(model, sample, lengths):
+        """Unconstrained decodes of exact lengths off one encoding, each
+        with its own solo (fresh single-slot engine) result."""
+        base = job_for(model, sample)
+        jobs = [dataclasses.replace(base, num_steps=n, constraint=None)
+                for n in lengths]
+        solos = [run_to_completion(ContinuousEngine(capacity=1), [job])[0]
+                 for job in jobs]
+        return jobs, solos
+
+    def test_gated_burst_resolves_by_grid_length_fifo_among_equals(
+            self, model, pools):
+        lengths = (65, 9, 33, 9, 17)
+        jobs, solos = self._sized_jobs(model, pools["short"][0], lengths)
+        gate = threading.Event()
+        order = []
+
+        def prepare(index):
+            gate.wait(timeout=60.0)
+            return jobs[index]
+
+        scheduler = ContinuousScheduler(prepare=prepare, max_slots=8)
+        try:
+            futures = [scheduler.submit(i, n) for i, n in enumerate(lengths)]
+            for i, future in enumerate(futures):
+                future.add_done_callback(lambda _, i=i: order.append(i))
+            gate.set()
+            results = [future.result(timeout=120.0) for future in futures]
+            stats = scheduler.stats()
+        finally:
+            scheduler.close()
+        assert order == [1, 3, 4, 2, 0]  # 9, 9 (FIFO), 17, 33, 65
+        assert stats["slot_steps"] == sum(lengths)  # work-conserving
+        for result, reference in zip(results, solos):
+            assert np.array_equal(result.segments, reference.segments)
+            assert np.array_equal(result.rates, reference.rates)
+
+    def test_short_arrival_preempts_long_mid_decode(self, model, pools, solo):
+        long_sample, short_sample = pools["long"][0], pools["short"][0]
+        order, futures = [], {}
+
+        def watch(name, future):
+            futures[name] = future
+            future.add_done_callback(lambda _: order.append(name))
+
+        def on_step(admitted):
+            if scheduler.engine.slot_steps == 5:  # long is 5 steps in
+                watch("short", scheduler.submit(short_sample,
+                                                short_sample.target_length))
+
+        scheduler = ContinuousScheduler(
+            prepare=lambda sample: job_for(model, sample), max_slots=4,
+            on_step=on_step)
+        try:
+            watch("long", scheduler.submit(long_sample,
+                                           long_sample.target_length))
+            long_result = futures["long"].result(timeout=120.0)
+            short_result = futures["short"].result(timeout=120.0)
+            stats = scheduler.stats()
+        finally:
+            scheduler.close()
+        assert order == ["short", "long"]
+        assert stats["preemptions"] == 1
+        assert stats["slot_steps"] == (long_sample.target_length
+                                       + short_sample.target_length)
+        for sample, result in ((long_sample, long_result),
+                               (short_sample, short_result)):
+            seg_solo, rate_solo = solo(sample)
+            assert np.array_equal(result.segments, seg_solo)
+            assert np.array_equal(result.rates, rate_solo)
+
+    def test_long_entry_is_overtaken_only_inside_its_own_window(self, model,
+                                                                pools):
+        """The starvation bound: a long entry keyed ``due = 0 + S`` is
+        overtaken only by short entries enqueued before the clock reaches
+        ``S - short``; under a dense stream of short arrivals it still
+        runs ahead of every later one (pure shortest-remaining-first
+        would hold it back until the stream ends)."""
+        long_steps, short_steps, every, until = 33, 5, 4, 80
+        (long_job, short_job), _ = self._sized_jobs(
+            model, pools["short"][0], (long_steps, short_steps))
+        order, arrivals = [], {}
+
+        def on_step(admitted):
+            clock = scheduler.engine.slot_steps
+            if clock % every == 0 and clock < until:
+                arrivals[clock] = scheduler.submit_job(short_job)
+                arrivals[clock].add_done_callback(
+                    lambda _, clock=clock: order.append(clock))
+
+        scheduler = ContinuousScheduler(
+            prepare=lambda job: job, max_slots=8, on_step=on_step)
+        try:
+            long_future = scheduler.submit_job(long_job)
+            long_future.add_done_callback(lambda _: order.append("long"))
+            long_future.result(timeout=120.0)
+            while scheduler.pending:  # the hook enqueues while we flush
+                scheduler.flush()
+            stats = scheduler.stats()
+        finally:
+            scheduler.close()
+        position = order.index("long")
+        ahead, behind = order[:position], order[position + 1:]
+        assert ahead and behind
+        assert all(clock + short_steps < long_steps for clock in ahead)
+        assert all(clock + short_steps >= long_steps for clock in behind)
+        assert sorted(ahead + behind) == sorted(arrivals)
+        assert stats["slot_steps"] == long_steps + short_steps * len(arrivals)
+
     def test_flush_close_and_pending(self, model, pools):
         scheduler = ContinuousScheduler(
             prepare=lambda sample: job_for(model, sample), max_slots=2)
-        futures = [scheduler.submit(s) for s in pools["short"][:4]]
+        futures = [scheduler.submit(s, s.target_length)
+                   for s in pools["short"][:4]]
         scheduler.flush()
         assert all(f.done() for f in futures)
         assert scheduler.pending == 0
@@ -399,7 +518,7 @@ class TestContinuousScheduler:
         assert stats["admitted"] == 4 and stats["retired"] == 4
         scheduler.close()
         with pytest.raises(RuntimeError):
-            scheduler.submit(pools["short"][0])
+            scheduler.submit(pools["short"][0], 1)
 
     def test_close_without_drain_fails_pending_futures(self, model, pools):
         release = threading.Event()
@@ -409,7 +528,8 @@ class TestContinuousScheduler:
             return job_for(model, sample)
 
         scheduler = ContinuousScheduler(prepare=slow_prepare, max_slots=2)
-        futures = [scheduler.submit(s) for s in pools["short"][:3]]
+        futures = [scheduler.submit(s, s.target_length)
+                   for s in pools["short"][:3]]
         time.sleep(0.05)  # let the worker block inside slow_prepare
         release.set()
         scheduler.close(drain=False)
@@ -441,9 +561,11 @@ class TestContinuousScheduler:
         try:
             # The gate holds the worker inside the first prepare, so all
             # three requests queue in order before any admission happens.
-            first = scheduler.submit(pools["long"][0])
+            first = scheduler.submit(pools["long"][0],
+                                     pools["long"][0].target_length)
             wide = scheduler.submit_job(wide_job)     # conflicts in flight
-            behind = scheduler.submit(pools["short"][1])
+            behind = scheduler.submit(pools["short"][1],
+                                      pools["short"][1].target_length)
             gate.set()
             result_first = first.result(timeout=300.0)
             result_wide = wide.result(timeout=300.0)
@@ -469,8 +591,10 @@ class TestContinuousScheduler:
 
         scheduler = ContinuousScheduler(prepare=prepare, max_slots=4)
         try:
-            good = scheduler.submit(pools["short"][0])
-            bad = scheduler.submit(pools["short"][1])
+            good = scheduler.submit(pools["short"][0],
+                                    pools["short"][0].target_length)
+            bad = scheduler.submit(pools["short"][1],
+                                   pools["short"][1].target_length)
             assert good.result(timeout=120.0) is not None
             with pytest.raises(ValueError):
                 bad.result(timeout=120.0)

@@ -295,3 +295,72 @@ class TestSlotTableProperties:
             seg_solo, rate_solo = self._solo(job)
             assert np.array_equal(results[index].segments, seg_solo)
             assert np.array_equal(results[index].rates, rate_solo)
+
+    @given(st.integers(0, 10_000),
+           st.sampled_from([2, 8]),
+           st.lists(st.tuples(st.integers(1, 12), st.integers(0, 30)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=25, deadline=None)
+    def test_scheduler_serves_earliest_solo_finish_first(self, seed, capacity,
+                                                         entries):
+        """Random (length, arrival-clock) sequences through the scheduler:
+        every result is bit-identical to solo, the work is conserved, and
+        — while a slot is always free — entries outstanding together
+        complete in key order.  Arrivals are injected from the ``on_step``
+        hook at exact values of the step clock, never by sleeping."""
+        import threading
+        import time
+
+        from repro.serve import ContinuousScheduler
+
+        rng = np.random.default_rng(seed)
+        weights = self._weights(rng)
+        entries = sorted(entries, key=lambda e: e[1])
+        arrivals, work = [], 0
+        for length, clock in entries:
+            # Clamp into the busy period of the earlier entries, so the
+            # hook is still firing when this one is due.
+            arrivals.append(min(clock, max(work - 1, 0)))
+            work += length
+        jobs = [self._job(rng, weights, length) for length, _ in entries]
+        keys = [(arrivals[i] + jobs[i].num_steps, i) for i in range(len(jobs))]
+        gate = threading.Event()
+        futures, done = {}, {}
+        waiting = list(range(len(jobs)))
+
+        def submit_due():
+            while waiting and arrivals[waiting[0]] <= scheduler.engine.slot_steps:
+                i = waiting.pop(0)
+                futures[i] = scheduler.submit(i, jobs[i].num_steps)
+                futures[i].add_done_callback(lambda _, i=i: done.setdefault(
+                    i, scheduler.engine.slot_steps))
+
+        def prepare(i):
+            gate.wait(timeout=60.0)
+            return jobs[i]
+
+        scheduler = ContinuousScheduler(
+            prepare=prepare, max_slots=capacity,
+            on_step=lambda admitted: submit_due())
+        try:
+            submit_due()  # everything arriving at clock 0 queues first
+            gate.set()
+            deadline = time.monotonic() + 60.0
+            while len(done) < len(jobs) and time.monotonic() < deadline:
+                scheduler.flush()
+            stats = scheduler.stats()
+        finally:
+            scheduler.close()
+
+        assert len(done) == len(jobs)
+        assert stats["slot_steps"] == work
+        for i, job in enumerate(jobs):
+            seg_solo, rate_solo = self._solo(job)
+            assert np.array_equal(futures[i].result().segments, seg_solo)
+            assert np.array_equal(futures[i].result().rates, rate_solo)
+        if capacity >= len(jobs):
+            for a in range(len(jobs)):
+                for b in range(len(jobs)):
+                    # a was queued before b's final round was chosen
+                    if keys[a] < keys[b] and arrivals[a] <= done[b] - 2:
+                        assert done[a] < done[b], (keys, arrivals, done)

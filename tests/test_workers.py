@@ -13,6 +13,7 @@ The contract under test, in order of importance:
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -30,6 +31,11 @@ from repro.cluster import (
     WorkerTimeout,
 )
 from repro.cluster.workers import (
+    _ERROR,
+    _RESP_HEADER,
+    _RESPONSE,
+    _Pending,
+    _Worker,
     decode_request,
     decode_response,
     encode_request,
@@ -374,6 +380,54 @@ class TestWorkerFailures:
             assert_same_trajectory(again.trajectory, baseline.trajectory)
         finally:
             pool.close(drain=False)
+
+    @pytest.mark.parametrize("garbled", [
+        b"",                                              # no kind byte
+        bytes([_RESPONSE, 0]),                            # short header
+        _RESP_HEADER.pack(_RESPONSE, 7, 1000, 0, 0, 0, 0),  # bad lengths
+        bytes([_ERROR]) + b"not a pickle",
+        bytes([0x7F]) + b"what",                          # unknown kind
+    ], ids=["empty", "short-header", "bad-lengths", "bad-pickle",
+            "unknown-kind"])
+    def test_undecodable_frame_is_a_worker_crash(self, garbled):
+        """A frame the parent cannot decode must not kill the reader
+        silently: the worker is killed and its futures fail typed (the
+        default ``request_timeout=None`` would otherwise wait forever)."""
+
+        class Conn:
+            frames = [garbled]
+
+            def recv_bytes(self):
+                if self.frames:
+                    return self.frames.pop(0)
+                raise EOFError
+
+            def close(self):
+                pass
+
+        class Process:
+            pid, killed = -1, False
+
+            def kill(self):
+                self.killed = True
+
+            def join(self, timeout=None):
+                pass
+
+        pool = WorkerPool(lambda: None, workers=1, label="pool",
+                          max_respawns=0)  # a crash degrades; nothing forks
+        worker = _Worker(0, Process(), Conn())
+        pool._workers[0] = worker
+        pending = worker.pending[7] = _Pending(b"")
+        reader = threading.Thread(target=pool._read_loop, args=(worker,),
+                                  daemon=True)
+        reader.start()
+        with pytest.raises(WorkerCrashed):
+            pending.future.result(timeout=5.0)
+        reader.join(timeout=5.0)
+        assert not reader.is_alive()
+        assert worker.process.killed
+        assert pool.degraded and pool.crash_count == 1
 
     def test_crash_during_deploy_converges_via_replay(self, data, model,
                                                       requests):

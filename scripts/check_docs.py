@@ -17,7 +17,7 @@ Five checks over every tracked ``*.md`` file:
    ``.github/workflows/ci.yml`` must appear in some ``*.py`` under
    ``src/``, ``benchmarks/``, ``tests/`` or ``scripts/`` (catches docs and
    CI steps setting knobs nothing reads; prefix mentions such as
-   ``REPRO_BENCH_SERVE_*`` are skipped).
+   ``REPRO_BENCH_STREAM_*`` are skipped).
 
     python scripts/check_docs.py [root]
 

@@ -94,7 +94,7 @@ def load_results():
     for path in sorted(CACHE.glob("*.json")):
         with open(path) as handle:
             row = json.load(handle)
-        # The cache also holds standalone artifacts (e.g. BENCH_serving.json)
+        # The cache also holds standalone artifacts (e.g. BENCH_streaming.json)
         # that are not (dataset, method) experiment rows.
         if "method" in row and "dataset" in row:
             results.append(row)

@@ -35,9 +35,10 @@ Four subcommands:
              ``get_spec``/``generate_city``) — no trajectory simulation or
              sample building.  Adding ``--artifact-dir DIR`` freezes the
              city into ``DIR/<dataset>`` on first start and mmap-loads the
-             frozen bundle (network, grid, reachability, weights, X_road)
-             zero-copy on every later start; the startup log says which
-             path was taken (``built+saved`` vs ``mmap-loaded``).
+             frozen bundle (network, grid sequences, k-hop closure,
+             weights, X_road) zero-copy on every later start; the startup
+             log says which path was taken (``built`` vs ``loaded``).  A
+             directory frozen by an older format is rebuilt in place.
 
              Endpoints: ``POST /recover`` with a JSON body
              ``{"points": [[x, y], ...], "times": [...], "hour": 12,
@@ -179,31 +180,37 @@ def build_service(args, need_samples: bool = True) -> tuple:
         serve_config = ServeConfig.for_spec(spec, **common)
         artifact_path = (str(Path(args.artifact_dir) / args.dataset)
                          if getattr(args, "artifact_dir", None) else None)
-        if artifact_path and CityArtifacts.exists(artifact_path):
-            # Warm start: everything immutable (network CSR, grid,
-            # reachability, weights, X_road) comes back as mmap views.
-            started = time.perf_counter()
-            artifacts = CityArtifacts.load(artifact_path, mmap=True)
+        service = None
+
+        def cold() -> RecoveryService:
+            network = generate_city(spec.city)  # deterministic: matches `train`
+            print(f"Light startup: network + spec only ({network.num_segments} "
+                  "segments, no dataset materialization)")
+            return RecoveryService.from_checkpoint(args.bundle, network, serve_config)
+
+        def freeze() -> CityArtifacts:
+            nonlocal service
+            service = cold()
+            _, _, model = service.registry.active_ref()
+            return CityArtifacts.build(model.network, model=model)
+
+        if artifact_path is None:
+            return cold(), None
+        started = time.perf_counter()
+        artifacts, source = CityArtifacts.load_or_build(artifact_path, freeze)
+        if service is None:
+            # Warm start: everything immutable (network CSR, grid sequences,
+            # k-hop closure, weights, X_road) comes back as mmap views.
             registry = ModelRegistry(artifacts=artifacts)
             if artifacts.has_model():
                 registry.register_artifact_model("default", activate=True)
             else:
                 registry.register("default", args.bundle, activate=True)
                 registry.load("default")
-            print(f"artifacts mmap-loaded from {artifact_path} in "
-                  f"{time.perf_counter() - started:.2f}s "
-                  f"({registry.network.num_segments} segments, zero-copy)")
-            return RecoveryService(registry, serve_config), None
-        network = generate_city(spec.city)  # deterministic: matches `train`
-        print(f"Light startup: network + spec only ({network.num_segments} "
-              "segments, no dataset materialization)")
-        service = RecoveryService.from_checkpoint(args.bundle, network, serve_config)
-        if artifact_path:
-            started = time.perf_counter()
-            _, _, model = service.registry.active_ref()
-            CityArtifacts.build(network, model=model).save(artifact_path)
-            print(f"artifacts built+saved to {artifact_path} in "
-                  f"{time.perf_counter() - started:.2f}s (next start mmap-loads)")
+            service = RecoveryService(registry, serve_config)
+        print(f"artifacts {source} at {artifact_path} in "
+              f"{time.perf_counter() - started:.2f}s "
+              f"({service.registry.network.num_segments} segments)")
         return service, None
 
     data = load_dataset(args.dataset, num_trajectories=args.trajectories)

@@ -79,17 +79,11 @@ class Seq2SeqRecovery(nn.Module):
         self.encoder = encoder
         self.context_head = TrajectoryContextHead(self.config.hidden_dim)
         self.decoder = RecoveryDecoder(network.num_segments, self.config)
-        self._reachability: Optional[ReachabilityMask] = None
 
     @property
     def reachability(self) -> Optional[ReachabilityMask]:
-        if self.config.reachability_hops <= 0:
-            return None
-        if self._reachability is None:
-            self._reachability = ReachabilityMask(
-                self.network.out_neighbors, hops=self.config.reachability_hops
-            )
-        return self._reachability
+        hops = self.config.reachability_hops
+        return ReachabilityMask(self.network, hops) if hops > 0 else None
 
     # ------------------------------------------------------------------
     def _encode(self, batch: Batch) -> Tuple[Tensor, Tensor]:

@@ -136,38 +136,29 @@ class Shard:
             if self._network is not None:
                 return self
             started = time.perf_counter()
-            artifacts: Optional[CityArtifacts] = None
-            network: Optional[RoadNetwork] = None
             path = (os.path.join(self._artifact_dir, self.name)
                     if self._artifact_dir else None)
-            if path and CityArtifacts.exists(path):
-                artifacts = CityArtifacts.load(path, mmap=True)
-                network = artifacts.network()
-                self.artifact_source = "loaded"
-            if network is None:
-                network = self._network_factory(self.spec)
-            registry = ModelRegistry(network, artifacts=artifacts)
-            if artifacts is not None and artifacts.has_model():
-                # Warm start: the frozen model snapshot supersedes the
-                # bundle/factory — same weights, zero-copy views.
-                registry.register_artifact_model("default", activate=True)
-            elif self.spec.bundle is not None:
-                registry.register("default", self.spec.bundle, activate=True)
-                registry.load("default")  # fail fast on a bad bundle
-            elif self._model_factory is not None:
-                model = self._model_factory(self.spec, network)
-                model.eval()
-                registry.add_loaded("default", model, activate=True)
-            else:
-                raise ValueError(
-                    f"shard {self.name!r} has neither a bundle nor a "
-                    "model_factory; nothing to serve")
-            if path and artifacts is None:
+            registry: Optional[ModelRegistry] = None
+
+            def cold() -> ModelRegistry:
+                return self._make_registry(self._network_factory(self.spec))
+
+            def freeze() -> CityArtifacts:
                 # First boot: freeze this shard's city (structures + the
                 # just-loaded model) so every later boot mmap-loads it.
-                _, _, model = registry.active_ref()
-                CityArtifacts.build(network, model=model).save(path)
-                self.artifact_source = "built"
+                nonlocal registry
+                registry = cold()
+                return CityArtifacts.build(registry.network,
+                                           model=registry.active_ref()[2])
+
+            if path is None:
+                registry = cold()
+            else:
+                artifacts, self.artifact_source = CityArtifacts.load_or_build(
+                    path, freeze)
+                if registry is None:  # warm start: everything is mmap views
+                    registry = self._make_registry(artifacts.network(), artifacts)
+            network = registry.network
             config = self.serve_config()
             if self.spec.backend == "process":
                 # The artifact directory, when there is one, exists by now
@@ -180,6 +171,28 @@ class Shard:
             if self._artifact_dir:
                 self.artifact_seconds = time.perf_counter() - started
             return self
+
+    def _make_registry(self, network: RoadNetwork,
+                       artifacts: Optional[CityArtifacts] = None) -> ModelRegistry:
+        """A registry over ``network`` with this shard's ``default`` model
+        active: the bundle's frozen snapshot when one is packed (same
+        weights, zero-copy views), else the spec's bundle, else the
+        model factory's."""
+        registry = ModelRegistry(network, artifacts=artifacts)
+        if artifacts is not None and artifacts.has_model():
+            registry.register_artifact_model("default", activate=True)
+        elif self.spec.bundle is not None:
+            registry.register("default", self.spec.bundle, activate=True)
+            registry.load("default")  # fail fast on a bad bundle
+        elif self._model_factory is not None:
+            model = self._model_factory(self.spec, network)
+            model.eval()
+            registry.add_loaded("default", model, activate=True)
+        else:
+            raise ValueError(
+                f"shard {self.name!r} has neither a bundle nor a "
+                "model_factory; nothing to serve")
+        return registry
 
     def artifact_info(self) -> Dict[str, Any]:
         """{"source": "built"|"loaded"|"", "seconds": float} for logs/stats."""

@@ -219,8 +219,7 @@ def _install(registry: ModelRegistry, payload: Dict[str, Any]) -> None:
                           payload["activate"])
         return
     config = RNTrajRecConfig(**payload["config"])
-    model = RNTrajRec(registry.network, config,
-                      grid=registry._shared_grid(config))
+    model = RNTrajRec(registry.network, config)
     model.load_state_dict(payload["state"], copy=False)
     deploy_generation(registry, payload["name"], model, payload["activate"])
     if payload["x_road"] is not None:

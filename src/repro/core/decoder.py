@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import nn, profile
 from ..nn import functional as F
-from ..nn.graph import csr_from_lists, ragged_positions, sorted_lookup
+from ..nn.graph import ragged_positions
 from ..nn.tensor import Tensor, no_grad
 from ..trajectory.dataset import Batch
 from .config import RNTrajRecConfig
@@ -562,70 +562,20 @@ class ReachabilityMask:
     training data instead (see DESIGN.md).
     """
 
-    def __init__(self, out_neighbors: List[List[int]], hops: int = 2,
+    def __init__(self, network, hops: int = 2,
                  escape_weight: float = 0.02) -> None:
+        """A view of ``network.khop_closure(hops)`` — the CSR closure is
+        memoized on (or preloaded into) the network, so every mask over one
+        network shares its arrays and building one costs nothing."""
         self.hops = hops
         self.escape_weight = escape_weight
-        n = len(out_neighbors)
-        self.num_nodes = n
-
-        # CSR adjacency of the road graph.
-        adj_indptr, adj_indices, degree = csr_from_lists(out_neighbors)
-
-        # Multi-source BFS, vectorized over ALL start nodes at once: the
-        # frontier is a flat array of (root, node) pairs encoded as
-        # root * n + node; each hop expands every pair's neighbors with one
-        # ragged gather and dedupes against the reached set with sorted
-        # searchsorted membership.  Replaces the per-node Python set-union
-        # BFS (kept as tests/reference.py's ReferenceReachability).
-        identity = np.arange(n, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
-        reached_keys = identity  # sorted
-        frontier_keys = identity
-        for _ in range(hops):
-            nodes = frontier_keys % n
-            roots = frontier_keys // n
-            counts = degree[nodes]
-            neighbor_nodes = adj_indices[ragged_positions(adj_indptr[nodes], counts)]
-            candidate = np.unique(np.repeat(roots, counts) * n + neighbor_nodes)
-            already_reached, _ = sorted_lookup(reached_keys, candidate)
-            frontier_keys = candidate[~already_reached]
-            if not len(frontier_keys):
-                break
-            reached_keys = np.union1d(reached_keys, frontier_keys)
-
-        # Final closure as CSR: keys are sorted, so roots group contiguously.
-        roots = reached_keys // n
-        self._indices = reached_keys % n
-        self._indptr = np.searchsorted(roots, np.arange(n + 1, dtype=np.int64))
-        self._sets_view: Optional[List[np.ndarray]] = None
-
-    @classmethod
-    def from_arrays(cls, indptr: np.ndarray, indices: np.ndarray,
-                    hops: int = 2, escape_weight: float = 0.02) -> "ReachabilityMask":
-        """A mask over an externally owned (possibly memory-mapped,
-        write-protected) CSR closure, skipping the multi-source BFS.
-
-        The closure arrays fully determine :meth:`combine`'s output, so a
-        mask rebuilt this way is bit-identical to the one the arrays were
-        exported from.  Nothing is copied; ``combine`` always writes into
-        freshly allocated outputs, so read-only sources are safe.
-        """
-        mask = object.__new__(cls)
-        mask.hops = int(hops)
-        mask.escape_weight = float(escape_weight)
-        mask._indptr = np.asarray(indptr, dtype=np.int64)
-        mask._indices = np.asarray(indices, dtype=np.int64)
-        mask.num_nodes = int(len(mask._indptr) - 1)
-        mask._sets_view = None
-        return mask
+        self.num_nodes = network.num_segments
+        self._indptr, self._indices = network.khop_closure(hops)
 
     @property
     def _sets(self) -> List[np.ndarray]:
-        """Per-node reachable-id arrays (compatibility/introspection view),
-        split once and memoized — the CSR arrays are immutable."""
-        if self._sets_view is None:
-            self._sets_view = np.split(self._indices, self._indptr[1:-1])
-        return self._sets_view
+        """Per-node reachable-id arrays (introspection view)."""
+        return np.split(self._indices, self._indptr[1:-1])
 
     def combine(self, mask_row: Optional[np.ndarray], previous: np.ndarray,
                 num_segments: int) -> np.ndarray:

@@ -126,12 +126,11 @@ class GPSFormerBlock(nn.Module):
 class GPSFormer(nn.Module):
     """Full encoder: road representation + N GPSFormerBlocks."""
 
-    def __init__(self, network: RoadNetwork, config: RNTrajRecConfig,
-                 grid: Optional[Grid] = None) -> None:
+    def __init__(self, network: RoadNetwork, config: RNTrajRecConfig) -> None:
         super().__init__()
         self.network = network
         self.config = config
-        self.grid = grid or network.make_grid(config.grid_cell_size)
+        self.grid = network.make_grid(config.grid_cell_size)
         d = config.hidden_dim
 
         self.road_encoder = build_road_encoder(network, self.grid, config)

@@ -30,20 +30,17 @@ from .loss import LossBreakdown, total_loss
 class RNTrajRec(nn.Module):
     """Road Network enhanced Trajectory Recovery model."""
 
-    def __init__(self, network: RoadNetwork, config: Optional[RNTrajRecConfig] = None,
-                 grid=None) -> None:
+    def __init__(self, network: RoadNetwork,
+                 config: Optional[RNTrajRecConfig] = None) -> None:
         super().__init__()
         self.network = network
         self.config = config or RNTrajRecConfig()
-        # ``grid`` lets the serving model registry pin one Grid across every
-        # loaded model instead of rebuilding it per checkpoint.
-        self.encoder = GPSFormer(network, self.config, grid=grid)
+        self.encoder = GPSFormer(network, self.config)
         self.decoder = RecoveryDecoder(network.num_segments, self.config)
         # Projection w of Eq. 18 (graph classification loss).
         self.graph_projection = nn.Parameter(
             nn.init.xavier_uniform(self.config.hidden_dim, 1), name="model.graph_projection"
         )
-        self._reachability: Optional[ReachabilityMask] = None
 
     def train(self, mode: bool = True) -> "RNTrajRec":
         # Any train/eval flip may precede in-place parameter updates, so the
@@ -61,13 +58,10 @@ class RNTrajRec(nn.Module):
 
     @property
     def reachability(self) -> Optional[ReachabilityMask]:
-        if self.config.reachability_hops <= 0:
-            return None
-        if self._reachability is None:
-            self._reachability = ReachabilityMask(
-                self.network.out_neighbors, hops=self.config.reachability_hops
-            )
-        return self._reachability
+        """The decode-time k-hop mask — a view of the closure memoized on
+        the network, so it is shared by every model over that network."""
+        hops = self.config.reachability_hops
+        return ReachabilityMask(self.network, hops) if hops > 0 else None
 
     # ------------------------------------------------------------------
     def encode(self, batch: Batch) -> EncoderOutput:

@@ -133,11 +133,13 @@ class SubGraphGenerator:
             weights=self._weight_data[n0:n1],
         )
 
-    def _slot(self, key: Tuple[int, int], x: float, y: float) -> int:
-        """Arena slot of the sub-graph for a quantized key (build on miss)."""
+    def _slot(self, key: Tuple[int, int]) -> int:
+        """Arena slot of the sub-graph for a quantized key, built on a miss
+        *from the quantized point* — the entry is a pure function of its
+        key, whichever sub-metre twin of the bucket arrives first."""
         slot = self._slot_of.get(key)
         if slot is None:
-            sub = self._build_subgraph(x, y)
+            sub = self._build_subgraph(float(key[0]), float(key[1]))
             slot = self._slot_of[key] = self._num_slots
             self._num_slots += 1
             v, e = len(sub.segments), sub.edges.shape[1]
@@ -156,33 +158,25 @@ class SubGraphGenerator:
         return slot
 
     def _resolve_slots(self, unique_keys: Optional[np.ndarray],
-                       first: np.ndarray, quantized: np.ndarray,
-                       flat: np.ndarray) -> np.ndarray:
-        """Arena slots for a batch's distinct quantized points.
+                       points: np.ndarray) -> np.ndarray:
+        """Arena slots for a batch's distinct quantized ``points`` (one
+        ``(x, y)`` row per entry of ``unique_keys``).
 
         Steady state (every key already seen) is a single ``searchsorted``
         over the sorted known-key array; only unseen keys fall back to the
         Python build path, after which the key index is re-merged.
         """
         if unique_keys is None:  # exotic coordinates: per-point Python path
-            return np.fromiter(
-                (self._slot((int(quantized[r, 0]), int(quantized[r, 1])),
-                            float(flat[r, 0]), float(flat[r, 1]))
-                 for r in first),
-                dtype=np.int64, count=len(first),
-            )
+            return np.fromiter((self._slot(key) for key in map(tuple, points.tolist())),
+                               dtype=np.int64, count=len(points))
         known_keys, known_slots = self._known_keys, self._known_slots
         slots = np.empty(len(unique_keys), dtype=np.int64)
         hit, positions = sorted_lookup(known_keys, unique_keys)
         slots[hit] = known_slots[positions[hit]]
         missing = np.nonzero(~hit)[0]
         if len(missing):
-            for u in missing:
-                r = first[u]
-                slots[u] = self._slot(
-                    (int(quantized[r, 0]), int(quantized[r, 1])),
-                    float(flat[r, 0]), float(flat[r, 1]),
-                )
+            for u, key in zip(missing, map(tuple, points[missing].tolist())):
+                slots[u] = self._slot(key)
             merged_keys = np.concatenate([known_keys, unique_keys[missing]])
             merged_slots = np.concatenate([known_slots, slots[missing]])
             order = np.argsort(merged_keys, kind="stable")
@@ -213,7 +207,7 @@ class SubGraphGenerator:
         """
         key = (int(round(x)), int(round(y)))  # 1 m quantization
         with self._lock:
-            slot = self._slot(key, x, y)
+            slot = self._slot(key)
             view = self._view_of.get(slot)
             if view is None:
                 view = self._view_of[slot] = self._sub_from_slot(slot)
@@ -275,7 +269,7 @@ class SubGraphGenerator:
                                               return_index=True,
                                               return_inverse=True)
             inverse = inverse.reshape(-1)
-            slots = self._resolve_slots(unique_keys, first, quantized, flat)
+            slots = self._resolve_slots(unique_keys, quantized[first])
             node_indptr, seg_stack, weight_stack, edge_indptr, edge_stack = (
                 self._stacks())
 

@@ -1,46 +1,48 @@
-"""A packed R-tree over rectangles (Guttman [51], STR bulk loading).
+"""An STR-ordered scan index over rectangles (Guttman [51], STR packing).
 
 The Sub-Graph Generation module must find every road segment within δ
 meters of a GPS point for each point of each trajectory, so the lookup is
-on the hot path.  The tree is bulk-loaded with the Sort-Tile-Recursive
-packing and answers rectangle/radius queries; it stores integer item ids so
-callers keep ownership of the geometry.
+on the hot path.  Items are laid out in Sort-Tile-Recursive leaf order and
+every query is one vectorized bounding-box test over that layout; the
+index stores integer item ids so callers keep ownership of the geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 
-@dataclass
-class _Node:
-    bbox: Tuple[float, float, float, float]  # (xmin, ymin, xmax, ymax)
-    children: List["_Node"] = field(default_factory=list)
-    items: List[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-def _union_bbox(boxes: np.ndarray) -> Tuple[float, float, float, float]:
-    return (
-        float(boxes[:, 0].min()),
-        float(boxes[:, 1].min()),
-        float(boxes[:, 2].max()),
-        float(boxes[:, 3].max()),
-    )
-
-
-def _intersects(a: Tuple[float, float, float, float], b: Tuple[float, float, float, float]) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+def _str_scan_order(bboxes: np.ndarray, leaf_capacity: int) -> np.ndarray:
+    """Item ids in the order a depth-first walk of the STR-packed tree
+    emits them: the STR leaves (x-sorted strips, each y-sorted and cut into
+    ``leaf_capacity`` chunks) concatenated in reverse — a stack walk visits
+    the children of every level last to first
+    (``tests/reference.py::reference_scan_order`` is that walk)."""
+    n = len(bboxes)
+    if n <= leaf_capacity:
+        return np.arange(n, dtype=np.int64)
+    centers_x = (bboxes[:, 0] + bboxes[:, 2]) / 2.0
+    centers_y = (bboxes[:, 1] + bboxes[:, 3]) / 2.0
+    leaf_count = int(np.ceil(n / leaf_capacity))
+    slice_count = max(1, int(np.ceil(np.sqrt(leaf_count))))
+    per_slice = int(np.ceil(n / slice_count))
+    order_x = np.argsort(centers_x, kind="stable")
+    leaves: List[np.ndarray] = []
+    for i in range(0, n, per_slice):
+        strip = order_x[i:i + per_slice]
+        strip = strip[np.argsort(centers_y[strip], kind="stable")]
+        leaves.extend(strip[j:j + leaf_capacity]
+                      for j in range(0, len(strip), leaf_capacity))
+    return np.concatenate(leaves[::-1])
 
 
 class RTree:
-    """Static R-tree bulk-loaded from item bounding boxes."""
+    """Static index bulk-loaded from item bounding boxes: the item ids in
+    STR scan order plus their boxes as four contiguous columns in that
+    order (a strided column of an ``(n, 4)`` table costs the bbox test ~2x
+    in cache lines).  Hits come out as a subsequence of the scan order."""
 
     def __init__(self, bboxes: np.ndarray, leaf_capacity: int = 16) -> None:
         bboxes = np.asarray(bboxes, dtype=np.float64)
@@ -48,142 +50,35 @@ class RTree:
             raise ValueError("bboxes must have shape (n, 4): xmin, ymin, xmax, ymax")
         if np.any(bboxes[:, 0] > bboxes[:, 2]) or np.any(bboxes[:, 1] > bboxes[:, 3]):
             raise ValueError("malformed bounding boxes (min > max)")
-        self._bboxes = bboxes
-        self._leaf_capacity = max(2, leaf_capacity)
-        self.root: Optional[_Node] = self._build(np.arange(len(bboxes))) if len(bboxes) else None
-        self._scan_order: Optional[np.ndarray] = None
-        self._scan_boxes: Optional[np.ndarray] = None
+        #: item ids in scan order, and their (4, n) xmin/ymin/xmax/ymax rows
+        self.order = _str_scan_order(bboxes, max(2, leaf_capacity))
+        self.columns = np.ascontiguousarray(bboxes[self.order].T)
 
     @classmethod
-    def from_arrays(cls, bboxes: np.ndarray, scan_order: np.ndarray,
-                    scan_boxes: Optional[np.ndarray] = None,
-                    leaf_capacity: int = 16) -> "RTree":
-        """An index over externally owned (possibly memory-mapped,
-        write-protected) arrays, skipping the STR build entirely.
-
-        Every query runs off the scan arrays (see :meth:`_scan_arrays`),
-        and ``scan_order`` *is* the original build's traversal order, so
-        results are bit-identical to the tree the arrays were exported
-        from.  No array is copied: ``np.asarray`` on a matching-dtype
-        buffer returns a sharing view and read-only inputs stay read-only.
-        """
+    def from_arrays(cls, order: np.ndarray, columns: np.ndarray) -> "RTree":
+        """An index over another index's ``order`` and ``columns``,
+        skipping the STR sort.  Nothing is copied: externally owned
+        (memory-mapped, write-protected) arrays stay exactly that, and
+        queries are bit-identical to the exporting index's."""
         tree = object.__new__(cls)
-        tree._bboxes = np.asarray(bboxes, dtype=np.float64)
-        tree._leaf_capacity = max(2, leaf_capacity)
-        if len(tree._bboxes):
-            tree._scan_order = np.asarray(scan_order, dtype=np.int64)
-            tree._scan_boxes = (np.asarray(scan_boxes, dtype=np.float64)
-                                if scan_boxes is not None
-                                else tree._bboxes[tree._scan_order])
-            # Queries never walk the node tree once scan arrays exist; a
-            # bare root carrying the union bbox keeps `root is None`
-            # emptiness checks working without re-packing.
-            tree.root = _Node(bbox=_union_bbox(tree._bboxes))
-        else:
-            tree._scan_order = None
-            tree._scan_boxes = None
-            tree.root = None
+        tree.order = np.asarray(order, dtype=np.int64)
+        tree.columns = np.asarray(columns, dtype=np.float64)
         return tree
-
-    # ------------------------------------------------------------------
-    # STR bulk loading
-    # ------------------------------------------------------------------
-    def _build(self, ids: np.ndarray) -> _Node:
-        if len(ids) <= self._leaf_capacity:
-            return _Node(bbox=_union_bbox(self._bboxes[ids]), items=list(map(int, ids)))
-
-        boxes = self._bboxes[ids]
-        centers_x = (boxes[:, 0] + boxes[:, 2]) / 2.0
-        centers_y = (boxes[:, 1] + boxes[:, 3]) / 2.0
-
-        leaf_count = int(np.ceil(len(ids) / self._leaf_capacity))
-        slice_count = max(1, int(np.ceil(np.sqrt(leaf_count))))
-        per_slice = int(np.ceil(len(ids) / slice_count))
-
-        order_x = np.argsort(centers_x, kind="stable")
-        children: List[_Node] = []
-        for i in range(0, len(ids), per_slice):
-            strip = order_x[i : i + per_slice]
-            strip_sorted = strip[np.argsort(centers_y[strip], kind="stable")]
-            for j in range(0, len(strip_sorted), self._leaf_capacity):
-                chunk = ids[strip_sorted[j : j + self._leaf_capacity]]
-                children.append(
-                    _Node(bbox=_union_bbox(self._bboxes[chunk]), items=list(map(int, chunk)))
-                )
-
-        # Pack upward until a single root remains.
-        while len(children) > 1:
-            parents: List[_Node] = []
-            for i in range(0, len(children), self._leaf_capacity):
-                group = children[i : i + self._leaf_capacity]
-                bbox = (
-                    min(c.bbox[0] for c in group),
-                    min(c.bbox[1] for c in group),
-                    max(c.bbox[2] for c in group),
-                    max(c.bbox[3] for c in group),
-                )
-                parents.append(_Node(bbox=bbox, children=group))
-            children = parents
-        return children[0]
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _scan_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Item ids in full depth-first traversal order plus their bboxes
-        gathered into that order, built lazily on first query.
-
-        A rectangle query emits hits as a *subsequence* of this fixed
-        order: the stack walk visits nodes in one deterministic sequence
-        and pruning only removes whole subtrees, never reorders survivors.
-        That makes the vectorized scan below order-identical to the
-        original per-node walk.
-        """
-        if self._scan_order is None:
-            order: List[int] = []
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    order.extend(node.items)
-                else:
-                    stack.extend(node.children)
-            self._scan_order = np.asarray(order, dtype=np.int64)
-            self._scan_boxes = self._bboxes[self._scan_order]
-        return self._scan_order, self._scan_boxes
-
-    def _scan_columns(self) -> Tuple[np.ndarray, ...]:
-        """``(order, xmin, ymin, xmax, ymax)``: the scan boxes as four
-        contiguous columns, derived on first query — a strided column of
-        the ``(n, 4)`` table costs the bbox test ~2x in cache lines."""
-        columns = self.__dict__.get("_scan_cols")
-        if columns is None:
-            order, boxes = self._scan_arrays()
-            columns = (order, *(np.ascontiguousarray(boxes[:, k]) for k in range(4)))
-            self.__dict__["_scan_cols"] = columns
-        return columns
-
     def query_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> List[int]:
-        """Ids of items whose bounding box intersects the query rectangle.
-
-        One vectorized bbox test over every item (gathered in traversal
-        order) instead of a recursive node walk: the same float
-        comparisons as :func:`_intersects`, the same hit set (a node bbox
-        contains its items' bboxes, so node-level pruning never removes a
-        hit), and the same output order — bit-identical results for every
-        caller, ~an order of magnitude faster on constraint-mask / prior /
-        sub-graph hot paths.
-        """
-        if self.root is None:
-            return []
-        order, x0, y0, x1, y1 = self._scan_columns()
+        """Ids of items whose bounding box intersects the query rectangle,
+        in scan order: one vectorized bbox test over every item."""
+        x0, y0, x1, y1 = self.columns
         hit = ~((x1 < xmin) | (xmax < x0) | (y1 < ymin) | (ymax < y0))
-        return order[hit].tolist()
+        return self.order[hit].tolist()
 
     def query_radius(self, x: float, y: float, radius: float) -> List[int]:
         """Candidate ids within ``radius`` of (x, y) — bbox-level filter.
 
-        Callers refine with exact point-to-geometry distance; the tree
+        Callers refine with exact point-to-geometry distance; the index
         guarantees no false negatives.
         """
         return self.query_rect(x - radius, y - radius, x + radius, y + radius)
@@ -202,11 +97,12 @@ class RTree:
         ``block`` overrides the default ~4M-boolean budget per block.
         """
         points = np.asarray(points, dtype=np.float64)
-        if self.root is None or not len(points):
+        order = self.order
+        if not len(order) or not len(points):
             return np.zeros(len(points) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        order, x0, y0, x1, y1 = self._scan_columns()
+        x0, y0, x1, y1 = self.columns
         if block is None:
-            block = (1 << 22) // max(1, len(order))
+            block = (1 << 22) // len(order)
         block = max(1, min(len(points), block))
         counts = np.zeros(len(points), dtype=np.int64)
         id_blocks: List[np.ndarray] = []
@@ -219,9 +115,7 @@ class RTree:
             id_blocks.append(np.broadcast_to(order, hit.shape)[hit])
         indptr = np.zeros(len(points) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        ids = (np.concatenate(id_blocks) if id_blocks
-               else np.zeros(0, dtype=np.int64))
-        return indptr, ids
+        return indptr, np.concatenate(id_blocks)
 
     def __len__(self) -> int:
-        return len(self._bboxes)
+        return len(self.order)

@@ -1,45 +1,54 @@
 """Zero-copy shared-memory city artifacts for serving.
 
 A :class:`CityArtifacts` bundle freezes the *immutable* per-city serving
-state — the road network's CSR neighbor arrays and flat sub-segment
-table, the grid parameters and per-segment grid-cell sequences, the
-k-hop reachability closure, the model's parameters/buffers, and the
-frozen model's precomputed road representation X_road — into one
-content-hashed ``.npz`` directory written by
-:func:`repro.nn.serialization.save_archive` (uncompressed, 64-byte
-aligned).
+state — everything the :class:`RoadNetwork` owns (CSR neighbor arrays,
+sub-segment columns, scan index, grid-cell sequences, k-hop closure), the
+model's parameters/buffers, and the frozen model's precomputed road
+representation X_road — into one content-hashed ``.npz`` directory
+written by :func:`repro.nn.serialization.save_archive` (uncompressed,
+64-byte aligned).
 
 Reloading with ``mmap=True`` maps every array read-only straight out of
 the page cache: N replicas (and N processes) of a city share one
 physical copy of the state instead of each rebuilding and privately
 holding it, so serving memory stays ~1x a single replica as the replica
-count grows.  The :func:`~repro.roadnet.network.RoadNetwork.from_arrays`
-family of constructors guarantees bit-identical query and recovery
-outputs versus the build-in-memory path; ``tests/test_artifacts.py``
-and the ``bench_cluster`` memory-scaling section enforce both the
-equivalence and the RSS gate.
+count grows.  Every array is stored in the layout its kernel reads, so
+:meth:`RoadNetwork.from_arrays` and the ``preload_*`` hooks only seed the
+network's memo slots with views — no derived private copy ever appears,
+and query and recovery outputs are bit-identical to the build-in-memory
+path; ``tests/test_artifacts.py`` enforces both.
 
-Layout inside the archive (flat names, dotted namespaces):
+Layout inside the archive, format 2 (flat names, dotted namespaces):
 
-* ``net.*`` — :meth:`RoadNetwork.export_arrays` snapshot;
+* ``net.*`` — the :meth:`RoadNetwork.export_arrays` snapshot:
+  ``poly_indptr`` / ``poly_points`` / ``levels`` / ``elevated`` (segment
+  geometry and attributes), ``edge_index`` / ``edge_index_loops``,
+  ``out_indptr`` / ``out_indices`` / ``out_degree`` / ``in_indptr`` /
+  ``in_indices`` (CSR neighbors), ``geom_indptr`` + ``geom_columns``
+  ``(5, m)`` (sub-segment x0, y0, vx, vy, clamped length²),
+  ``rtree_order`` + ``rtree_columns`` ``(4, n)`` (STR scan order and the
+  boxes in that order), ``bounds``, ``static``;
 * ``grid.params`` / ``grid.seq`` / ``grid.seq_mask`` — the serving grid
   and its padded per-segment cell sequences (GridGNN's Eq. 1 input);
-* ``reach.indptr`` / ``reach.indices`` — reachability CSR closure;
+* ``reach.indptr`` / ``reach.indices`` — the k-hop closure (CSR);
 * ``model.*`` — parameters and buffers (``Module.state_dict`` names);
 * ``cache.x_road`` — the eval-mode road-encoder output, a pure function
   of the frozen weights, precomputed once at build time.
 
 ``manifest.json`` carries the format version, a sha256 content hash
-over every array, and the non-array metadata (model config, hop count,
-escape weight) needed to rebuild live objects.
+over every array, and the non-array metadata (model config, hop count)
+needed to rebuild live objects.  There is one format: a bundle written
+under any other version is rejected by :meth:`CityArtifacts.load` and
+rebuilt in place by :meth:`CityArtifacts.load_or_build`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +64,9 @@ from .network import RoadNetwork
 
 ARCHIVE_NAME = "city.npz"
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+logger = logging.getLogger(__name__)
 
 
 def content_hash(arrays: Dict[str, np.ndarray]) -> str:
@@ -74,11 +85,11 @@ def content_hash(arrays: Dict[str, np.ndarray]) -> str:
 class CityArtifacts:
     """One city's frozen serving state: flat arrays + manifest.
 
-    Accessors (:meth:`network`, :meth:`grid`, :meth:`reachability`,
-    :meth:`model_state`, :meth:`road_features`) are memoized, so every
-    consumer holding the same ``CityArtifacts`` shares the same live
-    objects — identity, not equality — which is what lets a registry
-    hand one network/mask/weight set to N models and replicas.
+    :meth:`network` is memoized, so every consumer holding the same
+    ``CityArtifacts`` shares one :class:`RoadNetwork` — identity, not
+    equality — and with it the grid sequences and k-hop closure preloaded
+    into it; :meth:`model_state` and :meth:`road_features` hand out views
+    of the packed arrays.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray], manifest: Dict,
@@ -87,24 +98,20 @@ class CityArtifacts:
         self.manifest = manifest
         self.directory = directory
         self._network: Optional[RoadNetwork] = None
-        self._grid: Optional[Grid] = None
-        self._reachability: Optional[ReachabilityMask] = None
         self._config: Optional[RNTrajRecConfig] = None
 
     # ------------------------------------------------------------------
     # Build / save / load
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, network: RoadNetwork, grid: Optional[Grid] = None,
-              reachability: Optional[ReachabilityMask] = None,
-              model=None) -> "CityArtifacts":
-        """Freeze ``network`` (and optionally a grid, a reachability mask,
-        and a trained model) into an artifact bundle.
+    def build(cls, network: RoadNetwork, model=None) -> "CityArtifacts":
+        """Freeze ``network`` (and optionally a trained model over it)
+        into an artifact bundle.
 
-        With ``model`` given, the grid and mask default to the model's own
-        pinned ones, the state dict is packed under ``model.*``, and the
-        eval-mode X_road is computed once and packed under
-        ``cache.x_road`` so no replica ever reruns the road encoder.
+        With ``model`` given, the network's cell sequences for the model's
+        grid and its k-hop closure are packed beside the state dict
+        (``model.*``), and the eval-mode X_road is computed once and packed
+        under ``cache.x_road`` so no replica ever reruns the road encoder.
         """
         arrays: Dict[str, np.ndarray] = {}
         for name, value in network.export_arrays().items():
@@ -113,23 +120,15 @@ class CityArtifacts:
             "format": FORMAT_VERSION,
             "num_segments": int(network.num_segments),
         }
-        if model is not None and grid is None:
-            grid = model.encoder.grid
-        if grid is not None:
-            arrays["grid.params"] = grid.to_array()
-            seq, seq_mask = network.grid_sequences(grid)
-            arrays["grid.seq"] = seq
-            arrays["grid.seq_mask"] = seq_mask
-        if model is not None and reachability is None:
-            reachability = model.reachability  # builds lazily; None if hops<=0
-        if reachability is not None:
-            arrays["reach.indptr"] = reachability._indptr
-            arrays["reach.indices"] = reachability._indices
-            manifest["reachability"] = {
-                "hops": int(reachability.hops),
-                "escape_weight": float(reachability.escape_weight),
-            }
         if model is not None:
+            grid = model.encoder.grid
+            arrays["grid.params"] = grid.to_array()
+            arrays["grid.seq"], arrays["grid.seq_mask"] = network.grid_sequences(grid)
+            hops = int(model.config.reachability_hops)
+            if hops > 0:
+                arrays["reach.indptr"], arrays["reach.indices"] = (
+                    network.khop_closure(hops))
+                manifest["reachability"] = {"hops": hops}
             for name, value in model.state_dict().items():
                 arrays["model." + name] = value
             from dataclasses import asdict
@@ -172,50 +171,66 @@ class CityArtifacts:
         """
         with open(os.path.join(directory, MANIFEST_NAME)) as handle:
             manifest = json.load(handle)
-        if manifest.get("format") != FORMAT_VERSION:
+        found = manifest.get("format") if isinstance(manifest, dict) else None
+        if found != FORMAT_VERSION:
             raise ValueError(
-                f"unsupported artifact format {manifest.get('format')!r} "
+                f"unsupported artifact format {found!r} "
                 f"in {directory} (expected {FORMAT_VERSION})")
         arrays = load_archive(os.path.join(directory, ARCHIVE_NAME), mmap=mmap)
         if verify and content_hash(arrays) != manifest.get("content_hash"):
             raise ValueError(f"artifact content hash mismatch in {directory}")
         return cls(arrays, manifest, directory)
 
+    @classmethod
+    def load_or_build(cls, directory: str, build: Callable[[], "CityArtifacts"]
+                      ) -> Tuple["CityArtifacts", str]:
+        """The serving cache ladder: ``(bundle, "loaded")`` mmap-loaded
+        from ``directory`` when a bundle of this format is there, else
+        ``(build(), "built")`` saved over whatever was.  An unsupported
+        format or an unreadable manifest is a logged cache miss, not a
+        boot failure (this path never hashes, so it cannot mask a
+        ``verify=True`` mismatch)."""
+        if cls.exists(directory):
+            try:
+                return cls.load(directory, mmap=True), "loaded"
+            except ValueError as error:  # json.JSONDecodeError included
+                logger.warning("artifact cache miss, rebuilding: %s", error)
+        artifacts = build()
+        artifacts.save(directory)
+        return artifacts, "built"
+
     # ------------------------------------------------------------------
-    # Memoized live views
+    # Live views
     # ------------------------------------------------------------------
     @property
     def content_digest(self) -> Optional[str]:
         return self.manifest.get("content_hash")
 
     def network(self) -> RoadNetwork:
-        """The shared zero-copy road network (one instance per bundle)."""
+        """The shared zero-copy road network (one instance per bundle),
+        its grid-sequence and k-hop-closure memos preloaded with the
+        packed arrays."""
         if self._network is None:
-            net_arrays = {name[4:]: value for name, value in self.arrays.items()
-                          if name.startswith("net.")}
-            network = RoadNetwork.from_arrays(net_arrays)
+            arrays = self.arrays
+            network = RoadNetwork.from_arrays(
+                {name[4:]: value for name, value in arrays.items()
+                 if name.startswith("net.")})
             grid = self.grid()
-            if grid is not None and "grid.seq" in self.arrays:
+            if grid is not None:
                 network.preload_grid_sequences(
-                    grid, self.arrays["grid.seq"], self.arrays["grid.seq_mask"])
+                    grid, arrays["grid.seq"], arrays["grid.seq_mask"])
+            if "reach.indptr" in arrays:
+                network.preload_khop_closure(
+                    int(self.manifest["reachability"]["hops"]),
+                    arrays["reach.indptr"], arrays["reach.indices"])
             self._network = network
         return self._network
 
     def grid(self) -> Optional[Grid]:
-        if self._grid is None and "grid.params" in self.arrays:
-            self._grid = Grid.from_array(self.arrays["grid.params"])
-        return self._grid
-
-    def reachability(self) -> Optional["ReachabilityMask"]:
-        if self._reachability is None and "reach.indptr" in self.arrays:
-            from ..core.decoder import ReachabilityMask
-            meta = self.manifest.get("reachability", {})
-            self._reachability = ReachabilityMask.from_arrays(
-                self.arrays["reach.indptr"], self.arrays["reach.indices"],
-                hops=int(meta.get("hops", 2)),
-                escape_weight=float(meta.get("escape_weight", 0.02)),
-            )
-        return self._reachability
+        """The packed serving grid — the floats ``network.make_grid``
+        yields for the packed model's cell size."""
+        params = self.arrays.get("grid.params")
+        return None if params is None else Grid.from_array(params)
 
     def has_model(self) -> bool:
         return any(name.startswith("model.") for name in self.arrays)

@@ -6,11 +6,16 @@ segment e_j.  Each segment carries polyline geometry in the local metric
 frame, a road level (functional class, 0-7), and an ``elevated`` flag used
 by the §VI-D robustness experiments.
 
-The class also owns the derived artifacts every other subsystem needs:
+The class is the single owner of everything immutable about a city, each
+structure memoized once on the network in the layout its kernel reads, so
+N models and replicas over one network share one copy:
 
 * static features ``f_r`` (8-way one-hot level + length + in/out degree,
-  |f_r| = 11 as in §VI-A3);
-* an R-tree over segment bounding boxes for δ-radius lookups;
+  |f_r| = 11 as in §VI-A3) and the (self-looped) edge index;
+* the STR-ordered scan index over segment bounding boxes and the flat
+  sub-segment columns behind every δ-radius lookup;
+* per-grid cell sequences (GridGNN's Eq. 1 input) and the k-hop forward
+  closure the decoder's reachability mask gathers from;
 * projection of GPS points onto segments and the inverse
   (segment, ratio) → (x, y) mapping.
 """
@@ -25,7 +30,8 @@ import numpy as np
 from ..geo.distance import point_along_polyline, polyline_length, project_point_to_polyline
 from ..geo.grid import Grid
 from ..geo.rtree import RTree
-from ..nn.graph import add_self_loops, csr_from_lists, ragged_positions
+from ..nn.graph import (add_self_loops, csr_from_lists, ragged_positions,
+                        sorted_lookup)
 
 NUM_ROAD_LEVELS = 8
 
@@ -86,15 +92,12 @@ class RoadNetwork:
             seen.add((a, b))
             self.edges.append((a, b))
 
+        self._num_segments = len(ids)
         self.out_neighbors: List[List[int]] = [[] for _ in ids]
         self.in_neighbors: List[List[int]] = [[] for _ in ids]
         for a, b in self.edges:
             self.out_neighbors[a].append(b)
             self.in_neighbors[b].append(a)
-
-        self._rtree: Optional[RTree] = None
-        self._flat_geom: Optional[Tuple[np.ndarray, ...]] = None
-        self._csr_out: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Zero-copy construction over externally owned arrays
@@ -111,50 +114,41 @@ class RoadNetwork:
 
         The arrays may be externally owned — memory-mapped, write-
         protected, shared across processes (see
-        :mod:`repro.roadnet.artifacts`).  Every derived structure the
-        query hot paths use (CSR neighbors, flat sub-segment geometry,
-        R-tree scan arrays, static features) is installed directly from
-        the snapshot; the python object views (``segments``, ``edges``,
-        neighbor lists) materialize lazily on first attribute access.
-        Queries are bit-identical to the exporting network's.
+        :mod:`repro.roadnet.artifacts`).  The snapshot only *seeds* the
+        memo slots a built network fills on first use (CSR neighbors,
+        sub-segment columns, scan index, static features, edge indices),
+        so every accessor runs the same code on both; the python object
+        views (``segments``, ``edges``, neighbor lists) materialize lazily
+        on first attribute access.  Queries are bit-identical to the
+        exporting network's.
         """
+        def ints(name: str) -> np.ndarray:
+            return np.asarray(arrays[name], dtype=np.int64)
+
         network = object.__new__(cls)
-        state = network.__dict__
-        state["_packed"] = arrays
-        state["_num_segments"] = int(len(arrays["poly_indptr"]) - 1)
-        state["_csr_out"] = (
-            np.asarray(arrays["out_indptr"], dtype=np.int64),
-            np.asarray(arrays["out_indices"], dtype=np.int64),
-            np.asarray(arrays["out_degree"], dtype=np.int64),
+        network.__dict__.update(
+            _packed=arrays,
+            _num_segments=len(arrays["poly_indptr"]) - 1,
+            _csr_out=(ints("out_indptr"), ints("out_indices"), ints("out_degree")),
+            _geometry=(ints("geom_indptr"),
+                       *np.asarray(arrays["geom_columns"], dtype=np.float64)),
+            _rtree=RTree.from_arrays(arrays["rtree_order"], arrays["rtree_columns"]),
+            _bounds=tuple(float(v) for v in arrays["bounds"]),
+            _static=np.asarray(arrays["static"], dtype=np.float64),
+            _edge_index=ints("edge_index"),
+            _edge_loops=ints("edge_index_loops"),
         )
-        state["_csr_in"] = (
-            np.asarray(arrays["in_indptr"], dtype=np.int64),
-            np.asarray(arrays["in_indices"], dtype=np.int64),
-        )
-        state["_flat_geom"] = (
-            np.asarray(arrays["geom_indptr"], dtype=np.int64),
-            np.asarray(arrays["geom_starts"], dtype=np.float64),
-            np.asarray(arrays["geom_vectors"], dtype=np.float64),
-            np.asarray(arrays["geom_length2"], dtype=np.float64),
-        )
-        state["_rtree"] = RTree.from_arrays(
-            arrays["rtree_bboxes"], arrays["rtree_scan_order"], arrays["rtree_scan_boxes"]
-        )
-        state["_bounds"] = tuple(float(v) for v in arrays["bounds"])
-        state["_static"] = np.asarray(arrays["static"], dtype=np.float64)
-        state["_edge_array"] = np.asarray(arrays["edge_index"], dtype=np.int64)
-        state["_edge_loops"] = np.asarray(arrays["edge_index_loops"], dtype=np.int64)
-        state["_grid_seq_cache"] = {}
         return network
 
     def export_arrays(self) -> Dict[str, np.ndarray]:
         """Flat ``name -> array`` snapshot of every immutable structure a
         serving replica needs — the exact inverse of :meth:`from_arrays`.
 
-        Includes the derived state that is expensive to rebuild (flat
-        sub-segment geometry, R-tree scan order, static features, the
-        self-looped edge index) so a reloaded network answers its first
-        query without any build work.
+        Includes the derived state that is expensive to rebuild
+        (sub-segment columns, scan index, static features, the self-looped
+        edge index) in the layout the kernels read — ``geom_columns`` is
+        ``(5, m)`` and ``rtree_columns`` ``(4, n)``, C-contiguous, so each
+        row maps out of an archive as one contiguous column.
         """
         n = self.num_segments
         counts = np.fromiter((len(s.polyline) for s in self.segments),
@@ -165,13 +159,7 @@ class RoadNetwork:
                        if n else np.zeros((0, 2), dtype=np.float64))
         out_indptr, out_indices, out_degree = self.csr_out_neighbors()
         in_indptr, in_indices, _ = csr_from_lists(self.in_neighbors)
-        geom_indptr, geom_starts, geom_vectors, geom_length2 = self._flat_geometry()
-        rtree = self.rtree
-        if rtree.root is not None:
-            scan_order, scan_boxes = rtree._scan_arrays()
-        else:
-            scan_order = np.zeros(0, dtype=np.int64)
-            scan_boxes = np.zeros((0, 4), dtype=np.float64)
+        geom_indptr, *geom_columns = self._geometry_columns()
         return {
             "poly_indptr": poly_indptr,
             "poly_points": poly_points,
@@ -185,12 +173,9 @@ class RoadNetwork:
             "in_indptr": in_indptr,
             "in_indices": in_indices,
             "geom_indptr": geom_indptr,
-            "geom_starts": geom_starts,
-            "geom_vectors": geom_vectors,
-            "geom_length2": geom_length2,
-            "rtree_bboxes": rtree._bboxes,
-            "rtree_scan_order": scan_order,
-            "rtree_scan_boxes": scan_boxes,
+            "geom_columns": np.stack(geom_columns),
+            "rtree_order": self.rtree.order,
+            "rtree_columns": self.rtree.columns,
             "bounds": np.asarray(self.bounds(), dtype=np.float64),
             "static": self.static_features(),
         }
@@ -226,10 +211,10 @@ class RoadNetwork:
             edge = arrays["edge_index"]
             return list(zip(edge[0].tolist(), edge[1].tolist()))
         if name == "out_neighbors":
-            indptr, indices, _ = self._csr_out
+            indptr, indices, _ = self.csr_out_neighbors()
             return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
         if name == "in_neighbors":
-            indptr, indices = self.__dict__["_csr_in"]
+            indptr, indices = arrays["in_indptr"], arrays["in_indices"]
             return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
         raise AttributeError(name)  # pragma: no cover - guarded by caller
 
@@ -238,11 +223,7 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     @property
     def num_segments(self) -> int:
-        count = self.__dict__.get("_num_segments")
-        if count is None:
-            count = len(self.segments)
-            self.__dict__["_num_segments"] = count
-        return count
+        return self._num_segments
 
     def __len__(self) -> int:
         return self.num_segments
@@ -251,13 +232,14 @@ class RoadNetwork:
         return self.segments[segment_id]
 
     def edge_index(self) -> np.ndarray:
-        """(2, E) array of directed segment-to-segment edges."""
-        packed = self.__dict__.get("_edge_array")
-        if packed is not None:
-            return packed
-        if not self.edges:
-            return np.zeros((2, 0), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64).T
+        """(2, E) array of directed segment-to-segment edges (memoized;
+        treat it as read-only)."""
+        cached = self.__dict__.get("_edge_index")
+        if cached is None:
+            cached = (np.asarray(self.edges, dtype=np.int64).T if self.edges
+                      else np.zeros((2, 0), dtype=np.int64))
+            self.__dict__["_edge_index"] = cached
+        return cached
 
     def edge_index_loops(self) -> np.ndarray:
         """(2, E + V) edge index with self-loops appended — memoized, so
@@ -275,22 +257,62 @@ class RoadNetwork:
         ``indices[indptr[s]:indptr[s+1]]`` — the array form every
         vectorized consumer (sub-graph generation, k-hop reachability)
         gathers from."""
-        if self._csr_out is None:
-            self._csr_out = csr_from_lists(self.out_neighbors)
-        return self._csr_out
+        cached = self.__dict__.get("_csr_out")
+        if cached is None:
+            cached = self.__dict__["_csr_out"] = csr_from_lists(self.out_neighbors)
+        return cached
+
+    def khop_closure(self, hops: int) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the k-hop forward closure R(s) =
+        {s} ∪ N_out(s) ∪ ... ∪ N_out^hops(s), ids ascending per row —
+        memoized per hop count, so every model and replica over this
+        network shares one pair (what
+        :class:`~repro.core.decoder.ReachabilityMask` gathers from).
+        Treat the arrays as read-only."""
+        cache = self.__dict__.setdefault("_khop", {})
+        if hops not in cache:
+            n = self.num_segments
+            adj_indptr, adj_indices, degree = self.csr_out_neighbors()
+            # Multi-source BFS, vectorized over ALL start nodes at once:
+            # the frontier is a flat array of (root, node) pairs encoded as
+            # root * n + node; each hop expands every pair's neighbors with
+            # one ragged gather and dedupes against the reached set with
+            # sorted membership (tests/reference.py's ReferenceReachability
+            # is the per-node set-union BFS this replaces).
+            identity = np.arange(n, dtype=np.int64) * (n + 1)
+            reached = frontier = identity  # sorted
+            for _ in range(hops):
+                nodes = frontier % n
+                counts = degree[nodes]
+                neighbors = adj_indices[ragged_positions(adj_indptr[nodes], counts)]
+                candidate = np.unique(np.repeat(frontier // n, counts) * n + neighbors)
+                frontier = candidate[~sorted_lookup(reached, candidate)[0]]
+                if not len(frontier):
+                    break
+                reached = np.union1d(reached, frontier)
+            # Keys are sorted, so roots group contiguously.
+            cache[hops] = (
+                np.searchsorted(reached // n, np.arange(n + 1, dtype=np.int64)),
+                reached % n)
+        return cache[hops]
+
+    def preload_khop_closure(self, hops: int, indptr: np.ndarray,
+                             indices: np.ndarray) -> None:
+        """Install a previously exported :meth:`khop_closure` so the BFS
+        never runs (artifact warm-load path)."""
+        self.__dict__.setdefault("_khop", {})[hops] = (
+            np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64))
 
     def bounds(self) -> Tuple[float, float, float, float]:
         cached = self.__dict__.get("_bounds")
-        if cached is not None:
-            return cached
-        boxes = np.asarray([s.bbox() for s in self.segments])
-        cached = (
-            float(boxes[:, 0].min()),
-            float(boxes[:, 1].min()),
-            float(boxes[:, 2].max()),
-            float(boxes[:, 3].max()),
-        )
-        self.__dict__["_bounds"] = cached
+        if cached is None:
+            boxes = np.asarray([s.bbox() for s in self.segments])
+            cached = self.__dict__["_bounds"] = (
+                float(boxes[:, 0].min()),
+                float(boxes[:, 1].min()),
+                float(boxes[:, 2].max()),
+                float(boxes[:, 3].max()),
+            )
         return cached
 
     def make_grid(self, cell_size: float = 50.0, margin: float = 100.0) -> Grid:
@@ -341,14 +363,12 @@ class RoadNetwork:
     # Static features (f_r of §IV-B, size 11)
     # ------------------------------------------------------------------
     def static_features(self) -> np.ndarray:
-        """Per-segment features: one-hot level (8) + length + in/out degree.
-
-        Packed networks return the (read-only, shared) exported matrix;
-        built networks compute a fresh caller-owned copy.
-        """
-        packed = self.__dict__.get("_static")
-        if packed is not None:
-            return packed
+        """Per-segment features: one-hot level (8) + length + in/out degree
+        — memoized and shared by every encoder over this network; treat it
+        as read-only (a packed network's copy is write-protected)."""
+        cached = self.__dict__.get("_static")
+        if cached is not None:
+            return cached
         n = self.num_segments
         features = np.zeros((n, NUM_ROAD_LEVELS + 3), dtype=np.float64)
         lengths = np.array([s.length for s in self.segments])
@@ -358,6 +378,7 @@ class RoadNetwork:
             features[i, NUM_ROAD_LEVELS] = seg.length / length_scale
             features[i, NUM_ROAD_LEVELS + 1] = len(self.in_neighbors[i])
             features[i, NUM_ROAD_LEVELS + 2] = len(self.out_neighbors[i])
+        self.__dict__["_static"] = features
         return features
 
     # ------------------------------------------------------------------
@@ -365,49 +386,32 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     @property
     def rtree(self) -> RTree:
-        if self._rtree is None:
-            self._rtree = RTree(np.asarray([s.bbox() for s in self.segments]))
-        return self._rtree
+        cached = self.__dict__.get("_rtree")
+        if cached is None:
+            cached = self.__dict__["_rtree"] = RTree(
+                np.asarray([s.bbox() for s in self.segments]))
+        return cached
 
-    def _flat_geometry(self) -> Tuple[np.ndarray, ...]:
-        """Lazy flat view of every polyline sub-segment of every segment.
-
-        Returns ``(indptr, starts, vectors, length²)`` where segment ``s``'s
-        sub-segments occupy rows ``indptr[s]:indptr[s+1]``.  This is what
-        makes :meth:`segment_distances` one vectorized pass instead of a
-        Python loop calling ``project_point_to_polyline`` per candidate —
-        the single hottest loop in constraint-mask / prior / sub-graph
-        construction.
-        """
-        if getattr(self, "_flat_geom", None) is None:
+    def _geometry_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(indptr, x0, y0, vx, vy, length²)`` — every polyline
+        sub-segment of every segment as contiguous 1-D columns, segment
+        ``s``'s sub-segments at rows ``indptr[s]:indptr[s+1]`` and
+        ``length²`` pre-clamped to 1e-12, so the distance kernel gathers
+        each column once.  The one form of this table: built here on first
+        use, stored as is in the archive."""
+        cached = self.__dict__.get("_geometry")
+        if cached is None:
             counts = np.fromiter((len(s.polyline) - 1 for s in self.segments),
                                  dtype=np.int64, count=len(self.segments))
             indptr = np.zeros(len(self.segments) + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             starts = np.concatenate([s.polyline[:-1] for s in self.segments])
-            ends = np.concatenate([s.polyline[1:] for s in self.segments])
-            vectors = ends - starts
-            length2 = vectors[:, 0] ** 2 + vectors[:, 1] ** 2
-            self._flat_geom = (indptr, starts, vectors, length2)
-        return self._flat_geom
-
-    def _geometry_columns(self) -> Tuple[np.ndarray, ...]:
-        """``(indptr, x0, y0, vx, vy, length²)`` — the flat sub-segment table
-        as contiguous 1-D columns with ``length²`` pre-clamped to 1e-12, so
-        the distance kernel gathers each column once.  Derived from
-        :meth:`_flat_geometry` on first use (built and packed networks
-        alike); the archive format carries only the ``(n, 2)`` form."""
-        columns = self.__dict__.get("_geom_columns")
-        if columns is None:
-            indptr, starts, vectors, length2 = self._flat_geometry()
-            columns = (indptr,
-                       np.ascontiguousarray(starts[:, 0]),
-                       np.ascontiguousarray(starts[:, 1]),
-                       np.ascontiguousarray(vectors[:, 0]),
-                       np.ascontiguousarray(vectors[:, 1]),
-                       np.maximum(length2, 1e-12))
-            self.__dict__["_geom_columns"] = columns
-        return columns
+            vectors = np.concatenate([s.polyline[1:] for s in self.segments]) - starts
+            vx, vy = np.ascontiguousarray(vectors.T)
+            cached = self.__dict__["_geometry"] = (
+                indptr, *np.ascontiguousarray(starts.T), vx, vy,
+                np.maximum(vx ** 2 + vy ** 2, 1e-12))
+        return cached
 
     def _pair_distances(self, px, py, segment_ids: np.ndarray) -> np.ndarray:
         """Exact distance from a query point to each of ``segment_ids``

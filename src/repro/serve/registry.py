@@ -1,12 +1,12 @@
-"""Model registry: named checkpoints, hot-swap, pinned shared structures.
+"""Model registry: named checkpoints and hot-swap over one road network.
 
 A bundle is a checkpoint (``<prefix>.npz`` via ``nn.serialization``) plus a
 JSON sidecar (``<prefix>.json``) holding the ``RNTrajRecConfig`` the model
 was trained with, so a registry can rebuild the exact architecture without
-out-of-band knowledge.  The registry owns the expensive shared structures —
-the :class:`RoadNetwork` (with its R-tree), one :class:`Grid` per cell
-size, and one :class:`ReachabilityMask` per hop count — and pins them into
-every model it loads, so hot-swapping checkpoints never rebuilds them.
+out-of-band knowledge.  Every model it loads is built over the registry's
+one :class:`RoadNetwork`, which owns (memoizes) the scan index, grid
+sequences and k-hop closure — so hot-swapping checkpoints never rebuilds
+them and there is nothing for the registry to pin.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from dataclasses import asdict
 from typing import Dict, Optional, Tuple
 
 from ..core.config import RNTrajRecConfig
-from ..core.decoder import ReachabilityMask
 from ..core.model import RNTrajRec
-from ..geo.grid import Grid
 from ..nn.serialization import load_checkpoint, save_checkpoint
 from ..nn.tensor import Tensor
 from ..roadnet.artifacts import CityArtifacts
@@ -61,10 +59,9 @@ class ModelRegistry:
                  default_config: Optional[RNTrajRecConfig] = None,
                  artifacts: Optional[CityArtifacts] = None) -> None:
         """``network`` may be omitted when ``artifacts`` is given: the
-        registry then pins the bundle's shared zero-copy network, and the
-        grid / reachability / weight caches below are seeded from the
-        same bundle — N registries over one ``CityArtifacts`` share one
-        physical copy of everything immutable."""
+        registry then serves over the bundle's shared zero-copy network —
+        N registries over one ``CityArtifacts`` share one physical copy of
+        everything immutable."""
         if network is None:
             if artifacts is None:
                 raise ValueError("ModelRegistry needs a network or artifacts")
@@ -79,8 +76,6 @@ class ModelRegistry:
         # batch group keys fold in the generation, so re-registering an
         # updated checkpoint under an existing name invalidates old entries.
         self._generations: Dict[str, int] = {}
-        self._grids: Dict[float, Grid] = {}
-        self._reachability: Dict[int, ReachabilityMask] = {}
         self._active: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -95,19 +90,26 @@ class ModelRegistry:
 
     def add_loaded(self, name: str, model: RNTrajRec, activate: bool = False) -> None:
         """Register an already-built model (in-memory hot-swap, tests)."""
-        model.eval()
-        self._pin(model)
+        self._ready(model)
         with self._lock:
             self._loaded[name] = model
             self._generations[name] = self._generations.get(name, 0) + 1
             if activate or self._active is None:
                 self._active = name
 
-    def load(self, name: str) -> RNTrajRec:
-        """The named model, loading and pinning it on first use.
+    @staticmethod
+    def _ready(model: RNTrajRec) -> None:
+        """Eval mode, and the network's k-hop closure memo filled at load
+        time — before any worker fork and not on the first request."""
+        model.eval()
+        _ = model.reachability
 
-        The expensive work (model construction, checkpoint read, mask
-        building) happens outside the lock so serving threads calling
+    def load(self, name: str) -> RNTrajRec:
+        """The named model, loading it on first use.
+
+        The expensive work (model construction, checkpoint read, the
+        network's k-hop closure if this is its first model) happens
+        outside the lock so serving threads calling
         :meth:`active` are never stalled by a hot-swap load; concurrent
         first loads of the same name race benignly (one result wins).
         """
@@ -119,10 +121,9 @@ class ModelRegistry:
             prefix = self._prefixes[name]
             generation = self._generations.get(name, 0)
         config = load_bundle_config(prefix) or self.default_config or RNTrajRecConfig()
-        model = RNTrajRec(self.network, config, grid=self._shared_grid(config))
+        model = RNTrajRec(self.network, config)
         load_checkpoint(model, bundle_paths(prefix)[0])
-        model.eval()
-        self._pin(model)
+        self._ready(model)
         with self._lock:
             if self._generations.get(name, 0) == generation:
                 return self._loaded.setdefault(name, model)
@@ -229,7 +230,7 @@ class ModelRegistry:
             raise ValueError("registry has no artifact bundle with a packed model")
         config = (self.artifacts.model_config() or self.default_config
                   or RNTrajRecConfig())
-        model = RNTrajRec(self.network, config, grid=self._shared_grid(config))
+        model = RNTrajRec(self.network, config)
         model.load_state_dict(self.artifacts.model_state(), copy=False)
         self.add_loaded(name, model, activate=activate)
         x_road = self.artifacts.road_features()
@@ -239,42 +240,3 @@ class ModelRegistry:
             # clear the cache, so this must be the last touch).
             model.encoder._road_cache = Tensor(x_road)
         return model
-
-    # ------------------------------------------------------------------
-    def _shared_grid(self, config: RNTrajRecConfig) -> Grid:
-        cell = float(config.grid_cell_size)
-        with self._lock:
-            grid = self._grids.get(cell)
-        if grid is None:
-            built = None
-            if self.artifacts is not None:
-                packed = self.artifacts.grid()
-                if packed is not None and float(packed.cell_size) == cell:
-                    built = packed  # identical floats to make_grid(cell)
-            if built is None:
-                built = self.network.make_grid(cell)  # built outside the lock
-            with self._lock:
-                grid = self._grids.setdefault(cell, built)
-        return grid
-
-    def _pin(self, model: RNTrajRec) -> None:
-        """Share one reachability mask per hop count across loaded models."""
-        hops = model.config.reachability_hops
-        if hops <= 0:
-            return
-        with self._lock:
-            mask = self._reachability.get(hops)
-        if mask is None:
-            # Adopt a mask the model already built lazily, else the
-            # artifact bundle's packed closure, rather than repeating the
-            # k-hop BFS over every segment.
-            built = model._reachability
-            if (built is None or built.hops != hops) and self.artifacts is not None:
-                packed = self.artifacts.reachability()
-                if packed is not None and packed.hops == hops:
-                    built = packed
-            if built is None or built.hops != hops:
-                built = ReachabilityMask(self.network.out_neighbors, hops=hops)
-            with self._lock:
-                mask = self._reachability.setdefault(hops, built)
-        model._reachability = mask

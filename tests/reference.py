@@ -11,7 +11,7 @@ The module lives beside the tests because only they import it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -22,6 +22,90 @@ from repro.geo.distance import gaussian_weight, project_point_to_polyline
 from repro.nn.tensor import Tensor
 from repro.roadnet.network import RoadNetwork
 from repro.trajectory.dataset import Batch, make_padded_batch
+
+
+# ----------------------------------------------------------------------
+# Spatial index: the STR-packed node tree and its stack walk
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _Node:
+    bbox: Tuple[float, float, float, float]  # (xmin, ymin, xmax, ymax)
+    children: List["_Node"] = field(default_factory=list)
+    items: List[int] = field(default_factory=list)
+
+
+def _union_bbox(boxes: np.ndarray) -> Tuple[float, float, float, float]:
+    return (float(boxes[:, 0].min()), float(boxes[:, 1].min()),
+            float(boxes[:, 2].max()), float(boxes[:, 3].max()))
+
+
+def _intersects(a, b) -> bool:
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+
+
+def _reference_str_tree(bboxes: np.ndarray, leaf_capacity: int) -> _Node:
+    """The original ``RTree._build``: STR leaves, packed upward in groups
+    of ``leaf_capacity`` until a single root remains."""
+    ids = np.arange(len(bboxes))
+    if len(ids) <= leaf_capacity:
+        return _Node(bbox=_union_bbox(bboxes), items=list(map(int, ids)))
+    centers_x = (bboxes[:, 0] + bboxes[:, 2]) / 2.0
+    centers_y = (bboxes[:, 1] + bboxes[:, 3]) / 2.0
+    leaf_count = int(np.ceil(len(ids) / leaf_capacity))
+    slice_count = max(1, int(np.ceil(np.sqrt(leaf_count))))
+    per_slice = int(np.ceil(len(ids) / slice_count))
+    order_x = np.argsort(centers_x, kind="stable")
+    children: List[_Node] = []
+    for i in range(0, len(ids), per_slice):
+        strip = order_x[i:i + per_slice]
+        strip_sorted = strip[np.argsort(centers_y[strip], kind="stable")]
+        for j in range(0, len(strip_sorted), leaf_capacity):
+            chunk = ids[strip_sorted[j:j + leaf_capacity]]
+            children.append(_Node(bbox=_union_bbox(bboxes[chunk]),
+                                  items=list(map(int, chunk))))
+    while len(children) > 1:
+        parents: List[_Node] = []
+        for i in range(0, len(children), leaf_capacity):
+            group = children[i:i + leaf_capacity]
+            bbox = (min(c.bbox[0] for c in group), min(c.bbox[1] for c in group),
+                    max(c.bbox[2] for c in group), max(c.bbox[3] for c in group))
+            parents.append(_Node(bbox=bbox, children=group))
+        children = parents
+    return children[0]
+
+
+def reference_query_rect(bboxes: np.ndarray, rect: Tuple[float, float, float, float],
+                         leaf_capacity: int = 16) -> List[int]:
+    """The original ``RTree.query_rect``: a stack walk of the node tree
+    that prunes whole subtrees by node bbox and tests items leaf by leaf.
+    ``RTree`` keeps this hit set *and order* with one vectorized test over
+    the items laid out in :func:`reference_scan_order`."""
+    bboxes = np.asarray(bboxes, dtype=np.float64)
+    if not len(bboxes):
+        return []
+    hits: List[int] = []
+    stack = [_reference_str_tree(bboxes, max(2, leaf_capacity))]
+    while stack:
+        node = stack.pop()
+        if not _intersects(node.bbox, rect):
+            continue
+        if node.children:
+            stack.extend(node.children)
+        else:
+            hits.extend(i for i in node.items if _intersects(bboxes[i], rect))
+    return hits
+
+
+def reference_scan_order(bboxes: np.ndarray, leaf_capacity: int = 16) -> np.ndarray:
+    """Item ids in the full (unpruned) depth-first walk order of the node
+    tree — the order ``RTree`` computes directly as the STR leaves
+    concatenated in reverse."""
+    inf = float("inf")
+    return np.asarray(
+        reference_query_rect(bboxes, (-inf, -inf, inf, inf), leaf_capacity),
+        dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +308,9 @@ class ReferenceSubGraphGenerator:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        # The entry is built from the point it is keyed by, so it does not
+        # depend on which sub-metre twin of the bucket arrived first.
+        x, y = float(key[0]), float(key[1])
 
         cfg = self.config
         hits = reference_segments_within(self.network, x, y, cfg.receptive_delta)

@@ -4,16 +4,18 @@ Three layers, mirroring the PR's structure:
 
 * ``repro.nn.serialization`` — the aligned uncompressed archive format and
   its opt-in ``mmap=True`` reader (zero-copy, read-only, 64-byte aligned);
-* ``from_arrays`` constructors — ``RoadNetwork`` / ``Grid`` /
-  ``ReachabilityMask`` rebuilt from externally owned (write-protected)
-  buffers must behave bit-identically to their built-in-memory twins;
+* ``RoadNetwork.from_arrays`` + the ``preload_*`` hooks — a network
+  seeded from externally owned (write-protected) buffers must behave
+  bit-identically to its built-in-memory twin, and never grow a derived
+  private copy of what the archive already holds;
 * ``CityArtifacts`` + serving rewire — a frozen bundle loads back into a
-  registry/shard whose models *share* (identity, not equality) one
-  physical copy of every immutable structure and recover bit-identically.
+  registry/shard whose models share one network object, hence one
+  physical copy of every immutable structure, and recover bit-identically.
 """
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from repro.nn.serialization import (
 )
 from repro import profile
 from repro.roadnet import CityArtifacts
+from repro.roadnet.artifacts import FORMAT_VERSION
 from repro.serve import ModelRegistry, RecoveryRequest, RecoveryService, ServeConfig
 from repro.trajectory import make_batch
 
@@ -197,19 +200,69 @@ class TestFromArrays:
         assert again is seq  # memoized, not rebuilt
 
     def test_reachability_bit_identical(self, data, packed, model):
-        built = ReachabilityMask(data.network.out_neighbors,
-                                 hops=model.config.reachability_hops)
-        loaded = packed.reachability()
-        assert loaded is not None
-        assert loaded.hops == built.hops
+        hops = model.config.reachability_hops
+        built = ReachabilityMask(data.network, hops=hops)
+        loaded = ReachabilityMask(packed.network(), hops=hops)
         assert loaded.num_nodes == built.num_nodes
-        for node in range(0, built.num_nodes, 37):
-            assert np.array_equal(loaded._sets[node], built._sets[node])
+        assert np.array_equal(loaded._indptr, built._indptr)
+        assert np.array_equal(loaded._indices, built._indices)
+        # The packed closure was preloaded, not recomputed.
+        assert np.shares_memory(loaded._indices, packed.arrays["reach.indices"])
+
+    def test_mmap_network_holds_only_views_of_the_archive(self, packed, model):
+        """Geometry columns, index columns and the preloaded closure are
+        non-owning, write-protected views of the mapped archive — before
+        and after the first query, i.e. no derived private copy appears."""
+        network = packed.network()
+        hops = model.config.reachability_hops
+
+        def shared():
+            return {
+                "geom_indptr": network._geometry_columns()[0],
+                **{f"geom_columns[{k}]": column for k, column
+                   in enumerate(network._geometry_columns()[1:])},
+                "rtree_order": network.rtree.order,
+                **{f"rtree_columns[{k}]": column
+                   for k, column in enumerate(network.rtree.columns)},
+                "reach.indptr": network.khop_closure(hops)[0],
+                "reach.indices": network.khop_closure(hops)[1],
+            }
+
+        before = shared()
+        for name, view in before.items():
+            assert view.flags.owndata is False, name
+            assert view.flags.writeable is False, name
+            assert view.flags.c_contiguous, name
+            source = name.split("[")[0]
+            source = source if source.startswith("reach.") else "net." + source
+            assert np.shares_memory(view, packed.arrays[source]), name
+        x0, y0, x1, y1 = network.bounds()
+        points = np.array([[(x0 + x1) / 2, (y0 + y1) / 2], [x0, y0]])
+        assert len(network.segments_within_batch(points, 300.0)[1])
+        assert network.segments_within(*points[0], 300.0)
+        ReachabilityMask(network, hops).combine(None, np.array([0, 3]),
+                                                network.num_segments)
+        after = shared()
+        for name, view in before.items():
+            assert after[name].flags.owndata is False, name
+            assert np.shares_memory(after[name], view), name
 
 
 # ---------------------------------------------------------------------------
 # CityArtifacts bundle + registry sharing + recovery equivalence
 # ---------------------------------------------------------------------------
+def _copy_with_manifest(artifact_dir, destination, **changes):
+    """A copy of the saved bundle whose manifest has ``changes`` applied."""
+    shutil.copytree(artifact_dir, destination)
+    path = os.path.join(destination, "manifest.json")
+    with open(path) as handle:
+        manifest = json.load(handle)
+    manifest.update(changes)
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+    return str(destination)
+
+
 class TestCityArtifacts:
     def test_round_trip_with_verification(self, artifact_dir):
         loaded = CityArtifacts.load(artifact_dir, mmap=True, verify=True)
@@ -218,6 +271,20 @@ class TestCityArtifacts:
         manifest = json.loads(
             open(os.path.join(artifact_dir, "manifest.json")).read())
         assert manifest["content_hash"] == loaded.content_digest
+        assert manifest["format"] == FORMAT_VERSION == 2
+
+    @pytest.mark.parametrize("other", [1, 3, "2", None])
+    def test_any_other_format_is_rejected(self, artifact_dir, tmp_path, other):
+        stale = _copy_with_manifest(artifact_dir, tmp_path / "stale", format=other)
+        with pytest.raises(ValueError, match="unsupported artifact format"):
+            CityArtifacts.load(stale)
+
+    def test_hash_mismatch_raises_under_verify(self, artifact_dir, tmp_path):
+        forged = _copy_with_manifest(artifact_dir, tmp_path / "forged",
+                                     content_hash="0" * 64)
+        CityArtifacts.load(forged)  # unverified loads never hash
+        with pytest.raises(ValueError, match="hash mismatch"):
+            CityArtifacts.load(forged, verify=True)
 
     def test_recovery_bit_identical_to_source_model(self, data, model,
                                                     artifact_dir):
@@ -237,10 +304,16 @@ class TestCityArtifacts:
         second = ModelRegistry(artifacts=artifacts)
         model_a = first.register_artifact_model("default", activate=True)
         model_b = second.register_artifact_model("default", activate=True)
-        # Identity, not equality: one physical copy behind N registries.
+        # One network object behind N registries, so one physical copy of
+        # everything it owns: the closure arrays are the archive's.
         assert first.network is second.network
-        assert model_a.encoder.grid is model_b.encoder.grid
-        assert model_a._reachability is not None
+        assert model_a.encoder.grid == model_b.encoder.grid == artifacts.grid()
+        for name in ("_indptr", "_indices"):
+            ours = getattr(model_a.reachability, name)
+            theirs = getattr(model_b.reachability, name)
+            assert np.shares_memory(ours, theirs), name
+            assert np.shares_memory(
+                ours, artifacts.arrays["reach." + name.lstrip("_")]), name
         state = artifacts.model_state()
         for name, param in model_a.named_parameters():
             assert np.shares_memory(param.data, state[name]), name
@@ -306,6 +379,28 @@ class TestShardArtifacts:
                               np.asarray(loaded_out.trajectory.ratios))
         first.close()
         second.close()
+
+    @pytest.mark.parametrize("manifest", ['{"format": 1, "num_segments": 3}',
+                                          "not json {"])
+    def test_stale_or_unreadable_bundle_is_a_cache_miss(self, data, tmp_path,
+                                                        caplog, manifest):
+        """A directory frozen by another format (or holding a garbled
+        manifest) is rebuilt in place, not a boot failure."""
+        city_dir = tmp_path / "chengdu"
+        city_dir.mkdir()
+        (city_dir / "manifest.json").write_text(manifest)
+        (city_dir / "city.npz").write_bytes(b"left over from format 1")
+        shard = Shard(self._spec(), model_factory=self._factory(data),
+                      network_factory=lambda spec: data.network,
+                      artifact_dir=str(tmp_path))
+        with caplog.at_level("WARNING", logger="repro.roadnet.artifacts"):
+            shard.warm()
+        shard.close()
+        assert shard.artifact_source == "built"
+        assert "artifact cache miss" in caplog.text
+        reloaded = CityArtifacts.load(str(city_dir), mmap=True, verify=True)
+        assert reloaded.manifest["format"] == FORMAT_VERSION
+        assert reloaded.has_model()
 
     def test_replicas_share_the_loaded_artifact_network(self, data, tmp_path):
         seed = Shard(self._spec(), model_factory=self._factory(data),

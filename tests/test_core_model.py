@@ -88,19 +88,24 @@ class TestDecoder:
 
 class TestReachability:
     def test_sets_contain_self_and_neighbors(self, city):
-        mask = ReachabilityMask(city.out_neighbors, hops=1)
+        mask = ReachabilityMask(city, hops=1)
         for sid in range(0, city.num_segments, 23):
             reachable = set(mask._sets[sid].tolist())
             assert sid in reachable
             assert set(city.out_neighbors[sid]) <= reachable
 
     def test_hops_grow_sets(self, city):
-        one = ReachabilityMask(city.out_neighbors, hops=1)
-        two = ReachabilityMask(city.out_neighbors, hops=2)
+        one = ReachabilityMask(city, hops=1)
+        two = ReachabilityMask(city, hops=2)
         assert len(two._sets[0]) >= len(one._sets[0])
 
+    def test_masks_over_one_network_share_its_closure(self, city):
+        first, second = ReachabilityMask(city, hops=2), ReachabilityMask(city, hops=2)
+        assert first._indptr is second._indptr is city.khop_closure(2)[0]
+        assert first._indices is second._indices is city.khop_closure(2)[1]
+
     def test_combine_soft_downweights(self, city):
-        mask = ReachabilityMask(city.out_neighbors, hops=1, escape_weight=0.1)
+        mask = ReachabilityMask(city, hops=1, escape_weight=0.1)
         previous = np.array([0])
         out = mask.combine(np.ones((1, city.num_segments)), previous, city.num_segments)
         reachable = mask._sets[0]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.geo.distance import gaussian_weight, point_along_polyline, project_point_to_polyline
 from repro.nn import functional as F
@@ -180,6 +180,44 @@ class TestConstraintMaskProperties:
                 ids, weights = entry
                 assert len(ids) >= 1
                 assert np.all(weights > 0)
+
+
+class TestSubGraphMemoPurity:
+    """The sub-graph memo is keyed by the 1 m-quantized point and built
+    from that same point, so a point's sub-graph never depends on which
+    sub-metre twin of its bucket the generator happened to see first."""
+
+    _offset = st.floats(-0.49, 0.49)
+
+    @given(st.integers(0, 1000), st.integers(0, 1000),
+           _offset, _offset, _offset, _offset)
+    @settings(max_examples=40, deadline=None)
+    def test_bucket_twins_get_history_independent_subgraphs(
+            self, city, x, y, ax, ay, bx, by):
+        from repro.core import RNTrajRecConfig
+        from repro.core.subgraph_gen import SubGraphGenerator
+
+        twin_a, twin_b = (x + ax, y + ay), (x + bx, y + by)
+        assume(twin_a != twin_b)
+        config = RNTrajRecConfig(receptive_delta=300.0, max_subgraph_nodes=24)
+        fields = ("node_segments", "node_weights", "graph_ids", "edge_index")
+
+        def answers(first, second):
+            """Each twin's batch and single-point sub-graph, ``first`` on a
+            cold memo and ``second`` on the memo ``first`` warmed."""
+            generator = SubGraphGenerator(city, config)
+            out = {}
+            for point in (first, second):
+                batch = generator.batch(np.array([[point]]))
+                single = generator.point_subgraph(*point)
+                out[point] = ([getattr(batch, f) for f in fields]
+                              + [single.segments, single.weights, single.edges])
+            return out
+
+        a_then_b, b_then_a = answers(twin_a, twin_b), answers(twin_b, twin_a)
+        for point in (twin_a, twin_b):
+            for cold_or_warm, warm_or_cold in zip(a_then_b[point], b_then_a[point]):
+                assert np.array_equal(cold_or_warm, warm_or_cold)
 
 
 class TestSlotTableProperties:

@@ -233,9 +233,12 @@ class TestModelRegistry:
         registry.register("a", str(tmp_path / "a"))
         registry.register("b", str(tmp_path / "b"))
         model_a, model_b = registry.load("a"), registry.load("b")
+        # One network object, hence one copy of everything it memoizes.
         assert model_a.network is model_b.network
-        assert model_a.encoder.grid is model_b.encoder.grid
-        assert model_a.reachability is model_b.reachability
+        assert model_a.encoder.grid == model_b.encoder.grid
+        assert model_a.encoder.road_encoder._grid_seq is model_b.encoder.road_encoder._grid_seq
+        assert model_a.reachability._indices is model_b.reachability._indices
+        assert model_a.reachability._indptr is model_b.reachability._indptr
 
     def test_hot_swap_switches_active_model(self, data, model, tmp_path):
         save_model_bundle(model, str(tmp_path / "v1"))

@@ -8,6 +8,8 @@ kernels may legitimately differ from their scalar counterparts (see the
 interpolation-prior test).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro import nn
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import ReachabilityMask, RecoveryDecoder, interpolation_prior
 from repro.core.subgraph_gen import SubGraphGenerator
+from repro.datasets import get_spec
+from repro.geo import RTree
 from repro.nn.graph import ragged_positions
 from repro.nn.tensor import Tensor, no_grad, scatter_sum_array
 from repro.roadnet import CityConfig, generate_city
@@ -49,6 +53,49 @@ def _graphs_equal(a, b):
     for field in ("node_segments", "node_weights", "graph_ids", "edge_index"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert (a.batch_size, a.length) == (b.batch_size, b.length)
+
+
+class TestScanIndex:
+    """``RTree`` lays items out in the order the STR-packed node tree's
+    stack walk visits them, computed directly (leaves concatenated in
+    reverse) — so hits keep the pruned walk's set *and* order."""
+
+    @staticmethod
+    def _boxes(n, seed):
+        rng = np.random.default_rng(seed)
+        mins = rng.uniform(0, 900, size=(n, 2))
+        return np.concatenate([mins, mins + rng.uniform(0, 80, size=(n, 2))], axis=1)
+
+    @pytest.fixture(scope="class")
+    def metro_boxes(self):
+        metro = generate_city(replace(get_spec("chengdu").city, block=40.0))
+        assert metro.num_segments == 11_880
+        return np.asarray([s.bbox() for s in metro.segments])
+
+    # n <= capacity, n = capacity + 1, non-square leaf counts (13, 17, 129).
+    @pytest.mark.parametrize("capacity", [2, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16, 17, 200, 257, 2000])
+    def test_scan_order_equals_tree_walk(self, n, capacity):
+        boxes = self._boxes(n, seed=n)
+        assert np.array_equal(RTree(boxes, leaf_capacity=capacity).order,
+                              reference.reference_scan_order(boxes, capacity))
+
+    def test_scan_order_equals_tree_walk_on_the_metro(self, metro_boxes):
+        assert np.array_equal(RTree(metro_boxes).order,
+                              reference.reference_scan_order(metro_boxes))
+
+    def test_batched_rows_keep_the_pruned_walk_hit_order(self, metro_boxes):
+        tree = RTree(metro_boxes)
+        rng = np.random.default_rng(5)
+        points = rng.uniform(metro_boxes[:, :2].min(0) - 50.0,
+                             metro_boxes[:, 2:].max(0) + 50.0, size=(12, 2))
+        for radius in (100.0, 345.0):
+            indptr, ids = tree.query_radius_many(points, radius, block=5)
+            for q, (x, y) in enumerate(points):
+                rect = (x - radius, y - radius, x + radius, y + radius)
+                want = reference.reference_query_rect(metro_boxes, rect)
+                assert ids[indptr[q]:indptr[q + 1]].tolist() == want
+                assert tree.query_radius(x, y, radius) == want
 
 
 class TestRaggedPositions:
@@ -92,13 +139,13 @@ class TestReachability:
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_closure_sets_match(self, city, hops):
         ref = reference.ReferenceReachability(city.out_neighbors, hops=hops)
-        new = ReachabilityMask(city.out_neighbors, hops=hops)
+        new = ReachabilityMask(city, hops=hops)
         for sid in range(city.num_segments):
             assert set(ref._sets[sid].tolist()) == set(new._sets[sid].tolist())
 
     def test_combine_bitwise(self, city):
         ref = reference.ReferenceReachability(city.out_neighbors, hops=2)
-        new = ReachabilityMask(city.out_neighbors, hops=2)
+        new = ReachabilityMask(city, hops=2)
         rng = np.random.default_rng(3)
         previous = rng.integers(0, city.num_segments, size=9)
         mask = rng.random((9, city.num_segments))
@@ -109,7 +156,7 @@ class TestReachability:
 
     def test_combine_without_mask(self, city):
         ref = reference.ReferenceReachability(city.out_neighbors, hops=1)
-        new = ReachabilityMask(city.out_neighbors, hops=1)
+        new = ReachabilityMask(city, hops=1)
         previous = np.array([0, 5, 11])
         assert np.array_equal(ref.combine(None, previous, city.num_segments),
                               new.combine(None, previous, city.num_segments))
@@ -224,7 +271,7 @@ class TestDecoderEquivalence:
         decoder, enc, state = self._decoder_inputs(city, batch, 7)
         constraint = batch.constraint_tensor(city.num_segments)
         reach_ref = reference.ReferenceReachability(city.out_neighbors, hops=2)
-        reach_new = ReachabilityMask(city.out_neighbors, hops=2)
+        reach_new = ReachabilityMask(city, hops=2)
         seg_ref, rate_ref = reference.reference_decode_greedy(
             decoder, enc, state, batch.target_length, constraint, reach_ref)
         seg_new, rate_new = decoder.decode_greedy(

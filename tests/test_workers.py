@@ -96,8 +96,7 @@ def make_pool(data, model, workers=1, **kwargs):
 
     def factory():
         registry = ModelRegistry(network)
-        child = RNTrajRec(network, model_config,
-                          grid=registry._shared_grid(model_config))
+        child = RNTrajRec(network, model_config)
         child.load_state_dict(state, copy=False)
         registry.add_loaded("default", child, activate=True)
         return RecoveryService(registry, config, shard="pool")

@@ -25,7 +25,7 @@ Four subcommands:
                  PYTHONPATH=src python scripts/serve.py oneshot \
                      --dataset chengdu --bundle runs/chengdu_model --requests 20
 
-``http``     expose the service over a threaded stdlib HTTP server::
+``http``     expose the service over the bounded HTTP/1.0 front door::
 
                  PYTHONPATH=src python scripts/serve.py http \
                      --dataset chengdu --bundle runs/chengdu_model --port 8008

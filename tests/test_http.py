@@ -1,15 +1,19 @@
 """The HTTP layer, driven in-process on port 0.
 
-``repro.serve.http`` has one handler; ``scripts/serve.py`` supplies two
+``repro.serve.http`` has one server; ``scripts/serve.py`` supplies two
 route tables (single-city service + streaming, cluster).  Every route,
-status code and body is asserted here against the objects behind it.
+status code and body is asserted here against the objects behind it, and
+the hand-written exchange — framing, the bounded handler set, its
+counters — against a table of its own.
 """
 
 import importlib.util
 import json
+import logging
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -18,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import RecoveryCluster, ShardMap, ShardSpec
 from repro.core import RNTrajRec, RNTrajRecConfig
@@ -65,11 +70,24 @@ class Client:
         self._thread = threading.Thread(target=server.serve_forever, daemon=True)
         self._thread.start()
         self._server = server
+        deadline = time.monotonic() + 10.0
+        while server.stats()["handlers"] < http.HANDLERS:  # serve_forever starts them
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
 
-    def raw(self, payload: bytes, timeout: float = 10.0):
+    def raw(self, *pieces: bytes, timeout: float = 10.0, pause: float = 0.0):
+        """Each piece is a ``TCP_NODELAY`` send of its own; the reply is
+        whatever arrives before EOF."""
         with socket.create_connection(("127.0.0.1", self.port),
                                       timeout=timeout) as conn:
-            conn.sendall(payload)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for index, piece in enumerate(pieces):
+                try:
+                    conn.sendall(piece)
+                except OSError:  # answered and closed already: these were
+                    assert index  # bytes past the request, never its start
+                    break
+                time.sleep(pause)
             chunks = []
             while True:
                 chunk = conn.recv(65536)
@@ -133,6 +151,8 @@ class TestClusterRoutes:
         status, stats = front.get("/stats")
         assert status == 200
         assert {"cluster", "router", "shards", "memory"} <= set(stats)
+        assert stats["http"]["handlers"] == http.HANDLERS
+        assert stats["http"]["busy"] == 1  # the exchange that reports it
         assert front.get("/deadletters")[0] == 200
 
     def test_malformed_requests_are_400(self, front, data):
@@ -198,10 +218,188 @@ class TestBodyReader:
 
     def test_overstated_length_is_dropped_at_the_socket_timeout(
             self, front, monkeypatch):
-        monkeypatch.setattr(http.JsonHandler, "timeout", 0.3)
+        monkeypatch.setattr(http, "SOCKET_TIMEOUT", 0.3)
         started = time.monotonic()
         assert front.post("/recover", b"{}", length=999999)[0] == 408
         assert time.monotonic() - started < 5.0
+
+    @pytest.mark.parametrize("wire, status, error", [
+        pytest.param(b"hello\r\n\r\n", 400, "request line", id="one-word"),
+        pytest.param(b"GET /healthz\r\n\r\n", 400, "request line", id="no-version"),
+        pytest.param(b"GET  /healthz HTTP/1.0\r\n\r\n", 400, "request line",
+                     id="two-spaces"),
+        pytest.param(b"DELETE /recover HTTP/1.0\r\n\r\n", 501,
+                     "unsupported method DELETE", id="method"),
+        pytest.param(b"GET /healthz HTTP/1.0\r\nX-Pad: "
+                     + b"a" * http.MAX_HEADER_BYTES + b"\r\n\r\n", 431,
+                     "headers exceed", id="header-block"),
+        pytest.param(b"POST /recover HTTP/1.0\r\nContent-Length: 2\r\n"
+                     b"content-length: 3\r\n\r\n{}", 400, "Content-Length",
+                     id="lengths-disagree"),
+        pytest.param(b"POST /recover HTTP/1.0\r\nContent-Length: 2\r\n"
+                     b"CONTENT-LENGTH:2\r\n\r\n{}", 400, "'points'",
+                     id="lengths-agree"),  # one length: the route's own 400
+        pytest.param(b"POST /recover HTTP/1.0\r\nX-Content-Length: 9\r\n"
+                     b"Content-Length: 2\r\n\r\n{}", 400, "'points'",
+                     id="other-header"),  # only the header of that name counts
+        pytest.param(b"POST /recover HTTP/1.0\r\nContent-Le", 408, "timed out",
+                     id="stalled-headers"),
+    ])
+    def test_framing_status_table(self, front, monkeypatch, wire, status, error):
+        """What the stdlib parser used to police: one JSON reply each (the
+        client reads it to EOF, so the connection was closed)."""
+        monkeypatch.setattr(http, "SOCKET_TIMEOUT", 0.3)  # the stalled row
+        answered, reply = front.raw(wire)
+        assert answered == status and error in reply["error"]
+
+
+# ---------------------------------------------------------------------------
+# The exchange itself: any split of the bytes, the bounded handler set, faults
+# ---------------------------------------------------------------------------
+def _any_case(name):
+    return st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda flips: "".join(char.upper() if flip else char.lower()
+                              for char, flip in zip(name, flips)))
+
+
+@st.composite
+def _framings(draw, method, path, body=b""):
+    """One request's bytes, cut into 1-6 sends, every way a client may frame it."""
+    headers = draw(st.lists(st.sampled_from([
+        "Host: localhost", "Accept: */*", "Content-Type: application/json",
+        "X-Content-Length: 7", "Connection: keep-alive"]), max_size=3, unique=True))
+    if method == "POST":
+        headers.append(f"Content-Length: {len(body)}")
+    lines = [f"{method} {path} HTTP/{draw(st.sampled_from(['1.0', '1.1']))}"]
+    for header in draw(st.permutations(headers)):
+        name, _, value = header.partition(":")
+        lines.append(draw(_any_case(name)) + ":" + draw(st.sampled_from(["", " "]))
+                     + value.strip())
+    wire = ("\r\n".join(lines) + "\r\n\r\n").encode() + body + draw(st.binary(max_size=24))
+    cuts = sorted(draw(st.lists(st.integers(0, len(wire)), max_size=5)))
+    return [wire[a:b] for a, b in zip([0] + cuts, cuts + [len(wire)]) if a < b]
+
+
+class TestFramingProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data(), pause=st.sampled_from([0.0, 0.002]))
+    def test_any_split_answers_like_one_send(self, front, data, case, pause):
+        body = json.dumps(trace(data.train[0], request_id="split")).encode()
+        for method, path, payload in (("POST", "/recover", body),
+                                      ("GET", "/healthz", b"")):
+            whole = (front.post(path, payload) if method == "POST"
+                     else front.get(path))
+            split = front.raw(*case.draw(_framings(method, path, payload)),
+                              pause=pause)
+            whole[1].pop("latency_ms", None), split[1].pop("latency_ms", None)
+            assert whole[0] == 200 and split == whole
+
+
+@pytest.fixture()
+def gated():
+    """A front door over a table of its own: ``/gate`` holds its handler
+    until ``release`` is set, ``/boom`` returns what JSON cannot encode."""
+    entered, release = threading.Semaphore(0), threading.Event()
+
+    def gate(_):
+        entered.release()
+        assert release.wait(30.0)
+        return 200, {"gate": "open"}
+
+    client = Client(http.JsonServer(("127.0.0.1", 0), {
+        ("GET", "/gate"): gate,
+        ("GET", "/stats"): lambda _: (200, {"own": True}),
+        ("GET", "/boom"): lambda _: (200, {"body": object()})}))
+    client.entered, client.release = entered, release
+    yield client
+    release.set()
+    client.stop()
+
+
+def _in_threads(count, call):
+    """``call()`` on ``count`` threads at once: each one's result, or what it raised."""
+    results = [None] * count
+
+    def run(index):
+        try:
+            results[index] = call()
+        except Exception as exc:  # recorded, so the assertion can show it
+            results[index] = exc
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(count)]
+    for thread in threads:
+        thread.start()
+    return threads, results
+
+
+class TestBoundedFrontDoor:
+    def test_stats_block_counts_the_exchange_in_progress(self, gated):
+        server = gated._server
+        threads, results = _in_threads(1, lambda: gated.get("/gate"))
+        assert gated.entered.acquire(timeout=10.0)
+        assert server.stats() == {"handlers": http.HANDLERS, "busy": 1,
+                                  "accepted": 1, "replies": {}}
+        gated.release.set()
+        threads[0].join(timeout=10.0)
+        assert results == [(200, {"gate": "open"})]
+        assert server.stats()["busy"] == 0
+        assert server.stats()["replies"] == {"200": 1}
+        assert gated.get("/nope")[0] == 404
+        assert gated.get("/stats") == (200, {"own": True, "http": {
+            "handlers": http.HANDLERS, "busy": 1, "accepted": 3,
+            "replies": {"200": 1, "404": 1}}})
+
+    def test_a_full_house_queues_in_the_backlog(self, gated):
+        """``handlers + 4`` clients at once: none refused or reset, all
+        answered once the gate opens — and no counter update is lost."""
+        count, server = http.HANDLERS + 4, gated._server
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads, results = _in_threads(count, lambda: gated.get("/gate"))
+            for _ in range(http.HANDLERS):
+                assert gated.entered.acquire(timeout=10.0)
+            assert server.stats()["busy"] == server.stats()["handlers"] == http.HANDLERS
+            assert not gated.entered.acquire(timeout=0.2)  # four wait, unaccepted
+            gated.release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [(200, {"gate": "open"})] * count
+        assert server.stats() == {"handlers": http.HANDLERS, "busy": 0,
+                                  "accepted": count, "replies": {"200": count}}
+
+    def test_clients_that_reset_take_no_handler_with_them(self, front, data):
+        """A complete ``POST /recover``, then RST instead of reading the
+        reply — once more than there are handlers, and every eighth peer
+        leaves without a word; each ends its own connection only."""
+        body = json.dumps(trace(data.train[0])).encode()
+        for index in range(http.HANDLERS + 1):
+            conn = socket.create_connection(("127.0.0.1", front.port), timeout=10.0)
+            if index % 8:
+                conn.sendall(b"POST /recover HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(body), body))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            conn.close()
+        deadline = time.monotonic() + 30.0  # the shard still works through them
+        while front.get("/stats")[1]["http"]["busy"] > 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert front.post("/recover", trace(data.train[0]))[0] == 200
+        assert front.get("/stats")[1]["http"]["handlers"] == http.HANDLERS
+
+    def test_an_unexpected_failure_is_one_warning_and_one_connection(
+            self, gated, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.serve.http"):
+            with socket.create_connection(("127.0.0.1", gated.port), 10.0) as conn:
+                conn.sendall(b"GET /boom HTTP/1.0\r\n\r\n")
+                assert conn.recv(65536) == b""  # closed without a reply
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].name == "repro.serve.http"
+        assert warnings[0].exc_info[0] is TypeError
+        assert gated.get("/stats")[1]["http"]["handlers"] == http.HANDLERS
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +435,7 @@ class TestServiceRoutes:
         status, stats = client.get("/stats")
         assert status == 200 and stats["requests"] >= 2
         assert stats["sessions"]["capacity"] == 2
+        assert stats["http"]["replies"]["200"] >= 2
 
     def test_open_append_finalize_equals_one_shot(self, cli, city, data):
         client, service = city

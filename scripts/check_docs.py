@@ -1,6 +1,6 @@
 """Validate the documentation against the repo (run by the CI docs job).
 
-Five checks over every tracked ``*.md`` file:
+Six checks over every tracked ``*.md`` file:
 
 1. **links** — inline links/images must resolve to an existing file or
    directory; ``path#anchor`` anchors are verified against the target's
@@ -17,7 +17,12 @@ Five checks over every tracked ``*.md`` file:
    ``.github/workflows/ci.yml`` must appear in some ``*.py`` under
    ``src/``, ``benchmarks/``, ``tests/`` or ``scripts/`` (catches docs and
    CI steps setting knobs nothing reads; prefix mentions such as
-   ``REPRO_BENCH_STREAM_*`` are skipped).
+   ``REPRO_BENCH_STREAM_*`` are skipped);
+6. **API names** — every ```pkg.Name``` code span in ``docs/api.md`` whose
+   ``pkg`` is a package under ``src/repro/`` must name something
+   ``src/repro/<pkg>/__init__.py`` binds (import, ``def``, ``class``,
+   assignment) or one of the package's submodules (catches entry points
+   that were renamed or deleted; read with ``ast``, nothing is imported).
 
     python scripts/check_docs.py [root]
 
@@ -26,6 +31,7 @@ Exits non-zero listing every problem.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -158,6 +164,44 @@ def check_package_index(root: Path) -> list:
     ]
 
 
+def bound_names(package: Path) -> set:
+    """What ``from repro.<pkg> import name`` can find: the package's
+    submodules plus every name its ``__init__.py`` binds at module level."""
+    names = {entry.stem for entry in package.iterdir()
+             if entry.suffix == ".py" or (entry / "__init__.py").exists()}
+    init = (package / "__init__.py").read_text(encoding="utf-8")
+    for node in ast.parse(init).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:  # assignments, in whatever statement: every name stored to
+            names.update(n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store))
+    return names
+
+
+def check_api_names(root: Path) -> list:
+    """Every ```pkg.Name``` span in ``docs/api.md`` must resolve in ``pkg``."""
+    api = root / "docs" / "api.md"
+    packages = repo_packages(root)
+    if not api.exists() or not packages:
+        return []
+    # `pkg.Name`, `pkg.Name(...)`, `pkg.sub.Name`: the first name is checked.
+    mention = re.compile(r"`(%s)\.([A-Za-z_]\w*)[\w.]*[`(]" % "|".join(packages))
+    bound = {name: bound_names(root / "src" / "repro" / name)
+             for name in packages}
+    return [
+        f"docs/api.md: `{package}.{name}` is not bound in "
+        f"src/repro/{package}/__init__.py nor a submodule of it"
+        for package, name in sorted(set(mention.findall(
+            api.read_text(encoding="utf-8"))))
+        if name not in bound[package]
+    ]
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else (
         Path(__file__).resolve().parent.parent)
@@ -179,6 +223,7 @@ def main() -> int:
         problems.extend(check_env_knobs(
             workflow, root, workflow.read_text(encoding="utf-8"), known_knobs))
     problems.extend(check_package_index(root))
+    problems.extend(check_api_names(root))
     if problems:
         print(f"checked {count} markdown files — {len(problems)} problem(s):")
         for problem in problems:
@@ -186,8 +231,8 @@ def main() -> int:
         return 1
     packages = ", ".join(repo_packages(root))
     print(f"checked {count} markdown files — links, src/repro paths, "
-          f"BENCH artifacts and REPRO_* knobs all resolve; docs/api.md "
-          f"covers: {packages}")
+          f"BENCH artifacts, REPRO_* knobs and docs/api.md names all "
+          f"resolve; docs/api.md covers: {packages}")
     return 0
 
 

@@ -80,10 +80,13 @@ class ThreadReplicas:
     def stats(self, latencies: Iterable[float]) -> Dict[str, Any]:
         rows = [service.stats() for service in self.services]
         payload = rollup(rows, latencies)
-        engine: Dict[str, int] = {}
+        engine: Dict[str, Any] = {}
         for row in rows:
             for gauge, value in row["engine"].items():
-                engine[gauge] = engine.get(gauge, 0) + value
+                # Counters and occupancy gauges add up across replicas; a
+                # wait percentile does not — report the worst replica's.
+                merge = max if gauge.startswith("queue_wait_ms_") else sum
+                engine[gauge] = merge((engine.get(gauge, 0), value))
         payload["engine"] = engine
         payload["replica_stats"] = rows
         return payload

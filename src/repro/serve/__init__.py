@@ -17,7 +17,6 @@ from .engine import (
     DecodeJob,
     DecodeResult,
     EngineError,
-    SlotTable,
     build_job,
     run_to_completion,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "DecodeJob",
     "DecodeResult",
     "EngineError",
-    "SlotTable",
     "build_job",
     "run_to_completion",
     "LRUCache",

@@ -6,8 +6,9 @@ length is known before anything is encoded (l_ρ = duration/ε_ρ grid
 steps), so the scheduler serves *earliest solo finish first*: each entry
 is keyed at enqueue by ``due = clock + its own grid steps`` (the clock is
 the engine's executed-step counter), and every worker round steps only
-the in-flight slot with the smallest key.  The slot table is what holds
-a preempted decode's carry while a shorter one runs.
+the in-flight slot with the smallest key.  A preempted decode simply
+stays in its slot — carry, keys and output buffers — while a shorter one
+runs.
 
 The worker thread owns all scheduling state; callers interact only through
 ``submit`` / ``submit_job`` (each returns a ``concurrent.futures.Future``),
@@ -56,10 +57,9 @@ class ContinuousScheduler:
     ties by arrival — and each worker round
 
     a. admits the queued entry with the smallest key (at most one
-       ``prepare`` per round), but only if a slot is free, no deferred
-       head exists, and its key is smaller than every in-flight key (or
-       nothing is in flight) — an entry is prepared when it is about to
-       run, not ahead of need;
+       ``prepare`` per round), but only if a slot is free and its key is
+       smaller than every in-flight key (or nothing is in flight) — an
+       entry is prepared when it is about to run, not ahead of need;
     b. advances **only** the in-flight slot with the smallest key by one
        greedy step, and resolves its future the moment it retires.
 
@@ -112,13 +112,6 @@ class ContinuousScheduler:
         # The in-flight slot with the smallest key — the only one stepped.
         # Worker-owned; reselected only when a slot is admitted or retired.
         self._running: Optional[int] = None
-        # Hidden-dim conflicts park here as (entry, prepared job).  The
-        # future is already RUNNING and the job already prepared, so a
-        # retry re-attempts only ``engine.admit`` — no second
-        # set_running_or_notify_cancel, no repeated encode.  Only the
-        # worker mutates this list (under the lock, so ``pending`` /
-        # ``flush`` see a consistent view).
-        self._deferred: List[Tuple[_Entry, Any]] = []
         self._queue_waits: Deque[float] = deque(maxlen=1024)
         self._preemptions = 0
         self._closed = False
@@ -158,7 +151,6 @@ class ContinuousScheduler:
         """
         with self._cond:
             snapshot = [entry.future for entry in self._queue]
-            snapshot.extend(entry.future for entry, _ in self._deferred)
             snapshot.extend(entry.future for entry in self._inflight.values())
         for future in snapshot:
             try:
@@ -184,10 +176,9 @@ class ContinuousScheduler:
 
     @property
     def pending(self) -> int:
-        """Outstanding requests: queued, deferred, plus in flight."""
+        """Outstanding requests: queued plus in flight."""
         with self._cond:
-            return (len(self._queue) + len(self._deferred)
-                    + len(self._inflight))
+            return len(self._queue) + len(self._inflight)
 
     def stats(self) -> Dict[str, Any]:
         """Engine counters plus the queue's view: ``queue_wait_ms_*`` is
@@ -207,28 +198,23 @@ class ContinuousScheduler:
     def _loop(self) -> None:
         while True:
             with self._cond:
-                while (not self._queue and not self._deferred
-                       and not self._inflight and not self._closed):
+                while (not self._queue and not self._inflight
+                       and not self._closed):
                     self._cond.notify_all()
                     self._cond.wait()
                 if self._closed and self._drop:
                     self._abandon_inflight()
                     return
-                if (self._closed and not self._queue and not self._deferred
-                        and not self._inflight):
+                if self._closed and not self._queue and not self._inflight:
                     self._cond.notify_all()
                     return
                 # At most ONE admission per round, and only of an entry
                 # that is about to run: prepare (encode + constraint
                 # build) costs many steps' worth of time, so preparing a
                 # backlog ahead of need would stall the running decode
-                # and hold constraint tensors nobody reads yet.  A
-                # deferred head blocks new admissions outright: it
-                # arrived first, and anything admitted around it would
-                # push its drain further out.
+                # and hold constraint tensors nobody reads yet.
                 admission = None
-                if (self._queue and not self._deferred
-                        and self.engine.free_slots
+                if (self._queue and self.engine.free_slots
                         and (self._running is None
                              or self._queue[0] < self._inflight[self._running])):
                     admission = heapq.heappop(self._queue)
@@ -236,18 +222,10 @@ class ContinuousScheduler:
                         time.perf_counter() - admission.enqueued)
             # The prepare runs outside the lock — submitters must not
             # block behind it.
-            self._retry_deferred()
             if admission is not None:
                 self._admit(admission)
             if self._running is not None:
                 self._resolve(self._step())
-
-    def _seat(self, slot: int, entry: _Entry) -> None:
-        """Caller holds the lock: record an engine admission."""
-        if self._inflight:
-            self._preemptions += 1
-        self._inflight[slot] = entry
-        self._reselect()
 
     def _reselect(self) -> None:
         self._running = (min(self._inflight, key=self._inflight.__getitem__)
@@ -265,30 +243,10 @@ class ContinuousScheduler:
             future.set_exception(exc)
             return
         with self._cond:
-            if slot is None:
-                # Hidden-dim conflict: park the *prepared* job until the
-                # table drains.  The future stays RUNNING — retries go
-                # through _retry_deferred, which never calls
-                # set_running_or_notify_cancel or prepare() again.
-                self._deferred.append((entry, job))
-            else:
-                self._seat(slot, entry)
-
-    def _retry_deferred(self) -> None:
-        while self._deferred:
-            entry, job = self._deferred[0]
-            try:
-                slot = self.engine.admit(job)
-            except BaseException as exc:
-                entry.future.set_exception(exc)
-                slot = None
-            else:
-                if slot is None:  # table still occupied by the old dim
-                    return        # retry after the next retirement
-            with self._cond:
-                self._deferred.pop(0)
-                if slot is not None:
-                    self._seat(slot, entry)
+            if self._inflight:
+                self._preemptions += 1
+            self._inflight[slot] = entry
+            self._reselect()
 
     def _step(self) -> list:
         if self._on_step is not None:
@@ -321,8 +279,7 @@ class ContinuousScheduler:
             future.set_result(value)
 
     def _abandon_inflight(self) -> None:
-        """Caller holds the lock; fail every in-flight (and deferred)
-        future and exit."""
+        """Caller holds the lock; fail every in-flight future and exit."""
         for retirement in self.engine.abort():
             entry = self._inflight.pop(retirement.slot, None)
             # In-flight futures were marked running at admission, so only
@@ -330,11 +287,4 @@ class ContinuousScheduler:
             if entry is not None and not entry.future.done():
                 entry.future.set_exception(
                     RuntimeError("ContinuousScheduler closed"))
-        # Deferred futures are running too (they were marked at first
-        # admission attempt) — same exception-only treatment.
-        for entry, _ in self._deferred:
-            if not entry.future.done():
-                entry.future.set_exception(
-                    RuntimeError("ContinuousScheduler closed"))
-        self._deferred.clear()
         self._cond.notify_all()

@@ -384,6 +384,31 @@ class TestStatsRollup:
         assert "engine.step" in stats["profile"]["sections"]
         json.dumps(stats)  # the whole snapshot must be JSON-serializable
 
+    def test_shard_engine_block_sums_counters_but_not_percentiles(self, data):
+        """Two replicas waiting 10 ms and 12 ms did not wait 22 ms: the
+        shard's ``engine`` block adds the counters up and reports the
+        queue-wait percentiles of its worst replica."""
+        cluster = RecoveryCluster(
+            ShardMap(shards=(ShardSpec(name="cd", dataset="chengdu",
+                                       replicas=2, max_inflight=4),)),
+            model_factory=tiny_factory,
+            network_factory=lambda spec: data.network)
+        try:
+            for i, sample in enumerate(data.test[:4]):  # round-robin: 2 + 2
+                cluster.recover(_request(sample, f"q{i}"), timeout=300.0)
+            shard = cluster.stats()["shards"]["cd"]
+        finally:
+            cluster.close()
+        engine = shard["engine"]
+        rows = [row["engine"] for row in shard["replica_stats"]]
+        assert [row["admitted"] for row in rows] == [2, 2]
+        assert set(engine) == set(rows[0])
+        for key in ("queue_wait_ms_p50", "queue_wait_ms_p95"):
+            assert all(row[key] > 0 for row in rows)
+            assert engine[key] == max(row[key] for row in rows)
+        for key in set(engine) - {"queue_wait_ms_p50", "queue_wait_ms_p95"}:
+            assert engine[key] == sum(row[key] for row in rows), key
+
     def test_merge_networks_offsets_and_renumbers(self, data):
         merged = merge_networks([data.network, data.network],
                                 [(0.0, 0.0), (5000.0, 0.0)])

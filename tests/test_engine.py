@@ -14,9 +14,11 @@ assertion.
 """
 
 import dataclasses
+import gc
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from repro.serve import (
     RecoveryRequest,
     RecoveryService,
     ServeConfig,
-    SlotTable,
     run_to_completion,
 )
 from repro.stream import StreamConfig, StreamingRecoveryService
@@ -64,6 +65,15 @@ def city():
 @pytest.fixture(scope="module")
 def model(city):
     model = RNTrajRec(city, CFG)
+    model.eval()
+    return model
+
+
+@pytest.fixture(scope="module")
+def wide_model(city):
+    """A second architecture on the same city, twice as wide — what a hot
+    swap to a differently-sized model puts next to in-flight work."""
+    model = RNTrajRec(city, dataclasses.replace(CFG, hidden_dim=32))
     model.eval()
     return model
 
@@ -114,10 +124,26 @@ def job_for(model, sample, weights=None, checkpoint_at=-1):
         )
 
 
+def carry_arrays(carry):
+    return [array for array in (carry.state, carry.prev_embed,
+                                carry.prev_rate, carry.prev_segments)
+            if array is not None]
+
+
+def frozen(job):
+    """``job`` with every array the engine is handed made read-only: the
+    engine keeps references (a slot starts on the job's own carry, results
+    and checkpoints are the kernel's own outputs), so an in-place write
+    anywhere on the step path must raise, not corrupt a neighbour."""
+    for array in [job.enc, job.constraint] + carry_arrays(job.carry):
+        array.flags.writeable = False
+    return job
+
+
 @pytest.fixture(scope="module")
 def jobs_for(model):
-    """Memoized admission jobs: a job is immutable (admission copies the
-    carry into the slot row; nothing mutates enc/constraint), so the same
+    """Memoized admission jobs: a job is immutable (the engine only reads
+    enc / constraint / carry — enforced here by freezing them), so the same
     job can be admitted across matrix cells without re-encoding."""
     weights = GreedyWeights.from_decoder(model.decoder)
     cache = {}
@@ -127,7 +153,7 @@ def jobs_for(model):
         for sample in samples:
             key = id(sample)
             if key not in cache:
-                cache[key] = job_for(model, sample, weights=weights)
+                cache[key] = frozen(job_for(model, sample, weights=weights))
             out.append(cache[key])
         return out
 
@@ -291,6 +317,26 @@ class TestStreamingCarryJoins:
         for field, value in expected.items():
             assert np.array_equal(getattr(result.checkpoint, field), value)
 
+    def test_resuming_from_a_checkpoint_leaves_its_bytes_unchanged(
+            self, model, pools):
+        """A session keeps the checkpoint it resumes from (and, with
+        ``checkpoint_at=0``, gets the very same object back): the slot
+        starts on that carry by reference, so running the resumed job to
+        completion must not touch a byte of it."""
+        sample = pools["long"][1]
+        batch, enc, constraint, carry = self._split_inputs(model, sample, 5)
+        before = [array.tobytes() for array in carry_arrays(carry)]
+        suffix = DecodeJob(
+            enc=enc, carry=carry, num_steps=batch.target_length - 5,
+            constraint=constraint[:, 5:],
+            weights=GreedyWeights.from_decoder(model.decoder),
+            reachability=model.reachability, checkpoint_at=0,
+        )
+        result = run_to_completion(ContinuousEngine(capacity=1), [suffix])[0]
+        assert result.checkpoint is carry
+        assert result.carry is not carry
+        assert [array.tobytes() for array in carry_arrays(carry)] == before
+
 
 # ---------------------------------------------------------------------------
 # Slot table mechanics
@@ -326,31 +372,59 @@ class TestSlotTableMechanics:
         with pytest.raises(EngineError):
             engine.admit(bad_checkpoint)
 
-    def test_hidden_dim_conflict_defers_until_drain(self, model, pools):
-        job = job_for(model, pools["short"][0])
-        engine = ContinuousEngine(capacity=4)
-        engine.admit(job)
-        other = DecodeJob(enc=np.zeros((1, 4, CFG.hidden_dim * 2)),
-                          carry=job.carry, num_steps=2, constraint=None,
-                          weights=job.weights)
-        assert engine.admit(other) is None  # deferred, not crashed
-        while engine.inflight:
-            engine.step()
-        # Table drained: the conflicting dim now rebuilds the table.
-        with pytest.raises(Exception):
-            engine.admit(other)  # carry shape no longer matches enc dim
-        table = SlotTable(capacity=2, hidden_dim=CFG.hidden_dim)
-        assert table.free_slots == 2
+    def test_mixed_widths_co_reside(self, model, wide_model, pools, solo):
+        """Slots share no array, so a job of another hidden width is seated
+        next to in-flight work — no drain — and interleaved stepping gives
+        each its own model's solo result."""
+        sample = pools["short"][0]
+        engine = ContinuousEngine(capacity=2)
+        narrow = engine.admit(job_for(model, sample))
+        wide = engine.admit(job_for(wide_model, sample))
+        assert narrow is not None and wide is not None and narrow != wide
+        assert engine.inflight == 2
+        results = {}
+        while engine.inflight:  # one step of each per call
+            for retirement in engine.step():
+                assert retirement.error is None, retirement.error
+                results[retirement.slot] = retirement.result
+        seg_wide, rate_wide = wide_model.recover(make_batch([sample]))
+        for result, (seg, rate) in ((results[narrow], solo(sample)),
+                                    (results[wide], (seg_wide[0], rate_wide[0]))):
+            assert np.array_equal(result.segments, seg)
+            assert np.array_equal(result.rates, rate)
 
-    def test_retired_rows_are_scrubbed(self, model, pools):
+    def test_retired_slot_holds_nothing(self, model, pools):
+        """Retirement — by finishing, by a step error, by ``abort`` — frees
+        the slot and drops everything it held: once the caller lets go of
+        the job, its constraint tensor is collectable."""
+        def job_and_ref(**changes):
+            job = dataclasses.replace(job_for(model, pools["short"][0]),
+                                      **changes)
+            return job, weakref.ref(job.constraint)
+
         engine = ContinuousEngine(capacity=1)
-        run_to_completion(engine, [job_for(model, pools["short"][0])])
-        table = engine.table
-        assert not table.active.any()
-        assert np.all(table.state == 0.0)
-        assert np.all(table.prev_embed == 0.0)
-        assert table.jobs == [None]
-        assert table.segments_out == [None]
+        job, finished = job_and_ref()
+        result = run_to_completion(engine, [job])[0]
+        # Two constraint rows for a longer decode: step 2 raises.
+        job, failed = job_and_ref(
+            constraint=np.ones((1, 2, model.network.num_segments)))
+        engine.admit(job)
+        retired = []
+        while not retired:
+            retired = engine.step()
+        assert isinstance(retired[0].error, IndexError)
+        job, aborted = job_and_ref()
+        engine.admit(job)
+        engine.step()
+        assert isinstance(engine.abort()[0].error, EngineError)
+
+        assert engine.inflight == 0 and engine.free_slots == 1
+        assert engine.step() == []
+        assert engine.admitted == engine.retired == 3
+        del job, retired  # the error's traceback still reaches its job
+        gc.collect()
+        assert finished() is None and failed() is None and aborted() is None
+        assert len(result.segments) == pools["short"][0].target_length
 
 
 # ---------------------------------------------------------------------------
@@ -538,50 +612,87 @@ class TestContinuousScheduler:
                 future.result(timeout=60.0)
             assert future.done()
 
-    def test_conflicting_dim_job_defers_then_completes(self, model, city,
-                                                       pools, solo):
-        """Regression for the deferral retry: a hidden-dim conflict behind
-        in-flight work must park the already-prepared job and re-attempt
-        only the engine admission after the drain.  The broken path called
-        ``set_running_or_notify_cancel`` a second time on the RUNNING
-        future, which killed the worker thread and hung every request."""
-        wide_model = RNTrajRec(city, RNTrajRecConfig(
-            hidden_dim=8, num_heads=2, max_subgraph_nodes=24,
-            receptive_delta=300.0, dropout=0.0))
-        wide_model.eval()
+    def test_wide_job_is_admitted_beside_inflight_narrow(
+            self, model, wide_model, pools, solo):
+        """A hot swap to a model of another width blocks nobody: its first
+        job is admitted *while* a long job of the old width is in flight,
+        preempts it (it is shorter), and nothing waits for a drain."""
         wide_sample = pools["short"][0]
         wide_job = job_for(wide_model, wide_sample)
-        gate = threading.Event()
+        entered, gate = threading.Event(), threading.Event()
+        occupancy, order = [], []
 
         def prepare(sample):
+            entered.set()
             gate.wait(timeout=60.0)
             return job_for(model, sample)
 
-        scheduler = ContinuousScheduler(prepare=prepare, max_slots=4)
+        scheduler = ContinuousScheduler(prepare=prepare, max_slots=4,
+                                        on_step=occupancy.append)
         try:
-            # The gate holds the worker inside the first prepare, so all
-            # three requests queue in order before any admission happens.
-            first = scheduler.submit(pools["long"][0],
-                                     pools["long"][0].target_length)
-            wide = scheduler.submit_job(wide_job)     # conflicts in flight
-            behind = scheduler.submit(pools["short"][1],
-                                      pools["short"][1].target_length)
+            # The gate holds the worker inside the long job's prepare, so
+            # the other two are queued by the time it is seated.
+            futures = {"first": scheduler.submit(
+                pools["long"][0], pools["long"][0].target_length)}
+            assert entered.wait(timeout=60.0)
+            futures["wide"] = scheduler.submit_job(wide_job)
+            futures["behind"] = scheduler.submit(
+                pools["short"][1], pools["short"][1].target_length)
+            for name, future in futures.items():
+                future.add_done_callback(
+                    lambda _, name=name: order.append(name))
             gate.set()
-            result_first = first.result(timeout=300.0)
-            result_wide = wide.result(timeout=300.0)
-            result_behind = behind.result(timeout=300.0)
+            results = {name: future.result(timeout=300.0)
+                       for name, future in futures.items()}
             assert scheduler.pending == 0
-            assert scheduler.stats()["admitted"] == 3
+            stats = scheduler.stats()
         finally:
             scheduler.close()
-        for sample, result in ((pools["long"][0], result_first),
-                               (pools["short"][1], result_behind)):
+        assert stats["admitted"] == 3 and stats["preemptions"] == 2
+        assert max(occupancy) == 2  # never drained to make room
+        assert order == ["wide", "behind", "first"]
+        for sample, name in ((pools["long"][0], "first"),
+                             (pools["short"][1], "behind")):
             seg_solo, rate_solo = solo(sample)
-            assert np.array_equal(result.segments, seg_solo)
-            assert np.array_equal(result.rates, rate_solo)
+            assert np.array_equal(results[name].segments, seg_solo)
+            assert np.array_equal(results[name].rates, rate_solo)
         seg_wide, rate_wide = wide_model.recover(make_batch([wide_sample]))
-        assert np.array_equal(result_wide.segments, seg_wide[0])
-        assert np.array_equal(result_wide.rates, rate_wide[0])
+        assert np.array_equal(results["wide"].segments, seg_wide[0])
+        assert np.array_equal(results["wide"].rates, rate_wide[0])
+
+    def test_resolved_jobs_are_released(self, model, pools):
+        """Neither engine nor scheduler retains a retired job: once its
+        future has resolved — normally, with a step error, or through
+        ``close(drain=False)`` — and the caller drops its own references,
+        the job's constraint tensor is garbage."""
+        base = job_for(model, pools["short"][0])
+        stepping = threading.Event()
+
+        def submit(scheduler, num_steps, rows):
+            job = dataclasses.replace(
+                base, num_steps=num_steps, constraint=np.broadcast_to(
+                    1.0, (1, rows, model.network.num_segments)))
+            return scheduler.submit_job(job), weakref.ref(job.constraint)
+
+        scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=2)
+        done, finished = submit(scheduler, 4, 4)
+        assert len(done.result(timeout=60.0).segments) == 4
+        error, failed = submit(scheduler, 4, 2)  # step 2 has no row
+        assert isinstance(error.exception(timeout=60.0), IndexError)
+        scheduler.close()
+
+        scheduler = ContinuousScheduler(
+            prepare=lambda job: job, max_slots=2,
+            on_step=lambda admitted: stepping.set())
+        dropped, abandoned = submit(scheduler, 50_000, 50_000)
+        assert stepping.wait(timeout=60.0)
+        scheduler.close(drain=False)
+        assert isinstance(dropped.exception(timeout=60.0), RuntimeError)
+
+        del error  # a step error's traceback reaches the frame that ran it
+        gc.collect()
+        assert finished() is None and failed() is None
+        assert abandoned() is None
 
     def test_prepare_error_fails_only_that_future(self, model, pools):
         def prepare(sample):

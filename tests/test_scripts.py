@@ -47,16 +47,16 @@ class TestStreamDemo:
 
 
 class TestCheckDocs:
-    """``scripts/check_docs.py`` — the env-knob check over a scratch tree
-    (the names below are assembled at run time so this file never counts
-    as "reading" them)."""
+    """``scripts/check_docs.py`` — the env-knob and API-name checks over a
+    scratch tree (the knob names below are assembled at run time so this
+    file never counts as "reading" them)."""
 
     READ, UNREAD, PREFIX = ("REPRO_" + "DOCTEST_READ", "REPRO_" + "DOCTEST_GONE",
                             "REPRO_" + "DOCTEST_")
 
-    def _tree(self, tmp_path, doc="", workflow=""):
-        (tmp_path / "src" / "repro" / "pkg").mkdir(parents=True)
-        (tmp_path / "src" / "repro" / "pkg" / "__init__.py").write_text("")
+    def _tree(self, tmp_path, doc="", workflow="", init=""):
+        (tmp_path / "src" / "repro" / "pkg").mkdir(parents=True, exist_ok=True)
+        (tmp_path / "src" / "repro" / "pkg" / "__init__.py").write_text(init)
         (tmp_path / "benchmarks").mkdir()
         (tmp_path / "benchmarks" / "bench_x.py").write_text(
             f'import os\nBUDGET = os.environ.get("{self.READ}", 1)\n')
@@ -84,6 +84,24 @@ class TestCheckDocs:
                          workflow=f"run: {self.UNREAD}=1.3 python x.py\n")
         assert out.returncode == 1
         assert f"ci.yml: env knob '{self.UNREAD}'" in out.stdout
+
+    INIT = "from .engine import Engine, build as make\nLIMIT = 3\n"
+
+    def test_api_names_the_package_binds_pass(self, tmp_path):
+        (tmp_path / "src" / "repro" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "pkg" / "engine.py").write_text("")
+        out = self._tree(
+            tmp_path, init=self.INIT,
+            doc="`pkg.Engine(capacity)`, `pkg.make`, `pkg.LIMIT` and "
+                "`pkg.engine.Engine`; `pkg.py run` is a script, not a name.")
+        assert out.returncode == 0, out.stdout
+
+    def test_stale_api_name_is_reported(self, tmp_path):
+        out = self._tree(tmp_path, init=self.INIT,
+                         doc="`pkg.Engine` / `pkg.build` (`admit`, `step`)")
+        assert out.returncode == 1
+        assert "docs/api.md: `pkg.build` is not bound" in out.stdout
+        assert "pkg.Engine" not in out.stdout
 
 
 class TestPopulateCacheScript:

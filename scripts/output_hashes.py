@@ -1,0 +1,90 @@
+"""Hash the decode path's outputs, to diff one commit against another.
+
+    python scripts/output_hashes.py [--seed N] [--requests N] [--metro-block M]
+
+Prints sorted ``name sha256`` lines for the interpolation prior, the decode
+constraint (both as dense tensors) and ``recover``'s segments + rates over
+the perf ledger's first ``--requests`` ``metro-burst`` and ``http-cold``
+requests of ``--seed``, once on a built model and once on the same weights
+adopted read-only from the city's ``CityArtifacts`` (``mmap=True``).
+Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
+python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "ledger")]
+
+import workloads  # noqa: E402  (benchmarks/ledger)
+from repro import nn  # noqa: E402
+from repro.core import RNTrajRec  # noqa: E402
+from repro.core.decoder import interpolation_prior  # noqa: E402
+from repro.datasets import get_spec  # noqa: E402
+from repro.experiments.harness import small_model_config  # noqa: E402
+from repro.roadnet import CityArtifacts  # noqa: E402
+from repro.serve import ModelRegistry, RecoveryRequest, ServeConfig  # noqa: E402
+from repro.serve.request import assemble_sample  # noqa: E402
+from repro.trajectory.dataset import make_batch  # noqa: E402
+
+SECONDS = 3.0  # past 48 requests each; traces are drawn in send order,
+               # so a shorter window's requests are a prefix of the ledger's
+
+
+def _sha(*arrays) -> str:
+    """One digest over arrays (masks in whichever form the commit returns)."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = array.dense() if hasattr(array, "dense") else array
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def hash_lines(seed: int, requests: int, metro_block: float):
+    lines = []
+    for name in ("metro-burst", "http-cold"):
+        workload = workloads.generate(name, seed, SECONDS, metro_block)
+        nn.init.seed_everything(seed)  # the ledger's untrained weights
+        models, ingest = {}, {}
+        with tempfile.TemporaryDirectory() as scratch:
+            for city in workload.cities:
+                network = workload.networks[city.name]
+                built = RNTrajRec(network, small_model_config(32)).eval()
+                CityArtifacts.build(network, model=built).save(f"{scratch}/{city.name}")
+                mapped = ModelRegistry(artifacts=CityArtifacts.load(
+                    f"{scratch}/{city.name}", mmap=True)).register_artifact_model()
+                models[city.name] = {"built": built, "mmap": mapped}
+                ingest[city.name] = ServeConfig.for_spec(get_spec(city.dataset)).ingest()
+            for index, request in enumerate(workload.requests[:requests]):
+                city = workload.city_of[index]
+                local = RecoveryRequest(
+                    xy=workloads.to_local(workload, city, request.xy),
+                    times=request.times)
+                for label, model in models[city].items():
+                    batch = make_batch([assemble_sample(local, model.network, ingest[city])])
+                    prior = interpolation_prior(
+                        batch, model.network, model.config.decode_prior_scale,
+                        model.config.decode_prior_floor)
+                    key = f"{name}/{index:03d}/{city}/{label}"
+                    lines += [
+                        f"{key}/prior {_sha(prior)}",
+                        f"{key}/constraint {_sha(model.decode_constraint(batch))}",
+                        f"{key}/recover {_sha(*model.recover(batch))}"]
+    return sorted(lines)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--requests", type=int, default=48)
+    parser.add_argument("--metro-block", type=float, default=40.0)  # 11.9k segments
+    args = parser.parse_args()
+    print("\n".join(hash_lines(args.seed, args.requests, args.metro_block)))

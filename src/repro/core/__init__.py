@@ -1,7 +1,7 @@
 """RNTrajRec core: the paper's primary contribution."""
 
 from .config import RNTrajRecConfig
-from .decoder import DecoderOutput, GreedyCarry, RecoveryDecoder
+from .decoder import DecodeConstraint, DecoderOutput, GreedyCarry, RecoveryDecoder
 from .gps_former import ENV_CONTEXT_DIM, EncoderOutput, GPSFormer, GPSFormerBlock
 from .graph_refinement import (
     ConcatFusion,
@@ -18,6 +18,7 @@ from .subgraph_gen import PointSubGraph, SubGraphBatch, SubGraphGenerator
 
 __all__ = [
     "RNTrajRecConfig",
+    "DecodeConstraint",
     "DecoderOutput",
     "GreedyCarry",
     "RecoveryDecoder",

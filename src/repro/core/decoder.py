@@ -19,7 +19,9 @@ greedily with the same constraint masks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +32,17 @@ from ..nn.graph import ragged_positions
 from ..nn.tensor import Tensor, no_grad
 from ..trajectory.dataset import Batch
 from .config import RNTrajRecConfig
+
+
+_LOG_FLOOR = float(np.log(1e-12))   # log of the smallest mask value a row keeps
+# The certified argmax's error model, derived in greedy_step's docstring:
+_SCREEN_UNIT = 1.01 * 2.0 ** -24    # float32 unit roundoff, second-order terms in
+_FLOAT64_SLACK = 2.0 ** -36         # every float64 rounding on either side
+_TINY = 2.0 ** -63                  # on both factors: float32 underflow
+_NO_IDS, _NO_WEIGHTS = np.zeros(0, dtype=np.int64), np.zeros(0)
+# Rows narrower than this cost less to evaluate in float64 than to certify
+# (break-even near 900 columns at hidden_dim 32; the ledger has both sides).
+_SCREEN_WIDTH = 1024
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -51,6 +64,65 @@ class DecoderOutput:
     rates: Tensor               # (b, l_ρ)
 
 
+@dataclass(frozen=True)
+class DecodeConstraint:
+    """The decode-time mask of a (b, T) span of grid steps, sparse: row
+    ``(i, j)`` is ``base[i, j]`` except on ``ids[lo[i, j]:hi[i, j]]``,
+    where it is the matching ``weights``.  Steps may share a slice (rows
+    that interpolate to one position do), so this is O(b·T + support)
+    numbers; nothing |V|-wide exists until :meth:`row` or :meth:`dense`."""
+
+    base: np.ndarray       # (b, T) mask value off the step's support
+    lo: np.ndarray         # (b, T) support slice start into ids / weights
+    hi: np.ndarray         # (b, T) support slice end
+    ids: np.ndarray        # pooled support segment ids
+    weights: np.ndarray    # pooled support mask values
+    num_segments: int
+
+    @cached_property
+    def log_span(self) -> float:
+        """Width of the range of ``log max(m, 1e-12)`` over this mask's
+        values m, down-weighted by an escape weight ≤ 1 or not."""
+        peak = max(self.base.max(initial=1.0), self.weights.max(initial=1.0))
+        return float(np.log(peak)) - _LOG_FLOOR
+
+    def support(self, i: int, j: int) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Row ``i``, step ``j``: (base, support ids, their mask values)."""
+        hits = slice(self.lo[i, j], self.hi[i, j])
+        return self.base[i, j], self.ids[hits], self.weights[hits]
+
+    def row(self, j: int) -> np.ndarray:
+        """Step ``j``'s mask rows, dense (b, |V|)."""
+        out = np.empty((len(self.base), self.num_segments))
+        for i, row in enumerate(out):
+            base, ids, weights = self.support(i, j)
+            row[:] = base
+            row[ids] = weights
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The (b, T, |V|) mask tensor (beam search and tests)."""
+        return np.stack([self.row(j) for j in range(self.base.shape[1])], 1)
+
+
+def _immutable(array) -> bool:
+    """Whether ``array`` is read-only down to a read-only buffer (a
+    read-only memory map) — unlike a cleared ``writeable`` flag on owned
+    memory, which the owner can set again."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is not None and memoryview(array).readonly
+
+
+def screening_head(head: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(float32 copy of the (d, |V|) segment head, max_j ‖head_j‖₂): what
+    :func:`greedy_step` screens with, and its error scale."""
+    return (head.astype(np.float32),
+            float(np.sqrt(np.einsum("ij,ij->j", head, head).max())))
+
+
 @dataclass
 class GreedyWeights:
     """Raw arrays of every parameter the greedy kernel touches, unpacked once.
@@ -58,9 +130,9 @@ class GreedyWeights:
     The run-to-completion kernel unpacks these at the top of each decode
     call, the continuous-batching engine (``repro.serve.engine``) once per
     admitted job, so the per-step cost is pure math.  The arrays are
-    references to (not copies of) the decoder's parameters — building a
-    bundle is sixteen attribute reads, and it is only valid for as long as
-    the model generation it was built from.
+    references to (not copies of) the decoder's parameters, except the
+    screening pair derived from ``head`` (:func:`screening_head`); a bundle
+    is only valid for as long as the model generation it was built from.
     """
 
     w_h: np.ndarray          # attention key projection (d, d)
@@ -73,6 +145,8 @@ class GreedyWeights:
     w_c: np.ndarray          # GRU candidate
     b_c: np.ndarray
     head: np.ndarray         # segment head (d, |V|)
+    head32: Optional[np.ndarray]  # float32 copy of ``head``: the argmax screen
+    head_bound: float        # max_j ‖head_j‖₂: the screen's error scale
     rate_w: np.ndarray       # rate head (2d, 1)
     rate_b: np.ndarray
     embed_table: np.ndarray  # segment embeddings (|V|, d)
@@ -83,6 +157,7 @@ class GreedyWeights:
     @classmethod
     def from_decoder(cls, decoder: "RecoveryDecoder") -> "GreedyWeights":
         attention, gru = decoder.attention, decoder.gru
+        head32, head_bound = decoder.screening_head()
         return cls(
             w_h=attention.w_h.weight.data,
             w_g=attention.w_g.weight.data,
@@ -91,6 +166,7 @@ class GreedyWeights:
             w_r=gru.w_r.data, b_r=gru.b_r.data,
             w_c=gru.w_c.data, b_c=gru.b_c.data,
             head=decoder.segment_head.weight.data,
+            head32=head32, head_bound=head_bound,
             rate_w=decoder.rate_head.weight.data,
             rate_b=decoder.rate_head.bias.data,
             embed_table=decoder.segment_embedding.weight.data,
@@ -111,7 +187,8 @@ def greedy_step(
     enc: np.ndarray,
     keys: np.ndarray,
     carry: "GreedyCarry",
-    mask_row: Optional[np.ndarray],
+    constraint: Optional[DecodeConstraint],
+    j: int,
     reachability: Optional["ReachabilityMask"],
 ) -> Tuple[np.ndarray, np.ndarray, "GreedyCarry"]:
     """One greedy decode step; returns (predicted (b,), rates (b,), carry).
@@ -120,17 +197,31 @@ def greedy_step(
     shared verbatim between the run-to-completion kernel and the continuous-
     batching engine's per-slot stepper so the two can never drift: a slot
     stepped ``n`` times replays the exact floating-point op sequence of an
-    ``n``-step kernel call on the same carry.  ``mask_row`` is the step's
-    raw constraint row (a view is fine — nothing here mutates it);
-    the reachability combine with ``carry.prev_segments`` happens inside,
-    exactly as the full kernel does it.
+    ``n``-step kernel call on the same carry.  ``constraint`` / ``j`` name
+    the step's mask row; the reachability combine with
+    ``carry.prev_segments`` happens inside.  Nothing given is mutated.
+
+    **Certified argmax.**  The step is *defined* by the float64 row
+    ``s = x @ head + log max(m, 1e-12)`` (x the new GRU state, m the mask
+    row after the combine) but consumes only its ``argmax``, so it screens
+    in float32: ``ŝ = fl32(x) @ head32``, plus ``fl32(log max(m_j, 1e-12) −
+    c)`` on the columns where m_j is not the row's off-support, unreachable
+    value (whose log is c), and keeps the leader k iff ``ŝ_k − ŝ_j > 2δ``
+    for all j ≠ k.  ``δ = 1.01·2⁻²⁴·((d+3)·‖x‖₂·max_j‖head_j‖₂ + 2·span) +
+    2⁻³⁶`` bounds ``|ŝ_j − (s_j − c)|``: d+2 roundings of relative size
+    2⁻²⁴ in ``fl32(x̃·h̃_j)`` whatever the summation order, one for the
+    addend (at most span) and one for the add, 2⁻³⁶ for every float64
+    rounding on either side (``docs/serving.md`` spells it out).  A
+    certified k is therefore what ``np.argmax`` returns on *any* float64
+    evaluation of the row, uniquely.  Anything else — a near-tie, a NaN, an
+    overflow — runs the defining row itself and bumps
+    ``profile.count("decode.full_row")``.  δ only errs toward that, and
+    state, rates and carry never see float32: outputs cannot depend on
+    which path picked the index.
     """
     state, prev_embed, prev_rate = carry.state, carry.prev_embed, carry.prev_rate
-    prev_segments = carry.prev_segments
+    previous = carry.prev_segments if reachability is not None else None
     b, length = enc.shape[0], enc.shape[1]
-    if reachability is not None and prev_segments is not None:
-        mask_row = reachability.combine(mask_row, prev_segments,
-                                        weights.num_segments)
     # Additive attention (Eq. 14), mirroring AdditiveAttention.
     energy = np.tanh((state @ weights.w_g).reshape(b, 1, -1) + keys) @ weights.v
     scores = energy.reshape(b, length)
@@ -146,11 +237,23 @@ def greedy_step(
     rhx = np.concatenate([r * state, x], axis=-1)
     c = np.tanh(rhx @ weights.w_c + weights.b_c)
     state = (1.0 - z) * state + z * c
-    # Segment head + Eq. 16 mask, argmax only.
-    logits = state @ weights.head
-    if mask_row is not None:
-        logits = logits + np.log(np.maximum(mask_row, 1e-12))
-    predicted = np.argmax(logits, axis=-1)
+    # Segment head + Eq. 16 mask, argmax only: screened where a row is wide
+    # enough for the float64 product to cost more than certifying it.
+    predicted = None
+    if weights.num_segments >= _SCREEN_WIDTH:
+        predicted = _screened_argmax(weights, state, constraint, j,
+                                     reachability, previous)
+        if predicted is None:
+            profile.count("decode.full_row")
+    if predicted is None:
+        mask_row = constraint.row(j) if constraint is not None else None
+        if previous is not None:
+            mask_row = reachability.combine(mask_row, previous,
+                                            weights.num_segments)
+        logits = state @ weights.head
+        if mask_row is not None:
+            logits = logits + np.log(np.maximum(mask_row, 1e-12))
+        predicted = np.argmax(logits, axis=-1)
     # Rate head (Eq. 17), mirroring _rate.
     prev_embed = weights.embed_table[predicted]
     rate = _sigmoid(
@@ -160,6 +263,49 @@ def greedy_step(
     rates = np.minimum(np.maximum(rate.reshape(b), 0.0), 1.0 - 1e-9)
     return predicted, rates, GreedyCarry(state, prev_embed, rates[:, None],
                                          predicted)
+
+
+def _screened_argmax(weights: GreedyWeights, state: np.ndarray,
+                     constraint: Optional[DecodeConstraint], j: int,
+                     reachability: Optional["ReachabilityMask"],
+                     previous: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """:func:`greedy_step`'s float32 screen: the (b,) leaders if every row's
+    is certified, else ``None``."""
+    screen = state.astype(np.float32) @ weights.head32
+    escape = reachability.escape_weight if previous is not None else 1.0
+    span = 0.0
+    if constraint is not None or previous is not None:
+        span = -_LOG_FLOOR if constraint is None else constraint.log_span
+        for i, row in enumerate(screen):
+            base, ids, mask = (constraint.support(i, j) if constraint is not None
+                               else (1.0, _NO_IDS, _NO_WEIGHTS))
+            if previous is not None:
+                # A reachable column keeps its raw mask value: the base, or
+                # the support weight scattered over it.  Listed after the
+                # support, its term is the one the (gather, add, scatter)
+                # below lets stand.
+                reach = reachability.reachable(previous[i])
+                raw = np.empty(len(row))
+                raw[reach] = base
+                raw[ids] = mask
+                ids = np.concatenate((ids, reach))
+                mask = np.concatenate((mask * escape, raw[reach]))
+            row[ids] += (np.log(np.maximum(mask, 1e-12))
+                         - math.log(max(base * escape, 1e-12))).astype(np.float32)
+    predicted = screen.argmax(axis=-1)
+    tops = []
+    for i, k in enumerate(predicted.tolist()):
+        tops.append(float(screen[i, k]))
+        screen[i, k] = -np.inf  # the runner-up is the best of all the others
+    seconds = np.maximum.reduce(screen, axis=-1).tolist()
+    norms = np.sqrt(np.vecdot(state, state)).tolist()
+    scale = 2.0 * _SCREEN_UNIT * (weights.hidden_dim + 3) * (weights.head_bound + _TINY)
+    slack = 2.0 * (_SCREEN_UNIT * 2.0 * span + _FLOAT64_SLACK)
+    # Python floats: inf - inf is a quiet nan, and a nan or an infinite gap
+    # fails the comparison.
+    certified = all(scale * (norm + _TINY) + slack < top - second < np.inf
+                    for top, second, norm in zip(tops, seconds, norms))
+    return predicted if certified else None
 
 
 @dataclass
@@ -197,6 +343,23 @@ class RecoveryDecoder(nn.Module):
         self.gru = nn.GRUCell(2 * d + 1, d)
         self.segment_head = nn.Linear(d, num_segments, bias=False)
         self.rate_head = nn.Linear(2 * d, 1)
+        self._screen = None  # (head, screening_head(head)) of an immutable head
+
+    def screening_head(self) -> Tuple[Optional[np.ndarray], float]:
+        """:func:`screening_head` of the current segment head.  A copy
+        outliving a weight update would make the step's certificate silently
+        unsound, so it is derived per call — except over a head nothing in
+        this process can write to (:func:`_immutable`; mmap'd artifact
+        weights), whose pair is kept, keyed by the array itself."""
+        if self.num_segments < _SCREEN_WIDTH:
+            return None, 0.0  # rows this narrow are never screened
+        head = self.segment_head.weight.data
+        if self._screen is not None and self._screen[0] is head:
+            return self._screen[1]
+        screen = screening_head(head)
+        if _immutable(head):
+            self._screen = (head, screen)
+        return screen
 
     # ------------------------------------------------------------------
     def _step(
@@ -299,7 +462,7 @@ class RecoveryDecoder(nn.Module):
         encoder_outputs: Tensor,
         initial_state: Tensor,
         target_length: int,
-        constraint: Optional[np.ndarray],
+        constraint: Optional[DecodeConstraint],
         reachability: Optional["ReachabilityMask"] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Greedy inference; returns (segments (b, l_ρ), rates (b, l_ρ)).
@@ -310,14 +473,12 @@ class RecoveryDecoder(nn.Module):
         interval (k-hop neighborhood).  Observed timestamps always keep the
         paper's distance-based constraint mask.
 
-        The step recurrence is inherently sequential, but inference needs
-        neither gradients nor normalized probabilities, so the loop runs as
-        a raw-numpy kernel: the attention key projection is hoisted out of
-        the loop, each step replays the exact floating-point operations of
-        :meth:`_step_logits` on plain arrays (bit-identical outputs,
-        asserted by ``tests/test_vectorized_equivalence.py``), and greedy
-        selection uses ``argmax(logits + log mask)`` — the log-softmax
-        normalizer is a constant per row and cannot change the argmax.
+        Inference needs neither gradients nor normalized probabilities
+        (the log-softmax normalizer is constant per row), so the loop is a
+        raw-numpy kernel: each :func:`greedy_step` replays the floating-point
+        operations of :meth:`_step_logits` on plain arrays and selects
+        ``argmax(logits + log mask)`` (bit-identical outputs, asserted by
+        ``tests/test_vectorized_equivalence.py``).
         """
         segments, rates, _ = self.decode_greedy_from(
             encoder_outputs, self.initial_carry(initial_state.data),
@@ -344,13 +505,13 @@ class RecoveryDecoder(nn.Module):
         encoder_outputs,
         carry: GreedyCarry,
         num_steps: int,
-        constraint: Optional[np.ndarray],
+        constraint: Optional[DecodeConstraint],
         reachability: Optional["ReachabilityMask"] = None,
     ) -> Tuple[np.ndarray, np.ndarray, GreedyCarry]:
         """Greedy-decode ``num_steps`` more steps from a carry.
 
-        ``constraint`` covers exactly the decoded span — (b, num_steps, |V|)
-        — not the whole grid.  With ``carry = initial_carry(...)`` this IS
+        ``constraint`` covers exactly the decoded span — its step 0 is the
+        first step decoded here — not the whole grid.  With ``carry = initial_carry(...)`` this IS
         :meth:`decode_greedy`; with the carry a previous call returned it
         continues that decode bit-identically to the unsplit run (the
         reachability mask at the first step uses ``carry.prev_segments``,
@@ -368,10 +529,8 @@ class RecoveryDecoder(nn.Module):
             segments = np.zeros((b, num_steps), dtype=np.int64)
             rates = np.zeros((b, num_steps))
             for j in range(num_steps):
-                # No step mutates the mask, so a view (not a copy) is safe.
-                mask_row = constraint[:, j, :] if constraint is not None else None
                 predicted, step_rates, carry = greedy_step(
-                    weights, enc, keys, carry, mask_row, reachability)
+                    weights, enc, keys, carry, constraint, j, reachability)
                 segments[:, j] = predicted
                 rates[:, j] = step_rates
             return segments, rates, carry
@@ -475,80 +634,101 @@ def _prior_radius(scale: float, floor: float) -> float:
     return radius
 
 
+def _prior_weights(dists: np.ndarray, scale: float, floor: float) -> np.ndarray:
+    """Eq. 5's kernel exp(-d²/scale²), clamped from below at ``floor``."""
+    return np.maximum(np.exp(-(dists / scale) ** 2), floor)
+
+
+def _grid_positions(batch: Batch, start: int) -> np.ndarray:
+    """(b, l_ρ − start, 2): each sample's low-sample fixes linearly
+    interpolated at grid steps ``[start:]``."""
+    positions = np.empty((batch.size, batch.target_length - start, 2))
+    for i, sample in enumerate(batch.samples):
+        low = sample.raw_low
+        times = batch.target_times[i, start:]
+        positions[i, :, 0] = np.interp(times, low.times, low.xy[:, 0])
+        positions[i, :, 1] = np.interp(times, low.times, low.xy[:, 1])
+    return positions
+
+
+def _prior_support(points: np.ndarray, network, scale: float, floor: float):
+    """The interpolation prior at (n, 2) ``points``: per point a slice
+    (lo (n,), hi (n,)) into the pooled support (ids, weights).  Equal
+    points — clamped tails, padded grids, stationary spans, anywhere in the
+    batch — share one R-tree query and one slice, and all distinct points go
+    through one batched distance pass (bit-equal to a per-point loop)."""
+    _, first, inverse = np.unique(points, axis=0, return_index=True,
+                                  return_inverse=True)
+    indptr, ids, dists = network.segments_within_batch(
+        points[first], _prior_radius(scale, floor))
+    inverse = inverse.reshape(-1)
+    return (indptr[inverse], indptr[inverse + 1], ids,
+            _prior_weights(dists, scale, floor))
+
+
 def interpolation_prior(batch: Batch, network, scale: float, floor: float,
-                        start: int = 0) -> np.ndarray:
-    """(b, l_ρ − start, |V|) decode prior from linear position interpolation.
+                        start: int = 0) -> DecodeConstraint:
+    """The (b, l_ρ − start) decode prior from linear position interpolation.
 
     For each target timestamp the low-sample input is linearly interpolated
     to an approximate position; segments within the kernel's support
-    (:func:`_prior_radius` — at most 3·scale meters, and no further than
-    the weight can exceed ``floor``, which leaves the array unchanged)
-    receive weight exp(-d²/scale²) (Eq. 5's kernel) and everything else
-    ``floor``.
-    Combining this prior with the learned logits at decode time is a
-    Bayesian product of experts: the uniform-speed prior anchors positions
-    while the model disambiguates direction, route and timing.
-
-    Steps that interpolate to the same position (clamped tails past the
-    last fix, padded serving grids, stationary spans — deduplicated across
-    the *whole batch*, not just consecutive steps) share one R-tree query,
-    all distinct positions go through one batched distance pass (bit-equal
-    to a per-position loop), and each row's hits land in one fancy-indexed
-    assignment.
-
-    Only grid steps ``[start:]`` are materialized (a streaming suffix
-    decode needs no more); a step's row depends on that step's position
-    alone, so the result is bit-equal to slicing the full-grid prior.
+    (:func:`_prior_radius`) receive weight exp(-d²/scale²) (Eq. 5's kernel)
+    and everything else ``floor``.  Combining this prior with the learned
+    logits is a Bayesian product of experts: the uniform-speed prior anchors
+    positions while the model disambiguates direction, route and timing.
+    A step's row depends on its position alone, so building only steps
+    ``[start:]`` is bit-equal to slicing the full-grid prior.
     """
     with profile.section("decode.prior"):
-        b = batch.size
-        l_rho = batch.target_length - start
-        num_segments = network.num_segments
-        prior = np.full((b * l_rho, num_segments), floor)
-
-        positions = np.empty((b, l_rho, 2))
-        for i, sample in enumerate(batch.samples):
-            low = sample.raw_low
-            times = batch.target_times[i, start:]
-            positions[i, :, 0] = np.interp(times, low.times, low.xy[:, 0])
-            positions[i, :, 1] = np.interp(times, low.times, low.xy[:, 1])
-
-        flat = positions.reshape(-1, 2)
-        _, first, inverse = np.unique(flat, axis=0, return_index=True,
-                                      return_inverse=True)
-        indptr, ids, dists = network.segments_within_batch(
-            flat[first], _prior_radius(scale, floor))
-        weights = np.maximum(np.exp(-(dists / scale) ** 2), floor)
-        for row, u in enumerate(inverse.reshape(-1)):
-            hits = slice(indptr[u], indptr[u + 1])
-            prior[row, ids[hits]] = weights[hits]
-        return prior.reshape(b, l_rho, num_segments)
+        positions = _grid_positions(batch, start)
+        shape = positions.shape[:2]
+        lo, hi, ids, weights = _prior_support(
+            positions.reshape(-1, 2), network, scale, floor)
+        return DecodeConstraint(np.full(shape, floor), lo.reshape(shape),
+                                hi.reshape(shape), ids, weights,
+                                network.num_segments)
 
 
 def decode_constraint(batch: Batch, network, scale: float, floor: float,
-                      start: int = 0) -> np.ndarray:
-    """The (b, l_ρ − start, |V|) decode-time mask for grid steps
-    ``[start:]``: the paper's Eq. 16 distance constraint, sharpened by the
-    interpolation prior when ``scale`` > 0 — by definition
-    ``batch.constraint_tensor(|V|, start) * interpolation_prior(..., start)``,
-    built in the prior's one allocation instead of three.
+                      start: int = 0) -> DecodeConstraint:
+    """The decode-time mask for grid steps ``[start:]``: the paper's Eq. 16
+    distance constraint, sharpened by the interpolation prior when
+    ``scale`` > 0 — by definition (and ``.dense()`` bit for bit)
+    ``batch.constraint_tensor(|V|, start) * interpolation_prior(..., start)``.
 
-    An unobserved step's constraint row is all ones, so its product row
-    *is* the prior row (1.0·p == p).  An observed step's row is zero off
-    its Eq. 16 entry (0.0·p == 0.0) and ``weight · prior`` on it, so that
-    row is rewritten in place from the entry's few segments.
+    An unobserved step's product row *is* the prior row (1.0·p == p).  An
+    observed step's is zero off its Eq. 16 entry and ``weight · prior`` on
+    it: base 0 and the entry's few segments as support, the prior there
+    from the distance kernel, radius and clamp the prior's own support
+    uses — so the prior is queried at the unobserved steps only.
     """
-    if scale <= 0:
-        return batch.constraint_tensor(network.num_segments, start)
-    out = interpolation_prior(batch, network, scale, floor, start)
-    for i, sample in enumerate(batch.samples):
-        for j, entry in enumerate(sample.constraints[start:]):
-            if entry is not None:
-                ids, weights = entry
-                kept = weights * out[i, j, ids]
-                out[i, j] = 0.0
-                out[i, j, ids] = kept
-    return out
+    shape = (batch.size, batch.target_length - start)
+    base = np.full(shape, floor if scale > 0 else 1.0)
+    lo, hi = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+    ids, weights, free = _NO_IDS, _NO_WEIGHTS, np.ones(shape, dtype=bool)
+    observed = batch.observed_entries(start)
+    if observed is not None:
+        rows_i, rows_j, counts, entry_ids, entry_weights = observed
+        free[rows_i, rows_j] = False
+    if scale > 0:
+        positions = _grid_positions(batch, start)
+        if free.any():
+            with profile.section("decode.prior"):
+                lo[free], hi[free], ids, weights = _prior_support(
+                    positions[free], network, scale, floor)
+    if observed is not None:
+        if scale > 0:
+            at = positions[rows_i, rows_j].repeat(counts, axis=0)
+            dists = network.segment_distances(at[:, 0], at[:, 1], entry_ids)
+            entry_weights = entry_weights * np.where(
+                dists <= _prior_radius(scale, floor),
+                _prior_weights(dists, scale, floor), floor)
+        stops = len(ids) + np.cumsum(counts)
+        base[rows_i, rows_j] = 0.0
+        lo[rows_i, rows_j], hi[rows_i, rows_j] = stops - counts, stops
+        ids = np.concatenate([ids, entry_ids])
+        weights = np.concatenate([weights, entry_weights])
+    return DecodeConstraint(base, lo, hi, ids, weights, network.num_segments)
 
 
 class ReachabilityMask:
@@ -567,6 +747,9 @@ class ReachabilityMask:
         """A view of ``network.khop_closure(hops)`` — the CSR closure is
         memoized on (or preloaded into) the network, so every mask over one
         network shares its arrays and building one costs nothing."""
+        if not 0.0 <= escape_weight <= 1.0:
+            raise ValueError(
+                f"escape_weight must be in [0, 1]; got {escape_weight}")
         self.hops = hops
         self.escape_weight = escape_weight
         self.num_nodes = network.num_segments
@@ -576,6 +759,10 @@ class ReachabilityMask:
     def _sets(self) -> List[np.ndarray]:
         """Per-node reachable-id arrays (introspection view)."""
         return np.split(self._indices, self._indptr[1:-1])
+
+    def reachable(self, segment: int) -> np.ndarray:
+        """The segments reachable from ``segment`` (a CSR slice)."""
+        return self._indices[self._indptr[segment]:self._indptr[segment + 1]]
 
     def combine(self, mask_row: Optional[np.ndarray], previous: np.ndarray,
                 num_segments: int) -> np.ndarray:
@@ -596,8 +783,7 @@ class ReachabilityMask:
             # Engine slots decode batch-of-1: the reachable columns are one
             # contiguous CSR slice, no ragged gather needed.  Same columns,
             # same writes, same bits as the general path below.
-            p = int(previous[0])
-            cols = self._indices[self._indptr[p]:self._indptr[p + 1]]
+            cols = self.reachable(int(previous[0]))
             out[0, cols] = mask_row[0, cols]
             return out
         starts = self._indptr[previous]

@@ -22,7 +22,7 @@ from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
 from ..trajectory.trajectory import MatchedTrajectory
 from .config import RNTrajRecConfig
-from .decoder import ReachabilityMask, RecoveryDecoder, decode_constraint
+from .decoder import DecodeConstraint, ReachabilityMask, RecoveryDecoder, decode_constraint
 from .gps_former import EncoderOutput, GPSFormer
 from .loss import LossBreakdown, total_loss
 
@@ -88,14 +88,11 @@ class RNTrajRec(nn.Module):
         )
 
     # ------------------------------------------------------------------
-    def decode_constraint(self, batch: Batch, start: int = 0) -> np.ndarray:
-        """The (b, l_ρ − start, |V|) decode-time mask for grid steps
-        ``[start:]``: the paper's Eq. 16 distance constraint, sharpened by
-        the interpolation prior when configured
-        (:func:`~repro.core.decoder.decode_constraint`).  The one builder
-        behind :meth:`recover` and every engine admission (one-shot
-        requests and streaming suffixes alike); rows are bit-equal to
-        slicing the full-grid mask."""
+    def decode_constraint(self, batch: Batch, start: int = 0) -> DecodeConstraint:
+        """The sparse decode-time mask for grid steps ``[start:]``
+        (:func:`~repro.core.decoder.decode_constraint` under this model's
+        config): the one builder behind :meth:`recover` and every engine
+        admission, one-shot requests and streaming suffixes alike."""
         return decode_constraint(
             batch, self.network, self.config.decode_prior_scale,
             self.config.decode_prior_floor, start)
@@ -111,7 +108,7 @@ class RNTrajRec(nn.Module):
             if beam_width > 1:
                 return self.decoder.decode_beam(
                     encoded.point_features, encoded.trajectory_feature,
-                    batch.target_length, constraint, beam_width=beam_width,
+                    batch.target_length, constraint.dense(), beam_width=beam_width,
                 )
             return self.decoder.decode_greedy(
                 encoded.point_features,

@@ -33,6 +33,9 @@ Section names used by the built-in instrumentation:
 ``serve.admit``             one serving-engine admission (encode + constraint)
 ``engine.step``             one serving-engine decode step of the running slot
 ==========================  ====================================================
+
+and one counter: ``decode.full_row`` — decode steps whose float32-screened
+argmax was not certified and ran the float64 row (``greedy_step``).
 """
 
 from __future__ import annotations

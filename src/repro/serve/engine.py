@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import profile
-from ..core.decoder import GreedyCarry, GreedyWeights, greedy_step
+from ..core.decoder import DecodeConstraint, GreedyCarry, GreedyWeights, greedy_step
 from ..core.model import RNTrajRec
 from ..nn.tensor import no_grad
 from ..trajectory.dataset import RecoverySample, make_batch
@@ -64,9 +64,9 @@ class DecodeJob:
 
     ``enc`` is the (1, l_τ, d) encoder output, ``carry`` the starting
     :class:`GreedyCarry` (``initial_carry`` for one-shot requests, a
-    session checkpoint for streaming joins), ``constraint`` the
-    (1, num_steps, |V|) mask rows for exactly the decoded span (or
-    ``None``).  ``weights`` is the model's unpacked parameter bundle.
+    session checkpoint for streaming joins), ``constraint`` the sparse
+    mask of exactly the decoded span's ``num_steps`` steps (or ``None``).
+    ``weights`` is the model's unpacked parameter bundle.
     ``checkpoint_at`` ≥ 0 asks for the carry after that many steps (the
     streaming commit boundary); −1 disables it.  The engine only ever
     reads a job's arrays.
@@ -75,7 +75,7 @@ class DecodeJob:
     enc: np.ndarray
     carry: GreedyCarry
     num_steps: int
-    constraint: Optional[np.ndarray]
+    constraint: Optional[DecodeConstraint]
     weights: GreedyWeights
     reachability: Any = None
     tag: str = ""
@@ -90,7 +90,7 @@ def build_job(model: RNTrajRec, sample: RecoverySample, tag: str, *,
     The one place a decode is assembled — one-shot admissions, streaming
     suffix decodes and ``finalize`` all come through here: a batch-of-1
     encode, the starting carry (``initial_carry`` unless a session
-    checkpoint is given) and the constraint rows of the decoded span,
+    checkpoint is given) and the sparse constraint of the decoded span,
     replaying exactly the ops ``RNTrajRec.recover`` runs before its decode
     — the structural half of the engine's bit-identity guarantee (the
     other half is the shared per-step kernel).
@@ -237,11 +237,9 @@ class ContinuousEngine:
                     raise EngineError(f"slot {i} is not active")
                 job, j = slot.job, slot.step
                 try:
-                    mask_row = (job.constraint[:, j, :]
-                                if job.constraint is not None else None)
                     predicted, step_rates, slot.carry = greedy_step(
                         job.weights, job.enc, slot.keys, slot.carry,
-                        mask_row, job.reachability)
+                        job.constraint, j, job.reachability)
                     slot.segments[j] = predicted[0]
                     slot.rates[j] = step_rates[0]
                     slot.step = j + 1

@@ -1,7 +1,7 @@
 """The incremental decode engine: extend a recovery instead of redoing it.
 
 One-shot recovery (``RNTrajRec.recover``) pays O(l_ρ) decode steps — each
-with a |V|-wide segment head, constraint-mask materialization and an
+a |V|-wide segment-head row (screened, see ``greedy_step``) behind an
 R-tree-backed interpolation prior — every time it runs.  A streaming
 session that re-ran it on every appended fix would pay O(N·l_ρ) over its
 lifetime.  This engine exploits two structural facts:
@@ -16,8 +16,8 @@ lifetime.  This engine exploits two structural facts:
   An append is one :func:`~repro.serve.engine.build_job` decode job — the
   same builder one-shot admissions use — started from that checkpoint: it
   decodes **only the steps past it** (the still-revisable window behind
-  the commit horizon plus whatever the new fix added), with constraint
-  rows and the interpolation prior built for those steps alone, and
+  the commit horizon plus whatever the new fix added), with the sparse
+  constraint and its interpolation prior built for those steps alone, and
   ``checkpoint_at`` snapshots the next boundary carry in flight.
   Per-append decode work is O(horizon + new steps), independent of
   session length.

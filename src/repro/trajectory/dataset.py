@@ -186,6 +186,21 @@ class Batch:
     def target_length(self) -> int:
         return self.target_segments.shape[1]
 
+    def observed_entries(self, start: int = 0):
+        """The Eq. 16 entries of grid steps ``[start:]``: per observed step
+        its (sample index, step, entry length), and every entry's segment
+        ids and weights concatenated in that order; ``None`` if there are
+        no observed steps."""
+        found = [(i, j, *entry) for i, sample in enumerate(self.samples)
+                 for j, entry in enumerate(sample.constraints[start:])
+                 if entry is not None]
+        if not found:
+            return None
+        rows_i, rows_j, ids, weights = zip(*found)
+        return (np.array(rows_i), np.array(rows_j),
+                np.array([len(block) for block in ids]),
+                np.concatenate(ids), np.concatenate(weights))
+
     def constraint_tensor(self, num_segments: int, start: int = 0) -> np.ndarray:
         """(b, l_ρ − start, |V|) dense constraint masks (1.0 where
         unconstrained) for grid steps ``[start:]`` — the rows of the
@@ -196,24 +211,11 @@ class Batch:
         """
         mask = np.ones((self.size, self.target_length - start, num_segments),
                        dtype=np.float64)
-        rows_i: List[int] = []
-        rows_j: List[int] = []
-        id_blocks: List[np.ndarray] = []
-        weight_blocks: List[np.ndarray] = []
-        for i, sample in enumerate(self.samples):
-            for j, entry in enumerate(sample.constraints[start:]):
-                if entry is None:
-                    continue
-                rows_i.append(i)
-                rows_j.append(j)
-                id_blocks.append(entry[0])
-                weight_blocks.append(entry[1])
-        if not rows_i:
-            return mask
-        mask[rows_i, rows_j] = 0.0
-        lengths = [len(ids) for ids in id_blocks]
-        mask[np.repeat(rows_i, lengths), np.repeat(rows_j, lengths),
-             np.concatenate(id_blocks)] = np.concatenate(weight_blocks)
+        observed = self.observed_entries(start)
+        if observed is not None:
+            rows_i, rows_j, counts, ids, weights = observed
+            mask[rows_i, rows_j] = 0.0
+            mask[np.repeat(rows_i, counts), np.repeat(rows_j, counts), ids] = weights
         return mask
 
 

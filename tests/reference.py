@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import RNTrajRecConfig
+from repro.core.decoder import DecodeConstraint, GreedyCarry, _sigmoid
 from repro.core.subgraph_gen import PointSubGraph, SubGraphBatch
 from repro.geo.distance import gaussian_weight, project_point_to_polyline
 from repro.nn.tensor import Tensor
@@ -197,6 +198,66 @@ def reference_interpolation_prior(batch: Batch, network, scale: float,
                 prior[i, j, sid] = max(np.exp(-(dist / scale) ** 2), floor)
             prev_xy = xy
     return prior
+
+
+def constraint_from_dense(dense: np.ndarray) -> DecodeConstraint:
+    """A dense (b, T, |V|) mask tensor as the sparse constraint the decode
+    consumes: base 0 and every column support."""
+    b, steps, num_segments = dense.shape
+    lo = num_segments * np.arange(b * steps).reshape(b, steps)
+    return DecodeConstraint(
+        np.zeros((b, steps)), lo, lo + num_segments,
+        np.tile(np.arange(num_segments), b * steps),
+        np.ascontiguousarray(dense, dtype=np.float64).reshape(-1), num_segments)
+
+
+def reference_greedy_step(
+    weights: "GreedyWeights",
+    enc: np.ndarray,
+    keys: np.ndarray,
+    carry: "GreedyCarry",
+    mask_row: Optional[np.ndarray],
+    reachability: Optional["ReachabilityMask"],
+) -> Tuple[np.ndarray, np.ndarray, "GreedyCarry"]:
+    """``decoder.greedy_step`` as it was before the certified float32
+    screen: the dense (b, |V|) ``mask_row`` and the full float64 logits
+    row on every step — the definition the screened kernel must reproduce
+    index for index, and every downstream byte with it."""
+    state, prev_embed, prev_rate = carry.state, carry.prev_embed, carry.prev_rate
+    prev_segments = carry.prev_segments
+    b, length = enc.shape[0], enc.shape[1]
+    if reachability is not None and prev_segments is not None:
+        mask_row = reachability.combine(mask_row, prev_segments,
+                                        weights.num_segments)
+    # Additive attention (Eq. 14), mirroring AdditiveAttention.
+    energy = np.tanh((state @ weights.w_g).reshape(b, 1, -1) + keys) @ weights.v
+    scores = energy.reshape(b, length)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    attn = exp / exp.sum(axis=-1, keepdims=True)
+    context = (attn.reshape(b, 1, -1) @ enc).reshape(b, -1)
+    # GRU cell (Eq. 15), mirroring nn.GRUCell.forward.
+    x = np.concatenate([prev_embed, prev_rate, context], axis=-1)
+    hx = np.concatenate([state, x], axis=-1)
+    z = _sigmoid(hx @ weights.w_z + weights.b_z)
+    r = _sigmoid(hx @ weights.w_r + weights.b_r)
+    rhx = np.concatenate([r * state, x], axis=-1)
+    c = np.tanh(rhx @ weights.w_c + weights.b_c)
+    state = (1.0 - z) * state + z * c
+    # Segment head + Eq. 16 mask, argmax only.
+    logits = state @ weights.head
+    if mask_row is not None:
+        logits = logits + np.log(np.maximum(mask_row, 1e-12))
+    predicted = np.argmax(logits, axis=-1)
+    # Rate head (Eq. 17), mirroring _rate.
+    prev_embed = weights.embed_table[predicted]
+    rate = _sigmoid(
+        np.concatenate([prev_embed, state], axis=-1) @ weights.rate_w
+        + weights.rate_b
+    )
+    rates = np.minimum(np.maximum(rate.reshape(b), 0.0), 1.0 - 1e-9)
+    return predicted, rates, GreedyCarry(state, prev_embed, rates[:, None],
+                                         predicted)
 
 
 def reference_decode_greedy(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from repro import nn
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import RecoveryDecoder
@@ -42,7 +43,8 @@ def test_beam_width_one_matches_greedy_score_path(city, batch):
     enc = nn.Tensor(np.random.default_rng(1).normal(size=(batch.size, batch.input_length, CFG.hidden_dim)))
     state = nn.Tensor(np.zeros((batch.size, CFG.hidden_dim)))
     constraint = batch.constraint_tensor(city.num_segments)
-    greedy_seg, _ = decoder.decode_greedy(enc, state, batch.target_length, constraint)
+    greedy_seg, _ = decoder.decode_greedy(
+        enc, state, batch.target_length, reference.constraint_from_dense(constraint))
     beam_seg, _ = decoder.decode_beam(enc, state, batch.target_length, constraint, beam_width=1)
     assert np.array_equal(greedy_seg, beam_seg)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from repro import nn
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import (
@@ -74,7 +75,8 @@ class TestDecoder:
         # Force every step to allow only segment 3.
         constraint = np.zeros((batch.size, batch.target_length, city.num_segments))
         constraint[:, :, 3] = 1.0
-        segments, rates = decoder.decode_greedy(enc, state, batch.target_length, constraint)
+        segments, rates = decoder.decode_greedy(
+            enc, state, batch.target_length, reference.constraint_from_dense(constraint))
         assert np.all(segments == 3)
         assert np.all((rates >= 0) & (rates < 1))
 
@@ -116,13 +118,13 @@ class TestReachability:
 
 class TestInterpolationPrior:
     def test_shape_and_floor(self, city, batch):
-        prior = interpolation_prior(batch, city, scale=150.0, floor=0.005)
+        prior = interpolation_prior(batch, city, scale=150.0, floor=0.005).dense()
         assert prior.shape == (batch.size, batch.target_length, city.num_segments)
         assert prior.min() >= 0.005
         assert prior.max() <= 1.0
 
     def test_anchors_weight_near_segments_higher(self, city, batch):
-        prior = interpolation_prior(batch, city, scale=150.0, floor=0.005)
+        prior = interpolation_prior(batch, city, scale=150.0, floor=0.005).dense()
         sample = batch.samples[0]
         step = int(sample.observed_steps[0])
         x, y = sample.raw_low.xy[0]
@@ -136,10 +138,10 @@ class TestInterpolationPrior:
         clamped to ``floor`` anyway: the prior is the same array."""
         from repro.core import decoder
 
-        new = interpolation_prior(batch, city, 150.0, floor)
+        new = interpolation_prior(batch, city, 150.0, floor).dense()
         monkeypatch.setattr(decoder, "_prior_radius",
                             lambda scale, floor: 3.0 * scale)
-        old = interpolation_prior(batch, city, 150.0, floor)
+        old = interpolation_prior(batch, city, 150.0, floor).dense()
         assert np.array_equal(new, old)
         if floor == 1.0:
             assert np.all(new == 1.0)
@@ -157,9 +159,10 @@ class TestDecodeConstraint:
         batch = make_batch(samples[:size])
         length = batch.target_length
         for start in (0, length // 2, length - 1):
-            built = decode_constraint(batch, city, 150.0, floor, start)
+            built = decode_constraint(batch, city, 150.0, floor, start).dense()
             defined = (batch.constraint_tensor(city.num_segments, start)
-                       * interpolation_prior(batch, city, 150.0, floor, start))
+                       * interpolation_prior(batch, city, 150.0, floor,
+                                             start).dense())
             assert built.shape == (size, length - start, city.num_segments)
             assert np.array_equal(built, defined)
 
@@ -168,15 +171,115 @@ class TestDecodeConstraint:
         batch = make_batch(samples[:size])
         for start in (0, batch.target_length // 2, batch.target_length - 1):
             assert np.array_equal(
-                decode_constraint(batch, city, 0.0, 0.005, start),
+                decode_constraint(batch, city, 0.0, 0.005, start).dense(),
                 batch.constraint_tensor(city.num_segments, start))
 
     def test_model_method_is_the_builder(self, city, batch):
         model = RNTrajRec(city, CFG)
         assert np.array_equal(
-            model.decode_constraint(batch, 3),
+            model.decode_constraint(batch, 3).dense(),
             decode_constraint(batch, city, CFG.decode_prior_scale,
-                              CFG.decode_prior_floor, 3))
+                              CFG.decode_prior_floor, 3).dense())
+
+
+class TestScreeningHeadFreshness:
+    """The float32 screening copy of the segment head is derived from
+    ``segment_head.weight``; one that outlived a weight update would make
+    the step's certificate silently unsound.  For every way weights get
+    written: decode, write, decode again — both equal the float64
+    reference kernel on the weights of the moment (an identity-keyed memo
+    over writable arrays fails the in-place cases)."""
+
+    STEPS = 6
+
+    @pytest.fixture(autouse=True)
+    def screen_every_width(self, monkeypatch):
+        from repro.core import decoder
+
+        monkeypatch.setattr(decoder, "_SCREEN_WIDTH", 0)
+
+    def _assert_fresh(self, decoder, seed=0):
+        from repro.core.decoder import GreedyWeights
+
+        rng = np.random.default_rng(seed)
+        enc = rng.normal(size=(2, 4, CFG.hidden_dim))
+        state = rng.normal(size=(2, CFG.hidden_dim))
+        segments, rates = decoder.decode_greedy(
+            nn.Tensor(enc), nn.Tensor(state), self.STEPS, None)
+        weights = GreedyWeights.from_decoder(decoder)  # float64 arrays: live
+        carry, keys = decoder.initial_carry(state), weights.project_keys(enc)
+        for j in range(self.STEPS):
+            predicted, step_rates, carry = reference.reference_greedy_step(
+                weights, enc, keys, carry, None, None)
+            assert np.array_equal(segments[:, j], predicted)
+            assert np.array_equal(rates[:, j], step_rates)
+
+    def _scrambled(self, city, seed):
+        """A model whose segment head is far from any other seed's, so a
+        stale screen would certify the wrong leaders."""
+        nn.init.seed_everything(seed)
+        model = RNTrajRec(city, CFG).eval()
+        head = model.decoder.segment_head.weight
+        head.data = 3.0 * np.random.default_rng(seed).normal(size=head.data.shape)
+        return model
+
+    def test_optimizer_step_and_in_place_write(self, city):
+        decoder = self._scrambled(city, 1).decoder
+        self._assert_fresh(decoder)
+        head = decoder.segment_head.weight
+        head.grad = np.random.default_rng(2).normal(size=head.data.shape)
+        nn.SGD([head], lr=5.0).step()
+        self._assert_fresh(decoder)
+        head.data *= -1.0  # same array object, new contents
+        self._assert_fresh(decoder)
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_load_state_dict(self, city, copy):
+        model, other = self._scrambled(city, 1), self._scrambled(city, 2)
+        self._assert_fresh(model.decoder)
+        model.load_state_dict(other.state_dict(), copy=copy)
+        self._assert_fresh(model.decoder)
+
+    def test_mapped_checkpoints_and_back_to_writable(self, city, tmp_path):
+        from repro.nn.serialization import load_checkpoint, save_checkpoint
+
+        model = self._scrambled(city, 1)
+        paths = [save_checkpoint(self._scrambled(city, seed),
+                                 str(tmp_path / f"m{seed}")) for seed in (2, 3)]
+        for path in paths:  # read-only maps: the pair may be kept per array
+            load_checkpoint(model, path, mmap=True)
+            self._assert_fresh(model.decoder)
+            self._assert_fresh(model.decoder, seed=1)
+        model.load_state_dict(self._scrambled(city, 4).state_dict())
+        self._assert_fresh(model.decoder)
+
+    def test_transfer_model(self, city):
+        from repro.scenarios import transfer_model
+        from repro.scenarios.transfer import transfer_state
+
+        model, _ = transfer_model(self._scrambled(city, 1), city)
+        self._assert_fresh(model.eval().decoder)
+        transfer_state(self._scrambled(city, 2), model)
+        self._assert_fresh(model.decoder)
+
+    def test_register_artifact_model(self, city):
+        from repro.roadnet import CityArtifacts
+        from repro.serve.registry import ModelRegistry
+
+        artifacts = CityArtifacts.build(city, model=self._scrambled(city, 1))
+        registry = ModelRegistry(artifacts=artifacts)
+        model = registry.register_artifact_model("a")
+        self._assert_fresh(model.decoder)
+        model.load_state_dict(self._scrambled(city, 2).state_dict())
+        self._assert_fresh(model.decoder)
+
+    def test_baseline_decoder_has_the_same_guarantee(self, city):
+        from repro.baselines import build_baseline
+
+        baseline = build_baseline("mtrajrec", city, CFG).eval()
+        self._assert_fresh(baseline.decoder)
+        baseline.decoder.segment_head.weight.data *= -2.0
+        self._assert_fresh(baseline.decoder)
 
 
 class TestConfigValidation:

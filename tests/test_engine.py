@@ -23,8 +23,9 @@ import weakref
 import numpy as np
 import pytest
 
+import reference
 from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.core.decoder import GreedyWeights
+from repro.core.decoder import DecodeConstraint, GreedyWeights
 from repro.nn.tensor import no_grad
 from repro.roadnet import CityConfig, generate_city
 from repro.serve import (
@@ -135,7 +136,9 @@ def frozen(job):
     engine keeps references (a slot starts on the job's own carry, results
     and checkpoints are the kernel's own outputs), so an in-place write
     anywhere on the step path must raise, not corrupt a neighbour."""
-    for array in [job.enc, job.constraint] + carry_arrays(job.carry):
+    constraint = [value for value in vars(job.constraint).values()
+                  if isinstance(value, np.ndarray)]
+    for array in [job.enc] + constraint + carry_arrays(job.carry):
         array.flags.writeable = False
     return job
 
@@ -251,7 +254,7 @@ class TestStreamingCarryJoins:
                 encoded.trajectory_feature.data)
             # The committed prefix: decoded locally, its carry checkpointed.
             _, _, carry = model.decoder.decode_greedy_from(
-                enc, carry0, split, constraint[:, :split],
+                enc, carry0, split, constraint,
                 reachability=model.reachability)
         return batch, enc, constraint, carry
 
@@ -263,12 +266,12 @@ class TestStreamingCarryJoins:
         length = batch.target_length
         with no_grad():
             seg_ref, rate_ref, carry_ref = model.decoder.decode_greedy_from(
-                enc, carry, length - 5, constraint[:, 5:],
+                enc, carry, length - 5, model.decode_constraint(batch, 5),
                 reachability=model.reachability)
 
         suffix = DecodeJob(
             enc=enc, carry=carry, num_steps=length - 5,
-            constraint=constraint[:, 5:],
+            constraint=model.decode_constraint(batch, 5),
             weights=GreedyWeights.from_decoder(model.decoder),
             reachability=model.reachability,
         )
@@ -296,7 +299,7 @@ class TestStreamingCarryJoins:
             carry0 = model.decoder.initial_carry(
                 encoded.trajectory_feature.data)
             _, _, carry_ref = model.decoder.decode_greedy_from(
-                enc, carry0, boundary, constraint[:, :boundary],
+                enc, carry0, boundary, constraint,
                 reachability=model.reachability)
 
         job = job_for(model, sample, checkpoint_at=boundary)
@@ -328,7 +331,7 @@ class TestStreamingCarryJoins:
         before = [array.tobytes() for array in carry_arrays(carry)]
         suffix = DecodeJob(
             enc=enc, carry=carry, num_steps=batch.target_length - 5,
-            constraint=constraint[:, 5:],
+            constraint=model.decode_constraint(batch, 5),
             weights=GreedyWeights.from_decoder(model.decoder),
             reachability=model.reachability, checkpoint_at=0,
         )
@@ -342,6 +345,27 @@ class TestStreamingCarryJoins:
 # Slot table mechanics
 # ---------------------------------------------------------------------------
 class TestSlotTableMechanics:
+    def test_built_job_holds_no_dense_constraint(self, model, pools):
+        """``build_job`` — the serving path's one decode builder — hands
+        the engine O(T + support) constraint numbers: per step a base and
+        a slice, plus the pooled support; nothing of size T·|V|."""
+        from repro.serve.engine import build_job
+
+        sample = pools["long"][0]
+        job = build_job(model, sample, "tag")
+        constraint, steps = job.constraint, job.num_steps
+        width = model.network.num_segments
+        arrays = {name: value for name, value in vars(constraint).items()
+                  if isinstance(value, np.ndarray)}
+        assert set(arrays) == {"base", "lo", "hi", "ids", "weights"}
+        for name in ("base", "lo", "hi"):
+            assert arrays[name].shape == (1, steps)
+        support = int((constraint.hi - constraint.lo).max())
+        assert 0 < support < width
+        assert len(constraint.ids) == len(constraint.weights) <= steps * support
+        assert sum(a.size for a in arrays.values()) < steps * width
+        assert constraint.dense().shape == (1, steps, width)
+
     def test_saturation_raises_and_reuse_is_lifo(self, model, pools):
         jobs = [job_for(model, s) for s in pools["short"][:3]]
         engine = ContinuousEngine(capacity=2)
@@ -406,8 +430,8 @@ class TestSlotTableMechanics:
         job, finished = job_and_ref()
         result = run_to_completion(engine, [job])[0]
         # Two constraint rows for a longer decode: step 2 raises.
-        job, failed = job_and_ref(
-            constraint=np.ones((1, 2, model.network.num_segments)))
+        job, failed = job_and_ref(constraint=reference.constraint_from_dense(
+            np.ones((1, 2, model.network.num_segments))))
         engine.admit(job)
         retired = []
         while not retired:
@@ -669,9 +693,11 @@ class TestContinuousScheduler:
         stepping = threading.Event()
 
         def submit(scheduler, num_steps, rows):
+            nothing = np.zeros((1, rows), dtype=np.int64)
             job = dataclasses.replace(
-                base, num_steps=num_steps, constraint=np.broadcast_to(
-                    1.0, (1, rows, model.network.num_segments)))
+                base, num_steps=num_steps, constraint=DecodeConstraint(
+                    np.ones((1, rows)), nothing, nothing, nothing[0, :0],
+                    np.zeros(0), model.network.num_segments))
             return scheduler.submit_job(job), weakref.ref(job.constraint)
 
         scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=2)

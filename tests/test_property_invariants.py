@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
+import reference
 from repro.geo.distance import gaussian_weight, point_along_polyline, project_point_to_polyline
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -220,6 +221,25 @@ class TestSubGraphMemoPurity:
                 assert np.array_equal(cold_or_warm, warm_or_cold)
 
 
+def random_greedy_weights(rng, d, num_segments, head_scale=1.0):
+    """A random parameter bundle for the greedy kernel."""
+    from repro.core.decoder import GreedyWeights, screening_head
+
+    normal = rng.normal
+    head = head_scale * normal(size=(d, num_segments))
+    head32, head_bound = screening_head(head)
+    return GreedyWeights(
+        w_h=normal(size=(d, d)), w_g=normal(size=(d, d)), v=normal(size=d),
+        w_z=normal(size=(3 * d + 1, d)), b_z=normal(size=d),
+        w_r=normal(size=(3 * d + 1, d)), b_r=normal(size=d),
+        w_c=normal(size=(3 * d + 1, d)), b_c=normal(size=d),
+        head=head, head32=head32, head_bound=head_bound,
+        rate_w=normal(size=(2 * d, 1)), rate_b=normal(size=1),
+        embed_table=normal(size=(num_segments, d)), start=normal(size=d),
+        num_segments=num_segments, hidden_dim=d,
+    )
+
+
 class TestSlotTableProperties:
     """Random admit/step/retire interleavings over the continuous-batching
     slot table: no slot leaks, no state aliasing between sequences, and
@@ -228,21 +248,7 @@ class TestSlotTableProperties:
     D, V, L = 4, 6, 5  # hidden dim, vocabulary, encoder length
 
     def _weights(self, rng):
-        from repro.core.decoder import GreedyWeights
-
-        normal = rng.normal
-        return GreedyWeights(
-            w_h=normal(size=(self.D, self.D)), w_g=normal(size=(self.D, self.D)),
-            v=normal(size=self.D),
-            w_z=normal(size=(3 * self.D + 1, self.D)), b_z=normal(size=self.D),
-            w_r=normal(size=(3 * self.D + 1, self.D)), b_r=normal(size=self.D),
-            w_c=normal(size=(3 * self.D + 1, self.D)), b_c=normal(size=self.D),
-            head=normal(size=(self.D, self.V)),
-            rate_w=normal(size=(2 * self.D, 1)), rate_b=normal(size=1),
-            embed_table=normal(size=(self.V, self.D)),
-            start=normal(size=self.D),
-            num_segments=self.V, hidden_dim=self.D,
-        )
+        return random_greedy_weights(rng, self.D, self.V)
 
     def _job(self, rng, weights, num_steps):
         from repro.core.decoder import GreedyCarry
@@ -263,7 +269,8 @@ class TestSlotTableProperties:
             enc=arrays["enc"], num_steps=num_steps,
             carry=GreedyCarry(arrays["state"], arrays["prev_embed"],
                               arrays["prev_rate"], prev_segments=None),
-            constraint=arrays["constraint"], weights=weights,
+            constraint=reference.constraint_from_dense(arrays["constraint"]),
+            weights=weights,
         )
 
     def _solo(self, job):
@@ -276,8 +283,7 @@ class TestSlotTableProperties:
         rates = np.zeros(job.num_steps)
         for j in range(job.num_steps):
             predicted, step_rates, carry = greedy_step(
-                job.weights, job.enc, keys, carry,
-                job.constraint[:, j, :], None)
+                job.weights, job.enc, keys, carry, job.constraint, j, None)
             segments[j] = predicted[0]
             rates[j] = step_rates[0]
         return segments, rates
@@ -401,3 +407,220 @@ class TestSlotTableProperties:
                     # a was queued before b's final round was chosen
                     if keys[a] < keys[b] and arrivals[a] <= done[b] - 2:
                         assert done[a] < done[b], (keys, arrivals, done)
+
+
+def counted_full_rows(step):
+    """(what ``step()`` returns, how often ``decode.full_row`` was bumped)."""
+    from repro import profile
+
+    profile.reset()
+    profile.enable()
+    try:
+        return step(), profile.stats()["counters"].get("decode.full_row", 0)
+    finally:
+        profile.disable()
+        profile.reset()
+
+
+class TestCertifiedArgmax:
+    """``greedy_step``'s float32-screened, certified argmax against
+    ``reference_greedy_step`` (the dense float64 row on every step):
+    adversarial heads, masks and planted near-ties — same index, same
+    rates, same carry bytes on every draw, and the float64 fallback taken
+    exactly when the certificate says it must be."""
+
+    FLOOR = 0.005
+
+    @staticmethod
+    def _delta(state, head_bound, dense, masked):
+        """The documented per-row error bound, restated (not imported):
+        float32 unit roundoff 2⁻²⁴ over a (d+2)-rounding dot product, one
+        rounded addend of at most ``span`` and one float32 add, plus the
+        float64 slack."""
+        span = 0.0
+        if masked:
+            peak = 1.0 if dense is None else max(1.0, dense.max())
+            span = np.log(peak) - np.log(1e-12)
+        norm = np.linalg.norm(state, axis=-1)
+        return (1.01 * 2.0 ** -24 * ((state.shape[-1] + 3) * norm * head_bound
+                                     + 2.0 * span) + 2.0 ** -36)
+
+    def _reachability(self, rng, num_segments):
+        """The same random 1-hop sets as a loop-built reference mask and
+        as a ``ReachabilityMask`` over a stub network's CSR closure."""
+        from repro.core.decoder import ReachabilityMask
+
+        neighbors = [rng.choice(num_segments, size=int(rng.integers(0, 4)))
+                     .tolist() for _ in range(num_segments)]
+        ref = reference.ReferenceReachability(neighbors, hops=1)
+
+        class Stub:
+            pass
+
+        stub = Stub()
+        stub.num_segments = num_segments
+        lengths = [len(reached) for reached in ref._sets]
+        closure = (np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+                   np.concatenate(ref._sets).astype(np.int64))
+        stub.khop_closure = lambda hops: closure
+        return ref, ReachabilityMask(stub, hops=1)
+
+    def _mask(self, rng, b, num_segments, kind):
+        """(dense (b, 1, |V|) mask, the same mask as a sparse constraint
+        built here from base + support, not through ``from_dense``)."""
+        from repro.core.decoder import DecodeConstraint
+
+        base = rng.choice([0.0, self.FLOOR, 1.0], size=(b, 1))
+        dense = np.repeat(base[:, :, None], num_segments, axis=2)
+        lo, hi = np.zeros((b, 1), np.int64), np.zeros((b, 1), np.int64)
+        ids, weights = [], []
+        for i in range(b):
+            size = int(rng.integers(0, num_segments + 1))
+            support = rng.choice(num_segments, size=size, replace=False)
+            values = {
+                "uniform": rng.uniform(0.0, 1.0, size=size),
+                "duplicates": rng.choice([0.0, self.FLOOR, 0.3, 1.0], size=size),
+                "zeros": np.zeros(size),
+            }[kind]
+            dense[i, 0, support] = values
+            lo[i, 0] = sum(len(block) for block in ids)
+            hi[i, 0] = lo[i, 0] + size
+            ids.append(support)
+            weights.append(values)
+        constraint = DecodeConstraint(
+            base, lo, hi, np.concatenate(ids).astype(np.int64),
+            np.concatenate(weights), num_segments)
+        assert np.array_equal(constraint.dense(), dense)
+        assert np.array_equal(
+            reference.constraint_from_dense(dense).dense(), dense)
+        return dense, constraint
+
+    @given(seed=st.integers(0, 2 ** 31), d=st.integers(4, 64),
+           num_segments=st.one_of(st.integers(2, 64), st.integers(65, 4096)),
+           log_scale=st.floats(-3.0, 3.0), b=st.sampled_from([1, 3]),
+           reach=st.booleans(),
+           mask_kind=st.sampled_from(["none", "uniform", "duplicates", "zeros"]),
+           plant=st.sampled_from(["nothing", "tie", 0.1, 1.0, 10.0,
+                                  "nan-state", "nan-head"]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_index_rates_and_carry_as_the_float64_row(
+            self, seed, d, num_segments, log_scale, b, reach, mask_kind, plant):
+        import dataclasses
+        from unittest import mock
+
+        from repro.core import decoder
+        from repro.core.decoder import GreedyCarry, greedy_step, screening_head
+
+        rng = np.random.default_rng(seed)
+        weights = random_greedy_weights(rng, d, num_segments, 10.0 ** log_scale)
+        enc = rng.normal(size=(b, 5, d))
+        keys = weights.project_keys(enc)
+        carry = GreedyCarry(
+            rng.normal(size=(b, d)), rng.normal(size=(b, d)),
+            rng.uniform(0, 1, size=(b, 1)),
+            rng.integers(num_segments, size=b) if reach else None)
+        reach_ref, reach_new = (self._reachability(rng, num_segments)
+                                if reach else (None, None))
+        dense, constraint = (self._mask(rng, b, num_segments, mask_kind)
+                             if mask_kind != "none" else (None, None))
+        mask_row = dense[:, 0, :] if dense is not None else None
+
+        def logits_row(head):
+            """The defining float64 row and the post-GRU state."""
+            probe = dataclasses.replace(weights, head=head)
+            state = reference.reference_greedy_step(
+                probe, enc, keys, carry, mask_row, reach_ref)[2].state
+            combined = mask_row
+            if reach:
+                combined = reach_ref.combine(mask_row, carry.prev_segments,
+                                             num_segments)
+            row = state @ head
+            if combined is not None:
+                row = row + np.log(np.maximum(combined, 1e-12))
+            return row, state, combined
+
+        head = weights.head.copy()
+        if plant == "nan-state":
+            carry = dataclasses.replace(carry, state=carry.state.copy())
+            carry.state[0, 0] = np.nan
+        elif plant == "nan-head":
+            head[rng.integers(d), rng.integers(num_segments)] = np.nan
+        elif plant != "nothing":
+            # Row 0's leader k and a rival j sharing its mask value: copy
+            # k's head column into j (an exact tie in real arithmetic),
+            # then for a near-tie lift k by gap·δ along the state, which
+            # adds exactly that to its logit and moves no other column.
+            row, state, combined = logits_row(head)
+            k = int(np.argmax(row[0]))
+            rivals = np.flatnonzero(
+                (np.arange(num_segments) != k)
+                & (True if combined is None else combined[0] == combined[0, k]))
+            assume(len(rivals) > 0)
+            head[:, rng.choice(rivals)] = head[:, k]
+            if plant != "tie":
+                x = state[0]
+                lift = plant * self._delta(x, screening_head(head)[1], dense,
+                                           combined is not None)
+                head[:, k] += x * (lift / (x @ x))
+        weights = dataclasses.replace(
+            weights, head=head,
+            **dict(zip(("head32", "head_bound"), screening_head(head))))
+
+        expected = reference.reference_greedy_step(
+            weights, enc, keys, carry, mask_row, reach_ref)
+        # Screen at every width: the step skips rows too narrow to gain.
+        with mock.patch.object(decoder, "_SCREEN_WIDTH", 0):
+            got, full_rows = counted_full_rows(lambda: greedy_step(
+                weights, enc, keys, carry, constraint, 0, reach_new))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+        for field in ("state", "prev_embed", "prev_rate", "prev_segments"):
+            assert (getattr(got[2], field).tobytes()
+                    == getattr(expected[2], field).tobytes()), field
+
+        # The path taken: measured on the defining row, per batch row.
+        row, state, combined = logits_row(head)
+        if not np.all(np.isfinite(row)):
+            event("nan: must fall back")
+            assert full_rows == 1
+            return
+        ordered = np.sort(row, axis=-1)
+        gaps = ordered[:, -1] - ordered[:, -2]
+        deltas = self._delta(state, weights.head_bound, dense,
+                             combined is not None)
+        if np.any(gaps <= 0.5 * deltas):   # exact ties, sub-δ gaps
+            event("near-tie: must fall back")
+            assert full_rows == 1
+        elif np.all(gaps > 4.0 * deltas):  # ŝ-gap ≥ gap − 2δ > 2δ: proven
+            event("clear leader: must not fall back")
+            assert full_rows == 0
+
+    def test_narrow_rows_run_the_float64_row_uncounted(self):
+        """Below ``_SCREEN_WIDTH`` columns the step evaluates its defining
+        row directly — ``decode.full_row`` counts failed certificates only.
+        Every head column is the same here, so a screen can certify
+        nothing: a row one column wider is screened, and counted."""
+        import dataclasses
+
+        from repro.core import decoder
+        from repro.core.decoder import GreedyCarry, greedy_step, screening_head
+
+        rng = np.random.default_rng(0)
+        for num_segments, counted in ((decoder._SCREEN_WIDTH - 1, 0),
+                                      (decoder._SCREEN_WIDTH, 1)):
+            weights = random_greedy_weights(rng, 8, num_segments)
+            head = np.repeat(weights.head[:, :1], num_segments, axis=1)
+            weights = dataclasses.replace(
+                weights, head=head,
+                **dict(zip(("head32", "head_bound"), screening_head(head))))
+            enc = rng.normal(size=(1, 5, 8))
+            keys = weights.project_keys(enc)
+            carry = GreedyCarry(rng.normal(size=(1, 8)), rng.normal(size=(1, 8)),
+                                rng.uniform(size=(1, 1)), None)
+            expected = reference.reference_greedy_step(
+                weights, enc, keys, carry, None, None)
+            got, full_rows = counted_full_rows(lambda: greedy_step(
+                weights, enc, keys, carry, None, 0, None))
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[2].state.tobytes() == expected[2].state.tobytes()
+            assert full_rows == counted

@@ -46,6 +46,24 @@ class TestStreamDemo:
         assert "FAIL" not in out.stdout
 
 
+class TestOutputHashes:
+    def test_prints_sorted_hashes_equal_across_built_and_mapped(self):
+        """``scripts/output_hashes.py`` on a reduced metro: one sorted
+        ``name sha256`` line per (request, model, output), and a model
+        built in memory hashes like the same weights mapped read-only."""
+        out = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
+             "--requests", "2", "--metro-block", "125"],
+            capture_output=True, text=True, check=True)
+        lines = out.stdout.splitlines()
+        assert lines == sorted(lines) and len(lines) == 2 * 2 * 2 * 3
+        hashes = dict(line.split() for line in lines)
+        assert all(len(digest) == 64 for digest in hashes.values())
+        for name, digest in hashes.items():
+            assert digest == hashes[name.replace("/built/", "/mmap/")]
+        assert any(name.startswith("metro-burst/") for name in hashes)
+
+
 class TestCheckDocs:
     """``scripts/check_docs.py`` — the env-knob and API-name checks over a
     scratch tree (the knob names below are assembled at run time so this

@@ -235,15 +235,17 @@ class TestDecoderPrimitives:
     def test_split_decode_is_bit_identical_to_unsplit(self, data, model):
         batch = make_batch(data.test[:3])
         encoded = model.encode(batch)
+        import reference
         from repro.core.decoder import interpolation_prior
 
         constraint = batch.constraint_tensor(data.network.num_segments)
         constraint = constraint * interpolation_prior(
             batch, data.network, model.config.decode_prior_scale,
-            model.config.decode_prior_floor)
+            model.config.decode_prior_floor).dense()
         whole_seg, whole_rate = model.decoder.decode_greedy(
             encoded.point_features, encoded.trajectory_feature,
-            batch.target_length, constraint, reachability=model.reachability)
+            batch.target_length, reference.constraint_from_dense(constraint),
+            reachability=model.reachability)
 
         carry = model.decoder.initial_carry(encoded.trajectory_feature.data)
         parts = []
@@ -251,7 +253,8 @@ class TestDecoderPrimitives:
         for lo, hi in ((0, cut), (cut, batch.target_length)):
             seg, rate, carry = model.decoder.decode_greedy_from(
                 encoded.point_features, carry, hi - lo,
-                constraint[:, lo:hi], reachability=model.reachability)
+                reference.constraint_from_dense(constraint[:, lo:hi]),
+                reachability=model.reachability)
             parts.append((seg, rate))
         assert np.array_equal(np.concatenate([p[0] for p in parts], axis=1),
                               whole_seg)
@@ -269,10 +272,10 @@ class TestDecoderPrimitives:
             for size in (1, 3):
                 batch = make_batch(data.test[:size])
                 length = batch.target_length
-                full = variant.decode_constraint(batch)
+                full = variant.decode_constraint(batch).dense()
                 assert full.shape == (size, length, data.network.num_segments)
                 for start in (0, length // 2, length - 1):
-                    suffix = variant.decode_constraint(batch, start)
+                    suffix = variant.decode_constraint(batch, start).dense()
                     assert np.array_equal(suffix, full[:, start:])
 
 

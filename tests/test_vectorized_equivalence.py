@@ -165,7 +165,7 @@ class TestReachability:
 class TestInterpolationPrior:
     def test_within_ulp_of_reference(self, city, batch):
         ref = reference.reference_interpolation_prior(batch, city, 150.0, 0.005)
-        new = interpolation_prior(batch, city, 150.0, 0.005)
+        new = interpolation_prior(batch, city, 150.0, 0.005).dense()
         # Vectorized (SIMD) np.exp may differ from the seed's scalar np.exp
         # in the last ulp; everything else is order-preserved.
         np.testing.assert_array_max_ulp(ref, new, maxulp=16)
@@ -275,7 +275,8 @@ class TestDecoderEquivalence:
         seg_ref, rate_ref = reference.reference_decode_greedy(
             decoder, enc, state, batch.target_length, constraint, reach_ref)
         seg_new, rate_new = decoder.decode_greedy(
-            enc, state, batch.target_length, constraint, reachability=reach_new)
+            enc, state, batch.target_length,
+            reference.constraint_from_dense(constraint), reachability=reach_new)
         assert np.array_equal(seg_ref, seg_new)
         assert np.array_equal(rate_ref, rate_new)
 

@@ -1,12 +1,16 @@
-"""Hash the decode path's outputs, to diff one commit against another.
+"""Hash a request's admission and decode outputs, to diff one commit
+against another.
 
     python scripts/output_hashes.py [--seed N] [--requests N] [--metro-block M]
 
-Prints sorted ``name sha256`` lines for the interpolation prior, the decode
-constraint (both as dense tensors) and ``recover``'s segments + rates over
-the perf ledger's first ``--requests`` ``metro-burst`` and ``http-cold``
-requests of ``--seed``, once on a built model and once on the same weights
-adopted read-only from the city's ``CityArtifacts`` (``mmap=True``).
+Prints sorted ``name sha256`` lines for ``assemble_sample``'s snapped steps
+and Eq. 16 entries, the cold ``SubGraphBatch`` arrays, ``model.encode``'s
+point and trajectory features (so a 1-ulp encoder drift that flips no argmax
+still shows), the interpolation prior, the decode constraint (both as dense
+tensors) and ``recover``'s segments + rates over the perf ledger's first
+``--requests`` ``metro-burst`` and ``http-cold`` requests of ``--seed``,
+once on a built model and once on the same weights adopted read-only from
+the city's ``CityArtifacts`` (``mmap=True``).
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -69,12 +73,25 @@ def hash_lines(seed: int, requests: int, metro_block: float):
                     xy=workloads.to_local(workload, city, request.xy),
                     times=request.times)
                 for label, model in models[city].items():
-                    batch = make_batch([assemble_sample(local, model.network, ingest[city])])
+                    sample = assemble_sample(local, model.network, ingest[city])
+                    batch = make_batch([sample])
                     prior = interpolation_prior(
                         batch, model.network, model.config.decode_prior_scale,
                         model.config.decode_prior_floor)
+                    generator = model.encoder.subgraph_generator
+                    generator.clear_cache()  # every request's sub-graphs cold
+                    graphs = generator.batch(batch.input_xy)
+                    with nn.no_grad():
+                        encoded = model.encode(batch)
                     key = f"{name}/{index:03d}/{city}/{label}"
                     lines += [
+                        f"{key}/assemble " + _sha(sample.observed_steps, *(
+                            a for entry in sample.constraints if entry for a in entry)),
+                        f"{key}/subgraph " + _sha(
+                            graphs.node_segments, graphs.node_weights,
+                            graphs.graph_ids, graphs.edge_index),
+                        f"{key}/encode " + _sha(encoded.point_features.data,
+                                                encoded.trajectory_feature.data),
                         f"{key}/prior {_sha(prior)}",
                         f"{key}/constraint {_sha(model.decode_constraint(batch))}",
                         f"{key}/recover {_sha(*model.recover(batch))}"]

@@ -655,8 +655,10 @@ def _prior_support(points: np.ndarray, network, scale: float, floor: float):
     """The interpolation prior at (n, 2) ``points``: per point a slice
     (lo (n,), hi (n,)) into the pooled support (ids, weights).  Equal
     points — clamped tails, padded grids, stationary spans, anywhere in the
-    batch — share one R-tree query and one slice, and all distinct points go
-    through one batched distance pass (bit-equal to a per-point loop)."""
+    batch — share one slice, and all distinct points go through one call:
+    the scan index cut to the union box of their query squares, a bbox test
+    per point over what is left, one batched, cache-blocked distance pass
+    (bit-equal to a per-point loop)."""
     _, first, inverse = np.unique(points, axis=0, return_index=True,
                                   return_inverse=True)
     indptr, ids, dists = network.segments_within_batch(

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
-from ..nn.tensor import Tensor, gather_rows, segment_mean
+from ..nn.tensor import (Tensor, gather_rows, scatter_sum_array,
+                         segment_mean, segment_sum)
 from .config import RNTrajRecConfig
 from .subgraph_gen import SubGraphBatch
 
@@ -137,13 +138,11 @@ class GraphRefinementLayer(nn.Module):
 
 def weighted_graph_readout(nodes: Tensor, graphs: SubGraphBatch) -> Tensor:
     """Eq. 6 pooling: influence-weighted mean of node features per graph."""
-    from ..nn.tensor import segment_sum
-
     weights = Tensor(graphs.node_weights[:, None])
     weighted = nodes * weights
     totals = segment_sum(weighted, graphs.graph_ids, graphs.num_graphs)
-    denom = np.zeros(graphs.num_graphs)
-    np.add.at(denom, graphs.graph_ids, graphs.node_weights)
+    denom = scatter_sum_array(graphs.node_weights, graphs.graph_ids,
+                              graphs.num_graphs)
     return totals * Tensor(1.0 / np.maximum(denom, 1e-12)[:, None])
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..nn.tensor import Tensor, gather_rows, segment_sum
+from ..nn.tensor import Tensor, gather_rows, segment_max_array, segment_sum
 from ..trajectory.dataset import Batch
 from .decoder import DecoderOutput
 from .subgraph_gen import SubGraphBatch
@@ -72,10 +72,8 @@ def graph_classification_loss(
 
     # log softmax within each sub-graph.
     num_graphs = graphs.num_graphs
-    seg_max = np.full(num_graphs, -np.inf)
-    np.maximum.at(seg_max, graphs.graph_ids, masked_scores.data)
-    seg_max[~np.isfinite(seg_max)] = 0.0
-    shifted = masked_scores - Tensor(seg_max[graphs.graph_ids])
+    shifted = masked_scores - Tensor(segment_max_array(
+        masked_scores.data, graphs.graph_ids, num_graphs)[graphs.graph_ids])
     exp = shifted.exp()
     denom = segment_sum(exp.reshape(-1, 1), graphs.graph_ids, num_graphs).reshape(-1)
     log_denom = (denom + 1e-12).log()

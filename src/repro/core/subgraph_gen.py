@@ -216,14 +216,12 @@ class SubGraphGenerator:
     def _build_subgraph(self, x: float, y: float) -> PointSubGraph:
         """Construct one sub-graph from scratch (callers cache the result)."""
         cfg = self.config
-        segments, distances = self.network.segments_within_arrays(
-            x, y, cfg.receptive_delta)
+        segments, distances = self.network.nearest_within_arrays(
+            x, y, cfg.receptive_delta, cfg.max_subgraph_nodes)
         if not len(segments):
             sid, dist, _ = self.network.nearest_segment(x, y)
             segments = np.array([sid], dtype=np.int64)
             distances = np.array([dist])
-        segments = segments[: cfg.max_subgraph_nodes]
-        distances = distances[: cfg.max_subgraph_nodes]
         weights = np.maximum(gaussian_weight(distances, cfg.influence_gamma), 1e-8)
 
         v = len(segments)

@@ -68,12 +68,20 @@ class RTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> List[int]:
+    def _hit(self, xmin, ymin, xmax, ymax) -> np.ndarray:
+        """Boolean bbox-intersection test over every item, in scan order."""
+        x0, y0, x1, y1 = self.columns
+        return ~((x1 < xmin) | (xmax < x0) | (y1 < ymin) | (ymax < y0))
+
+    def rect_ids(self, xmin: float, ymin: float, xmax: float,
+                 ymax: float) -> np.ndarray:
         """Ids of items whose bounding box intersects the query rectangle,
         in scan order: one vectorized bbox test over every item."""
-        x0, y0, x1, y1 = self.columns
-        hit = ~((x1 < xmin) | (xmax < x0) | (y1 < ymin) | (ymax < y0))
-        return self.order[hit].tolist()
+        return self.order[self._hit(xmin, ymin, xmax, ymax)]
+
+    def query_rect(self, xmin: float, ymin: float, xmax: float, ymax: float) -> List[int]:
+        """:meth:`rect_ids` as a python list."""
+        return self.rect_ids(xmin, ymin, xmax, ymax).tolist()
 
     def query_radius(self, x: float, y: float, radius: float) -> List[int]:
         """Candidate ids within ``radius`` of (x, y) — bbox-level filter.
@@ -97,10 +105,16 @@ class RTree:
         ``block`` overrides the default ~4M-boolean budget per block.
         """
         points = np.asarray(points, dtype=np.float64)
-        order = self.order
-        if not len(order) or not len(points):
-            return np.zeros(len(points) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        x0, y0, x1, y1 = self.columns
+        if not len(points):
+            return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        # No query square reaches an item outside the union box of all of
+        # them: drop those columns once, test each point against the rest.
+        near = np.flatnonzero(self._hit(*(points.min(axis=0) - radius),
+                                        *(points.max(axis=0) + radius)))
+        if not len(near):
+            return np.zeros(len(points) + 1, dtype=np.int64), near
+        order = self.order[near]
+        x0, y0, x1, y1 = self.columns[:, near]
         if block is None:
             block = (1 << 22) // len(order)
         block = max(1, min(len(points), block))

@@ -82,10 +82,9 @@ def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     total = int(counts.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    block_ends = np.cumsum(counts)
-    # Position within each block: global arange minus the block's offset.
-    within = np.arange(total, dtype=np.int64) - np.repeat(block_ends - counts, counts)
-    return within + np.repeat(starts, counts)
+    # Global arange plus, per block, its start minus its offset in the output.
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
 
 
 def validate_edge_index(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:

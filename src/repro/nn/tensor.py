@@ -157,8 +157,9 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents) and is_grad_enabled()
-        if not requires:
+        # The thread-local switch first: inference never builds the
+        # generator over ``parents``.
+        if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
             return Tensor(data)
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
@@ -566,30 +567,26 @@ def scatter_sum_array(values: np.ndarray, segment_ids: np.ndarray,
                       num_segments: int) -> np.ndarray:
     """Plain-array scatter-add of rows into ``num_segments`` buckets.
 
-    Uses ``np.bincount`` (per column for 2-D values) instead of
-    ``np.add.at``: both add the contributions of each bucket in input
-    order, so the floating-point result is bit-identical, but bincount's
-    C loop is several times faster for the flat/2-D shapes GNN attention
-    and pooling use.  For ≥3-D values (multi-head message blocks) add.at's
-    block-wise dispatch is already the faster kernel, so it is kept.
+    float64 rows of any rank go through one flat ``np.bincount`` over
+    ``id · width + column``: like ``np.add.at`` it adds each bucket's
+    contributions in input order, so the floating-point result is
+    bit-identical, but its C loop is several times faster at every shape
+    GNN attention and pooling use.  Other dtypes keep ``np.add.at``.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if values.dtype != np.float64 or values.ndim > 2 or len(values) == 0:
+    if values.dtype != np.float64 or len(values) == 0:
         out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
         np.add.at(out, segment_ids, values)
         return out
-    if values.ndim == 1:
-        out = np.bincount(segment_ids, weights=values, minlength=num_segments)
-        if len(out) > num_segments:  # minlength is a floor: match add.at's error
-            raise IndexError(
-                f"segment id {int(segment_ids.max())} out of range "
-                f"for {num_segments} segments")
-        return out
-    out = np.empty((num_segments, values.shape[1]), dtype=np.float64)
-    for column in range(values.shape[1]):
-        out[:, column] = np.bincount(segment_ids, weights=values[:, column],
-                                     minlength=num_segments)
-    return out
+    width = values[0].size
+    flat = segment_ids if values.ndim == 1 else (
+        segment_ids[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(flat, weights=values.reshape(-1),
+                      minlength=num_segments * width)
+    if len(out) > num_segments * width:  # minlength is a floor: match add.at's error
+        raise IndexError(f"segment id {int(segment_ids.max())} out of range "
+                         f"for {num_segments} segments")
+    return out.reshape((num_segments,) + values.shape[1:])
 
 
 def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -618,14 +615,28 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     return total * Tensor(1.0 / counts.reshape(shape))
 
 
+def segment_max_array(values: np.ndarray, segment_ids: np.ndarray,
+                      num_segments: int) -> np.ndarray:
+    """Per-bucket maximum of rows, 0 where a bucket is empty or its maximum
+    is not finite — the stabilizing shift of a segment softmax.  A stable
+    sort groups the rows and ``np.maximum.reduceat`` reduces the non-empty
+    groups (a maximum is exact in any order)."""
+    counts = np.bincount(segment_ids, minlength=num_segments)
+    filled = np.flatnonzero(counts)
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    out[filled] = np.maximum.reduceat(
+        values[np.argsort(segment_ids, kind="stable")],
+        (np.cumsum(counts) - counts)[filled], axis=0)
+    out[~np.isfinite(out)] = 0.0
+    return out
+
+
 def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Softmax over rows grouped by ``segment_ids`` (for GAT attention)."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     # Shift by the per-segment max for numerical stability (constant wrt grad).
-    seg_max = np.full((num_segments,) + scores.shape[1:], -np.inf, dtype=scores.dtype)
-    np.maximum.at(seg_max, segment_ids, scores.data)
-    seg_max[~np.isfinite(seg_max)] = 0.0
-    shifted = scores - Tensor(seg_max[segment_ids])
+    shifted = scores - Tensor(
+        segment_max_array(scores.data, segment_ids, num_segments)[segment_ids])
     exp = shifted.exp()
     denom = segment_sum(exp, segment_ids, num_segments)
     denom_per_row = gather_rows(denom, segment_ids)

@@ -2,7 +2,8 @@
 
 One-shot recovery (``RNTrajRec.recover``) pays O(l_ρ) decode steps — each
 a |V|-wide segment-head row (screened, see ``greedy_step``) behind an
-R-tree-backed interpolation prior — every time it runs.  A streaming
+interpolation prior read off the network's bbox scan index — every time
+it runs.  A streaming
 session that re-ran it on every appended fix would pay O(N·l_ρ) over its
 lifetime.  This engine exploits two structural facts:
 
@@ -24,9 +25,10 @@ lifetime.  This engine exploits two structural facts:
 
 The encoder *is* re-run per append: GPSFormer attends bidirectionally and
 normalizes time by the trace duration, so a new fix legitimately shifts
-every point feature.  That cost is shared with the one-shot baseline and
-is small next to the decode (l_τ ≪ l_ρ, and X_road plus per-point
-sub-graphs are memoized across appends).
+every point feature.  That cost is shared with the one-shot baseline, and
+with the decode cut to the suffix it is most of an append: ~70 % of a solo
+append on the perf ledger's 32-fix sessions (cProfile, 128 appends), even
+with X_road and the per-point sub-graphs memoized across appends.
 
 Because encoder outputs drift as the trace grows, a committed decision —
 and the checkpointed carry that extends it — is an *approximation* of

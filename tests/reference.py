@@ -20,6 +20,7 @@ from repro.core.config import RNTrajRecConfig
 from repro.core.decoder import DecodeConstraint, GreedyCarry, _sigmoid
 from repro.core.subgraph_gen import PointSubGraph, SubGraphBatch
 from repro.geo.distance import gaussian_weight, project_point_to_polyline
+from repro.nn.graph import ragged_positions
 from repro.nn.tensor import Tensor
 from repro.roadnet.network import RoadNetwork
 from repro.trajectory.dataset import Batch, make_padded_batch
@@ -127,6 +128,26 @@ def reference_segments_within(network: RoadNetwork, x: float, y: float,
             hits.append((sid, dist))
     hits.sort(key=lambda pair: pair[1])
     return hits
+
+
+def reference_pair_distances(network: RoadNetwork, px, py,
+                             segment_ids: np.ndarray) -> np.ndarray:
+    """``RoadNetwork._pair_distances`` as it stood before the in-place row
+    kernel (PR 22), verbatim: every candidate's sub-segments expanded with
+    ``ragged_positions``, ~14 temporaries, ``np.clip``, one ``reduceat``."""
+    indptr, x0, y0, vx, vy, length2 = network._geometry_columns()
+    first = indptr[segment_ids]
+    counts = indptr[segment_ids + 1] - first
+    rows = ragged_positions(first, counts)
+    if np.ndim(px):
+        px, py = np.repeat(px, counts), np.repeat(py, counts)
+    sx, sy, ux, uy = x0[rows], y0[rows], vx[rows], vy[rows]
+    t = ((px - sx) * ux + (py - sy) * uy) / length2[rows]
+    t = np.clip(t, 0.0, 1.0)
+    dx = px - (sx + t * ux)
+    dy = py - (sy + t * uy)
+    dists = np.sqrt(dx * dx + dy * dy)
+    return np.minimum.reduceat(dists, np.cumsum(counts) - counts)
 
 
 def reference_constraint_for_fix(network: RoadNetwork, x: float, y: float,
@@ -447,6 +468,18 @@ def reference_scatter_sum(values: np.ndarray, segment_ids: np.ndarray,
     out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
     np.add.at(out, segment_ids, values)
     return out
+
+
+def reference_segment_softmax(scores: np.ndarray, segment_ids: np.ndarray,
+                              num_segments: int) -> np.ndarray:
+    """``segment_softmax``'s forward as it stood before PR 22: the shift
+    from ``np.maximum.at`` over a −inf table, sums from ``np.add.at``."""
+    seg_max = np.full((num_segments,) + scores.shape[1:], -np.inf, dtype=scores.dtype)
+    np.maximum.at(seg_max, segment_ids, scores)
+    seg_max[~np.isfinite(seg_max)] = 0.0
+    exp = np.exp(scores - seg_max[segment_ids])
+    denom = reference_scatter_sum(exp, segment_ids, num_segments)
+    return exp / (denom[segment_ids] + 1e-12)
 
 
 def reference_constraint_matrix(sample, num_segments: int) -> np.ndarray:

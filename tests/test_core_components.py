@@ -1,5 +1,7 @@
 """Tests for RNTrajRec components: GridGNN, sub-graphs, GRL, GPSFormer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.core import (
     mean_graph_readout,
     weighted_graph_readout,
 )
+from repro.datasets import get_spec
+from repro.experiments.harness import small_model_config
 from repro.roadnet import CityConfig, generate_city
 from repro.trajectory import (
     DatasetConfig,
@@ -154,6 +158,60 @@ class TestSubGraphGeneration:
         gen = SubGraphGenerator(city, CFG)
         sub = gen.point_subgraph(-10_000.0, -10_000.0)
         assert len(sub.segments) >= 1
+
+
+def _cold_queries(network, config, points, monkeypatch):
+    """Per cold point: (δ-queries issued, candidates the distance kernel
+    saw), counted by spies on the network's two query methods."""
+    log = []
+    within, distances = network.segments_within_arrays, network.segment_distances
+
+    def spy_within(x, y, radius):
+        log[-1][0] += 1
+        return within(x, y, radius)
+
+    def spy_distances(x, y, ids):
+        log[-1][1] += len(ids)
+        return distances(x, y, ids)
+
+    expected = [within(x, y, config.receptive_delta)[0][:config.max_subgraph_nodes]
+                for x, y in points]
+    monkeypatch.setattr(network, "segments_within_arrays", spy_within)
+    monkeypatch.setattr(network, "segment_distances", spy_distances)
+    generator = SubGraphGenerator(network, config)
+    for (x, y), ids in zip(points, expected):
+        log.append([0, 0])
+        assert generator.point_subgraph(x, y).segments.tolist() == ids.tolist()
+    return np.array(log)
+
+
+def test_subgraph_query_is_bounded(monkeypatch):
+    """At city scale the search is as wide as the sub-graph it returns: a
+    cold point's distance kernel sees a few hundred candidates, not the
+    ~1.6k inside δ = 300 m."""
+    metro = generate_city(replace(get_spec("chengdu").city, block=40.0))
+    assert metro.num_segments >= 10_000
+    config = small_model_config(16)
+    rng = np.random.default_rng(3)
+    points = np.round(rng.uniform(100.0, 1400.0, size=(40, 2)))
+    queries, candidates = _cold_queries(metro, config, points, monkeypatch).T
+    assert candidates.max() <= 400 and np.median(candidates) <= 250
+    assert queries.max() <= 2
+    full = [len(metro.rtree.query_radius(x, y, config.receptive_delta)) for x, y in points]
+    assert np.median(full) > 1000  # what the unbounded query would have scanned
+
+
+@pytest.mark.parametrize("dataset", ["chengdu", "porto", "shanghai"])
+def test_small_cities_issue_one_subgraph_query_per_point(dataset, monkeypatch):
+    """On the registry's few-hundred-segment cities the density-derived
+    first ball already exceeds δ, so a cold point costs exactly the one
+    full query it cost before the bounded search existed."""
+    network = generate_city(get_spec(dataset).city)
+    x0, y0, x1, y1 = network.bounds()
+    rng = np.random.default_rng(4)
+    points = np.round(rng.uniform([x0, y0], [x1, y1], size=(25, 2)))
+    queries, _ = _cold_queries(network, small_model_config(16), points, monkeypatch).T
+    assert queries.tolist() == [1] * len(points)
 
 
 class TestGraphReadouts:

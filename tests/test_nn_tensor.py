@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from repro.nn.tensor import (
     Tensor,
     concat,
     gather_rows,
+    no_grad,
+    scatter_sum_array,
     segment_mean,
     segment_softmax,
     segment_sum,
@@ -273,7 +276,65 @@ class TestSegmentOps:
         assert np.isclose(out.sum(), 1.0)
 
 
+def _bytes_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatScatter:
+    """The flat-bincount scatter and the sort + ``reduceat`` softmax shift
+    ≡ the ``np.add.at`` / ``np.maximum.at`` kernels they replaced, bytes."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+           st.sampled_from([(), (1,), (5,), (4, 8), (2, 3, 2)]),
+           st.integers(1, 12), st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=150, deadline=None)
+    def test_scatter_sum_bytes_vs_add_at(self, seed, rows, trailing, buckets, dtype):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(rows,) + trailing).astype(dtype)
+        values[rng.random(values.shape) < 0.1] = -0.0
+        values[rng.random(values.shape) < 0.05] = np.nan
+        # ids skewed low, so the top buckets are usually empty
+        ids = rng.integers(0, max(1, buckets - rng.integers(0, 3)), size=rows)
+        assert _bytes_equal(scatter_sum_array(values, ids, buckets),
+                            reference.reference_scatter_sum(values, ids, buckets))
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 5), (6, 4, 8)])
+    def test_out_of_range_id_raises_index_error(self, shape):
+        ids = np.array([0, 1, 7, 2, 3, 1])  # 7 in the middle, 4 buckets
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(IndexError):
+                scatter_sum_array(np.ones(shape, dtype=dtype), ids, 4)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+           st.sampled_from([(), (4,)]), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_segment_softmax_bytes_vs_maximum_at(self, seed, rows, trailing, buckets):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(scale=30.0, size=(rows,) + trailing)
+        ids = rng.integers(0, max(1, buckets - rng.integers(0, 3)), size=rows)
+        scores[ids == 0] = -np.inf  # a bucket whose every row is −inf
+        scores[rng.random(scores.shape) < 0.05] = -np.inf
+        assert _bytes_equal(
+            segment_softmax(Tensor(scores), ids, buckets).data,
+            reference.reference_segment_softmax(scores, ids, buckets))
+
+
 class TestBackwardMechanics:
+    def test_no_grad_result_is_a_constant_with_the_same_bytes(self):
+        """``_make`` tests the thread-local switch before it looks at the
+        parents: under ``no_grad`` an op records nothing and computes the
+        same value; with grad on, the graph is built as ever."""
+        a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(4,)))
+        recorded = ((a * b).tanh() @ a.T).sum(axis=0)
+        with no_grad():
+            constant = ((a * b).tanh() @ a.T).sum(axis=0)
+        assert recorded.requires_grad and recorded._parents and recorded._backward
+        assert not constant.requires_grad
+        assert constant._parents == () and constant._backward is None
+        assert _bytes_equal(constant.data, recorded.data)
+        assert not (b + b).requires_grad  # no parent requires grad: constant
+
     def test_backward_requires_grad_flag(self):
         with pytest.raises(RuntimeError):
             Tensor(np.ones(3)).backward()

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from repro.roadnet import (
     CityConfig,
     NUM_ROAD_LEVELS,
@@ -86,10 +88,11 @@ class TestRoadNetwork:
         assert dists == sorted(dists)
         assert hits[0][0] == 0
 
-    def test_segments_within_batch_equals_single_point_queries(self):
+    def test_segments_within_batch_equals_single_point_queries(self, monkeypatch):
         """The multi-point query is Q single-point queries: same id sets,
         bit-equal distances — over multi-vertex polylines, a zero-length
-        sub-segment, a point with no hit, and Q = 0."""
+        sub-segment, a point with no hit, and Q = 0 — however many
+        distance-kernel blocks the pairs are cut into."""
         segments = [
             RoadSegment(0, np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 30.0],
                                      [90.0, 30.0]])),
@@ -102,7 +105,8 @@ class TestRoadNetwork:
         rng = np.random.default_rng(5)
         points = np.vstack([rng.uniform(-80.0, 170.0, size=(30, 2)),
                             [[90.0, 30.0], [40.0, 0.0], [5000.0, 5000.0]]])
-        for radius in (25.0, 70.0, 400.0):
+        for radius, block in ((25.0, 1 << 14), (70.0, 7), (400.0, 1), (400.0, 50)):
+            monkeypatch.setattr("repro.roadnet.network._PAIR_BLOCK", block)
             indptr, ids, dists = net.segments_within_batch(points, radius)
             assert indptr[0] == 0 and indptr[-1] == len(ids) == len(dists)
             for q, (x, y) in enumerate(points):
@@ -134,6 +138,99 @@ class TestRoadNetwork:
         grid = net.make_grid(cell_size=50.0)
         x0, y0, x1, y1 = net.bounds()
         assert grid.x0 <= x0 and grid.x1 >= x1
+
+
+@st.composite
+def random_networks(draw, max_subsegments=3):
+    """Random polylines in a box whose side sets the density (and so the
+    bounded query's first radius), each with a coincident directed twin —
+    same vertices, so the pair ties exactly at every distance — plus a few
+    reversed ones and zero-length sub-segments."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = draw(st.sampled_from([30.0, 200.0, 1500.0]))
+    polylines = []
+    for _ in range(draw(st.integers(1, 60))):
+        steps = rng.normal(scale=side / 8, size=(rng.integers(1, max_subsegments + 1), 2))
+        steps[rng.random(len(steps)) < 0.15] = 0.0  # zero-length sub-segments
+        line = np.cumsum(np.vstack([rng.uniform(0, side, size=2), steps]), axis=0)
+        polylines += [line, line.copy(), line[::-1].copy()][:rng.integers(1, 4)]
+    return RoadNetwork([RoadSegment(i, line) for i, line in enumerate(polylines)], [])
+
+
+class TestBoundedQuery:
+    """``nearest_within_arrays`` is the first ``limit`` rows of the full
+    δ-query, byte for byte, however many balls it searched."""
+
+    @given(random_networks(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_prefix_of_full_query(self, net, data):
+        x0, y0, x1, y1 = net.bounds()
+        span = max(x1 - x0, y1 - y0, 1.0)
+        far = data.draw(st.sampled_from([0.0, 0.0, 0.5, 40.0]))  # off the network
+        x = data.draw(st.floats(x0 - far * span, x1 + far * span))
+        y = data.draw(st.floats(y0 - far * span, y1 + far * span))
+        # below and above the first ball (2·sqrt(k·area / (π·|V|)))
+        radius = data.draw(st.sampled_from([1.0, 10.0, 75.0, 300.0, 5000.0]))
+        ids, dists = net.segments_within_arrays(x, y, radius)
+        for limit in (1, 2, 32, len(ids) + 1):
+            got_ids, got_dists = net.nearest_within_arrays(x, y, radius, limit)
+            assert got_ids.tobytes() == ids[:limit].tobytes()
+            assert got_dists.tobytes() == dists[:limit].tobytes()
+
+    def test_ties_at_the_cut_keep_scan_order(self):
+        """Four coincident twins at one distance, limit 2: the cut falls
+        inside the tie and must pick the same two as the full query."""
+        line = np.array([[0.0, 10.0], [50.0, 10.0]])
+        lines = [line + [0.0, 40.0 * i] for i in range(40) for _ in range(4)]
+        net = RoadNetwork([RoadSegment(i, l) for i, l in enumerate(lines)], [])
+        ids, dists = net.segments_within_arrays(25.0, 0.0, 300.0)
+        assert dists[0] == dists[3] < dists[4]
+        got_ids, got_dists = net.nearest_within_arrays(25.0, 0.0, 300.0, 2)
+        assert got_ids.tolist() == ids[:2].tolist()
+        assert got_dists.tolist() == dists[:2].tolist()
+
+    def test_degenerate_bounds_fall_back_to_one_full_query(self):
+        """Collinear geometry has a zero-area bbox: no density to derive a
+        first ball from, so the query is the full one."""
+        net = RoadNetwork([RoadSegment(i, np.array([[10.0 * i, 0.0], [10.0 * i + 10.0, 0.0]]))
+                           for i in range(8)], [])
+        ids, dists = net.segments_within_arrays(35.0, 3.0, 25.0)
+        got = net.nearest_within_arrays(35.0, 3.0, 25.0, 3)
+        assert got[0].tolist() == ids[:3].tolist() and got[1].tolist() == dists[:3].tolist()
+
+
+class TestDistanceKernel:
+    """The in-place row kernel ≡ the expression-form kernel it replaced
+    (``reference.reference_pair_distances``), byte for byte."""
+
+    @given(random_networks(max_subsegments=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_pair_distances_bytes(self, net, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x0, y0, x1, y1 = net.bounds()
+        counts = np.diff(net._geometry_columns()[0])
+        pools = [np.arange(net.num_segments), np.flatnonzero(counts == 1),
+                 np.flatnonzero(counts > 1)]  # mixed, all-single, all-multi
+        for pool in pools:
+            if not len(pool):
+                continue
+            ids = rng.choice(pool, size=rng.integers(1, 40))
+            px = rng.uniform(x0 - 50.0, x1 + 50.0, size=len(ids))
+            py = rng.uniform(y0 - 50.0, y1 + 50.0, size=len(ids))
+            # on a vertex, on whole metres, and anywhere
+            px[0], py[0] = net.segments[int(ids[0])].polyline[0]
+            px[-1], py[-1] = np.round(px[-1]), np.round(py[-1])
+            for qx, qy in ((px, py), (float(px[0]), float(py[0])), (-0.0, 0.0)):
+                want = reference.reference_pair_distances(net, qx, qy, ids)
+                got = net.segment_distances(qx, qy, ids)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_empty_candidate_list(self):
+        net = tiny_network()
+        assert net.segment_distances(1.0, 2.0, np.zeros(0, np.int64)).shape == (0,)
+        ids, dists = net.segments_within_arrays(1e6, 1e6, 10.0)
+        assert ids.dtype == np.int64 and dists.dtype == np.float64
+        assert len(ids) == len(dists) == 0
 
 
 class TestGenerator:

@@ -56,7 +56,7 @@ class TestOutputHashes:
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
-        assert lines == sorted(lines) and len(lines) == 2 * 2 * 2 * 3
+        assert lines == sorted(lines) and len(lines) == 2 * 2 * 2 * 6
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
         for name, digest in hashes.items():

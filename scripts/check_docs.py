@@ -1,6 +1,6 @@
 """Validate the documentation against the repo (run by the CI docs job).
 
-Six checks over every tracked ``*.md`` file:
+Seven checks over every tracked ``*.md`` file:
 
 1. **links** — inline links/images must resolve to an existing file or
    directory; ``path#anchor`` anchors are verified against the target's
@@ -22,7 +22,11 @@ Six checks over every tracked ``*.md`` file:
    ``pkg`` is a package under ``src/repro/`` must name something
    ``src/repro/<pkg>/__init__.py`` binds (import, ``def``, ``class``,
    assignment) or one of the package's submodules (catches entry points
-   that were renamed or deleted; read with ``ast``, nothing is imported).
+   that were renamed or deleted; read with ``ast``, nothing is imported);
+7. **routes** — every ``("GET"|"POST", "/path")`` key of the route table
+   in ``scripts/serve.py`` (``ast`` again) must be a row of an endpoint
+   table under ``docs/`` (``| `/path` | METHOD | ...``), and every such
+   row must be a key (catches a route added or dropped without its doc).
 
     python scripts/check_docs.py [root]
 
@@ -41,6 +45,7 @@ LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 SRC_PATH_PATTERN = re.compile(r"src/repro[\w./-]*")
 BENCH_ARTIFACT_PATTERN = re.compile(r"BENCH_\w+\.json")
 ENV_KNOB_PATTERN = re.compile(r"REPRO_[A-Z0-9_]+")
+ROUTE_ROW_PATTERN = re.compile(r"^\|\s*`(/[\w/]*)`\s*\|\s*(GET|POST)\s*\|", re.M)
 KNOB_SOURCE_DIRS = ("src", "benchmarks", "tests", "scripts")
 CI_WORKFLOW = Path(".github") / "workflows" / "ci.yml"
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
@@ -202,6 +207,34 @@ def check_api_names(root: Path) -> list:
     ]
 
 
+def check_routes(root: Path) -> list:
+    """The front door's route table and the docs' endpoint tables agree."""
+    script = root / "scripts" / "serve.py"
+    if not script.exists():
+        return []
+    served = {
+        tuple(part.value for part in key.elts)
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Dict) for key in node.keys
+        if isinstance(key, ast.Tuple) and len(key.elts) == 2
+        and all(isinstance(part, ast.Constant) for part in key.elts)
+        and key.elts[0].value in ("GET", "POST")
+    }
+    documented = {}
+    for path in sorted((root / "docs").glob("*.md")):
+        for route, method in ROUTE_ROW_PATTERN.findall(
+                path.read_text(encoding="utf-8")):
+            documented.setdefault((method, route), path.relative_to(root))
+    return [
+        f"scripts/serve.py: route `{method} {route}` is in no endpoint table "
+        "under docs/" for method, route in sorted(served - set(documented))
+    ] + [
+        f"{documented[method, route]}: endpoint table lists `{method} {route}`, "
+        "which scripts/serve.py does not route"
+        for method, route in sorted(set(documented) - served)
+    ]
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else (
         Path(__file__).resolve().parent.parent)
@@ -224,6 +257,7 @@ def main() -> int:
             workflow, root, workflow.read_text(encoding="utf-8"), known_knobs))
     problems.extend(check_package_index(root))
     problems.extend(check_api_names(root))
+    problems.extend(check_routes(root))
     if problems:
         print(f"checked {count} markdown files — {len(problems)} problem(s):")
         for problem in problems:
@@ -231,8 +265,8 @@ def main() -> int:
         return 1
     packages = ", ".join(repo_packages(root))
     print(f"checked {count} markdown files — links, src/repro paths, "
-          f"BENCH artifacts, REPRO_* knobs and docs/api.md names all "
-          f"resolve; docs/api.md covers: {packages}")
+          f"BENCH artifacts, REPRO_* knobs, docs/api.md names and the "
+          f"serve.py route table all resolve; docs/api.md covers: {packages}")
     return 0
 
 

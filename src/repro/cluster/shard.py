@@ -23,6 +23,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
@@ -201,17 +202,19 @@ class Shard:
                     "seconds": round(self.artifact_seconds, 3)}
 
     # ------------------------------------------------------------------
+    def to_local(self, xy) -> np.ndarray:
+        """Global-frame points in this city's local frame (shard origin ↦
+        the network's own coordinates): the one translation one-shot
+        requests and streaming appends both go through."""
+        points = np.asarray(xy, dtype=np.float64)
+        origin = self.spec.origin
+        return points - np.array(origin) if any(origin) else points
+
     def localize(self, request: RecoveryRequest) -> RecoveryRequest:
-        """The request translated from the global frame into this city's
-        local frame (shard origin ↦ the network's own coordinates)."""
-        ox, oy = self.spec.origin
-        if ox == 0.0 and oy == 0.0:
+        """The request with its fixes translated by :meth:`to_local`."""
+        if not any(self.spec.origin):
             return request
-        return RecoveryRequest(
-            xy=request.xy - np.array([ox, oy]), times=request.times,
-            hour=request.hour, holiday=request.holiday,
-            request_id=request.request_id,
-        )
+        return replace(request, xy=self.to_local(request.xy))
 
     def submit(self, request: RecoveryRequest) -> "Future[RecoveryResponse]":
         """Admit onto the least-recently-used non-saturated replica, or

@@ -4,10 +4,10 @@ A front door is a *route table* ``{(method, path): callable(payload) ->
 (status, body)}`` plus an ordered *error table* ``[(exception type(s),
 status, body builder or None), ...]`` mapping what a route raises to a
 reply (first match wins, anything unmatched is a 500).  Both tables come
-from the caller — ``scripts/serve.py`` builds one pair for the
-single-city service + streaming and one for the cluster — so this module
-knows nothing about clusters or sessions, and tests can serve either
-table in-process on port 0.
+from the caller — ``scripts/serve.py`` builds the one pair every
+subcommand serves — so this module knows nothing about clusters or
+sessions, and tests can serve that table, or their own, in-process on
+port 0.
 
 :class:`JsonServer` owns what every route shares: the HTTP/1.0 exchange
 (read to the blank line, usually one ``recv``; parse the request line and
@@ -67,7 +67,7 @@ class HttpError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Wire shapes shared by every front door
+# Wire shapes of the front door's replies
 # ----------------------------------------------------------------------
 def parse_request(payload: Dict[str, Any]) -> RecoveryRequest:
     return RecoveryRequest(
@@ -115,17 +115,6 @@ def update_payload(update) -> Dict[str, Any]:
             "times": update.trajectory.times.tolist(),
         })
     return payload
-
-
-def recover_route(recover: Callable[..., RecoveryResponse]) -> Route:
-    """``POST /recover`` over any blocking ``recover(request, timeout=)``."""
-    def route(payload: Dict[str, Any]) -> Reply:
-        try:
-            request = parse_request(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            return 400, {"error": str(exc)}
-        return 200, response_payload(recover(request, timeout=300.0))
-    return route
 
 
 # ----------------------------------------------------------------------

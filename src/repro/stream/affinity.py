@@ -1,99 +1,109 @@
 """Session→shard affinity: streaming sessions over a `RecoveryCluster`.
 
 A streaming session is *stateful* — its ingest and decode state live
-wherever its first append landed — so unlike one-shot requests it cannot
-be re-routed per call.  :class:`StreamingCluster` pins each session to
-the shard owning its opening fix (resolved through the cluster's existing
-:class:`~repro.cluster.router.ShardRouter`) and forwards every subsequent
-append there, localized into that city's coordinate frame exactly like
-the one-shot path (``Shard.localize``).
+wherever it was opened — so unlike one-shot requests it cannot be
+re-routed per call.  :class:`StreamingCluster` opens each session on the
+shard owning its opening fix (resolved through the cluster's existing
+:class:`~repro.cluster.router.ShardRouter`; a one-shard map needs no fix)
+and sends every later append to the shard whose session store holds it,
+translated into that city's frame by the one-shot path's own
+``Shard.to_local``.  The stores are the only record of who is where: a
+session a store expired or evicted is gone here too.
 
 Per-shard :class:`~repro.stream.StreamingRecoveryService` instances are
-built lazily over the shard's own registry and dataset-derived serving
-config, so a 30-city map pays for streaming state only on shards that
-actually see sessions — and a hot swap deployed through the cluster's
-``deploy_model`` is picked up by that shard's streams on their next
-append (both read the same registry).
+built lazily over the shard's own registry and its dataset-derived ingest
+grid (``shard.serve_config()``; the caller overrides only the commit
+horizon and the store bounds), so a 30-city map pays for streaming state
+only on shards that actually see sessions — and a hot swap deployed
+through the cluster's ``deploy_model`` is picked up by that shard's
+streams on their next append (both read the same registry).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cluster.cluster import RecoveryCluster
 from ..cluster.shard import Shard
-from ..serve.request import RecoveryResponse
+from ..serve.request import RecoveryResponse, RequestError
 from .service import StreamConfig, StreamingRecoveryService, StreamUpdate
-from .session import UnknownSession
+from .session import StreamError, UnknownSession
 
 
 class StreamingCluster:
     """Session-affine streaming over the shards of a `RecoveryCluster`."""
 
-    def __init__(self, cluster: RecoveryCluster,
-                 config: Optional[StreamConfig] = None,
-                 clock=None) -> None:
+    def __init__(self, cluster: RecoveryCluster, clock=time.monotonic,
+                 **overrides) -> None:
+        """``overrides`` are :class:`StreamConfig` fields other than the
+        ingest grid (``commit_horizon``, ``capacity``, ``ttl_seconds`` …),
+        applied to every shard; ``clock`` is injectable for lifecycle tests."""
+        StreamConfig(**overrides)  # an unknown field fails here, not mid-traffic
+        if {"interval", "beta", "max_gps_error"} & set(overrides):
+            raise ValueError("the ingest grid is each shard's own "
+                             "(shard.serve_config()); it cannot be overridden")
         self.cluster = cluster
-        self._config = config      # None: derive per shard from its dataset
-        self._clock = clock        # injectable for store-lifecycle tests
+        self._overrides = overrides
+        self._clock = clock
         self._lock = threading.Lock()
         self._services: Dict[str, StreamingRecoveryService] = {}
-        self._affinity: Dict[str, str] = {}  # session_id -> shard name
 
     # ------------------------------------------------------------------
-    def open(self, xy, hour: int = 12, holiday: bool = False,
+    def open(self, xy=None, hour: int = 12, holiday: bool = False,
              session_id: Optional[str] = None) -> Tuple[str, str]:
-        """Open a session pinned to the shard owning the given global-frame
-        position(s); returns (session_id, shard name).  Raises
-        :class:`~repro.cluster.router.RouteError` when no shard owns them,
-        :class:`~repro.stream.SessionOverloaded` when the owning shard's
-        session store sheds, and
-        :class:`~repro.cluster.StreamingUnsupported` when that shard runs
-        ``backend="process"`` (sessions decode on the shard's own slots)."""
-        points = np.atleast_2d(np.asarray(xy, dtype=np.float64))
-        shard = self.cluster.shards[
-            self.cluster.router.shard_of_points(points)]
+        """Open a session on the shard owning the given global-frame
+        position(s) — optional on a one-shard map, a ``RequestError``
+        without one otherwise; returns (session_id, shard name).  Raises
+        ``RouteError`` when no shard owns them, ``StreamError`` when
+        ``session_id`` is already open on any shard, ``SessionOverloaded``
+        when the owning shard's store sheds and ``StreamingUnsupported``
+        when that shard runs ``backend="process"`` (sessions decode on the
+        shard's own slots)."""
+        if xy is not None:
+            points = np.atleast_2d(np.asarray(xy, dtype=np.float64))
+            shard = self.cluster.shards[
+                self.cluster.router.shard_of_points(points)]
+        elif len(self.cluster.shards) == 1:
+            shard = self.cluster.shards[0]
+        else:
+            raise RequestError("opening a session on a multi-shard map needs "
+                               "a point: the shard owning it holds the session")
         service = self._service(shard)
-        sid = service.open(session_id=session_id, hour=hour, holiday=holiday)
-        with self._lock:
-            self._affinity[sid] = shard.name
-        return sid, shard.name
+        with self._lock:  # one id, one shard: checked and admitted together
+            if session_id is not None and any(
+                    str(session_id) in other.store
+                    for other in self._services.values()):
+                raise StreamError(f"session {session_id!r} is already open")
+            return service.open(session_id, hour, holiday), shard.name
 
     def append(self, session_id: str, xy, times) -> StreamUpdate:
-        """Forward an append to the session's pinned shard (localized)."""
+        """Append on the shard holding the session (fixes localized)."""
         shard, service = self._resolve(session_id)
-        return self._forward(
-            session_id,
-            lambda: service.append(session_id, self._localize(shard, xy), times))
+        return service.append(session_id, shard.to_local(xy), times)
 
     def finalize(self, session_id: str) -> RecoveryResponse:
-        """Finalize on the pinned shard and release the affinity pin."""
-        shard, service = self._resolve(session_id)
-        response = self._forward(session_id, lambda: service.finalize(session_id))
-        with self._lock:
-            self._affinity.pop(session_id, None)
-        return response
+        """Finalize on the shard holding the session; it is then gone."""
+        return self._resolve(session_id)[1].finalize(session_id)
 
     # ------------------------------------------------------------------
     def evictions(self) -> List[Dict[str, Any]]:
         """Eviction records across all shards, each stamped with its shard."""
-        records: List[Dict[str, Any]] = []
-        for name, service in self._snapshot_services():
-            for record in service.evictions():
-                records.append({**record, "shard": name})
-        return records
+        return [{**record, "shard": name}
+                for name, service in self._snapshot_services()
+                for record in service.evictions()]
 
     def stats(self) -> Dict[str, Any]:
-        """Per-shard streaming stats plus the affinity-table gauge."""
-        with self._lock:
-            pinned = len(self._affinity)
+        """Per-shard streaming stats plus the live-session total."""
+        shards = {name: service.stats()
+                  for name, service in self._snapshot_services()}
         return {
-            "pinned_sessions": pinned,
-            "shards": {name: service.stats()
-                       for name, service in self._snapshot_services()},
+            "pinned_sessions": sum(block["sessions"]["active_sessions"]
+                                   for block in shards.values()),
+            "shards": shards,
         }
 
     def close(self) -> None:
@@ -112,42 +122,21 @@ class StreamingCluster:
             service = self._services.get(shard.name)
             if service is None:
                 shard.warm()
-                config = self._config or StreamConfig.from_serve(
-                    shard.serve_config())
-                kwargs = {"clock": self._clock} if self._clock else {}
                 service = StreamingRecoveryService(
-                    shard.registry, config, shard=shard.name,
-                    scheduler=shard.decode_scheduler(), **kwargs)
+                    shard.registry,
+                    StreamConfig.from_serve(shard.serve_config(),
+                                            **self._overrides),
+                    shard=shard.name, scheduler=shard.decode_scheduler(),
+                    clock=self._clock)
                 self._services[shard.name] = service
             return service
 
     def _resolve(self, session_id: str) -> Tuple[Shard, StreamingRecoveryService]:
-        with self._lock:
-            name = self._affinity.get(session_id)
-            service = self._services.get(name) if name else None
-        if name is None or service is None:
-            raise UnknownSession(session_id)
-        return self.cluster.shard(name), service
-
-    def _forward(self, session_id: str, call):
-        """Run a pinned-shard call; if the shard's store no longer knows
-        the session (TTL/LRU eviction), drop the stale pin too."""
-        try:
-            return call()
-        except UnknownSession:
-            with self._lock:
-                self._affinity.pop(session_id, None)
-            raise
-
-    @staticmethod
-    def _localize(shard: Shard, xy) -> np.ndarray:
-        """Global-frame points into the shard's city frame (same translation
-        as ``Shard.localize`` applies to one-shot requests)."""
-        points = np.asarray(xy, dtype=np.float64)
-        ox, oy = shard.spec.origin
-        if ox == 0.0 and oy == 0.0:
-            return points
-        return points - np.array([ox, oy])
+        """The shard and service whose store holds the session."""
+        for name, service in self._snapshot_services():
+            if session_id in service.store:
+                return self.cluster.shard(name), service
+        raise UnknownSession(session_id)
 
     def _snapshot_services(self) -> List[Tuple[str, StreamingRecoveryService]]:
         with self._lock:

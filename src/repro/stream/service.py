@@ -58,15 +58,9 @@ class StreamConfig:
 
     @classmethod
     def for_spec(cls, spec, **overrides) -> "StreamConfig":
-        """Ingest parameters from a ``DatasetSpec`` (same derivation as
-        ``ServeConfig.for_spec`` — masks match what the model trained with)."""
-        params = dict(
-            interval=spec.simulation.sample_interval,
-            beta=spec.dataset.beta,
-            max_gps_error=spec.dataset.max_gps_error,
-        )
-        params.update(overrides)
-        return cls(**params)
+        """Ingest parameters from a ``DatasetSpec``, as ``ServeConfig.for_spec``
+        derives them — masks match what the model trained with."""
+        return cls.from_serve(ServeConfig.for_spec(spec), **overrides)
 
     @classmethod
     def from_serve(cls, serve: ServeConfig, **overrides) -> "StreamConfig":

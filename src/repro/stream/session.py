@@ -223,8 +223,11 @@ class SessionStore:
             return len(self._sessions)
 
     def __contains__(self, session_id: str) -> bool:
+        """Whether the session is resident and not TTL-stale (no sweep: O(1))."""
         with self._lock:
-            return session_id in self._sessions
+            session = self._sessions.get(session_id)
+            return (session is not None and self._clock() - session.last_touch
+                    < self.config.ttl_seconds)
 
     def evictions(self) -> List[Dict[str, Any]]:
         """Recent eviction records, oldest first."""

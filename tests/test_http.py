@@ -1,10 +1,11 @@
 """The HTTP layer, driven in-process on port 0.
 
-``repro.serve.http`` has one server; ``scripts/serve.py`` supplies two
-route tables (single-city service + streaming, cluster).  Every route,
-status code and body is asserted here against the objects behind it, and
-the hand-written exchange — framing, the bounded handler set, its
-counters — against a table of its own.
+``repro.serve.http`` has one server and ``scripts/serve.py`` supplies its
+one route table and one error table, over any shard map (``serve.py http``
+is the one-shard case).  Every route, status code and body is asserted
+here against the cluster and the sessions behind it, and the hand-written
+exchange — framing, the bounded handler set, its counters — against a
+table of its own.
 """
 
 import importlib.util
@@ -18,18 +19,18 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import RecoveryCluster, ShardMap, ShardSpec
+from repro.cluster import RecoveryCluster, ShardMap, ShardSpec, side_by_side
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
-from repro.serve import RecoveryService, ServeConfig, save_model_bundle
-from repro.serve import http
-from repro.stream import StreamConfig, StreamingRecoveryService
+from repro.serve import http, save_model_bundle
+from repro.stream import StreamingCluster
 
 REPO = Path(__file__).resolve().parent.parent
 TINY = RNTrajRecConfig(hidden_dim=16, num_heads=2, dropout=0.0,
@@ -113,6 +114,14 @@ class Client:
         assert not self._thread.is_alive()
 
 
+def serve(cli, cluster, **session_overrides):
+    """The CLI's one table over ``cluster``, as ``serve.py`` wires it."""
+    return Client(http.JsonServer(
+        ("127.0.0.1", 0),
+        cli.routes(cluster, StreamingCluster(cluster, **session_overrides)),
+        cli.ERRORS))
+
+
 # ---------------------------------------------------------------------------
 # serve.py cluster
 # ---------------------------------------------------------------------------
@@ -127,8 +136,7 @@ def cluster(data, model):
 
 @pytest.fixture(scope="module")
 def front(cli, cluster):
-    client = Client(http.JsonServer(("127.0.0.1", 0), cli.cluster_routes(cluster),
-                                    cli.CLUSTER_ERRORS))
+    client = serve(cli, cluster)
     yield client
     client.stop()
 
@@ -150,7 +158,7 @@ class TestClusterRoutes:
             "status": "ok", "shards": {"cd": {"materialized": True}}})
         status, stats = front.get("/stats")
         assert status == 200
-        assert {"cluster", "router", "shards", "memory"} <= set(stats)
+        assert {"cluster", "router", "shards", "memory", "sessions"} <= set(stats)
         assert stats["http"]["handlers"] == http.HANDLERS
         assert stats["http"]["busy"] == 1  # the exchange that reports it
         assert front.get("/deadletters")[0] == 200
@@ -190,6 +198,20 @@ class TestClusterRoutes:
         monkeypatch.setattr(model, "encode", fault)
         assert front.post("/recover", trace(data.train[2])) == (
             500, {"error": "encoder fault"})
+
+    def test_a_type_error_below_the_route_is_a_fault_not_a_400(
+            self, front, model, data, monkeypatch):
+        raw = data.train[1].raw_low
+        sid = front.post("/session/open", {"point": raw.xy[0].tolist()})[1][
+            "session_id"]
+
+        def fault(batch):
+            raise TypeError("encoder fault")
+
+        monkeypatch.setattr(model, "encode", fault)
+        assert front.post("/session/append", {
+            "session_id": sid, "points": raw.xy[:2].tolist(),
+            "times": raw.times[:2].tolist()}) == (500, {"error": "encoder fault"})
 
     def test_swap_and_register(self, front, model, tmp_path):
         assert front.post("/swap", {"shard": "cd"}) == (
@@ -403,46 +425,40 @@ class TestBoundedFrontDoor:
 
 
 # ---------------------------------------------------------------------------
-# serve.py http: one city, one-shot + streaming sessions
+# serve.py http: the one-shard map, one-shot + streaming sessions
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def city(cli, data, model):
-    service = RecoveryService.from_model(
-        model, ServeConfig.for_dataset(data, cache_capacity=0))
-    streaming = StreamingRecoveryService(
-        service.registry,
-        StreamConfig.from_serve(service.config, capacity=2,
-                                evict_idle_seconds=3600.0),
-        telemetry=service.telemetry, scheduler=service.scheduler)
-    client = Client(http.JsonServer(("127.0.0.1", 0),
-                                    cli.service_routes(service, streaming),
-                                    cli.SERVICE_ERRORS))
-    yield client, service
-    client.stop()
-    streaming.close()
-    service.close()
+    shard_map = replace(side_by_side(["chengdu"]), serve={"cache_capacity": 0})
+    with RecoveryCluster(shard_map, model_factory=lambda spec, network: model,
+                         network_factory=lambda spec: data.network) as cluster:
+        client = serve(cli, cluster, capacity=2, evict_idle_seconds=3600.0)
+        yield client, cluster
+        client.stop()
 
 
 class TestServiceRoutes:
     def test_recover_and_stats(self, cli, city, data):
-        client, service = city
+        client, cluster = city
         body = trace(data.train[0], request_id="s0")
         status, reply = client.post("/recover", body)
-        direct = cli._response_payload(service.recover(cli._parse_request(body)))
+        direct = cli._response_payload(cluster.recover(cli._parse_request(body)))
         reply.pop("latency_ms"), direct.pop("latency_ms")
-        assert status == 200 and reply == direct
-        assert client.get("/healthz") == (200, {"status": "ok"})
+        assert status == 200 and reply == direct and reply["shard"] == "chengdu"
+        assert client.get("/healthz")[1]["shards"] == {
+            "chengdu": {"materialized": True}}
         status, stats = client.get("/stats")
-        assert status == 200 and stats["requests"] >= 2
-        assert stats["sessions"]["capacity"] == 2
+        assert status == 200 and stats["cluster"]["requests"] >= 2
+        # Lazy: no session service exists until a session opens.
+        assert stats["sessions"] == {"pinned_sessions": 0, "shards": {}}
         assert stats["http"]["replies"]["200"] >= 2
 
     def test_open_append_finalize_equals_one_shot(self, cli, city, data):
-        client, service = city
+        client, cluster = city
         sample = data.train[3]
         status, opened = client.post("/session/open", {"hour": sample.hour,
                                                        "holiday": sample.holiday})
-        assert status == 200
+        assert status == 200 and opened["shard"] == "chengdu"
         sid = opened["session_id"]
         xy, times = sample.raw_low.xy.tolist(), sample.raw_low.times.tolist()
         for point, stamp in zip(xy, times):
@@ -450,28 +466,96 @@ class TestServiceRoutes:
                 "session_id": sid, "points": [point], "times": [stamp]})
             assert status == 200 and update["session_id"] == sid
         assert update["grid_length"] == len(update["segments"])
+        before = cluster.stats()["cluster"]["requests"]  # appends are not in it
         status, final = client.post("/session/finalize", {"session_id": sid})
         one_shot = cli._response_payload(
-            service.recover(cli._parse_request(trace(sample))))
+            cluster.recover(cli._parse_request(trace(sample))))
         assert status == 200 and final["session_id"] == sid
-        for key in ("segments", "ratios", "times", "model_tag"):
+        for key in ("segments", "ratios", "times", "model_tag", "shard"):
             assert final[key] == one_shot[key]
+        assert cluster.stats()["cluster"]["requests"] == before + 1
         # Finalized sessions are gone.
         assert client.post("/session/finalize", {"session_id": sid})[0] == 404
 
     def test_session_status_map(self, city):
         client, _ = city
         assert client.post("/session/append", {"points": [], "times": []}) == (
-            400, {"error": "missing field 'session_id'"})
+            400, {"error": "missing field(s) ['session_id']"})
         assert client.post("/session/append", {
             "session_id": "ghost", "points": [[0, 0]], "times": [0]})[0] == 404
+        assert client.post("/session/append", {  # unconvertible at the route
+            "session_id": "ghost", "points": [[0, 0], [1]], "times": ["x"]})[0] == 400
         assert client.post("/session/open", b"[]")[0] == 400
+        assert client.post("/session/open", {"hour": "noon"})[0] == 400
         ids = [client.post("/session/open", {})[1]["session_id"] for _ in range(2)]
+        status, reply = client.post("/session/open", {"session_id": ids[0]})
+        assert status == 409 and "already open" in reply["error"]
         status, reply = client.post("/session/open", {})  # store is full
         assert status == 429 and "overloaded" in reply["error"]
+        sessions = client.get("/stats")[1]["sessions"]
+        assert sessions["pinned_sessions"] == 2
+        assert sessions["shards"]["chengdu"]["sessions"]["capacity"] == 2
         for sid in ids:  # too short to finalize: the ingest rejects it
             assert client.post("/session/finalize", {"session_id": sid})[0] == 400
         assert client.get("/session/evictions") == (200, {"evictions": []})
+
+    def test_a_trace_outside_the_city_is_422_not_a_nearest_segment(self, city, data):
+        client, _ = city
+        far = trace(data.train[0])
+        far["points"] = (np.asarray(far["points"]) + 1e5).tolist()
+        status, reply = client.post("/recover", far)
+        assert status == 422 and reply["reason"] == "outside"
+        assert client.get("/deadletters")[1]["dead_letters"]
+        assert client.post("/session/open", {"point": [1e5, 1e5]})[0] == 422
+
+
+# ---------------------------------------------------------------------------
+# Two cities, two ingest grids: sessions pin to the shard owning their point
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def two_cities(cli):
+    porto = load_dataset("porto", num_trajectories=12)
+    with RecoveryCluster(
+            side_by_side(["chengdu", "porto"]),
+            model_factory=lambda spec, network: RNTrajRec(network, TINY).eval(),
+    ) as cluster:
+        client = serve(cli, cluster, capacity=4)  # a bound, not a grid
+        yield client, cluster, porto
+        client.stop()
+
+
+class TestTwoCityDoor:
+    def test_session_finalize_equals_the_owning_shards_recover(self, two_cities):
+        """chengdu's grid is 12 s, porto's 15 s: with the store bounded by
+        an override, each shard's sessions still ingest on its own."""
+        client, cluster, porto = two_cities
+        sample = porto.test[0]
+        body = trace(sample)
+        body["points"] = (sample.raw_low.xy
+                          + np.asarray(cluster.shard("porto").spec.origin)).tolist()
+        status, opened = client.post("/session/open", {
+            "point": body["points"][0], "hour": sample.hour,
+            "holiday": sample.holiday})
+        assert (status, opened["shard"]) == (200, "porto")
+        for point, stamp in zip(body["points"], body["times"]):
+            status, update = client.post("/session/append", {
+                "session_id": opened["session_id"], "points": [point],
+                "times": [stamp]})
+            assert (status, update["shard"]) == (200, "porto")
+        status, final = client.post("/session/finalize", {
+            "session_id": opened["session_id"]})
+        assert status == 200
+        status, one_shot = client.post("/recover", body)
+        assert status == 200
+        for key in ("segments", "ratios", "times", "model_tag", "shard"):
+            assert final[key] == one_shot[key]
+        stats = client.get("/stats")[1]["sessions"]["shards"]
+        assert set(stats) == {"porto"}  # chengdu never built a session service
+        assert stats["porto"]["sessions"]["capacity"] == 4
+
+    def test_open_without_a_point_is_400(self, two_cities):
+        status, reply = two_cities[0].post("/session/open", {"hour": 9})
+        assert status == 400 and "point" in reply["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +569,48 @@ def _alive(pid: int) -> bool:
         return False
 
 
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _call(port, path, payload=None):
+    """One exchange with a subprocess door: (status, body)."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    with socket.create_connection(("127.0.0.1", port), 5.0) as conn:
+        conn.sendall(b"%s %s HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (
+            b"GET" if payload is None else b"POST", path.encode(), len(body), body))
+        raw = b"".join(iter(lambda: conn.recv(65536), b""))
+    head, _, reply = raw.partition(b"\r\n\r\n")
+    return int(head[9:12]), json.loads(reply)
+
+
+def _boot(*args):
+    """``serve.py <args> --port <free>`` once ``GET /stats`` answers:
+    (process, port, that first stats body)."""
+    port = _free_port()
+    server = subprocess.Popen(
+        [sys.executable, str(REPO / "scripts" / "serve.py"), *args,
+         "--port", str(port)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline:
+        assert server.poll() is None, "front door exited before serving"
+        try:
+            return server, port, _call(port, "/stats")[1]
+        except OSError:
+            time.sleep(0.1)
+    server.kill()
+    raise AssertionError("front door never answered")
+
+
+def _stop(server):
+    if server.poll() is None:
+        server.kill()
+        server.wait(timeout=10.0)
+
+
 def test_sigterm_leaves_no_worker_process(model, tmp_path):
     prefix = str(tmp_path / "bundle")
     save_model_bundle(model, prefix)
@@ -492,29 +618,14 @@ def test_sigterm_leaves_no_worker_process(model, tmp_path):
     shard_map.write_text(json.dumps({"shards": [{
         "name": "cd", "dataset": "chengdu", "bundle": prefix,
         "backend": "process", "replicas": 2}]}))
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    server = subprocess.Popen(
-        [sys.executable, str(REPO / "scripts" / "serve.py"), "cluster",
-         "--shard-map", str(shard_map), "--warm", "--port", str(port)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    server, port, stats = _boot("cluster", "--shard-map", str(shard_map), "--warm")
     workers = []
     try:
-        stats = None
-        deadline = time.monotonic() + 120.0
-        while stats is None and time.monotonic() < deadline:
-            assert server.poll() is None, "front door exited before serving"
-            try:
-                with socket.create_connection(("127.0.0.1", port), 5.0) as conn:
-                    conn.sendall(b"GET /stats HTTP/1.0\r\n\r\n")
-                    raw = b"".join(iter(lambda: conn.recv(65536), b""))
-                stats = json.loads(raw.partition(b"\r\n\r\n")[2])
-            except OSError:
-                time.sleep(0.1)
-        assert stats is not None, "front door never answered"
         workers = [row["pid"] for row in stats["shards"]["cd"]["worker_stats"]]
         assert len(workers) == 2 and all(_alive(pid) for pid in workers)
+        # Its decode slots live in those workers: no sessions here.
+        status, reply = _call(port, "/session/open", {"point": [700.0, 700.0]})
+        assert status == 501 and "inproc" in reply["error"]
 
         server.send_signal(signal.SIGTERM)  # the front door only
         assert server.wait(timeout=30.0) == 0
@@ -523,9 +634,41 @@ def test_sigterm_leaves_no_worker_process(model, tmp_path):
             time.sleep(0.05)
         assert not any(_alive(pid) for pid in workers)
     finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait(timeout=10.0)
+        _stop(server)
         for pid in workers:  # a failed run must not leak what it asserts on
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+def test_serve_http_is_the_one_shard_cluster(model, data, tmp_path):
+    """The ``http`` alias end to end: boots from a bundle through
+    ``Shard.warm`` (artifact cache under ``DIR/<dataset>``), answers in the
+    cluster's shapes, and a session's finalize equals ``/recover``."""
+    prefix = str(tmp_path / "bundle")
+    save_model_bundle(model, prefix)
+    server, port, stats = _boot("http", "--dataset", "chengdu", "--bundle", prefix,
+                                "--artifact-dir", str(tmp_path / "cities"))
+    try:
+        assert stats["shards"]["chengdu"]["artifacts"]["source"] == "built"
+        assert (tmp_path / "cities" / "chengdu").is_dir()
+        assert _call(port, "/healthz") == (200, {
+            "status": "ok", "shards": {"chengdu": {"materialized": True}}})
+        body = trace(data.train[0])
+        status, one_shot = _call(port, "/recover", body)
+        assert status == 200 and one_shot["shard"] == "chengdu"
+        status, opened = _call(port, "/session/open", {
+            "hour": body["hour"], "holiday": body["holiday"]})
+        assert status == 200
+        status, update = _call(port, "/session/append", {
+            "session_id": opened["session_id"], "points": body["points"],
+            "times": body["times"]})
+        assert status == 200 and update["shard"] == "chengdu"
+        status, final = _call(port, "/session/finalize", {
+            "session_id": opened["session_id"]})
+        assert status == 200
+        for key in ("segments", "ratios", "times", "model_tag"):
+            assert final[key] == one_shot[key]
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30.0) == 0
+    finally:
+        _stop(server)

@@ -65,9 +65,9 @@ class TestOutputHashes:
 
 
 class TestCheckDocs:
-    """``scripts/check_docs.py`` — the env-knob and API-name checks over a
-    scratch tree (the knob names below are assembled at run time so this
-    file never counts as "reading" them)."""
+    """``scripts/check_docs.py`` — the env-knob, API-name and route-table
+    checks over a scratch tree (the knob names below are assembled at run
+    time so this file never counts as "reading" them)."""
 
     READ, UNREAD, PREFIX = ("REPRO_" + "DOCTEST_READ", "REPRO_" + "DOCTEST_GONE",
                             "REPRO_" + "DOCTEST_")
@@ -78,7 +78,7 @@ class TestCheckDocs:
         (tmp_path / "benchmarks").mkdir()
         (tmp_path / "benchmarks" / "bench_x.py").write_text(
             f'import os\nBUDGET = os.environ.get("{self.READ}", 1)\n')
-        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs").mkdir(exist_ok=True)
         (tmp_path / "docs" / "api.md").write_text(f"`repro.pkg`\n{doc}\n")
         (tmp_path / ".github" / "workflows").mkdir(parents=True)
         (tmp_path / ".github" / "workflows" / "ci.yml").write_text(workflow)
@@ -120,6 +120,30 @@ class TestCheckDocs:
         assert out.returncode == 1
         assert "docs/api.md: `pkg.build` is not bound" in out.stdout
         assert "pkg.Engine" not in out.stdout
+
+    TABLE = ('def routes():\n    return {("GET", "/healthz"): ok,\n'
+             '            ("POST", "/recover"): recover}\n')
+
+    def _routed(self, tmp_path, rows):
+        (tmp_path / "scripts").mkdir()
+        (tmp_path / "scripts" / "serve.py").write_text(self.TABLE)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "door.md").write_text(
+            "| Route | Method | Body |\n| --- | --- | --- |\n" + rows)
+        return self._tree(tmp_path)
+
+    def test_route_table_and_endpoint_table_agree(self, tmp_path):
+        out = self._routed(tmp_path, "| `/healthz` | GET | ok |\n"
+                                     "| `/recover` | POST | a trace |\n")
+        assert out.returncode == 0, out.stdout
+
+    def test_undocumented_and_unrouted_endpoints_fail(self, tmp_path):
+        out = self._routed(tmp_path, "| `/healthz` | GET | ok |\n"
+                                     "| `/recover` | GET | wrong method |\n")
+        assert out.returncode == 1
+        assert "route `POST /recover` is in no endpoint table" in out.stdout
+        assert "docs/door.md: endpoint table lists `GET /recover`" in out.stdout
+        assert "/healthz" not in out.stdout
 
 
 class TestPopulateCacheScript:

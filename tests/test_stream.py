@@ -8,6 +8,8 @@ LRU, backpressure), the typed append validation, the decoder's
 split/replay kernel invariants, telemetry, and session→shard affinity.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -545,9 +547,7 @@ class TestStreamingCluster:
 
     def test_evictions_roll_up_with_shard_labels(self, data, cluster):
         clock = FakeClock()
-        streaming = StreamingCluster(
-            cluster, StreamConfig.for_spec(data.spec, ttl_seconds=10.0),
-            clock=clock)
+        streaming = StreamingCluster(cluster, ttl_seconds=10.0, clock=clock)
         sample = data.test[0]
         sid, shard_name = streaming.open(sample.raw_low.xy[0])
         streaming.append(sid, sample.raw_low.xy[:2], sample.raw_low.times[:2])
@@ -556,10 +556,88 @@ class TestStreamingCluster:
         records = streaming.evictions()
         assert [r["session_id"] for r in records] == [sid]
         assert records[0]["shard"] == shard_name
-        with pytest.raises(UnknownSession):  # stale pin dropped on contact
+        with pytest.raises(UnknownSession):  # the store forgot it: so did we
             streaming.finalize(sid)
         assert sid2  # the fresh session stays usable
         streaming.close()
+
+    def test_abandoned_sessions_leave_no_pin(self, data, cluster):
+        """The stores are the only membership: what one expired is not
+        pinned either, whether or not its client ever comes back."""
+        clock = FakeClock()
+        streaming = StreamingCluster(cluster, ttl_seconds=10.0, clock=clock)
+        point = data.test[0].raw_low.xy[0]
+        for _ in range(50):
+            streaming.open(point)
+        assert streaming.stats()["pinned_sessions"] == 50
+        clock.advance(30.0)
+        streaming.open(point)
+        stats = streaming.stats()
+        live = sum(block["sessions"]["active_sessions"]
+                   for block in stats["shards"].values())
+        assert stats["pinned_sessions"] == live == 1
+
+    def test_a_session_id_lives_on_one_shard(self, data, cluster):
+        clock = FakeClock()
+        streaming = StreamingCluster(cluster, ttl_seconds=10.0, clock=clock)
+        raw = data.test[0].raw_low
+        there = raw.xy + np.asarray(cluster.shards[1].spec.origin)
+        assert streaming.open(raw.xy[0], session_id="dev-7")[1] == \
+            cluster.shards[0].name
+        for point in (there[0], raw.xy[0]):  # the sibling shard, then its own
+            with pytest.raises(StreamError, match="already open"):
+                streaming.open(point, session_id="dev-7")
+        # The first session was not orphaned: it still appends where it is.
+        assert streaming.append("dev-7", raw.xy[:2], raw.times[:2]).shard == \
+            cluster.shards[0].name
+        clock.advance(30.0)  # ... and once it expired the id is free again
+        assert streaming.open(there[0], session_id="dev-7")[1] == \
+            cluster.shards[1].name
+
+    def test_racing_opens_of_one_id_admit_exactly_one(self, data, cluster):
+        """Check-then-open is one step: 16 threads over two shards, 1e-5 s
+        switch interval, and the id ends up live in exactly one store."""
+        streaming = StreamingCluster(cluster)
+        raw = data.test[0].raw_low
+        points = [raw.xy[0], raw.xy[0] + np.asarray(cluster.shards[1].spec.origin)]
+        streaming.open(points[0]), streaming.open(points[1])  # both services built
+        outcomes, barrier = [], threading.Barrier(16)
+
+        def race(index):
+            barrier.wait(timeout=10.0)
+            try:
+                outcomes.append(streaming.open(points[index % 2],
+                                               session_id="contested")[1])
+            except StreamError:
+                outcomes.append(None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=race, args=(i,)) for i in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outcomes) == 16 and outcomes.count(None) == 15
+        assert streaming.stats()["pinned_sessions"] == 3
+
+    def test_open_without_a_point_needs_a_one_shard_map(self, data, cluster):
+        with pytest.raises(RequestError, match="point"):
+            StreamingCluster(cluster).open()
+        with RecoveryCluster(
+                side_by_side(["chengdu"]), network_factory=lambda s: data.network,
+                model_factory=lambda s, n: RNTrajRec(n, TINY).eval()) as solo:
+            assert StreamingCluster(solo).open()[1] == "chengdu"
+
+    def test_overrides_never_carry_an_ingest_grid(self, cluster):
+        with pytest.raises(ValueError, match="ingest grid"):
+            StreamingCluster(cluster, interval=12.0)
+        with pytest.raises(TypeError):
+            StreamingCluster(cluster, no_such_field=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Validate the documentation against the repo (run by the CI docs job).
 
-Seven checks over every tracked ``*.md`` file:
+Eight checks over every tracked ``*.md`` file:
 
 1. **links** — inline links/images must resolve to an existing file or
    directory; ``path#anchor`` anchors are verified against the target's
@@ -26,7 +26,12 @@ Seven checks over every tracked ``*.md`` file:
 7. **routes** — every ``("GET"|"POST", "/path")`` key of the route table
    in ``scripts/serve.py`` (``ast`` again) must be a row of an endpoint
    table under ``docs/`` (``| `/path` | METHOD | ...``), and every such
-   row must be a key (catches a route added or dropped without its doc).
+   row must be a key (catches a route added or dropped without its doc);
+8. **profile names** — every string literal ``profile.section(...)`` /
+   ``profile.count(...)`` is called with in ``src/repro`` (``ast``) must
+   be a backticked name in a row of ``docs/architecture.md``'s "Profiling
+   hooks" table, and every name there must be called (catches a hook
+   added or dropped without its row).
 
     python scripts/check_docs.py [root]
 
@@ -235,6 +240,35 @@ def check_routes(root: Path) -> list:
     ]
 
 
+def check_profile_names(root: Path) -> list:
+    """The profiling hooks in ``src/repro`` and their docs table agree."""
+    doc = root / "docs" / "architecture.md"
+    if not doc.exists():
+        return []
+    called = {
+        node.args[0].value
+        for source in (root / "src" / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("section", "count")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "profile"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    }
+    hooks = doc.read_text(encoding="utf-8").partition(
+        "## Profiling hooks")[2].partition("\n## ")[0]
+    listed = {name for cell in re.findall(r"^\|([^|]*)\|", hooks, re.M)
+              for name in re.findall(r"`([\w.]+)`", cell)}
+    return [
+        f"src/repro: profile name `{name}` is in no row of the Profiling "
+        "hooks table in docs/architecture.md" for name in sorted(called - listed)
+    ] + [
+        f"docs/architecture.md: Profiling hooks table lists `{name}`, which no "
+        "profile.section / profile.count call in src/repro uses"
+        for name in sorted(listed - called)
+    ]
+
+
 def main() -> int:
     root = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else (
         Path(__file__).resolve().parent.parent)
@@ -258,6 +292,7 @@ def main() -> int:
     problems.extend(check_package_index(root))
     problems.extend(check_api_names(root))
     problems.extend(check_routes(root))
+    problems.extend(check_profile_names(root))
     if problems:
         print(f"checked {count} markdown files — {len(problems)} problem(s):")
         for problem in problems:
@@ -265,8 +300,9 @@ def main() -> int:
         return 1
     packages = ", ".join(repo_packages(root))
     print(f"checked {count} markdown files — links, src/repro paths, "
-          f"BENCH artifacts, REPRO_* knobs, docs/api.md names and the "
-          f"serve.py route table all resolve; docs/api.md covers: {packages}")
+          f"BENCH artifacts, REPRO_* knobs, docs/api.md names, the serve.py "
+          f"route table and the profiling hooks all resolve; docs/api.md "
+          f"covers: {packages}")
     return 0
 
 

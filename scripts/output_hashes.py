@@ -10,7 +10,9 @@ still shows), the interpolation prior, the decode constraint (both as dense
 tensors) and ``recover``'s segments + rates over the perf ledger's first
 ``--requests`` ``metro-burst`` and ``http-cold`` requests of ``--seed``,
 once on a built model and once on the same weights adopted read-only from
-the city's ``CityArtifacts`` (``mmap=True``).
+the city's ``CityArtifacts`` (``mmap=True``).  Per city, the built model's
+training ``compute_loss`` (loss and every gradient, teacher-forcing ratios
+1 / 0.5 / 0) over a fixed simulated ground-truth batch is hashed too.
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -31,25 +33,50 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "ledger")]
 import workloads  # noqa: E402  (benchmarks/ledger)
 from repro import nn  # noqa: E402
 from repro.core import RNTrajRec  # noqa: E402
-from repro.core.decoder import interpolation_prior  # noqa: E402
+from repro.core.decoder import DecodeConstraint, interpolation_prior  # noqa: E402
 from repro.datasets import get_spec  # noqa: E402
 from repro.experiments.harness import small_model_config  # noqa: E402
 from repro.roadnet import CityArtifacts  # noqa: E402
 from repro.serve import ModelRegistry, RecoveryRequest, ServeConfig  # noqa: E402
 from repro.serve.request import assemble_sample  # noqa: E402
-from repro.trajectory.dataset import make_batch  # noqa: E402
+from repro.trajectory import (  # noqa: E402
+    SimulationConfig, TrajectorySimulator, build_samples, make_batch)
 
 SECONDS = 3.0  # past 48 requests each; traces are drawn in send order,
                # so a shorter window's requests are a prefix of the ledger's
 
 
+def _dense(constraint: DecodeConstraint) -> np.ndarray:
+    """The (b, T, |V|) mask tensor a sparse constraint stands for, built
+    from its dataclass fields alone."""
+    out = np.repeat(constraint.base[..., None], constraint.num_segments, -1)
+    for (i, j), lo in np.ndenumerate(constraint.lo):
+        hits = slice(lo, constraint.hi[i, j])
+        out[i, j, constraint.ids[hits]] = constraint.weights[hits]
+    return out
+
+
 def _sha(*arrays) -> str:
-    """One digest over arrays (masks in whichever form the commit returns)."""
+    """One digest over arrays (masks as their dense tensors)."""
     digest = hashlib.sha256()
     for array in arrays:
-        array = array.dense() if hasattr(array, "dense") else array
+        array = _dense(array) if isinstance(array, DecodeConstraint) else array
         digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
+
+
+def loss_lines(key: str, model, network, seed: int):
+    """``compute_loss`` + backward at three teacher-forcing ratios."""
+    pairs = TrajectorySimulator(network, SimulationConfig(seed=7)).simulate(2)
+    batch = make_batch(build_samples(pairs, network))
+    model.train()
+    for ratio in (1.0, 0.5, 0.0):
+        model.zero_grad()
+        loss = model.compute_loss(batch, ratio, rng=np.random.default_rng(seed))
+        loss.total.backward()
+        yield f"{key}/compute_loss@{ratio} " + _sha(loss.total.data, *(
+            np.zeros(0) if p.grad is None else p.grad
+            for _, p in model.named_parameters()))
 
 
 def hash_lines(seed: int, requests: int, metro_block: float):
@@ -95,6 +122,10 @@ def hash_lines(seed: int, requests: int, metro_block: float):
                         f"{key}/prior {_sha(prior)}",
                         f"{key}/constraint {_sha(model.decode_constraint(batch))}",
                         f"{key}/recover {_sha(*model.recover(batch))}"]
+            for city in workload.cities:
+                lines += loss_lines(f"{name}/train/{city.name}/built",
+                                    models[city.name]["built"],
+                                    workload.networks[city.name], seed)
     return sorted(lines)
 
 

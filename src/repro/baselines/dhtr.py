@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from ..geo.grid import Grid
 from ..mapmatch.hmm import HMMConfig, HMMMapMatcher
 from ..roadnet.network import RoadNetwork
@@ -84,7 +84,8 @@ class DHTRRecovery(nn.Module):
         return LossBreakdown(total=loss, id_loss=0.0, rate_loss=float(loss.item()), graph_loss=0.0)
 
     def recover_trajectories(self, batch: Batch) -> List[MatchedTrajectory]:
-        coords = self._denormalize(self._decode_coordinates(batch).data)
+        with no_grad():
+            coords = self._denormalize(self._decode_coordinates(batch).data)
         out: List[MatchedTrajectory] = []
         for i, sample in enumerate(batch.samples):
             times = sample.target.times

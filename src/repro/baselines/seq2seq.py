@@ -20,7 +20,7 @@ from typing import List, Optional, Protocol, Tuple
 import numpy as np
 
 from .. import nn
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from ..geo.grid import Grid
 from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
@@ -94,7 +94,8 @@ class Seq2SeqRecovery(nn.Module):
     def compute_loss(self, batch: Batch, teacher_forcing_ratio: float = 0.5,
                      rng: Optional[np.random.Generator] = None) -> LossBreakdown:
         point_features, trajectory_feature = self._encode(batch)
-        constraint = batch.constraint_tensor(self.network.num_segments)
+        constraint = decode_constraint(batch, self.network, 0.0,
+                                       self.config.decode_prior_floor)
         decoded = self.decoder.forward_teacher(
             point_features, trajectory_feature, batch, constraint,
             teacher_forcing_ratio=teacher_forcing_ratio, rng=rng,
@@ -107,14 +108,15 @@ class Seq2SeqRecovery(nn.Module):
         )
 
     def recover(self, batch: Batch) -> Tuple[np.ndarray, np.ndarray]:
-        point_features, trajectory_feature = self._encode(batch)
-        constraint = decode_constraint(
-            batch, self.network, self.config.decode_prior_scale,
-            self.config.decode_prior_floor)
-        return self.decoder.decode_greedy(
-            point_features, trajectory_feature, batch.target_length, constraint,
-            reachability=self.reachability,
-        )
+        with no_grad():
+            point_features, trajectory_feature = self._encode(batch)
+            constraint = decode_constraint(
+                batch, self.network, self.config.decode_prior_scale,
+                self.config.decode_prior_floor)
+            return self.decoder.decode_greedy(
+                point_features, trajectory_feature, batch.target_length,
+                constraint, reachability=self.reachability,
+            )
 
     def recover_trajectories(self, batch: Batch) -> List[MatchedTrajectory]:
         segments, rates = self.recover(batch)

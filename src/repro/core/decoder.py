@@ -29,7 +29,7 @@ import numpy as np
 from .. import nn, profile
 from ..nn import functional as F
 from ..nn.graph import ragged_positions
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor
 from ..trajectory.dataset import Batch
 from .config import RNTrajRecConfig
 
@@ -66,11 +66,13 @@ class DecoderOutput:
 
 @dataclass(frozen=True)
 class DecodeConstraint:
-    """The decode-time mask of a (b, T) span of grid steps, sparse: row
-    ``(i, j)`` is ``base[i, j]`` except on ``ids[lo[i, j]:hi[i, j]]``,
-    where it is the matching ``weights``.  Steps may share a slice (rows
-    that interpolate to one position do), so this is O(b·T + support)
-    numbers; nothing |V|-wide exists until :meth:`row` or :meth:`dense`."""
+    """The constraint mask of a (b, T) span of grid steps, the only form
+    training and decoding hold it in, sparse: row ``(i, j)`` is
+    ``base[i, j]`` except on ``ids[lo[i, j]:hi[i, j]]``, where it is the
+    matching ``weights``.  Steps may share a slice (rows that interpolate
+    to one position do), so this is O(b·T + support) numbers; nothing
+    |V|-wide exists until :meth:`row` builds one step's rows
+    (``tests/reference.py`` keeps the full dense tensor for tests)."""
 
     base: np.ndarray       # (b, T) mask value off the step's support
     lo: np.ndarray         # (b, T) support slice start into ids / weights
@@ -99,10 +101,6 @@ class DecodeConstraint:
             row[:] = base
             row[ids] = weights
         return out
-
-    def dense(self) -> np.ndarray:
-        """The (b, T, |V|) mask tensor (beam search and tests)."""
-        return np.stack([self.row(j) for j in range(self.base.shape[1])], 1)
 
 
 def _immutable(array) -> bool:
@@ -371,36 +369,21 @@ class RecoveryDecoder(nn.Module):
         mask_row: Optional[np.ndarray],
         projected_keys: Optional[Tensor] = None,
     ) -> Tuple[Tensor, Tensor, Tensor]:
-        """One decode step; returns (log_probs, new_state, context).
+        """One decode step — attention, GRU, segment head, masked log
+        softmax; returns (log_probs, new_state, context).
 
         ``projected_keys`` optionally carries the attention's W_h·enc
         projection, which is constant across steps — decode loops compute
         it once instead of per step.
         """
-        logits, state, context = self._step_logits(
-            prev_embed, prev_rate, state, encoder_outputs, projected_keys
-        )
+        context = self.attention(state, encoder_outputs, projected_keys=projected_keys)
+        state = self.gru(nn.concat([prev_embed, prev_rate, context], axis=-1), state)
+        logits = self.segment_head(state)
         if mask_row is not None:
             log_probs = F.masked_log_softmax(logits, mask_row, axis=-1)
         else:
             log_probs = F.log_softmax(logits, axis=-1)
         return log_probs, state, context
-
-    def _step_logits(
-        self,
-        prev_embed: Tensor,
-        prev_rate: Tensor,
-        state: Tensor,
-        encoder_outputs: Tensor,
-        projected_keys: Optional[Tensor] = None,
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Attention + GRU + segment head, without the softmax normalization
-        (greedy decoding only needs the argmax, and log-softmax is a
-        monotone per-row shift — see :meth:`decode_greedy`)."""
-        context = self.attention(state, encoder_outputs, projected_keys=projected_keys)
-        gru_input = nn.concat([prev_embed, prev_rate, context], axis=-1)
-        state = self.gru(gru_input, state)
-        return self.segment_head(state), state, context
 
     def _rate(self, segment_embed: Tensor, state: Tensor) -> Tensor:
         """Eq. 17 head: sigmoid of a bilinear score."""
@@ -412,7 +395,7 @@ class RecoveryDecoder(nn.Module):
         encoder_outputs: Tensor,
         initial_state: Tensor,
         batch: Batch,
-        constraint: np.ndarray,
+        constraint: DecodeConstraint,
         teacher_forcing_ratio: float = 0.5,
         rng: Optional[np.random.Generator] = None,
     ) -> DecoderOutput:
@@ -421,7 +404,8 @@ class RecoveryDecoder(nn.Module):
         At each step the next-step input is the gold segment/ratio with
         probability ``teacher_forcing_ratio`` and the model's own greedy
         prediction otherwise, which closes the train/inference gap of pure
-        teacher forcing.  The rate head is always supervised on the gold
+        teacher forcing.  Step j is masked with ``constraint.row(j)``, so
+        one (b, |V|) mask row exists at a time.  The rate head is always supervised on the gold
         segment embedding (its target is the gold ratio).
         """
         rng = rng or np.random.default_rng(0)
@@ -435,7 +419,7 @@ class RecoveryDecoder(nn.Module):
         rate_steps: List[Tensor] = []
         for j in range(l_rho):
             log_probs, state, _ = self._step(
-                prev_embed, prev_rate, state, encoder_outputs, constraint[:, j, :],
+                prev_embed, prev_rate, state, encoder_outputs, constraint.row(j),
                 projected_keys=projected_keys,
             )
             log_prob_steps.append(log_probs)
@@ -476,7 +460,7 @@ class RecoveryDecoder(nn.Module):
         Inference needs neither gradients nor normalized probabilities
         (the log-softmax normalizer is constant per row), so the loop is a
         raw-numpy kernel: each :func:`greedy_step` replays the floating-point
-        operations of :meth:`_step_logits` on plain arrays and selects
+        operations of :meth:`_step` on plain arrays and selects
         ``argmax(logits + log mask)`` (bit-identical outputs, asserted by
         ``tests/test_vectorized_equivalence.py``).
         """
@@ -534,88 +518,6 @@ class RecoveryDecoder(nn.Module):
                 segments[:, j] = predicted
                 rates[:, j] = step_rates
             return segments, rates, carry
-
-    # ------------------------------------------------------------------
-    def decode_beam(
-        self,
-        encoder_outputs: Tensor,
-        initial_state: Tensor,
-        target_length: int,
-        constraint: Optional[np.ndarray],
-        beam_width: int = 4,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Beam-search decoding (extension; the paper decodes greedily).
-
-        Tracks ``beam_width`` hypotheses per trajectory, scoring by summed
-        masked log-probabilities.  All live hypotheses of one trajectory are
-        stacked into the *batch axis* of a single :meth:`_step` call, and
-        expansion is one top-k over the flattened (beams × |V|) score matrix
-        — no per-beam Python candidate lists.  Selecting the global top
-        ``beam_width`` of that matrix is equivalent to the classic
-        per-beam-top-k-then-merge: a candidate outside its own beam's top
-        ``beam_width`` is outranked by ``beam_width`` siblings and can never
-        make the global cut.  The rate head runs once along the winning
-        hypothesis.
-        """
-        with no_grad(), profile.section("decode.beam"):
-            batch_size = encoder_outputs.shape[0]
-            num_segments = self.num_segments
-            segments = np.zeros((batch_size, target_length), dtype=np.int64)
-            rates = np.zeros((batch_size, target_length))
-            enc_data = encoder_outputs.data
-            keys_data = self.attention.project_keys(encoder_outputs).data
-
-            for i in range(batch_size):
-                scores = np.zeros(1)
-                histories = np.zeros((1, 0), dtype=np.int64)
-                state = initial_state[i : i + 1]
-                prev_embed = self.start_embedding.reshape(1, -1)
-                prev_rate = Tensor(np.zeros((1, 1)))
-                for j in range(target_length):
-                    k = len(scores)
-                    enc_k = Tensor(np.broadcast_to(enc_data[i], (k,) + enc_data[i].shape))
-                    keys_k = Tensor(np.broadcast_to(keys_data[i], (k,) + keys_data[i].shape))
-                    mask_row = None
-                    if constraint is not None:
-                        mask_row = np.broadcast_to(constraint[i, j, :], (k, num_segments))
-                    log_probs, new_state, _ = self._step(
-                        prev_embed, prev_rate, state, enc_k, mask_row,
-                        projected_keys=keys_k,
-                    )
-                    flat = (scores[:, None] + log_probs.data).reshape(-1)
-                    if flat.size > beam_width:
-                        top = np.argpartition(-flat, beam_width - 1)[:beam_width]
-                    else:
-                        top = np.arange(flat.size)
-                    # Deterministic ranking: score descending, index tiebreak.
-                    top = top[np.lexsort((top, -flat[top]))]
-                    beam_idx, sids = top // num_segments, top % num_segments
-                    scores = flat[top]
-                    histories = np.concatenate(
-                        [histories[beam_idx], sids[:, None]], axis=1
-                    )
-                    state = Tensor(new_state.data[beam_idx])
-                    prev_embed = self.segment_embedding(sids)
-                    rate = self._rate(prev_embed, state)
-                    prev_rate = Tensor(np.clip(rate.data.reshape(-1, 1), 0.0, 1.0 - 1e-9))
-                segments[i] = histories[int(np.argmax(scores))]
-                # Re-run the rate head along the winning path for per-step rates.
-                enc_i = encoder_outputs[i : i + 1]
-                keys_i = Tensor(keys_data[i : i + 1])
-                state = initial_state[i : i + 1]
-                prev_embed = self.start_embedding.reshape(1, -1)
-                prev_rate = Tensor(np.zeros((1, 1)))
-                for j in range(target_length):
-                    # Only the recurrent state matters here (the path is
-                    # fixed), so skip the softmax entirely.
-                    _, state, _ = self._step_logits(
-                        prev_embed, prev_rate, state, enc_i, projected_keys=keys_i,
-                    )
-                    prev_embed = self.segment_embedding(segments[i, j : j + 1])
-                    rate = self._rate(prev_embed, state)
-                    rates[i, j] = float(np.clip(rate.data.reshape(-1)[0], 0.0, 1.0 - 1e-9))
-                    prev_rate = Tensor(np.full((1, 1), rates[i, j]))
-            return segments, rates
 
 
 def _prior_radius(scale: float, floor: float) -> float:
@@ -693,10 +595,13 @@ def interpolation_prior(batch: Batch, network, scale: float, floor: float,
 
 def decode_constraint(batch: Batch, network, scale: float, floor: float,
                       start: int = 0) -> DecodeConstraint:
-    """The decode-time mask for grid steps ``[start:]``: the paper's Eq. 16
-    distance constraint, sharpened by the interpolation prior when
-    ``scale`` > 0 — by definition (and ``.dense()`` bit for bit)
-    ``batch.constraint_tensor(|V|, start) * interpolation_prior(..., start)``.
+    """The constraint mask for grid steps ``[start:]``, by definition the
+    paper's Eq. 16 tensor times the interpolation prior: every row is 1.0
+    at an unobserved step and, at an observed one, 0 off the fix's entry
+    and its weights on it (``tests/reference.py`` spells this tensor
+    out), multiplied by ``interpolation_prior(..., start)`` when
+    ``scale`` > 0.  With ``scale`` = 0 it is the Eq. 16 mask alone, which
+    training uses.
 
     An unobserved step's product row *is* the prior row (1.0·p == p).  An
     observed step's is zero off its Eq. 16 entry and ``weight · prior`` on

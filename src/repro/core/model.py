@@ -71,7 +71,8 @@ class RNTrajRec(nn.Module):
                      rng: Optional[np.random.Generator] = None) -> LossBreakdown:
         """Scheduled-sampling multi-task loss on one mini-batch."""
         encoded = self.encode(batch)
-        constraint = batch.constraint_tensor(self.network.num_segments)
+        constraint = decode_constraint(batch, self.network, 0.0,
+                                       self.config.decode_prior_floor)
         decoded = self.decoder.forward_teacher(
             encoded.point_features, encoded.trajectory_feature, batch, constraint,
             teacher_forcing_ratio=teacher_forcing_ratio, rng=rng,
@@ -97,19 +98,14 @@ class RNTrajRec(nn.Module):
             batch, self.network, self.config.decode_prior_scale,
             self.config.decode_prior_floor, start)
 
-    def recover(self, batch: Batch, beam_width: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """Recover segments/rates (b, l_ρ); greedy, or beam search if
-        ``beam_width`` > 1.  Runs under ``no_grad`` — inference never needs
-        the autograd graph, and the encoder can memoize X_road."""
+    def recover(self, batch: Batch) -> Tuple[np.ndarray, np.ndarray]:
+        """Greedily recover segments/rates (b, l_ρ).  Runs under
+        ``no_grad`` — inference never needs the autograd graph, and the
+        encoder can memoize X_road."""
         with no_grad(), profile.section("model.recover"):
             with profile.section("model.encode"):
                 encoded = self.encode(batch)
             constraint = self.decode_constraint(batch)
-            if beam_width > 1:
-                return self.decoder.decode_beam(
-                    encoded.point_features, encoded.trajectory_feature,
-                    batch.target_length, constraint.dense(), beam_width=beam_width,
-                )
             return self.decoder.decode_greedy(
                 encoded.point_features,
                 encoded.trajectory_feature,

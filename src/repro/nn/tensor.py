@@ -46,7 +46,7 @@ class no_grad:
     Inside the block every op produced by :meth:`Tensor._make` is a plain
     constant tensor: no parent links, no backward closures, no graph
     retention.  The *values* computed are bit-identical — only the
-    bookkeeping is skipped — so inference paths (greedy/beam decoding, the
+    bookkeeping is skipped — so inference paths (greedy decoding, the
     serving scheduler) use this for a pure-speed win.  Re-entrant and
     thread-local.
     """

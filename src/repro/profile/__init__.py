@@ -17,25 +17,9 @@ Profiling is **disabled by default** and costs one attribute check plus a
 shared no-op context manager per instrumented span when off, so the
 instrumentation can stay in the production code path permanently.
 
-Section names used by the built-in instrumentation:
-
-==========================  ====================================================
-``model.recover``           end-to-end recovery (encode + priors + decode)
-``model.encode``            full GPSFormer forward
-``encoder.road_features``   road representation (X_road; cache misses only)
-``encoder.blocks``          the GPSFormer transformer/refinement block stack
-``road.grid_gru``           GridGNN grid-sequence GRU (inside road features)
-``road.gat``                GridGNN GAT stack (inside road features)
-``subgraph.batch``          sub-graph generation over a (b, l) point grid
-``decode.prior``            interpolation-prior construction
-``decode.greedy``           greedy decode step loop (run-to-completion kernel)
-``decode.beam``             beam-search decode
-``serve.admit``             one serving-engine admission (encode + constraint)
-``engine.step``             one serving-engine decode step of the running slot
-==========================  ====================================================
-
-and one counter: ``decode.full_row`` — decode steps whose float32-screened
-argmax was not certified and ran the float64 row (``greedy_step``).
+The section and counter names the built-in instrumentation uses are
+listed, with where each is wired, in ``docs/architecture.md``'s
+"Profiling hooks" table (``scripts/check_docs.py`` keeps the two equal).
 """
 
 from __future__ import annotations

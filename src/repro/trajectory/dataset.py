@@ -12,8 +12,9 @@ Each sample couples
   unconstrained (all ones).
 
 Batches stack same-shape samples (the simulator emits fixed-length
-trajectories, so bucketing is trivial) and materialize dense constraint
-tensors on demand.
+trajectories, so bucketing is trivial) and collect their observed steps'
+Eq. 16 entries (:meth:`Batch.observed_entries`), from which
+``repro.core.decoder.decode_constraint`` builds the sparse mask.
 """
 
 from __future__ import annotations
@@ -200,23 +201,6 @@ class Batch:
         return (np.array(rows_i), np.array(rows_j),
                 np.array([len(block) for block in ids]),
                 np.concatenate(ids), np.concatenate(weights))
-
-    def constraint_tensor(self, num_segments: int, start: int = 0) -> np.ndarray:
-        """(b, l_ρ − start, |V|) dense constraint masks (1.0 where
-        unconstrained) for grid steps ``[start:]`` — the rows of the
-        full-grid tensor, without materializing the prefix.
-
-        One allocation + batched scatter writes across all samples, rather
-        than stacking per-sample matrices (which copies every row twice).
-        """
-        mask = np.ones((self.size, self.target_length - start, num_segments),
-                       dtype=np.float64)
-        observed = self.observed_entries(start)
-        if observed is not None:
-            rows_i, rows_j, counts, ids, weights = observed
-            mask[rows_i, rows_j] = 0.0
-            mask[np.repeat(rows_i, counts), np.repeat(rows_j, counts), ids] = weights
-        return mask
 
 
 def make_batch(samples: Sequence[RecoverySample]) -> Batch:

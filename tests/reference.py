@@ -165,7 +165,7 @@ def reference_constraint_for_fix(network: RoadNetwork, x: float, y: float,
 
 
 # ----------------------------------------------------------------------
-# Decoder: reachability mask, interpolation prior, greedy / beam decoding
+# Decoder: reachability mask, interpolation prior, greedy decoding
 # ----------------------------------------------------------------------
 
 
@@ -219,6 +219,13 @@ def reference_interpolation_prior(batch: Batch, network, scale: float,
                 prior[i, j, sid] = max(np.exp(-(dist / scale) ** 2), floor)
             prev_xy = xy
     return prior
+
+
+def dense(constraint: DecodeConstraint) -> np.ndarray:
+    """The (b, T, |V|) mask tensor a sparse constraint stands for, one
+    :meth:`DecodeConstraint.row` per step."""
+    return np.stack([constraint.row(j)
+                     for j in range(constraint.base.shape[1])], 1)
 
 
 def constraint_from_dense(dense: np.ndarray) -> DecodeConstraint:
@@ -311,64 +318,6 @@ def reference_decode_greedy(
         rates[:, j] = np.clip(rate.data.reshape(b), 0.0, 1.0 - 1e-9)
         prev_embed = pred_embed
         prev_rate = Tensor(rates[:, j][:, None])
-    return segments, rates
-
-
-def reference_decode_beam(
-    decoder,
-    encoder_outputs: Tensor,
-    initial_state: Tensor,
-    target_length: int,
-    constraint: Optional[np.ndarray],
-    beam_width: int = 4,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-beam Python-candidate beam search (the original implementation)."""
-    batch_size = encoder_outputs.shape[0]
-    segments = np.zeros((batch_size, target_length), dtype=np.int64)
-    rates = np.zeros((batch_size, target_length))
-
-    for i in range(batch_size):
-        enc_i = encoder_outputs[i : i + 1]
-        beams = [(
-            0.0,
-            [],
-            initial_state[i : i + 1],
-            decoder.start_embedding.reshape(1, -1),
-            Tensor(np.zeros((1, 1))),
-        )]
-        for j in range(target_length):
-            mask_row = constraint[i : i + 1, j, :] if constraint is not None else None
-            candidates = []
-            for score, history, state, prev_embed, prev_rate in beams:
-                log_probs, new_state, _ = decoder._step(
-                    prev_embed, prev_rate, state, enc_i, mask_row
-                )
-                flat = log_probs.data.reshape(-1)
-                top = np.argpartition(-flat, min(beam_width, len(flat) - 1))[:beam_width]
-                for sid in top:
-                    candidates.append((score + float(flat[sid]), history + [int(sid)],
-                                       new_state, int(sid)))
-            candidates.sort(key=lambda c: -c[0])
-            beams = []
-            for score, history, state, sid in candidates[:beam_width]:
-                embed = decoder.segment_embedding(np.array([sid]))
-                rate = decoder._rate(embed, state)
-                beams.append((score, history, state, embed,
-                              Tensor(np.clip(rate.data, 0.0, 1.0 - 1e-9))))
-        best = max(beams, key=lambda b: b[0])
-        segments[i] = best[1]
-        state = initial_state[i : i + 1]
-        prev_embed = decoder.start_embedding.reshape(1, -1)
-        prev_rate = Tensor(np.zeros((1, 1)))
-        for j in range(target_length):
-            _, state, _ = decoder._step(
-                prev_embed, prev_rate, state, enc_i,
-                constraint[i : i + 1, j, :] if constraint is not None else None,
-            )
-            prev_embed = decoder.segment_embedding(np.array([segments[i, j]]))
-            rate = decoder._rate(prev_embed, state)
-            rates[i, j] = float(np.clip(rate.data.reshape(-1)[0], 0.0, 1.0 - 1e-9))
-            prev_rate = Tensor(np.full((1, 1), rates[i, j]))
     return segments, rates
 
 
@@ -483,8 +432,9 @@ def reference_segment_softmax(scores: np.ndarray, segment_ids: np.ndarray,
 
 
 def reference_constraint_matrix(sample, num_segments: int) -> np.ndarray:
-    """Row-buffer loop building one sample's dense (l_ρ, |V|) mask — the
-    per-sample twin of ``Batch.constraint_tensor``."""
+    """Row-buffer loop building one sample's dense (l_ρ, |V|) Eq. 16 mask:
+    1.0 at an unobserved step; 0 off the fix's entry and its weights on it
+    at an observed one."""
     mask = np.ones((sample.target_length, num_segments), dtype=np.float64)
     for step, entry in enumerate(sample.constraints):
         if entry is None:
@@ -496,9 +446,12 @@ def reference_constraint_matrix(sample, num_segments: int) -> np.ndarray:
     return mask
 
 
-def reference_constraint_tensor(batch: Batch, num_segments: int) -> np.ndarray:
-    """Per-sample stack version of ``Batch.constraint_tensor``."""
-    return np.stack([reference_constraint_matrix(s, num_segments)
+def reference_constraint_tensor(batch: Batch, num_segments: int,
+                                start: int = 0) -> np.ndarray:
+    """The (b, l_ρ − start, |V|) Eq. 16 mask of grid steps ``[start:]``:
+    the definition ``decode_constraint(batch, network, 0.0, ...)`` builds
+    sparsely (and training masks with)."""
+    return np.stack([reference_constraint_matrix(s, num_segments)[start:]
                      for s in batch.samples])
 
 

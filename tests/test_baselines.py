@@ -1,10 +1,14 @@
 """Tests for all eight baselines: construction, training step, recovery."""
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.baselines import BASELINE_NAMES, LinearHMMRecovery, build_baseline
 from repro.core import RNTrajRecConfig
+from repro.nn.tensor import is_grad_enabled
 from repro.roadnet import CityConfig, generate_city
 from repro.train import TrainConfig, Trainer
 from repro.trajectory import (
@@ -88,13 +92,30 @@ class TestLearnedBaselines:
         grads = [p.grad for p in model.parameters() if p.grad is not None]
         assert grads, "no gradients computed"
 
-    def test_recover_contract(self, name, city, batch):
+    def test_recover_contract(self, name, city, batch, monkeypatch):
         model = build_baseline(name, city, CFG)
         model.eval()
+        # Inference builds no autograd tape: the encoder runs with grad off.
+        encoder = model.encoder_rnn if name == "dhtr_hmm" else model.encoder
+        forward, grad_states = encoder.forward, []
+
+        def probed(*args, **kwargs):
+            grad_states.append(is_grad_enabled())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "forward", probed)
         segments, rates = model.recover(batch)
+        assert grad_states and not any(grad_states)
         assert segments.shape == (batch.size, batch.target_length)
         assert np.all((segments >= 0) & (segments < city.num_segments))
         assert np.all((rates >= 0) & (rates < 1))
+        # The same call with the tape on (no_grad a no-op) gives the same bytes.
+        module = sys.modules[type(model).__module__]
+        monkeypatch.setattr(module, "no_grad", contextlib.nullcontext)
+        taped = model.recover(batch)
+        assert grad_states[-1]
+        assert segments.tobytes() == taped[0].tobytes()
+        assert rates.tobytes() == taped[1].tobytes()
 
     def test_one_epoch_training(self, name, city, samples):
         model = build_baseline(name, city, CFG)

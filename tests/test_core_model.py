@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from repro import nn
+from repro.baselines import build_baseline
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import (
     ReachabilityMask,
@@ -49,7 +50,7 @@ class TestDecoder:
         decoder = RecoveryDecoder(city.num_segments, CFG)
         enc = nn.Tensor(np.random.default_rng(0).normal(size=(batch.size, batch.input_length, CFG.hidden_dim)))
         state = nn.Tensor(np.zeros((batch.size, CFG.hidden_dim)))
-        constraint = batch.constraint_tensor(city.num_segments)
+        constraint = decode_constraint(batch, city, 0.0, CFG.decode_prior_floor)
         out = decoder.forward_teacher(enc, state, batch, constraint, teacher_forcing_ratio=1.0)
         assert out.segment_log_probs.shape == (batch.size, batch.target_length, city.num_segments)
         assert out.rates.shape == (batch.size, batch.target_length)
@@ -61,7 +62,7 @@ class TestDecoder:
         decoder = RecoveryDecoder(city.num_segments, CFG)
         enc = nn.Tensor(np.random.default_rng(0).normal(size=(batch.size, batch.input_length, CFG.hidden_dim)))
         state = nn.Tensor(np.zeros((batch.size, CFG.hidden_dim)))
-        constraint = batch.constraint_tensor(city.num_segments)
+        constraint = decode_constraint(batch, city, 0.0, CFG.decode_prior_floor)
         full = decoder.forward_teacher(enc, state, batch, constraint, 1.0)
         sampled = decoder.forward_teacher(
             enc, state, batch, constraint, 0.0, rng=np.random.default_rng(1)
@@ -118,13 +119,15 @@ class TestReachability:
 
 class TestInterpolationPrior:
     def test_shape_and_floor(self, city, batch):
-        prior = interpolation_prior(batch, city, scale=150.0, floor=0.005).dense()
+        prior = reference.dense(
+            interpolation_prior(batch, city, scale=150.0, floor=0.005))
         assert prior.shape == (batch.size, batch.target_length, city.num_segments)
         assert prior.min() >= 0.005
         assert prior.max() <= 1.0
 
     def test_anchors_weight_near_segments_higher(self, city, batch):
-        prior = interpolation_prior(batch, city, scale=150.0, floor=0.005).dense()
+        prior = reference.dense(
+            interpolation_prior(batch, city, scale=150.0, floor=0.005))
         sample = batch.samples[0]
         step = int(sample.observed_steps[0])
         x, y = sample.raw_low.xy[0]
@@ -138,10 +141,10 @@ class TestInterpolationPrior:
         clamped to ``floor`` anyway: the prior is the same array."""
         from repro.core import decoder
 
-        new = interpolation_prior(batch, city, 150.0, floor).dense()
+        new = reference.dense(interpolation_prior(batch, city, 150.0, floor))
         monkeypatch.setattr(decoder, "_prior_radius",
                             lambda scale, floor: 3.0 * scale)
-        old = interpolation_prior(batch, city, 150.0, floor).dense()
+        old = reference.dense(interpolation_prior(batch, city, 150.0, floor))
         assert np.array_equal(new, old)
         if floor == 1.0:
             assert np.all(new == 1.0)
@@ -159,10 +162,11 @@ class TestDecodeConstraint:
         batch = make_batch(samples[:size])
         length = batch.target_length
         for start in (0, length // 2, length - 1):
-            built = decode_constraint(batch, city, 150.0, floor, start).dense()
-            defined = (batch.constraint_tensor(city.num_segments, start)
-                       * interpolation_prior(batch, city, 150.0, floor,
-                                             start).dense())
+            built = reference.dense(
+                decode_constraint(batch, city, 150.0, floor, start))
+            defined = (reference.reference_constraint_tensor(
+                batch, city.num_segments, start) * reference.dense(
+                    interpolation_prior(batch, city, 150.0, floor, start)))
             assert built.shape == (size, length - start, city.num_segments)
             assert np.array_equal(built, defined)
 
@@ -171,15 +175,49 @@ class TestDecodeConstraint:
         batch = make_batch(samples[:size])
         for start in (0, batch.target_length // 2, batch.target_length - 1):
             assert np.array_equal(
-                decode_constraint(batch, city, 0.0, 0.005, start).dense(),
-                batch.constraint_tensor(city.num_segments, start))
+                reference.dense(decode_constraint(batch, city, 0.0, 0.005, start)),
+                reference.reference_constraint_tensor(batch, city.num_segments,
+                                                      start))
 
     def test_model_method_is_the_builder(self, city, batch):
         model = RNTrajRec(city, CFG)
         assert np.array_equal(
-            model.decode_constraint(batch, 3).dense(),
-            decode_constraint(batch, city, CFG.decode_prior_scale,
-                              CFG.decode_prior_floor, 3).dense())
+            reference.dense(model.decode_constraint(batch, 3)),
+            reference.dense(decode_constraint(batch, city, CFG.decode_prior_scale,
+                                              CFG.decode_prior_floor, 3)))
+
+
+class TestTrainingConstraint:
+    """Training masks with the sparse Eq. 16 constraint; fed the dense
+    definition instead, ``compute_loss`` gives the same loss and gradients,
+    byte for byte."""
+
+    @staticmethod
+    def _loss_and_grads(model, batch, ratio):
+        model.zero_grad()
+        loss = model.compute_loss(batch, ratio, rng=np.random.default_rng(4))
+        loss.total.backward()
+        return loss.total.data.tobytes(), [
+            (name, None if p.grad is None else p.grad.tobytes())
+            for name, p in model.named_parameters()]
+
+    @pytest.mark.parametrize("name", ["rntrajrec", "transformer"])
+    @pytest.mark.parametrize("ratio", [1.0, 0.5, 0.0])
+    def test_loss_and_grads_equal_the_dense_definition(
+            self, city, batch, name, ratio, monkeypatch):
+        nn.init.seed_everything(3)
+        model = (RNTrajRec(city, CFG) if name == "rntrajrec"
+                 else build_baseline(name, city, CFG)).train()
+        built = self._loss_and_grads(model, batch, ratio)
+        forward_teacher = model.decoder.forward_teacher
+        dense = reference.constraint_from_dense(
+            reference.reference_constraint_tensor(batch, city.num_segments))
+
+        def fed_dense(enc, state, batch, constraint, *args, **kwargs):
+            return forward_teacher(enc, state, batch, dense, *args, **kwargs)
+
+        monkeypatch.setattr(model.decoder, "forward_teacher", fed_dense)
+        assert self._loss_and_grads(model, batch, ratio) == built
 
 
 class TestScreeningHeadFreshness:

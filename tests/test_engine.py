@@ -364,7 +364,7 @@ class TestSlotTableMechanics:
         assert 0 < support < width
         assert len(constraint.ids) == len(constraint.weights) <= steps * support
         assert sum(a.size for a in arrays.values()) < steps * width
-        assert constraint.dense().shape == (1, steps, width)
+        assert reference.dense(constraint).shape == (1, steps, width)
 
     def test_saturation_raises_and_reuse_is_lifo(self, model, pools):
         jobs = [job_for(model, s) for s in pools["short"][:3]]

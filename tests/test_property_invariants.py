@@ -490,9 +490,9 @@ class TestCertifiedArgmax:
         constraint = DecodeConstraint(
             base, lo, hi, np.concatenate(ids).astype(np.int64),
             np.concatenate(weights), num_segments)
-        assert np.array_equal(constraint.dense(), dense)
+        assert np.array_equal(reference.dense(constraint), dense)
         assert np.array_equal(
-            reference.constraint_from_dense(dense).dense(), dense)
+            reference.dense(reference.constraint_from_dense(dense)), dense)
         return dense, constraint
 
     @given(seed=st.integers(0, 2 ** 31), d=st.integers(4, 64),

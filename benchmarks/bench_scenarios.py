@@ -68,7 +68,7 @@ from repro.scenarios import (
     standard_scenarios,
     transfer_model,
 )
-from repro.stream import StreamConfig
+from repro.serve import ServeConfig
 from repro.train import Trainer, quick_accuracy
 from repro.trajectory import build_samples
 from repro.trajectory.simulate import TrajectorySimulator
@@ -186,13 +186,13 @@ def run_scenarios_bench(trajectories: int = 160, epochs: int = 15,
 
     engine = ShortestPathEngine(network)
     scenarios = standard_scenarios(spec.dataset.keep_every)
-    stream_config = StreamConfig.for_spec(spec)
+    serve_config = ServeConfig.for_spec(spec)
     matrices = {}
     for tag, model in (("baseline", baseline),
                        ("curriculum", curriculum_model)):
         cells = evaluate_matrix(
             model, eval_pairs, network, scenarios, config=spec.dataset,
-            engine=engine, stream_config=stream_config,
+            engine=engine, serve_config=serve_config,
             stream_limit=stream_sessions)
         matrices[tag] = [cell.as_dict() for cell in cells]
 

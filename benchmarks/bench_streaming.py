@@ -41,7 +41,7 @@ from repro.datasets import get_spec
 from repro.experiments import bench_budget, bench_environment, small_model_config
 from repro.roadnet import generate_city
 from repro.serve import RecoveryRequest, RecoveryService, ServeConfig
-from repro.stream import StreamConfig, StreamingRecoveryService
+from repro.stream import StreamingRecoveryService
 from repro.trajectory import MatchedTrajectory, downsample_raw
 from repro.trajectory.simulate import TrajectorySimulator
 
@@ -136,7 +136,6 @@ def run_streaming_bench(sessions: int = 3, length: int = 32,
     traces = _simulate_sessions(network, spec, sessions, length, keep_every)
 
     serve_config = ServeConfig.for_spec(spec, cache_capacity=0)
-    stream_config = StreamConfig.for_spec(spec, commit_horizon=horizon)
     oneshot = RecoveryService.from_model(model, serve_config)
 
     append_ms: list = []
@@ -145,7 +144,7 @@ def run_streaming_bench(sessions: int = 3, length: int = 32,
     exact = True
     try:
         for index, low in enumerate(traces):
-            streaming = StreamingRecoveryService.from_model(model, stream_config)
+            streaming = StreamingRecoveryService(oneshot, horizon)
             session_id = streaming.open()
             revisions = 0
             decoded = skipped = 0

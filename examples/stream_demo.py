@@ -6,10 +6,12 @@ End to end this
 
 1. loads the synthetic Chengdu dataset and builds a small RNTrajRec,
 2. opens a streaming session per test trace and feeds its raw GPS fixes
-   one at a time through :class:`~repro.stream.StreamingRecoveryService`,
-   printing each :class:`~repro.stream.StreamUpdate` — watch the grid
-   grow, the commit boundary advance behind the horizon, and the
-   occasional provisional-suffix revision,
+   one at a time through a :class:`~repro.stream.StreamingRecoveryService`
+   built on a one-shot :class:`~repro.serve.RecoveryService` (whose
+   ingest grid and decode slots every session uses), printing each
+   :class:`~repro.stream.StreamUpdate` — watch the grid grow, the commit
+   boundary advance behind the horizon, and the occasional
+   provisional-suffix revision,
 3. calls ``finalize()`` and verifies the result is bit-identical to the
    one-shot ``recover_trajectories`` of the same fixes (the correctness
    anchor of ``repro.stream``), and
@@ -23,9 +25,10 @@ import numpy as np
 from repro.core import RNTrajRec
 from repro.datasets import load_dataset
 from repro.experiments import small_model_config
+from repro.serve import RecoveryService, ServeConfig
 from repro.stream import (
     SessionOverloaded,
-    StreamConfig,
+    StoreConfig,
     StreamingRecoveryService,
 )
 from repro.trajectory import make_batch
@@ -38,10 +41,11 @@ def main() -> None:
     data = load_dataset("chengdu", num_trajectories=60)
     model = RNTrajRec(data.network, small_model_config(32)).eval()
 
-    config = StreamConfig.for_spec(data.spec, commit_horizon=4)
-    service = StreamingRecoveryService.from_model(model, config)
+    oneshot = RecoveryService.from_model(model,
+                                         ServeConfig.for_spec(data.spec))
+    service = StreamingRecoveryService(oneshot, commit_horizon=4)
     print(f"Streaming {NUM_SESSIONS} sessions "
-          f"(commit horizon {config.commit_horizon} grid steps)\n")
+          f"(commit horizon {service.commit_horizon} grid steps)\n")
 
     mismatches = 0
     for index, sample in enumerate(data.test[:NUM_SESSIONS]):
@@ -75,10 +79,8 @@ def main() -> None:
                          "sessions differ from one-shot recovery")
 
     print("Bounded session store: capacity 1, TTL 60 s")
-    tiny = StreamingRecoveryService.from_model(
-        model, StreamConfig.for_spec(data.spec, capacity=1,
-                                     ttl_seconds=60.0,
-                                     evict_idle_seconds=3600.0))
+    tiny = StreamingRecoveryService(oneshot, store=StoreConfig(
+        capacity=1, ttl_seconds=60.0, evict_idle_seconds=3600.0))
     first = tiny.open()
     try:
         tiny.open()
@@ -92,7 +94,7 @@ def main() -> None:
     for key in ("streaming_requests", "oneshot_requests",
                 "revision_rate_by_model", "commit_horizon", "sessions"):
         print(f"  {key:<24}: {stats[key]}")
-    service.close()
+    oneshot.close()
 
 
 if __name__ == "__main__":

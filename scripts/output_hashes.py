@@ -12,7 +12,11 @@ tensors) and ``recover``'s segments + rates over the perf ledger's first
 once on a built model and once on the same weights adopted read-only from
 the city's ``CityArtifacts`` (``mmap=True``).  Per city, the built model's
 training ``compute_loss`` (loss and every gradient, teacher-forcing ratios
-1 / 0.5 / 0) over a fixed simulated ground-truth batch is hashed too.
+1 / 0.5 / 0) over a fixed simulated ground-truth batch is hashed too.  The
+same ``http-cold`` requests are then streamed fix by fix through a
+``StreamingCluster`` over the built models: one line per update (its
+trajectory, committed / decoded / skipped steps and ``revised_from``) and
+one per finalize.
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -32,6 +36,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "ledger")]
 
 import workloads  # noqa: E402  (benchmarks/ledger)
 from repro import nn  # noqa: E402
+from repro.cluster import RecoveryCluster, ShardMap  # noqa: E402
 from repro.core import RNTrajRec  # noqa: E402
 from repro.core.decoder import DecodeConstraint, interpolation_prior  # noqa: E402
 from repro.datasets import get_spec  # noqa: E402
@@ -39,6 +44,7 @@ from repro.experiments.harness import small_model_config  # noqa: E402
 from repro.roadnet import CityArtifacts  # noqa: E402
 from repro.serve import ModelRegistry, RecoveryRequest, ServeConfig  # noqa: E402
 from repro.serve.request import assemble_sample  # noqa: E402
+from repro.stream import StreamingCluster  # noqa: E402
 from repro.trajectory import (  # noqa: E402
     SimulationConfig, TrajectorySimulator, build_samples, make_batch)
 
@@ -77,6 +83,35 @@ def loss_lines(key: str, model, network, seed: int):
         yield f"{key}/compute_loss@{ratio} " + _sha(loss.total.data, *(
             np.zeros(0) if p.grad is None else p.grad
             for _, p in model.named_parameters()))
+
+
+def stream_lines(workload, models, requests: int):
+    """The first ``requests`` requests appended fix by fix through
+    ``StreamingCluster`` (global frame, default horizon and store)."""
+    shard_map = ShardMap(shards=tuple(
+        city.shard_spec(workload.networks[city.name], None, "inproc")
+        for city in workload.cities))
+    lines = []
+    with RecoveryCluster(
+            shard_map, model_factory=lambda spec, _: models[spec.name],
+            network_factory=lambda spec: workload.networks[spec.name]) as cluster:
+        streaming = StreamingCluster(cluster)
+        for index, request in enumerate(workload.requests[:requests]):
+            key = f"{workload.name}/{index:03d}/{workload.city_of[index]}/stream"
+            session_id, _ = streaming.open(request.xy[0])
+            for fix in range(len(request.times)):
+                update = streaming.append(session_id, request.xy[fix:fix + 1],
+                                          request.times[fix:fix + 1])
+                path = update.trajectory
+                lines.append(f"{key}/append{fix} " + _sha(*(
+                    () if path is None else (path.segments, path.ratios, path.times)),
+                    np.array([update.committed_steps, update.decoded_steps,
+                              update.skipped_steps, update.revised_from])))
+            final = streaming.finalize(session_id).trajectory
+            lines.append(f"{key}/finalize " + _sha(final.segments, final.ratios,
+                                                   final.times))
+        streaming.close()
+    return lines
 
 
 def hash_lines(seed: int, requests: int, metro_block: float):
@@ -126,6 +161,11 @@ def hash_lines(seed: int, requests: int, metro_block: float):
                 lines += loss_lines(f"{name}/train/{city.name}/built",
                                     models[city.name]["built"],
                                     workload.networks[city.name], seed)
+            if name == "http-cold":
+                built = {city: pair["built"] for city, pair in models.items()}
+                for model in built.values():
+                    model.encoder.subgraph_generator.clear_cache()
+                lines += stream_lines(workload, built, requests)
     return sorted(lines)
 
 

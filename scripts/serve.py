@@ -101,6 +101,7 @@ from repro.serve.http import (  # noqa: E402
 )
 from repro.stream import (  # noqa: E402
     SessionOverloaded,
+    StoreConfig,
     StreamError,
     StreamingCluster,
     UnknownSession,
@@ -305,8 +306,8 @@ def run(args) -> None:
     # opens.  Each shard's streams share its registry (hot swaps reach
     # them) and its decode slots (suffixes join the one-shot ragged batch).
     streaming = StreamingCluster(
-        cluster, commit_horizon=args.commit_horizon,
-        capacity=args.session_capacity, ttl_seconds=args.session_ttl)
+        cluster, args.commit_horizon, StoreConfig(
+            capacity=args.session_capacity, ttl_seconds=args.session_ttl))
     try:
         names = cluster.shard_map.names()
         if args.warm or args.datasets:

@@ -97,9 +97,16 @@ class RecoveryCluster:
     # ------------------------------------------------------------------
     # Request surface (global coordinate frame)
     # ------------------------------------------------------------------
-    def shard_for(self, request: RecoveryRequest) -> Shard:
-        """The shard owning every fix of the request (RouteError if none)."""
-        return self.shards[self.router.shard_of_points(request.xy)]
+    def route(self, xy, request_id: str = "") -> Shard:
+        """The shard owning every global-frame point of ``xy``.  A trace no
+        shard owns is dead-lettered under ``request_id`` and raises
+        :class:`RouteError` — one-shot requests and session opens alike."""
+        try:
+            return self.shards[self.router.shard_of_points(xy)]
+        except RouteError as exc:
+            self.telemetry.record_unroutable(exc.reason, request_id,
+                                             exc.detail)
+            raise
 
     def submit(self, request: RecoveryRequest) -> "Future[RecoveryResponse]":
         """Route and asynchronously recover one global-frame request.
@@ -111,10 +118,8 @@ class RecoveryCluster:
         if self._closed:
             raise RuntimeError("RecoveryCluster is closed")
         try:
-            shard = self.shard_for(request)
+            shard = self.route(request.xy, request.request_id)
         except RouteError as exc:
-            self.telemetry.record_unroutable(exc.reason, request.request_id,
-                                             exc.detail)
             return _failed(exc)
         except Exception as exc:  # malformed xy etc.
             self.telemetry.record_error()

@@ -2,7 +2,7 @@
 
 A :class:`~repro.cluster.shard.Shard` owns placement (round-robin,
 admission, shedding) and talks to its N replicas through one surface —
-``submit_to(index, request)``, ``decode_scheduler()``, ``deploy``,
+``submit_to(index, request)``, ``session_service()``, ``deploy``,
 ``swap``, ``latencies``, ``stats(latencies)``, ``pids``, ``close`` — with two
 implementations: :class:`ThreadReplicas` here (``backend="inproc"``) and
 :class:`~repro.cluster.workers.ProcessReplicas` (``backend="process"``).
@@ -13,7 +13,6 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import Any, Dict, Iterable, List
 
-from ..serve.batching import ContinuousScheduler
 from ..serve.registry import ModelRegistry
 from ..serve.request import RecoveryRequest, RecoveryResponse
 from ..serve.service import RecoveryService, ServeConfig
@@ -61,9 +60,9 @@ class ThreadReplicas:
                   request: RecoveryRequest) -> "Future[RecoveryResponse]":
         return self.services[index].submit(request)
 
-    def decode_scheduler(self) -> ContinuousScheduler:
-        """Replica 0's slot table — streaming suffix decodes join it."""
-        return self.services[0].scheduler
+    def session_service(self) -> RecoveryService:
+        """Replica 0 — the service streaming sessions run on."""
+        return self.services[0]
 
     def deploy(self, name: str, model_or_prefix, activate: bool) -> None:
         deploy_generation(self._registry, name, model_or_prefix, activate)

@@ -35,7 +35,7 @@ from ..roadnet.generator import generate_city
 from ..roadnet.network import RoadNetwork
 from ..serve.registry import ModelRegistry
 from ..serve.request import RecoveryRequest, RecoveryResponse
-from ..serve.service import ServeConfig
+from ..serve.service import RecoveryService, ServeConfig
 from .replicas import ThreadReplicas
 from .shardmap import ShardSpec
 from .workers import ProcessReplicas
@@ -241,16 +241,17 @@ class Shard:
         future.add_done_callback(_release)
         return future
 
-    def decode_scheduler(self):
-        """Replica 0's continuous decode scheduler.  The streaming
-        affinity layer joins session suffix decodes to this slot table, so
-        one shard's streaming and one-shot traffic share a ragged batch.
+    def session_service(self) -> RecoveryService:
+        """Replica 0's :class:`~repro.serve.RecoveryService`, which this
+        shard's streaming sessions run on — its registry, ingest grid and
+        slot table, so one shard's streaming and one-shot traffic share a
+        ragged batch.
 
         Raises :class:`~repro.cluster.workers.StreamingUnsupported` on a
-        process-backed shard, whose decode slots live in other processes.
+        process-backed shard, whose services live in other processes.
         """
         self.warm()
-        return self._replicas.decode_scheduler()
+        return self._replicas.session_service()
 
     def _pick_replica(self) -> Optional[int]:
         """Round-robin over replicas with admission headroom (lock held)."""

@@ -97,8 +97,8 @@ class BackendDegraded(WorkerError):
 class StreamingUnsupported(WorkerError):
     """Streaming sessions were asked of a process-backed shard.
 
-    A session's suffix decodes join the shard's own slot table, and a
-    process backend's slot tables live in its workers — so sessions need
+    A session runs on its shard's replica-0 ``RecoveryService``, and a
+    process backend's services live in its workers — so sessions need
     ``backend="inproc"``; there is no solo-decode fallback.
     """
 
@@ -848,10 +848,10 @@ class ProcessReplicas:
                   request: RecoveryRequest) -> "Future[RecoveryResponse]":
         return self._pool.submit_to(index, request)
 
-    def decode_scheduler(self):
+    def session_service(self):
         raise StreamingUnsupported(
-            f"shard {self._label!r} runs backend='process': its decode "
-            "slots live in worker processes; streaming sessions need "
+            f"shard {self._label!r} runs backend='process': its recovery "
+            "services live in worker processes; streaming sessions need "
             "backend='inproc'")
 
     def deploy(self, name: str, model_or_prefix, activate: bool) -> None:

@@ -21,7 +21,7 @@ not just clean ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +29,8 @@ import numpy as np
 from ..eval.evaluate import evaluate_model
 from ..roadnet.network import RoadNetwork
 from ..roadnet.shortest_path import ShortestPathEngine
-from ..stream.service import StreamConfig, StreamingRecoveryService
+from ..serve.service import RecoveryService, ServeConfig
+from ..stream.service import StreamingRecoveryService
 from ..trajectory.dataset import DatasetConfig, RecoverySample, make_batch
 from ..trajectory.trajectory import MatchedTrajectory, RawTrajectory
 from .transforms import Scenario, build_scenario_samples
@@ -88,10 +89,11 @@ class ScenarioCell:
 def replay_streaming(
     model,
     samples: Sequence[RecoverySample],
-    config: StreamConfig,
+    config: ServeConfig,
     limit: Optional[int] = None,
 ) -> StreamingReplay:
-    """Feed each sample's degraded fixes through ``append`` one at a time.
+    """Feed each sample's degraded fixes through ``append`` one at a time,
+    on a one-shot service over ``model`` with ``config``'s ingest grid.
 
     Every session is finalized and the finalize output compared
     bit-for-bit against one-shot ``model.recover`` on the same sample
@@ -101,7 +103,8 @@ def replay_streaming(
     """
     replay = StreamingReplay()
     subset = list(samples[:limit]) if limit else list(samples)
-    with StreamingRecoveryService.from_model(model, config) as service:
+    with RecoveryService.from_model(model, config) as oneshot:
+        service = StreamingRecoveryService(oneshot)
         for sample in subset:
             low = sample.raw_low
             session = service.open(hour=sample.hour, holiday=sample.holiday)
@@ -129,7 +132,7 @@ def evaluate_matrix(
     scenarios: Sequence[Scenario],
     config: Optional[DatasetConfig] = None,
     engine: Optional[ShortestPathEngine] = None,
-    stream_config: Optional[StreamConfig] = None,
+    serve_config: Optional[ServeConfig] = None,
     batch_size: int = 16,
     stream_limit: Optional[int] = 8,
 ) -> List[ScenarioCell]:
@@ -138,23 +141,21 @@ def evaluate_matrix(
     ``stream_limit`` bounds how many sessions the per-fix streaming
     replay runs per scenario (each append is a suffix re-decode, so a
     full replay of every sample would dominate the benchmark); ``None``
-    replays them all.  ``stream_config`` defaults to the dataset's own
-    ingest grid so streaming constraints match the batch samples and the
-    finalize-exactness check is meaningful.
+    replays them all.  ``serve_config`` (the replay's ingest grid)
+    defaults to each scenario's own samples' grid spacing and ``config``'s
+    Eq. 16 kernel, so streaming constraints match the batch samples and
+    the finalize-exactness check is meaningful.
     """
     config = config or DatasetConfig()
     engine = engine or ShortestPathEngine(network)
-    if stream_config is None:
-        stream_config = StreamConfig(interval=float("nan"),  # set below
-                                     beta=config.beta,
-                                     max_gps_error=config.max_gps_error)
     cells: List[ScenarioCell] = []
     for scenario in scenarios:
         samples = build_scenario_samples(pairs, network, scenario, config)
         report = evaluate_model(model, samples, engine, batch_size=batch_size)
         mean_fixes = float(np.mean([s.input_length for s in samples]))
-        streaming = replay_streaming(model, samples, _resolve_interval(
-            stream_config, samples), limit=stream_limit)
+        streaming = replay_streaming(
+            model, samples, serve_config or _grid_config(samples, config),
+            limit=stream_limit)
         cells.append(ScenarioCell(
             scenario=scenario.name,
             description=scenario.description,
@@ -166,12 +167,10 @@ def evaluate_matrix(
     return cells
 
 
-def _resolve_interval(stream_config: StreamConfig,
-                      samples: Sequence[RecoverySample]) -> StreamConfig:
-    """Fill a NaN interval from the samples' own ε_ρ grid spacing."""
-    if not np.isnan(stream_config.interval):
-        return stream_config
-    sample = samples[0]
-    span = sample.target.times[-1] - sample.target.times[0]
-    interval = float(span / max(len(sample.target) - 1, 1))
-    return replace(stream_config, interval=interval)
+def _grid_config(samples: Sequence[RecoverySample],
+                 config: DatasetConfig) -> ServeConfig:
+    """Ingest on the samples' own ε_ρ grid spacing, ``config``'s kernel."""
+    target = samples[0].target
+    span = target.times[-1] - target.times[0]
+    return ServeConfig(interval=float(span / max(len(target) - 1, 1)),
+                       beta=config.beta, max_gps_error=config.max_gps_error)

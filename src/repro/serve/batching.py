@@ -87,9 +87,6 @@ class ContinuousScheduler:
     on its own thread, vLLM prefill/decode style) was measured and
     rejected: at this model scale both threads are GIL-bound, so overlap
     buys nothing.
-
-    ``on_step`` receives, at every step, the number of admitted decodes
-    (the running one plus the preempted ones).
     """
 
     def __init__(
@@ -97,13 +94,11 @@ class ContinuousScheduler:
         prepare: Callable[[Any], "DecodeJob"],
         finish: Optional[Callable[[Any, "DecodeResult"], Any]] = None,
         max_slots: int = 16,
-        on_step: Optional[Callable[[int], None]] = None,
     ) -> None:
         from .engine import ContinuousEngine  # avoid import cycle at module load
 
         self._prepare = prepare
         self._finish = finish or (lambda item, result: result)
-        self._on_step = on_step
         self.engine = ContinuousEngine(max_slots)
         self._cond = threading.Condition()
         self._arrivals = itertools.count()
@@ -225,7 +220,7 @@ class ContinuousScheduler:
             if admission is not None:
                 self._admit(admission)
             if self._running is not None:
-                self._resolve(self._step())
+                self._resolve(self.engine.step((self._running,)))
 
     def _reselect(self) -> None:
         self._running = (min(self._inflight, key=self._inflight.__getitem__)
@@ -247,14 +242,6 @@ class ContinuousScheduler:
                 self._preemptions += 1
             self._inflight[slot] = entry
             self._reselect()
-
-    def _step(self) -> list:
-        if self._on_step is not None:
-            try:
-                self._on_step(len(self._inflight))
-            except Exception:
-                pass  # a broken metrics hook must never kill the worker
-        return self.engine.step((self._running,))
 
     def _resolve(self, retired: list) -> None:
         if not retired:

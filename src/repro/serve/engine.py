@@ -172,6 +172,7 @@ class ContinuousEngine:
         self._free = list(range(self.capacity - 1, -1, -1))  # LIFO: pop() yields slot 0 first
         self.steps = 0        # step() calls that advanced a slot
         self.slot_steps = 0   # per-slot decode steps run
+        self.resident_steps = 0  # occupied slots, summed over those calls
         self.admitted = 0
         self.retired = 0
 
@@ -229,6 +230,7 @@ class ContinuousEngine:
             slots = [i for i, slot in enumerate(self._slots) if slot is not None]
         if not slots:
             return []
+        resident = self.inflight
         retirements: List[Retirement] = []
         with profile.section("engine.step"):
             for i in slots:
@@ -255,6 +257,7 @@ class ContinuousEngine:
                     self._release(i)
         self.steps += 1
         self.slot_steps += len(slots)
+        self.resident_steps += resident
         self.retired += len(retirements)
         return retirements
 
@@ -276,6 +279,7 @@ class ContinuousEngine:
             "inflight": self.inflight,
             "engine_steps": self.steps,
             "slot_steps": self.slot_steps,
+            "resident_steps": self.resident_steps,
             "admitted": self.admitted,
             "retired": self.retired,
         }

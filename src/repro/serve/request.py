@@ -12,7 +12,7 @@ constraint masks — with a dummy all-zeros target, so the trained model's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -158,9 +158,16 @@ def grid_alignment(times: np.ndarray, interval: float) -> tuple:
     return grid_times, steps
 
 
+def fix_entries(network: RoadNetwork, xy: np.ndarray,
+                config: IngestConfig) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One Eq. 16 constraint entry per fix of ``xy``, in fix order."""
+    return [constraint_for_fix(network, x, y, config.beta, config.max_gps_error)
+            for x, y in xy]
+
+
 def assemble_sample(request: RecoveryRequest, network: RoadNetwork,
                     config: Optional[IngestConfig] = None,
-                    alignment=None) -> RecoverySample:
+                    alignment=None, entries=None) -> RecoverySample:
     """Build a target-less :class:`RecoverySample` from a raw request.
 
     The output grid spans [t0, t_end] at ``config.interval``; each input fix
@@ -169,7 +176,8 @@ def assemble_sample(request: RecoveryRequest, network: RoadNetwork,
     dataset builder does.  The target arrays are placeholders — only their
     length and time grid drive decoding.  ``alignment`` lets a caller that
     already ran :func:`grid_alignment` (the serving cache key path) pass the
-    result in instead of recomputing it.
+    result in instead of recomputing it; ``entries`` likewise passes in the
+    fixes' :func:`fix_entries` (a streaming session's per-fix memo).
     """
     config = config or IngestConfig()
     raw = request.raw()
@@ -184,11 +192,9 @@ def assemble_sample(request: RecoveryRequest, network: RoadNetwork,
         )
 
     constraints: list[SparseMask] = [None] * len(grid_times)
-    for input_pos, target_step in enumerate(steps):
-        x, y = raw.xy[input_pos]
-        constraints[int(target_step)] = constraint_for_fix(
-            network, x, y, config.beta, config.max_gps_error
-        )
+    for step, entry in zip(steps, entries if entries is not None
+                           else fix_entries(network, raw.xy, config)):
+        constraints[int(step)] = entry
 
     placeholder = MatchedTrajectory(
         np.zeros(len(grid_times), dtype=np.int64),

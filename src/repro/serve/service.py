@@ -11,7 +11,7 @@ pipeline per request:
    keys the request by its own grid length, admits it into a decode slot
    (:mod:`repro.serve.engine`) when it is the outstanding decode with the
    earliest solo finish, and steps it until its own grid ends;
-4. **telemetry** — latency, QPS, cache and occupancy counters behind
+4. **telemetry** — latency, QPS, cache and slot-table counters behind
    :meth:`RecoveryService.stats`.
 
 ``submit`` is the async surface (returns a future), ``recover`` the
@@ -104,7 +104,6 @@ class RecoveryService:
             self._prepare_job,
             self._finish_job,
             max_slots=self.config.max_batch_size,
-            on_step=self.telemetry.record_batch,
         )
         self._closed = False
 

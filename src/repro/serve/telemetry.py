@@ -1,4 +1,4 @@
-"""Serving telemetry: request, latency, cache and batching counters.
+"""Serving telemetry: request, latency and cache counters.
 
 Everything is in-process and lock-protected; :meth:`ServingTelemetry.stats`
 returns a plain dict so callers (CLI, HTTP endpoint, benchmarks) can dump
@@ -35,9 +35,6 @@ class ServingTelemetry:
         self.requests = 0
         self.cache_hits = 0
         self.errors = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_occupancy = 0
         # Requests served per model generation tag ("name#generation") —
         # makes hot swaps observable: after a swap the new tag's count
         # starts climbing while the old one freezes.
@@ -75,12 +72,6 @@ class ServingTelemetry:
         with self._lock:
             self.errors += 1
 
-    def record_batch(self, occupancy: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += occupancy
-            self.max_batch_occupancy = max(self.max_batch_occupancy, occupancy)
-
     # ------------------------------------------------------------------
     def latencies(self) -> List[float]:
         """Snapshot of the latency reservoir (seconds) — lets a cluster
@@ -97,7 +88,6 @@ class ServingTelemetry:
         with self._lock:
             elapsed = max(time.perf_counter() - self._start, 1e-9)
             latencies = sorted(self._latencies)
-            mean_occupancy = self.batched_requests / self.batches if self.batches else 0.0
             cache_hit_rate = self.cache_hits / self.requests if self.requests else 0.0
             return {
                 "rss_mb": memory["rss_mb"],
@@ -111,9 +101,6 @@ class ServingTelemetry:
                 "latency_ms_max": round(1000.0 * (latencies[-1] if latencies else 0.0), 3),
                 "cache_hits": self.cache_hits,
                 "cache_hit_rate": round(cache_hit_rate, 4),
-                "batches": self.batches,
-                "mean_batch_occupancy": round(mean_occupancy, 3),
-                "max_batch_occupancy": self.max_batch_occupancy,
                 "requests_by_model": dict(sorted(self.requests_by_model.items())),
                 "streaming_requests": self.streaming_requests,
                 "oneshot_requests": self.requests - self.streaming_requests,

@@ -8,13 +8,16 @@ time while the trip is still underway:
 * :class:`SessionStore` (``session.py``) — bounded per-session state:
   TTL expiry, LRU eviction under capacity pressure, 429-style
   :class:`SessionOverloaded` backpressure, and an eviction-record ring;
-* :class:`IncrementalEngine` (``engine.py``) — per-append split decode:
-  incremental constraint ingest, and one decode job per append covering
-  only the suffix behind the commit horizon, resumed from the carry
-  checkpointed at the commit boundary;
+* ``engine.py`` — per-append split decode: the new fixes' Eq. 16 entries
+  memoized on the session and handed to one-shot ``assemble_sample``,
+  and one decode job per append covering only the suffix behind the
+  commit horizon, resumed from the carry checkpointed at the commit
+  boundary;
 * :class:`StreamingRecoveryService` (``service.py``) — the
-  open → append* → finalize facade, wired through the one-shot serving
-  telemetry (streaming vs one-shot traffic, per-model-tag revision rates);
+  open → append* → finalize facade on a borrowed
+  :class:`~repro.serve.RecoveryService` (its registry, ingest grid and
+  decode slots), with its own telemetry (streaming traffic, per-model-tag
+  revision rates);
 * :class:`StreamingCluster` (``affinity.py``) — session→shard affinity
   over a :class:`~repro.cluster.RecoveryCluster`.
 
@@ -25,8 +28,8 @@ runbook, and ``benchmarks/bench_streaming.py`` for the per-append speedup
 over re-decoding from scratch.
 """
 
-from .engine import DecodeOutcome, IncrementalEngine
-from .service import StreamConfig, StreamingRecoveryService, StreamUpdate
+from .engine import DecodeOutcome
+from .service import StreamingRecoveryService, StreamUpdate
 from .session import (
     SessionOverloaded,
     SessionState,
@@ -39,8 +42,6 @@ from .affinity import StreamingCluster
 
 __all__ = [
     "DecodeOutcome",
-    "IncrementalEngine",
-    "StreamConfig",
     "StreamingRecoveryService",
     "StreamUpdate",
     "SessionOverloaded",

@@ -11,12 +11,14 @@ translated into that city's frame by the one-shot path's own
 session a store expired or evicted is gone here too.
 
 Per-shard :class:`~repro.stream.StreamingRecoveryService` instances are
-built lazily over the shard's own registry and its dataset-derived ingest
-grid (``shard.serve_config()``; the caller overrides only the commit
-horizon and the store bounds), so a 30-city map pays for streaming state
-only on shards that actually see sessions — and a hot swap deployed
-through the cluster's ``deploy_model`` is picked up by that shard's
-streams on their next append (both read the same registry).
+built lazily on the shard's replica-0 :class:`~repro.serve.RecoveryService`
+(``shard.session_service()``: its registry, its dataset-derived ingest
+grid and its decode slots; the caller sets only the commit horizon and
+the store bounds), so a 30-city map pays for streaming state only on
+shards that actually see sessions — and a hot swap deployed through the
+cluster's ``deploy_model`` is picked up by that shard's streams on their
+next append (both read the same registry).  An opening point no shard
+owns is dead-lettered like an unroutable one-shot trace.
 """
 
 from __future__ import annotations
@@ -30,24 +32,22 @@ import numpy as np
 from ..cluster.cluster import RecoveryCluster
 from ..cluster.shard import Shard
 from ..serve.request import RecoveryResponse, RequestError
-from .service import StreamConfig, StreamingRecoveryService, StreamUpdate
-from .session import StreamError, UnknownSession
+from .service import StreamingRecoveryService, StreamUpdate
+from .session import StoreConfig, StreamError, UnknownSession
 
 
 class StreamingCluster:
     """Session-affine streaming over the shards of a `RecoveryCluster`."""
 
-    def __init__(self, cluster: RecoveryCluster, clock=time.monotonic,
-                 **overrides) -> None:
-        """``overrides`` are :class:`StreamConfig` fields other than the
-        ingest grid (``commit_horizon``, ``capacity``, ``ttl_seconds`` …),
-        applied to every shard; ``clock`` is injectable for lifecycle tests."""
-        StreamConfig(**overrides)  # an unknown field fails here, not mid-traffic
-        if {"interval", "beta", "max_gps_error"} & set(overrides):
-            raise ValueError("the ingest grid is each shard's own "
-                             "(shard.serve_config()); it cannot be overridden")
+    def __init__(self, cluster: RecoveryCluster, commit_horizon: int = 8,
+                 store: Optional[StoreConfig] = None,
+                 clock=time.monotonic) -> None:
+        """``commit_horizon`` and ``store`` apply to every shard's sessions
+        (see :class:`StreamingRecoveryService`); the ingest grid is each
+        shard's own.  ``clock`` is injectable for lifecycle tests."""
         self.cluster = cluster
-        self._overrides = overrides
+        self._commit_horizon = commit_horizon
+        self._store = store
         self._clock = clock
         self._lock = threading.Lock()
         self._services: Dict[str, StreamingRecoveryService] = {}
@@ -61,12 +61,12 @@ class StreamingCluster:
         ``RouteError`` when no shard owns them, ``StreamError`` when
         ``session_id`` is already open on any shard, ``SessionOverloaded``
         when the owning shard's store sheds and ``StreamingUnsupported``
-        when that shard runs ``backend="process"`` (sessions decode on the
-        shard's own slots)."""
+        when that shard runs ``backend="process"`` (sessions run on the
+        shard's own service)."""
         if xy is not None:
-            points = np.atleast_2d(np.asarray(xy, dtype=np.float64))
-            shard = self.cluster.shards[
-                self.cluster.router.shard_of_points(points)]
+            shard = self.cluster.route(
+                np.atleast_2d(np.asarray(xy, dtype=np.float64)),
+                "" if session_id is None else str(session_id))
         elif len(self.cluster.shards) == 1:
             shard = self.cluster.shards[0]
         else:
@@ -121,13 +121,9 @@ class StreamingCluster:
         with self._lock:
             service = self._services.get(shard.name)
             if service is None:
-                shard.warm()
                 service = StreamingRecoveryService(
-                    shard.registry,
-                    StreamConfig.from_serve(shard.serve_config(),
-                                            **self._overrides),
-                    shard=shard.name, scheduler=shard.decode_scheduler(),
-                    clock=self._clock)
+                    shard.session_service(), self._commit_horizon,
+                    self._store, clock=self._clock)
                 self._services[shard.name] = service
             return service
 

@@ -1,23 +1,28 @@
-"""`StreamingRecoveryService` — sessionized recovery over a model registry.
+"""`StreamingRecoveryService` — sessionized recovery on a `RecoveryService`.
 
 The one-shot :class:`~repro.serve.RecoveryService` answers "here is a
 whole trace, recover it".  This facade answers the online question —
 "here is the *next fix* of a trace still being driven" — by keeping a
 bounded :class:`~repro.stream.session.SessionStore` of live sessions and
-running the :class:`~repro.stream.engine.IncrementalEngine` split decode
-on each append.  The lifecycle:
+running the :mod:`repro.stream.engine` split decode on each append.  The
+lifecycle:
 
 ``open`` → N × ``append`` (each returns a :class:`StreamUpdate` whose
 suffix may be revised later) → ``finalize`` (the exact one-shot answer;
 the session is then gone).
 
-Telemetry flows through the same :class:`~repro.serve.ServingTelemetry`
-the one-shot service uses, with ``streaming=True`` so operators can split
-the two traffic classes and watch per-model-tag revision rates.  Hot
-swaps are safe mid-session: each append resolves the registry's active
-model, a tag change invalidates the session's carry checkpoint and its
-stored result (the next decode restarts from step 0 under the new
-weights), and ``finalize`` answers under whatever model is then active.
+A streaming service runs on a one-shot service it borrows (a shard's
+replica 0, or one built for the purpose) and never closes it: that
+service's registry resolves the model, its ``ServeConfig`` is the ingest
+grid — the only place a session's grid can come from — and its scheduler
+decodes every append suffix and finalize next to its one-shot traffic.
+Telemetry is the streaming service's own
+:class:`~repro.serve.ServingTelemetry`, recorded with ``streaming=True``
+so per-model-tag revision rates are visible.  Hot swaps are safe
+mid-session: each append resolves the registry's active model, a tag
+change invalidates the session's carry checkpoint and its stored result
+(the next decode restarts from step 0 under the new weights), and
+``finalize`` answers under whatever model is then active.
 """
 
 from __future__ import annotations
@@ -27,59 +32,12 @@ import uuid
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..core.model import RNTrajRec
-from ..serve.registry import ModelRegistry
-from ..serve.request import IngestConfig, RecoveryResponse, RequestError
-from ..serve.service import ServeConfig
+from ..serve.request import RecoveryResponse, RequestError
+from ..serve.service import RecoveryService
 from ..serve.telemetry import ServingTelemetry
 from ..trajectory.trajectory import MatchedTrajectory
-from .engine import IncrementalEngine
+from . import engine
 from .session import SessionState, SessionStore, StoreConfig
-
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Streaming knobs: ingest grid + commit horizon + store bounds."""
-
-    interval: float = 12.0         # ε_ρ output grid spacing (seconds)
-    beta: float = 15.0             # constraint kernel scale (meters)
-    max_gps_error: float = 100.0   # constraint search radius (meters)
-    # Newest grid steps kept *provisional* (re-decoded each append, may be
-    # revised); steps aging past this get committed — frozen, with the
-    # decoder carry checkpointed at the boundary so later appends resume
-    # there.  0 commits everything instantly (fastest, most
-    # revision-blind); a huge value never commits (every append is a full
-    # re-decode from step 0, exactly the one-shot result each time).
-    commit_horizon: int = 8
-    capacity: int = 256            # SessionStore bounds (see StoreConfig)
-    ttl_seconds: float = 1800.0
-    evict_idle_seconds: float = 0.0
-    eviction_log: int = 256
-
-    @classmethod
-    def for_spec(cls, spec, **overrides) -> "StreamConfig":
-        """Ingest parameters from a ``DatasetSpec``, as ``ServeConfig.for_spec``
-        derives them — masks match what the model trained with."""
-        return cls.from_serve(ServeConfig.for_spec(spec), **overrides)
-
-    @classmethod
-    def from_serve(cls, serve: ServeConfig, **overrides) -> "StreamConfig":
-        """Adopt a serving config's ingest grid (the cluster-affinity path:
-        shards already derive their ``ServeConfig`` from the dataset)."""
-        params = dict(interval=serve.interval, beta=serve.beta,
-                      max_gps_error=serve.max_gps_error)
-        params.update(overrides)
-        return cls(**params)
-
-    def ingest(self) -> IngestConfig:
-        return IngestConfig(interval=self.interval, beta=self.beta,
-                            max_gps_error=self.max_gps_error)
-
-    def store(self) -> StoreConfig:
-        return StoreConfig(capacity=self.capacity,
-                           ttl_seconds=self.ttl_seconds,
-                           evict_idle_seconds=self.evict_idle_seconds,
-                           eviction_log=self.eviction_log)
 
 
 @dataclass(frozen=True)
@@ -108,35 +66,27 @@ class StreamUpdate:
 
 
 class StreamingRecoveryService:
-    """Sessionized incremental recovery over a :class:`ModelRegistry`."""
+    """Sessionized incremental recovery on a :class:`RecoveryService`."""
 
-    def __init__(self, registry: ModelRegistry,
-                 config: Optional[StreamConfig] = None,
-                 shard: str = "",
-                 telemetry: Optional[ServingTelemetry] = None,
-                 scheduler=None,
+    def __init__(self, service: RecoveryService, commit_horizon: int = 8,
+                 store: Optional[StoreConfig] = None,
                  clock=time.monotonic) -> None:
-        self.registry = registry
-        self.config = config or StreamConfig()
-        self.shard = shard
-        self.telemetry = telemetry or ServingTelemetry()
-        self.engine = IncrementalEngine(registry.network, self.config.ingest())
-        self.store = SessionStore(self.config.store(), clock=clock)
-        # Optional ContinuousScheduler: every session decode (append
-        # suffixes and finalize) then joins the same slot table as the
-        # shard's one-shot traffic.
-        self.scheduler = scheduler
+        """``commit_horizon``: newest grid steps kept *provisional*
+        (re-decoded each append, may be revised); steps aging past it are
+        committed — frozen, with the decoder carry checkpointed at the
+        boundary so later appends resume there.  0 commits everything
+        instantly (fastest, most revision-blind); a huge value never
+        commits (every append is a full re-decode from step 0, exactly the
+        one-shot result each time).  ``clock`` is injectable for
+        lifecycle tests."""
+        self.service = service
+        self.registry = service.registry
+        self.shard = service.shard
+        self.ingest = service.config.ingest()
+        self.commit_horizon = int(commit_horizon)
+        self.telemetry = ServingTelemetry()
+        self.store = SessionStore(store, clock=clock)
         self._closed = False
-
-    @classmethod
-    def from_model(cls, model: RNTrajRec,
-                   config: Optional[StreamConfig] = None,
-                   name: str = "default", shard: str = "",
-                   **kwargs) -> "StreamingRecoveryService":
-        """A streaming service over an in-memory model (tests, demos)."""
-        registry = ModelRegistry(model.network, default_config=model.config)
-        registry.add_loaded(name, model, activate=True)
-        return cls(registry, config, shard=shard, **kwargs)
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -163,12 +113,13 @@ class StreamingRecoveryService:
         try:
             with session.lock:
                 self._adopt_model(session, model_tag)
-                self.engine.append_fixes(session, xy, times)
+                sample = engine.append_fixes(session, self.registry.network,
+                                             self.ingest, xy, times)
                 session.appends += 1
-                outcome = (self.engine.decode(model, session,
-                                              self.config.commit_horizon,
-                                              scheduler=self.scheduler)
-                           if session.num_fixes >= 2 else None)
+                outcome = (engine.decode(model, session, sample,
+                                         self.commit_horizon,
+                                         self.service.scheduler)
+                           if sample is not None else None)
         except Exception:
             self.telemetry.record_error()
             raise
@@ -210,8 +161,10 @@ class StreamingRecoveryService:
                         "a recovery needs at least two GPS fixes; session "
                         f"{session_id!r} has {session.num_fixes}")
                 self._adopt_model(session, model_tag)
-                trajectory, revised_from, _ = self.engine.finalize(
-                    model, session, scheduler=self.scheduler)
+                trajectory, revised_from, _ = engine.finalize(
+                    model, session, engine.session_sample(
+                        session, self.registry.network, self.ingest),
+                    self.service.scheduler)
         except Exception:
             self.telemetry.record_error()
             raise
@@ -238,7 +191,7 @@ class StreamingRecoveryService:
         payload = self.telemetry.stats()
         payload.update({
             "shard": self.shard,
-            "commit_horizon": self.config.commit_horizon,
+            "commit_horizon": self.commit_horizon,
             "sessions": self.store.stats(),
             "active_model": self.registry.active_name,
             "models": self.registry.names(),
@@ -246,6 +199,7 @@ class StreamingRecoveryService:
         return payload
 
     def close(self) -> None:
+        """Refuse further work; the borrowed service stays open."""
         self._closed = True
 
     def __enter__(self) -> "StreamingRecoveryService":

@@ -70,13 +70,10 @@ class SessionState:
     # Raw fixes accepted so far (session-local coordinates).
     xy: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
     times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # Incremental ingest state: ε_ρ grid step -> sparse Eq. 16 constraint
-    # entry (ids, weights).  Steps are stable across appends (the grid
-    # origin t0 is fixed at the first fix), so entries are computed once
-    # per fix, ever.
-    constraints: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict)
-    observed_steps: List[int] = field(default_factory=list)
+    # Incremental ingest state: one sparse Eq. 16 entry (ids, weights) per
+    # fix, in fix order — the memo one-shot assembly consumes, so each
+    # fix's entry is computed once, ever.
+    entries: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     # Incremental decode state: the committed prefix (frozen, never
     # re-decoded), the decoder carry checkpointed at the commit boundary
@@ -105,10 +102,6 @@ class SessionState:
     @property
     def last_time(self) -> Optional[float]:
         return float(self.times[-1]) if len(self.times) else None
-
-    @property
-    def last_step(self) -> int:
-        return self.observed_steps[-1] if self.observed_steps else -1
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from repro.serve import (
     ServeConfig,
     run_to_completion,
 )
-from repro.stream import StreamConfig, StreamingRecoveryService
+from repro.stream import StreamingRecoveryService
 from repro.trajectory import (
     DatasetConfig,
     SimulationConfig,
@@ -194,6 +194,19 @@ def drive(engine, jobs, admit_when):
             assert retirement.error is None, retirement.error
             results[slot_map.pop(retirement.slot)] = retirement.result
     return results
+
+
+def on_each_step(scheduler, hook):
+    """Call ``hook(admitted)`` on the scheduler's worker before every
+    engine step, ``admitted`` being the decodes in the slot table (the
+    running one plus the preempted ones)."""
+    step = scheduler.engine.step
+
+    def stepped(slots=None):
+        hook(scheduler.engine.inflight)
+        return step(slots)
+
+    scheduler.engine.step = stepped
 
 
 def run_pattern(jobs, pattern):
@@ -396,6 +409,26 @@ class TestSlotTableMechanics:
         with pytest.raises(EngineError):
             engine.admit(bad_checkpoint)
 
+    def test_resident_steps_sum_occupied_slots_per_step(self, model, pools):
+        """``resident_steps`` counts co-residency once, in the engine: jobs
+        of 3 and 5 steps stepped together occupy 2 + 2 + 2 + 1 + 1 slots;
+        a parked slot counts while another one steps, as under the
+        scheduler."""
+        base = job_for(model, pools["short"][0])
+        jobs = [dataclasses.replace(base, num_steps=n) for n in (3, 5)]
+        engine = ContinuousEngine(capacity=2)
+        run_to_completion(engine, jobs)
+        stats = engine.stats()
+        assert stats["resident_steps"] == 8
+        assert stats["engine_steps"] == 5 and stats["slot_steps"] == 8
+
+        engine = ContinuousEngine(capacity=2)
+        _, long_ = (engine.admit(job) for job in jobs)
+        for _ in range(5):
+            engine.step((long_,))
+        assert engine.stats()["resident_steps"] == 10
+        assert engine.stats()["slot_steps"] == 5 and engine.inflight == 1
+
     def test_mixed_widths_co_reside(self, model, wide_model, pools, solo):
         """Slots share no array, so a job of another hidden width is seated
         next to in-flight work — no drain — and interleaved stepping gives
@@ -491,8 +524,8 @@ class TestContinuousScheduler:
 
     # -- earliest-solo-finish-first order --------------------------------
     # Order is forced, never timed: ``prepare`` is gated so entries queue
-    # before anything steps, and later arrivals are injected from the
-    # ``on_step`` hook at an exact value of the step clock.
+    # before anything steps, and later arrivals are injected from an
+    # ``on_each_step`` hook at an exact value of the step clock.
 
     @staticmethod
     def _sized_jobs(model, sample, lengths):
@@ -546,8 +579,8 @@ class TestContinuousScheduler:
                                                 short_sample.target_length))
 
         scheduler = ContinuousScheduler(
-            prepare=lambda sample: job_for(model, sample), max_slots=4,
-            on_step=on_step)
+            prepare=lambda sample: job_for(model, sample), max_slots=4)
+        on_each_step(scheduler, on_step)
         try:
             watch("long", scheduler.submit(long_sample,
                                            long_sample.target_length))
@@ -585,8 +618,8 @@ class TestContinuousScheduler:
                 arrivals[clock].add_done_callback(
                     lambda _, clock=clock: order.append(clock))
 
-        scheduler = ContinuousScheduler(
-            prepare=lambda job: job, max_slots=8, on_step=on_step)
+        scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=8)
+        on_each_step(scheduler, on_step)
         try:
             long_future = scheduler.submit_job(long_job)
             long_future.add_done_callback(lambda _: order.append("long"))
@@ -651,8 +684,8 @@ class TestContinuousScheduler:
             gate.wait(timeout=60.0)
             return job_for(model, sample)
 
-        scheduler = ContinuousScheduler(prepare=prepare, max_slots=4,
-                                        on_step=occupancy.append)
+        scheduler = ContinuousScheduler(prepare=prepare, max_slots=4)
+        on_each_step(scheduler, occupancy.append)
         try:
             # The gate holds the worker inside the long job's prepare, so
             # the other two are queued by the time it is seated.
@@ -707,9 +740,8 @@ class TestContinuousScheduler:
         assert isinstance(error.exception(timeout=60.0), IndexError)
         scheduler.close()
 
-        scheduler = ContinuousScheduler(
-            prepare=lambda job: job, max_slots=2,
-            on_step=lambda admitted: stepping.set())
+        scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=2)
+        on_each_step(scheduler, lambda admitted: stepping.set())
         dropped, abandoned = submit(scheduler, 50_000, 50_000)
         assert stepping.wait(timeout=60.0)
         scheduler.close(drain=False)
@@ -778,16 +810,17 @@ class TestStreamingJoin:
     def test_streaming_appends_identical_with_and_without_join(self, model,
                                                                pools):
         """A streaming session whose suffix decodes join a busy continuous
-        scheduler streams exactly the bits a scheduler-less twin streams —
-        while one-shot traffic shares the same slot table."""
+        scheduler streams exactly the bits a twin on an idle second
+        service streams — while one-shot traffic shares the busy one's
+        slot table."""
         serve = RecoveryService.from_model(
             model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
                                max_batch_size=8, cache_capacity=0))
-        stream_config = StreamConfig(interval=12.0, beta=15.0,
-                                     max_gps_error=100.0, commit_horizon=4)
-        joined = StreamingRecoveryService.from_model(
-            model, stream_config, scheduler=serve.scheduler)
-        local = StreamingRecoveryService.from_model(model, stream_config)
+        idle = RecoveryService.from_model(
+            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
+                               cache_capacity=0))
+        joined = StreamingRecoveryService(serve, commit_horizon=4)
+        local = StreamingRecoveryService(idle, commit_horizon=4)
         sample = pools["long"][3]
         xy, times = sample.raw_low.xy, sample.raw_low.times
         try:
@@ -816,6 +849,7 @@ class TestStreamingJoin:
             joined.close()
             local.close()
             serve.close()
+            idle.close()
         assert np.array_equal(final_j.trajectory.segments,
                               final_l.trajectory.segments)
         assert np.array_equal(final_j.trajectory.ratios,

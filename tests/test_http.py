@@ -30,7 +30,7 @@ from repro.cluster import RecoveryCluster, ShardMap, ShardSpec, side_by_side
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
 from repro.serve import http, save_model_bundle
-from repro.stream import StreamingCluster
+from repro.stream import StoreConfig, StreamingCluster
 
 REPO = Path(__file__).resolve().parent.parent
 TINY = RNTrajRecConfig(hidden_dim=16, num_heads=2, dropout=0.0,
@@ -114,11 +114,13 @@ class Client:
         assert not self._thread.is_alive()
 
 
-def serve(cli, cluster, **session_overrides):
-    """The CLI's one table over ``cluster``, as ``serve.py`` wires it."""
+def serve(cli, cluster, **store):
+    """The CLI's one table over ``cluster``, as ``serve.py`` wires it;
+    ``store`` bounds every shard's session store."""
     return Client(http.JsonServer(
         ("127.0.0.1", 0),
-        cli.routes(cluster, StreamingCluster(cluster, **session_overrides)),
+        cli.routes(cluster, StreamingCluster(cluster,
+                                             store=StoreConfig(**store))),
         cli.ERRORS))
 
 

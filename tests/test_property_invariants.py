@@ -349,8 +349,8 @@ class TestSlotTableProperties:
         """Random (length, arrival-clock) sequences through the scheduler:
         every result is bit-identical to solo, the work is conserved, and
         — while a slot is always free — entries outstanding together
-        complete in key order.  Arrivals are injected from the ``on_step``
-        hook at exact values of the step clock, never by sleeping."""
+        complete in key order.  Arrivals are injected before each engine
+        step at exact values of the step clock, never by sleeping."""
         import threading
         import time
 
@@ -382,9 +382,14 @@ class TestSlotTableProperties:
             gate.wait(timeout=60.0)
             return jobs[i]
 
-        scheduler = ContinuousScheduler(
-            prepare=prepare, max_slots=capacity,
-            on_step=lambda admitted: submit_due())
+        scheduler = ContinuousScheduler(prepare=prepare, max_slots=capacity)
+        step = scheduler.engine.step
+
+        def stepped(slots=None):
+            submit_due()
+            return step(slots)
+
+        scheduler.engine.step = stepped
         try:
             submit_due()  # everything arriving at clock 0 queues first
             gate.set()

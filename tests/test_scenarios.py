@@ -28,7 +28,7 @@ from repro.scenarios import (
     transfer_model,
     transfer_state,
 )
-from repro.stream import StreamConfig
+from repro.serve import ServeConfig
 from repro.train import PiecewiseConstant, TrainConfig
 from repro.trajectory import (
     DatasetConfig,
@@ -331,9 +331,9 @@ class TestMatrix:
         nn.init.seed_everything(0)
         model = RNTrajRec(city, TINY).eval()
         samples = build_samples(pairs[:2], city, config)
-        stream_config = StreamConfig(interval=12.0, beta=config.beta,
-                                     max_gps_error=config.max_gps_error)
-        replay = replay_streaming(model, samples, stream_config, limit=2)
+        serve_config = ServeConfig(interval=12.0, beta=config.beta,
+                                   max_gps_error=config.max_gps_error)
+        replay = replay_streaming(model, samples, serve_config, limit=2)
         assert replay.sessions == 2
         assert replay.appends == sum(s.input_length for s in samples[:2])
         assert replay.exact_finalizes == 2

@@ -203,11 +203,10 @@ class TestRecoveryService:
         stats = service.stats()
         service.close()
         for key in ("requests", "qps", "latency_ms_p50", "latency_ms_p95",
-                    "cache_hit_rate", "mean_batch_occupancy",
-                    "max_batch_occupancy", "active_model", "pending"):
+                    "cache_hit_rate", "active_model", "pending"):
             assert key in stats
         for key in ("queue_wait_ms_p50", "queue_wait_ms_p95", "preemptions",
-                    "queued", "slot_steps", "admitted"):
+                    "queued", "slot_steps", "resident_steps", "admitted"):
             assert key in stats["engine"]
 
 

@@ -8,14 +8,18 @@ LRU, backpressure), the typed append validation, the decoder's
 split/replay kernel invariants, telemetry, and session→shard affinity.
 """
 
+import inspect
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
+import repro.stream.engine as stream_engine
 from repro.cluster import RecoveryCluster, RouteError, side_by_side
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
@@ -28,12 +32,10 @@ from repro.serve import (
     validate_append_times,
 )
 from repro.stream import (
-    IncrementalEngine,
     SessionOverloaded,
     SessionState,
     SessionStore,
     StoreConfig,
-    StreamConfig,
     StreamError,
     StreamingCluster,
     StreamingRecoveryService,
@@ -77,16 +79,35 @@ class FakeClock:
         self.t += seconds
 
 
-def _config(data, **overrides) -> StreamConfig:
-    return StreamConfig.for_spec(data.spec, **overrides)
+def _ingest(data):
+    return ServeConfig.for_spec(data.spec).ingest()
+
+
+@pytest.fixture()
+def streaming():
+    """Builds streaming services, each on its own one-shot
+    ``RecoveryService`` over ``model`` with ``data``'s ingest grid, and
+    closes those services after the test."""
+    borrowed = []
+
+    def build(model, data, commit_horizon=8, clock=time.monotonic, shard="",
+              **store):
+        oneshot = RecoveryService.from_model(
+            model, ServeConfig.for_spec(data.spec), shard=shard)
+        borrowed.append(oneshot)
+        return StreamingRecoveryService(oneshot, commit_horizon,
+                                        StoreConfig(**store), clock=clock)
+
+    yield build
+    for oneshot in borrowed:
+        oneshot.close()
 
 
 def _reference(model, data, sample):
     """The one-shot recovery of a sample's raw fixes (serving path)."""
     request = RecoveryRequest(sample.raw_low.xy, sample.raw_low.times,
                               hour=sample.hour, holiday=sample.holiday)
-    assembled = assemble_sample(request, data.network,
-                                _config(data).ingest())
+    assembled = assemble_sample(request, data.network, _ingest(data))
     return model.recover_trajectories(make_batch([assembled]))[0]
 
 
@@ -196,8 +217,9 @@ class TestAppendValidation:
         out = validate_append_times([192.0, 288.0], last_time=96.0)
         assert out.dtype == np.float64 and len(out) == 2
 
-    def test_service_append_rejections_are_typed(self, data, model):
-        service = StreamingRecoveryService.from_model(model, _config(data))
+    def test_service_append_rejections_are_typed(self, data, model,
+                                                 streaming):
+        service = streaming(model, data)
         sample = data.test[0]
         raw = sample.raw_low
         sid = service.open()
@@ -216,8 +238,9 @@ class TestAppendValidation:
         assert update.grid_length > 0
         assert service.telemetry.stats()["errors"] == 4
 
-    def test_open_on_a_finalized_or_unknown_session_fails(self, data, model):
-        service = StreamingRecoveryService.from_model(model, _config(data))
+    def test_open_on_a_finalized_or_unknown_session_fails(self, data, model,
+                                                          streaming):
+        service = streaming(model, data)
         with pytest.raises(UnknownSession):
             service.append("nope", np.zeros((1, 2)), [0.0])
         sample = data.test[0]
@@ -289,9 +312,9 @@ class TestDecoderPrimitives:
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @pytest.mark.parametrize("horizon", [0, 2, 64])
-    def test_finalize_equals_oneshot(self, data, model, chunk, horizon):
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=horizon))
+    def test_finalize_equals_oneshot(self, data, model, streaming, chunk,
+                                     horizon):
+        service = streaming(model, data, commit_horizon=horizon)
         for sample in data.test[:2]:
             expected = _reference(model, data, sample)
             _, _, response = _drive(service, sample, chunk)
@@ -302,9 +325,8 @@ class TestStreamingEquivalence:
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_finalize_equals_oneshot_at_denser_sampling(
-            self, data_gap4, model_gap4, chunk):
-        service = StreamingRecoveryService.from_model(
-            model_gap4, _config(data_gap4, commit_horizon=2))
+            self, data_gap4, model_gap4, streaming, chunk):
+        service = streaming(model_gap4, data_gap4, commit_horizon=2)
         for sample in data_gap4.test[:2]:
             expected = _reference(model_gap4, data_gap4, sample)
             _, _, response = _drive(service, sample, chunk)
@@ -313,9 +335,9 @@ class TestStreamingEquivalence:
             assert np.array_equal(response.trajectory.ratios,
                                   expected.ratios)
 
-    def test_committed_prefix_never_changes_after_commit(self, data, model):
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=2))
+    def test_committed_prefix_never_changes_after_commit(self, data, model,
+                                                         streaming):
+        service = streaming(model, data, commit_horizon=2)
         sample = data.test[0]
         _, updates, _ = _drive(service, sample, chunk=1)
         decoded = [u for u in updates if u.trajectory is not None]
@@ -327,12 +349,11 @@ class TestStreamingEquivalence:
             assert later.revised_from == -1 or later.revised_from >= frozen
 
     def test_wide_horizon_streams_the_exact_oneshot_every_append(
-            self, data, model):
+            self, data, model, streaming):
         """With a horizon wider than the grid nothing commits: every update
         is a full decode from step 0, finalize short-circuits (no second
         decode) and still equals the one-shot result."""
-        engine_config = _config(data, commit_horizon=10_000)
-        service = StreamingRecoveryService.from_model(model, engine_config)
+        service = streaming(model, data, commit_horizon=10_000)
         sample = data.test[1]
         expected = _reference(model, data, sample)
         sid, updates, _ = _drive(service, sample, chunk=1)
@@ -341,11 +362,14 @@ class TestStreamingEquivalence:
         assert np.array_equal(last.trajectory.segments, expected.segments)
 
         # Engine-level: the stored full decode is returned verbatim.
-        engine = IncrementalEngine(data.network, engine_config.ingest())
+        scheduler = service.service.scheduler
         session = SessionState("x", hour=sample.hour, holiday=sample.holiday)
-        engine.append_fixes(session, sample.raw_low.xy, sample.raw_low.times)
-        engine.decode(model, session, 10_000)
-        trajectory, revised_from, ran_decode = engine.finalize(model, session)
+        assembled = stream_engine.append_fixes(
+            session, data.network, service.ingest, sample.raw_low.xy,
+            sample.raw_low.times)
+        stream_engine.decode(model, session, assembled, 10_000, scheduler)
+        trajectory, revised_from, ran_decode = stream_engine.finalize(
+            model, session, assembled, scheduler)
         assert not ran_decode and revised_from == -1
         assert np.array_equal(trajectory.segments, expected.segments)
 
@@ -354,9 +378,8 @@ class TestStreamingEquivalence:
 # Service semantics: updates, lifecycle, telemetry
 # ---------------------------------------------------------------------------
 class TestStreamingService:
-    def test_update_bookkeeping(self, data, model):
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=2), shard="cd")
+    def test_update_bookkeeping(self, data, model, streaming):
+        service = streaming(model, data, commit_horizon=2, shard="cd")
         sample = data.test[0]
         sid, updates, response = _drive(service, sample, chunk=1)
         assert updates[0].trajectory is None  # one fix cannot decode yet
@@ -373,8 +396,9 @@ class TestStreamingService:
         assert response.session_id == sid
         assert response.shard == "cd"
 
-    def test_telemetry_splits_streaming_from_oneshot(self, data, model):
-        service = StreamingRecoveryService.from_model(model, _config(data))
+    def test_telemetry_splits_streaming_from_oneshot(self, data, model,
+                                                     streaming):
+        service = streaming(model, data)
         tag = service.registry.active_ref()[1]
         # One-shot traffic through the same telemetry object.
         service.telemetry.record_request(0.01, cache_hit=False, model_tag=tag)
@@ -387,14 +411,13 @@ class TestStreamingService:
         assert 0.0 <= stats["revision_rate_by_model"][tag] <= 1.0
         assert stats["sessions"]["opened"] == 1
         assert stats["sessions"]["finalized"] == 1
-        assert stats["commit_horizon"] == _config(data).commit_horizon
+        assert stats["commit_horizon"] == 8  # the default
 
-    def test_store_pressure_surfaces_through_the_service(self, data, model):
+    def test_store_pressure_surfaces_through_the_service(self, data, model,
+                                                         streaming):
         clock = FakeClock()
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, capacity=1, ttl_seconds=50.0,
-                           evict_idle_seconds=1_000.0),
-            clock=clock)
+        service = streaming(model, data, clock=clock, capacity=1,
+                            ttl_seconds=50.0, evict_idle_seconds=1_000.0)
         sample = data.test[0]
         sid = service.open()
         service.append(sid, sample.raw_low.xy[:2], sample.raw_low.times[:2])
@@ -412,9 +435,9 @@ class TestStreamingService:
         assert records[-1]["reason"] == "ttl"
         assert records[-1]["fixes"] == 2
 
-    def test_hot_swap_invalidates_the_carry_checkpoint(self, data, model):
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=2))
+    def test_hot_swap_invalidates_the_carry_checkpoint(self, data, model,
+                                                       streaming):
+        service = streaming(model, data, commit_horizon=2)
         challenger = RNTrajRec(data.network, TINY).eval()
         service.registry.add_loaded("challenger", challenger)
         sample = data.test[0]
@@ -434,13 +457,13 @@ class TestStreamingService:
         assert np.array_equal(response.trajectory.segments,
                               expected.segments)
 
-    def test_hot_swap_invalidates_the_stored_full_decode(self, data, model):
+    def test_hot_swap_invalidates_the_stored_full_decode(self, data, model,
+                                                         streaming):
         """Purity: a session that never crossed its horizon holds a full
         decode finalize may return verbatim — but only under the model
         that decoded it.  After a swap, finalize must answer with the
         active model's recovery, not the old one under a new stamp."""
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=10_000))
+        service = streaming(model, data, commit_horizon=10_000)
         challenger = RNTrajRec(data.network, TINY).eval()
         service.registry.add_loaded("challenger", challenger)
         sample = data.test[0]
@@ -457,14 +480,12 @@ class TestStreamingService:
         assert np.array_equal(response.trajectory.ratios, expected.ratios)
 
     def test_finalize_joins_the_slot_table(self, data, model):
-        """With a scheduler attached, a session past its horizon finalizes
-        as exactly one more admission into the shard's slot table, and the
-        answer is the one-shot recovery."""
+        """A session past its horizon finalizes as exactly one more
+        admission into its one-shot service's slot table, and the answer
+        is the one-shot recovery."""
         serve = RecoveryService.from_model(
             model, ServeConfig.for_spec(data.spec, cache_capacity=0))
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=2),
-            scheduler=serve.scheduler)
+        service = StreamingRecoveryService(serve, commit_horizon=2)
         sample = data.test[0]
         raw = sample.raw_low
         try:
@@ -484,8 +505,8 @@ class TestStreamingService:
         assert np.array_equal(response.trajectory.ratios, expected.ratios)
         assert np.array_equal(response.trajectory.times, expected.times)
 
-    def test_closed_service_refuses_work(self, data, model):
-        service = StreamingRecoveryService.from_model(model, _config(data))
+    def test_closed_service_refuses_work(self, data, model, streaming):
+        service = streaming(model, data)
         service.close()
         with pytest.raises(RuntimeError):
             service.open()
@@ -530,8 +551,7 @@ class TestStreamingCluster:
         local = shifted - np.asarray(origin)
         request = RecoveryRequest(local, sample.raw_low.times,
                                   hour=sample.hour, holiday=sample.holiday)
-        assembled = assemble_sample(request, data.network,
-                                    _config(data).ingest())
+        assembled = assemble_sample(request, data.network, _ingest(data))
         expected = cluster.shards[1].registry.active_ref()[2] \
             .recover_trajectories(make_batch([assembled]))[0]
         assert np.array_equal(response.trajectory.segments, expected.segments)
@@ -546,10 +566,13 @@ class TestStreamingCluster:
         streaming = StreamingCluster(cluster)
         with pytest.raises(RouteError):
             streaming.open(np.array([1e9, 1e9]))
+        assert cluster.dead_letters()[-1]["reason"] == "outside"
+        assert cluster.stats()["router"]["unroutable"] == 1
 
     def test_evictions_roll_up_with_shard_labels(self, data, cluster):
         clock = FakeClock()
-        streaming = StreamingCluster(cluster, ttl_seconds=10.0, clock=clock)
+        streaming = StreamingCluster(
+            cluster, store=StoreConfig(ttl_seconds=10.0), clock=clock)
         sample = data.test[0]
         sid, shard_name = streaming.open(sample.raw_low.xy[0])
         streaming.append(sid, sample.raw_low.xy[:2], sample.raw_low.times[:2])
@@ -567,7 +590,8 @@ class TestStreamingCluster:
         """The stores are the only membership: what one expired is not
         pinned either, whether or not its client ever comes back."""
         clock = FakeClock()
-        streaming = StreamingCluster(cluster, ttl_seconds=10.0, clock=clock)
+        streaming = StreamingCluster(
+            cluster, store=StoreConfig(ttl_seconds=10.0), clock=clock)
         point = data.test[0].raw_low.xy[0]
         for _ in range(50):
             streaming.open(point)
@@ -581,7 +605,8 @@ class TestStreamingCluster:
 
     def test_a_session_id_lives_on_one_shard(self, data, cluster):
         clock = FakeClock()
-        streaming = StreamingCluster(cluster, ttl_seconds=10.0, clock=clock)
+        streaming = StreamingCluster(
+            cluster, store=StoreConfig(ttl_seconds=10.0), clock=clock)
         raw = data.test[0].raw_low
         there = raw.xy + np.asarray(cluster.shards[1].spec.origin)
         assert streaming.open(raw.xy[0], session_id="dev-7")[1] == \
@@ -636,7 +661,13 @@ class TestStreamingCluster:
             assert StreamingCluster(solo).open()[1] == "chengdu"
 
     def test_overrides_never_carry_an_ingest_grid(self, cluster):
-        with pytest.raises(ValueError, match="ingest grid"):
+        """A session's ingest grid comes only from its ``RecoveryService``'s
+        ``ServeConfig``: no ingest field is a streaming parameter at all."""
+        ingest = {"interval", "beta", "max_gps_error"}
+        for surface in (StreamingCluster, StreamingRecoveryService,
+                        StoreConfig):
+            assert not ingest & set(inspect.signature(surface).parameters)
+        with pytest.raises(TypeError):
             StreamingCluster(cluster, interval=12.0)
         with pytest.raises(TypeError):
             StreamingCluster(cluster, no_such_field=1)
@@ -680,29 +711,26 @@ class TestDegradedStreaming:
                 validate_append_times(times[:1], last_time=last)
         assert saw_gap  # the scenario really produced outage-scale gaps
 
-    def test_outage_sessions_finalize_exactly(self, data, model,
+    def test_outage_sessions_finalize_exactly(self, data, model, streaming,
                                               outage_samples):
         """finalize() == one-shot recovery for gap-degraded fix patterns:
         the commit-horizon machinery must not drift when appends land far
         past the committed frontier."""
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, commit_horizon=2))
+        service = streaming(model, data, commit_horizon=2)
         for sample in outage_samples[:3]:
             sid, _, response = _drive(service, sample, chunk=1)
             segments, rates = model.recover(make_batch([sample]))
             assert np.array_equal(response.trajectory.segments, segments[0])
             assert np.array_equal(response.trajectory.ratios, rates[0])
 
-    def test_eviction_ring_under_degraded_churn(self, data, model,
+    def test_eviction_ring_under_degraded_churn(self, data, model, streaming,
                                                 outage_samples):
         """Devices driving degraded traces drop offline mid-trip; the
         eviction ring must account for every aborted session — fixes,
         appends, revisions — and stay bounded."""
         clock = FakeClock()
-        service = StreamingRecoveryService.from_model(
-            model, _config(data, capacity=2, ttl_seconds=10_000.0,
-                           eviction_log=4, commit_horizon=1),
-            clock=clock)
+        service = streaming(model, data, commit_horizon=1, clock=clock,
+                            capacity=2, ttl_seconds=10_000.0, eviction_log=4)
         appended: dict = {}
         for round_ in range(4):
             for sample in outage_samples[:2]:
@@ -729,3 +757,71 @@ class TestDegradedStreaming:
         # ever finalize.
         assert any(r["committed_steps"] > 0 for r in records
                    if r["fixes"] >= 3)
+
+    @pytest.fixture(scope="class")
+    def irregular_samples(self, data, outage_samples):
+        """Clean traces plus Outage and VariableRate ones: irregular gaps
+        between fixes, where session ingest and one-shot assembly must
+        agree most."""
+        from repro.scenarios import Scenario, VariableRate, build_scenario_samples
+        from repro.trajectory import TrajectorySimulator
+
+        pairs = TrajectorySimulator(data.network,
+                                    data.spec.simulation).simulate(4)
+        variable = build_scenario_samples(
+            pairs, data.network,
+            Scenario(name="variable", transforms=(VariableRate(),), seed=5),
+            data.spec.dataset)
+        return list(data.test[:3]) + list(outage_samples[:3]) + variable
+
+    @pytest.fixture(scope="class")
+    def oneshot(self, data, model):
+        with RecoveryService.from_model(
+                model, ServeConfig.for_spec(data.spec, cache_capacity=0)) as service:
+            yield service
+
+    @staticmethod
+    def _fields(sample):
+        """Every field of a recovery sample, arrays as (dtype, shape, bytes)."""
+        def raw(array):
+            return array.dtype.str, array.shape, array.tobytes()
+
+        return ([raw(a) for a in (
+            sample.raw_low.xy, sample.raw_low.times, sample.target.segments,
+            sample.target.ratios, sample.target.times, sample.observed_steps)]
+            + [None if entry is None else tuple(map(raw, entry))
+               for entry in sample.constraints]
+            + [sample.hour, sample.holiday])
+
+    @given(pick=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_session_sample_is_oneshot_assembly(self, data, model,
+                                                irregular_samples, oneshot,
+                                                pick):
+        """Random 1–4-fix chunkings of clean and degraded traces: after
+        every append the session's decode sample equals ``assemble_sample``
+        over the fixes so far, field by field in bytes, and ``finalize``
+        equals ``RecoveryService.recover`` of the same fixes."""
+        sample = pick.draw(st.sampled_from(irregular_samples))
+        service = StreamingRecoveryService(
+            oneshot, pick.draw(st.sampled_from([0, 2, 8, 10_000])))
+        raw, ingest = sample.raw_low, oneshot.config.ingest()
+        sid = service.open(hour=sample.hour, holiday=sample.holiday)
+        seen = 0
+        while seen < len(raw):
+            stop = min(len(raw), seen + pick.draw(st.integers(1, 4)))
+            service.append(sid, raw.xy[seen:stop], raw.times[seen:stop])
+            seen = stop
+            if seen < 2:
+                continue
+            request = RecoveryRequest(raw.xy[:seen], raw.times[:seen],
+                                      hour=sample.hour, holiday=sample.holiday)
+            session = service.store.get(sid)
+            assert self._fields(stream_engine.session_sample(
+                session, data.network, ingest)) == self._fields(
+                    assemble_sample(request, data.network, ingest))
+        final = service.finalize(sid).trajectory
+        expected = oneshot.recover(request).trajectory
+        assert np.array_equal(final.segments, expected.segments)
+        assert np.array_equal(final.ratios, expected.ratios)
+        assert np.array_equal(final.times, expected.times)

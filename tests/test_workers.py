@@ -538,7 +538,7 @@ class TestReplicaSurface:
             # Failed fast: nothing pinned, no per-shard streaming service.
             assert streaming.stats() == {"pinned_sessions": 0, "shards": {}}
             with pytest.raises(StreamingUnsupported):
-                cluster.shard("chengdu").decode_scheduler()
+                cluster.shard("chengdu").session_service()
 
 
 # ---------------------------------------------------------------------------

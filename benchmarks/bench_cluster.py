@@ -512,7 +512,7 @@ def test_memory_scaling_shared_artifacts(tmp_path):
     serve_kwargs = dict(interval=spec.simulation.sample_interval,
                         beta=spec.dataset.beta,
                         max_gps_error=spec.dataset.max_gps_error,
-                        max_batch_size=8, cache_capacity=16)
+                        max_batch_size=8)
     prime = RecoveryRequest(traces[f"xy{pool_size}"], traces[f"t{pool_size}"],
                             hour=int(hours[-1]), holiday=bool(holidays[-1]),
                             request_id="prime")

@@ -135,7 +135,7 @@ def run_streaming_bench(sessions: int = 3, length: int = 32,
     model = RNTrajRec(network, small_model_config(hidden)).eval()
     traces = _simulate_sessions(network, spec, sessions, length, keep_every)
 
-    serve_config = ServeConfig.for_spec(spec, cache_capacity=0)
+    serve_config = ServeConfig.for_spec(spec)
     oneshot = RecoveryService.from_model(model, serve_config)
 
     append_ms: list = []
@@ -160,7 +160,8 @@ def run_streaming_bench(sessions: int = 3, length: int = 32,
             final = streaming.finalize(session_id)
 
             # Baseline: a session-less server re-recovers the full prefix
-            # on every new fix (same model, cache disabled).
+            # on every new fix (same model; a standalone service has no
+            # result cache).
             prefix_ms = []
             for j in range(2, len(low) + 1):
                 start = time.perf_counter()

@@ -10,8 +10,8 @@ End to end this
    *cold* (spec-only) and each trains a small model lazily on its first
    routed request;
 2. replays held-out traces from both cities concurrently — the router
-   sends each to its owning shard, which schedules and caches like a
-   standalone :class:`~repro.serve.RecoveryService`;
+   sends each to its owning shard, which answers repeats from its result
+   cache and schedules the rest on a :class:`~repro.serve.RecoveryService`;
 3. shows the cluster-only failure modes: a trace outside every shard and
    a trace straddling the two cities are **dead-lettered**, never served
    by the wrong city's model;

@@ -93,11 +93,6 @@ def main() -> None:
                              "differ from direct recovery")
         print(f"  all {NUM_REQUESTS} served trajectories identical to direct recovery")
 
-        # Re-submitting a request demonstrates the quantized-input cache.
-        again = service.recover(requests[0])
-        print(f"  resubmitted {again.request_id}: cached={again.cached} "
-              f"({again.latency_ms:.2f} ms)")
-
         # A decode's length is known at ingest, so a short request does not
         # wait behind long ones that merely arrived first.
         print("Submitting a 2-fix request behind three full-length ones ...")

@@ -16,7 +16,10 @@ training ``compute_loss`` (loss and every gradient, teacher-forcing ratios
 same ``http-cold`` requests are then streamed fix by fix through a
 ``StreamingCluster`` over the built models: one line per update (its
 trajectory, committed / decoded / skipped steps and ``revised_from``) and
-one per finalize.
+one per finalize.  The same requests also go through a one-replica
+``RecoveryCluster`` three times — submit, resubmit, then replayed 3 600 s
+later — with one ``cache`` line per response (its trajectory and its
+``cached`` flag).
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -27,6 +30,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +89,40 @@ def loss_lines(key: str, model, network, seed: int):
             for _, p in model.named_parameters()))
 
 
-def stream_lines(workload, models, requests: int):
-    """The first ``requests`` requests appended fix by fix through
-    ``StreamingCluster`` (global frame, default horizon and store)."""
+def _cluster(workload, models) -> RecoveryCluster:
+    """One in-process, one-replica shard per city over ``models``."""
     shard_map = ShardMap(shards=tuple(
         city.shard_spec(workload.networks[city.name], None, "inproc")
         for city in workload.cities))
+    return RecoveryCluster(
+        shard_map, model_factory=lambda spec, _: models[spec.name],
+        network_factory=lambda spec: workload.networks[spec.name])
+
+
+def cache_lines(workload, models, requests: int):
+    """The first ``requests`` requests submitted, resubmitted, then
+    replayed shifted by whole seconds; each response's trajectory and
+    ``cached`` flag."""
     lines = []
-    with RecoveryCluster(
-            shard_map, model_factory=lambda spec, _: models[spec.name],
-            network_factory=lambda spec: workload.networks[spec.name]) as cluster:
+    with _cluster(workload, models) as cluster:
+        for label, shift in (("submit", 0.0), ("resubmit", 0.0),
+                             ("shifted", 3600.0)):
+            for index, request in enumerate(workload.requests[:requests]):
+                response = cluster.recover(
+                    replace(request, times=request.times + shift))
+                path = response.trajectory
+                key = f"{workload.name}/{index:03d}/{workload.city_of[index]}"
+                lines.append(f"{key}/cache/{label} " + _sha(
+                    path.segments, path.ratios, path.times,
+                    np.array([response.cached])))
+    return lines
+
+
+def stream_lines(workload, models, requests: int):
+    """The first ``requests`` requests appended fix by fix through
+    ``StreamingCluster`` (global frame, default horizon and store)."""
+    lines = []
+    with _cluster(workload, models) as cluster:
         streaming = StreamingCluster(cluster)
         for index, request in enumerate(workload.requests[:requests]):
             key = f"{workload.name}/{index:03d}/{workload.city_of[index]}/stream"
@@ -166,6 +194,7 @@ def hash_lines(seed: int, requests: int, metro_block: float):
                 for model in built.values():
                     model.encoder.subgraph_generator.clear_cache()
                 lines += stream_lines(workload, built, requests)
+                lines += cache_lines(workload, built, requests)
     return sorted(lines)
 
 

@@ -198,15 +198,9 @@ class RecoveryCluster:
     def stats(self) -> Dict[str, Any]:
         """Rolled-up snapshot: cluster aggregates, router counters,
         per-shard serving stats, and profiler sections when enabled."""
-        # Snapshot every replica's latency reservoir exactly once; the
-        # per-shard stats reuse the snapshot for their own percentiles.
-        shard_latencies = {shard.name: shard.latencies() for shard in self.shards}
-        shard_stats = {
-            shard.name: shard.stats(latencies=shard_latencies[shard.name])
-            for shard in self.shards
-        }
+        shard_stats = {shard.name: shard.stats() for shard in self.shards}
         total = rollup(shard_stats.values(), [
-            value for values in shard_latencies.values() for value in values])
+            value for shard in self.shards for value in shard.latencies()])
         router = self.telemetry.stats()
         payload: Dict[str, Any] = {
             "cluster": {

@@ -3,7 +3,7 @@
 A :class:`~repro.cluster.shard.Shard` owns placement (round-robin,
 admission, shedding) and talks to its N replicas through one surface —
 ``submit_to(index, request)``, ``session_service()``, ``deploy``,
-``swap``, ``latencies``, ``stats(latencies)``, ``pids``, ``close`` — with two
+``swap``, ``stats()``, ``pids``, ``close`` — with two
 implementations: :class:`ThreadReplicas` here (``backend="inproc"``) and
 :class:`~repro.cluster.workers.ProcessReplicas` (``backend="process"``).
 """
@@ -11,12 +11,11 @@ implementations: :class:`ThreadReplicas` here (``backend="inproc"``) and
 from __future__ import annotations
 
 from concurrent.futures import Future
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
 from ..serve.registry import ModelRegistry
 from ..serve.request import RecoveryRequest, RecoveryResponse
 from ..serve.service import RecoveryService, ServeConfig
-from ..serve.telemetry import rollup
 from .shardmap import ShardSpec
 
 
@@ -70,15 +69,8 @@ class ThreadReplicas:
     def swap(self, name: str) -> None:
         self._registry.activate(name)
 
-    def latencies(self) -> List[float]:
-        out: List[float] = []
-        for service in self.services:
-            out.extend(service.telemetry.latencies())
-        return out
-
-    def stats(self, latencies: Iterable[float]) -> Dict[str, Any]:
+    def stats(self) -> Dict[str, Any]:
         rows = [service.stats() for service in self.services]
-        payload = rollup(rows, latencies)
         engine: Dict[str, Any] = {}
         for row in rows:
             for gauge, value in row["engine"].items():
@@ -86,9 +78,7 @@ class ThreadReplicas:
                 # wait percentile does not — report the worst replica's.
                 merge = max if gauge.startswith("queue_wait_ms_") else sum
                 engine[gauge] = merge((engine.get(gauge, 0), value))
-        payload["engine"] = engine
-        payload["replica_stats"] = rows
-        return payload
+        return {"engine": engine, "replica_stats": rows}
 
     def pids(self) -> List[int]:
         return []

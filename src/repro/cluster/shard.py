@@ -11,6 +11,9 @@ because a single service cannot express them:
   its declared bbox immediately, but the network, registry and replicas
   materialize on the first routed request (or an explicit ``warm()``).
   A 30-city map doesn't pay 30 city builds at boot.
+* **Result cache** — one LRU per shard, in the front-door process and
+  consulted before a replica is picked: a hit is answered on the calling
+  thread, never admitted, so never shed.
 * **Backpressure** — each replica admits at most ``max_inflight``
   outstanding requests.  When every replica is saturated the shard sheds
   the request with :class:`ShardOverloaded` (the HTTP layer maps it to
@@ -24,7 +27,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -33,9 +36,17 @@ from ..datasets.registry import get_spec
 from ..roadnet.artifacts import CityArtifacts
 from ..roadnet.generator import generate_city
 from ..roadnet.network import RoadNetwork
+from ..serve.cache import LRUCache, quantize_key
 from ..serve.registry import ModelRegistry
-from ..serve.request import RecoveryRequest, RecoveryResponse
+from ..serve.request import (
+    RecoveryRequest,
+    RecoveryResponse,
+    RequestError,
+    grid_alignment,
+)
 from ..serve.service import RecoveryService, ServeConfig
+from ..serve.telemetry import ServingTelemetry, rollup
+from ..trajectory.trajectory import MatchedTrajectory
 from .replicas import ThreadReplicas
 from .shardmap import ShardSpec
 from .workers import ProcessReplicas
@@ -90,6 +101,10 @@ class Shard:
         self._network: Optional[RoadNetwork] = None
         self._registry: Optional[ModelRegistry] = None
         self._replicas: Union[ThreadReplicas, ProcessReplicas, None] = None
+        self._config = self.serve_config()
+        self._cache = LRUCache(self._config.cache_capacity)
+        # Every request this shard answers, cache hits included.
+        self.telemetry = ServingTelemetry()
         self._inflight: List[int] = [0] * spec.replicas
         self._rr = 0
         self.shed_count = 0
@@ -160,13 +175,13 @@ class Shard:
                 if registry is None:  # warm start: everything is mmap views
                     registry = self._make_registry(artifacts.network(), artifacts)
             network = registry.network
-            config = self.serve_config()
             if self.spec.backend == "process":
                 # The artifact directory, when there is one, exists by now
                 # (loaded or just built) for the workers to map.
-                replicas = ProcessReplicas(registry, config, self.spec, path)
+                replicas = ProcessReplicas(registry, self._config, self.spec,
+                                           path)
             else:
-                replicas = ThreadReplicas(registry, config, self.spec)
+                replicas = ThreadReplicas(registry, self._config, self.spec)
             self._network, self._registry, self._replicas = (
                 network, registry, replicas)
             if self._artifact_dir:
@@ -217,10 +232,56 @@ class Shard:
         return replace(request, xy=self.to_local(request.xy))
 
     def submit(self, request: RecoveryRequest) -> "Future[RecoveryResponse]":
-        """Admit onto the least-recently-used non-saturated replica, or
-        shed with :class:`ShardOverloaded`; ``request`` is global-frame.
-        In-flight work is bounded per replica, whatever executes it."""
+        """Answer from the result cache, else admit onto the
+        least-recently-used non-saturated replica, or shed with
+        :class:`ShardOverloaded`; ``request`` is global-frame.  In-flight
+        work is bounded per replica, whatever executes it."""
         self.warm()
+        start = time.perf_counter()
+        outer: "Future[RecoveryResponse]" = Future()
+        outer.set_running_or_notify_cancel()
+        try:
+            local = self.localize(request)
+            raw = local.raw()
+            if len(raw) < 2:
+                raise RequestError("a recovery request needs at least two GPS fixes")
+            model_name, model_tag = self._registry.active_tag()
+            # The key folds in the derived ε_ρ grid length and the step each
+            # fix snaps to: two traces whose quantized times agree but that
+            # would decode on different grids or alignments (e.g. durations
+            # straddling a rounding boundary) must never collide.
+            grid_times, steps = grid_alignment(local.times, self._config.interval)
+            key = quantize_key(
+                local.xy, local.times,
+                xy_precision=self._config.xy_precision,
+                time_precision=self._config.time_precision,
+                extra=(int(local.hour) % 24, bool(local.holiday),
+                       len(grid_times), steps.tobytes()),
+            )
+        except Exception as exc:
+            self.telemetry.record_error()
+            outer.set_exception(exc)
+            return outer
+
+        cached = self._cache.get((model_tag, key))
+        if cached is not None:
+            # Keys quantize times relative to the first fix, so a
+            # time-shifted duplicate hits: rebase the cached grid onto this
+            # request's origin.  Arrays are copied in and out, so a caller
+            # mutating a response can never poison the entry.
+            shift = float(raw.times[0]) - float(cached.times[0])
+            trajectory = MatchedTrajectory(
+                cached.segments.copy(), cached.ratios.copy(), cached.times + shift)
+            latency = time.perf_counter() - start
+            self.telemetry.record_request(latency, cache_hit=True,
+                                          model_tag=model_tag)
+            outer.set_result(RecoveryResponse(
+                request_id=request.request_id, trajectory=trajectory,
+                cached=True, latency_ms=1000.0 * latency, model=model_name,
+                model_tag=model_tag, shard=self.name,
+            ))
+            return outer
+
         with self._lock:
             replica = self._pick_replica()
             if replica is None:
@@ -233,13 +294,33 @@ class Shard:
             with self._lock:
                 self._inflight[replica] -= 1
 
+        def _complete(done: Future) -> None:
+            # Filed under the tag of the generation that computed it, never
+            # the lookup's (a swap may land in between), and before the
+            # caller's future resolves, so a resend after it always hits.
+            try:
+                response = done.result()
+                trajectory = response.trajectory
+                self._cache.put((response.model_tag, key), MatchedTrajectory(
+                    trajectory.segments.copy(), trajectory.ratios.copy(),
+                    trajectory.times.copy()))
+                self.telemetry.record_request(response.latency_ms / 1000.0,
+                                              cache_hit=False,
+                                              model_tag=response.model_tag)
+            except Exception as exc:
+                self.telemetry.record_error()
+                outer.set_exception(exc)
+                return
+            outer.set_result(response)
+
         try:
-            future = self._replicas.submit_to(replica, self.localize(request))
+            inner = self._replicas.submit_to(replica, local)
         except Exception:
             _release(None)
             raise
-        future.add_done_callback(_release)
-        return future
+        inner.add_done_callback(_release)
+        inner.add_done_callback(_complete)
+        return outer
 
     def session_service(self) -> RecoveryService:
         """Replica 0's :class:`~repro.serve.RecoveryService`, which this
@@ -303,14 +384,10 @@ class Shard:
         return {"model": name, "model_tag": tag}
 
     # ------------------------------------------------------------------
-    def stats(self, latencies: Optional[Iterable[float]] = None) -> Dict[str, Any]:
-        """Shard gauge snapshot plus rolled-up replica serving stats.
-
-        ``latencies`` lets a caller that already snapshotted the replica
-        reservoirs (the cluster rollup, which needs them for its own
-        cross-shard percentiles) pass them in instead of copying every
-        reservoir a second time.
-        """
+    def stats(self) -> Dict[str, Any]:
+        """Shard gauge snapshot: the counters of every request the shard
+        answered (cache hits included), cache gauges, and the replicas'
+        own block (``engine`` + ``replica_stats``, or the worker pool's)."""
         with self._lock:
             replicas = self._replicas
             payload: Dict[str, Any] = {
@@ -327,15 +404,18 @@ class Shard:
         if replicas is None:
             return payload
         payload.update(self.active_model())
-        payload.update(replicas.stats(
-            replicas.latencies() if latencies is None else latencies))
+        payload.update(replicas.stats())
+        # The shard's counters, not a sum of the replicas': a hit never
+        # reaches a replica.
+        payload.update(rollup([self.telemetry.stats()], self.latencies()))
+        payload.update(cache_size=len(self._cache),
+                       cache_capacity=self._cache.capacity)
         return payload
 
     def latencies(self) -> List[float]:
-        """All replicas' latency observations (seconds), for cluster rollup."""
-        with self._lock:
-            replicas = self._replicas
-        return [] if replicas is None else replicas.latencies()
+        """Latency observations (seconds) of every request this shard
+        answered, for cluster rollup."""
+        return self.telemetry.latencies()
 
     def worker_pids(self) -> List[int]:
         """Alive worker-process pids (empty for in-process shards) — the

@@ -1,10 +1,11 @@
 """Cluster-level counters: routing, shedding, dead letters.
 
-Per-shard serving metrics (latency reservoirs, cache hits, batch
-occupancy, per-model-generation request counts) live in each replica's
-:class:`repro.serve.ServingTelemetry`; this module only tracks what the
-single-service layer cannot see — routing decisions, overload sheds, and
-the bounded dead-letter ring of traces the cluster refused.
+Per-shard serving metrics (latency reservoirs, cache hits,
+per-model-generation request counts) live in each shard's
+:class:`repro.serve.ServingTelemetry`, batch occupancy in its replicas';
+this module only tracks what no shard can see — routing decisions,
+overload sheds, and the bounded dead-letter ring of traces the cluster
+refused.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ interpreter lock, and the PR 9 memory benchmark measured 4 thread
 replicas at 0.91x the QPS of one (a GIL convoy).  This module moves the
 replicas into long-lived **worker processes**:
 
-* each worker builds its full serving stack (registry, cache, continuous
-  scheduler) *fresh after fork*, so no thread or lock state crosses the
-  process boundary;
+* each worker builds its serving stack (registry, continuous scheduler)
+  *fresh after fork*, so no thread or lock state crosses the process
+  boundary; the result cache stays in the parent, in front of the pool
+  (:class:`~repro.cluster.shard.Shard`), so a hit never crosses the pipe;
 * workers warm from the same ``CityArtifacts`` directory via
   ``CityArtifacts.load(mmap=True)`` — N processes mapping one archive
   share a single physical copy of the city through the page cache, so
@@ -48,7 +49,7 @@ import traceback
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing as mp
 
@@ -62,7 +63,7 @@ from ..roadnet.artifacts import CityArtifacts
 from ..serve.registry import ModelRegistry
 from ..serve.request import RecoveryRequest, RecoveryResponse, RequestError
 from ..serve.service import RecoveryService, ServeConfig
-from ..serve.telemetry import ServingTelemetry, rollup
+from ..serve.telemetry import ServingTelemetry
 from ..trajectory.trajectory import MatchedTrajectory
 from .replicas import deploy_generation
 from .shardmap import ShardSpec
@@ -369,7 +370,7 @@ class WorkerPool:
 
     ``factory`` runs inside each forked child and must return a fully
     warmed :class:`~repro.serve.RecoveryService`; everything mutable
-    (locks, scheduler threads, caches) is therefore born post-fork.
+    (locks, scheduler threads) is therefore born post-fork.
     Telemetry is parent-side — one :class:`ServingTelemetry` per slot,
     recorded as responses arrive, so ``stats()`` never blocks behind a
     worker's in-progress decode — and latencies are parent-observed
@@ -740,13 +741,7 @@ class WorkerPool:
             return [w.process.pid for w in self._workers
                     if w is not None and w.alive and w.process.pid]
 
-    def latencies(self) -> List[float]:
-        out: List[float] = []
-        for telemetry in self._telemetry:
-            out.extend(telemetry.latencies())
-        return out
-
-    def stats(self, latencies: Optional[Iterable[float]] = None) -> Dict[str, Any]:
+    def stats(self) -> Dict[str, Any]:
         with self._lock:
             workers = [w for w in self._workers if w is not None]
             payload: Dict[str, Any] = {
@@ -767,7 +762,6 @@ class WorkerPool:
                 "inflight": inflight[worker.index],
                 "requests": stats["requests"],
                 "errors": stats["errors"],
-                "cache_hits": stats["cache_hits"],
                 "latency_ms_p50": stats["latency_ms_p50"],
                 "latency_ms_p95": stats["latency_ms_p95"],
                 "requests_by_model": stats["requests_by_model"],
@@ -775,8 +769,6 @@ class WorkerPool:
                 # every shared page N times); 0.0 once it is gone.
                 "rss_mb": proc_rss_mb(worker.process.pid) if worker.alive else 0.0,
             })
-        payload.update(rollup(rows, self.latencies() if latencies is None
-                              else latencies))
         payload["workers"] = rows
         return payload
 
@@ -878,11 +870,8 @@ class ProcessReplicas:
                 f"shard {self._label!r} {op} diverged on workers {bad}; "
                 f"expected model_tag {expected!r}")
 
-    def latencies(self) -> List[float]:
-        return self._pool.latencies()
-
-    def stats(self, latencies: Iterable[float]) -> Dict[str, Any]:
-        payload = self._pool.stats(latencies)
+    def stats(self) -> Dict[str, Any]:
+        payload = self._pool.stats()
         payload["worker_stats"] = payload.pop("workers")
         return payload
 

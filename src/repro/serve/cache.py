@@ -61,10 +61,6 @@ class LRUCache:
             while len(self._store) > self.capacity:
                 self._store.popitem(last=False)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._store)

@@ -3,16 +3,17 @@
 Raw GPS requests come in; recovered ε_ρ trajectories come out.  The
 pipeline per request:
 
-1. **cache probe** — quantized-input LRU lookup (keyed with the active
-   model name, so hot-swaps never serve stale results);
-2. **assembly** — :func:`~repro.serve.request.assemble_sample` turns the
+1. **assembly** — :func:`~repro.serve.request.assemble_sample` turns the
    raw fixes into the same sample structure the offline pipeline builds;
-3. **scheduling** — the decode scheduler (:mod:`repro.serve.batching`)
+2. **scheduling** — the decode scheduler (:mod:`repro.serve.batching`)
    keys the request by its own grid length, admits it into a decode slot
    (:mod:`repro.serve.engine`) when it is the outstanding decode with the
    earliest solo finish, and steps it until its own grid ends;
-4. **telemetry** — latency, QPS, cache and slot-table counters behind
+3. **telemetry** — latency, QPS and slot-table counters behind
    :meth:`RecoveryService.stats`.
+
+A service has no result cache: each :class:`~repro.cluster.Shard` keeps
+one in front of replica admission.
 
 ``submit`` is the async surface (returns a future), ``recover`` the
 blocking convenience, ``recover_many`` the bulk path used by the demo,
@@ -33,23 +34,21 @@ from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import RecoverySample
 from ..trajectory.trajectory import MatchedTrajectory
 from .batching import ContinuousScheduler
-from .cache import LRUCache, quantize_key
 from .engine import DecodeJob, DecodeResult, build_job
 from .registry import ModelRegistry
 from .request import (
     IngestConfig,
     RecoveryRequest,
     RecoveryResponse,
-    RequestError,
     assemble_sample,
-    grid_alignment,
 )
 from .telemetry import ServingTelemetry
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Serving-layer knobs: ingest grid, decode slots, cache sizing."""
+    """Serving-layer knobs: ingest grid, decode slots, and the sizing and
+    key precisions of the shard's result cache."""
 
     interval: float = 12.0         # ε_ρ output grid spacing (seconds)
     beta: float = 15.0             # constraint kernel scale (meters)
@@ -94,11 +93,10 @@ class RecoveryService:
         self.config = config or ServeConfig()
         self.shard = shard  # cluster shard label; stamped on every response
         self.telemetry = ServingTelemetry()
-        self.cache = LRUCache(self.config.cache_capacity)
         # Work items are (sample, model_tag, model): the model is resolved
         # once at submit time, and the tag travels with the item, so a
         # hot-swap or re-register mid-window never mixes models within a
-        # batch nor caches a result under the wrong model's key.
+        # batch, and the response names the generation that computed it.
         # Streaming services join this scheduler's slot table.
         self.scheduler = ContinuousScheduler(
             self._prepare_job,
@@ -141,51 +139,9 @@ class RecoveryService:
         outer.set_running_or_notify_cancel()
 
         try:
-            raw = request.raw()  # cheap validation before keying the cache
-            if len(raw) < 2:
-                raise RequestError("a recovery request needs at least two GPS fixes")
             model_name, model_tag, model = self.registry.active_ref()
-            # The key also folds in the derived ε_ρ grid length and the
-            # step each fix snaps to: two traces whose quantized times agree
-            # but that would decode on different grids or alignments (e.g.
-            # durations straddling a rounding boundary) must never collide.
-            grid_times, steps = grid_alignment(request.times, self.config.interval)
-            key = quantize_key(
-                request.xy, request.times,
-                xy_precision=self.config.xy_precision,
-                time_precision=self.config.time_precision,
-                extra=(model_tag, int(request.hour) % 24, bool(request.holiday),
-                       len(grid_times), steps.tobytes()),
-            )
-        except Exception as exc:
-            self.telemetry.record_error()
-            outer.set_exception(exc)
-            return outer
-
-        cached = self.cache.get(key)
-        if cached is not None:
-            # Keys quantize times relative to the first fix (the model only
-            # sees relative times), so a time-shifted duplicate trace hits —
-            # rebase the cached grid onto this request's time origin.  The
-            # arrays are copied so callers mutating a response can never
-            # poison the cache entry.
-            shift = float(raw.times[0]) - float(cached.times[0])
-            trajectory = MatchedTrajectory(
-                cached.segments.copy(), cached.ratios.copy(), cached.times + shift)
-            latency = time.perf_counter() - start
-            self.telemetry.record_request(latency, cache_hit=True,
-                                          model_tag=model_tag)
-            outer.set_result(RecoveryResponse(
-                request_id=request.request_id, trajectory=trajectory,
-                cached=True, latency_ms=1000.0 * latency, model=model_name,
-                model_tag=model_tag, shard=self.shard,
-            ))
-            return outer
-
-        try:
             sample = assemble_sample(request, self.registry.network,
-                                     self.config.ingest(),
-                                     alignment=(grid_times, steps))
+                                     self.config.ingest())
             # close() may race us past the _closed check at entry; the
             # scheduler's own refusal must fail the future, not submit().
             inner = self.scheduler.submit((sample, model_tag, model),
@@ -201,15 +157,11 @@ class RecoveryService:
                 self.telemetry.record_error()
                 outer.set_exception(exc)
                 return
-            trajectory: MatchedTrajectory = done.result()
             latency = time.perf_counter() - start
-            self.cache.put(key, MatchedTrajectory(
-                trajectory.segments.copy(), trajectory.ratios.copy(),
-                trajectory.times.copy()))
             self.telemetry.record_request(latency, cache_hit=False,
                                           model_tag=model_tag)
             outer.set_result(RecoveryResponse(
-                request_id=request.request_id, trajectory=trajectory,
+                request_id=request.request_id, trajectory=done.result(),
                 cached=False, latency_ms=1000.0 * latency, model=model_name,
                 model_tag=model_tag, shard=self.shard,
             ))
@@ -233,16 +185,14 @@ class RecoveryService:
     # ------------------------------------------------------------------
     def swap_model(self, name: str) -> None:
         """Hot-swap the active model; in-flight batches finish on the old
-        one, new submissions (and cache keys) use the new one."""
+        one, new submissions use the new one."""
         self.registry.activate(name)
 
     def stats(self) -> dict:
-        """Telemetry snapshot plus cache/scheduler/registry gauges."""
+        """Telemetry snapshot plus scheduler/registry gauges."""
         payload = self.telemetry.stats()
         payload.update({
             "shard": self.shard,
-            "cache_size": len(self.cache),
-            "cache_capacity": self.cache.capacity,
             "pending": self.scheduler.pending,
             "active_model": self.registry.active_name,
             "models": self.registry.names(),

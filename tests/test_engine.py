@@ -789,7 +789,7 @@ class TestServiceEquivalence:
         samples = pick_mix(pools, "short_long", 6)
         service = RecoveryService.from_model(
             model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
-                               max_batch_size=4, cache_capacity=0))
+                               max_batch_size=4))
         try:
             requests = [_request(s, f"r{i}") for i, s in enumerate(samples)]
             responses = service.recover_many(requests, timeout=300.0)
@@ -815,10 +815,9 @@ class TestStreamingJoin:
         slot table."""
         serve = RecoveryService.from_model(
             model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
-                               max_batch_size=8, cache_capacity=0))
+                               max_batch_size=8))
         idle = RecoveryService.from_model(
-            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
-                               cache_capacity=0))
+            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0))
         joined = StreamingRecoveryService(serve, commit_horizon=4)
         local = StreamingRecoveryService(idle, commit_horizon=4)
         sample = pools["long"][3]

@@ -50,16 +50,18 @@ class TestOutputHashes:
     def test_prints_sorted_hashes_equal_across_built_and_mapped(self):
         """``scripts/output_hashes.py`` on a reduced metro: one sorted
         ``name sha256`` line per (request, model, output), three
-        ``compute_loss`` lines per city and one line per streamed update
-        and finalize of each ``http-cold`` request (4 fixes), and a model
-        built in memory hashes like the same weights mapped read-only."""
+        ``compute_loss`` lines per city, one line per streamed update
+        and finalize of each ``http-cold`` request (4 fixes) and three
+        ``cache`` lines per ``http-cold`` request (submit, resubmit,
+        shifted), and a model built in memory hashes like the same weights
+        mapped read-only."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
         assert lines == sorted(lines) and len(lines) == \
-            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1)
+            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
         training = {name for name in hashes if "/compute_loss@" in name}

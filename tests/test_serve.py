@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from repro.cluster import Shard, ShardSpec
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
 from repro.serve import (
@@ -87,6 +88,15 @@ def _serve_config(data, **overrides):
     return ServeConfig.for_dataset(data, **defaults)
 
 
+def _shard(data, model):
+    """A one-replica shard over ``model``: the result cache lives in front
+    of the replica's service, so the cache tests go through here."""
+    return Shard(ShardSpec(name="chengdu", dataset="chengdu"),
+                 model_factory=lambda spec, network: model,
+                 network_factory=lambda spec: data.network,
+                 serve_overrides=dict(max_batch_size=8))
+
+
 # ---------------------------------------------------------------------------
 # Raw-GPS ingestion
 # ---------------------------------------------------------------------------
@@ -154,13 +164,12 @@ class TestRecoveryService:
             assert np.array_equal(direct.times, response.trajectory.times)
 
     def test_cache_hit_on_resubmission(self, data, model):
-        service = RecoveryService.from_model(
-            model, _serve_config(data))
+        shard = _shard(data, model)
         request = _request(data.test[0], "first")
-        first = service.recover(request, timeout=120.0)
-        second = service.recover(request, timeout=120.0)
-        stats = service.stats()
-        service.close()
+        first = shard.submit(request).result(timeout=120.0)
+        second = shard.submit(request).result(timeout=120.0)
+        stats = shard.stats()
+        shard.close()
 
         assert not first.cached
         assert second.cached
@@ -169,14 +178,14 @@ class TestRecoveryService:
         assert stats["requests"] == 2
 
     def test_time_shifted_duplicate_hits_cache_with_rebased_times(self, data, model):
-        service = RecoveryService.from_model(
-            model, _serve_config(data))
+        shard = _shard(data, model)
         sample = data.test[0]
-        original = service.recover(_request(sample, "t0"), timeout=120.0)
-        shifted = service.recover(RecoveryRequest(
+        original = shard.submit(_request(sample, "t0")).result(timeout=120.0)
+        shifted = shard.submit(RecoveryRequest(
             sample.raw_low.xy, sample.raw_low.times + 3600.0,
-            hour=sample.hour, holiday=sample.holiday, request_id="t1"), timeout=120.0)
-        service.close()
+            hour=sample.hour, holiday=sample.holiday,
+            request_id="t1")).result(timeout=120.0)
+        shard.close()
 
         assert shifted.cached  # same geometry, relative times → cache hit
         assert np.array_equal(original.trajectory.segments,
@@ -208,6 +217,12 @@ class TestRecoveryService:
         for key in ("queue_wait_ms_p50", "queue_wait_ms_p95", "preemptions",
                     "queued", "slot_steps", "resident_steps", "admitted"):
             assert key in stats["engine"]
+        # The cache gauges moved to the shard that owns the cache.
+        assert not {"cache_size", "cache_capacity"} & set(stats)
+        shard = _shard(data, model).warm()
+        gauges = shard.stats()
+        shard.close()
+        assert (gauges["cache_size"], gauges["cache_capacity"]) == (0, 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +259,19 @@ class TestModelRegistry:
 
     def test_hot_swap_switches_active_model(self, data, model, tmp_path):
         save_model_bundle(model, str(tmp_path / "v1"))
-        registry = ModelRegistry(data.network)
-        registry.register("v1", str(tmp_path / "v1"), activate=True)
-        service = RecoveryService(registry, _serve_config(data))
+        shard = _shard(data, model)
+        shard.deploy("v1", str(tmp_path / "v1"))
+        registry = shard.registry
 
         request = _request(data.test[0], "swap-check")
-        first = service.recover(request, timeout=120.0)
+        first = shard.submit(request).result(timeout=120.0)
         assert first.model == "v1"
 
         other = RNTrajRec(data.network, model.config).eval()
         registry.add_loaded("v2", other)
-        service.swap_model("v2")
-        second = service.recover(request, timeout=120.0)
-        service.close()
+        shard.swap("v2")
+        second = shard.submit(request).result(timeout=120.0)
+        shard.close()
 
         assert second.model == "v2"
         assert not second.cached  # cache keys include the model name
@@ -279,17 +294,16 @@ class TestModelRegistry:
         assert np.array_equal(direct.segments, response.trajectory.segments)
 
     def test_reregistering_a_name_invalidates_cached_results(self, data, model):
-        registry = ModelRegistry(data.network)
-        registry.add_loaded("default", model, activate=True)
-        service = RecoveryService(registry, _serve_config(data))
+        shard = _shard(data, model)
+        registry = shard.registry  # "default" is the model above
 
         request = _request(data.test[0], "regen")
-        first = service.recover(request, timeout=120.0)
+        first = shard.submit(request).result(timeout=120.0)
         # Hot-reload an updated model under the *same* name.
         retrained = RNTrajRec(data.network, model.config).eval()
         registry.add_loaded("default", retrained, activate=True)
-        second = service.recover(request, timeout=120.0)
-        service.close()
+        second = shard.submit(request).result(timeout=120.0)
+        shard.close()
 
         assert not first.cached
         assert not second.cached  # generation tag invalidated the old entry

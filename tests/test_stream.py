@@ -484,7 +484,7 @@ class TestStreamingService:
         admission into its one-shot service's slot table, and the answer
         is the one-shot recovery."""
         serve = RecoveryService.from_model(
-            model, ServeConfig.for_spec(data.spec, cache_capacity=0))
+            model, ServeConfig.for_spec(data.spec))
         service = StreamingRecoveryService(serve, commit_horizon=2)
         sample = data.test[0]
         raw = sample.raw_low
@@ -777,7 +777,7 @@ class TestDegradedStreaming:
     @pytest.fixture(scope="class")
     def oneshot(self, data, model):
         with RecoveryService.from_model(
-                model, ServeConfig.for_spec(data.spec, cache_capacity=0)) as service:
+                model, ServeConfig.for_spec(data.spec)) as service:
             yield service
 
     @staticmethod

@@ -456,7 +456,7 @@ SHARED_STATS = {
     "materialized", "backend", "replicas", "max_inflight", "inflight",
     "shed", "deploys", "model", "model_tag", "requests", "cache_hits",
     "cache_hit_rate", "errors", "requests_by_model", "latency_ms_p50",
-    "latency_ms_p99",
+    "latency_ms_p99", "cache_size", "cache_capacity",
 }
 BACKEND_STATS = {
     "inproc": {"engine", "replica_stats"},
@@ -502,7 +502,7 @@ class TestReplicaSurface:
         assert shard.worker_pids() == []
 
     def test_rollup_block_depends_only_on_the_rows(self, data, model, requests):
-        """The aggregate block is one function of (per-replica rows,
+        """The aggregate block is one function of (counter rows,
         latencies): both backends fed the same traffic report the same
         counters, and the function itself is checked on fixed rows."""
         blocks = {}
@@ -556,7 +556,7 @@ def test_two_workers_outrun_one(data, model, requests):
         try:
             pool.ping()  # warm barrier: measure decode, not fork+warm
             load = [requests[i % len(requests)] for i in range(24)]
-            for i, r in enumerate(load):  # prime worker caches equally
+            for i, r in enumerate(load):  # warm worker memos equally
                 pool.submit_to(i % workers, r).result(timeout=120)
             started = time.perf_counter()
             futures = [pool.submit_to(i % workers, r)

@@ -19,7 +19,11 @@ trajectory, committed / decoded / skipped steps and ``revised_from``) and
 one per finalize.  The same requests also go through a one-replica
 ``RecoveryCluster`` three times — submit, resubmit, then replayed 3 600 s
 later — with one ``cache`` line per response (its trajectory and its
-``cached`` flag).
+``cached`` flag).  Finally every other model family — each Table V
+ablation, both ``weight_refinement`` variants and each learned baseline,
+untrained and seeded — gets ``variant`` lines: ``encode`` (node features
+included) and ``recover`` for the first few ``http-cold`` requests, and
+``compute_loss`` per city.
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -40,6 +44,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "benchmarks" / "ledger")]
 
 import workloads  # noqa: E402  (benchmarks/ledger)
 from repro import nn  # noqa: E402
+from repro.baselines import BASELINE_NAMES, DHTRRecovery, build_baseline  # noqa: E402
 from repro.cluster import RecoveryCluster, ShardMap  # noqa: E402
 from repro.core import RNTrajRec  # noqa: E402
 from repro.core.decoder import DecodeConstraint, interpolation_prior  # noqa: E402
@@ -54,6 +59,7 @@ from repro.trajectory import (  # noqa: E402
 
 SECONDS = 3.0  # past 48 requests each; traces are drawn in send order,
                # so a shorter window's requests are a prefix of the ledger's
+VARIANT_REQUESTS = 3  # http-cold requests each variant model encodes and recovers
 
 
 def _dense(constraint: DecodeConstraint) -> np.ndarray:
@@ -75,12 +81,12 @@ def _sha(*arrays) -> str:
     return digest.hexdigest()
 
 
-def loss_lines(key: str, model, network, seed: int):
-    """``compute_loss`` + backward at three teacher-forcing ratios."""
+def loss_lines(key: str, model, network, seed: int, ratios=(1.0, 0.5, 0.0)):
+    """``compute_loss`` + backward at each teacher-forcing ratio."""
     pairs = TrajectorySimulator(network, SimulationConfig(seed=7)).simulate(2)
     batch = make_batch(build_samples(pairs, network))
     model.train()
-    for ratio in (1.0, 0.5, 0.0):
+    for ratio in ratios:
         model.zero_grad()
         loss = model.compute_loss(batch, ratio, rng=np.random.default_rng(seed))
         loss.total.backward()
@@ -142,6 +148,58 @@ def stream_lines(workload, models, requests: int):
     return lines
 
 
+def variant_models(network, seed: int):
+    """Every other model family over ``network``, each seeded like the
+    ledger's: the Table V ablations, both weight refinements and each
+    learned baseline."""
+    config = small_model_config(32)
+    builders = {
+        **{f"wo-{name}": lambda name=name: RNTrajRec(network, config.ablation(name))
+           for name in ("grl", "gf", "gat", "gn", "gcl")},
+        **{f"refine-{kind}": lambda kind=kind: RNTrajRec(
+            network, config.variant(weight_refinement=kind)) for kind in ("sigmoid", "softmax")},
+        **{name: lambda name=name: build_baseline(name, network, config)
+           for name in BASELINE_NAMES if name != "linear_hmm"},
+    }
+    for name, build in builders.items():
+        nn.init.seed_everything(seed)
+        yield name, build().eval()
+
+
+def _encoded(model, batch):
+    """What a variant's encoder hands on: RNTrajRec's three outputs (node
+    features only where the graph loss or GRL keeps them), a seq2seq
+    baseline's point and trajectory features, DHTR's coordinates."""
+    with nn.no_grad():
+        if isinstance(model, RNTrajRec):
+            out = model.encode(batch)
+            outputs = (out.point_features, out.trajectory_feature, out.node_features)
+        elif isinstance(model, DHTRRecovery):
+            outputs = (model._decode_coordinates(batch),)
+        else:
+            outputs = model._encode(batch)
+    return [np.zeros(0) if t is None else t.data for t in outputs]
+
+
+def variant_lines(workload, ingest, seed: int, requests: int):
+    lines = []
+    for city in workload.cities:
+        network = workload.networks[city.name]
+        chosen = [(index, request) for index, request in enumerate(workload.requests[:requests])
+                  if workload.city_of[index] == city.name]
+        for name, model in variant_models(network, seed):
+            for index, request in chosen:
+                batch = make_batch([assemble_sample(RecoveryRequest(
+                    xy=workloads.to_local(workload, city.name, request.xy),
+                    times=request.times), network, ingest[city.name])])
+                key = f"{workload.name}/{index:03d}/{city.name}/variant/{name}"
+                lines += [f"{key}/encode " + _sha(*_encoded(model, batch)),
+                          f"{key}/recover " + _sha(*model.recover(batch))]
+            lines += loss_lines(f"{workload.name}/train/{city.name}/variant/{name}",
+                                model, network, seed, ratios=(0.5,))
+    return lines
+
+
 def hash_lines(seed: int, requests: int, metro_block: float):
     lines = []
     for name in ("metro-burst", "http-cold"):
@@ -195,6 +253,8 @@ def hash_lines(seed: int, requests: int, metro_block: float):
                     model.encoder.subgraph_generator.clear_cache()
                 lines += stream_lines(workload, built, requests)
                 lines += cache_lines(workload, built, requests)
+                lines += variant_lines(workload, ingest, seed,
+                                       min(requests, VARIANT_REQUESTS))
     return sorted(lines)
 
 

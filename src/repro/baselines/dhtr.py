@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor, as_tensor, no_grad
 from ..geo.grid import Grid
 from ..mapmatch.hmm import HMMConfig, HMMMapMatcher
 from ..roadnet.network import RoadNetwork
@@ -62,7 +62,7 @@ class DHTRRecovery(nn.Module):
         embedded = self.embed(batch)
         encoder_outputs, state = self.encoder_rnn(embedded)
         b = batch.size
-        prev = Tensor(self._normalize(batch.input_xy[:, 0, :]))
+        prev = self._normalize(batch.input_xy[:, 0, :])
 
         steps: List[Tensor] = []
         for _ in range(batch.target_length):
@@ -70,7 +70,7 @@ class DHTRRecovery(nn.Module):
             state = self.decoder_cell(nn.concat([prev, context], axis=-1), state)
             prev = self.coord_head(state)
             steps.append(prev)
-        return nn.stack(steps, axis=1)
+        return as_tensor(nn.stack(steps, axis=1))
 
     # ------------------------------------------------------------------
     def compute_loss(self, batch: Batch, teacher_forcing_ratio: float = 0.5,

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
+from ..nn import functional as F
 from ..nn.tensor import Tensor, gather_rows
 from ..geo.grid import Grid
 from ..roadnet.network import RoadNetwork
@@ -130,7 +131,7 @@ class NeuTrajEncoder(nn.Module):
         memory = self.embed.cell_embedding(cells.reshape(b * l, 9))  # (b*l, 9, d)
         query = outputs.reshape(b * l, d)
         context = self.memory_attention(query, memory)  # (b*l, d)
-        fused = self.fuse(nn.concat([query, context], axis=-1)).relu()
+        fused = F.relu(self.fuse(nn.concat([query, context], axis=-1)))
         return fused.reshape(b, l, d)
 
 
@@ -175,6 +176,6 @@ class GTSEncoder(nn.Module):
         nearest = self._nearest_segments(batch)
         point_graph = gather_rows(node_features, nearest)  # (b, l, d)
         embedded = self.embed(batch)
-        fused = self.fuse(nn.concat([embedded, point_graph], axis=-1)).relu()
+        fused = F.relu(self.fuse(nn.concat([embedded, point_graph], axis=-1)))
         outputs, _ = self.rnn(fused)
         return outputs

@@ -20,7 +20,8 @@ from typing import List, Optional, Protocol, Tuple
 import numpy as np
 
 from .. import nn
-from ..nn.tensor import Tensor, no_grad
+from ..nn import functional as F
+from ..nn.tensor import Tensor, as_tensor, no_grad
 from ..geo.grid import Grid
 from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
@@ -42,8 +43,8 @@ class InputEmbedding(nn.Module):
 
     def forward(self, batch: Batch) -> Tensor:
         cells = self.grid.flat_cell_of(batch.input_xy[..., 0], batch.input_xy[..., 1])
-        embedded = self.cell_embedding(cells)  # (b, l, d)
-        context = Tensor(point_context_features(batch, self.grid))
+        embedded = self.cell_embedding(cells)  # (b, l, d); arrays under no_grad
+        context = point_context_features(batch, self.grid)
         return self.proj(nn.concat([embedded, context], axis=-1))
 
 
@@ -58,8 +59,8 @@ class TrajectoryContextHead(nn.Module):
         context = np.zeros((batch.size, ENV_CONTEXT_DIM))
         context[np.arange(batch.size), batch.hours] = 1.0
         context[:, 24] = batch.holidays.astype(np.float64)
-        pooled = point_features.mean(axis=1)
-        return self.proj(nn.concat([pooled, Tensor(context)], axis=-1))
+        pooled = F.mean(point_features, axis=1)
+        return self.proj(nn.concat([pooled, context], axis=-1))
 
 
 class TrajectoryEncoder(Protocol):
@@ -89,7 +90,7 @@ class Seq2SeqRecovery(nn.Module):
     def _encode(self, batch: Batch) -> Tuple[Tensor, Tensor]:
         point_features = self.encoder(batch)
         trajectory_feature = self.context_head(point_features, batch)
-        return point_features, trajectory_feature
+        return as_tensor(point_features), as_tensor(trajectory_feature)
 
     def compute_loss(self, batch: Batch, teacher_forcing_ratio: float = 0.5,
                      rng: Optional[np.random.Generator] = None) -> LossBreakdown:

@@ -29,7 +29,7 @@ import numpy as np
 from .. import nn, profile
 from ..nn import functional as F
 from ..nn.graph import ragged_positions
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, sigmoid_array as _sigmoid  # Tensor.sigmoid's own forward
 from ..trajectory.dataset import Batch
 from .config import RNTrajRecConfig
 
@@ -43,17 +43,6 @@ _NO_IDS, _NO_WEIGHTS = np.zeros(0, dtype=np.int64), np.zeros(0)
 # Rows narrower than this cost less to evaluate in float64 than to certify
 # (break-even near 900 columns at hidden_dim 32; the ledger has both sides).
 _SCREEN_WIDTH = 1024
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Raw-array twin of :meth:`repro.nn.tensor.Tensor.sigmoid` — same
-    clipping and branch structure, so values are bit-identical.  The clip
-    is spelled as its ufunc definition (``minimum(maximum(x, lo), hi)``,
-    bit-equal by construction) because ``np.clip``'s dispatch overhead is
-    measurable at the (1, d) sizes the decode engine steps with."""
-    clipped = np.minimum(np.maximum(x, -60.0), 60.0)
-    exp_neg = np.exp(-np.abs(clipped))
-    return np.where(clipped >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
 
 
 @dataclass

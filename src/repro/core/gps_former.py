@@ -13,6 +13,10 @@ Pipeline per Eq. 12-13:
 4. The trajectory-level vector ĥ^traj mean-pools the outputs and fuses the
    environmental context f_e (hour one-hot + holiday flag, 25 dims).
 
+Under ``no_grad`` the forward runs on plain arrays from its entry (the
+road features' array) to its exit, where the outputs are wrapped as
+Tensors: the same module code, minus the tape's objects.
+
 With ``use_grl=False`` (Table V "w/o GRL") blocks degenerate to plain
 transformer layers and the graph tensors pass through untouched.
 """
@@ -25,7 +29,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import nn, profile
-from ..nn.tensor import Tensor, gather_rows, is_grad_enabled
+from ..nn import functional as F
+from ..nn.tensor import (Tensor, as_tensor, gather_rows, is_grad_enabled, segment_softmax,
+                         segment_sum)
 from ..geo.grid import Grid
 from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import Batch
@@ -92,16 +98,13 @@ class GPSFormerBlock(nn.Module):
             self.weight_head = nn.Linear(d, 1)
 
     def _refined_readout(self, refined: Tensor, graphs: SubGraphBatch) -> Tensor:
-        from ..nn.tensor import segment_softmax, segment_sum
-
         scores = self.weight_head(refined)  # (nodes, 1)
+        index = graphs.graph_index
         if self.config.weight_refinement == "sigmoid":
-            weights = scores.sigmoid()
-            total = segment_sum(weights, graphs.graph_ids, graphs.num_graphs)
-            weighted = segment_sum(refined * weights, graphs.graph_ids, graphs.num_graphs)
-            return weighted / (total + 1e-9)
-        weights = segment_softmax(scores.reshape(-1), graphs.graph_ids, graphs.num_graphs)
-        return segment_sum(refined * weights.reshape(-1, 1), graphs.graph_ids, graphs.num_graphs)
+            weights = F.sigmoid(scores)
+            return segment_sum(refined * weights, index) / (segment_sum(weights, index) + 1e-9)
+        weights = segment_softmax(scores.reshape(-1), index)
+        return segment_sum(refined * weights.reshape(-1, 1), index)
 
     def forward(
         self,
@@ -136,7 +139,7 @@ class GPSFormer(nn.Module):
         self.road_encoder = build_road_encoder(network, self.grid, config)
         self.subgraph_generator = SubGraphGenerator(network, config)
         self.input_proj = nn.Linear(d + 3 + 4, d)
-        self.positional = nn.PositionalEncoding(d, max_len=1024, dropout=config.dropout)
+        self.positional = nn.PositionalEncoding(d, dropout=config.dropout)
         self.blocks = nn.ModuleList(
             GPSFormerBlock(config, seed=i) for i in range(config.num_gpsformer_layers)
         )
@@ -156,9 +159,8 @@ class GPSFormer(nn.Module):
         node_feats = gather_rows(road_features, graphs.node_segments)
         gps_repr = weighted_graph_readout(node_feats, graphs).reshape(b, l, -1)
 
-        extras = Tensor(point_context_features(batch, self.grid))
-        features = nn.concat([gps_repr, extras], axis=-1)
-        return self.input_proj(features), node_feats
+        extras = point_context_features(batch, self.grid)
+        return self.input_proj(nn.concat([gps_repr, extras], axis=-1)), node_feats
 
     def _environment(self, batch: Batch) -> np.ndarray:
         """f_e: 24-dim hour one-hot + holiday flag."""
@@ -190,12 +192,12 @@ class GPSFormer(nn.Module):
         if self.training or is_grad_enabled():
             self._road_cache = None
             with profile.section("encoder.road_features"):
-                return self.road_encoder()
+                return as_tensor(self.road_encoder())
         generation = self._road_cache_generation
         cached = self._road_cache  # local read: a concurrent clear() between
         if cached is None:         # check and return must not yield None
             with profile.section("encoder.road_features"):
-                cached = self.road_encoder()
+                cached = as_tensor(self.road_encoder())  # computed on arrays
             if self._road_cache_generation == generation:
                 # Only publish if no invalidation (checkpoint load, train()
                 # flip) landed while we computed — else the result is stale.
@@ -204,32 +206,27 @@ class GPSFormer(nn.Module):
 
     def forward(self, batch: Batch) -> EncoderOutput:
         road_features = self._road_features()
+        if not is_grad_enabled():  # the array path, entry to exit
+            road_features = road_features.data
 
-        graphs: Optional[SubGraphBatch] = None
-        node_features: Optional[Tensor] = None
-        if self.config.use_grl or self.config.use_graph_loss:
-            graphs = self.subgraph_generator.batch(batch.input_xy)
-
-        if graphs is not None:
-            hidden, node_features = self._input_features(batch, road_features, graphs)
-        else:
-            # w/o GRL and w/o GCL: still use road-aware point features via a
-            # lightweight one-off sub-graph pass (the paper's w/o GRL variant
-            # keeps the input embedding, only drops the refinement layers).
-            graphs_tmp = self.subgraph_generator.batch(batch.input_xy)
-            hidden, _ = self._input_features(batch, road_features, graphs_tmp)
+        # w/o GRL and w/o GCL still use road-aware point features (the
+        # paper's w/o GRL variant keeps the input embedding, only drops the
+        # refinement layers); the sub-graphs go no further.
+        graphs: Optional[SubGraphBatch] = self.subgraph_generator.batch(batch.input_xy)
+        hidden, node_features = self._input_features(batch, road_features, graphs)
+        if not (self.config.use_grl or self.config.use_graph_loss):
+            graphs = node_features = None
 
         hidden = self.positional(hidden)
         with profile.section("encoder.blocks"):
             for block in self.blocks:
                 hidden, node_features = block(hidden, node_features, graphs)
 
-        pooled = hidden.mean(axis=1)
-        context = Tensor(self._environment(batch))
-        trajectory = self.context_proj(nn.concat([pooled, context], axis=-1))
+        pooled = F.mean(hidden, axis=1)
+        trajectory = self.context_proj(nn.concat([pooled, self._environment(batch)], axis=-1))
         return EncoderOutput(
-            point_features=hidden,
-            trajectory_feature=trajectory,
-            node_features=node_features,
+            point_features=as_tensor(hidden),
+            trajectory_feature=as_tensor(trajectory),
+            node_features=None if node_features is None else as_tensor(node_features),
             graphs=graphs,
         )

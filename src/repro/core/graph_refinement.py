@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
-from ..nn.tensor import (Tensor, gather_rows, scatter_sum_array,
+from ..nn import functional as F
+from ..nn.tensor import (Tensor, array_of, gather_rows, scatter_sum_array,
                          segment_mean, segment_sum)
 from .config import RNTrajRecConfig
 from .subgraph_gen import SubGraphBatch
@@ -45,17 +46,15 @@ class GraphNorm(nn.Module):
 
     def forward(self, nodes: Tensor, graphs: SubGraphBatch) -> Tensor:
         if self.training:
-            pooled = segment_mean(nodes, graphs.graph_ids, graphs.num_graphs)
-            mu = pooled.mean(axis=0)  # (d,) — Eq. 9 first line
+            pooled = segment_mean(nodes, graphs.graph_index)
+            mu = F.mean(pooled, axis=0)  # (d,) — Eq. 9 first line
             centered = nodes - mu
-            var = (centered * centered).mean(axis=0)  # over all nodes
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu.data
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var.data
-            normalized = centered / (var + self.eps).sqrt()
+            var = F.mean(centered * centered, axis=0)  # over all nodes
+            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * array_of(mu)
+            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * array_of(var)
+            normalized = centered / F.sqrt(var + self.eps)
         else:
-            normalized = (nodes - Tensor(self.running_mean)) / Tensor(
-                np.sqrt(self.running_var + self.eps)
-            )
+            normalized = (nodes - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return normalized * self.gamma + self.beta
 
 
@@ -70,8 +69,8 @@ class GatedFusion(nn.Module):
     def forward(self, node_features: Tensor, timestep_features: Tensor,
                 graphs: SubGraphBatch) -> Tensor:
         # Broadcast each timestep's transformer output to its nodes.
-        tr_per_node = gather_rows(timestep_features, graphs.graph_ids)
-        gate = (self.w_tr(tr_per_node) + self.w_z(node_features)).sigmoid()
+        tr_per_node = gather_rows(timestep_features, graphs.graph_index)
+        gate = F.sigmoid(self.w_tr(tr_per_node) + self.w_z(node_features))
         return gate * tr_per_node + (1.0 - gate) * node_features
 
 
@@ -84,8 +83,8 @@ class ConcatFusion(nn.Module):
 
     def forward(self, node_features: Tensor, timestep_features: Tensor,
                 graphs: SubGraphBatch) -> Tensor:
-        tr_per_node = gather_rows(timestep_features, graphs.graph_ids)
-        return self.ffn(nn.concat([tr_per_node, node_features], axis=-1)).relu()
+        tr_per_node = gather_rows(timestep_features, graphs.graph_index)
+        return F.relu(self.ffn(nn.concat([tr_per_node, node_features], axis=-1)))
 
 
 class GraphRefinementLayer(nn.Module):
@@ -129,7 +128,7 @@ class GraphRefinementLayer(nn.Module):
         forwarded = nodes
         for layer in self.graph_forward:
             if isinstance(layer, nn.GATLayer):
-                forwarded = layer(forwarded, graphs.edge_index)
+                forwarded = layer(forwarded, graphs.edge_index, graphs.target_index)
             else:
                 forwarded = layer(forwarded)
         nodes = self._normalize(self.norm2, nodes + forwarded, graphs)
@@ -138,14 +137,11 @@ class GraphRefinementLayer(nn.Module):
 
 def weighted_graph_readout(nodes: Tensor, graphs: SubGraphBatch) -> Tensor:
     """Eq. 6 pooling: influence-weighted mean of node features per graph."""
-    weights = Tensor(graphs.node_weights[:, None])
-    weighted = nodes * weights
-    totals = segment_sum(weighted, graphs.graph_ids, graphs.num_graphs)
-    denom = scatter_sum_array(graphs.node_weights, graphs.graph_ids,
-                              graphs.num_graphs)
-    return totals * Tensor(1.0 / np.maximum(denom, 1e-12)[:, None])
+    totals = segment_sum(nodes * graphs.node_weights[:, None], graphs.graph_index)
+    denom = scatter_sum_array(graphs.node_weights, graphs.graph_index)
+    return totals * (1.0 / np.maximum(denom, 1e-12))[:, None]
 
 
 def mean_graph_readout(nodes: Tensor, graphs: SubGraphBatch) -> Tensor:
     """Eq. 8 / Eq. 13 GraphReadout: plain mean pooling per sub-graph."""
-    return segment_mean(nodes, graphs.graph_ids, graphs.num_graphs)
+    return segment_mean(nodes, graphs.graph_index)

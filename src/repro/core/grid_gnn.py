@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn, profile
+from ..nn import functional as F
 from ..nn.tensor import Tensor
 from ..geo.grid import Grid
 from ..roadnet.network import RoadNetwork
@@ -68,26 +69,26 @@ class GridGNN(nn.Module):
 
         # --- Grid-sequence GRU (Eq. 1), batched over all segments -------
         with profile.section("road.grid_gru"):
-            state = Tensor(np.zeros((num_segments, d)))
+            state = np.zeros((num_segments, d))
             for step in range(self._max_len):
                 cell_embed = self.grid_embedding(self._grid_seq[:, step])
                 candidate = self.grid_gru(cell_embed, state)
                 # Only advance segments whose sequence is still running.
                 mask = self._grid_mask[:, step][:, None]
-                state = candidate * Tensor(mask) + state * Tensor(1.0 - mask)
+                state = candidate * mask + state * (1.0 - mask)
 
         # --- Eq. 2: add the segment ID embedding ------------------------
         identity = self.road_embedding(np.arange(num_segments))
-        hidden = (state + identity).relu()
+        hidden = F.relu(state + identity)
 
         # --- Eqs. 3-4: M GAT layers over the connectivity graph ---------
         with profile.section("road.gat"):
+            edge_index, targets = nn.edge_targets(self._edge_index, num_segments)
             for layer in self.gat_layers:
-                hidden = layer(hidden, self._edge_index)
+                hidden = layer(hidden, edge_index, targets)
 
         # --- Static feature fusion --------------------------------------
-        combined = nn.concat([hidden, Tensor(self._static)], axis=-1)
-        return self.fuse(combined)
+        return self.fuse(nn.concat([hidden, self._static], axis=-1))
 
 
 class PlainRoadEncoder(nn.Module):
@@ -107,8 +108,7 @@ class PlainRoadEncoder(nn.Module):
     def forward(self) -> Tensor:
         hidden = self.road_embedding(np.arange(self.network.num_segments))
         hidden = self.stack(hidden, self._edge_index)
-        combined = nn.concat([hidden, Tensor(self._static)], axis=-1)
-        return self.fuse(combined)
+        return self.fuse(nn.concat([hidden, self._static], axis=-1))
 
 
 def build_road_encoder(network: RoadNetwork, grid: Grid, config: RNTrajRecConfig) -> nn.Module:

@@ -67,15 +67,13 @@ def graph_classification_loss(
     weight would be zero anyway).
     """
     scores = (node_features @ projection).reshape(-1)  # (total_nodes,)
-    log_weights = np.log(np.maximum(graphs.node_weights, 1e-12))
-    masked_scores = scores + Tensor(log_weights)
+    masked_scores = scores + np.log(np.maximum(graphs.node_weights, 1e-12))
 
     # log softmax within each sub-graph.
-    num_graphs = graphs.num_graphs
-    shifted = masked_scores - Tensor(segment_max_array(
-        masked_scores.data, graphs.graph_ids, num_graphs)[graphs.graph_ids])
+    num_graphs, index = graphs.num_graphs, graphs.graph_index
+    shifted = masked_scores - segment_max_array(masked_scores.data, index)[graphs.graph_ids]
     exp = shifted.exp()
-    denom = segment_sum(exp.reshape(-1, 1), graphs.graph_ids, num_graphs).reshape(-1)
+    denom = segment_sum(exp.reshape(-1, 1), index).reshape(-1)
     log_denom = (denom + 1e-12).log()
 
     # Ground-truth segment per input point: target at the observed steps.
@@ -89,8 +87,8 @@ def graph_classification_loss(
     if not hit.any():
         return Tensor(np.zeros(()))
 
-    node_log_probs = shifted - gather_rows(log_denom.reshape(-1, 1), graphs.graph_ids).reshape(-1)
-    picked = node_log_probs * Tensor(hit.astype(np.float64))
+    node_log_probs = shifted - gather_rows(log_denom.reshape(-1, 1), index).reshape(-1)
+    picked = node_log_probs * hit.astype(np.float64)
     # One hit per graph at most; average over graphs that have one.
     graphs_with_hit = max(int(np.bincount(graphs.graph_ids[hit], minlength=num_graphs).astype(bool).sum()), 1)
     return -picked.sum() * (1.0 / graphs_with_hit)

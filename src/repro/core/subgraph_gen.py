@@ -25,14 +25,15 @@ coordinates.  The hot path is vectorized end to end:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .. import profile
 from ..geo.distance import gaussian_weight
-from ..nn.graph import ragged_positions, sorted_lookup
+from ..nn.graph import edge_targets, ragged_positions, sorted_lookup
+from ..nn.tensor import Segments
 from ..roadnet.network import RoadNetwork
 from .config import RNTrajRecConfig
 
@@ -48,7 +49,10 @@ class PointSubGraph:
 
 @dataclass
 class SubGraphBatch:
-    """Disjoint union of the sub-graphs of a (batch, length) point grid."""
+    """Disjoint union of the sub-graphs of a (batch, length) point grid.
+
+    Construction validates ``edge_index`` and builds the two :class:`Segments`
+    a forward's segment ops share: nodes by sub-graph, edges by target."""
 
     node_segments: np.ndarray  # (total_nodes,) road segment ids
     node_weights: np.ndarray   # (total_nodes,) Eq. 5 weights
@@ -56,6 +60,12 @@ class SubGraphBatch:
     edge_index: np.ndarray     # (2, total_edges) into the flat node array
     batch_size: int
     length: int
+    graph_index: Segments = field(init=False, repr=False)   # over graph_ids
+    target_index: Segments = field(init=False, repr=False)  # over edge_index[1]
+
+    def __post_init__(self) -> None:
+        self.edge_index, self.target_index = edge_targets(self.edge_index, self.num_nodes)
+        self.graph_index = Segments(self.graph_ids, self.num_graphs)
 
     @property
     def num_graphs(self) -> int:

@@ -17,6 +17,7 @@ from .graph import (
     GINLayer,
     GraphStack,
     add_self_loops,
+    edge_targets,
     graph_mean_pool,
     ragged_positions,
 )
@@ -26,7 +27,9 @@ from .optim import SGD, Adam, StepLR, clip_grad_norm
 from .rnn import GRU, LSTM, BiGRU, GRUCell, LSTMCell
 from .serialization import load_archive, load_checkpoint, save_archive, save_checkpoint
 from .tensor import (
+    Segments,
     Tensor,
+    as_tensor,
     concat,
     gather_rows,
     is_grad_enabled,
@@ -43,6 +46,8 @@ __all__ = [
     "functional",
     "init",
     "Tensor",
+    "Segments",
+    "as_tensor",
     "no_grad",
     "is_grad_enabled",
     "concat",
@@ -78,6 +83,7 @@ __all__ = [
     "GINLayer",
     "GraphStack",
     "add_self_loops",
+    "edge_targets",
     "graph_mean_pool",
     "ragged_positions",
     "SGD",

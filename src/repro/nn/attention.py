@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import init
-from .functional import softmax
+from .functional import softmax, tanh
 from .module import Module, Parameter
 from .layers import Linear
 from .tensor import Tensor
@@ -54,7 +54,7 @@ class MultiHeadAttention(Module):
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
         if key_mask is not None:
             bias = np.where(np.asarray(key_mask, dtype=bool), 0.0, -1e9)
-            scores = scores + Tensor(bias[:, None, None, :])
+            scores = scores + bias[:, None, None, :]
         weights = softmax(scores, axis=-1)
         context = weights @ v
         merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
@@ -92,11 +92,11 @@ class AdditiveAttention(Module):
             projected_keys = self.project_keys(encoder_outputs)  # (batch, len, dim)
         batch, dim = projected_query.shape
         expanded = projected_query.reshape(batch, 1, dim)
-        energy = (expanded + projected_keys).tanh() @ self.v  # (batch, len, 1)
+        energy = tanh(expanded + projected_keys) @ self.v  # (batch, len, 1)
         scores = energy.reshape(batch, encoder_outputs.shape[1])
         if key_mask is not None:
             bias = np.where(np.asarray(key_mask, dtype=bool), 0.0, -1e9)
-            scores = scores + Tensor(bias)
+            scores = scores + bias
         weights = softmax(scores, axis=-1)  # (batch, len)
         context = weights.reshape(batch, 1, -1) @ encoder_outputs  # (batch, 1, dim)
         return context.reshape(batch, dim)

@@ -3,7 +3,8 @@
 These helpers mirror ``torch.nn.functional`` for the operations RNTrajRec
 uses: activations, softmax (optionally masked, as required by the
 constraint-mask decoder of Eq. 16), dropout, and the two loss primitives
-(cross entropy with additive log-mask, mean squared error).
+(negative log likelihood, mean squared error).  Each takes a Tensor or a
+plain array and returns the input's type.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, concat, gather_rows, segment_mean, segment_softmax, segment_sum, stack, where
+from .tensor import (Tensor, array_of, concat, gather_rows, segment_mean, segment_softmax,
+                     segment_sum, stack, where)
 
 __all__ = [
+    "exp",
+    "log",
+    "sqrt",
+    "mean",
     "relu",
     "leaky_relu",
     "sigmoid",
@@ -23,7 +29,6 @@ __all__ = [
     "log_softmax",
     "masked_log_softmax",
     "dropout",
-    "cross_entropy",
     "nll_loss",
     "mse_loss",
     "concat",
@@ -36,32 +41,22 @@ __all__ = [
 ]
 
 
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    return x.leaky_relu(slope)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
+# The elementwise ops and ``mean`` are Tensor's own, which take a Tensor or
+# a plain array and return the input's type.
+exp, log, sqrt, tanh = Tensor.exp, Tensor.log, Tensor.sqrt, Tensor.tanh
+sigmoid, relu, leaky_relu, mean = Tensor.sigmoid, Tensor.relu, Tensor.leaky_relu, Tensor.mean
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+    shifted = x - array_of(x).max(axis=axis, keepdims=True)
+    e = exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    shifted = x - array_of(x).max(axis=axis, keepdims=True)
+    return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def masked_log_softmax(
@@ -76,7 +71,7 @@ def masked_log_softmax(
     """
     mask = np.asarray(mask, dtype=logits.dtype)
     log_mask = np.log(np.maximum(mask, floor))
-    return log_softmax(logits + Tensor(log_mask), axis=axis)
+    return log_softmax(logits + log_mask, axis=axis)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -85,7 +80,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
         return x
     keep = 1.0 - p
     mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-    return x * Tensor(mask)
+    return x * mask
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray, sample_weight: Optional[np.ndarray] = None) -> Tensor:
@@ -99,30 +94,16 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, sample_weight: Optional[np.
     if sample_weight is not None:
         weight = np.asarray(sample_weight, dtype=log_probs.dtype)
         total = max(float(weight.sum()), 1e-12)
-        return -(picked * Tensor(weight)).sum() * (1.0 / total)
-    return -picked.mean()
-
-
-def cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-    sample_weight: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Cross entropy over the last axis, optionally with a constraint mask."""
-    if mask is not None:
-        log_probs = masked_log_softmax(logits, mask, axis=-1)
-    else:
-        log_probs = log_softmax(logits, axis=-1)
-    return nll_loss(log_probs, targets, sample_weight)
+        return -(picked * weight).sum() * (1.0 / total)
+    return -mean(picked)
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray, sample_weight: Optional[np.ndarray] = None) -> Tensor:
     """Mean squared error against a constant target array."""
-    diff = prediction - Tensor(np.asarray(target, dtype=prediction.dtype))
+    diff = prediction - np.asarray(target, dtype=prediction.dtype)
     sq = diff * diff
     if sample_weight is not None:
         weight = np.asarray(sample_weight, dtype=prediction.dtype)
         total = max(float(weight.sum()), 1e-12)
-        return (sq * Tensor(weight)).sum() * (1.0 / total)
-    return sq.mean()
+        return (sq * weight).sum() * (1.0 / total)
+    return mean(sq)

@@ -19,11 +19,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import init
-from .functional import segment_mean, segment_softmax, segment_sum
+from . import functional as F, init
 from .layers import Linear
 from .module import Module, ModuleList, Parameter
-from .tensor import Tensor, concat, gather_rows
+from .tensor import Segments, Tensor, gather_rows, segment_mean, segment_softmax, segment_sum
 
 
 def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -87,13 +86,17 @@ def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         starts - (np.cumsum(counts) - counts), counts)
 
 
-def validate_edge_index(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
+def edge_targets(edge_index: np.ndarray, num_nodes: int) -> Tuple[np.ndarray, Segments]:
+    """The validated ``(2, E)`` int64 ``edge_index`` and its edges grouped by
+    target node — what a GNN layer aggregates over.  Build the pair once
+    per graph and hand it to every layer (``forward(x, edge_index,
+    targets)``); a layer given no ``targets`` builds it per call."""
     edge_index = np.asarray(edge_index, dtype=np.int64)
     if edge_index.ndim != 2 or edge_index.shape[0] != 2:
         raise ValueError(f"edge_index must have shape (2, E), got {edge_index.shape}")
     if edge_index.size and (edge_index.min() < 0 or edge_index.max() >= num_nodes):
         raise IndexError("edge_index refers to nonexistent nodes")
-    return edge_index
+    return edge_index, Segments(edge_index[1], num_nodes)
 
 
 class GATLayer(Module):
@@ -125,24 +128,26 @@ class GATLayer(Module):
             name="gat.attn_dst",
         )
 
-    def forward(self, x: Tensor, edge_index: np.ndarray) -> Tensor:
+    def forward(self, x: Tensor, edge_index: np.ndarray,
+                targets: Optional[Segments] = None) -> Tensor:
         num_nodes = x.shape[0]
-        edge_index = validate_edge_index(edge_index, num_nodes)
-        src, dst = edge_index[0], edge_index[1]
+        if targets is None:
+            edge_index, targets = edge_targets(edge_index, num_nodes)
+        src = edge_index[0]
 
         transformed = (x @ self.w).reshape(num_nodes, self.num_heads, self.head_dim)
         # Per-node halves of the attention logit, shape (nodes, heads).
         alpha_src = (transformed * self.attn_src).sum(axis=-1)
         alpha_dst = (transformed * self.attn_dst).sum(axis=-1)
 
-        logits = (gather_rows(alpha_src, src) + gather_rows(alpha_dst, dst)).leaky_relu(self.slope)
-        weights = segment_softmax(logits, dst, num_nodes)  # normalize over incoming edges
+        logits = F.leaky_relu(gather_rows(alpha_src, src) + gather_rows(alpha_dst, targets),
+                              self.slope)
+        weights = segment_softmax(logits, targets)  # normalize over incoming edges
 
         messages = gather_rows(transformed, src)  # (edges, heads, head_dim)
         weighted = messages * weights.reshape(len(src), self.num_heads, 1)
-        aggregated = segment_sum(weighted, dst, num_nodes)
-        out = aggregated.reshape(num_nodes, self.out_dim)
-        return out.leaky_relu(self.slope)
+        aggregated = segment_sum(weighted, targets)
+        return F.leaky_relu(aggregated.reshape(num_nodes, self.out_dim), self.slope)
 
 
 class GCNLayer(Module):
@@ -152,18 +157,18 @@ class GCNLayer(Module):
         super().__init__()
         self.linear = Linear(in_dim, out_dim)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray) -> Tensor:
+    def forward(self, x: Tensor, edge_index: np.ndarray,
+                targets: Optional[Segments] = None) -> Tensor:
         num_nodes = x.shape[0]
-        edge_index = validate_edge_index(edge_index, num_nodes)
-        src, dst = edge_index[0], edge_index[1]
+        if targets is None:
+            edge_index, targets = edge_targets(edge_index, num_nodes)
+        src, dst = edge_index[0], targets.ids
         out_degree = np.bincount(src, minlength=num_nodes).astype(np.float64)
-        in_degree = np.bincount(dst, minlength=num_nodes).astype(np.float64)
+        in_degree = targets.counts.astype(np.float64)
         norm = 1.0 / np.sqrt(np.maximum(out_degree[src], 1.0) * np.maximum(in_degree[dst], 1.0))
 
-        transformed = self.linear(x)
-        messages = gather_rows(transformed, src) * Tensor(norm[:, None])
-        aggregated = segment_sum(messages, dst, num_nodes)
-        return aggregated.relu()
+        messages = gather_rows(self.linear(x), src) * norm[:, None]
+        return F.relu(segment_sum(messages, targets))
 
 
 class GINLayer(Module):
@@ -175,13 +180,13 @@ class GINLayer(Module):
         self.fc1 = Linear(in_dim, out_dim)
         self.fc2 = Linear(out_dim, out_dim)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray) -> Tensor:
-        num_nodes = x.shape[0]
-        edge_index = validate_edge_index(edge_index, num_nodes)
-        src, dst = edge_index[0], edge_index[1]
-        neighbor_sum = segment_sum(gather_rows(x, src), dst, num_nodes)
+    def forward(self, x: Tensor, edge_index: np.ndarray,
+                targets: Optional[Segments] = None) -> Tensor:
+        if targets is None:
+            edge_index, targets = edge_targets(edge_index, x.shape[0])
+        neighbor_sum = segment_sum(gather_rows(x, edge_index[0]), targets)
         combined = x * (1.0 + self.eps) + neighbor_sum
-        return self.fc2(self.fc1(combined).relu())
+        return self.fc2(F.relu(self.fc1(combined)))
 
 
 class GraphStack(Module):
@@ -201,11 +206,12 @@ class GraphStack(Module):
         self.layers = ModuleList(builders[kind]() for _ in range(num_layers))
 
     def forward(self, x: Tensor, edge_index: np.ndarray) -> Tensor:
+        edge_index, targets = edge_targets(edge_index, x.shape[0])
         for layer in self.layers:
-            x = layer(x, edge_index)
+            x = layer(x, edge_index, targets)
         return x
 
 
-def graph_mean_pool(x: Tensor, graph_ids: np.ndarray, num_graphs: int) -> Tensor:
+def graph_mean_pool(x: Tensor, graph_ids, num_graphs: Optional[int] = None) -> Tensor:
     """Mean-pool node features per graph (paper Eq. 8 / GraphReadout)."""
     return segment_mean(x, graph_ids, num_graphs)

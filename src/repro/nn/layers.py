@@ -11,14 +11,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import init
-from .functional import dropout as dropout_fn
+from . import functional as F, init
 from .module import Module, Parameter
-from .tensor import Tensor, gather_rows
+from .tensor import Tensor, array_of, gather_rows, is_grad_enabled
 
 
 class Linear(Module):
-    """Affine map ``y = x W + b`` over the last axis."""
+    """Affine map ``y = x W + b`` over the last axis (arrays in, arrays out)."""
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True) -> None:
         super().__init__()
@@ -50,7 +49,9 @@ class Embedding(Module):
                 f"embedding index out of range [0, {self.num_embeddings}): "
                 f"got min={indices.min()} max={indices.max()}"
             )
-        return gather_rows(self.weight, indices)
+        # Ids carry no tensor type, so the grad mode picks the table's form:
+        # under no_grad the lookup, and the forward it starts, is on arrays.
+        return gather_rows(self.weight if is_grad_enabled() else self.weight.data, indices)
 
 
 class Dropout(Module):
@@ -64,7 +65,7 @@ class Dropout(Module):
         self._rng = np.random.default_rng(seed)
 
     def forward(self, x: Tensor) -> Tensor:
-        return dropout_fn(x, self.p, self._rng, self.training)
+        return F.dropout(x, self.p, self._rng, self.training)
 
 
 class LayerNorm(Module):
@@ -78,10 +79,9 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros((dim,)), name="layernorm.beta")
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered / (var + self.eps).sqrt()
+        centered = x - F.mean(x, axis=-1, keepdims=True)
+        var = F.mean(centered * centered, axis=-1, keepdims=True)
+        normalized = centered / F.sqrt(var + self.eps)
         return normalized * self.gamma + self.beta
 
 
@@ -106,18 +106,15 @@ class BatchNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         axes = tuple(range(x.ndim - 1))
         if self.training:
-            batch_mean = x.data.mean(axis=axes)
-            batch_var = x.data.var(axis=axes)
+            batch_mean = array_of(x).mean(axis=axes)
+            batch_var = array_of(x).var(axis=axes)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * batch_mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * batch_var
-            mean = x.mean(axis=axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            normalized = centered / (var + self.eps).sqrt()
+            centered = x - F.mean(x, axis=axes, keepdims=True)
+            var = F.mean(centered * centered, axis=axes, keepdims=True)
+            normalized = centered / F.sqrt(var + self.eps)
         else:
-            normalized = (x - Tensor(self.running_mean)) / Tensor(
-                np.sqrt(self.running_var + self.eps)
-            )
+            normalized = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
         return normalized * self.gamma + self.beta
 
 
@@ -132,4 +129,4 @@ class FeedForward(Module):
         self.drop = Dropout(dropout, seed=seed)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.fc2(self.drop(self.fc1(x).relu()))
+        return self.fc2(self.drop(F.relu(self.fc1(x))))

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import init
+from .functional import sigmoid, tanh
 from .module import Module, Parameter
 from .tensor import Tensor, concat, stack
 
@@ -39,14 +40,14 @@ class GRUCell(Module):
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         hx = concat([h, x], axis=-1)
-        z = (hx @ self.w_z + self.b_z).sigmoid()
-        r = (hx @ self.w_r + self.b_r).sigmoid()
+        z = sigmoid(hx @ self.w_z + self.b_z)
+        r = sigmoid(hx @ self.w_r + self.b_r)
         rhx = concat([r * h, x], axis=-1)
-        c = (rhx @ self.w_c + self.b_c).tanh()
+        c = tanh(rhx @ self.w_c + self.b_c)
         return (1.0 - z) * h + z * c
 
-    def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden_dim)))
+    def initial_state(self, batch: int) -> np.ndarray:
+        return np.zeros((batch, self.hidden_dim))
 
 
 class LSTMCell(Module):
@@ -69,17 +70,16 @@ class LSTMCell(Module):
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
         h, c = state
         hx = concat([h, x], axis=-1)
-        i = (hx @ self.w_i + self.b_i).sigmoid()
-        f = (hx @ self.w_f + self.b_f).sigmoid()
-        o = (hx @ self.w_o + self.b_o).sigmoid()
-        g = (hx @ self.w_g + self.b_g).tanh()
+        i = sigmoid(hx @ self.w_i + self.b_i)
+        f = sigmoid(hx @ self.w_f + self.b_f)
+        o = sigmoid(hx @ self.w_o + self.b_o)
+        g = tanh(hx @ self.w_g + self.b_g)
         c_next = f * c + i * g
-        h_next = o * c_next.tanh()
+        h_next = o * tanh(c_next)
         return h_next, c_next
 
-    def initial_state(self, batch: int) -> Tuple[Tensor, Tensor]:
-        zeros = np.zeros((batch, self.hidden_dim))
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
+    def initial_state(self, batch: int) -> Tuple[np.ndarray, np.ndarray]:
+        return np.zeros((batch, self.hidden_dim)), np.zeros((batch, self.hidden_dim))
 
 
 class GRU(Module):

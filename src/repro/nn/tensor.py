@@ -17,11 +17,19 @@ The design mirrors the classic tape-based approach:
 
 Only float64/float32 data participates in differentiation; integer tensors
 (indices) are carried as plain arrays.
+
+Every op the modules use also runs on plain ndarrays: the elementwise
+ops, ``mean``, ``concat``, ``stack``, ``gather_rows`` and the segment ops
+take a Tensor or an array and return the input's type, and an ndarray left
+of an operator with a Tensor on the right stays one under :class:`no_grad`.  Module forwards are
+written once against these ops, so inference on arrays does exactly the
+numpy arithmetic the tape would record, and nothing else.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,8 +53,9 @@ class no_grad:
 
     Inside the block every op produced by :meth:`Tensor._make` is a plain
     constant tensor: no parent links, no backward closures, no graph
-    retention.  The *values* computed are bit-identical — only the
-    bookkeeping is skipped — so inference paths (greedy decoding, the
+    retention; an ndarray left of a Tensor operand stays an ndarray.  The
+    *values* computed are bit-identical — only the bookkeeping is skipped —
+    so inference paths (the encoder on plain arrays, greedy decoding, the
     serving scheduler) use this for a pure-speed win.  Re-entrant and
     thread-local.
     """
@@ -87,10 +96,87 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def array_of(value):
+    """The values of ``value``: a Tensor's array, anything else itself."""
+    return value.data if isinstance(value, Tensor) else value
+
+
+def as_tensor(value) -> "Tensor":
+    """``value`` as a Tensor (a plain array becomes a constant)."""
+    return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of the clipped input ``c``:
+    ``1 / (1 + e)`` where ``c ≥ 0``, ``e / (1 + e)`` elsewhere, ``e =
+    exp(-|c|) ≤ 1`` — both ``max(e, c ≥ 0) / (1 + e)``: branch-free, bit-equal
+    to an ``np.where`` select and several times cheaper on mixed-sign rows.
+    The clip is spelled as its ufunc definition (bit-equal to ``np.clip``)."""
+    clipped = np.minimum(np.maximum(x, -60.0), 60.0)
+    exp_neg = np.exp(-np.abs(clipped))
+    return np.maximum(exp_neg, clipped >= 0) / (1.0 + exp_neg)
+
+
+def leaky_relu_array(x: np.ndarray, slope: float = 0.01) -> np.ndarray:
+    """``x`` where positive, ``slope · x`` elsewhere: for ``0 < slope ≤ 1``
+    exactly ``max(x, slope · x)`` (signed zeros and infinities included),
+    branch-free and several times cheaper than ``np.where``."""
+    return np.maximum(x, slope * x) if 0.0 < slope <= 1.0 else np.where(x > 0, x, slope * x)
+
+
+def _unary(forward, backward):
+    """An elementwise op from its array ``forward`` and its adjoint
+    ``backward(grad, x, out, *args)``: on a plain array the op is the
+    ``forward`` call alone, on a Tensor the same call plus one tape node."""
+    def op(x, *args):
+        if not isinstance(x, Tensor):
+            return forward(x, *args)
+        out_data = forward(x.data, *args)
+
+        def back(grad: np.ndarray) -> None:
+            if x.requires_grad:
+                x._accumulate(backward(grad, x.data, out_data, *args))
+
+        return Tensor._make(out_data, (x,), back)
+    return op
+
+
+def _reflected(tensor_op, array_op):
+    """``other ⊕ tensor`` for a non-Tensor ``other``: an ndarray under
+    ``no_grad`` meets the tensor's array and stays an ndarray (a layer's
+    input decides its output's type); anything else takes the Tensor op."""
+    def op(self, other):
+        if isinstance(other, np.ndarray) and not is_grad_enabled():
+            return array_op(other, self.data)
+        return tensor_op(self, other)
+    return op
+
+
+def _binary(forward, adjoint_a, adjoint_b):
+    """A broadcasting binary op ``a ⊕ b`` from its array ``forward`` and
+    each operand's adjoint ``adjoint(grad, a, b)``: the Tensor method and
+    its reflected twin (whose non-Tensor left operand is a constant)."""
+    def op(self, other):
+        other = as_tensor(other)
+        out_data = forward(self.data, other.data)
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(unbroadcast(adjoint_a(grad, self.data, other.data), self.shape))
+            if other.requires_grad:
+                other._accumulate(unbroadcast(adjoint_b(grad, self.data, other.data), other.shape))
+
+        return Tensor._make(out_data, (self, other), backward)
+    return op, _reflected(lambda self, other: op(Tensor(other), self), forward)
+
+
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    # ``ndarray ⊕ Tensor`` defers to the reflected operators below instead
+    # of silently building a numpy object array.
+    __array_ufunc__ = None
 
     def __init__(
         self,
@@ -207,77 +293,14 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-    def _coerce(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(other)
+    __add__, __radd__ = _binary(np.add, lambda grad, a, b: grad, lambda grad, a, b: grad)
+    __sub__, __rsub__ = _binary(np.subtract, lambda grad, a, b: grad, lambda grad, a, b: -grad)
+    __mul__, __rmul__ = _binary(np.multiply, lambda grad, a, b: grad * b,
+                                lambda grad, a, b: grad * a)
+    __truediv__, __rtruediv__ = _binary(np.true_divide, lambda grad, a, b: grad / b,
+                                        lambda grad, a, b: -grad * a / (b**2))
 
-    def __add__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data + other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(grad, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(-grad)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data - other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(-grad, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rsub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(unbroadcast(grad * self.data, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(unbroadcast(grad / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    unbroadcast(-grad * self.data / (other.data**2), other.shape)
-                )
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other).__truediv__(self)
+    __neg__ = _unary(np.negative, lambda grad, x, out: -grad)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -291,7 +314,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._coerce(other)
+        other = as_tensor(other)
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -309,6 +332,8 @@ class Tensor:
                 other._accumulate(unbroadcast(_match_matmul(gb, other.data), other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
+
+    __rmatmul__ = _reflected(lambda self, other: Tensor(other) @ self, np.matmul)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -330,21 +355,11 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
         out_data = self.data.transpose(axes)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        out_data = np.swapaxes(self.data, a, b)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(grad, a, b))
+                self._accumulate(grad.transpose(np.argsort(axes)))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -353,9 +368,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate(_index_adjoint(grad, index, self.data))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -376,6 +389,9 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+        """Sum times the reciprocal count.  Written against ``sum`` and
+        ``shape`` alone, so ``Tensor.mean(array)`` is the array path (an
+        ndarray's own ``mean`` divides, which rounds differently)."""
         if axis is None:
             count = self.size
         else:
@@ -402,86 +418,18 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
-    # Elementwise nonlinearities (used by functional.py wrappers)
+    # Elementwise nonlinearities: each is also the functional form, so
+    # ``Tensor.exp(array)`` is ``np.exp(array)``.
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * 0.5 / out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic function (clip both tails; both
-        # np.where branches are evaluated, so each must stay finite).
-        clipped = np.clip(self.data, -60.0, 60.0)
-        exp_neg = np.exp(-np.abs(clipped))
-        out_data = np.where(clipped >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def leaky_relu(self, slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, slope * self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * np.where(mask, 1.0, slope))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
+    exp = _unary(np.exp, lambda grad, x, out: grad * out)
+    log = _unary(np.log, lambda grad, x, out: grad / x)
+    sqrt = _unary(np.sqrt, lambda grad, x, out: grad * 0.5 / out)
+    tanh = _unary(np.tanh, lambda grad, x, out: grad * (1.0 - out**2))
+    sigmoid = _unary(sigmoid_array, lambda grad, x, out: grad * out * (1.0 - out))
+    relu = _unary(lambda x: x * (x > 0), lambda grad, x, out: grad * (x > 0))
+    leaky_relu = _unary(leaky_relu_array,
+                        lambda grad, x, out, slope=0.01: grad * np.where(x > 0, 1.0, slope))
+    clip = _unary(np.clip, lambda grad, x, out, low, high: grad * ((x >= low) & (x <= high)))
 
 
 def _match_matmul(grad: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -502,6 +450,9 @@ def _match_matmul(grad: np.ndarray, target: np.ndarray) -> np.ndarray:
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     tensors = list(tensors)
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
+    tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -519,6 +470,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis``."""
     tensors = list(tensors)
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.stack(tensors, axis=axis)
+    tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad: np.ndarray) -> None:
@@ -544,28 +498,99 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(out_data, (a, b), backward)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
+class Segments:
+    """A row → bucket assignment, and the index arrays the segment ops
+    derive from it, each built on first use and then kept: the flat
+    ``id · width + column`` scatter index per row width, the stable sort
+    order and group starts of a segment maximum, the bucket counts and
+    their inverses of a segment mean.
+
+    Build one per id array and pass it to every op over those ids — a
+    sub-graph batch holds one over its ``graph_ids`` and one over its edge
+    targets, so a forward's readouts, norms and GAT layers share them.  The
+    ids are checked against ``num_segments`` once, here.
+    """
+
+    def __init__(self, ids: np.ndarray, num_segments: int) -> None:
+        ids = np.asarray(ids, dtype=np.int64)
+        if len(ids) and (ids.min() < 0 or ids.max() >= num_segments):
+            raise IndexError(f"segment ids outside [0, {num_segments})")
+        self.ids, self.num_segments = ids, int(num_segments)
+        self._flat = {1: ids}
+
+    def flat(self, width: int) -> np.ndarray:
+        """The bincount index that scatters rows of ``width`` values."""
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self._flat[width] = (self.ids[:, None] * width + np.arange(width)).reshape(-1)
+        return flat
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.bincount(self.ids, minlength=self.num_segments)
+
+    @cached_property
+    def inverse_counts(self) -> np.ndarray:
+        """``1 / max(count, 1)`` per bucket (an empty bucket's mean is 0)."""
+        return 1.0 / np.maximum(self.counts.astype(np.float64), 1.0)
+
+    @cached_property
+    def groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(stable row order, each non-empty bucket's first position in it,
+        the non-empty buckets)."""
+        counts = self.counts
+        filled = np.flatnonzero(counts)
+        return np.argsort(self.ids, kind="stable"), (np.cumsum(counts) - counts)[filled], filled
+
+
+def _segments(ids, num_segments: Optional[int]) -> Segments:
+    """The one form of ids segment ops run on: raw ids are wrapped."""
+    return ids if isinstance(ids, Segments) else Segments(ids, num_segments)
+
+
+def gather_rows(table: Tensor, indices) -> Tensor:
     """Row lookup ``table[indices]`` with scatter-add gradient.
 
     ``indices`` may have any shape; the result has shape
-    ``indices.shape + table.shape[1:]``.  This is the primitive behind
-    :class:`repro.nn.layers.Embedding` and graph gather operations.
+    ``indices.shape + table.shape[1:]``.  Given a :class:`Segments` over
+    ``len(table)`` buckets instead, the gradient reuses its scatter index.
+    This is the primitive behind :class:`repro.nn.layers.Embedding` and
+    graph gather operations.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    out_data = table.data[indices]
+    ids = indices.ids if isinstance(indices, Segments) else np.asarray(indices, dtype=np.int64)
+    if not isinstance(table, Tensor):
+        return table.take(ids, axis=0)  # fancy indexing's bytes, faster
 
     def backward(grad: np.ndarray) -> None:
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, indices.reshape(-1), grad.reshape(-1, *table.shape[1:]))
-            table._accumulate(full)
+            rows = indices if isinstance(indices, Segments) else \
+                Segments(ids.reshape(-1), len(table.data))
+            table._accumulate(scatter_sum_array(grad.reshape((-1,) + table.shape[1:]), rows))
 
-    return Tensor._make(out_data, (table,), backward)
+    return Tensor._make(table.data.take(ids, axis=0), (table,), backward)
 
 
-def scatter_sum_array(values: np.ndarray, segment_ids: np.ndarray,
-                      num_segments: int) -> np.ndarray:
-    """Plain-array scatter-add of rows into ``num_segments`` buckets.
+def _index_adjoint(grad: np.ndarray, index, like: np.ndarray) -> np.ndarray:
+    """``grad`` scatter-added back through ``like[index]``.  Integer-array
+    indices go through the flat bincount of :func:`scatter_sum_array`
+    (input order, the bytes of ``np.add.at``); any other index through
+    ``np.add.at``."""
+    arrays = index if isinstance(index, tuple) else (index,)
+    if all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in arrays):
+        lead = like.shape[:len(arrays)]
+        flat = np.ravel_multi_index(tuple(np.broadcast_arrays(*arrays)), lead, mode="wrap")
+        rows = grad.reshape((flat.size,) + like.shape[len(arrays):])
+        return scatter_sum_array(rows, Segments(flat.reshape(-1), int(np.prod(lead)))
+                                 ).reshape(like.shape)
+    full = np.zeros_like(like)
+    np.add.at(full, index, grad)
+    return full
+
+
+def scatter_sum_array(values: np.ndarray, segments,
+                      num_segments: Optional[int] = None) -> np.ndarray:
+    """Plain-array scatter-add of rows into buckets (``segments``: a
+    :class:`Segments`, or raw ids plus ``num_segments``).
 
     float64 rows of any rank go through one flat ``np.bincount`` over
     ``id · width + column``: like ``np.add.at`` it adds each bucket's
@@ -573,71 +598,61 @@ def scatter_sum_array(values: np.ndarray, segment_ids: np.ndarray,
     bit-identical, but its C loop is several times faster at every shape
     GNN attention and pooling use.  Other dtypes keep ``np.add.at``.
     """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    segments = _segments(segments, num_segments)
+    shape = (segments.num_segments,) + values.shape[1:]
     if values.dtype != np.float64 or len(values) == 0:
-        out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-        np.add.at(out, segment_ids, values)
+        out = np.zeros(shape, dtype=values.dtype)
+        np.add.at(out, segments.ids, values)
         return out
     width = values[0].size
-    flat = segment_ids if values.ndim == 1 else (
-        segment_ids[:, None] * width + np.arange(width)).reshape(-1)
-    out = np.bincount(flat, weights=values.reshape(-1),
-                      minlength=num_segments * width)
-    if len(out) > num_segments * width:  # minlength is a floor: match add.at's error
-        raise IndexError(f"segment id {int(segment_ids.max())} out of range "
-                         f"for {num_segments} segments")
-    return out.reshape((num_segments,) + values.shape[1:])
+    return np.bincount(segments.flat(width), weights=values.reshape(-1),
+                       minlength=segments.num_segments * width).reshape(shape)
 
 
-def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``values`` into ``num_segments`` buckets.
+def segment_sum(values: Tensor, segments, num_segments: Optional[int] = None) -> Tensor:
+    """Sum rows of ``values`` into buckets.
 
     The adjoint of a segment sum is a gather, which keeps batched GNN
     message passing differentiable without per-graph Python loops.
     """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out_data = scatter_sum_array(values.data, segment_ids, num_segments)
+    segments = _segments(segments, num_segments)
+    out_data = scatter_sum_array(array_of(values), segments)
+    if not isinstance(values, Tensor):
+        return out_data
 
     def backward(grad: np.ndarray) -> None:
         if values.requires_grad:
-            values._accumulate(grad[segment_ids])
+            values._accumulate(grad.take(segments.ids, axis=0))
 
     return Tensor._make(out_data, (values,), backward)
 
 
-def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_mean(values: Tensor, segments, num_segments: Optional[int] = None) -> Tensor:
     """Average rows of ``values`` per segment (empty segments yield zero)."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(values.dtype)
-    counts = np.maximum(counts, 1.0)
-    total = segment_sum(values, segment_ids, num_segments)
-    shape = (num_segments,) + (1,) * (values.ndim - 1)
-    return total * Tensor(1.0 / counts.reshape(shape))
+    segments = _segments(segments, num_segments)
+    scale = segments.inverse_counts.reshape((-1,) + (1,) * (values.ndim - 1))
+    return segment_sum(values, segments) * scale
 
 
-def segment_max_array(values: np.ndarray, segment_ids: np.ndarray,
-                      num_segments: int) -> np.ndarray:
+def segment_max_array(values: np.ndarray, segments,
+                      num_segments: Optional[int] = None) -> np.ndarray:
     """Per-bucket maximum of rows, 0 where a bucket is empty or its maximum
-    is not finite — the stabilizing shift of a segment softmax.  A stable
-    sort groups the rows and ``np.maximum.reduceat`` reduces the non-empty
-    groups (a maximum is exact in any order)."""
-    counts = np.bincount(segment_ids, minlength=num_segments)
-    filled = np.flatnonzero(counts)
-    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    out[filled] = np.maximum.reduceat(
-        values[np.argsort(segment_ids, kind="stable")],
-        (np.cumsum(counts) - counts)[filled], axis=0)
+    is not finite — the stabilizing shift of a segment softmax.  The
+    stable sort groups the rows and ``np.maximum.reduceat`` reduces the
+    non-empty groups (a maximum is exact in any order)."""
+    segments = _segments(segments, num_segments)
+    order, starts, filled = segments.groups
+    out = np.zeros((segments.num_segments,) + values.shape[1:], dtype=values.dtype)
+    out[filled] = np.maximum.reduceat(values.take(order, axis=0), starts, axis=0)
     out[~np.isfinite(out)] = 0.0
     return out
 
 
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax over rows grouped by ``segment_ids`` (for GAT attention)."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+def segment_softmax(scores: Tensor, segments, num_segments: Optional[int] = None) -> Tensor:
+    """Softmax over rows grouped by segment (for GAT attention)."""
+    segments = _segments(segments, num_segments)
     # Shift by the per-segment max for numerical stability (constant wrt grad).
-    shifted = scores - Tensor(
-        segment_max_array(scores.data, segment_ids, num_segments)[segment_ids])
-    exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments)
-    denom_per_row = gather_rows(denom, segment_ids)
-    return exp / (denom_per_row + 1e-12)
+    shifted = scores - segment_max_array(array_of(scores), segments).take(segments.ids, axis=0)
+    exp = Tensor.exp(shifted)
+    denom = segment_sum(exp, segments)
+    return exp / (gather_rows(denom, segments) + 1e-12)

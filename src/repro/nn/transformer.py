@@ -13,7 +13,7 @@ import numpy as np
 
 from .attention import MultiHeadAttention
 from .layers import Dropout, FeedForward, LayerNorm
-from .module import Module
+from .module import Module, ModuleList
 from .tensor import Tensor
 
 
@@ -29,17 +29,23 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 
 class PositionalEncoding(Module):
-    """Adds sinusoidal position embeddings (Eq. 12)."""
+    """Adds sinusoidal position embeddings (Eq. 12) at any length: the
+    table grows on demand, and a row does not depend on the table's length."""
 
-    def __init__(self, dim: int, max_len: int = 4096, dropout: float = 0.0, seed: int = 0) -> None:
+    def __init__(self, dim: int, dropout: float = 0.0, seed: int = 0) -> None:
         super().__init__()
         self.dim = dim
-        self.table = sinusoidal_positions(max_len, dim)
+        self.table = sinusoidal_positions(1024, dim)
         self.drop = Dropout(dropout, seed=seed)
 
     def forward(self, x: Tensor) -> Tensor:
         length = x.shape[1]
-        return self.drop(x + Tensor(self.table[None, :length, :]))
+        # One read of the shared table; a growth builds the new table first
+        # and then publishes it, so concurrent forwards never see a torn one.
+        table = self.table
+        if len(table) < length:
+            table = self.table = sinusoidal_positions(max(length, 2 * len(table)), self.dim)
+        return self.drop(x + table[None, :length, :])
 
 
 class TransformerEncoderLayer(Module):
@@ -82,12 +88,9 @@ class TransformerEncoder(Module):
         num_layers: int,
         ffn_dim: Optional[int] = None,
         dropout: float = 0.0,
-        max_len: int = 4096,
     ) -> None:
         super().__init__()
-        self.positional = PositionalEncoding(dim, max_len=max_len, dropout=dropout)
-        from .module import ModuleList
-
+        self.positional = PositionalEncoding(dim, dropout=dropout)
         self.layers = ModuleList(
             TransformerEncoderLayer(dim, num_heads, ffn_dim, dropout, seed=i)
             for i in range(num_layers)

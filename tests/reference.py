@@ -431,6 +431,19 @@ def reference_segment_softmax(scores: np.ndarray, segment_ids: np.ndarray,
     return exp / (denom[segment_ids] + 1e-12)
 
 
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic forward as it stood before its branch-free form: both
+    branches evaluated, the clipped sign selecting with ``np.where``."""
+    clipped = np.clip(x, -60.0, 60.0)
+    exp_neg = np.exp(-np.abs(clipped))
+    return np.where(clipped >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
+
+
+def reference_leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    """Leaky-ReLU's forward before its branch-free form."""
+    return np.where(x > 0, x, slope * x)
+
+
 def reference_constraint_matrix(sample, num_segments: int) -> np.ndarray:
     """Row-buffer loop building one sample's dense (l_ρ, |V|) Eq. 16 mask:
     1.0 at an unobserved step; 0 off the fix's entry and its weights on it

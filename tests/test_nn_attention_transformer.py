@@ -86,7 +86,7 @@ class TestPositionalEncoding:
         assert not np.allclose(table[3], table[17])
 
     def test_module_adds_positions(self):
-        pe = nn.PositionalEncoding(8, max_len=16)
+        pe = nn.PositionalEncoding(8)
         x = Tensor(np.zeros((2, 5, 8)))
         out = pe(x).data
         assert np.allclose(out[0], sinusoidal_positions(16, 8)[:5])

@@ -53,18 +53,22 @@ class TestOutputHashes:
         ``compute_loss`` lines per city, one line per streamed update
         and finalize of each ``http-cold`` request (4 fixes) and three
         ``cache`` lines per ``http-cold`` request (submit, resubmit,
-        shifted), and a model built in memory hashes like the same weights
-        mapped read-only."""
+        shifted), ``variant`` lines for 14 other model families
+        (``encode`` + ``recover`` per ``http-cold`` request, one
+        ``compute_loss`` per city), and a model built in memory hashes like
+        the same weights mapped read-only."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
         assert lines == sorted(lines) and len(lines) == \
-            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3
+            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2)
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
-        training = {name for name in hashes if "/compute_loss@" in name}
+        variants = {name for name in hashes if "/variant/" in name}
+        assert len(variants) == 14 * (2 * 2 + 2)
+        training = {name for name in hashes if "/compute_loss@" in name} - variants
         assert len(training) == 3 * 3
         for name, digest in hashes.items():
             if name not in training:

@@ -23,7 +23,9 @@ later — with one ``cache`` line per response (its trajectory and its
 ablation, both ``weight_refinement`` variants and each learned baseline,
 untrained and seeded — gets ``variant`` lines: ``encode`` (node features
 included) and ``recover`` for the first few ``http-cold`` requests, and
-``compute_loss`` per city.
+``compute_loss`` per city.  One ``artifact`` line per city is its
+``CityArtifacts`` content hash (network arrays, grid sequences, k-hop
+closure, weights and X_road).
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -210,7 +212,10 @@ def hash_lines(seed: int, requests: int, metro_block: float):
             for city in workload.cities:
                 network = workload.networks[city.name]
                 built = RNTrajRec(network, small_model_config(32)).eval()
-                CityArtifacts.build(network, model=built).save(f"{scratch}/{city.name}")
+                artifacts = CityArtifacts.build(network, model=built)
+                lines.append(f"{name}/artifact/{city.name} "
+                             + artifacts.manifest["content_hash"])
+                artifacts.save(f"{scratch}/{city.name}")
                 mapped = ModelRegistry(artifacts=CityArtifacts.load(
                     f"{scratch}/{city.name}", mmap=True)).register_artifact_model()
                 models[city.name] = {"built": built, "mmap": mapped}

@@ -52,8 +52,12 @@ class Grid:
         """(row, col) indices of points, clamped to the grid boundary."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        col = np.clip(((x - self.x0) // self.cell_size).astype(np.int64), 0, self.cols - 1)
-        row = np.clip(((y - self.y0) // self.cell_size).astype(np.int64), 0, self.rows - 1)
+        # The ufunc pair is np.clip's result without its per-call np.iinfo
+        # lookups on int64 — this runs on every routed request.
+        col = np.minimum(np.maximum(
+            ((x - self.x0) // self.cell_size).astype(np.int64), 0), self.cols - 1)
+        row = np.minimum(np.maximum(
+            ((y - self.y0) // self.cell_size).astype(np.int64), 0), self.rows - 1)
         return row, col
 
     def flat_index(self, row, col) -> np.ndarray:
@@ -74,28 +78,76 @@ class Grid:
 
         Samples the polyline at ``step`` meters (default: half a cell) and
         collapses consecutive duplicates — the grid sequence S_i that feeds
-        GridGNN's grid GRU (Eq. 1).
+        GridGNN's grid GRU (Eq. 1).  The one-row call of
+        :meth:`traverse_polylines`.
         """
         polyline = np.asarray(polyline, dtype=np.float64)
-        if polyline.ndim != 2 or len(polyline) < 2:
+        _, rows, cols = self.traverse_polylines(
+            polyline, np.array([0, len(polyline)]), step)
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def traverse_polylines(self, points: np.ndarray, indptr: np.ndarray,
+                           step: float | None = None
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`traverse_polyline` for every polyline of a packed table
+        at once, as CSR ``(cell_indptr, rows, cols)``: polyline ``p`` is
+        ``points[indptr[p]:indptr[p+1]]`` and its cells are
+        ``rows[cell_indptr[p]:cell_indptr[p+1]]`` (and ``cols``).
+
+        Each polyline gets the one-row walk's floating-point sequence
+        exactly: its piece lengths are summed and accumulated as 2-D row
+        reductions over the polylines with the same piece count (bit-equal
+        to the 1-D calls); sample ``i`` of ``n`` is ``np.linspace``'s own
+        ``i · (total / (n - 1))``, the last one ``total`` (linspace's
+        zero-step branch yields the same zeros: the step is 0 only when
+        ``total`` is); and the piece a sample lies on —
+        ``searchsorted(cumulative, d, "right") - 1``, clipped — is the
+        count of the polyline's cumulative lengths at or below it, clipped
+        to its last piece.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        pieces = np.diff(indptr) - 1
+        if points.ndim != 2 or np.any(pieces < 1):
             raise ValueError("polyline must contain at least two vertices")
         step = step or self.cell_size / 2.0
+        n = len(pieces)
 
-        seg_vec = polyline[1:] - polyline[:-1]
-        seg_len = np.linalg.norm(seg_vec, axis=1)
-        total = float(seg_len.sum())
-        count = max(2, int(np.ceil(total / step)) + 1)
-        distances = np.linspace(0.0, total, count)
+        # Piece j of polyline p starts at vertex row indptr[p] + j; the
+        # difference rows that span two polylines are never read.
+        vectors = points[1:] - points[:-1]
+        lengths = np.linalg.norm(vectors, axis=1)
+        # reached[v]: the length of the polyline before its vertex v.
+        reached = np.zeros(len(points))
+        total = np.empty(n)
+        groups = [(k, np.flatnonzero(pieces == k)) for k in np.unique(pieces).tolist()]
+        for k, members in groups:
+            starts = indptr[members, None] + np.arange(k)
+            piece_lengths = lengths[starts]
+            total[members] = piece_lengths.sum(axis=1)
+            reached[starts + 1] = np.cumsum(piece_lengths, axis=1)
 
-        cumulative = np.concatenate([[0.0], np.cumsum(seg_len)])
-        indices = np.clip(np.searchsorted(cumulative, distances, side="right") - 1, 0, len(seg_len) - 1)
-        leftover = distances - cumulative[indices]
-        frac = leftover / np.maximum(seg_len[indices], 1e-12)
-        points = polyline[indices] + frac[:, None] * seg_vec[indices]
+        count = np.maximum(np.ceil(total / step).astype(np.int64) + 1, 2)
+        owner = np.repeat(np.arange(n), count)
+        first = np.cumsum(count) - count
+        distances = (np.arange(len(owner)) - first[owner]) * (total / (count - 1))[owner]
+        distances[first + count - 1] = total
 
-        rows, cols = self.cell_of(points[:, 0], points[:, 1])
-        cells: List[Tuple[int, int]] = []
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            if not cells or cells[-1] != (r, c):
-                cells.append((r, c))
-        return cells
+        piece = np.empty(len(owner), dtype=np.int64)
+        sample_pieces = pieces[owner]
+        for k, _ in groups:
+            taken = np.flatnonzero(sample_pieces == k)
+            ends = indptr[owner[taken], None] + np.arange(1, k + 1)
+            piece[taken] = np.minimum(
+                (reached[ends] <= distances[taken, None]).sum(axis=1), k - 1)
+        vertex = indptr[owner] + piece
+        frac = (distances - reached[vertex]) / np.maximum(lengths[vertex], 1e-12)
+        samples = points[vertex] + frac[:, None] * vectors[vertex]
+
+        rows, cols = self.cell_of(samples[:, 0], samples[:, 1])
+        keep = np.ones(len(owner), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        keep[first] = True
+        cell_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[keep], minlength=n), out=cell_indptr[1:])
+        return cell_indptr, rows[keep], cols[keep]

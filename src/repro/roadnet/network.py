@@ -135,6 +135,8 @@ class RoadNetwork:
         network.__dict__.update(
             _packed=arrays,
             _num_segments=len(arrays["poly_indptr"]) - 1,
+            _poly_table=(ints("poly_indptr"),
+                         np.asarray(arrays["poly_points"], dtype=np.float64)),
             _csr_out=(ints("out_indptr"), ints("out_indices"), ints("out_degree")),
             _geometry=(ints("geom_indptr"),
                        *np.asarray(arrays["geom_columns"], dtype=np.float64)),
@@ -156,13 +158,7 @@ class RoadNetwork:
         ``(5, m)`` and ``rtree_columns`` ``(4, n)``, C-contiguous, so each
         row maps out of an archive as one contiguous column.
         """
-        n = self.num_segments
-        counts = np.fromiter((len(s.polyline) for s in self.segments),
-                             dtype=np.int64, count=n)
-        poly_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=poly_indptr[1:])
-        poly_points = (np.concatenate([s.polyline for s in self.segments])
-                       if n else np.zeros((0, 2), dtype=np.float64))
+        poly_indptr, poly_points = self._polylines()
         out_indptr, out_indices, out_degree = self.csr_out_neighbors()
         in_indptr, in_indices, _ = csr_from_lists(self.in_neighbors)
         geom_indptr, *geom_columns = self._geometry_columns()
@@ -309,10 +305,35 @@ class RoadNetwork:
         self.__dict__.setdefault("_khop", {})[hops] = (
             np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64))
 
+    def _polylines(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(poly_indptr, poly_points)`` — every segment's polyline in one
+        ``(m, 2)`` point table, segment ``s``'s vertices at rows
+        ``indptr[s]:indptr[s+1]``.  Memoized: a built network packs its
+        segments once, a packed network reads the archive's own two
+        arrays; the grid walk, the boxes and the sub-segment columns are
+        array passes over it.  Treat it as read-only."""
+        cached = self.__dict__.get("_poly_table")
+        if cached is None:
+            counts = np.fromiter((len(s.polyline) for s in self.segments),
+                                 dtype=np.int64, count=len(self.segments))
+            indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            points = (np.concatenate([s.polyline for s in self.segments])
+                      if len(counts) else np.zeros((0, 2), dtype=np.float64))
+            cached = self.__dict__["_poly_table"] = (indptr, points)
+        return cached
+
+    def _segment_boxes(self) -> np.ndarray:
+        """``(V, 4)`` rows of :meth:`RoadSegment.bbox` — xmin, ymin, xmax,
+        ymax — for every segment, as two reductions over the point table."""
+        indptr, points = self._polylines()
+        return np.concatenate([np.minimum.reduceat(points, indptr[:-1]),
+                               np.maximum.reduceat(points, indptr[:-1])], axis=1)
+
     def bounds(self) -> Tuple[float, float, float, float]:
         cached = self.__dict__.get("_bounds")
         if cached is None:
-            boxes = np.asarray([s.bbox() for s in self.segments])
+            boxes = self._segment_boxes()
             cached = self.__dict__["_bounds"] = (
                 float(boxes[:, 0].min()),
                 float(boxes[:, 1].min()),
@@ -330,29 +351,29 @@ class RoadNetwork:
         """Padded ``(V, L)`` grid-cell index rows plus validity mask for
         ``grid`` — the GridGNN input matrices (Eq. 1), memoized per grid.
 
-        Walking every polyline through :meth:`Grid.traverse_polyline` is a
-        python loop over all segments, and the result is a static property
-        of geometry + grid; memoizing it here (rather than per encoder)
-        means N models/replicas over one network share one matrix pair,
-        and packed networks can preload the snapshot a
+        Row ``s`` is :meth:`Grid.traverse_polyline` of segment ``s``, all
+        rows walked at once by :meth:`Grid.traverse_polylines` over the
+        packed point table (a packed network never materializes its
+        segments for it).  The result is a static property of geometry +
+        grid; memoizing it here (rather than per encoder) means N
+        models/replicas over one network share one matrix pair, and packed
+        networks can preload the snapshot a
         :class:`~repro.roadnet.artifacts.CityArtifacts` bundle carries.
         Treat the returned arrays as read-only.
         """
         key = (grid.x0, grid.y0, grid.x1, grid.y1, grid.cell_size)
         cache = self.__dict__.setdefault("_grid_seq_cache", {})
         if key not in cache:
-            sequences: List[np.ndarray] = []
-            for segment in self.segments:
-                cells = grid.traverse_polyline(segment.polyline)
-                flat = np.asarray([grid.flat_index(r, c) for r, c in cells],
-                                  dtype=np.int64)
-                sequences.append(flat)
-            max_len = max((len(s) for s in sequences), default=1)
-            seq = np.zeros((self.num_segments, max_len), dtype=np.int64)
-            mask = np.zeros((self.num_segments, max_len), dtype=np.float64)
-            for i, row in enumerate(sequences):
-                seq[i, : len(row)] = row
-                mask[i, : len(row)] = 1.0
+            indptr, points = self._polylines()
+            cells, rows, cols = grid.traverse_polylines(points, indptr)
+            lengths = np.diff(cells)
+            n = self.num_segments
+            seq = np.zeros((n, int(lengths.max()) if n else 1), dtype=np.int64)
+            mask = np.zeros(seq.shape, dtype=np.float64)
+            owner = np.repeat(np.arange(n), lengths)
+            rank = np.arange(len(owner)) - cells[owner]
+            seq[owner, rank] = grid.flat_index(rows, cols)
+            mask[owner, rank] = 1.0
             cache[key] = (seq, mask)
         return cache[key]
 
@@ -394,8 +415,7 @@ class RoadNetwork:
     def rtree(self) -> RTree:
         cached = self.__dict__.get("_rtree")
         if cached is None:
-            cached = self.__dict__["_rtree"] = RTree(
-                np.asarray([s.bbox() for s in self.segments]))
+            cached = self.__dict__["_rtree"] = RTree(self._segment_boxes())
         return cached
 
     def _geometry_columns(self) -> Tuple[np.ndarray, ...]:
@@ -407,12 +427,14 @@ class RoadNetwork:
         use, stored as is in the archive."""
         cached = self.__dict__.get("_geometry")
         if cached is None:
-            counts = np.fromiter((len(s.polyline) - 1 for s in self.segments),
-                                 dtype=np.int64, count=len(self.segments))
-            indptr = np.zeros(len(self.segments) + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            starts = np.concatenate([s.polyline[:-1] for s in self.segments])
-            vectors = np.concatenate([s.polyline[1:] for s in self.segments]) - starts
+            poly_indptr, points = self._polylines()
+            # Every vertex but each polyline's last starts a sub-segment.
+            opens = np.ones(len(points), dtype=bool)
+            opens[poly_indptr[1:] - 1] = False
+            rows = np.flatnonzero(opens)
+            starts = points[rows]
+            vectors = points[rows + 1] - starts
+            indptr = poly_indptr - np.arange(len(poly_indptr))
             vx, vy = np.ascontiguousarray(vectors.T)
             cached = self.__dict__["_geometry"] = (
                 indptr, *np.ascontiguousarray(starts.T), vx, vy,

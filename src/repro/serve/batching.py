@@ -191,6 +191,16 @@ class ContinuousScheduler:
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
+        try:
+            self._rounds()
+        finally:
+            # The owner's bound prepare/finish hooks close a reference
+            # cycle (owner -> scheduler -> owner): dropping them once the
+            # worker is gone lets reference counting free a closed owner,
+            # its models and road network, without a cyclic-GC pass.
+            self._prepare = self._finish = None
+
+    def _rounds(self) -> None:
         while True:
             with self._cond:
                 while (not self._queue and not self._inflight

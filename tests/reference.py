@@ -20,6 +20,7 @@ from repro.core.config import RNTrajRecConfig
 from repro.core.decoder import DecodeConstraint, GreedyCarry, _sigmoid
 from repro.core.subgraph_gen import PointSubGraph, SubGraphBatch
 from repro.geo.distance import gaussian_weight, project_point_to_polyline
+from repro.geo.grid import Grid
 from repro.nn.graph import ragged_positions
 from repro.nn.tensor import Tensor
 from repro.roadnet.network import RoadNetwork
@@ -108,6 +109,56 @@ def reference_scan_order(bboxes: np.ndarray, leaf_capacity: int = 16) -> np.ndar
     return np.asarray(
         reference_query_rect(bboxes, (-inf, -inf, inf, inf), leaf_capacity),
         dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# Grid-cell walk: one polyline at a time
+# ----------------------------------------------------------------------
+
+
+def reference_traverse_polyline(grid: Grid, polyline: np.ndarray,
+                                step: Optional[float] = None) -> List[Tuple[int, int]]:
+    """The original ``Grid.traverse_polyline``: sample one polyline at
+    ``step`` meters (default half a cell) and collapse consecutive
+    duplicate cells."""
+    polyline = np.asarray(polyline, dtype=np.float64)
+    step = step or grid.cell_size / 2.0
+
+    seg_vec = polyline[1:] - polyline[:-1]
+    seg_len = np.linalg.norm(seg_vec, axis=1)
+    total = float(seg_len.sum())
+    count = max(2, int(np.ceil(total / step)) + 1)
+    distances = np.linspace(0.0, total, count)
+
+    cumulative = np.concatenate([[0.0], np.cumsum(seg_len)])
+    indices = np.clip(np.searchsorted(cumulative, distances, side="right") - 1, 0, len(seg_len) - 1)
+    leftover = distances - cumulative[indices]
+    frac = leftover / np.maximum(seg_len[indices], 1e-12)
+    points = polyline[indices] + frac[:, None] * seg_vec[indices]
+
+    rows, cols = grid.cell_of(points[:, 0], points[:, 1])
+    cells: List[Tuple[int, int]] = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if not cells or cells[-1] != (r, c):
+            cells.append((r, c))
+    return cells
+
+
+def reference_grid_sequences(network: RoadNetwork, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """The original ``RoadNetwork.grid_sequences``: walk each segment's
+    polyline in turn and pad the flat cell rows into ``(V, L)``."""
+    sequences: List[np.ndarray] = []
+    for segment in network.segments:
+        cells = reference_traverse_polyline(grid, segment.polyline)
+        sequences.append(np.asarray([grid.flat_index(r, c) for r, c in cells],
+                                    dtype=np.int64))
+    max_len = max((len(s) for s in sequences), default=1)
+    seq = np.zeros((network.num_segments, max_len), dtype=np.int64)
+    mask = np.zeros((network.num_segments, max_len), dtype=np.float64)
+    for i, row in enumerate(sequences):
+        seq[i, : len(row)] = row
+        mask[i, : len(row)] = 1.0
+    return seq, mask
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,19 @@ class TestGrid:
         row, col = grid.cell_of(-10.0, 500.0)
         assert row == 1 and col == 0
 
+    def test_cell_of_equals_np_clip_outside_the_grid_on_every_side(self):
+        grid = Grid(-30.0, 20.0, 470.0, 370.0, cell_size=50.0)
+        xs = np.array([-1e6, -31.0, -30.0, 0.0, 219.9, 469.99, 470.0, 900.0, 1e9])
+        ys = np.array([-1e9, 19.0, 20.0, 100.0, 369.99, 370.0, 371.0, 5e3, 1e6])
+        x, y = (a.ravel() for a in np.meshgrid(xs, ys))
+        row, col = grid.cell_of(x, y)
+        want_col = np.clip(((x - grid.x0) // grid.cell_size).astype(np.int64), 0, grid.cols - 1)
+        want_row = np.clip(((y - grid.y0) // grid.cell_size).astype(np.int64), 0, grid.rows - 1)
+        assert np.array_equal(row, want_row) and np.array_equal(col, want_col)
+        assert row.dtype == col.dtype == np.int64
+        assert {0, grid.rows - 1} <= set(row.tolist())
+        assert {0, grid.cols - 1} <= set(col.tolist())
+
     def test_flat_index_bijective(self):
         grid = Grid(0.0, 0.0, 200.0, 200.0, cell_size=50.0)
         seen = set()

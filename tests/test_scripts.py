@@ -55,15 +55,16 @@ class TestOutputHashes:
         ``cache`` lines per ``http-cold`` request (submit, resubmit,
         shifted), ``variant`` lines for 14 other model families
         (``encode`` + ``recover`` per ``http-cold`` request, one
-        ``compute_loss`` per city), and a model built in memory hashes like
-        the same weights mapped read-only."""
+        ``compute_loss`` per city), one ``artifact`` content hash per city,
+        and a model built in memory hashes like the same weights mapped
+        read-only."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
         assert lines == sorted(lines) and len(lines) == \
-            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2)
+            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
         variants = {name for name in hashes if "/variant/" in name}
@@ -75,6 +76,9 @@ class TestOutputHashes:
                 assert digest == hashes[name.replace("/built/", "/mmap/")]
         assert any(name.startswith("metro-burst/") for name in hashes)
         assert sum(name.endswith("/stream/finalize") for name in hashes) == 2
+        assert sorted(name for name in hashes if "/artifact/" in name) == [
+            "http-cold/artifact/chengdu", "http-cold/artifact/porto",
+            "metro-burst/artifact/metro"]
 
 
 class TestCheckDocs:

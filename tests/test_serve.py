@@ -1,12 +1,17 @@
 """Tests for the ``repro.serve`` online recovery subsystem."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import reference
-from repro.cluster import Shard, ShardSpec
+from repro.cluster import RecoveryCluster, Shard, ShardSpec, side_by_side
 from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.datasets import load_dataset
+from repro.datasets import get_spec, load_dataset
+from repro.roadnet import generate_city
+from repro.stream import StreamingCluster
 from repro.serve import (
     LRUCache,
     ModelRegistry,
@@ -223,6 +228,51 @@ class TestRecoveryService:
         gauges = shard.stats()
         shard.close()
         assert (gauges["cache_size"], gauges["cache_capacity"]) == (0, 1024)
+
+
+class TestClosedOwnerIsFreed:
+    """A closed owner of a scheduler — a ``RecoveryService``, an inproc
+    ``RecoveryCluster``, a ``StreamingCluster`` over one — is freed by
+    reference counting alone: with the cyclic GC off, its model and road
+    network die with the last reference to it."""
+
+    @staticmethod
+    def _serve(owner, network, model, request):
+        """Serve ``request`` through a fresh ``owner`` and close it."""
+        if owner == "service":
+            service = RecoveryService.from_model(model)
+            service.recover(request, timeout=120.0)
+            service.close()
+            return
+        cluster = RecoveryCluster(side_by_side(["chengdu"]),
+                                  network_factory=lambda spec: network,
+                                  model_factory=lambda spec, net: model)
+        if owner == "cluster":
+            cluster.recover(request, timeout=120.0)
+        else:
+            streaming = StreamingCluster(cluster)
+            session_id, _ = streaming.open()
+            streaming.append(session_id, request.xy, request.times)
+            streaming.finalize(session_id)
+            streaming.close()
+        cluster.close()
+
+    @pytest.mark.parametrize("owner", ["service", "cluster", "streaming"])
+    def test_model_and_network_die_with_the_closed_owner(self, data, owner):
+        # A network of its own: load_dataset's networks are memoized.
+        network = generate_city(get_spec("chengdu").city)
+        model = RNTrajRec(network, RNTrajRecConfig(
+            hidden_dim=16, num_heads=2, dropout=0.0, receptive_delta=300.0,
+            max_subgraph_nodes=24)).eval()
+        alive = (weakref.ref(network), weakref.ref(model))
+        gc.collect()
+        gc.disable()
+        try:
+            self._serve(owner, network, model, _request(data.test[0]))
+            del network, model
+            assert [ref() for ref in alive] == [None, None]
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from repro import nn
@@ -24,10 +25,10 @@ from repro.core.decoder import (
 )
 from repro.core.subgraph_gen import SubGraphGenerator
 from repro.datasets import get_spec
-from repro.geo import RTree
+from repro.geo import Grid, RTree
 from repro.nn.graph import ragged_positions
 from repro.nn.tensor import Tensor, no_grad, scatter_sum_array
-from repro.roadnet import CityConfig, generate_city
+from repro.roadnet import CityArtifacts, CityConfig, RoadNetwork, generate_city
 from repro.trajectory import (
     DatasetConfig,
     SimulationConfig,
@@ -45,6 +46,13 @@ CFG = RNTrajRecConfig(hidden_dim=16, num_heads=2, max_subgraph_nodes=24,
 def city():
     return generate_city(CityConfig(width=1200, height=1200, block=250,
                                     minor_fraction=0.5, seed=9))
+
+
+@pytest.fixture(scope="module")
+def metro():
+    network = generate_city(replace(get_spec("chengdu").city, block=40.0))
+    assert network.num_segments == 11_880
+    return network
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +80,7 @@ class TestScanIndex:
         return np.concatenate([mins, mins + rng.uniform(0, 80, size=(n, 2))], axis=1)
 
     @pytest.fixture(scope="class")
-    def metro_boxes(self):
-        metro = generate_city(replace(get_spec("chengdu").city, block=40.0))
-        assert metro.num_segments == 11_880
+    def metro_boxes(self, metro):
         return np.asarray([s.bbox() for s in metro.segments])
 
     # n <= capacity, n = capacity + 1, non-square leaf counts (13, 17, 129).
@@ -101,6 +107,96 @@ class TestScanIndex:
                 want = reference.reference_query_rect(metro_boxes, rect)
                 assert ids[indptr[q]:indptr[q + 1]].tolist() == want
                 assert tree.query_radius(x, y, radius) == want
+
+
+def _bytes_equal(a, b):
+    """Same dtype, shape and bytes (so -0.0 and 0.0 differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_COORD = st.floats(-120.0, 620.0, allow_nan=False)
+_HALF_CELLS = st.integers(-6, 6).map(lambda k: 25.0 * k)  # the default step
+_MOVE = st.one_of(
+    st.just((0.0, 0.0)),                   # a repeated vertex: a zero-length piece
+    st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+    st.tuples(_HALF_CELLS, st.just(0.0)),  # lengths at exact multiples
+    st.tuples(st.just(0.0), _HALF_CELLS),  # of the half-cell step
+)
+_POLYLINE = st.one_of(
+    st.builds(lambda start, moves: np.cumsum([start, *moves], axis=0),
+              st.one_of(st.tuples(_COORD, _COORD),
+                        st.tuples(_HALF_CELLS, _HALF_CELLS)),
+              st.lists(_MOVE, min_size=1, max_size=19)),
+    st.builds(lambda vertex, n: np.repeat([vertex], n, axis=0),  # all equal
+              st.tuples(_COORD, _COORD), st.integers(2, 20)),
+)
+
+
+class TestGridWalk:
+    """``Grid.traverse_polylines`` walks every polyline of a packed table
+    at once; each row must be the one-polyline loop's cells exactly, and
+    ``grid_sequences`` the padded matrices that loop built."""
+
+    @pytest.mark.parametrize("name", ["chengdu", "porto", "metro"])
+    def test_grid_sequences_equal_the_per_segment_loop(self, name, metro):
+        network = metro if name == "metro" else generate_city(get_spec(name).city)
+        grid = network.make_grid()
+        want = reference.reference_grid_sequences(network, grid)
+        got = network.grid_sequences(grid)
+        assert all(_bytes_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_POLYLINE, min_size=1, max_size=8))
+    def test_packed_walk_equals_the_loop_on_random_polylines(self, polylines):
+        grid = Grid(0.0, 0.0, 500.0, 400.0, cell_size=50.0)
+        indptr = np.cumsum([0] + [len(p) for p in polylines])
+        cells, rows, cols = grid.traverse_polylines(np.concatenate(polylines), indptr)
+        for p, polyline in enumerate(polylines):
+            want = reference.reference_traverse_polyline(grid, polyline)
+            span = slice(cells[p], cells[p + 1])
+            assert list(zip(rows[span].tolist(), cols[span].tolist())) == want
+            assert grid.traverse_polyline(polyline) == want
+
+    def test_a_mapped_network_walks_a_foreign_grid_without_segments(self, city):
+        mapped = CityArtifacts.build(city).network()
+        grid = city.make_grid(cell_size=75.0)
+        seq, mask = mapped.grid_sequences(grid)
+        assert "segments" not in mapped.__dict__
+        want = reference.reference_grid_sequences(city, grid)
+        assert _bytes_equal(seq, want[0]) and _bytes_equal(mask, want[1])
+
+
+class TestSegmentBoxes:
+    """Boxes, bounds and sub-segment columns come from array passes over
+    the packed point table; each must equal its per-segment build."""
+
+    @pytest.mark.parametrize("name", ["chengdu", "metro"])
+    def test_bounds_and_scan_index_equal_a_per_segment_bbox_build(self, name, metro):
+        network = metro if name == "metro" else generate_city(get_spec(name).city)
+        boxes = np.asarray([s.bbox() for s in network.segments])
+        want = RTree(boxes)
+        assert _bytes_equal(network.rtree.order, want.order)
+        assert _bytes_equal(network.rtree.columns, want.columns)
+        assert network.bounds() == (float(boxes[:, 0].min()), float(boxes[:, 1].min()),
+                                    float(boxes[:, 2].max()), float(boxes[:, 3].max()))
+
+    def test_geometry_columns_equal_the_per_segment_concatenation(self, metro):
+        polylines = [s.polyline for s in metro.segments]
+        starts = np.concatenate([p[:-1] for p in polylines])
+        vectors = np.concatenate([p[1:] for p in polylines]) - starts
+        indptr, x0, y0, vx, vy, length2 = metro._geometry_columns()
+        assert _bytes_equal(indptr, np.cumsum([0] + [len(p) - 1 for p in polylines]))
+        for got, want in zip((x0, y0, vx, vy), (*starts.T, *vectors.T)):
+            assert _bytes_equal(got, np.ascontiguousarray(want))
+        assert _bytes_equal(length2, np.maximum(vx ** 2 + vy ** 2, 1e-12))
+
+    def test_packed_network_reads_the_exported_table(self, city):
+        arrays = city.export_arrays()
+        mapped = RoadNetwork.from_arrays(arrays)
+        for got, want in zip(mapped._polylines(), (arrays["poly_indptr"],
+                                                    arrays["poly_points"])):
+            assert np.shares_memory(got, want)
 
 
 class TestRaggedPositions:

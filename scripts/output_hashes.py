@@ -25,7 +25,10 @@ untrained and seeded — gets ``variant`` lines: ``encode`` (node features
 included) and ``recover`` for the first few ``http-cold`` requests, and
 ``compute_loss`` per city.  One ``artifact`` line per city is its
 ``CityArtifacts`` content hash (network arrays, grid sequences, k-hop
-closure, weights and X_road).
+closure, weights and X_road), and one ``network`` line per dataset recipe
+(plus the metro at 125 m blocks) the content hash of its generated
+network's ``export_arrays()``, so a generator branch only another recipe
+takes still moves a line.
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -50,9 +53,10 @@ from repro.baselines import BASELINE_NAMES, DHTRRecovery, build_baseline  # noqa
 from repro.cluster import RecoveryCluster, ShardMap  # noqa: E402
 from repro.core import RNTrajRec  # noqa: E402
 from repro.core.decoder import DecodeConstraint, interpolation_prior  # noqa: E402
-from repro.datasets import get_spec  # noqa: E402
+from repro.datasets import dataset_names, get_spec  # noqa: E402
 from repro.experiments.harness import small_model_config  # noqa: E402
-from repro.roadnet import CityArtifacts  # noqa: E402
+from repro.roadnet import CityArtifacts, generate_city  # noqa: E402
+from repro.roadnet.artifacts import content_hash  # noqa: E402
 from repro.serve import ModelRegistry, RecoveryRequest, ServeConfig  # noqa: E402
 from repro.serve.request import assemble_sample  # noqa: E402
 from repro.stream import StreamingCluster  # noqa: E402
@@ -202,8 +206,17 @@ def variant_lines(workload, ingest, seed: int, requests: int):
     return lines
 
 
+def network_lines():
+    """The generated network's ``export_arrays()`` per dataset recipe, and
+    the metro at 125 m blocks."""
+    cities = {name: get_spec(name).city for name in dataset_names()}
+    cities["metro@125"] = replace(get_spec("chengdu").city, block=125.0)
+    return [f"network/{name} {content_hash(generate_city(city).export_arrays())}"
+            for name, city in cities.items()]
+
+
 def hash_lines(seed: int, requests: int, metro_block: float):
-    lines = []
+    lines = network_lines()
     for name in ("metro-burst", "http-cold"):
         workload = workloads.generate(name, seed, SECONDS, metro_block)
         nn.init.seed_everything(seed)  # the ledger's untrained weights

@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import nn, profile
 from ..nn import functional as F
-from ..nn.graph import ragged_positions
+from ..nn.graph import ragged_positions, sort_unique
 from ..nn.tensor import Tensor, sigmoid_array as _sigmoid  # Tensor.sigmoid's own forward
 from ..trajectory.dataset import Batch
 from .config import RNTrajRecConfig
@@ -550,11 +550,9 @@ def _prior_support(points: np.ndarray, network, scale: float, floor: float):
     the scan index cut to the union box of their query squares, a bbox test
     per point over what is left, one batched, cache-blocked distance pass
     (bit-equal to a per-point loop)."""
-    _, first, inverse = np.unique(points, axis=0, return_index=True,
-                                  return_inverse=True)
+    first, inverse = sort_unique(points, return_index=True)
     indptr, ids, dists = network.segments_within_batch(
         points[first], _prior_radius(scale, floor))
-    inverse = inverse.reshape(-1)
     return (indptr[inverse], indptr[inverse + 1], ids,
             _prior_weights(dists, scale, floor))
 

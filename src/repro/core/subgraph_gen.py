@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import profile
 from ..geo.distance import gaussian_weight
-from ..nn.graph import edge_targets, ragged_positions, sorted_lookup
+from ..nn.graph import edge_targets, ragged_positions, sort_unique, sorted_lookup
 from ..nn.tensor import Segments
 from ..roadnet.network import RoadNetwork
 from .config import RNTrajRecConfig
@@ -264,19 +264,15 @@ class SubGraphGenerator:
             flat = xy.reshape(-1, 2)
             # 1 m quantization, matching point_subgraph's cache key; points
             # sharing a key are built (and stored) once per batch.  The two
-            # coordinates pack into one int64 so the dedupe is a fast 1-D
-            # unique (axis=0 unique is an order of magnitude slower).
+            # coordinates pack into one int64, the arena's key.
             quantized = np.round(flat).astype(np.int64)
             if np.abs(quantized).max(initial=0) < 2**31:
                 packed = quantized[:, 0] * (2**32) + quantized[:, 1]
-                unique_keys, first, inverse = np.unique(
-                    packed, return_index=True, return_inverse=True)
+                first, inverse = sort_unique(packed, return_index=True)
+                unique_keys = packed[first]
             else:  # coordinates beyond ±2^31 m: fall back to row-wise unique
                 unique_keys = None
-                _, first, inverse = np.unique(quantized, axis=0,
-                                              return_index=True,
-                                              return_inverse=True)
-            inverse = inverse.reshape(-1)
+                first, inverse = sort_unique(quantized, return_index=True)
             slots = self._resolve_slots(unique_keys, quantized[first])
             node_indptr, seg_stack, weight_stack, edge_indptr, edge_stack = (
                 self._stacks())

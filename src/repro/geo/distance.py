@@ -10,9 +10,11 @@ lat/lon data could be plugged in unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
+
+from ..nn.graph import sort_unique
 
 EARTH_RADIUS_M = 6_371_008.8
 
@@ -115,6 +117,43 @@ def point_along_polyline(polyline: np.ndarray, ratio: float) -> np.ndarray:
 def polyline_length(polyline: np.ndarray) -> float:
     polyline = np.asarray(polyline, dtype=np.float64)
     return float(np.linalg.norm(polyline[1:] - polyline[:-1], axis=1).sum())
+
+
+@dataclass(frozen=True)
+class PolylineMeasures:
+    """Piece geometry of a packed polyline table ``(points, indptr)``:
+    polyline ``p`` is ``points[indptr[p]:indptr[p+1]]`` and its piece ``j``
+    starts at vertex row ``indptr[p] + j`` (the difference rows that span
+    two polylines are never read)."""
+
+    vectors: np.ndarray   # (m - 1, 2) vertex differences
+    lengths: np.ndarray   # (m - 1,) their norms
+    reached: np.ndarray   # (m,) the polyline's length before each vertex
+    total: np.ndarray     # (n,) each polyline's length
+    groups: List[Tuple[int, np.ndarray]]  # (piece count, its polylines)
+
+
+def measure_polylines(points: np.ndarray, indptr: np.ndarray) -> PolylineMeasures:
+    """:class:`PolylineMeasures` of a packed table.  Piece lengths are
+    summed and accumulated as 2-D row reductions over the polylines with
+    the same piece count, so ``total[p]`` is bit-equal to
+    :func:`polyline_length` of polyline ``p`` (and ``reached`` to its
+    ``np.cumsum``)."""
+    pieces = np.diff(indptr) - 1
+    if points.ndim != 2 or np.any(pieces < 1):
+        raise ValueError("polyline must contain at least two vertices")
+    vectors = points[1:] - points[:-1]
+    lengths = np.linalg.norm(vectors, axis=1)
+    reached = np.zeros(len(points))
+    total = np.empty(len(pieces))
+    groups = [(k, np.flatnonzero(pieces == k))
+              for k in sort_unique(pieces).tolist()]
+    for k, members in groups:
+        starts = indptr[members, None] + np.arange(k)
+        piece_lengths = lengths[starts]
+        total[members] = piece_lengths.sum(axis=1)
+        reached[starts + 1] = np.cumsum(piece_lengths, axis=1)
+    return PolylineMeasures(vectors, lengths, reached, total, groups)
 
 
 def bearing(p: np.ndarray, q: np.ndarray) -> float:

@@ -12,6 +12,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .distance import PolylineMeasures, measure_polylines
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -87,45 +89,34 @@ class Grid:
         return list(zip(rows.tolist(), cols.tolist()))
 
     def traverse_polylines(self, points: np.ndarray, indptr: np.ndarray,
-                           step: float | None = None
+                           step: float | None = None,
+                           measures: PolylineMeasures | None = None
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`traverse_polyline` for every polyline of a packed table
         at once, as CSR ``(cell_indptr, rows, cols)``: polyline ``p`` is
         ``points[indptr[p]:indptr[p+1]]`` and its cells are
         ``rows[cell_indptr[p]:cell_indptr[p+1]]`` (and ``cols``).
+        ``measures`` is the table's :func:`measure_polylines`, if the
+        caller holds it.
 
         Each polyline gets the one-row walk's floating-point sequence
-        exactly: its piece lengths are summed and accumulated as 2-D row
-        reductions over the polylines with the same piece count (bit-equal
-        to the 1-D calls); sample ``i`` of ``n`` is ``np.linspace``'s own
-        ``i · (total / (n - 1))``, the last one ``total`` (linspace's
-        zero-step branch yields the same zeros: the step is 0 only when
-        ``total`` is); and the piece a sample lies on —
+        exactly: its piece lengths and their running sums are the 1-D
+        calls' (:func:`measure_polylines`); sample ``i`` of ``n`` is
+        ``np.linspace``'s own ``i · (total / (n - 1))``, the last one
+        ``total`` (linspace's zero-step branch yields the same zeros: the
+        step is 0 only when ``total`` is); and the piece a sample lies on —
         ``searchsorted(cumulative, d, "right") - 1``, clipped — is the
         count of the polyline's cumulative lengths at or below it, clipped
         to its last piece.
         """
         points = np.asarray(points, dtype=np.float64)
         indptr = np.asarray(indptr, dtype=np.int64)
+        measured = measures or measure_polylines(points, indptr)
+        vectors, lengths, reached, total = (
+            measured.vectors, measured.lengths, measured.reached, measured.total)
         pieces = np.diff(indptr) - 1
-        if points.ndim != 2 or np.any(pieces < 1):
-            raise ValueError("polyline must contain at least two vertices")
         step = step or self.cell_size / 2.0
         n = len(pieces)
-
-        # Piece j of polyline p starts at vertex row indptr[p] + j; the
-        # difference rows that span two polylines are never read.
-        vectors = points[1:] - points[:-1]
-        lengths = np.linalg.norm(vectors, axis=1)
-        # reached[v]: the length of the polyline before its vertex v.
-        reached = np.zeros(len(points))
-        total = np.empty(n)
-        groups = [(k, np.flatnonzero(pieces == k)) for k in np.unique(pieces).tolist()]
-        for k, members in groups:
-            starts = indptr[members, None] + np.arange(k)
-            piece_lengths = lengths[starts]
-            total[members] = piece_lengths.sum(axis=1)
-            reached[starts + 1] = np.cumsum(piece_lengths, axis=1)
 
         count = np.maximum(np.ceil(total / step).astype(np.int64) + 1, 2)
         owner = np.repeat(np.arange(n), count)
@@ -135,7 +126,7 @@ class Grid:
 
         piece = np.empty(len(owner), dtype=np.int64)
         sample_pieces = pieces[owner]
-        for k, _ in groups:
+        for k, _ in measured.groups:
             taken = np.flatnonzero(sample_pieces == k)
             ends = indptr[owner[taken], None] + np.arange(1, k + 1)
             piece[taken] = np.minimum(

@@ -31,22 +31,21 @@ def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.concatenate([edge_index, np.stack([loops, loops])], axis=1)
 
 
-def csr_from_lists(neighbor_lists) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, degree) CSR arrays from per-node adjacency lists.
+def csr_from_pairs(rows: np.ndarray, cols: np.ndarray,
+                   num_nodes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, degree) CSR arrays of the pairs ``(rows[k],
+    cols[k])`` grouped by row, each row's entries in pair order.
 
     The array form every vectorized adjacency consumer gathers from; node
-    ``s``'s neighbors are ``indices[indptr[s]:indptr[s+1]]``.
+    ``s``'s neighbors are ``indices[indptr[s]:indptr[s+1]]`` — the
+    adjacency lists one pass over the pairs appends to.
     """
-    n = len(neighbor_lists)
-    degree = np.fromiter((len(nbrs) for nbrs in neighbor_lists),
-                         dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    degree = np.bincount(rows, minlength=num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
-    indices = np.fromiter(
-        (v for nbrs in neighbor_lists for v in nbrs),
-        dtype=np.int64, count=int(degree.sum()),
-    )
-    return indptr, indices, degree
+    return indptr, np.asarray(cols, dtype=np.int64)[
+        np.argsort(rows, kind="stable")], degree
 
 
 def sorted_lookup(haystack: np.ndarray,
@@ -65,6 +64,37 @@ def sorted_lookup(haystack: np.ndarray,
     positions = np.minimum(np.searchsorted(haystack, needles),
                            len(haystack) - 1)
     return haystack[positions] == needles, positions
+
+
+def sort_unique(keys: np.ndarray, return_index: bool = False):
+    """``np.unique`` by a sort and a neighbour-inequality mask.
+
+    Without ``return_index``: the sorted distinct values of 1-D ``keys``
+    (one unstable sort — the k-hop closure's frontier dedupe).  With it:
+    ``(first, inverse)`` — ``np.unique(keys, [axis=0,] return_index=True,
+    return_inverse=True)[1:]``, groups in its (lexicographic, for rows)
+    order: a stable sort (``np.lexsort`` for ``(n, k)`` rows), so ``first``
+    is each group's first occurrence, and ``inverse`` is 1-D.  Keys that
+    compare equal group together (``-0.0`` with ``0.0``), as in
+    ``np.unique``.  numpy 2.4's own version hashes 1-D keys (100 k int64:
+    26 ms against a 0.8 ms sort, 2 vCPUs) and sorts rows as records
+    (4–64 float rows: 57–78 µs against 15–19 µs here).
+    """
+    keys = np.asarray(keys)
+    if not return_index:
+        ordered = np.sort(keys)
+    else:
+        order = (np.argsort(keys, kind="stable") if keys.ndim == 1
+                 else np.lexsort(keys.T[::-1]))
+        ordered = keys[order]
+    distinct = np.ones(len(ordered), dtype=bool)
+    changed = ordered[1:] != ordered[:-1]
+    distinct[1:] = changed if changed.ndim == 1 else changed.any(axis=1)
+    if not return_index:
+        return ordered[distinct]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(distinct) - 1
+    return order[distinct], inverse
 
 
 def ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

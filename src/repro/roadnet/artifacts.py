@@ -48,6 +48,8 @@ import hashlib
 import json
 import logging
 import os
+import shutil
+import tempfile
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -145,11 +147,31 @@ class CityArtifacts:
         return cls(arrays, manifest)
 
     def save(self, directory: str) -> str:
-        """Write ``city.npz`` + ``manifest.json`` under ``directory``."""
-        os.makedirs(directory, exist_ok=True)
-        save_archive(self.arrays, os.path.join(directory, ARCHIVE_NAME))
-        with open(os.path.join(directory, MANIFEST_NAME), "w") as handle:
-            json.dump(self.manifest, handle, indent=1)
+        """Publish ``city.npz`` + ``manifest.json`` under ``directory``.
+
+        The pair is written into a fresh directory beside the target and
+        moved in by renames, the old manifest unlinked first and the new
+        one moved last: a published archive is never opened for writing
+        (a live mapping of it keeps its bytes), and a reader finds the old
+        pair, the new pair, or no manifest — a cache miss — never an
+        archive beside another build's manifest.
+        """
+        target = os.path.abspath(directory)
+        os.makedirs(target, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=f".{os.path.basename(target)}-",
+                                   dir=os.path.dirname(target))
+        try:
+            save_archive(self.arrays, os.path.join(staging, ARCHIVE_NAME))
+            with open(os.path.join(staging, MANIFEST_NAME), "w") as handle:
+                json.dump(self.manifest, handle, indent=1)
+            try:
+                os.unlink(os.path.join(target, MANIFEST_NAME))
+            except FileNotFoundError:
+                pass
+            for name in (ARCHIVE_NAME, MANIFEST_NAME):
+                os.replace(os.path.join(staging, name), os.path.join(target, name))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
         self.directory = directory
         return directory
 
@@ -169,14 +191,23 @@ class CityArtifacts:
         benchmarks compare against.  ``verify=True`` re-hashes the arrays
         against the manifest (reads every byte; off by default).
         """
-        with open(os.path.join(directory, MANIFEST_NAME)) as handle:
+        manifest_path = os.path.join(directory, MANIFEST_NAME)
+        with open(manifest_path) as handle:
             manifest = json.load(handle)
+            published = os.fstat(handle.fileno())
         found = manifest.get("format") if isinstance(manifest, dict) else None
         if found != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported artifact format {found!r} "
                 f"in {directory} (expected {FORMAT_VERSION})")
         arrays = load_archive(os.path.join(directory, ARCHIVE_NAME), mmap=mmap)
+        try:  # a save in between swapped the pair under this manifest
+            current = os.stat(manifest_path)
+        except FileNotFoundError:
+            current = None
+        if current is None or not os.path.samestat(published, current):
+            raise ValueError(f"artifact bundle in {directory} was replaced "
+                             "while loading")
         if verify and content_hash(arrays) != manifest.get("content_hash"):
             raise ValueError(f"artifact content hash mismatch in {directory}")
         return cls(arrays, manifest, directory)

@@ -21,11 +21,12 @@ U-turns onto the paired opposite segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .network import RoadNetwork, RoadSegment
+from ..nn.graph import ragged_positions, sorted_lookup
+from .network import RoadNetwork
 
 _NODE_QUANT = 0.5  # meters; endpoints are snapped to this before matching
 
@@ -46,180 +47,175 @@ class CityConfig:
     allow_u_turn: bool = False
 
 
-def _key(point: np.ndarray) -> Tuple[int, int]:
-    return (int(round(point[0] / _NODE_QUANT)), int(round(point[1] / _NODE_QUANT)))
-
-
-class _Builder:
-    """Accumulates directed segments and derives connectivity."""
+class _Pairs:
+    """Roads as arrays, every one two-way: road ``p`` becomes segment
+    ``2p`` along its polyline and ``2p + 1`` back along it (its U-turn
+    partner).  Roads are numbered by ``key``, which is their place in the
+    generator's segment order."""
 
     def __init__(self) -> None:
-        self.polylines: List[np.ndarray] = []
-        self.levels: List[int] = []
-        self.elevated: List[bool] = []
-        self.layers: List[int] = []  # 0 = ground, 1 = elevated deck
-        self.opposite: Dict[int, int] = {}
+        self.chunks: List[Tuple[np.ndarray, ...]] = []
+        self.next_key = 0
 
-    def add_one_way(self, polyline: np.ndarray, level: int, elevated: bool, layer: int) -> int:
-        sid = len(self.polylines)
-        self.polylines.append(np.asarray(polyline, dtype=np.float64))
-        self.levels.append(level)
-        self.elevated.append(elevated)
-        self.layers.append(layer)
-        return sid
+    def add(self, polylines: np.ndarray, level: int, elevated: bool = False,
+            layer: int = 0, keys: np.ndarray | None = None) -> None:
+        """``(c, k, 2)`` polylines; ``keys`` default to the next ``c``."""
+        count, k = polylines.shape[:2]
+        if keys is None:
+            keys = self.next_key + np.arange(count)
+            self.next_key += count
+        self.chunks.append((polylines.reshape(-1, 2), np.full(count, k), keys,
+                            np.full(count, level), np.full(count, elevated),
+                            np.full(count, layer)))
 
-    def add_two_way(self, polyline: np.ndarray, level: int, elevated: bool = False, layer: int = 0) -> Tuple[int, int]:
-        forward = self.add_one_way(polyline, level, elevated, layer)
-        backward = self.add_one_way(np.asarray(polyline)[::-1], level, elevated, layer)
-        self.opposite[forward] = backward
-        self.opposite[backward] = forward
-        return forward, backward
-
-    def build(self, allow_u_turn: bool) -> RoadNetwork:
-        segments = [
-            RoadSegment(i, poly, level, elev)
-            for i, (poly, level, elev) in enumerate(zip(self.polylines, self.levels, self.elevated))
-        ]
-        # Connectivity: segment a feeds segment b iff a's end node equals
-        # b's start node *on the same layer* (the elevated deck is only
-        # reachable through ramp segments, which bridge layers by having
-        # endpoints on both decks).
-        starts: Dict[Tuple[int, int, int], List[int]] = {}
-        for i, poly in enumerate(self.polylines):
-            starts.setdefault((*_key(poly[0]), self.layers[i]), []).append(i)
-
-        edges: List[Tuple[int, int]] = []
-        for a, poly in enumerate(self.polylines):
-            end_key = (*_key(poly[-1]), self.layers[a])
-            for b in starts.get(end_key, []):
-                if a == b:
-                    continue
-                if not allow_u_turn and self.opposite.get(a) == b:
-                    continue
-                edges.append((a, b))
-        return RoadNetwork(segments, edges)
+    def network(self, allow_u_turn: bool) -> RoadNetwork:
+        vertices, counts, keys, levels, elevated, layers = (
+            np.concatenate(column) for column in zip(*self.chunks))
+        order = np.argsort(keys)
+        starts = (np.cumsum(counts) - counts)[order]
+        counts = counts[order]
+        # Segment 2p + d walks road p's vertices forward (d = 0) or back.
+        seg_counts = np.repeat(counts, 2)
+        poly_indptr = np.zeros(len(seg_counts) + 1, dtype=np.int64)
+        np.cumsum(seg_counts, out=poly_indptr[1:])
+        segment = np.repeat(np.arange(len(seg_counts)), seg_counts)
+        step = np.arange(len(segment)) - poly_indptr[segment]
+        road = segment >> 1
+        step = np.where(segment & 1, counts[road] - 1 - step, step)
+        poly_points = vertices[starts[road] + step]
+        layers = np.repeat(layers[order], 2)
+        return RoadNetwork.from_arrays({
+            "poly_indptr": poly_indptr,
+            "poly_points": poly_points,
+            "levels": np.repeat(levels[order], 2).astype(np.int64),
+            "elevated": np.repeat(elevated[order], 2).astype(np.bool_),
+            "edge_index": _connect(poly_points, poly_indptr, layers, allow_u_turn),
+        })
 
 
-def _jittered_line(p0: np.ndarray, p1: np.ndarray, jitter: float, rng: np.random.Generator) -> np.ndarray:
-    """A 3-vertex polyline with a mid-point perturbed orthogonally."""
-    mid = (p0 + p1) / 2.0
-    direction = p1 - p0
-    norm = np.linalg.norm(direction)
-    if norm < 1e-9 or jitter <= 0:
-        return np.stack([p0, p1])
-    normal = np.array([-direction[1], direction[0]]) / norm
-    mid = mid + normal * rng.normal(0.0, jitter)
-    return np.stack([p0, mid, p1])
+def _connect(points: np.ndarray, indptr: np.ndarray, layers: np.ndarray,
+             allow_u_turn: bool) -> np.ndarray:
+    """The ``(2, E)`` edge index: segment a feeds segment b iff a's end
+    node is b's start node *on the same deck* (0 ground, 1 elevated).  A
+    ramp (layer -1) bridges the decks: it starts on both and ends on both.
+
+    Edges come out by source, then by the source's end deck (ground before
+    elevated), then by target id; self-edges and, unless
+    ``allow_u_turn``, the U-turn partner are dropped, and an edge a ramp
+    reaches on both decks is kept once."""
+    n = len(layers)
+    keys = np.rint(points[np.concatenate([indptr[:-1], indptr[1:] - 1])]
+                   / _NODE_QUANT).astype(np.int64)
+    keys -= keys.min(axis=0)
+    node = keys[:, 0] * (keys[:, 1].max() + 1) + keys[:, 1]
+    # One join entry per (segment, deck), segments in id order; a ramp's
+    # ground entry (rank 0) precedes its deck entry (rank 1).
+    bridge = layers < 0
+    entry = np.repeat(np.arange(n), 1 + bridge)
+    rank = np.zeros(len(entry), dtype=np.int64)
+    rank[1:] = entry[1:] == entry[:-1]
+    deck = np.where(bridge[entry], rank, layers[entry])
+    start = 2 * node[entry] + deck
+    end = 2 * node[n + entry] + deck
+    by_start = np.argsort(start, kind="stable")  # ids ascending per node
+    start, starters = start[by_start], entry[by_start]
+    lo = np.searchsorted(start, end, side="left")
+    counts = np.searchsorted(start, end, side="right") - lo
+    a = np.repeat(entry, counts)
+    b = starters[ragged_positions(lo, counts)]
+    keep = a != b
+    if not allow_u_turn:
+        keep &= b != (a ^ 1)
+    # A start list holds each segment once, so an edge can only repeat as
+    # a ramp's deck-entry edge its ground entry already gave.  Sources
+    # ascend and so do each entry's targets, so the rank-0 codes are sorted.
+    code = a * n + b
+    ground = np.repeat(rank, counts) == 0
+    deck_edges = np.flatnonzero(keep & ~ground)
+    repeat, _ = sorted_lookup(code[keep & ground], code[deck_edges])
+    keep[deck_edges[repeat]] = False
+    return np.stack([a[keep], b[keep]])
 
 
 def generate_city(config: CityConfig | None = None) -> RoadNetwork:
-    """Build a synthetic city road network from ``config``."""
+    """Build a synthetic city road network from ``config``.
+
+    The result is packed (:meth:`RoadNetwork.from_arrays` over its
+    polyline table, levels, elevated flags and edge index): its
+    ``segments``, ``edges`` and neighbor lists materialize only if asked.
+    """
     config = config or CityConfig()
     rng = np.random.default_rng(config.seed)
-    builder = _Builder()
+    block = config.block
+    roads = _Pairs()
 
-    cols = int(round(config.width / config.block))
-    rows = int(round(config.height / config.block))
+    cols = int(round(config.width / block))
+    rows = int(round(config.height / block))
     if cols < 2 or rows < 2:
         raise ValueError("city must be at least 2x2 blocks")
 
-    def node(i: int, j: int) -> np.ndarray:
-        return np.array([i * config.block, j * config.block], dtype=np.float64)
+    def lines(x0, y0, x1, y1) -> np.ndarray:
+        """``(c, 2, 2)`` straight polylines from broadcast endpoints."""
+        return np.stack(np.broadcast_arrays(x0, y0, x1, y1), -1).astype(
+            np.float64).reshape(-1, 2, 2)
 
-    # Arterial grid (level 2), two-way, one segment per block edge.
-    for j in range(rows + 1):
-        for i in range(cols):
-            builder.add_two_way(np.stack([node(i, j), node(i + 1, j)]), level=2)
-    for i in range(cols + 1):
-        for j in range(rows):
-            builder.add_two_way(np.stack([node(i, j), node(i, j + 1)]), level=2)
+    # Arterial grid (level 2), one road per block edge: the rows, then the
+    # columns.
+    i, j = np.arange(cols), np.arange(rows + 1)[:, None]
+    roads.add(lines(i * block, j * block, (i + 1) * block, j * block), level=2)
+    i, j = np.arange(cols + 1)[:, None], np.arange(rows)
+    roads.add(lines(i * block, j * block, i * block, (j + 1) * block), level=2)
 
-    # Minor streets (level 4) bisect a random subset of blocks vertically.
-    # Adjacent blocks share arterial rows, so connector segments along an
-    # arterial are deduplicated by (i, jj).
-    connectors_added: set = set()
-    for i in range(cols):
-        for j in range(rows):
-            if rng.random() >= config.minor_fraction:
-                continue
-            x = (i + 0.5) * config.block
-            p0 = np.array([x, j * config.block])
-            p1 = np.array([x, (j + 1) * config.block])
-            poly = _jittered_line(p0, p1, config.jitter, rng)
-            builder.add_two_way(poly, level=4)
-            # Split the two bounding horizontal arterials so the minor road
-            # actually connects: approximate by adding short connector
-            # segments along the arterial to the midpoint.
-            for jj in (j, j + 1):
-                if (i, jj) in connectors_added:
-                    continue
-                connectors_added.add((i, jj))
-                left = np.array([i * config.block, jj * config.block])
-                right = np.array([(i + 1) * config.block, jj * config.block])
-                mid = np.array([x, jj * config.block])
-                builder.add_two_way(np.stack([left, mid]), level=4)
-                builder.add_two_way(np.stack([mid, right]), level=4)
+    # Minor streets (level 4) bisect a random subset of blocks vertically,
+    # their mid-point jittered orthogonally.  The draws stay one block at a
+    # time in (i, j) order: a uniform per block, a normal per kept block
+    # with a bend.
+    y0, y1 = np.arange(rows) * block, (np.arange(rows) + 1) * block
+    rise = y1 - y0
+    norm = np.sqrt(rise * rise)  # np.linalg.norm((0, rise))
+    bends = ~((norm < 1e-9) | (config.jitter <= 0))
+    bend_rows = bends.tolist()
+    kept = np.zeros(cols * rows, dtype=bool)
+    shift = np.zeros(cols * rows)
+    for b in range(cols * rows):
+        if rng.random() < config.minor_fraction:
+            kept[b] = True
+            if bend_rows[b % rows]:
+                shift[b] = rng.normal(0.0, config.jitter)
+    blocks = np.flatnonzero(kept)
+    bi, bj = blocks // rows, blocks % rows
+    x = (bi + 0.5) * block
+    # A kept block's five key slots: its street, then the connectors
+    # splitting the arterial below (unless the block below did) and the
+    # one above, each a left and a right half.
+    slot = roads.next_key + 5 * blocks
+    roads.next_key += 5 * cols * rows
+    bent = bends[bj]
+    straight = lines(x, y0[bj], x, y1[bj])
+    p0, p1 = straight[bent, 0], straight[bent, 1]
+    # The unit normal of the direction (x - x, rise), op for op.
+    normal = np.stack([-rise[bj[bent]], x[bent] - x[bent]], -1) / norm[bj[bent], None]
+    mid = (p0 + p1) / 2.0 + normal * shift[blocks[bent], None]
+    roads.add(np.stack([p0, mid, p1], 1), level=4, keys=slot[bent])
+    roads.add(straight[~bent], level=4, keys=slot[~bent])
+    below = (bj == 0) | ~kept[blocks - 1]
+    for taken, jj, at in ((below, bj, 1), (slice(None), bj + 1, 3)):
+        left, right, y = bi[taken] * block, (bi[taken] + 1) * block, jj[taken] * block
+        roads.add(lines(left, y, x[taken], y), level=4, keys=slot[taken] + at)
+        roads.add(lines(x[taken], y, right, y), level=4, keys=slot[taken] + at + 1)
 
-    # Elevated expressway decks above selected arterial rows.
+    # Elevated expressway decks above selected arterial rows, and ramps
+    # every ``ramp_every`` intersections bridging ground and deck.
     for row in config.elevated_rows:
         if not 0 <= row <= rows:
             continue
-        y = row * config.block
-        offset = config.elevated_offset
-        deck_ids: List[int] = []
-        for i in range(cols):
-            p0 = np.array([i * config.block, y + offset])
-            p1 = np.array([(i + 1) * config.block, y + offset])
-            f, b = builder.add_two_way(np.stack([p0, p1]), level=0, elevated=True, layer=1)
-            deck_ids.extend((f, b))
-        # Ramps every ``ramp_every`` intersections bridge ground <-> deck.
-        for i in range(0, cols + 1, max(1, config.ramp_every)):
-            ground = np.array([i * config.block, y])
-            deck = np.array([i * config.block, y + offset])
-            up = builder.add_one_way(np.stack([ground, deck]), level=1, elevated=True, layer=0)
-            down = builder.add_one_way(np.stack([deck, ground]), level=1, elevated=True, layer=0)
-            builder.opposite[up] = down
-            builder.opposite[down] = up
-            # Ramps live on the ground layer at one end and must join the
-            # deck layer at the other; patch their layer bookkeeping by
-            # registering extra start keys.  Simplest correct approach:
-            # treat ramps as layer-bridging by duplicating entries.
-            builder.layers[up] = -1
-            builder.layers[down] = -1
+        y = row * block
+        deck = y + config.elevated_offset
+        i = np.arange(cols)
+        roads.add(lines(i * block, deck, (i + 1) * block, deck), level=0,
+                  elevated=True, layer=1)
+        i = np.arange(0, cols + 1, max(1, config.ramp_every))
+        roads.add(lines(i * block, y, i * block, deck), level=1, elevated=True,
+                  layer=-1)
 
-    network = _finalize_with_ramps(builder, config.allow_u_turn)
-    return network
-
-
-def _finalize_with_ramps(builder: _Builder, allow_u_turn: bool) -> RoadNetwork:
-    """Build connectivity treating layer ``-1`` segments as deck bridges."""
-    segments = [
-        RoadSegment(i, poly, level, elev)
-        for i, (poly, level, elev) in enumerate(
-            zip(builder.polylines, builder.levels, builder.elevated)
-        )
-    ]
-
-    starts: Dict[Tuple[int, int, int], List[int]] = {}
-    for i, poly in enumerate(builder.polylines):
-        layer = builder.layers[i]
-        keys = [(*_key(poly[0]), layer)]
-        if layer == -1:  # ramps accept traffic from both decks at their start
-            keys = [(*_key(poly[0]), 0), (*_key(poly[0]), 1)]
-        for key in keys:
-            starts.setdefault(key, []).append(i)
-
-    edges: List[Tuple[int, int]] = []
-    for a, poly in enumerate(builder.polylines):
-        layer = builder.layers[a]
-        end_keys = [(*_key(poly[-1]), layer)]
-        if layer == -1:  # ramps feed both decks at their end
-            end_keys = [(*_key(poly[-1]), 0), (*_key(poly[-1]), 1)]
-        for end_key in end_keys:
-            for b in starts.get(end_key, []):
-                if a == b:
-                    continue
-                if not allow_u_turn and builder.opposite.get(a) == b:
-                    continue
-                edges.append((a, b))
-    return RoadNetwork(segments, edges)
+    return roads.network(config.allow_u_turn)

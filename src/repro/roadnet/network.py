@@ -28,11 +28,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo.distance import point_along_polyline, polyline_length, project_point_to_polyline
+from ..geo.distance import (PolylineMeasures, measure_polylines, point_along_polyline,
+                            polyline_length, project_point_to_polyline)
 from ..geo.grid import Grid
 from ..geo.rtree import RTree
-from ..nn.graph import (add_self_loops, csr_from_lists, ragged_positions,
-                        sorted_lookup)
+from ..nn.graph import (add_self_loops, csr_from_pairs, ragged_positions,
+                        sort_unique, sorted_lookup)
 
 NUM_ROAD_LEVELS = 8
 
@@ -109,43 +110,63 @@ class RoadNetwork:
     # Zero-copy construction over externally owned arrays
     # ------------------------------------------------------------------
     #: Object-level views a packed network materializes on first access
-    #: (see __getattr__): the array forms answer every hot-path query, so
-    #: these python structures only exist if a caller actually asks.
+    #: (see __getattr__) from its memoized arrays: those answer every
+    #: hot-path query, so these python structures only exist if a caller
+    #: (the simulator, shortest paths, sub-network extraction) asks.
     _LAZY_ATTRS = ("segments", "edges", "out_neighbors", "in_neighbors")
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "RoadNetwork":
-        """A network over the array snapshot of :meth:`export_arrays`,
-        without copying.
+        """A network over an array snapshot, without copying.
 
-        The arrays may be externally owned — memory-mapped, write-
-        protected, shared across processes (see
-        :mod:`repro.roadnet.artifacts`).  The snapshot only *seeds* the
-        memo slots a built network fills on first use (CSR neighbors,
-        sub-segment columns, scan index, static features, edge indices),
-        so every accessor runs the same code on both; the python object
-        views (``segments``, ``edges``, neighbor lists) materialize lazily
-        on first attribute access.  Queries are bit-identical to the
-        exporting network's.
+        The snapshot is :meth:`export_arrays`' or any subset of it that
+        holds the base arrays ``poly_indptr``, ``poly_points``, ``levels``,
+        ``elevated`` and ``edge_index`` (what :func:`generate_city`
+        returns).  The arrays may be externally owned — memory-mapped,
+        write-protected, shared across processes (see
+        :mod:`repro.roadnet.artifacts`).  They seed the memo slots the
+        snapshot carries and no others; every other slot (CSR neighbors,
+        sub-segment columns, scan index, static features, ...) fills on
+        first use from the seeded ones, by the same code a built network
+        runs, so queries are bit-identical to the exporting network's.
+        The python object views (``segments``, ``edges``, neighbor lists)
+        materialize lazily on first attribute access.
         """
         def ints(name: str) -> np.ndarray:
             return np.asarray(arrays[name], dtype=np.int64)
+
+        def floats(name: str) -> np.ndarray:
+            return np.asarray(arrays[name], dtype=np.float64)
 
         network = object.__new__(cls)
         network.__dict__.update(
             _packed=arrays,
             _num_segments=len(arrays["poly_indptr"]) - 1,
-            _poly_table=(ints("poly_indptr"),
-                         np.asarray(arrays["poly_points"], dtype=np.float64)),
-            _csr_out=(ints("out_indptr"), ints("out_indices"), ints("out_degree")),
-            _geometry=(ints("geom_indptr"),
-                       *np.asarray(arrays["geom_columns"], dtype=np.float64)),
-            _rtree=RTree.from_arrays(arrays["rtree_order"], arrays["rtree_columns"]),
-            _bounds=tuple(float(v) for v in arrays["bounds"]),
-            _static=np.asarray(arrays["static"], dtype=np.float64),
+            _poly_table=(ints("poly_indptr"), floats("poly_points")),
+            _attributes=(ints("levels"),
+                         np.asarray(arrays["elevated"], dtype=np.bool_)),
             _edge_index=ints("edge_index"),
-            _edge_loops=ints("edge_index_loops"),
         )
+        derived = {
+            "_edge_loops": (("edge_index_loops",),
+                            lambda: ints("edge_index_loops")),
+            "_csr_out": (("out_indptr", "out_indices", "out_degree"),
+                         lambda: (ints("out_indptr"), ints("out_indices"),
+                                  ints("out_degree"))),
+            "_csr_in": (("in_indptr", "in_indices"),
+                        lambda: (ints("in_indptr"), ints("in_indices"))),
+            "_geometry": (("geom_indptr", "geom_columns"),
+                          lambda: (ints("geom_indptr"), *floats("geom_columns"))),
+            "_rtree": (("rtree_order", "rtree_columns"),
+                       lambda: RTree.from_arrays(arrays["rtree_order"],
+                                                 arrays["rtree_columns"])),
+            "_bounds": (("bounds",),
+                        lambda: tuple(float(v) for v in arrays["bounds"])),
+            "_static": (("static",), lambda: floats("static")),
+        }
+        for slot, (names, seed) in derived.items():
+            if all(name in arrays for name in names):
+                network.__dict__[slot] = seed()
         return network
 
     def export_arrays(self) -> Dict[str, np.ndarray]:
@@ -156,17 +177,20 @@ class RoadNetwork:
         (sub-segment columns, scan index, static features, the self-looped
         edge index) in the layout the kernels read — ``geom_columns`` is
         ``(5, m)`` and ``rtree_columns`` ``(4, n)``, C-contiguous, so each
-        row maps out of an archive as one contiguous column.
+        row maps out of an archive as one contiguous column.  Every entry
+        is read from the memoized arrays, so a packed network exports
+        without materializing its object views.
         """
         poly_indptr, poly_points = self._polylines()
+        levels, elevated = self._segment_attributes()
         out_indptr, out_indices, out_degree = self.csr_out_neighbors()
-        in_indptr, in_indices, _ = csr_from_lists(self.in_neighbors)
+        in_indptr, in_indices = self.csr_in_neighbors()
         geom_indptr, *geom_columns = self._geometry_columns()
         return {
             "poly_indptr": poly_indptr,
             "poly_points": poly_points,
-            "levels": np.array([s.level for s in self.segments], dtype=np.int64),
-            "elevated": np.array([s.elevated for s in self.segments], dtype=np.bool_),
+            "levels": levels,
+            "elevated": elevated,
             "edge_index": self.edge_index(),
             "edge_index_loops": self.edge_index_loops(),
             "out_indptr": out_indptr,
@@ -195,13 +219,10 @@ class RoadNetwork:
             f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _materialize_lazy(self, name: str):
-        arrays = self.__dict__["_packed"]
         n = self.num_segments
         if name == "segments":
-            indptr = arrays["poly_indptr"]
-            points = arrays["poly_points"]
-            levels = arrays["levels"]
-            elevated = arrays["elevated"]
+            indptr, points = self._polylines()
+            levels, elevated = self._segment_attributes()
             # Polylines stay views of the packed point table (RoadSegment
             # never copies a float64 input) — read-only when the table is.
             return [
@@ -210,15 +231,12 @@ class RoadNetwork:
                 for i in range(n)
             ]
         if name == "edges":
-            edge = arrays["edge_index"]
+            edge = self.edge_index()
             return list(zip(edge[0].tolist(), edge[1].tolist()))
-        if name == "out_neighbors":
-            indptr, indices, _ = self.csr_out_neighbors()
-            return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
-        if name == "in_neighbors":
-            indptr, indices = arrays["in_indptr"], arrays["in_indices"]
-            return [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
-        raise AttributeError(name)  # pragma: no cover - guarded by caller
+        indptr, indices = (self.csr_out_neighbors() if name == "out_neighbors"
+                           else self.csr_in_neighbors())[:2]
+        bounds, flat = indptr.tolist(), indices.tolist()
+        return [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -261,7 +279,18 @@ class RoadNetwork:
         gathers from."""
         cached = self.__dict__.get("_csr_out")
         if cached is None:
-            cached = self.__dict__["_csr_out"] = csr_from_lists(self.out_neighbors)
+            source, target = self.edge_index()
+            cached = self.__dict__["_csr_out"] = csr_from_pairs(
+                source, target, self.num_segments)
+        return cached
+
+    def csr_in_neighbors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached CSR ``(indptr, indices)`` of the in-neighbor lists."""
+        cached = self.__dict__.get("_csr_in")
+        if cached is None:
+            source, target = self.edge_index()
+            cached = self.__dict__["_csr_in"] = csr_from_pairs(
+                target, source, self.num_segments)[:2]
         return cached
 
     def khop_closure(self, hops: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -278,20 +307,22 @@ class RoadNetwork:
             # Multi-source BFS, vectorized over ALL start nodes at once:
             # the frontier is a flat array of (root, node) pairs encoded as
             # root * n + node; each hop expands every pair's neighbors with
-            # one ragged gather and dedupes against the reached set with
-            # sorted membership (tests/reference.py's ReferenceReachability
-            # is the per-node set-union BFS this replaces).
+            # one ragged gather, dedupes them by a sort and drops the ones
+            # already reached by sorted membership (tests/reference.py's
+            # ReferenceReachability is the per-node set-union BFS this
+            # replaces).
             identity = np.arange(n, dtype=np.int64) * (n + 1)
             reached = frontier = identity  # sorted
             for _ in range(hops):
                 nodes = frontier % n
                 counts = degree[nodes]
                 neighbors = adj_indices[ragged_positions(adj_indptr[nodes], counts)]
-                candidate = np.unique(np.repeat(frontier // n, counts) * n + neighbors)
+                candidate = sort_unique(np.repeat(frontier // n, counts) * n + neighbors)
                 frontier = candidate[~sorted_lookup(reached, candidate)[0]]
                 if not len(frontier):
                     break
-                reached = np.union1d(reached, frontier)
+                # Two sorted runs of distinct keys: their merge is the union.
+                reached = np.sort(np.concatenate([reached, frontier]), kind="stable")
             # Keys are sorted, so roots group contiguously.
             cache[hops] = (
                 np.searchsorted(reached // n, np.arange(n + 1, dtype=np.int64)),
@@ -309,9 +340,9 @@ class RoadNetwork:
         """``(poly_indptr, poly_points)`` — every segment's polyline in one
         ``(m, 2)`` point table, segment ``s``'s vertices at rows
         ``indptr[s]:indptr[s+1]``.  Memoized: a built network packs its
-        segments once, a packed network reads the archive's own two
-        arrays; the grid walk, the boxes and the sub-segment columns are
-        array passes over it.  Treat it as read-only."""
+        segments once, a packed network reads its snapshot's two arrays;
+        the grid walk, the lengths, the boxes and the sub-segment columns
+        are array passes over it.  Treat it as read-only."""
         cached = self.__dict__.get("_poly_table")
         if cached is None:
             counts = np.fromiter((len(s.polyline) for s in self.segments),
@@ -321,6 +352,26 @@ class RoadNetwork:
             points = (np.concatenate([s.polyline for s in self.segments])
                       if len(counts) else np.zeros((0, 2), dtype=np.float64))
             cached = self.__dict__["_poly_table"] = (indptr, points)
+        return cached
+
+    def _segment_attributes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(levels, elevated)`` per segment, int64 and bool — memoized
+        like :meth:`_polylines` (a built network reads its segments once)."""
+        cached = self.__dict__.get("_attributes")
+        if cached is None:
+            cached = self.__dict__["_attributes"] = (
+                np.array([s.level for s in self.segments], dtype=np.int64),
+                np.array([s.elevated for s in self.segments], dtype=np.bool_))
+        return cached
+
+    def _measures(self) -> PolylineMeasures:
+        """:func:`measure_polylines` of the point table, memoized: one pass
+        serves the grid walks and the static features' lengths
+        (``total[s]`` is bit-equal to ``segments[s].length``)."""
+        cached = self.__dict__.get("_measured")
+        if cached is None:
+            indptr, points = self._polylines()
+            cached = self.__dict__["_measured"] = measure_polylines(points, indptr)
         return cached
 
     def _segment_boxes(self) -> np.ndarray:
@@ -365,7 +416,8 @@ class RoadNetwork:
         cache = self.__dict__.setdefault("_grid_seq_cache", {})
         if key not in cache:
             indptr, points = self._polylines()
-            cells, rows, cols = grid.traverse_polylines(points, indptr)
+            cells, rows, cols = grid.traverse_polylines(
+                points, indptr, measures=self._measures())
             lengths = np.diff(cells)
             n = self.num_segments
             seq = np.zeros((n, int(lengths.max()) if n else 1), dtype=np.int64)
@@ -394,19 +446,16 @@ class RoadNetwork:
         — memoized and shared by every encoder over this network; treat it
         as read-only (a packed network's copy is write-protected)."""
         cached = self.__dict__.get("_static")
-        if cached is not None:
-            return cached
-        n = self.num_segments
-        features = np.zeros((n, NUM_ROAD_LEVELS + 3), dtype=np.float64)
-        lengths = np.array([s.length for s in self.segments])
-        length_scale = max(float(lengths.max()), 1.0)
-        for i, seg in enumerate(self.segments):
-            features[i, seg.level] = 1.0
-            features[i, NUM_ROAD_LEVELS] = seg.length / length_scale
-            features[i, NUM_ROAD_LEVELS + 1] = len(self.in_neighbors[i])
-            features[i, NUM_ROAD_LEVELS + 2] = len(self.out_neighbors[i])
-        self.__dict__["_static"] = features
-        return features
+        if cached is None:
+            n = self.num_segments
+            lengths = self._measures().total
+            cached = np.zeros((n, NUM_ROAD_LEVELS + 3), dtype=np.float64)
+            cached[np.arange(n), self._segment_attributes()[0]] = 1.0
+            cached[:, NUM_ROAD_LEVELS] = lengths / max(float(lengths.max()), 1.0)
+            cached[:, NUM_ROAD_LEVELS + 1] = np.diff(self.csr_in_neighbors()[0])
+            cached[:, NUM_ROAD_LEVELS + 2] = self.csr_out_neighbors()[2]
+            self.__dict__["_static"] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Spatial queries

@@ -23,7 +23,8 @@ from repro.geo.distance import gaussian_weight, project_point_to_polyline
 from repro.geo.grid import Grid
 from repro.nn.graph import ragged_positions
 from repro.nn.tensor import Tensor
-from repro.roadnet.network import RoadNetwork
+from repro.roadnet.generator import CityConfig
+from repro.roadnet.network import RoadNetwork, RoadSegment
 from repro.trajectory.dataset import Batch, make_padded_batch
 
 
@@ -109,6 +110,138 @@ def reference_scan_order(bboxes: np.ndarray, leaf_capacity: int = 16) -> np.ndar
     return np.asarray(
         reference_query_rect(bboxes, (-inf, -inf, inf, inf), leaf_capacity),
         dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# City generator: one RoadSegment and one start-key join entry per segment
+# ----------------------------------------------------------------------
+
+
+def _node_key(point: np.ndarray) -> Tuple[int, int]:
+    return (int(round(point[0] / 0.5)), int(round(point[1] / 0.5)))
+
+
+class _CityBuilder:
+    """Accumulates directed segments, their layers and U-turn partners."""
+
+    def __init__(self) -> None:
+        self.polylines: List[np.ndarray] = []
+        self.levels: List[int] = []
+        self.elevated: List[bool] = []
+        self.layers: List[int] = []  # 0 = ground, 1 = elevated deck, -1 = ramp
+        self.opposite: Dict[int, int] = {}
+
+    def add_one_way(self, polyline: np.ndarray, level: int, elevated: bool,
+                    layer: int) -> int:
+        sid = len(self.polylines)
+        self.polylines.append(np.asarray(polyline, dtype=np.float64))
+        self.levels.append(level)
+        self.elevated.append(elevated)
+        self.layers.append(layer)
+        return sid
+
+    def add_two_way(self, polyline: np.ndarray, level: int, elevated: bool = False,
+                    layer: int = 0) -> Tuple[int, int]:
+        forward = self.add_one_way(polyline, level, elevated, layer)
+        backward = self.add_one_way(np.asarray(polyline)[::-1], level, elevated, layer)
+        self.opposite[forward] = backward
+        self.opposite[backward] = forward
+        return forward, backward
+
+
+def _jittered_line(p0: np.ndarray, p1: np.ndarray, jitter: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    mid = (p0 + p1) / 2.0
+    direction = p1 - p0
+    norm = np.linalg.norm(direction)
+    if norm < 1e-9 or jitter <= 0:
+        return np.stack([p0, p1])
+    normal = np.array([-direction[1], direction[0]]) / norm
+    mid = mid + normal * rng.normal(0.0, jitter)
+    return np.stack([p0, mid, p1])
+
+
+def reference_generate_city(config: Optional[CityConfig] = None) -> RoadNetwork:
+    """The original ``generate_city``: every segment appended as a
+    ``RoadSegment``, connectivity joined through a dict of start keys,
+    one segment at a time, into ``RoadNetwork(segments, edges)``."""
+    config = config or CityConfig()
+    rng = np.random.default_rng(config.seed)
+    builder = _CityBuilder()
+
+    cols = int(round(config.width / config.block))
+    rows = int(round(config.height / config.block))
+    if cols < 2 or rows < 2:
+        raise ValueError("city must be at least 2x2 blocks")
+
+    def node(i: int, j: int) -> np.ndarray:
+        return np.array([i * config.block, j * config.block], dtype=np.float64)
+
+    for j in range(rows + 1):
+        for i in range(cols):
+            builder.add_two_way(np.stack([node(i, j), node(i + 1, j)]), level=2)
+    for i in range(cols + 1):
+        for j in range(rows):
+            builder.add_two_way(np.stack([node(i, j), node(i, j + 1)]), level=2)
+
+    connectors_added: set = set()
+    for i in range(cols):
+        for j in range(rows):
+            if rng.random() >= config.minor_fraction:
+                continue
+            x = (i + 0.5) * config.block
+            p0 = np.array([x, j * config.block])
+            p1 = np.array([x, (j + 1) * config.block])
+            builder.add_two_way(_jittered_line(p0, p1, config.jitter, rng), level=4)
+            for jj in (j, j + 1):
+                if (i, jj) in connectors_added:
+                    continue
+                connectors_added.add((i, jj))
+                left = np.array([i * config.block, jj * config.block])
+                right = np.array([(i + 1) * config.block, jj * config.block])
+                mid = np.array([x, jj * config.block])
+                builder.add_two_way(np.stack([left, mid]), level=4)
+                builder.add_two_way(np.stack([mid, right]), level=4)
+
+    for row in config.elevated_rows:
+        if not 0 <= row <= rows:
+            continue
+        y = row * config.block
+        offset = config.elevated_offset
+        for i in range(cols):
+            p0 = np.array([i * config.block, y + offset])
+            p1 = np.array([(i + 1) * config.block, y + offset])
+            builder.add_two_way(np.stack([p0, p1]), level=0, elevated=True, layer=1)
+        for i in range(0, cols + 1, max(1, config.ramp_every)):
+            ground = np.array([i * config.block, y])
+            deck = np.array([i * config.block, y + offset])
+            up = builder.add_one_way(np.stack([ground, deck]), level=1, elevated=True, layer=-1)
+            down = builder.add_one_way(np.stack([deck, ground]), level=1, elevated=True, layer=-1)
+            builder.opposite[up] = down
+            builder.opposite[down] = up
+
+    segments = [
+        RoadSegment(i, poly, level, elev)
+        for i, (poly, level, elev) in enumerate(
+            zip(builder.polylines, builder.levels, builder.elevated))
+    ]
+    # Ramps (layer -1) join both decks at either end.
+    starts: Dict[Tuple[int, int, int], List[int]] = {}
+    for i, poly in enumerate(builder.polylines):
+        layer = builder.layers[i]
+        for deck in ((0, 1) if layer == -1 else (layer,)):
+            starts.setdefault((*_node_key(poly[0]), deck), []).append(i)
+    edges: List[Tuple[int, int]] = []
+    for a, poly in enumerate(builder.polylines):
+        layer = builder.layers[a]
+        for deck in ((0, 1) if layer == -1 else (layer,)):
+            for b in starts.get((*_node_key(poly[-1]), deck), []):
+                if a == b:
+                    continue
+                if not config.allow_u_turn and builder.opposite.get(a) == b:
+                    continue
+                edges.append((a, b))
+    return RoadNetwork(segments, edges)
 
 
 # ----------------------------------------------------------------------

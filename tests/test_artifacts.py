@@ -24,7 +24,7 @@ from repro.cluster import ShardSpec
 from repro.cluster.shard import Shard
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import ReachabilityMask
-from repro.datasets import load_dataset
+from repro.datasets import get_spec, load_dataset
 from repro.nn.serialization import (
     ALIGNMENT,
     load_archive,
@@ -33,7 +33,8 @@ from repro.nn.serialization import (
     save_checkpoint,
 )
 from repro import profile
-from repro.roadnet import CityArtifacts
+from repro.roadnet import CityArtifacts, generate_city
+from repro.roadnet import artifacts as artifacts_module
 from repro.roadnet.artifacts import FORMAT_VERSION
 from repro.serve import ModelRegistry, RecoveryRequest, RecoveryService, ServeConfig
 from repro.trajectory import make_batch
@@ -268,8 +269,8 @@ class TestCityArtifacts:
         loaded = CityArtifacts.load(artifact_dir, mmap=True, verify=True)
         assert loaded.content_digest
         assert loaded.has_model()
-        manifest = json.loads(
-            open(os.path.join(artifact_dir, "manifest.json")).read())
+        with open(os.path.join(artifact_dir, "manifest.json")) as handle:
+            manifest = json.load(handle)
         assert manifest["content_hash"] == loaded.content_digest
         assert manifest["format"] == FORMAT_VERSION == 2
 
@@ -337,6 +338,72 @@ class TestCityArtifacts:
         cache = packed_model.encoder._road_cache
         assert cache is not None
         assert np.shares_memory(cache.data, artifacts.road_features())
+
+
+class TestSaveOverAPublishedBundle:
+    """``save`` publishes a new pair by renames, never by rewriting the
+    published archive under its readers."""
+
+    @pytest.fixture(scope="class")
+    def bundles(self):
+        # The second bundle's archive is the larger, so a rewrite in place
+        # shows as changed bytes under the old mapping, not as SIGBUS.
+        return tuple(CityArtifacts.build(generate_city(get_spec(name).city))
+                     for name in ("porto", "chengdu"))
+
+    def test_old_mapped_views_keep_their_bytes(self, bundles, tmp_path):
+        old, new = bundles
+        directory = str(tmp_path / "city")
+        old.save(directory)
+        mapped = CityArtifacts.load(directory, mmap=True)
+        before = {name: np.array(view) for name, view in mapped.arrays.items()}
+        new.save(directory)
+        for name, view in mapped.arrays.items():
+            assert view.tobytes() == before[name].tobytes(), name
+        assert CityArtifacts.load(directory, verify=True).content_digest == \
+            new.content_digest
+
+    @pytest.mark.parametrize("step", ["write-manifest", "move-manifest"])
+    def test_an_interrupted_save_never_pairs_two_builds(self, bundles, tmp_path,
+                                                        monkeypatch, step):
+        old, new = bundles
+        directory = str(tmp_path / "city")
+        old.save(directory)
+
+        def interrupt(*args, **kwargs):
+            raise OSError("interrupted")
+
+        if step == "write-manifest":
+            monkeypatch.setattr(artifacts_module.json, "dump", interrupt)
+        else:
+            rename = os.replace
+
+            def replace(source, target):
+                if target.endswith("manifest.json"):
+                    interrupt()
+                rename(source, target)
+            monkeypatch.setattr(artifacts_module.os, "replace", replace)
+        with pytest.raises(OSError, match="interrupted"):
+            new.save(directory)
+        monkeypatch.undo()
+        if CityArtifacts.exists(directory):
+            assert CityArtifacts.load(directory, verify=True).content_digest \
+                == old.content_digest
+        assert os.listdir(tmp_path) == ["city"]  # no staging left behind
+
+    def test_a_load_raced_by_a_save_is_a_cache_miss(self, bundles, tmp_path,
+                                                    monkeypatch):
+        old, new = bundles
+        directory = str(tmp_path / "city")
+        old.save(directory)
+        load = artifacts_module.load_archive
+
+        def racing(path, mmap):
+            new.save(directory)  # lands between manifest and archive reads
+            return load(path, mmap=mmap)
+        monkeypatch.setattr(artifacts_module, "load_archive", racing)
+        with pytest.raises(ValueError, match="replaced while loading"):
+            CityArtifacts.load(directory)
 
 
 # ---------------------------------------------------------------------------

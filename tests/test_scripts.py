@@ -56,7 +56,8 @@ class TestOutputHashes:
         shifted), ``variant`` lines for 14 other model families
         (``encode`` + ``recover`` per ``http-cold`` request, one
         ``compute_loss`` per city), one ``artifact`` content hash per city,
-        and a model built in memory hashes like the same weights mapped
+        one ``network`` hash per dataset recipe plus the 125 m metro, and a
+        model built in memory hashes like the same weights mapped
         read-only."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
@@ -64,7 +65,7 @@ class TestOutputHashes:
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
         assert lines == sorted(lines) and len(lines) == \
-            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3
+            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3 + 6
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
         variants = {name for name in hashes if "/variant/" in name}
@@ -79,6 +80,9 @@ class TestOutputHashes:
         assert sorted(name for name in hashes if "/artifact/" in name) == [
             "http-cold/artifact/chengdu", "http-cold/artifact/porto",
             "metro-burst/artifact/metro"]
+        assert sorted(name for name in hashes if name.startswith("network/")) == [
+            "network/chengdu", "network/chengdu_few", "network/metro@125",
+            "network/porto", "network/shanghai", "network/shanghai_l"]
 
 
 class TestCheckDocs:

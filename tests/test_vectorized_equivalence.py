@@ -26,7 +26,8 @@ from repro.core.decoder import (
 from repro.core.subgraph_gen import SubGraphGenerator
 from repro.datasets import get_spec
 from repro.geo import Grid, RTree
-from repro.nn.graph import ragged_positions
+from repro.geo.distance import measure_polylines, polyline_length
+from repro.nn.graph import ragged_positions, sort_unique
 from repro.nn.tensor import Tensor, no_grad, scatter_sum_array
 from repro.roadnet import CityArtifacts, CityConfig, RoadNetwork, generate_city
 from repro.trajectory import (
@@ -197,6 +198,149 @@ class TestSegmentBoxes:
         for got, want in zip(mapped._polylines(), (arrays["poly_indptr"],
                                                     arrays["poly_points"])):
             assert np.shares_memory(got, want)
+
+
+_CHENGDU = get_spec("chengdu").city
+_PORTO = get_spec("porto").city
+_CITIES = {
+    **{name: get_spec(name).city for name in ("chengdu", "porto", "shanghai",
+                                              "shanghai_l")},
+    "metro": replace(_CHENGDU, block=40.0),
+    "metro-125": replace(_CHENGDU, block=125.0),
+    "u-turns": replace(_PORTO, allow_u_turn=True),
+    "straight": replace(_PORTO, jitter=0.0),
+    "no-decks": replace(_PORTO, elevated_rows=()),
+    "every-ramp": replace(_PORTO, ramp_every=1),
+    # Two decks on one row, a deck on the edge rows, one out of range, a
+    # deck offset onto the next arterial row, and ramps at every node.
+    "stacked": CityConfig(width=1000, height=800, block=100, minor_fraction=0.9,
+                          elevated_rows=(0, 3, 3, 8, 99), ramp_every=1,
+                          elevated_offset=100.0, allow_u_turn=True),
+}
+
+
+class TestPackedCity:
+    """``generate_city`` builds the network's arrays directly; every array,
+    every lazily materialized object view and every trajectory simulated
+    on it must equal the object-building generator's
+    (``reference.reference_generate_city``)."""
+
+    @pytest.fixture(scope="class")
+    def cities(self):
+        return {}
+
+    @pytest.fixture(params=sorted(_CITIES))
+    def pair(self, request, cities, metro):
+        name = request.param
+        if name not in cities:
+            got = metro if name == "metro" else generate_city(_CITIES[name])
+            cities[name] = (got, reference.reference_generate_city(_CITIES[name]))
+        return cities[name]
+
+    def test_arrays_equal_the_object_build(self, pair):
+        got, want = (network.export_arrays() for network in pair)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert _bytes_equal(got[name], want[name]), name
+
+    def test_object_views_equal_the_object_build(self, pair):
+        got, want = pair
+        assert got.edges == want.edges
+        assert got.out_neighbors == want.out_neighbors
+        assert got.in_neighbors == want.in_neighbors
+        assert len(got.segments) == len(want.segments)
+        for ours, theirs in zip(got.segments, want.segments):
+            assert (ours.segment_id, ours.level, ours.elevated, ours.length) == (
+                theirs.segment_id, theirs.level, theirs.elevated, theirs.length)
+            assert _bytes_equal(ours.polyline, theirs.polyline)
+
+    def test_simulated_trajectories_equal(self, pair):
+        config = SimulationConfig(target_points=9, min_route_segments=4, seed=3)
+        runs = [TrajectorySimulator(network, config).simulate(3) for network in pair]
+        for (raw, matched), (raw_ref, matched_ref) in zip(*runs):
+            for ours, theirs in ((raw.xy, raw_ref.xy), (raw.times, raw_ref.times),
+                                 (matched.segments, matched_ref.segments),
+                                 (matched.ratios, matched_ref.ratios),
+                                 (matched.times, matched_ref.times)):
+                assert _bytes_equal(ours, theirs)
+
+    def test_freezing_a_generated_city_builds_no_objects(self):
+        network = generate_city(_PORTO)
+        CityArtifacts.build(network, RNTrajRec(network, CFG).eval())
+        assert not set(RoadNetwork._LAZY_ATTRS) & set(network.__dict__)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_POLYLINE, min_size=1, max_size=8))
+    def test_measured_lengths_equal_each_polyline_length(self, polylines):
+        indptr = np.cumsum([0] + [len(p) for p in polylines])
+        total = measure_polylines(np.concatenate(polylines), indptr).total
+        assert total.tolist() == [polyline_length(p) for p in polylines]
+
+
+_EDGES = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=40)))
+
+
+class TestKhopClosure:
+    """The sort-deduped multi-source BFS equals the per-node set-union BFS
+    on graphs with repeated edges, self-loops and isolated nodes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_EDGES, st.integers(0, 3))
+    def test_closure_equals_the_set_union_bfs(self, graph, hops):
+        n, edges = graph
+        network = RoadNetwork.from_arrays({
+            "poly_indptr": 2 * np.arange(n + 1),
+            "poly_points": np.zeros((2 * n, 2)),
+            "levels": np.zeros(n, dtype=np.int64),
+            "elevated": np.zeros(n, dtype=bool),
+            "edge_index": np.array(edges, dtype=np.int64).reshape(-1, 2).T,
+        })
+        indptr, indices = network.khop_closure(hops)
+        want = reference.ReferenceReachability(network.out_neighbors, hops=hops)
+        for s in range(n):
+            assert indices[indptr[s]:indptr[s + 1]].tolist() == sorted(
+                want._sets[s].tolist())
+
+
+_KEY_VALUES = st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 1e300, -1e-300])
+_KEY_ROWS = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(_KEY_VALUES, min_size=k, max_size=k), min_size=1, max_size=24))
+
+
+class TestSortUnique:
+    """``sort_unique`` is ``np.unique``: first occurrences, inverse and the
+    distinct values in its order, ``-0.0`` equal to ``0.0``."""
+
+    @staticmethod
+    def _check(keys):
+        axis = None if keys.ndim == 1 else 0
+        values, first, inverse = np.unique(keys, axis=axis, return_index=True,
+                                           return_inverse=True)
+        got_first, got_inverse = sort_unique(keys, return_index=True)
+        assert _bytes_equal(got_first, first)
+        assert _bytes_equal(got_inverse, inverse.reshape(-1))
+        assert _bytes_equal(keys[got_first], values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_KEY_ROWS)
+    def test_rows_equal_np_unique(self, rows):
+        self._check(np.array(rows, dtype=np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+    def test_integers_equal_np_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        self._check(keys)
+        self._check(np.stack([keys, keys[::-1]], 1))
+        assert _bytes_equal(sort_unique(keys), np.unique(keys))
+
+    @pytest.mark.parametrize("keys", [np.array([[-0.0, 1.0]]), np.full((5, 2), 4.0),
+                                      np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]),
+                                      np.array([7], dtype=np.int64)])
+    def test_edge_shapes(self, keys):
+        self._check(keys)
 
 
 class TestRaggedPositions:

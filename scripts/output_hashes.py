@@ -28,7 +28,10 @@ included) and ``recover`` for the first few ``http-cold`` requests, and
 closure, weights and X_road), and one ``network`` line per dataset recipe
 (plus the metro at 125 m blocks) the content hash of its generated
 network's ``export_arrays()``, so a generator branch only another recipe
-takes still moves a line.
+takes still moves a line.  One ``fit`` line per ``http-cold`` city hashes
+two epochs of ``Trainer.fit`` (loss history and every parameter) on
+simulated samples, and its ``resumed`` twin the same run stopped after
+one epoch, saved, restored into a fresh trainer and model, and finished.
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -54,18 +57,21 @@ from repro.cluster import RecoveryCluster, ShardMap  # noqa: E402
 from repro.core import RNTrajRec  # noqa: E402
 from repro.core.decoder import DecodeConstraint, interpolation_prior  # noqa: E402
 from repro.datasets import dataset_names, get_spec  # noqa: E402
-from repro.experiments.harness import small_model_config  # noqa: E402
+from repro.experiments.harness import quick_train_config, small_model_config  # noqa: E402
 from repro.roadnet import CityArtifacts, generate_city  # noqa: E402
 from repro.roadnet.artifacts import content_hash  # noqa: E402
 from repro.serve import ModelRegistry, RecoveryRequest, ServeConfig  # noqa: E402
 from repro.serve.request import assemble_sample  # noqa: E402
 from repro.stream import StreamingCluster  # noqa: E402
+from repro.train import Trainer  # noqa: E402
 from repro.trajectory import (  # noqa: E402
     SimulationConfig, TrajectorySimulator, build_samples, make_batch)
 
 SECONDS = 3.0  # past 48 requests each; traces are drawn in send order,
                # so a shorter window's requests are a prefix of the ledger's
 VARIANT_REQUESTS = 3  # http-cold requests each variant model encodes and recovers
+FIT_SAMPLES = 16  # simulated trajectories each city's `fit` lines train on
+HISTORY_FIELDS = ("loss", "id_loss", "rate_loss", "graph_loss", "grad_norm", "lr")
 
 
 def _dense(constraint: DecodeConstraint) -> np.ndarray:
@@ -206,6 +212,40 @@ def variant_lines(workload, ingest, seed: int, requests: int):
     return lines
 
 
+def _fit_hash(trainer) -> str:
+    """The trainer's epoch history (every field but wall time) and the
+    model's parameters."""
+    history = np.array([[getattr(stats, field) for field in HISTORY_FIELDS]
+                        for stats in trainer.history])
+    return _sha(history, *(p.data for _, p in trainer.model.named_parameters()))
+
+
+def fit_lines(workload, seed: int):
+    """Per city, two epochs of ``Trainer.fit`` (cosine schedule, two
+    accumulated micro-batches per step) run straight through, and again
+    stopped after epoch 1, saved and resumed in a fresh trainer."""
+    config = quick_train_config(2, batch_size=4, accumulate_steps=2, schedule="cosine")
+    lines = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for city in workload.cities:
+            network = workload.networks[city.name]
+            samples = build_samples(TrajectorySimulator(
+                network, SimulationConfig(seed=7)).simulate(FIT_SAMPLES), network)
+            nn.init.seed_everything(seed)
+            straight = Trainer(RNTrajRec(network, small_model_config(32)), config)
+            straight.fit(samples)
+            nn.init.seed_everything(seed)
+            first = Trainer(RNTrajRec(network, small_model_config(32)), config)
+            first.fit(samples, until_epoch=1)
+            state = first.save_state(f"{scratch}/{city.name}")
+            resumed = Trainer(RNTrajRec(network, small_model_config(32)), config)
+            resumed.load_state(state)
+            resumed.fit(samples)
+            lines += [f"fit/{city.name} {_fit_hash(straight)}",
+                      f"fit/{city.name}/resumed {_fit_hash(resumed)}"]
+    return lines
+
+
 def network_lines():
     """The generated network's ``export_arrays()`` per dataset recipe, and
     the metro at 125 m blocks."""
@@ -273,6 +313,7 @@ def hash_lines(seed: int, requests: int, metro_block: float):
                 lines += cache_lines(workload, built, requests)
                 lines += variant_lines(workload, ingest, seed,
                                        min(requests, VARIANT_REQUESTS))
+                lines += fit_lines(workload, seed)
     return sorted(lines)
 
 

@@ -9,11 +9,11 @@ Four subcommands:
                  PYTHONPATH=src python scripts/serve.py train \
                      --dataset chengdu --epochs 5 --out runs/chengdu_model
 
-             ``--workers``, ``--schedule`` / ``--warmup-epochs`` and
-             ``--resume STATE`` are the production knobs of
-             docs/training.md; ``--register http://host:port --shard
-             chengdu`` completes the train→deploy path by hot-deploying
-             the fresh bundle into a running ``cluster`` front door.
+             ``--schedule`` / ``--warmup-epochs`` and ``--resume STATE``
+             are the production knobs of docs/training.md; ``--register
+             http://host:port --shard chengdu`` completes the train→deploy
+             path by hot-deploying the fresh bundle into a running
+             ``cluster`` front door.
 
 ``cluster``  multi-city sharded serving behind the bounded HTTP/1.0 front
              door, driven by a TOML/JSON shard-map file (see
@@ -121,13 +121,11 @@ def train_bundle(args) -> str:
     train_config = quick_train_config(
         args.epochs, schedule=args.schedule, warmup_epochs=args.warmup_epochs,
         validate=bool(data.val), log_every=args.log_every)
-    mode = (f"{args.workers} gradient workers" if args.workers > 1 else "serial")
     print(f"Training {args.dataset} model ({model.num_parameters():,} parameters, "
-          f"{args.epochs} epochs, {args.schedule} schedule, {mode}) ...")
+          f"{args.epochs} epochs, {args.schedule} schedule) ...")
     report = fit_and_bundle(
         model, data.train, args.out, val_samples=data.val, config=train_config,
-        num_workers=args.workers, checkpoint=args.resume,
-        metadata={"dataset": args.dataset})
+        checkpoint=args.resume, metadata={"dataset": args.dataset})
     print(f"Saved bundle: {report.checkpoint_path} + {report.config_path} "
           f"(version {report.version})")
     if args.resume:
@@ -370,8 +368,6 @@ def main(argv=None) -> None:
     t.add_argument("--dataset", default="chengdu")
     model_flags(t)
     t.add_argument("--out", required=True, help="bundle prefix (writes .npz + .json)")
-    t.add_argument("--workers", type=int, default=0,
-                   help="gradient workers (>1 shards each batch; 0/1 serial)")
     t.add_argument("--schedule", default="constant",
                    choices=("constant", "warmup", "step", "cosine"))
     t.add_argument("--warmup-epochs", type=int, default=0)

@@ -14,8 +14,8 @@ This package reimplements the complete system in pure numpy:
 * :mod:`repro.train` — the training subsystem: callback-driven
   :class:`~repro.train.Trainer`, exact-resume
   :class:`~repro.train.TrainState` checkpoints, LR schedules, gradient
-  accumulation, the data-parallel :class:`~repro.train.ParallelTrainer`,
-  and the :func:`~repro.train.fit_and_bundle` train→deploy bridge;
+  accumulation, and the :func:`~repro.train.fit_and_bundle` train→deploy
+  bridge;
 * :mod:`repro.baselines` — the eight comparison methods of the paper;
 * :mod:`repro.eval` — MAE/RMSE (road distance), Recall/Precision/F1,
   Accuracy, SR%k;

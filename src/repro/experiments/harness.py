@@ -6,34 +6,32 @@ and returns Table-III style metrics plus SR%k, inference timing and
 parameter counts.  Results are cached on disk keyed by the full
 experiment fingerprint, so figures that reuse Table III's models (Fig. 4
 robustness, Fig. 6 efficiency) do not retrain, and re-running a benchmark
-is instant.
+is instant.  The fingerprint includes :func:`code_identity`, a digest of
+the ``repro`` source, so a cell computed before a code change is a miss.
 
 Budget knobs come from the environment:
 
-* ``REPRO_BENCH_TRAJECTORIES`` — trajectories per dataset (default 500);
+* ``REPRO_BENCH_TRAJECTORIES`` — trajectories per dataset (default 320);
 * ``REPRO_BENCH_EPOCHS`` — training epochs (default 25);
-* ``REPRO_BENCH_HIDDEN`` — hidden size (default 32);
-* ``REPRO_BENCH_WORKERS`` — gradient workers per training run (default 0
-  = serial; >1 uses :class:`repro.train.ParallelTrainer`).
+* ``REPRO_BENCH_HIDDEN`` — hidden size (default 32).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..baselines import BASELINE_NAMES, build_baseline
 from ..core.config import RNTrajRecConfig
 from ..core.model import RNTrajRec
 from ..datasets.registry import LoadedDataset, load_dataset
-from ..train import TrainConfig, make_trainer
+from ..train import TrainConfig, Trainer
 from ..eval.evaluate import evaluate_model, evaluate_sr_at_k
 from ..roadnet.shortest_path import ShortestPathEngine
 
@@ -109,6 +107,19 @@ class ExperimentResult:
         return dict(self.metrics)
 
 
+@functools.lru_cache(maxsize=None)
+def code_identity() -> str:
+    """sha256 over every ``src/repro/**/*.py`` (relative path + bytes, in
+    sorted path order), computed once per process."""
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for name, path in sorted((path.relative_to(package).as_posix(), path)
+                             for path in package.rglob("*.py")):
+        digest.update(name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _fingerprint(payload: Dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -176,11 +187,6 @@ def run_experiment(
     trajectories = trajectories or budget["trajectories"]
     model_config = model_config or small_model_config(budget["hidden"])
     train_config = train_config or quick_train_config(budget["epochs"])
-
-    # Parallel-trained results are not bit-identical to serial ones (see
-    # repro/train/parallel.py), so the worker count is part of the cache
-    # identity: a cell trained one way never masquerades as the other.
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", 0))
     key = _fingerprint(
         {
             "dataset": dataset,
@@ -190,7 +196,7 @@ def run_experiment(
             "variant": variant_tag,
             "model": asdict(model_config) if hasattr(model_config, "__dataclass_fields__") else vars(model_config),
             "train": vars(train_config),
-            "workers": workers,
+            "code": code_identity(),
         }
     )
     if use_cache:
@@ -205,7 +211,7 @@ def run_experiment(
     train_seconds = 0.0
     if hasattr(model, "parameters"):  # learned methods
         start = time.perf_counter()
-        make_trainer(model, train_config, num_workers=workers).fit(data.train, data.val)
+        Trainer(model, train_config).fit(data.train, data.val)
         train_seconds = time.perf_counter() - start
 
     report = evaluate_model(model, data.test, engine)

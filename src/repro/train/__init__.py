@@ -10,8 +10,6 @@
   resume → train N−k);
 * :mod:`~repro.train.schedules` — ``warmup`` / ``step`` / ``cosine`` LR
   schedules as pure functions of the epoch, plus gradient accumulation;
-* :class:`ParallelTrainer` — data-parallel gradient workers over the
-  numpy backend (fork + pipes, shard-weighted gradient averaging);
 * :func:`fit_and_bundle` / :func:`register_bundle` — the train→deploy
   bridge into :mod:`repro.serve` bundles and the cluster's hot-deploy
   endpoints.
@@ -35,11 +33,9 @@ from .callbacks import (
     StepInfo,
 )
 from .config import SCHEDULE_NAMES, EpochStats, TrainConfig, TrainResult
-from .parallel import ParallelTrainer, fork_available, shard_indices
 from .pipeline import (
     BundleReport,
     fit_and_bundle,
-    make_trainer,
     model_version,
     register_bundle,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "LRSchedule",
     "LambdaCallback",
     "LoggingCallback",
-    "ParallelTrainer",
     "PiecewiseConstant",
     "ProgressCallback",
     "RecoveryModel",
@@ -81,12 +76,9 @@ __all__ = [
     "build_schedule",
     "enable_console_logging",
     "fit_and_bundle",
-    "fork_available",
-    "make_trainer",
     "model_version",
     "quick_accuracy",
     "register_bundle",
-    "shard_indices",
 ]
 
 

@@ -1,13 +1,12 @@
 """Train→deploy bridge: one call from samples to a servable bundle.
 
-:func:`fit_and_bundle` trains (serially or with gradient workers), then
-writes the ``<prefix>.npz`` + ``<prefix>.json`` bundle that
-:class:`repro.serve.ModelRegistry` and the cluster's ``/register`` +
-``/swap`` endpoints consume directly.  The JSON sidecar gains a ``train``
-section — content-hash version, epochs, final loss, best validation
-accuracy, schedule, worker count — so a deployed bundle carries its own
-provenance; the registry reads only the ``config`` section and ignores
-the rest, so older bundles and tooling are unaffected.
+:func:`fit_and_bundle` trains a model, then writes the ``<prefix>.npz`` +
+``<prefix>.json`` bundle that :class:`repro.serve.ModelRegistry` and the
+cluster's ``/register`` + ``/swap`` endpoints consume directly.  The JSON
+sidecar gains a ``train`` section — content-hash version, epochs, final
+loss, best validation accuracy, schedule — so a deployed bundle carries
+its own provenance; the registry reads only the ``config`` section and
+ignores the rest, so older bundles and tooling are unaffected.
 
 :func:`register_bundle` completes the "train a city, roll it into the
 cluster" path: it POSTs the bundle to a running cluster front door
@@ -26,8 +25,7 @@ from typing import Optional, Sequence
 
 from .callbacks import Callback
 from .config import TrainConfig, TrainResult
-from .parallel import ParallelTrainer
-from .trainer import RecoveryModel, Trainer
+from .trainer import Trainer
 
 
 def model_version(model) -> str:
@@ -52,23 +50,12 @@ class BundleReport:
     version: str
 
 
-def make_trainer(model: RecoveryModel, config: Optional[TrainConfig] = None,
-                 num_workers: int = 0,
-                 callbacks: Sequence[Callback] = ()) -> Trainer:
-    """Serial trainer, or a :class:`ParallelTrainer` when workers > 1."""
-    if num_workers and num_workers > 1:
-        return ParallelTrainer(model, config, num_workers=num_workers,
-                               callbacks=callbacks)
-    return Trainer(model, config, callbacks=callbacks)
-
-
 def fit_and_bundle(
     model,
     train_samples,
     out_prefix: str,
     val_samples=(),
     config: Optional[TrainConfig] = None,
-    num_workers: int = 0,
     callbacks: Sequence[Callback] = (),
     checkpoint: Optional[str] = None,
     metadata: Optional[dict] = None,
@@ -81,8 +68,7 @@ def fit_and_bundle(
     """
     from ..serve import save_model_bundle  # lazy: serve imports repro.core
 
-    trainer = make_trainer(model, config, num_workers=num_workers,
-                           callbacks=callbacks)
+    trainer = Trainer(model, config, callbacks=callbacks)
     result = trainer.fit(train_samples, val_samples, checkpoint=checkpoint)
     model.eval()
     ckpt_path, config_path = save_model_bundle(model, out_prefix)
@@ -96,7 +82,6 @@ def fit_and_bundle(
         "final_loss": result.final_loss,
         "best_val_accuracy": result.best_val_accuracy,
         "schedule": trainer.config.schedule,
-        "num_workers": getattr(trainer, "num_workers", 1),
         "created_unix": round(time.time(), 3),
     }
     train_meta.update(metadata or {})

@@ -1,14 +1,13 @@
-"""The serial trainer: callback pipeline, schedules, exact resume.
+"""The trainer: callback pipeline, schedules, exact resume.
 
-Training semantics (shared with :class:`~repro.train.ParallelTrainer`,
-which only overrides how one batch's gradient is produced):
+Training semantics:
 
 * batch schedule — :func:`repro.trajectory.dataset.iterate_batch_indices`
   with ``seed + epoch``, so the schedule is a pure function of the epoch;
 * scheduled sampling — each batch gets a fresh generator seeded by a draw
   from the trainer's master RNG; the master state is part of
   :class:`~repro.train.TrainState`, so a resumed run continues the exact
-  stream, and gradient workers replay the same per-batch seed;
+  stream;
 * learning rate — ``schedule.lr_at(epoch)`` applied at epoch start;
 * gradient accumulation — gradients sum over ``accumulate_steps``
   micro-batches and are averaged before clip + optimizer step.
@@ -133,13 +132,6 @@ class Trainer:
         return state
 
     # ------------------------------------------------------------------
-    # Worker lifecycle hooks (ParallelTrainer overrides these)
-    # ------------------------------------------------------------------
-    def _setup(self, train_samples: Sequence[RecoverySample]) -> None: ...
-
-    def _teardown(self) -> None: ...
-
-    # ------------------------------------------------------------------
     def fit(
         self,
         train_samples: Sequence[RecoverySample],
@@ -179,20 +171,16 @@ class Trainer:
         if self._epoch >= stop_at:
             return result
 
-        self._setup(train_samples)
-        try:
-            callbacks.on_train_begin(self)
-            self.model.train()
-            while self._epoch < stop_at and not self.stop_training:
-                stats = self._run_epoch(train_samples, val_samples, callbacks)
-                self.history.append(stats)
-                self._epoch += 1
-                callbacks.on_epoch_end(self, stats)
-            self.model.eval()
-            result = TrainResult(history=list(self.history))
-            callbacks.on_train_end(self, result)
-        finally:
-            self._teardown()
+        callbacks.on_train_begin(self)
+        self.model.train()
+        while self._epoch < stop_at and not self.stop_training:
+            stats = self._run_epoch(train_samples, val_samples, callbacks)
+            self.history.append(stats)
+            self._epoch += 1
+            callbacks.on_epoch_end(self, stats)
+        self.model.eval()
+        result = TrainResult(history=list(self.history))
+        callbacks.on_train_end(self, result)
         return result
 
     # ------------------------------------------------------------------
@@ -219,9 +207,8 @@ class Trainer:
                 group = index_batches[group_start:group_start + cfg.accumulate_steps]
                 for indices in group:
                     # One seed per batch, drawn from the master stream: the
-                    # scheduled-sampling decisions are identical for a
-                    # serial run, a resumed run, and every gradient-worker
-                    # shard of the same batch.
+                    # scheduled-sampling decisions are identical for an
+                    # uninterrupted run and a resumed one.
                     seed = int(self._rng.integers(0, np.iinfo(np.int64).max))
                     loss, id_loss, rate_loss_, graph_loss = self._batch_gradients(
                         train_samples, indices, seed)

@@ -280,10 +280,9 @@ def iterate_batch_indices(
     target length).
 
     This is the batch *schedule* without the batch materialization: the
-    parallel trainer shards these index lists across gradient workers
-    (each worker holds the sample list and stacks only its shard), while
-    :func:`iterate_batches` materializes them locally.  Both therefore
-    consume bit-identical schedules for a given (shuffle, seed).
+    trainer draws a per-batch seed for each index list before stacking
+    it, while :func:`iterate_batches` materializes them directly.  Both
+    therefore consume bit-identical schedules for a given (shuffle, seed).
     """
     buckets: dict[Tuple[int, int], List[int]] = {}
     for index, sample in enumerate(samples):

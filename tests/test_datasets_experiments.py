@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import RNTrajRecConfig
 from repro.datasets import dataset_names, get_spec, load_dataset
-from repro.experiments import METHOD_NAMES, format_table, run_experiment
+from repro.experiments import METHOD_NAMES, format_table, harness, run_experiment
 from repro.experiments.harness import ExperimentResult, load_cached
 from repro.train import TrainConfig
 
@@ -90,6 +90,17 @@ class TestHarness:
         )
         assert result.train_seconds == 0.0
         assert result.num_parameters == 0
+
+    def test_code_change_misses_the_cache(self, tmp_path, monkeypatch):
+        """A cell computed by other code is never served: the digest of
+        the ``repro`` source is part of the fingerprint."""
+        kwargs = dict(dataset="chengdu", method="linear_hmm", trajectories=20,
+                      cache_dir=tmp_path)
+        run_experiment(**kwargs)
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        monkeypatch.setattr(harness, "code_identity", lambda: "0" * 64)
+        run_experiment(**kwargs)
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_variant_tag_changes_cache_key(self, tmp_path):
         config = RNTrajRecConfig(hidden_dim=8, num_heads=2, max_subgraph_nodes=8,

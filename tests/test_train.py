@@ -1,6 +1,5 @@
-"""The repro.train subsystem: exact resume, schedules, callbacks,
-parallel gradient workers, the padding-masked quick_accuracy, and the
-train→deploy bundle bridge."""
+"""The repro.train subsystem: exact resume, schedules, callbacks, the
+padding-masked quick_accuracy, and the train→deploy bundle bridge."""
 
 import json
 import logging
@@ -17,7 +16,6 @@ from repro.trajectory import (
     TrajectorySimulator,
     build_samples,
     pad_sample_target,
-    train_val_test_split,
 )
 from repro.train import (
     BestModelTracker,
@@ -27,28 +25,20 @@ from repro.train import (
     EarlyStopping,
     EpochStats,
     LambdaCallback,
-    ParallelTrainer,
     StepDecayLR,
     TrainConfig,
     Trainer,
     TrainState,
     build_schedule,
     fit_and_bundle,
-    fork_available,
     model_version,
     quick_accuracy,
-    shard_indices,
 )
-from repro.train.parallel import _GradientPool, _grad_vector
 
 CFG = RNTrajRecConfig(hidden_dim=16, num_heads=2, max_subgraph_nodes=16,
                       receptive_delta=250.0, dropout=0.0)
 # Dropout exercises the per-layer RNG streams the checkpoint must carry.
 CFG_DROPOUT = CFG.variant(dropout=0.1)
-# GraphNorm batch statistics and the graph-loss hit normalizer couple the
-# samples of a batch; ablating both makes sharded gradients exactly equal
-# the full-batch gradient (see repro/train/parallel.py).
-CFG_DECOUPLED = CFG.variant(use_graph_norm=False, use_graph_loss=False)
 
 
 @pytest.fixture(scope="module")
@@ -384,70 +374,6 @@ class TestGradientAccumulation:
         assert result.history[-1].loss < result.history[0].loss + 1.0
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-class TestParallelTrainer:
-    def test_shard_indices_balanced(self):
-        shards = shard_indices(list(range(10)), 4)
-        assert [len(s) for s in shards] == [3, 3, 2, 2]
-        assert sorted(sum(shards, [])) == list(range(10))
-        assert shard_indices([1, 2], 4) == [[1], [2]]  # no empty shards
-
-    def test_gradients_worker_count_invariant(self, city, samples):
-        """The shard-weighted gradient average equals the serial batch
-        gradient to machine epsilon, for any worker count, once the two
-        batch-coupled features (GraphNorm batch statistics, graph-loss hit
-        normalizer) are ablated."""
-        indices = list(range(12))
-        seed = 1234
-
-        serial = fresh_model(city, CFG_DECOUPLED)
-        trainer = Trainer(serial, train_config())
-        serial.zero_grad()
-        trainer._batch_gradients(samples, indices, seed)
-        reference = _grad_vector(serial)
-
-        for workers in (2, 4):
-            model = fresh_model(city, CFG_DECOUPLED)
-            pool = _GradientPool(model, samples, workers,
-                                 teacher_forcing_ratio=0.5)
-            try:
-                model.zero_grad()
-                pool.batch_gradients(model, indices, seed)
-                grad = _grad_vector(model)
-            finally:
-                pool.close()
-            np.testing.assert_allclose(grad, reference, rtol=1e-9, atol=1e-12)
-
-    def test_parallel_fit_tracks_serial_losses(self, city, samples):
-        cfg = train_config(epochs=2, batch_size=8, validate=True)
-        train, val, _ = train_val_test_split(samples, seed=0)
-
-        serial_model = fresh_model(city)
-        serial = Trainer(serial_model, cfg).fit(train, val)
-        parallel_model = fresh_model(city)
-        parallel = ParallelTrainer(parallel_model, cfg, num_workers=2).fit(train, val)
-
-        assert len(serial.history) == len(parallel.history)
-        for a, b in zip(serial.history, parallel.history):
-            assert b.loss == pytest.approx(a.loss, rel=0.05)
-
-    def test_worker_failure_surfaces(self, city, samples):
-        model = fresh_model(city)
-        pool = _GradientPool(model, samples, 2, teacher_forcing_ratio=0.5)
-        try:
-            with pytest.raises(RuntimeError, match="gradient worker failed"):
-                pool.batch_gradients(model, [10_000_000], seed=0)  # bad index
-        finally:
-            pool.close()
-
-    def test_single_worker_degrades_to_serial(self, city, samples):
-        model = fresh_model(city)
-        trainer = ParallelTrainer(model, train_config(epochs=1), num_workers=1)
-        result = trainer.fit(samples)
-        assert trainer._pool is None
-        assert np.isfinite(result.final_loss)
-
-
 class TestFitAndBundle:
     def test_bundle_has_provenance_and_serves(self, city, samples, tmp_path):
         from repro.serve import ModelRegistry
@@ -458,6 +384,9 @@ class TestFitAndBundle:
                                 config=train_config(epochs=1),
                                 metadata={"dataset": "unit-test"})
         sidecar = json.loads((tmp_path / "bundle.json").read_text())
+        assert set(sidecar["train"]) == {
+            "version", "epochs", "final_loss", "best_val_accuracy", "schedule",
+            "created_unix", "dataset"}
         assert sidecar["train"]["version"] == report.version
         assert sidecar["train"]["epochs"] == 1
         assert sidecar["train"]["dataset"] == "unit-test"

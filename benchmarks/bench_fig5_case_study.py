@@ -59,10 +59,11 @@ def test_fig5_case_study(benchmark, budget):
         recall, precision = path_precision_recall(truth.travel_path(), pred.travel_path())
         # Spatial consistency: fraction of adjacent prediction pairs that
         # are graph-consistent (same segment or connected).
+        indptr, successors, _ = data.network.csr_out_neighbors()
         consistent = sum(
             1
             for a, b in zip(pred.segments, pred.segments[1:])
-            if a == b or int(b) in data.network.out_neighbors[int(a)]
+            if a == b or b in successors[indptr[a]:indptr[a + 1]]
         ) / max(len(pred) - 1, 1)
         print(f"{name:>11}: F1={f1_score(recall, precision):.3f} "
               f"spatial-consistency={consistent:.3f}")

@@ -24,7 +24,7 @@ from repro.trajectory import make_batch
 
 
 def deck_label(network, segment_id: int) -> str:
-    return "ELEVATED" if network.segment(int(segment_id)).elevated else "ground"
+    return "ELEVATED" if network.elevated()[int(segment_id)] else "ground"
 
 
 def main() -> None:

@@ -61,9 +61,9 @@ def main() -> None:
 
     print("\nBusiest road segments (recovered flow counts):")
     for sid, count in flow.most_common(8):
-        seg = network.segment(sid)
-        kind = "elevated" if seg.elevated else f"level-{seg.level}"
-        print(f"  segment {sid:>4} ({kind:<9} {seg.length:5.0f} m): {count} trajectories")
+        kind = "elevated" if network.elevated()[sid] else f"level-{network.levels()[sid]}"
+        print(f"  segment {sid:>4} ({kind:<9} {network.lengths()[sid]:5.0f} m): "
+              f"{count} trajectories")
 
 
 if __name__ == "__main__":

@@ -40,8 +40,9 @@ def main() -> None:
 
     # 1) Neighbor coherence.
     neighbor_sims, random_sims = [], []
+    indptr, successors, _ = network.csr_out_neighbors()
     for sid in range(network.num_segments):
-        for nb in network.out_neighbors[sid][:2]:
+        for nb in successors[indptr[sid]:indptr[sid + 1]][:2]:
             neighbor_sims.append(cosine(embeddings[sid], embeddings[nb]))
         other = int(rng.integers(0, network.num_segments))
         if other != sid:
@@ -52,35 +53,30 @@ def main() -> None:
           else "=> warning: neighbors are not closer than random pairs")
 
     # 2) Deck separation: elevated vs the nearest ground segment.
-    elevated = [s for s in network.segments if s.elevated and s.level == 0]
+    elevated = np.flatnonzero(network.elevated() & (network.levels() == 0))
     separations = []
-    for seg in elevated[:20]:
-        mid = seg.position_at(0.5)
-        ground = [
-            (sid, dist)
-            for sid, dist in network.segments_within(mid[0], mid[1], 60.0)
-            if not network.segment(sid).elevated
-        ]
-        if not ground:
+    for sid in elevated[:20]:
+        mid = network.position(sid, 0.5)
+        ids, _ = network.segments_within_arrays(mid[0], mid[1], 60.0)
+        ground = ids[~network.elevated()[ids]]
+        if not len(ground):
             continue
-        twin = ground[0][0]
-        separations.append(1.0 - cosine(embeddings[seg.segment_id], embeddings[twin]))
+        separations.append(1.0 - cosine(embeddings[sid], embeddings[ground[0]]))
     if separations:
         print(f"mean embedding distance elevated-vs-ground twin = {np.mean(separations):.3f}")
         print("(larger = decks are separable despite near-identical geometry)")
 
     # Nearest neighbors of one segment in embedding space.
-    probe = elevated[0].segment_id if elevated else 0
+    probe = int(elevated[0]) if len(elevated) else 0
     sims = embeddings @ embeddings[probe] / (
         np.linalg.norm(embeddings, axis=1) * np.linalg.norm(embeddings[probe]) + 1e-12
     )
     top = np.argsort(-sims)[:6]
     print(f"\nnearest neighbors of segment {probe} "
-          f"({'elevated' if network.segment(probe).elevated else 'ground'}):")
+          f"({'elevated' if network.elevated()[probe] else 'ground'}):")
     for sid in top:
-        seg = network.segment(int(sid))
-        print(f"  segment {sid:>4}  cos={sims[sid]:.3f}  level={seg.level} "
-              f"elevated={seg.elevated}")
+        print(f"  segment {sid:>4}  cos={sims[sid]:.3f}  level={network.levels()[sid]} "
+              f"elevated={network.elevated()[sid]}")
 
 
 if __name__ == "__main__":

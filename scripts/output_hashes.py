@@ -32,6 +32,11 @@ takes still moves a line.  One ``fit`` line per ``http-cold`` city hashes
 two epochs of ``Trainer.fit`` (loss history and every parameter) on
 simulated samples, and its ``resumed`` twin the same run stopped after
 one epoch, saved, restored into a fresh trainer and model, and finished.
+One ``dataset`` line per distinct city recipe (plus chengdu with every
+trajectory started on the elevated deck) hashes a few simulated (raw,
+matched) pairs and the recovery samples built from them, and its ``eval``
+twin Linear+HMM's recoveries of those samples, ``evaluate_recovery``'s
+fields, each trajectory's ``distance_errors`` and ``sr_at_k``.
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
 python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
 """
@@ -57,6 +62,7 @@ from repro.cluster import RecoveryCluster, ShardMap  # noqa: E402
 from repro.core import RNTrajRec  # noqa: E402
 from repro.core.decoder import DecodeConstraint, interpolation_prior  # noqa: E402
 from repro.datasets import dataset_names, get_spec  # noqa: E402
+from repro.eval.metrics import distance_errors, evaluate_recovery, sr_at_k  # noqa: E402
 from repro.experiments.harness import quick_train_config, small_model_config  # noqa: E402
 from repro.roadnet import CityArtifacts, generate_city  # noqa: E402
 from repro.roadnet.artifacts import content_hash  # noqa: E402
@@ -71,6 +77,7 @@ SECONDS = 3.0  # past 48 requests each; traces are drawn in send order,
                # so a shorter window's requests are a prefix of the ledger's
 VARIANT_REQUESTS = 3  # http-cold requests each variant model encodes and recovers
 FIT_SAMPLES = 16  # simulated trajectories each city's `fit` lines train on
+DATASET_PAIRS = 8  # simulated trajectories each `dataset` / `eval` line covers
 HISTORY_FIELDS = ("loss", "id_loss", "rate_loss", "graph_loss", "grad_norm", "lr")
 
 
@@ -255,8 +262,45 @@ def network_lines():
             for name, city in cities.items()]
 
 
+def dataset_lines(seed: int):
+    """Per distinct city recipe, and for chengdu again with
+    ``prefer_elevated``: ``DATASET_PAIRS`` simulated pairs (the recipe's
+    simulator seeded ``seed`` further on) and their samples, then
+    Linear+HMM's recoveries of them and every metric over those."""
+    runs = {}
+    for name in dataset_names():
+        runs.setdefault(get_spec(name).city, (name, False))
+    lines = []
+    for key, elevated in [*runs.values(), ("chengdu", True)]:
+        spec = get_spec(key)
+        key += "/elevated" if elevated else ""
+        network = generate_city(spec.city)
+        simulation = replace(spec.simulation, seed=spec.simulation.seed + seed)
+        pairs = TrajectorySimulator(network, simulation).simulate(
+            DATASET_PAIRS, prefer_elevated=elevated)
+        samples = build_samples(pairs, network, spec.dataset)
+        lines.append(f"dataset/{key} " + _sha(
+            *(a for raw, matched in pairs for a in (
+                raw.xy, raw.times, matched.segments, matched.ratios, matched.times)),
+            *(a for sample in samples for a in (
+                sample.raw_low.xy, sample.raw_low.times, sample.observed_steps,
+                np.array([sample.hour, sample.holiday]),
+                *(a for entry in sample.constraints if entry for a in entry)))))
+        model = build_baseline("linear_hmm", network, small_model_config(32))
+        truths = [sample.target for sample in samples]
+        predictions = model.recover_trajectories(make_batch(samples))
+        metrics = evaluate_recovery(truths, predictions, model.engine)
+        lines.append(f"eval/{key}/linear_hmm " + _sha(
+            *(a for path in predictions for a in (path.segments, path.ratios, path.times)),
+            np.array([*metrics.as_row().values(), metrics.count]),
+            *(distance_errors(truth, path, model.engine)
+              for truth, path in zip(truths, predictions)),
+            np.array([*sr_at_k(truths, predictions, network).items()])))
+    return lines
+
+
 def hash_lines(seed: int, requests: int, metro_block: float):
-    lines = network_lines()
+    lines = network_lines() + dataset_lines(seed)
     for name in ("metro-burst", "http-cold"):
         workload = workloads.generate(name, seed, SECONDS, metro_block)
         nn.init.seed_everything(seed)  # the ledger's untrained weights

@@ -139,7 +139,7 @@ def elevated_window(
     ``pad`` after the last, matching the paper's "on or near an elevated
     road" sub-trajectory selection.
     """
-    elevated = np.array([network.segment(int(s)).elevated for s in truth.segments])
+    elevated = network.elevated()[truth.segments]
     if not elevated.any():
         return None
     hits = np.flatnonzero(elevated)

@@ -46,17 +46,15 @@ class HMMMapMatcher:
         cfg = self.config
         radius = cfg.search_radius
         for _ in range(12):
-            hits = self.network.segments_within(x, y, radius)
-            if hits:
+            ids, dists = self.network.segments_within_arrays(x, y, radius)
+            if len(ids):
                 break
             radius *= 2.0
         else:
             return []
-        out: List[Tuple[int, float, float]] = []
-        for sid, dist in hits[: cfg.max_candidates]:
-            _, ratio = self.network.project(x, y, sid)
-            out.append((sid, dist, ratio))
-        return out
+        keep = slice(0, cfg.max_candidates)
+        return [(sid, dist, self.network.project(x, y, sid)[1])
+                for sid, dist in zip(ids[keep].tolist(), dists[keep].tolist())]
 
     def _emission_logp(self, distance: float) -> float:
         sigma = self.config.sigma_z

@@ -13,7 +13,7 @@ the page cache: N replicas (and N processes) of a city share one
 physical copy of the state instead of each rebuilding and privately
 holding it, so serving memory stays ~1x a single replica as the replica
 count grows.  Every array is stored in the layout its kernel reads, so
-:meth:`RoadNetwork.from_arrays` and the ``preload_*`` hooks only seed the
+the :class:`RoadNetwork` constructor and the ``preload_*`` hooks only seed the
 network's memo slots with views — no derived private copy ever appears,
 and query and recovery outputs are bit-identical to the build-in-memory
 path; ``tests/test_artifacts.py`` enforces both.
@@ -243,7 +243,7 @@ class CityArtifacts:
         packed arrays."""
         if self._network is None:
             arrays = self.arrays
-            network = RoadNetwork.from_arrays(
+            network = RoadNetwork(
                 {name[4:]: value for name, value in arrays.items()
                  if name.startswith("net.")})
             grid = self.grid()

@@ -84,7 +84,7 @@ class _Pairs:
         step = np.where(segment & 1, counts[road] - 1 - step, step)
         poly_points = vertices[starts[road] + step]
         layers = np.repeat(layers[order], 2)
-        return RoadNetwork.from_arrays({
+        return RoadNetwork({
             "poly_indptr": poly_indptr,
             "poly_points": poly_points,
             "levels": np.repeat(levels[order], 2).astype(np.int64),
@@ -140,9 +140,8 @@ def _connect(points: np.ndarray, indptr: np.ndarray, layers: np.ndarray,
 def generate_city(config: CityConfig | None = None) -> RoadNetwork:
     """Build a synthetic city road network from ``config``.
 
-    The result is packed (:meth:`RoadNetwork.from_arrays` over its
-    polyline table, levels, elevated flags and edge index): its
-    ``segments``, ``edges`` and neighbor lists materialize only if asked.
+    The network is built from its polyline table, levels, elevated flags
+    and edge index; no per-segment object is made.
     """
     config = config or CityConfig()
     rng = np.random.default_rng(config.seed)

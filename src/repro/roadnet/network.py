@@ -4,7 +4,9 @@ A road network is a directed graph whose *nodes are road segments*; an edge
 (e_i, e_j) exists iff traffic can flow directly from segment e_i onto
 segment e_j.  Each segment carries polyline geometry in the local metric
 frame, a road level (functional class, 0-7), and an ``elevated`` flag used
-by the §VI-D robustness experiments.
+by the §VI-D robustness experiments.  The network is built from exactly
+those arrays — one packed polyline point table, the per-segment levels and
+flags, and a ``(2, E)`` edge index — and every query reads arrays.
 
 The class is the single owner of everything immutable about a city, each
 structure memoized once on the network in the layout its kernel reads, so
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +47,8 @@ _PAIR_BLOCK = 1 << 14
 
 @dataclass
 class RoadSegment:
-    """One directed road segment."""
+    """One directed road segment: the element type of the lazy
+    :attr:`RoadNetwork.segments` view."""
 
     segment_id: int
     polyline: np.ndarray  # (k, 2) meters
@@ -81,56 +84,27 @@ class RoadSegment:
 class RoadNetwork:
     """Directed graph of road segments with spatial lookup support."""
 
-    def __init__(self, segments: Sequence[RoadSegment], edges: Iterable[Tuple[int, int]]) -> None:
-        self.segments: List[RoadSegment] = list(segments)
-        ids = [s.segment_id for s in self.segments]
-        if ids != list(range(len(ids))):
-            raise ValueError("segments must be numbered 0..n-1 in order")
+    #: Python object views of the arrays, built on first access (see
+    #: __getattr__).  No code in the package reads them: the ledger's
+    #: trace walk (``benchmarks/ledger/workloads.py::walk_trace``) is the
+    #: one reader left, and they go when it reads the arrays instead.
+    _LAZY_ATTRS = ("segments", "out_neighbors")
 
-        self.edges: List[Tuple[int, int]] = []
-        seen: set[Tuple[int, int]] = set()
-        for a, b in edges:
-            if a == b:
-                continue
-            if not (0 <= a < len(ids) and 0 <= b < len(ids)):
-                raise IndexError(f"edge ({a}, {b}) references a missing segment")
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            self.edges.append((a, b))
-
-        self._num_segments = len(ids)
-        self.out_neighbors: List[List[int]] = [[] for _ in ids]
-        self.in_neighbors: List[List[int]] = [[] for _ in ids]
-        for a, b in self.edges:
-            self.out_neighbors[a].append(b)
-            self.in_neighbors[b].append(a)
-
-    # ------------------------------------------------------------------
-    # Zero-copy construction over externally owned arrays
-    # ------------------------------------------------------------------
-    #: Object-level views a packed network materializes on first access
-    #: (see __getattr__) from its memoized arrays: those answer every
-    #: hot-path query, so these python structures only exist if a caller
-    #: (the simulator, shortest paths, sub-network extraction) asks.
-    _LAZY_ATTRS = ("segments", "edges", "out_neighbors", "in_neighbors")
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "RoadNetwork":
+    def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
         """A network over an array snapshot, without copying.
 
         The snapshot is :meth:`export_arrays`' or any subset of it that
         holds the base arrays ``poly_indptr``, ``poly_points``, ``levels``,
-        ``elevated`` and ``edge_index`` (what :func:`generate_city`
-        returns).  The arrays may be externally owned — memory-mapped,
-        write-protected, shared across processes (see
+        ``elevated`` and ``edge_index`` (what :func:`generate_city` and
+        :func:`merge_networks` pass).  The arrays may be externally owned —
+        memory-mapped, write-protected, shared across processes (see
         :mod:`repro.roadnet.artifacts`).  They seed the memo slots the
         snapshot carries and no others; every other slot (CSR neighbors,
         sub-segment columns, scan index, static features, ...) fills on
-        first use from the seeded ones, by the same code a built network
-        runs, so queries are bit-identical to the exporting network's.
-        The python object views (``segments``, ``edges``, neighbor lists)
-        materialize lazily on first attribute access.
+        first use from the seeded ones, by the same code whatever the
+        snapshot held, so queries are bit-identical to the exporting
+        network's.  ``edge_index`` is taken as given: no self-loop or
+        repeat is dropped.
         """
         def ints(name: str) -> np.ndarray:
             return np.asarray(arrays[name], dtype=np.int64)
@@ -138,15 +112,11 @@ class RoadNetwork:
         def floats(name: str) -> np.ndarray:
             return np.asarray(arrays[name], dtype=np.float64)
 
-        network = object.__new__(cls)
-        network.__dict__.update(
-            _packed=arrays,
-            _num_segments=len(arrays["poly_indptr"]) - 1,
-            _poly_table=(ints("poly_indptr"), floats("poly_points")),
-            _attributes=(ints("levels"),
-                         np.asarray(arrays["elevated"], dtype=np.bool_)),
-            _edge_index=ints("edge_index"),
-        )
+        self._num_segments = len(arrays["poly_indptr"]) - 1
+        self._poly_table = (ints("poly_indptr"), floats("poly_points"))
+        self._levels = _read_only(ints("levels"))
+        self._elevated = _read_only(np.asarray(arrays["elevated"], dtype=np.bool_))
+        self._edge_index = ints("edge_index")
         derived = {
             "_edge_loops": (("edge_index_loops",),
                             lambda: ints("edge_index_loops")),
@@ -166,31 +136,29 @@ class RoadNetwork:
         }
         for slot, (names, seed) in derived.items():
             if all(name in arrays for name in names):
-                network.__dict__[slot] = seed()
-        return network
+                self.__dict__[slot] = seed()
 
     def export_arrays(self) -> Dict[str, np.ndarray]:
         """Flat ``name -> array`` snapshot of every immutable structure a
-        serving replica needs — the exact inverse of :meth:`from_arrays`.
+        serving replica needs — what the constructor takes back.
 
         Includes the derived state that is expensive to rebuild
         (sub-segment columns, scan index, static features, the self-looped
         edge index) in the layout the kernels read — ``geom_columns`` is
         ``(5, m)`` and ``rtree_columns`` ``(4, n)``, C-contiguous, so each
         row maps out of an archive as one contiguous column.  Every entry
-        is read from the memoized arrays, so a packed network exports
-        without materializing its object views.
+        is read from the memoized arrays, so exporting builds no object
+        view.
         """
         poly_indptr, poly_points = self._polylines()
-        levels, elevated = self._segment_attributes()
         out_indptr, out_indices, out_degree = self.csr_out_neighbors()
         in_indptr, in_indices = self.csr_in_neighbors()
         geom_indptr, *geom_columns = self._geometry_columns()
         return {
             "poly_indptr": poly_indptr,
             "poly_points": poly_points,
-            "levels": levels,
-            "elevated": elevated,
+            "levels": self.levels(),
+            "elevated": self.elevated(),
             "edge_index": self.edge_index(),
             "edge_index_loops": self.edge_index_loops(),
             "out_indptr": out_indptr,
@@ -207,13 +175,9 @@ class RoadNetwork:
         }
 
     def __getattr__(self, name: str):
-        # Only packed (from_arrays) instances materialize object views
-        # lazily; on ordinary instances a missing attribute is a genuine
-        # miss.  __getattr__ is only consulted after __dict__, so built
-        # networks never pay this path.
-        if name in RoadNetwork._LAZY_ATTRS and "_packed" in self.__dict__:
-            value = self._materialize_lazy(name)
-            self.__dict__[name] = value
+        # Consulted only after __dict__ misses, so a view is built once.
+        if name in RoadNetwork._LAZY_ATTRS:
+            value = self.__dict__[name] = self._materialize_lazy(name)
             return value
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -222,7 +186,7 @@ class RoadNetwork:
         n = self.num_segments
         if name == "segments":
             indptr, points = self._polylines()
-            levels, elevated = self._segment_attributes()
+            levels, elevated = self.levels(), self.elevated()
             # Polylines stay views of the packed point table (RoadSegment
             # never copies a float64 input) — read-only when the table is.
             return [
@@ -230,11 +194,7 @@ class RoadNetwork:
                             level=int(levels[i]), elevated=bool(elevated[i]))
                 for i in range(n)
             ]
-        if name == "edges":
-            edge = self.edge_index()
-            return list(zip(edge[0].tolist(), edge[1].tolist()))
-        indptr, indices = (self.csr_out_neighbors() if name == "out_neighbors"
-                           else self.csr_in_neighbors())[:2]
+        indptr, indices, _ = self.csr_out_neighbors()
         bounds, flat = indptr.tolist(), indices.tolist()
         return [flat[bounds[i]:bounds[i + 1]] for i in range(n)]
 
@@ -248,17 +208,24 @@ class RoadNetwork:
     def __len__(self) -> int:
         return self.num_segments
 
-    def segment(self, segment_id: int) -> RoadSegment:
-        return self.segments[segment_id]
-
     def edge_index(self) -> np.ndarray:
-        """(2, E) array of directed segment-to-segment edges (memoized;
-        treat it as read-only)."""
-        cached = self.__dict__.get("_edge_index")
+        """(2, E) array of directed segment-to-segment edges (treat it as
+        read-only)."""
+        return self._edge_index
+
+    def levels(self) -> np.ndarray:
+        """Road level (functional class, 0-7) per segment; read-only."""
+        return self._levels
+
+    def elevated(self) -> np.ndarray:
+        """Whether each segment is on an elevated deck; read-only."""
+        return self._elevated
+
+    def lengths(self) -> np.ndarray:
+        """Polyline length per segment in meters, memoized; read-only."""
+        cached = self.__dict__.get("_lengths")
         if cached is None:
-            cached = (np.asarray(self.edges, dtype=np.int64).T if self.edges
-                      else np.zeros((2, 0), dtype=np.int64))
-            self.__dict__["_edge_index"] = cached
+            cached = self.__dict__["_lengths"] = _read_only(self._measures().total)
         return cached
 
     def edge_index_loops(self) -> np.ndarray:
@@ -339,35 +306,20 @@ class RoadNetwork:
     def _polylines(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(poly_indptr, poly_points)`` — every segment's polyline in one
         ``(m, 2)`` point table, segment ``s``'s vertices at rows
-        ``indptr[s]:indptr[s+1]``.  Memoized: a built network packs its
-        segments once, a packed network reads its snapshot's two arrays;
-        the grid walk, the lengths, the boxes and the sub-segment columns
-        are array passes over it.  Treat it as read-only."""
-        cached = self.__dict__.get("_poly_table")
-        if cached is None:
-            counts = np.fromiter((len(s.polyline) for s in self.segments),
-                                 dtype=np.int64, count=len(self.segments))
-            indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            points = (np.concatenate([s.polyline for s in self.segments])
-                      if len(counts) else np.zeros((0, 2), dtype=np.float64))
-            cached = self.__dict__["_poly_table"] = (indptr, points)
-        return cached
+        ``indptr[s]:indptr[s+1]``; the grid walk, the lengths, the boxes
+        and the sub-segment columns are array passes over it.  Treat it as
+        read-only."""
+        return self._poly_table
 
-    def _segment_attributes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(levels, elevated)`` per segment, int64 and bool — memoized
-        like :meth:`_polylines` (a built network reads its segments once)."""
-        cached = self.__dict__.get("_attributes")
-        if cached is None:
-            cached = self.__dict__["_attributes"] = (
-                np.array([s.level for s in self.segments], dtype=np.int64),
-                np.array([s.elevated for s in self.segments], dtype=np.bool_))
-        return cached
+    def _polyline(self, segment_id: int) -> np.ndarray:
+        """Segment ``segment_id``'s ``(k, 2)`` rows of the point table."""
+        indptr, points = self._poly_table
+        return points[indptr[segment_id]:indptr[segment_id + 1]]
 
     def _measures(self) -> PolylineMeasures:
         """:func:`measure_polylines` of the point table, memoized: one pass
-        serves the grid walks and the static features' lengths
-        (``total[s]`` is bit-equal to ``segments[s].length``)."""
+        serves the grid walks and the lengths (``total[s]`` is bit-equal
+        to :func:`polyline_length` of segment ``s``)."""
         cached = self.__dict__.get("_measured")
         if cached is None:
             indptr, points = self._polylines()
@@ -450,7 +402,7 @@ class RoadNetwork:
             n = self.num_segments
             lengths = self._measures().total
             cached = np.zeros((n, NUM_ROAD_LEVELS + 3), dtype=np.float64)
-            cached[np.arange(n), self._segment_attributes()[0]] = 1.0
+            cached[np.arange(n), self.levels()] = 1.0
             cached[:, NUM_ROAD_LEVELS] = lengths / max(float(lengths.max()), 1.0)
             cached[:, NUM_ROAD_LEVELS + 1] = np.diff(self.csr_in_neighbors()[0])
             cached[:, NUM_ROAD_LEVELS + 2] = self.csr_out_neighbors()[2]
@@ -553,10 +505,8 @@ class RoadNetwork:
                                radius: float) -> Tuple[np.ndarray, np.ndarray]:
         """(ids, distances) of segments within ``radius``, nearest first.
 
-        The array-native twin of :meth:`segments_within` used by the hot
-        callers (constraint masks, sub-graph generation); the sort is
-        stable over the scan index's candidate order, matching the
-        original list-based implementation tie for tie.
+        The sort is stable over the scan index's candidate order, so ties
+        keep that order.
         """
         ids = self.rtree.rect_ids(x - radius, y - radius, x + radius, y + radius)
         dists = self.segment_distances(x, y, ids)
@@ -613,11 +563,6 @@ class RoadNetwork:
         kept = np.flatnonzero(dists <= radius)
         return np.searchsorted(kept, indptr), ids[kept], dists[kept]
 
-    def segments_within(self, x: float, y: float, radius: float) -> List[Tuple[int, float]]:
-        """(segment_id, exact distance) pairs within ``radius`` of (x, y)."""
-        ids, dists = self.segments_within_arrays(x, y, radius)
-        return [(int(sid), float(dist)) for sid, dist in zip(ids, dists)]
-
     def nearest_segment(self, x: float, y: float, search_radius: float = 200.0) -> Tuple[int, float, float]:
         """Closest segment to (x, y): returns (segment_id, distance, ratio).
 
@@ -626,45 +571,22 @@ class RoadNetwork:
         """
         radius = search_radius
         for _ in range(18):
-            hits = self.segments_within(x, y, radius)
-            if hits:
-                sid, dist = hits[0]
-                _, ratio, _ = project_point_to_polyline(
-                    np.array([x, y]), self.segments[sid].polyline
-                )
-                return sid, dist, ratio
+            ids, dists = self.segments_within_arrays(x, y, radius)
+            if len(ids):
+                sid = int(ids[0])
+                return sid, float(dists[0]), self.project(x, y, sid)[1]
             radius *= 2.0
         raise RuntimeError(f"no segment found near ({x:.1f}, {y:.1f})")
 
     def project(self, x: float, y: float, segment_id: int) -> Tuple[float, float]:
         """(distance, ratio) of (x, y) projected onto a given segment."""
         dist, ratio, _ = project_point_to_polyline(
-            np.array([x, y]), self.segments[segment_id].polyline
-        )
+            np.array([x, y]), self._polyline(segment_id))
         return dist, ratio
 
     def position(self, segment_id: int, ratio: float) -> np.ndarray:
         """(x, y) of the point at ``ratio`` along ``segment_id``."""
-        return self.segments[segment_id].position_at(ratio)
-
-    # ------------------------------------------------------------------
-    # Sub-network extraction (used by dataset scaling experiments)
-    # ------------------------------------------------------------------
-    def subnetwork(self, keep_ids: Sequence[int]) -> Tuple["RoadNetwork", Dict[int, int]]:
-        """The induced sub-network on ``keep_ids``; returns (net, old→new)."""
-        keep = sorted(set(int(i) for i in keep_ids))
-        mapping = {old: new for new, old in enumerate(keep)}
-        segments = [
-            RoadSegment(mapping[old], self.segments[old].polyline.copy(),
-                        self.segments[old].level, self.segments[old].elevated)
-            for old in keep
-        ]
-        edges = [
-            (mapping[a], mapping[b])
-            for a, b in self.edges
-            if a in mapping and b in mapping
-        ]
-        return RoadNetwork(segments, edges), mapping
+        return point_along_polyline(self._polyline(segment_id), ratio)
 
 
 def merge_networks(networks: Sequence[RoadNetwork],
@@ -686,16 +608,26 @@ def merge_networks(networks: Sequence[RoadNetwork],
     if len(origins) != len(networks):
         raise ValueError(f"{len(networks)} networks but {len(origins)} origins")
 
-    segments: List[RoadSegment] = []
-    edges: List[Tuple[int, int]] = []
-    offset = 0
+    indptrs, points, edges = [], [], []
+    segments = vertices = 0
     for network, (ox, oy) in zip(networks, origins):
-        shift = np.array([float(ox), float(oy)])
-        for segment in network.segments:
-            segments.append(RoadSegment(
-                offset + segment.segment_id, segment.polyline + shift,
-                level=segment.level, elevated=segment.elevated,
-            ))
-        edges.extend((a + offset, b + offset) for a, b in network.edges)
-        offset += network.num_segments
-    return RoadNetwork(segments, edges)
+        indptr, table = network._polylines()
+        indptrs.append(indptr[:-1] + vertices)
+        points.append(table + np.array([float(ox), float(oy)]))
+        edges.append(network.edge_index() + segments)
+        segments += network.num_segments
+        vertices += len(table)
+    return RoadNetwork({
+        "poly_indptr": np.concatenate([*indptrs, [vertices]]),
+        "poly_points": np.concatenate(points),
+        "levels": np.concatenate([network.levels() for network in networks]),
+        "elevated": np.concatenate([network.elevated() for network in networks]),
+        "edge_index": np.concatenate(edges, axis=1),
+    })
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A write-protected view of ``array`` (the caller's flags untouched)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view

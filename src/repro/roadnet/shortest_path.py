@@ -10,7 +10,9 @@ Two distinct distance notions are needed:
 Both reduce to single-source Dijkstra over a graph whose nodes are
 segments and whose edge weight from a to b is the length of b (entering b
 means traversing it).  Single-source results are memoized, so evaluating a
-test set touches each distinct source segment once.
+test set touches each distinct source segment once.  The graph is read from
+the network's CSR arrays, unpacked once per engine into the Python lists a
+heap-driven search indexes per pop.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ class ShortestPathEngine:
         self.network = network
         self._cache: Dict[int, np.ndarray] = {}
         self._cache_limit = cache_limit
-        self._lengths = np.array([s.length for s in network.segments])
+        self._lengths = network.lengths()
+        indptr, targets, _ = network.csr_out_neighbors()
+        bounds, flat = indptr.tolist(), targets.tolist()
+        #: ``successors[u]``: the segments ``u`` feeds, in edge order.
+        self.successors: List[List[int]] = [
+            flat[bounds[u]:bounds[u + 1]] for u in range(network.num_segments)]
 
     # ------------------------------------------------------------------
     # Single-source distances (segment granularity)
@@ -52,7 +59,7 @@ class ShortestPathEngine:
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for v in self.network.out_neighbors[u]:
+            for v in self.successors[u]:
                 nd = d + self._lengths[v]
                 if nd < dist[v]:
                     dist[v] = nd
@@ -79,7 +86,7 @@ class ShortestPathEngine:
                 break
             if d > dist[u]:
                 continue
-            for v in self.network.out_neighbors[u]:
+            for v in self.successors[u]:
                 nd = d + self._lengths[v]
                 if nd < dist[v]:
                     dist[v] = nd
@@ -107,22 +114,18 @@ class ShortestPathEngine:
         lengths = self._lengths
         if seg_a == seg_b and ratio_b >= ratio_a:
             return float((ratio_b - ratio_a) * lengths[seg_a])
-
+        indptr, sources = self.network.csr_in_neighbors()
+        preds = sources[indptr[seg_b]:indptr[seg_b + 1]]
+        if not len(preds):
+            return _INF
+        # Leave seg_a, reach the end of seg_b's nearest predecessor (seg_a
+        # itself at 0, which covers going round a loop back onto seg_a),
+        # then run the partial seg_b.  Rounding is monotone, so the sum
+        # over the nearest predecessor is the least of the per-predecessor
+        # sums; an unreachable seg_b sums to inf.
         remaining = (1.0 - ratio_a) * lengths[seg_a]
-        dist = self.distances_from(seg_a)
-        best = _INF
-        # Enter seg_b directly from some predecessor: distance to that
-        # predecessor's end + partial seg_b.
-        for pred in self.network.in_neighbors[seg_b]:
-            base = 0.0 if pred == seg_a else dist[pred]
-            if np.isfinite(base):
-                best = min(best, remaining + base + ratio_b * lengths[seg_b])
-        # Loop case: leave seg_a, travel back onto seg_a, continue to b.
-        if seg_a == seg_b:
-            for pred in self.network.in_neighbors[seg_b]:
-                if np.isfinite(dist[pred]):
-                    best = min(best, remaining + dist[pred] + ratio_b * lengths[seg_b])
-        return float(best)
+        nearest = self.distances_from(seg_a)[preds].min()
+        return float(remaining + nearest + ratio_b * lengths[seg_b])
 
     def symmetric_position_distance(
         self, seg_a: int, ratio_a: float, seg_b: int, ratio_b: float

@@ -55,7 +55,10 @@ class TrajectorySimulator:
         self.config = config or SimulationConfig()
         self.rng = np.random.default_rng(self.config.seed)
         self.engine = ShortestPathEngine(network)
-        self._lengths = np.array([s.length for s in network.segments])
+        self._lengths = network.lengths()
+        self._levels = network.levels().tolist()
+        self._elevated = network.elevated().tolist()
+        self._elevated_ids = np.flatnonzero(network.elevated())
 
     # ------------------------------------------------------------------
     # Routing
@@ -64,10 +67,10 @@ class TrajectorySimulator:
         """Dijkstra with multiplicative log-normal weight noise."""
         import heapq
 
-        net = self.network
+        successors = self.engine.successors
         noise = self.config.route_weight_noise
         bias = self.config.elevated_bias
-        n = net.num_segments
+        n = self.network.num_segments
         dist = np.full(n, np.inf)
         parent = np.full(n, -1, dtype=np.int64)
         dist[source] = 0.0
@@ -78,9 +81,9 @@ class TrajectorySimulator:
                 break
             if d > dist[u]:
                 continue
-            for v in net.out_neighbors[u]:
+            for v in successors[u]:
                 w = self._lengths[v] * float(np.exp(self.rng.normal(0.0, noise)))
-                if net.segments[v].elevated:
+                if self._elevated[v]:
                     w *= float(np.exp(bias))
                 nd = d + w
                 if nd < dist[v]:
@@ -99,12 +102,9 @@ class TrajectorySimulator:
         so the trajectory is guaranteed to traverse it (used by the
         robustness experiments of §VI-D)."""
         n = self.network.num_segments
-        if prefer_elevated:
-            elevated = [i for i, s in enumerate(self.network.segments) if s.elevated]
-            if elevated:
-                source = int(self.rng.choice(elevated))
-                target = int(self.rng.integers(0, n))
-                return source, target
+        if prefer_elevated and len(self._elevated_ids):
+            source = int(self.rng.choice(self._elevated_ids))
+            return source, int(self.rng.integers(0, n))
         return int(self.rng.integers(0, n)), int(self.rng.integers(0, n))
 
     # ------------------------------------------------------------------
@@ -124,15 +124,14 @@ class TrajectorySimulator:
         # Mean-reverting speed process sampled per second.
         position = 0.0
         time = 0.0
-        speed = _LEVEL_SPEED[self.network.segments[route[0]].level]
+        speed = _LEVEL_SPEED[self._levels[route[0]]]
         positions = [0.0]
         times = [0.0]
         max_time = (cfg.target_points + 2) * cfg.sample_interval
         while position < total and time < max_time:
             seg_idx = int(np.searchsorted(boundaries, position, side="right") - 1)
             seg_idx = min(seg_idx, len(route) - 1)
-            level = self.network.segments[route[seg_idx]].level
-            mean_speed = _LEVEL_SPEED[level]
+            mean_speed = _LEVEL_SPEED[self._levels[route[seg_idx]]]
             speed += 0.5 * (mean_speed - speed) + self.rng.normal(0.0, cfg.speed_jitter * mean_speed)
             speed = float(np.clip(speed, 1.0, 35.0))
             position += speed

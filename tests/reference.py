@@ -12,7 +12,7 @@ The module lives beside the tests because only they import it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,7 +164,7 @@ def _jittered_line(p0: np.ndarray, p1: np.ndarray, jitter: float,
 def reference_generate_city(config: Optional[CityConfig] = None) -> RoadNetwork:
     """The original ``generate_city``: every segment appended as a
     ``RoadSegment``, connectivity joined through a dict of start keys,
-    one segment at a time, into ``RoadNetwork(segments, edges)``."""
+    one segment at a time, into :func:`reference_network`."""
     config = config or CityConfig()
     rng = np.random.default_rng(config.seed)
     builder = _CityBuilder()
@@ -241,7 +241,35 @@ def reference_generate_city(config: Optional[CityConfig] = None) -> RoadNetwork:
                 if not config.allow_u_turn and builder.opposite.get(a) == b:
                     continue
                 edges.append((a, b))
-    return RoadNetwork(segments, edges)
+    return reference_network(segments, edges)
+
+
+def reference_network(segments: Sequence[RoadSegment],
+                      edges: Iterable[Tuple[int, int]]) -> RoadNetwork:
+    """The original object constructor ``RoadNetwork(segments, edges)``:
+    segments numbered 0..n-1 in order, self-loops and repeated edges
+    dropped (first occurrence kept), then the segments packed into the
+    arrays the network is built from."""
+    segments = list(segments)
+    if [s.segment_id for s in segments] != list(range(len(segments))):
+        raise ValueError("segments must be numbered 0..n-1 in order")
+    kept: List[Tuple[int, int]] = []
+    seen: set = set()
+    for a, b in edges:
+        if a == b or (a, b) in seen:
+            continue
+        if not (0 <= a < len(segments) and 0 <= b < len(segments)):
+            raise IndexError(f"edge ({a}, {b}) references a missing segment")
+        seen.add((a, b))
+        kept.append((a, b))
+    return RoadNetwork({
+        "poly_indptr": np.cumsum([0] + [len(s.polyline) for s in segments]),
+        "poly_points": (np.concatenate([s.polyline for s in segments]) if segments
+                        else np.zeros((0, 2))),
+        "levels": np.array([s.level for s in segments], dtype=np.int64),
+        "elevated": np.array([s.elevated for s in segments], dtype=np.bool_),
+        "edge_index": np.array(kept, dtype=np.int64).reshape(-1, 2).T,
+    })
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +374,35 @@ def reference_constraint_for_fix(network: RoadNetwork, x: float, y: float,
     ids = np.array([sid for sid, _ in hits], dtype=np.int64)
     weights = gaussian_weight(np.array([d for _, d in hits]), beta)
     return ids, np.maximum(weights, 1e-8)
+
+
+# ----------------------------------------------------------------------
+# Road-network distance between positions: one loop per predecessor
+# ----------------------------------------------------------------------
+
+
+def reference_position_distance(engine, seg_a: int, ratio_a: float,
+                                seg_b: int, ratio_b: float) -> float:
+    """The original ``ShortestPathEngine.position_distance``: a running
+    minimum over seg_b's in-neighbours (seg_a itself counted at 0), then
+    the same minimum again for the loop case."""
+    lengths = engine._lengths
+    if seg_a == seg_b and ratio_b >= ratio_a:
+        return float((ratio_b - ratio_a) * lengths[seg_a])
+    indptr, sources = engine.network.csr_in_neighbors()
+    in_neighbors = sources[indptr[seg_b]:indptr[seg_b + 1]].tolist()
+    remaining = (1.0 - ratio_a) * lengths[seg_a]
+    dist = engine.distances_from(seg_a)
+    best = float("inf")
+    for pred in in_neighbors:
+        base = 0.0 if pred == seg_a else dist[pred]
+        if np.isfinite(base):
+            best = min(best, remaining + base + ratio_b * lengths[seg_b])
+    if seg_a == seg_b:
+        for pred in in_neighbors:
+            if np.isfinite(dist[pred]):
+                best = min(best, remaining + dist[pred] + ratio_b * lengths[seg_b])
+    return float(best)
 
 
 # ----------------------------------------------------------------------

@@ -414,9 +414,14 @@ class TestStatsRollup:
                                 [(0.0, 0.0), (5000.0, 0.0)])
         n = data.network.num_segments
         assert merged.num_segments == 2 * n
-        assert len(merged.edges) == 2 * len(data.network.edges)
-        left = data.network.segments[3].polyline
-        right = merged.segments[n + 3].polyline
-        assert np.allclose(right, left + np.array([5000.0, 0.0]))
+        edges = data.network.edge_index()
+        assert np.array_equal(merged.edge_index(),
+                              np.concatenate([edges, edges + n], axis=1))
+        for array in ("levels", "elevated"):
+            one = getattr(data.network, array)()
+            assert np.array_equal(getattr(merged, array)(), np.concatenate([one, one]))
+        assert np.allclose(merged.lengths(), np.tile(data.network.lengths(), 2))
+        assert np.allclose(merged.position(n + 3, 0.5),
+                           data.network.position(3, 0.5) + np.array([5000.0, 0.0]))
         x0, _, x1, _ = merged.bounds()
         assert x1 - x0 > 5000.0

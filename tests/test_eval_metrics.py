@@ -12,8 +12,9 @@ from repro.eval import (
     point_accuracy,
     sr_at_k,
 )
+from reference import reference_network
 from repro.eval.metrics import distance_errors
-from repro.roadnet import CityConfig, RoadNetwork, RoadSegment, ShortestPathEngine, generate_city
+from repro.roadnet import CityConfig, RoadSegment, ShortestPathEngine, generate_city
 from repro.trajectory import MatchedTrajectory
 
 
@@ -61,7 +62,7 @@ class TestDistanceErrors:
             RoadSegment(0, np.array([[0.0, 0.0], [100.0, 0.0]])),
             RoadSegment(1, np.array([[100.0, 0.0], [200.0, 0.0]])),
         ]
-        return RoadNetwork(segments, [(0, 1)])
+        return reference_network(segments, [(0, 1)])
 
     def test_same_position_zero(self):
         net = self._line_network()
@@ -101,35 +102,35 @@ class TestElevatedMetrics:
                                         elevated_rows=(2,), ramp_every=1, seed=9))
 
     def test_elevated_window_found(self, city):
-        elevated_ids = [s.segment_id for s in city.segments if s.elevated]
-        ground_ids = [s.segment_id for s in city.segments if not s.elevated]
+        elevated_ids = np.flatnonzero(city.elevated()).tolist()
+        ground_ids = np.flatnonzero(~city.elevated()).tolist()
         t = traj(ground_ids[:2] + elevated_ids[:2] + ground_ids[2:4])
         window = elevated_window(t, city, pad=1)
         assert window is not None
         assert window.tolist() == [1, 2, 3, 4]
 
     def test_no_elevated_returns_none(self, city):
-        ground_ids = [s.segment_id for s in city.segments if not s.elevated]
+        ground_ids = np.flatnonzero(~city.elevated()).tolist()
         assert elevated_window(traj(ground_ids[:4]), city) is None
 
     def test_sr_at_k_perfect_prediction(self, city):
-        elevated_ids = [s.segment_id for s in city.segments if s.elevated]
-        ground_ids = [s.segment_id for s in city.segments if not s.elevated]
+        elevated_ids = np.flatnonzero(city.elevated()).tolist()
+        ground_ids = np.flatnonzero(~city.elevated()).tolist()
         t = traj(ground_ids[:2] + elevated_ids[:3])
         out = sr_at_k([t], [t], city, thresholds=(0.5, 0.8))
         assert out[0.5] == 1.0
         assert out[0.8] == 1.0
 
     def test_sr_at_k_wrong_prediction(self, city):
-        elevated_ids = [s.segment_id for s in city.segments if s.elevated]
-        ground_ids = [s.segment_id for s in city.segments if not s.elevated]
+        elevated_ids = np.flatnonzero(city.elevated()).tolist()
+        ground_ids = np.flatnonzero(~city.elevated()).tolist()
         truth = traj(ground_ids[:2] + elevated_ids[:3])
         wrong = traj(ground_ids[4:9])
         out = sr_at_k([truth], [wrong], city, thresholds=(0.4,))
         assert out[0.4] == 0.0
 
     def test_sr_at_k_no_elevated_trajectories(self, city):
-        ground_ids = [s.segment_id for s in city.segments if not s.elevated]
+        ground_ids = np.flatnonzero(~city.elevated()).tolist()
         t = traj(ground_ids[:3])
         out = sr_at_k([t], [t], city, thresholds=(0.5,))
         assert out[0.5] == 0.0  # no windows → zero proportions

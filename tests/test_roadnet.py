@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import reference_network
 from repro.roadnet import (
     CityConfig,
     NUM_ROAD_LEVELS,
-    RoadNetwork,
     RoadSegment,
     ShortestPathEngine,
     generate_city,
@@ -23,7 +23,7 @@ def tiny_network():
         RoadSegment(2, np.array([[100.0, 100.0], [0.0, 0.0]]), level=4),
     ]
     edges = [(0, 1), (1, 2), (2, 0)]
-    return RoadNetwork(segments, edges)
+    return reference_network(segments, edges)
 
 
 class TestRoadSegment:
@@ -47,24 +47,20 @@ class TestRoadSegment:
 class TestRoadNetwork:
     def test_adjacency_lists(self):
         net = tiny_network()
-        assert net.out_neighbors[0] == [1]
-        assert net.in_neighbors[0] == [2]
+        out_indptr, out_indices, out_degree = net.csr_out_neighbors()
+        in_indptr, in_indices = net.csr_in_neighbors()
+        assert out_indices[out_indptr[0]:out_indptr[1]].tolist() == [1]
+        assert in_indices[in_indptr[0]:in_indptr[1]].tolist() == [2]
+        assert out_degree.tolist() == [1, 1, 1]
 
-    def test_duplicate_and_self_edges_dropped(self):
-        segments = [
-            RoadSegment(0, np.array([[0.0, 0.0], [1.0, 0.0]])),
-            RoadSegment(1, np.array([[1.0, 0.0], [2.0, 0.0]])),
-        ]
-        net = RoadNetwork(segments, [(0, 1), (0, 1), (0, 0)])
-        assert net.edges == [(0, 1)]
-
-    def test_bad_segment_numbering(self):
-        with pytest.raises(ValueError):
-            RoadNetwork([RoadSegment(3, np.array([[0.0, 0.0], [1.0, 0.0]]))], [])
-
-    def test_edge_bounds_checked(self):
-        with pytest.raises(IndexError):
-            RoadNetwork([RoadSegment(0, np.array([[0.0, 0.0], [1.0, 0.0]]))], [(0, 5)])
+    def test_per_segment_arrays_are_read_only(self):
+        net = tiny_network()
+        assert net.levels().tolist() == [2, 2, 4]
+        assert net.elevated().tolist() == [False, False, False]
+        assert net.lengths().tolist() == [100.0, 100.0, np.hypot(100.0, 100.0)]
+        for array in (net.levels(), net.elevated(), net.lengths()):
+            assert not array.flags.writeable
+        assert net.lengths() is net.lengths()
 
     def test_static_features_shape_and_content(self):
         net = tiny_network()
@@ -83,10 +79,9 @@ class TestRoadNetwork:
 
     def test_segments_within_sorted(self):
         net = tiny_network()
-        hits = net.segments_within(50.0, 5.0, 500.0)
-        dists = [d for _, d in hits]
-        assert dists == sorted(dists)
-        assert hits[0][0] == 0
+        ids, dists = net.segments_within_arrays(50.0, 5.0, 500.0)
+        assert dists.tolist() == sorted(dists.tolist())
+        assert ids[0] == 0
 
     def test_segments_within_batch_equals_single_point_queries(self, monkeypatch):
         """The multi-point query is Q single-point queries: same id sets,
@@ -101,7 +96,7 @@ class TestRoadNetwork:
             RoadSegment(3, np.array([[-60.0, 120.0], [-20.0, 160.0],
                                      [30.0, 140.0]])),
         ]
-        net = RoadNetwork(segments, [(0, 1), (1, 2), (2, 0)])
+        net = reference_network(segments, [(0, 1), (1, 2), (2, 0)])
         rng = np.random.default_rng(5)
         points = np.vstack([rng.uniform(-80.0, 170.0, size=(30, 2)),
                             [[90.0, 30.0], [40.0, 0.0], [5000.0, 5000.0]]])
@@ -127,12 +122,6 @@ class TestRoadNetwork:
         assert dist < 1e-9
         assert np.isclose(ratio, 0.4)
 
-    def test_subnetwork_remaps(self):
-        net = tiny_network()
-        sub, mapping = net.subnetwork([1, 2])
-        assert sub.num_segments == 2
-        assert sub.edges == [(mapping[1], mapping[2])]
-
     def test_make_grid_covers_bounds(self):
         net = tiny_network()
         grid = net.make_grid(cell_size=50.0)
@@ -154,7 +143,7 @@ def random_networks(draw, max_subsegments=3):
         steps[rng.random(len(steps)) < 0.15] = 0.0  # zero-length sub-segments
         line = np.cumsum(np.vstack([rng.uniform(0, side, size=2), steps]), axis=0)
         polylines += [line, line.copy(), line[::-1].copy()][:rng.integers(1, 4)]
-    return RoadNetwork([RoadSegment(i, line) for i, line in enumerate(polylines)], [])
+    return reference_network([RoadSegment(i, line) for i, line in enumerate(polylines)], [])
 
 
 class TestBoundedQuery:
@@ -182,7 +171,7 @@ class TestBoundedQuery:
         inside the tie and must pick the same two as the full query."""
         line = np.array([[0.0, 10.0], [50.0, 10.0]])
         lines = [line + [0.0, 40.0 * i] for i in range(40) for _ in range(4)]
-        net = RoadNetwork([RoadSegment(i, l) for i, l in enumerate(lines)], [])
+        net = reference_network([RoadSegment(i, l) for i, l in enumerate(lines)], [])
         ids, dists = net.segments_within_arrays(25.0, 0.0, 300.0)
         assert dists[0] == dists[3] < dists[4]
         got_ids, got_dists = net.nearest_within_arrays(25.0, 0.0, 300.0, 2)
@@ -192,8 +181,9 @@ class TestBoundedQuery:
     def test_degenerate_bounds_fall_back_to_one_full_query(self):
         """Collinear geometry has a zero-area bbox: no density to derive a
         first ball from, so the query is the full one."""
-        net = RoadNetwork([RoadSegment(i, np.array([[10.0 * i, 0.0], [10.0 * i + 10.0, 0.0]]))
-                           for i in range(8)], [])
+        net = reference_network(
+            [RoadSegment(i, np.array([[10.0 * i, 0.0], [10.0 * i + 10.0, 0.0]]))
+             for i in range(8)], [])
         ids, dists = net.segments_within_arrays(35.0, 3.0, 25.0)
         got = net.nearest_within_arrays(35.0, 3.0, 25.0, 3)
         assert got[0].tolist() == ids[:3].tolist() and got[1].tolist() == dists[:3].tolist()
@@ -238,7 +228,7 @@ class TestGenerator:
         a = generate_city(CityConfig(width=1000, height=1000, seed=5))
         b = generate_city(CityConfig(width=1000, height=1000, seed=5))
         assert a.num_segments == b.num_segments
-        assert a.edges == b.edges
+        assert np.array_equal(a.edge_index(), b.edge_index())
 
     def test_two_way_pairs_exist(self):
         net = generate_city(CityConfig(width=1000, height=1000, seed=5))
@@ -253,18 +243,16 @@ class TestGenerator:
 
     def test_elevated_deck_present_and_marked(self):
         net = generate_city(CityConfig(width=1500, height=1500, elevated_rows=(2,), seed=5))
-        elevated = [s for s in net.segments if s.elevated]
-        assert elevated
-        assert any(s.level == 0 for s in elevated)  # expressway deck
-        assert any(s.level == 1 for s in elevated)  # ramps
+        levels = set(net.levels()[net.elevated()].tolist())
+        assert {0, 1} <= levels  # expressway deck and ramps
 
     def test_no_elevated_when_disabled(self):
         net = generate_city(CityConfig(width=1000, height=1000, elevated_rows=(), seed=5))
-        assert not any(s.elevated for s in net.segments)
+        assert not net.elevated().any()
 
     def test_no_instant_u_turns(self):
         net = generate_city(CityConfig(width=1000, height=1000, seed=5, allow_u_turn=False))
-        for a, b in net.edges:
+        for a, b in net.edge_index().T.tolist():
             pa, pb = net.segments[a].polyline, net.segments[b].polyline
             # b must not be exactly a reversed (the opposite twin).
             if pa.shape == pb.shape:
@@ -287,8 +275,8 @@ class TestShortestPath:
         engine = ShortestPathEngine(net)
         dist = engine.distances_from(0)
         assert np.isclose(dist[0], 0.0)
-        assert np.isclose(dist[1], net.segments[1].length)
-        assert np.isclose(dist[2], net.segments[1].length + net.segments[2].length)
+        assert np.isclose(dist[1], net.lengths()[1])
+        assert np.isclose(dist[2], net.lengths()[1] + net.lengths()[2])
 
     def test_route_recovery(self):
         net = tiny_network()
@@ -301,7 +289,7 @@ class TestShortestPath:
             RoadSegment(0, np.array([[0.0, 0.0], [1.0, 0.0]])),
             RoadSegment(1, np.array([[5.0, 5.0], [6.0, 5.0]])),
         ]
-        engine = ShortestPathEngine(RoadNetwork(segments, []))
+        engine = ShortestPathEngine(reference_network(segments, []))
         assert engine.route(0, 1) is None
 
     def test_matches_networkx_reference(self):
@@ -310,8 +298,8 @@ class TestShortestPath:
         net = generate_city(CityConfig(width=1000, height=1000, seed=3))
         engine = ShortestPathEngine(net)
         g = nx.DiGraph()
-        for a, b in net.edges:
-            g.add_edge(a, b, weight=net.segments[b].length)
+        for a, b in net.edge_index().T.tolist():
+            g.add_edge(a, b, weight=net.lengths()[b])
         ref = nx.single_source_dijkstra_path_length(g, 0)
         ours = engine.distances_from(0)
         for node, d in list(ref.items())[:50]:
@@ -321,28 +309,28 @@ class TestShortestPath:
         net = tiny_network()
         engine = ShortestPathEngine(net)
         d = engine.position_distance(0, 0.2, 0, 0.7)
-        assert np.isclose(d, 0.5 * net.segments[0].length)
+        assert np.isclose(d, 0.5 * net.lengths()[0])
 
     def test_position_distance_cross_segment(self):
         net = tiny_network()
         engine = ShortestPathEngine(net)
         d = engine.position_distance(0, 0.5, 1, 0.5)
-        expected = 0.5 * net.segments[0].length + 0.5 * net.segments[1].length
+        expected = 0.5 * net.lengths()[0] + 0.5 * net.lengths()[1]
         assert np.isclose(d, expected)
 
     def test_position_distance_backward_routes_around_loop(self):
         net = tiny_network()
         engine = ShortestPathEngine(net)
         d = engine.position_distance(0, 0.7, 0, 0.2)
-        loop = net.segments[1].length + net.segments[2].length
-        assert np.isclose(d, 0.3 * net.segments[0].length + loop + 0.2 * net.segments[0].length)
+        loop = net.lengths()[1] + net.lengths()[2]
+        assert np.isclose(d, 0.3 * net.lengths()[0] + loop + 0.2 * net.lengths()[0])
 
     def test_symmetric_distance_finite_fallback(self):
         segments = [
             RoadSegment(0, np.array([[0.0, 0.0], [10.0, 0.0]])),
             RoadSegment(1, np.array([[50.0, 0.0], [60.0, 0.0]])),
         ]
-        engine = ShortestPathEngine(RoadNetwork(segments, []))
+        engine = ShortestPathEngine(reference_network(segments, []))
         d = engine.symmetric_position_distance(0, 0.0, 1, 0.0)
         assert np.isclose(d, 50.0)  # straight-line fallback
 
@@ -357,4 +345,4 @@ class TestShortestPath:
         net = tiny_network()
         engine = ShortestPathEngine(net)
         total = engine.route_length([0, 1])
-        assert np.isclose(total, net.segments[0].length + net.segments[1].length)
+        assert np.isclose(total, net.lengths()[0] + net.lengths()[1])

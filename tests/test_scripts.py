@@ -58,15 +58,17 @@ class TestOutputHashes:
         ``compute_loss`` per city), one ``artifact`` content hash per city,
         one ``network`` hash per dataset recipe plus the 125 m metro, a
         ``fit`` line and its ``resumed`` twin per ``http-cold`` city, equal
-        (resume ≡ uninterrupted), and a model built in memory hashes like
-        the same weights mapped read-only."""
+        (resume ≡ uninterrupted), a ``dataset`` line and its Linear+HMM
+        ``eval`` line per distinct city recipe plus chengdu's elevated
+        run, and a model built in memory hashes like the same weights
+        mapped read-only."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
         lines = out.stdout.splitlines()
         assert lines == sorted(lines) and len(lines) == \
-            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3 + 6 + 4
+            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3 + 6 + 4 + 2 * 5
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
         variants = {name for name in hashes if "/variant/" in name}
@@ -88,6 +90,11 @@ class TestOutputHashes:
             "fit/chengdu", "fit/chengdu/resumed", "fit/porto", "fit/porto/resumed"]
         for city in ("chengdu", "porto"):
             assert hashes[f"fit/{city}"] == hashes[f"fit/{city}/resumed"]
+        runs = ["chengdu", "chengdu/elevated", "porto", "shanghai", "shanghai_l"]
+        assert sorted(name for name in hashes if name.startswith("dataset/")) == [
+            f"dataset/{run}" for run in runs]
+        assert sorted(name for name in hashes if name.startswith("eval/")) == sorted(
+            f"eval/{run}/linear_hmm" for run in runs)
 
 
 class TestCheckDocs:

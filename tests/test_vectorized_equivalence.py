@@ -24,12 +24,15 @@ from repro.core.decoder import (
     interpolation_prior,
 )
 from repro.core.subgraph_gen import SubGraphGenerator
-from repro.datasets import get_spec
+from repro.baselines import LinearHMMRecovery
+from repro.datasets import get_spec, load_dataset
+from repro.eval.metrics import evaluate_recovery, sr_at_k
 from repro.geo import Grid, RTree
 from repro.geo.distance import measure_polylines, polyline_length
 from repro.nn.graph import ragged_positions, sort_unique
 from repro.nn.tensor import Tensor, no_grad, scatter_sum_array
-from repro.roadnet import CityArtifacts, CityConfig, RoadNetwork, generate_city
+from repro.roadnet import (CityArtifacts, CityConfig, RoadNetwork, ShortestPathEngine,
+                           generate_city)
 from repro.trajectory import (
     DatasetConfig,
     SimulationConfig,
@@ -194,7 +197,7 @@ class TestSegmentBoxes:
 
     def test_packed_network_reads_the_exported_table(self, city):
         arrays = city.export_arrays()
-        mapped = RoadNetwork.from_arrays(arrays)
+        mapped = RoadNetwork(arrays)
         for got, want in zip(mapped._polylines(), (arrays["poly_indptr"],
                                                     arrays["poly_points"])):
             assert np.shares_memory(got, want)
@@ -223,7 +226,8 @@ class TestPackedCity:
     """``generate_city`` builds the network's arrays directly; every array,
     every lazily materialized object view and every trajectory simulated
     on it must equal the object-building generator's
-    (``reference.reference_generate_city``)."""
+    (``reference.reference_generate_city``), and neither serving nor the
+    offline pipeline builds an object view."""
 
     @pytest.fixture(scope="class")
     def cities(self):
@@ -245,9 +249,7 @@ class TestPackedCity:
 
     def test_object_views_equal_the_object_build(self, pair):
         got, want = pair
-        assert got.edges == want.edges
         assert got.out_neighbors == want.out_neighbors
-        assert got.in_neighbors == want.in_neighbors
         assert len(got.segments) == len(want.segments)
         for ours, theirs in zip(got.segments, want.segments):
             assert (ours.segment_id, ours.level, ours.elevated, ours.length) == (
@@ -269,6 +271,24 @@ class TestPackedCity:
         CityArtifacts.build(network, RNTrajRec(network, CFG).eval())
         assert not set(RoadNetwork._LAZY_ATTRS) & set(network.__dict__)
 
+    def test_the_offline_pipeline_builds_no_objects(self, monkeypatch):
+        """Simulation, samples, an off-road fix's nearest-segment
+        fallback, Linear+HMM recovery and every Table III / SR%k metric
+        read the arrays alone."""
+        monkeypatch.setattr("repro.datasets.registry._NETWORK_CACHE", {})
+        data = load_dataset("porto", num_trajectories=20)
+        network = data.network
+        x1, y1 = network.bounds()[2:]
+        ids, _ = constraint_for_fix(network, x1 + 400.0, y1 + 400.0, 15.0, 100.0)
+        assert len(ids) == 1
+        samples = data.val + data.test
+        model = LinearHMMRecovery(network)
+        predictions = model.recover_trajectories(make_batch(samples))
+        truths = [sample.target for sample in samples]
+        assert evaluate_recovery(truths, predictions, model.engine).count == len(samples)
+        sr_at_k(truths, predictions, network)
+        assert not set(RoadNetwork._LAZY_ATTRS) & set(network.__dict__)
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_POLYLINE, min_size=1, max_size=8))
     def test_measured_lengths_equal_each_polyline_length(self, polylines):
@@ -282,6 +302,40 @@ _EDGES = st.integers(1, 12).flatmap(lambda n: st.tuples(
                          max_size=40)))
 
 
+class TestPositionDistance:
+    """``position_distance`` takes one minimum over seg_b's in-neighbours;
+    it equals the two-loop form it replaced
+    (``reference.reference_position_distance``) byte for byte, for every
+    ordered pair of segments — ``a == b`` and unreachable pairs included —
+    on graphs with repeated edges, self-loops and segments no edge
+    enters."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_EDGES, st.integers(0, 2**32 - 1))
+    def test_equals_the_per_predecessor_loops(self, graph, seed):
+        n, edges = graph
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-300.0, 300.0, size=(2 * n, 2))
+        short = rng.random(n) < 0.2  # zero-length segments
+        points[1::2][short] = points[0::2][short]
+        network = RoadNetwork({
+            "poly_indptr": 2 * np.arange(n + 1),
+            "poly_points": points,
+            "levels": np.zeros(n, dtype=np.int64),
+            "elevated": np.zeros(n, dtype=bool),
+            "edge_index": np.array(edges, dtype=np.int64).reshape(-1, 2).T,
+        })
+        engine = ShortestPathEngine(network)
+        ratios = [0.0, 0.5, 1.0 - 1e-9, *rng.random(2)]
+        for a in range(n):
+            for b in range(n):
+                for ratio_a, ratio_b in zip(ratios, ratios[::-1]):
+                    got = engine.position_distance(a, ratio_a, b, ratio_b)
+                    want = reference.reference_position_distance(
+                        engine, a, ratio_a, b, ratio_b)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestKhopClosure:
     """The sort-deduped multi-source BFS equals the per-node set-union BFS
     on graphs with repeated edges, self-loops and isolated nodes."""
@@ -290,7 +344,7 @@ class TestKhopClosure:
     @given(_EDGES, st.integers(0, 3))
     def test_closure_equals_the_set_union_bfs(self, graph, hops):
         n, edges = graph
-        network = RoadNetwork.from_arrays({
+        network = RoadNetwork({
             "poly_indptr": 2 * np.arange(n + 1),
             "poly_points": np.zeros((2 * n, 2)),
             "levels": np.zeros(n, dtype=np.int64),
@@ -364,10 +418,9 @@ class TestSpatialQueries:
             x, y = rng.uniform(-50, 1250, 2)
             radius = float(rng.uniform(40, 400))
             expected = reference.reference_segments_within(city, x, y, radius)
-            got = city.segments_within(x, y, radius)
-            assert [sid for sid, _ in got] == [sid for sid, _ in expected]
-            assert np.array_equal(np.array([d for _, d in got]),
-                                  np.array([d for _, d in expected]))
+            ids, dists = city.segments_within_arrays(x, y, radius)
+            assert ids.tolist() == [sid for sid, _ in expected]
+            assert np.array_equal(dists, np.array([d for _, d in expected]))
 
     def test_constraint_for_fix_bitwise(self, city):
         rng = np.random.default_rng(2)

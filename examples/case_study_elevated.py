@@ -8,10 +8,12 @@ the two decks — the shortest-path distance between a deck point and the
 trunk point "below" it can be kilometres (the only connections are sparse
 ramps).  This script trains RNTrajRec and MTrajRec, picks a test
 trajectory that uses the elevated deck, and prints a step-by-step deck
-comparison plus a GeoJSON-ish dump for external visualization.
+comparison plus a GeoJSON-ish dump, ``runs/case_study_elevated.geojson``
+at the repo root, for external visualization.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -79,7 +81,8 @@ def main() -> None:
             "properties": {"name": name},
             "geometry": {"type": "LineString", "coordinates": coordinates},
         })
-    path = "case_study_elevated.geojson"
+    path = Path(__file__).resolve().parents[1] / "runs" / "case_study_elevated.geojson"
+    path.parent.mkdir(exist_ok=True)
     with open(path, "w") as handle:
         json.dump({"type": "FeatureCollection", "features": features}, handle, indent=1)
     print(f"\nWrote {path} (local-meter coordinates) for visualization.")

@@ -31,20 +31,27 @@ network's ``export_arrays()``, so a generator branch only another recipe
 takes still moves a line.  One ``fit`` line per ``http-cold`` city hashes
 two epochs of ``Trainer.fit`` (loss history and every parameter) on
 simulated samples, and its ``resumed`` twin the same run stopped after
-one epoch, saved, restored into a fresh trainer and model, and finished.
+one epoch with a ``checkpoint=`` archive, which a fresh trainer and model
+load and finish through ``fit(checkpoint=...)``.
 One ``dataset`` line per distinct city recipe (plus chengdu with every
 trajectory started on the elevated deck) hashes a few simulated (raw,
 matched) pairs and the recovery samples built from them, and its ``eval``
 twin Linear+HMM's recoveries of those samples, ``evaluate_recovery``'s
 fields, each trajectory's ``distance_errors`` and ``sr_at_k``.
+The output opens with ``#`` lines naming the environment the hashes hold
+for: Python, numpy, the BLAS and numpy's SIMD extensions found on this CPU
+(OpenBLAS's ``DYNAMIC_ARCH`` and numpy's dispatch both pick kernels by CPU).
 Nothing is timed or kept, so "equal to the parent" is ``diff <(git stash -q;
-python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``.
+python scripts/output_hashes.py; git stash pop -q) <(python scripts/output_hashes.py)``,
+and ``OUTPUT_HASHES.txt`` at the repo root is this script's output with the
+default arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import platform
 import sys
 import tempfile
 from dataclasses import replace
@@ -230,7 +237,8 @@ def _fit_hash(trainer) -> str:
 def fit_lines(workload, seed: int):
     """Per city, two epochs of ``Trainer.fit`` (cosine schedule, two
     accumulated micro-batches per step) run straight through, and again
-    stopped after epoch 1, saved and resumed in a fresh trainer."""
+    stopped after epoch 1 with a ``checkpoint=`` archive that a fresh
+    trainer's ``fit(checkpoint=...)`` resumes from."""
     config = quick_train_config(2, batch_size=4, accumulate_steps=2, schedule="cosine")
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -243,11 +251,9 @@ def fit_lines(workload, seed: int):
             straight.fit(samples)
             nn.init.seed_everything(seed)
             first = Trainer(RNTrajRec(network, small_model_config(32)), config)
-            first.fit(samples, until_epoch=1)
-            state = first.save_state(f"{scratch}/{city.name}")
+            first.fit(samples, until_epoch=1, checkpoint=f"{scratch}/{city.name}")
             resumed = Trainer(RNTrajRec(network, small_model_config(32)), config)
-            resumed.load_state(state)
-            resumed.fit(samples)
+            resumed.fit(samples, checkpoint=f"{scratch}/{city.name}")
             lines += [f"fit/{city.name} {_fit_hash(straight)}",
                       f"fit/{city.name}/resumed {_fit_hash(resumed)}"]
     return lines
@@ -361,10 +367,21 @@ def hash_lines(seed: int, requests: int, metro_block: float):
     return sorted(lines)
 
 
+def environment_header():
+    """``#`` lines naming what the hashes depend on beside the code."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return [f"# blas {blas.get('name')} {blas.get('version')}",
+            f"# numpy {np.__version__}",
+            f"# python {platform.python_version()}",
+            f"# simd {' '.join(config['SIMD Extensions']['found'])}"]
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--requests", type=int, default=48)
     parser.add_argument("--metro-block", type=float, default=40.0)  # 11.9k segments
     args = parser.parse_args()
-    print("\n".join(hash_lines(args.seed, args.requests, args.metro_block)))
+    print("\n".join(environment_header()
+                    + hash_lines(args.seed, args.requests, args.metro_block)))

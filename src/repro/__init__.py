@@ -11,8 +11,8 @@ This package reimplements the complete system in pure numpy:
 * :mod:`repro.mapmatch` — Newson-Krumm HMM map matching;
 * :mod:`repro.core` — the RNTrajRec model (GridGNN, GPSFormer, GRL,
   constraint-mask decoder, multi-task loss);
-* :mod:`repro.train` — the training subsystem: callback-driven
-  :class:`~repro.train.Trainer`, exact-resume
+* :mod:`repro.train` — the training subsystem: one
+  :class:`~repro.train.Trainer` loop, exact-resume
   :class:`~repro.train.TrainState` checkpoints, LR schedules, gradient
   accumulation, and the :func:`~repro.train.fit_and_bundle` train→deploy
   bridge;

@@ -15,7 +15,7 @@ provides
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,12 +61,6 @@ class TrajectoryContextHead(nn.Module):
         context[:, 24] = batch.holidays.astype(np.float64)
         pooled = F.mean(point_features, axis=1)
         return self.proj(nn.concat([pooled, context], axis=-1))
-
-
-class TrajectoryEncoder(Protocol):
-    """Structural type every baseline encoder implements."""
-
-    def forward(self, batch: Batch) -> Tensor: ...  # (b, l, d)
 
 
 class Seq2SeqRecovery(nn.Module):

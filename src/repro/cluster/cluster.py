@@ -87,13 +87,6 @@ class RecoveryCluster:
         if eager:
             self.warm()
 
-    @classmethod
-    def from_file(cls, path: str, **kwargs) -> "RecoveryCluster":
-        """A cluster from a TOML/JSON shard-map file (see docs/cluster.md)."""
-        from .shardmap import load_shard_map
-
-        return cls(load_shard_map(path), **kwargs)
-
     # ------------------------------------------------------------------
     # Request surface (global coordinate frame)
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .graph import (
 )
 from .layers import BatchNorm, Dropout, Embedding, FeedForward, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, StepLR, clip_grad_norm
+from .optim import SGD, Adam, clip_grad_norm
 from .rnn import GRU, LSTM, BiGRU, GRUCell, LSTMCell
 from .serialization import load_archive, load_checkpoint, save_archive, save_checkpoint
 from .tensor import (
@@ -88,7 +88,6 @@ __all__ = [
     "ragged_positions",
     "SGD",
     "Adam",
-    "StepLR",
     "clip_grad_norm",
     "save_checkpoint",
     "load_checkpoint",

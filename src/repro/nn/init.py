@@ -1,4 +1,4 @@
-"""Weight initialization schemes (Glorot/Xavier, He/Kaiming, embeddings).
+"""Weight initialization schemes (Glorot/Xavier, embeddings).
 
 A module-level seeded generator keeps model construction deterministic:
 call :func:`seed_everything` before building a model to make experiments
@@ -28,12 +28,6 @@ def xavier_uniform(fan_in: int, fan_out: int, shape=None, gain: float = 1.0) -> 
     if shape is None:
         shape = (fan_in, fan_out)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return _GENERATOR.uniform(-bound, bound, size=shape)
-
-
-def kaiming_uniform(fan_in: int, shape) -> np.ndarray:
-    """He uniform for ReLU fan-in scaling."""
-    bound = np.sqrt(3.0 / fan_in) if fan_in > 0 else 0.0
     return _GENERATOR.uniform(-bound, bound, size=shape)
 
 

@@ -44,10 +44,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_module(self, name: str, module: "Module") -> None:
-        self._modules[name] = module
-        object.__setattr__(self, name, module)
-
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Declare non-learned persistent state (e.g. running statistics).
 

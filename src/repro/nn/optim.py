@@ -1,4 +1,4 @@
-"""Optimizers (SGD, Adam), gradient clipping and LR schedules.
+"""Optimizers (SGD, Adam) and gradient clipping.
 
 The paper trains everything with Adam (lr 1e-3); SGD is kept for tests and
 ablation sanity checks.  Both optimizers expose ``state_dict()`` /
@@ -155,18 +155,3 @@ class Adam(Optimizer):
         self._step = int(state["step"])
         self._load_slots(state, "m", self._m)
         self._load_slots(state, "v", self._v)
-
-
-class StepLR:
-    """Multiply the optimizer LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

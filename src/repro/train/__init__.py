@@ -1,9 +1,9 @@
 """``repro.train`` — the production training subsystem.
 
-* :class:`Trainer` — Adam + teacher forcing, driven by a callback/event
-  pipeline (:mod:`~repro.train.callbacks`): quiet-by-default logging,
-  early stopping, best-model tracking, periodic checkpoints, ad-hoc
-  metric hooks;
+* :class:`Trainer` — Adam + teacher forcing in one loop that does its
+  own side effects: quiet-by-default logging to the ``repro.train``
+  logger, a ``progress=`` function per epoch, and a ``checkpoint=``
+  archive it resumes from and rewrites after every epoch;
 * :class:`TrainState` — exact-resume checkpointing: model params+buffers,
   optimizer moments/step, RNG streams and counters in one ``.npz``
   archive, with a bit-for-bit determinism guarantee (train N ≡ train k →
@@ -21,17 +21,6 @@ from __future__ import annotations
 
 import logging
 
-from .callbacks import (
-    BestModelTracker,
-    Callback,
-    CallbackList,
-    CheckpointCallback,
-    EarlyStopping,
-    LambdaCallback,
-    LoggingCallback,
-    ProgressCallback,
-    StepInfo,
-)
 from .config import SCHEDULE_NAMES, EpochStats, TrainConfig, TrainResult
 from .pipeline import (
     BundleReport,
@@ -51,24 +40,15 @@ from .state import TrainState
 from .trainer import RecoveryModel, Trainer, quick_accuracy
 
 __all__ = [
-    "BestModelTracker",
     "BundleReport",
-    "Callback",
-    "CallbackList",
-    "CheckpointCallback",
     "ConstantLR",
     "CosineLR",
-    "EarlyStopping",
     "EpochStats",
     "LRSchedule",
-    "LambdaCallback",
-    "LoggingCallback",
     "PiecewiseConstant",
-    "ProgressCallback",
     "RecoveryModel",
     "SCHEDULE_NAMES",
     "StepDecayLR",
-    "StepInfo",
     "TrainConfig",
     "TrainResult",
     "TrainState",

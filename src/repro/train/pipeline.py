@@ -21,9 +21,8 @@ import json
 import time
 import urllib.request
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .callbacks import Callback
 from .config import TrainConfig, TrainResult
 from .trainer import Trainer
 
@@ -56,7 +55,6 @@ def fit_and_bundle(
     out_prefix: str,
     val_samples=(),
     config: Optional[TrainConfig] = None,
-    callbacks: Sequence[Callback] = (),
     checkpoint: Optional[str] = None,
     metadata: Optional[dict] = None,
 ) -> BundleReport:
@@ -68,7 +66,7 @@ def fit_and_bundle(
     """
     from ..serve import save_model_bundle  # lazy: serve imports repro.core
 
-    trainer = Trainer(model, config, callbacks=callbacks)
+    trainer = Trainer(model, config)
     result = trainer.fit(train_samples, val_samples, checkpoint=checkpoint)
     model.eval()
     ckpt_path, config_path = save_model_bundle(model, out_prefix)

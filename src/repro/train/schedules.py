@@ -4,8 +4,6 @@ Every schedule is a *pure function of the epoch index* — ``lr_at(e)``
 reads no mutable state — which is what makes exact resume trivial: a
 trainer restored at epoch k applies the same LR sequence for epochs
 k..N−1 that a straight-through run would, with nothing to replay.
-(The stateful :class:`repro.nn.optim.StepLR` remains for direct use, but
-the trainer drives these.)
 
 The paper trains RNTrajRec with Adam plus decay; ``warmup`` and
 ``cosine`` are the two standard transformer recipes layered on top.

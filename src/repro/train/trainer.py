@@ -1,4 +1,4 @@
-"""The trainer: callback pipeline, schedules, exact resume.
+"""The trainer: one loop with its logging, progress hook and checkpoints.
 
 Training semantics:
 
@@ -12,12 +12,18 @@ Training semantics:
 * gradient accumulation — gradients sum over ``accumulate_steps``
   micro-batches and are averaged before clip + optimizer step.
 
-The trainer is quiet by default: step/epoch records go to the
-``repro.train`` logger (see :mod:`repro.train.callbacks`).
+``fit`` does its side effects in place.  It is quiet by default: step
+records go to the ``repro.train`` logger at DEBUG (at INFO every
+``log_every`` steps) and epoch summaries at INFO, so nothing reaches the
+console unless the host configures logging
+(:func:`repro.train.enable_console_logging` is the one-liner for CLIs).
+After each epoch it calls ``progress(stats)`` and, with ``checkpoint=``,
+rewrites the :class:`~repro.train.TrainState` archive.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
@@ -32,17 +38,11 @@ from ..trajectory.dataset import (
     make_batch,
     make_padded_batch,
 )
-from .callbacks import (
-    Callback,
-    CallbackList,
-    CheckpointCallback,
-    LoggingCallback,
-    ProgressCallback,
-    StepInfo,
-)
 from .config import EpochStats, TrainConfig, TrainResult
 from .schedules import build_schedule
 from .state import TrainState
+
+logger = logging.getLogger("repro.train")
 
 
 class RecoveryModel(Protocol):
@@ -94,10 +94,9 @@ def quick_accuracy(model: RecoveryModel, samples: Sequence[RecoverySample],
 
 
 class Trainer:
-    """Adam trainer with teacher forcing, driven by a callback pipeline."""
+    """Adam trainer with teacher forcing, LR schedules and exact resume."""
 
-    def __init__(self, model: RecoveryModel, config: Optional[TrainConfig] = None,
-                 callbacks: Sequence[Callback] = ()) -> None:
+    def __init__(self, model: RecoveryModel, config: Optional[TrainConfig] = None) -> None:
         self.model = model
         self.config = config or TrainConfig()
         self.optimizer = nn.Adam(
@@ -106,9 +105,7 @@ class Trainer:
             weight_decay=self.config.weight_decay,
         )
         self.schedule = build_schedule(self.config)
-        self.callbacks: List[Callback] = list(callbacks)
         self.history: List[EpochStats] = []
-        self.stop_training = False
         self._epoch = 0
         self._global_step = 0
         self._rng = np.random.default_rng(self.config.seed)
@@ -138,12 +135,10 @@ class Trainer:
         val_samples: Sequence[RecoverySample] = (),
         progress: Optional[Callable[[EpochStats], None]] = None,
         checkpoint: Optional[str] = None,
-        checkpoint_every: int = 1,
         until_epoch: Optional[int] = None,
     ) -> TrainResult:
         """Train to ``config.epochs``, resuming from ``checkpoint`` if the
-        archive already exists (and re-checkpointing into it every
-        ``checkpoint_every`` epochs).
+        archive already exists and rewriting it after every epoch.
 
         ``until_epoch`` stops early at an epoch boundary *without*
         touching the config — schedules like ``cosine`` depend on
@@ -152,45 +147,41 @@ class Trainer:
         """
         cfg = self.config
         stop_at = cfg.epochs if until_epoch is None else min(cfg.epochs, until_epoch)
-        # A previous fit() may have been stopped by a callback; each call
-        # starts willing to train (the callbacks keep their own counters
-        # and may stop again immediately if still warranted).
-        self.stop_training = False
-        pipeline: List[Callback] = [LoggingCallback(cfg.log_every)]
-        pipeline.extend(self.callbacks)
-        if progress is not None:
-            pipeline.append(ProgressCallback(progress))
         if checkpoint is not None:
             normalized = checkpoint if checkpoint.endswith(".npz") else checkpoint + ".npz"
             if os.path.exists(normalized):
                 self.load_state(normalized)
-            pipeline.append(CheckpointCallback(checkpoint, every=checkpoint_every))
-        callbacks = CallbackList(pipeline)
-
-        result = TrainResult(history=list(self.history))
         if self._epoch >= stop_at:
-            return result
+            return TrainResult(history=list(self.history))
 
-        callbacks.on_train_begin(self)
         self.model.train()
-        while self._epoch < stop_at and not self.stop_training:
-            stats = self._run_epoch(train_samples, val_samples, callbacks)
+        while self._epoch < stop_at:
+            stats = self._run_epoch(train_samples, val_samples)
             self.history.append(stats)
+            # Bumped before the checkpoint, so the archive records "this
+            # epoch completed, resume at the next one".
             self._epoch += 1
-            callbacks.on_epoch_end(self, stats)
+            val = ("" if stats.val_accuracy is None
+                   else f" val_acc {stats.val_accuracy:.4f}")
+            logger.info("epoch %d: loss %.4f (id %.4f rate %.4f graph %.4f)%s "
+                        "lr %.2e %.1fs", stats.epoch, stats.loss, stats.id_loss,
+                        stats.rate_loss, stats.graph_loss, val, stats.lr,
+                        stats.seconds)
+            if progress is not None:
+                progress(stats)
+            if checkpoint is not None:
+                written = self.save_state(checkpoint)
+                logger.debug("checkpointed epoch %d to %s", stats.epoch, written)
         self.model.eval()
-        result = TrainResult(history=list(self.history))
-        callbacks.on_train_end(self, result)
-        return result
+        return TrainResult(history=list(self.history))
 
     # ------------------------------------------------------------------
-    def _run_epoch(self, train_samples, val_samples, callbacks) -> EpochStats:
+    def _run_epoch(self, train_samples, val_samples) -> EpochStats:
         cfg = self.config
         epoch = self._epoch
         start = time.perf_counter()
         lr = self.schedule.lr_at(epoch)
         self.optimizer.lr = lr
-        callbacks.on_epoch_begin(self, epoch)
 
         losses: List[float] = []
         id_losses: List[float] = []
@@ -217,10 +208,12 @@ class Trainer:
                     rate_losses.append(rate_loss_)
                     graph_losses.append(graph_loss)
                     self._global_step += 1
-                    callbacks.on_step_end(self, StepInfo(
-                        epoch=epoch, step=step, global_step=self._global_step,
-                        loss=loss, lr=lr))
                     step += 1
+                    if cfg.log_every and step % cfg.log_every == 0:
+                        logger.info("epoch %d step %d: loss %.4f lr %.2e",
+                                    epoch, step, loss, lr)
+                    else:
+                        logger.debug("epoch %d step %d: loss %.4f", epoch, step, loss)
                 if len(group) > 1:
                     scale = 1.0 / len(group)
                     for p in self.optimizer.parameters:

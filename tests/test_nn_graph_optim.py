@@ -150,15 +150,6 @@ class TestOptimizers:
         nn.clip_grad_norm([param], max_norm=1.0)
         assert np.allclose(param.grad, 0.01)
 
-    def test_step_lr_schedule(self):
-        param = nn.Parameter(np.zeros(1))
-        opt = nn.SGD([param], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5
-
 
 @given(st.integers(2, 30), st.integers(1, 5))
 @settings(max_examples=20, deadline=None)

@@ -58,15 +58,18 @@ class TestOutputHashes:
         ``compute_loss`` per city), one ``artifact`` content hash per city,
         one ``network`` hash per dataset recipe plus the 125 m metro, a
         ``fit`` line and its ``resumed`` twin per ``http-cold`` city, equal
-        (resume ≡ uninterrupted), a ``dataset`` line and its Linear+HMM
-        ``eval`` line per distinct city recipe plus chengdu's elevated
-        run, and a model built in memory hashes like the same weights
-        mapped read-only."""
+        (resume through ``fit(checkpoint=...)`` ≡ uninterrupted), a
+        ``dataset`` line and its Linear+HMM ``eval`` line per distinct
+        city recipe plus chengdu's elevated run, and a model built in
+        memory hashes like the same weights mapped read-only — after the
+        ``#`` environment header."""
         out = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "output_hashes.py"),
              "--requests", "2", "--metro-block", "125"],
             capture_output=True, text=True, check=True)
-        lines = out.stdout.splitlines()
+        header = [line for line in out.stdout.splitlines() if line.startswith("#")]
+        assert [line.split()[1] for line in header] == ["blas", "numpy", "python", "simd"]
+        lines = out.stdout.splitlines()[len(header):]
         assert lines == sorted(lines) and len(lines) == \
             2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3 + 6 + 4 + 2 * 5
         hashes = dict(line.split() for line in lines)
@@ -95,6 +98,51 @@ class TestOutputHashes:
             f"dataset/{run}" for run in runs]
         assert sorted(name for name in hashes if name.startswith("eval/")) == sorted(
             f"eval/{run}/linear_hmm" for run in runs)
+
+    # Lines per kind in ``OUTPUT_HASHES.txt``: seed 1 at the default 48
+    # requests per workload, over the 11 880-segment metro.
+    COMMITTED_KINDS = {
+        "assemble": 192, "subgraph": 192, "encode": 192, "prior": 192,
+        "constraint": 192, "recover": 192, "compute_loss": 9, "artifact": 3,
+        "stream": 240, "cache": 144, "variant": 112, "network": 6, "fit": 4,
+        "dataset": 5, "eval": 5}
+
+    @staticmethod
+    def _kind(name):
+        head, tail = name.split("/", 1)[0], name.rsplit("/", 1)[-1]
+        if head in ("network", "fit", "dataset", "eval"):
+            return head
+        for kind in ("variant", "artifact", "stream", "cache"):
+            if f"/{kind}/" in name:
+                return kind
+        return tail.split("@")[0]
+
+    def test_committed_file_has_the_default_shape(self):
+        """``OUTPUT_HASHES.txt`` — the script's output at its defaults —
+        without re-running the script: its environment header, sorted
+        64-hex lines, the per-kind counts, resume ≡ uninterrupted and
+        built ≡ mapped."""
+        text = (REPO / "OUTPUT_HASHES.txt").read_text().splitlines()
+        header = [line for line in text if line.startswith("#")]
+        assert text[:len(header)] == header
+        assert [line.split()[1] for line in header] == ["blas", "numpy", "python", "simd"]
+        assert all(len(line.split()) > 2 for line in header)
+        lines = text[len(header):]
+        assert lines == sorted(lines)
+        hashes = dict(line.split(" ") for line in lines)
+        assert len(hashes) == len(lines)
+        assert all(len(d) == 64 and set(d) <= set("0123456789abcdef")
+                   for d in hashes.values())
+        counts = {kind: 0 for kind in self.COMMITTED_KINDS}
+        for name in hashes:
+            counts[self._kind(name)] += 1
+        assert counts == self.COMMITTED_KINDS
+        for city in ("chengdu", "porto"):
+            assert hashes[f"fit/{city}"] == hashes[f"fit/{city}/resumed"]
+        mapped = [name for name in hashes if "/mmap/" in name]
+        assert len(mapped) == 6 * 2 * 48
+        for name in mapped:
+            assert hashes[name] == hashes[name.replace("/mmap/", "/built/")]
 
 
 class TestCheckDocs:

@@ -1,5 +1,6 @@
-"""The repro.train subsystem: exact resume, schedules, callbacks, the
-padding-masked quick_accuracy, and the train→deploy bundle bridge."""
+"""The repro.train subsystem: exact resume, schedules, fit's logging,
+progress and checkpoint jobs, the padding-masked quick_accuracy, and the
+train→deploy bundle bridge."""
 
 import json
 import logging
@@ -18,13 +19,9 @@ from repro.trajectory import (
     pad_sample_target,
 )
 from repro.train import (
-    BestModelTracker,
-    CheckpointCallback,
     ConstantLR,
     CosineLR,
-    EarlyStopping,
     EpochStats,
-    LambdaCallback,
     StepDecayLR,
     TrainConfig,
     Trainer,
@@ -126,15 +123,20 @@ class TestResumeDeterminism:
         model = fresh_model(city)
         Trainer(model, train_config(epochs=1)).fit(samples, checkpoint=path)
 
-        continued = Trainer(fresh_model(city, seed=13), train_config(epochs=3))
+        resumed = fresh_model(city, seed=13)
+        continued = Trainer(resumed, train_config(epochs=3))
         result = continued.fit(samples, checkpoint=path)
         assert continued.epochs_completed == 3
         assert [e.epoch for e in result.history] == [0, 1, 2]
 
-        straight = Trainer(fresh_model(city), train_config(epochs=3))
-        reference = straight.fit(samples)
+        straight = fresh_model(city)
+        reference = Trainer(straight, train_config(epochs=3)).fit(samples)
         assert [e.loss for e in reference.history] == \
                [e.loss for e in result.history]
+        state_a, state_b = straight.state_dict(), resumed.state_dict()
+        assert set(state_a) == set(state_b)
+        for key in state_a:
+            assert np.array_equal(state_a[key], state_b[key]), key
 
     def test_mismatched_archive_rejected(self, city, samples, tmp_path):
         model = fresh_model(city)
@@ -302,61 +304,25 @@ class TestQuickAccuracyPaddingMask:
 
 
 class TestCallbacks:
-    def test_event_order_and_quiet_default(self, city, samples, capsys):
-        events = []
-        cb = LambdaCallback(
-            on_train_begin=lambda t: events.append("begin"),
-            on_step_end=lambda t, info: events.append("step"),
-            on_epoch_end=lambda t, stats: events.append("epoch"),
-            on_train_end=lambda t, result: events.append("end"),
-        )
-        model = fresh_model(city)
-        Trainer(model, train_config(epochs=1), callbacks=[cb]).fit(samples)
-        assert events[0] == "begin" and events[-1] == "end"
-        assert events.count("epoch") == 1 and events.count("step") >= 1
-        assert capsys.readouterr().out == ""  # quiet by default: no prints
+    """What ``fit`` does beside training: logging, the ``progress=``
+    function and the ``checkpoint=`` archive."""
 
-    def test_logging_callback_emits_records(self, city, samples, caplog):
+    def test_logging_emits_records_and_is_quiet_by_default(
+            self, city, samples, caplog, capsys):
         model = fresh_model(city)
         with caplog.at_level(logging.INFO, logger="repro.train"):
             Trainer(model, train_config(epochs=1, log_every=1)).fit(samples)
         messages = [r.message for r in caplog.records]
         assert any("step" in m for m in messages)
         assert any(m.startswith("epoch 0:") for m in messages)
+        assert capsys.readouterr().out == ""  # quiet by default: no prints
 
-    def test_early_stopping(self, city, samples):
-        model = fresh_model(city)
-        stopper = EarlyStopping(monitor="loss", patience=1, min_delta=10.0)
-        trainer = Trainer(model, train_config(epochs=6), callbacks=[stopper])
-        result = trainer.fit(samples)
-        # a 10.0 min_delta is never met, so training stops after patience
-        assert len(result.history) < 6
-        assert stopper.stopped_epoch is not None
-        # a later fit() is not poisoned by the stale stop flag: without the
-        # stopper it trains the remaining epochs
-        trainer.callbacks.clear()
-        resumed = trainer.fit(samples)
-        assert trainer.epochs_completed == 6
-        assert len(resumed.history) == 6
-
-    def test_best_model_tracker_restores(self, city, samples):
-        model = fresh_model(city)
-        tracker = BestModelTracker(monitor="loss")
-        Trainer(model, train_config(epochs=2), callbacks=[tracker]).fit(samples)
-        assert tracker.best_epoch is not None
-        best = {k: v.copy() for k, v in tracker.best_state.items()}
-        tracker.restore(model)
-        now = model.state_dict()
-        for key in best:
-            assert np.array_equal(best[key], now[key])
-
-    def test_checkpoint_callback_writes_every_epoch(self, city, samples, tmp_path):
+    def test_fit_checkpoint_writes_every_epoch(self, city, samples, tmp_path):
         path = str(tmp_path / "periodic")
         model = fresh_model(city)
-        cb = CheckpointCallback(path, every=1)
-        Trainer(model, train_config(epochs=2), callbacks=[cb]).fit(samples)
-        assert cb.last_written is not None
-        assert TrainState.load(cb.last_written).epoch == 2
+        Trainer(model, train_config(epochs=2)).fit(samples, until_epoch=1,
+                                                    checkpoint=path)
+        assert TrainState.load(path).epoch == 1
 
     def test_progress_fn_still_supported(self, city, samples):
         seen = []

@@ -11,7 +11,8 @@ to.  GNN layers and pooling then run once over the union.
 
 Sub-graph structure depends only on the (static) input trajectories, so
 :class:`SubGraphGenerator` memoizes per-point results keyed on quantized
-coordinates.  The hot path is vectorized end to end:
+coordinates, for the points of the last :data:`GENERATION_BATCHES` to
+twice that many batches.  The hot path is vectorized end to end:
 
 * per-point local edges come from a precomputed CSR copy of the network's
   out-neighbor lists (one ragged gather + a reusable global→local lookup
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -94,8 +95,127 @@ def _grow_edges(array: np.ndarray, needed: int) -> np.ndarray:
     return grown
 
 
+#: Age, in :meth:`SubGraphGenerator.batch` calls, at which the memo's
+#: current generation becomes the previous one and the previous one is
+#: dropped.  Sized from the traffic that re-uses points: a training epoch
+#: re-encodes its samples every epoch (Table III's 2 000 trajectories at
+#: batch 16 are ~110 batches), and a streaming session re-encodes its fixes
+#: on every append while the session store holds at most 256 sessions.
+GENERATION_BATCHES = 256
+
+_PACK = 2**32  # packed key = x · 2^32 + y for |x|, |y| < 2^31
+
+
+#: (node counts, segments, weights, edge counts, edges) of consecutive
+#: sub-graphs, their arrays concatenated: what :meth:`_Arena.append` stacks.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Arena:
+    """One memo generation: sub-graphs stacked in growable arrays
+    (amortized-doubling appends) and indexed by a sorted array of packed
+    keys, so a whole batch resolves with one ``searchsorted``.  The arrays
+    are append-only (growing copies the prefix), so views handed out stay
+    valid and immutable in content."""
+
+    def __init__(self) -> None:
+        self.keys = np.zeros(0, dtype=np.int64)   # sorted packed keys
+        self.slots = np.zeros(0, dtype=np.int64)  # aligned arena slots
+        self.views: Dict[int, PointSubGraph] = {}  # slot → shared view
+        self.num_slots = 0
+        self.node_indptr = np.zeros(64, dtype=np.int64)
+        self.edge_indptr = np.zeros(64, dtype=np.int64)
+        self.seg_data = np.empty(1024, dtype=np.int64)
+        self.weight_data = np.empty(1024, dtype=np.float64)
+        self.edge_data = np.empty((2, 2048), dtype=np.int64)
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Slot of each packed key, -1 where the key is not held."""
+        if not len(self.keys):
+            return np.full(len(keys), -1, dtype=np.int64)
+        hit, positions = sorted_lookup(self.keys, keys)
+        return np.where(hit, self.slots[positions], -1)
+
+    def append(self, keys: np.ndarray, block: _Block) -> np.ndarray:
+        """Stack ``block``'s sub-graphs, index them under ``keys`` and
+        return their slots."""
+        node_counts, segments, weights, edge_counts, edges = block
+        first, n = self.num_slots, len(keys)
+        nodes_used = int(self.node_indptr[first])
+        edges_used = int(self.edge_indptr[first])
+        v, e = len(segments), edges.shape[1]
+        self.node_indptr = _grow_1d(self.node_indptr, first + n + 1)
+        self.edge_indptr = _grow_1d(self.edge_indptr, first + n + 1)
+        np.cumsum(node_counts, out=self.node_indptr[first + 1 : first + n + 1])
+        self.node_indptr[first + 1 : first + n + 1] += nodes_used
+        np.cumsum(edge_counts, out=self.edge_indptr[first + 1 : first + n + 1])
+        self.edge_indptr[first + 1 : first + n + 1] += edges_used
+        self.seg_data = _grow_1d(self.seg_data, nodes_used + v)
+        self.weight_data = _grow_1d(self.weight_data, nodes_used + v)
+        self.edge_data = _grow_edges(self.edge_data, edges_used + e)
+        self.seg_data[nodes_used : nodes_used + v] = segments
+        self.weight_data[nodes_used : nodes_used + v] = weights
+        self.edge_data[:, edges_used : edges_used + e] = edges
+        self.num_slots += n
+        slots = np.arange(first, first + n, dtype=np.int64)
+        merged_keys = np.concatenate([self.keys, keys])
+        order = np.argsort(merged_keys, kind="stable")
+        self.keys = merged_keys[order]
+        self.slots = np.concatenate([self.slots, slots])[order]
+        return slots
+
+    def gather(self, slots: np.ndarray) -> _Block:
+        """The sub-graphs at ``slots`` as a block another arena appends."""
+        node_indptr, seg_stack, weight_stack, edge_indptr, edge_stack = self.stacks()
+        node_counts = node_indptr[slots + 1] - node_indptr[slots]
+        edge_counts = edge_indptr[slots + 1] - edge_indptr[slots]
+        node_pos = ragged_positions(node_indptr[slots], node_counts)
+        edge_pos = ragged_positions(edge_indptr[slots], edge_counts)
+        return (node_counts, seg_stack[node_pos], weight_stack[node_pos],
+                edge_counts, edge_stack[:, edge_pos])
+
+    def stacks(self):
+        """(node_indptr, seg_stack, weight_stack, edge_indptr, edge_stack)
+        views over the used prefix of the growable arrays."""
+        n = self.num_slots
+        nodes_used = int(self.node_indptr[n])
+        edges_used = int(self.edge_indptr[n])
+        return (
+            self.node_indptr[: n + 1],
+            self.seg_data[:nodes_used],
+            self.weight_data[:nodes_used],
+            self.edge_indptr[: n + 1],
+            self.edge_data[:, :edges_used],
+        )
+
+    def view(self, slot: int) -> PointSubGraph:
+        """The one view-based :class:`PointSubGraph` of ``slot``."""
+        view = self.views.get(slot)
+        if view is None:
+            n0, n1 = self.node_indptr[slot : slot + 2].tolist()
+            e0, e1 = self.edge_indptr[slot : slot + 2].tolist()
+            view = self.views[slot] = PointSubGraph(
+                segments=self.seg_data[n0:n1],
+                edges=self.edge_data[:, e0:e1],
+                weights=self.weight_data[n0:n1],
+            )
+        return view
+
+
 class SubGraphGenerator:
-    """Builds :class:`PointSubGraph`/:class:`SubGraphBatch` objects."""
+    """Builds :class:`PointSubGraph`/:class:`SubGraphBatch` objects.
+
+    Each built sub-graph is memoized under its 1 m-quantized point, from
+    which it is built, so an entry is a pure function of its key and
+    dropping one can only cost a rebuild, never change an output.  The
+    memo keeps two generations (:class:`_Arena`): builds and hits land in
+    the current one, a hit in the previous one is copied into the current
+    one, and every :data:`GENERATION_BATCHES` calls of :meth:`batch` the
+    previous generation is dropped and the current one takes its place.  A
+    sub-graph unused for that many to twice that many batches is rebuilt
+    on its next use, so the memo holds the recent traffic's points (~2.9 KB
+    each at the small cities' defaults), not every point ever seen.
+    """
 
     def __init__(self, network: RoadNetwork, config: RNTrajRecConfig) -> None:
         self.network = network
@@ -108,120 +228,63 @@ class SubGraphGenerator:
         # Reusable global→local scratch (reset after every use, so a
         # fresh O(|V|) allocation is not paid per point).
         self._local_of = np.full(network.num_segments, -1, dtype=np.int64)
-        # The per-point cache IS the arena: every built sub-graph lives
-        # exactly once, stacked in growable arrays (amortized-doubling
-        # appends), so batch assembly is pure ragged gathers with zero
-        # per-batch concatenation and a novel point costs only its own
-        # copy-in.  Packed quantized keys map to arena slots through a
-        # sorted array so a whole batch resolves with one searchsorted.
         # A shared model may be driven from several threads (the serving
         # scheduler's worker plus direct callers), and both the scratch
-        # buffer and the arena are mutable — one lock serializes them.
+        # buffer and the arenas are mutable — one lock serializes them.
         self._lock = threading.RLock()
-        self._slot_of: Dict[Tuple[int, int], int] = {}
-        self._view_of: Dict[int, PointSubGraph] = {}  # slot → shared view
-        self._num_slots = 0
-        self._node_indptr = np.zeros(64, dtype=np.int64)
-        self._edge_indptr = np.zeros(64, dtype=np.int64)
-        self._seg_data = np.empty(1024, dtype=np.int64)
-        self._weight_data = np.empty(1024, dtype=np.float64)
-        self._edge_data = np.empty((2, 2048), dtype=np.int64)
-        self._known_keys = np.zeros(0, dtype=np.int64)   # sorted packed keys
-        self._known_slots = np.zeros(0, dtype=np.int64)  # aligned arena slots
+        self.clear_cache()
 
-    def _sub_from_slot(self, slot: int) -> PointSubGraph:
-        """A view-based :class:`PointSubGraph` over the arena's arrays.
+    def _built(self, points: np.ndarray) -> _Block:
+        """Build the sub-graph of every quantized ``(x, y)`` row."""
+        profile.count("subgraph.build", len(points))
+        subs = [self._build_subgraph(x, y)
+                for x, y in points.astype(np.float64).tolist()]
+        return (np.array([len(sub.segments) for sub in subs], dtype=np.int64),
+                np.concatenate([sub.segments for sub in subs]),
+                np.concatenate([sub.weights for sub in subs]),
+                np.array([sub.edges.shape[1] for sub in subs], dtype=np.int64),
+                np.concatenate([sub.edges for sub in subs], axis=1))
 
-        The arena is append-only (grown buffers copy the prefix), so views
-        handed out remain valid and immutable in content.
+    def _resolve_slots(self, keys: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Current-generation slots of a batch's distinct packed ``keys``
+        (one quantized ``(x, y)`` row of ``points`` per key).
+
+        Steady state (every key held) is a single ``searchsorted`` over the
+        current generation's keys; the rest are copied from the previous
+        generation or, held by neither, built — *from the quantized
+        point*, whichever sub-metre twin of the bucket arrived — and
+        appended in one block.
         """
-        n0, n1 = int(self._node_indptr[slot]), int(self._node_indptr[slot + 1])
-        e0, e1 = int(self._edge_indptr[slot]), int(self._edge_indptr[slot + 1])
-        return PointSubGraph(
-            segments=self._seg_data[n0:n1],
-            edges=self._edge_data[:, e0:e1],
-            weights=self._weight_data[n0:n1],
-        )
-
-    def _slot(self, key: Tuple[int, int]) -> int:
-        """Arena slot of the sub-graph for a quantized key, built on a miss
-        *from the quantized point* — the entry is a pure function of its
-        key, whichever sub-metre twin of the bucket arrives first."""
-        slot = self._slot_of.get(key)
-        if slot is None:
-            sub = self._build_subgraph(float(key[0]), float(key[1]))
-            slot = self._slot_of[key] = self._num_slots
-            self._num_slots += 1
-            v, e = len(sub.segments), sub.edges.shape[1]
-            nodes_used = int(self._node_indptr[slot])
-            edges_used = int(self._edge_indptr[slot])
-            self._node_indptr = _grow_1d(self._node_indptr, slot + 2)
-            self._edge_indptr = _grow_1d(self._edge_indptr, slot + 2)
-            self._node_indptr[slot + 1] = nodes_used + v
-            self._edge_indptr[slot + 1] = edges_used + e
-            self._seg_data = _grow_1d(self._seg_data, nodes_used + v)
-            self._weight_data = _grow_1d(self._weight_data, nodes_used + v)
-            self._seg_data[nodes_used : nodes_used + v] = sub.segments
-            self._weight_data[nodes_used : nodes_used + v] = sub.weights
-            self._edge_data = _grow_edges(self._edge_data, edges_used + e)
-            self._edge_data[:, edges_used : edges_used + e] = sub.edges
-        return slot
-
-    def _resolve_slots(self, unique_keys: Optional[np.ndarray],
-                       points: np.ndarray) -> np.ndarray:
-        """Arena slots for a batch's distinct quantized ``points`` (one
-        ``(x, y)`` row per entry of ``unique_keys``).
-
-        Steady state (every key already seen) is a single ``searchsorted``
-        over the sorted known-key array; only unseen keys fall back to the
-        Python build path, after which the key index is re-merged.
-        """
-        if unique_keys is None:  # exotic coordinates: per-point Python path
-            return np.fromiter((self._slot(key) for key in map(tuple, points.tolist())),
-                               dtype=np.int64, count=len(points))
-        known_keys, known_slots = self._known_keys, self._known_slots
-        slots = np.empty(len(unique_keys), dtype=np.int64)
-        hit, positions = sorted_lookup(known_keys, unique_keys)
-        slots[hit] = known_slots[positions[hit]]
-        missing = np.nonzero(~hit)[0]
+        current = self._current
+        slots = current.find(keys)
+        missing = np.flatnonzero(slots < 0)
         if len(missing):
-            for u, key in zip(missing, map(tuple, points[missing].tolist())):
-                slots[u] = self._slot(key)
-            merged_keys = np.concatenate([known_keys, unique_keys[missing]])
-            merged_slots = np.concatenate([known_slots, slots[missing]])
-            order = np.argsort(merged_keys, kind="stable")
-            self._known_keys = merged_keys[order]
-            self._known_slots = merged_slots[order]
+            old = self._previous.find(keys[missing])
+            kept = old >= 0
+            order = np.concatenate([missing[kept], missing[~kept]])
+            blocks = []
+            if kept.any():
+                blocks.append(self._previous.gather(old[kept]))
+            if not kept.all():
+                blocks.append(self._built(points[missing[~kept]]))
+            block = tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+            slots[order] = current.append(keys[order], block)
         return slots
-
-    def _stacks(self):
-        """(node_indptr, seg_stack, weight_stack, edge_indptr, edge_stack)
-        views over the arena's growable arrays."""
-        n = self._num_slots
-        nodes_used = int(self._node_indptr[n])
-        edges_used = int(self._edge_indptr[n])
-        return (
-            self._node_indptr[: n + 1],
-            self._seg_data[:nodes_used],
-            self._weight_data[:nodes_used],
-            self._edge_indptr[: n + 1],
-            self._edge_data[:, :edges_used],
-        )
 
     # ------------------------------------------------------------------
     def point_subgraph(self, x: float, y: float) -> PointSubGraph:
-        """The weighted sub-graph around one GPS point (cached in the arena).
+        """The weighted sub-graph around one GPS point (memoized).
 
-        Repeated calls for the same quantized point return the *same*
-        view-backed object (zero-copy over the arena arrays).
+        Repeated calls for the same quantized point within a generation
+        return the *same* view-backed object (zero-copy over the arena).
         """
-        key = (int(round(x)), int(round(y)))  # 1 m quantization
+        qx, qy = int(round(x)), int(round(y))  # 1 m quantization
+        if max(abs(qx), abs(qy)) >= 2**31:  # beyond the packed key range
+            return self._build_subgraph(float(qx), float(qy))
         with self._lock:
-            slot = self._slot(key)
-            view = self._view_of.get(slot)
-            if view is None:
-                view = self._view_of[slot] = self._sub_from_slot(slot)
-            return view
+            slot = self._resolve_slots(np.array([qx * _PACK + qy], dtype=np.int64),
+                                       np.array([[qx, qy]], dtype=np.int64))
+            return self._current.view(int(slot[0]))
 
     def _build_subgraph(self, x: float, y: float) -> PointSubGraph:
         """Construct one sub-graph from scratch (callers cache the result)."""
@@ -262,20 +325,22 @@ class SubGraphGenerator:
 
         with profile.section("subgraph.batch"), self._lock:
             flat = xy.reshape(-1, 2)
-            # 1 m quantization, matching point_subgraph's cache key; points
+            # 1 m quantization, matching point_subgraph's key; points
             # sharing a key are built (and stored) once per batch.  The two
             # coordinates pack into one int64, the arena's key.
             quantized = np.round(flat).astype(np.int64)
             if np.abs(quantized).max(initial=0) < 2**31:
-                packed = quantized[:, 0] * (2**32) + quantized[:, 1]
+                packed = quantized[:, 0] * _PACK + quantized[:, 1]
                 first, inverse = sort_unique(packed, return_index=True)
-                unique_keys = packed[first]
-            else:  # coordinates beyond ±2^31 m: fall back to row-wise unique
-                unique_keys = None
+                slots = self._resolve_slots(packed[first], quantized[first])
+                arena = self._current
+            else:  # coordinates beyond ±2^31 m: built for this batch only
                 first, inverse = sort_unique(quantized, return_index=True)
-            slots = self._resolve_slots(unique_keys, quantized[first])
+                arena = _Arena()
+                slots = arena.append(np.arange(len(first)),
+                                     self._built(quantized[first]))
             node_indptr, seg_stack, weight_stack, edge_indptr, edge_stack = (
-                self._stacks())
+                arena.stacks())
 
             # Assemble the per-point union with ragged gathers over the
             # arena's stacked arrays.
@@ -289,7 +354,7 @@ class SubGraphGenerator:
             edge_pos = ragged_positions(edge_indptr[point_slots], per_point_edges)
             edge_shift = np.repeat(node_offsets, per_point_edges)
 
-            return SubGraphBatch(
+            graphs = SubGraphBatch(
                 node_segments=seg_stack[node_pos],
                 node_weights=weight_stack[node_pos],
                 graph_ids=np.repeat(np.arange(b * l, dtype=np.int64),
@@ -298,19 +363,14 @@ class SubGraphGenerator:
                 batch_size=b,
                 length=l,
             )
+            self._age += 1
+            if self._age == GENERATION_BATCHES:
+                self._previous, self._current, self._age = self._current, _Arena(), 0
+            return graphs
 
     def clear_cache(self) -> None:
+        """Drop both generations.  Sub-graphs handed out earlier keep their
+        content: they view the dropped arenas' arrays."""
         with self._lock:
-            self._slot_of.clear()
-            self._view_of.clear()
-            self._num_slots = 0
-            # Growable buffers are REPLACED, not reset in place: sub-graphs
-            # handed out earlier hold views into the old buffers and must
-            # keep their content.
-            self._node_indptr = np.zeros(64, dtype=np.int64)
-            self._edge_indptr = np.zeros(64, dtype=np.int64)
-            self._seg_data = np.empty(1024, dtype=np.int64)
-            self._weight_data = np.empty(1024, dtype=np.float64)
-            self._edge_data = np.empty((2, 2048), dtype=np.int64)
-            self._known_keys = np.zeros(0, dtype=np.int64)
-            self._known_slots = np.zeros(0, dtype=np.int64)
+            self._current, self._previous = _Arena(), _Arena()
+            self._age = 0  # batch() calls since the last generation flip

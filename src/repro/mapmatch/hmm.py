@@ -52,9 +52,9 @@ class HMMMapMatcher:
             radius *= 2.0
         else:
             return []
-        keep = slice(0, cfg.max_candidates)
-        return [(sid, dist, self.network.project(x, y, sid)[1])
-                for sid, dist in zip(ids[keep].tolist(), dists[keep].tolist())]
+        ids, dists = ids[:cfg.max_candidates], dists[:cfg.max_candidates]
+        ratios = self.network.project_ratios(x, y, ids)
+        return list(zip(ids.tolist(), dists.tolist(), ratios.tolist()))
 
     def _emission_logp(self, distance: float) -> float:
         sigma = self.config.sigma_z

@@ -584,6 +584,39 @@ class RoadNetwork:
             np.array([x, y]), self._polyline(segment_id))
         return dist, ratio
 
+    def project_ratios(self, x: float, y: float,
+                       segment_ids: np.ndarray) -> np.ndarray:
+        """:meth:`project`'s ratio onto each of ``segment_ids``, in one array
+        pass: the polylines' pieces padded to the longest, then
+        :func:`project_point_to_polyline`'s operations over every piece
+        row, so each ratio is bit-equal to its one-segment call."""
+        indptr, points = self._poly_table
+        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        first = indptr[segment_ids]
+        pieces = indptr[segment_ids + 1] - first - 1
+        width = int(pieces.max())
+        column = np.arange(width)
+        real = column < pieces[:, None]
+        # Padding repeats a polyline's last piece; its rows are masked out.
+        rows = (first[:, None] + np.minimum(column, pieces[:, None] - 1)).ravel()
+        point = np.array([x, y], dtype=np.float64)
+        starts = points[rows]
+        seg_vec = points[rows + 1] - starts
+        seg_len2 = np.einsum("ij,ij->i", seg_vec, seg_vec)
+        seg_len = np.where(real, np.sqrt(seg_len2).reshape(real.shape), 0.0)
+        rel = point[None, :] - starts
+        t = np.einsum("ij,ij->i", rel, seg_vec) / np.maximum(seg_len2, 1e-12)
+        t = np.clip(t, 0.0, 1.0)
+        feet = starts + t[:, None] * seg_vec
+        dists = np.linalg.norm(point[None, :] - feet, axis=1)
+        best = np.argmin(np.where(real, dists.reshape(real.shape), np.inf), axis=1)
+        cumulative = np.zeros((len(segment_ids), width + 1))
+        np.cumsum(seg_len, axis=1, out=cumulative[:, 1:])
+        total = np.maximum(cumulative[:, -1], 1e-12)
+        k = np.arange(len(segment_ids))
+        along = cumulative[k, best] + t.reshape(real.shape)[k, best] * seg_len[k, best]
+        return np.clip(along / total, 0.0, 1.0)
+
     def position(self, segment_id: int, ratio: float) -> np.ndarray:
         """(x, y) of the point at ``ratio`` along ``segment_id``."""
         return point_along_polyline(self._polyline(segment_id), ratio)

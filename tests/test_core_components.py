@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, profile
 from repro.nn.tensor import Tensor
 from repro.core import (
     GPSFormer,
@@ -20,6 +20,7 @@ from repro.core import (
     mean_graph_readout,
     weighted_graph_readout,
 )
+from repro.core.subgraph_gen import GENERATION_BATCHES
 from repro.datasets import get_spec
 from repro.experiments.harness import small_model_config
 from repro.roadnet import CityConfig, generate_city
@@ -158,6 +159,34 @@ class TestSubGraphGeneration:
         gen = SubGraphGenerator(city, CFG)
         sub = gen.point_subgraph(-10_000.0, -10_000.0)
         assert len(sub.segments) >= 1
+
+    def test_memo_keeps_only_the_recent_batches(self, city):
+        """After 3N one-point batches of unique points the memo holds the
+        points of the last N to 2N batches and nothing older: an old point
+        is rebuilt on its next use, a recent one is not."""
+        n = GENERATION_BATCHES
+        gen = SubGraphGenerator(city, CFG)
+        cells = np.arange(3 * n)
+        points = np.stack([100.0 + 20.0 * (cells % 40), 100.0 + 20.0 * (cells // 40)], 1)
+        for point in points:
+            gen.batch(point[None, None])
+        assert counted_builds(lambda: gen.batch(points[-1][None, None]))[1] == 0
+        assert counted_builds(lambda: gen.batch(points[0][None, None]))[1] == 1
+        held = np.unique(np.concatenate([gen._current.keys, gen._previous.keys]))
+        keys = points[:, 0].astype(np.int64) * 2**32 + points[:, 1].astype(np.int64)
+        assert np.isin(held, np.append(keys[-2 * n:], keys[0])).all()
+        assert np.isin(keys[-n:], held).all()
+
+
+def counted_builds(step):
+    """(what ``step()`` returns, how many sub-graphs it built)."""
+    profile.reset()
+    profile.enable()
+    try:
+        return step(), profile.stats()["counters"].get("subgraph.build", 0)
+    finally:
+        profile.disable()
+        profile.reset()
 
 
 def _cold_queries(network, config, points, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import reference
+from repro.core.subgraph_gen import GENERATION_BATCHES
 from repro.geo.distance import gaussian_weight, point_along_polyline, project_point_to_polyline
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -219,6 +220,39 @@ class TestSubGraphMemoPurity:
         for point in (twin_a, twin_b):
             for cold_or_warm, warm_or_cold in zip(a_then_b[point], b_then_a[point]):
                 assert np.array_equal(cold_or_warm, warm_or_cold)
+
+    _cells = st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+                      min_size=1, max_size=6)
+    _gap = st.integers(0, 2 * GENERATION_BATCHES + 1)  # up to two flips
+
+    @given(_cells, _cells, _cells, _gap, _gap)
+    @settings(max_examples=30, deadline=None)
+    def test_batch_after_generation_flips_equals_a_fresh_generator(
+            self, city, first, second, new, gap_a, gap_b):
+        """A batch whose points sit in the current generation, the previous
+        one, or neither (each memo generation lives ``GENERATION_BATCHES``
+        batches) is byte-equal to the same batch on a cold generator."""
+        from repro.core import RNTrajRecConfig
+        from repro.core.subgraph_gen import SubGraphGenerator
+
+        config = RNTrajRecConfig(receptive_delta=300.0, max_subgraph_nodes=24)
+        fields = ("node_segments", "node_weights", "graph_ids", "edge_index")
+        filler = np.array([[[-300.0, -300.0]]])
+        generator = SubGraphGenerator(city, config)
+        for cells, gap in ((first, gap_a), (second, gap_b)):
+            generator.batch(np.array([cells], dtype=np.float64))
+            for _ in range(gap):
+                generator.batch(filler)
+        query = np.array([first[:2] + second[-2:] + new], dtype=np.float64) + 0.3
+        served = generator.batch(query)
+        cold = SubGraphGenerator(city, config).batch(query)
+        for name in fields:
+            assert np.array_equal(getattr(served, name), getattr(cold, name))
+        for point in query[0]:
+            single = generator.point_subgraph(*point)
+            fresh = SubGraphGenerator(city, config).point_subgraph(*point)
+            for name in ("segments", "weights", "edges"):
+                assert np.array_equal(getattr(single, name), getattr(fresh, name))
 
 
 def random_greedy_weights(rng, d, num_segments, head_scale=1.0):

@@ -215,6 +215,20 @@ class TestDistanceKernel:
                 got = net.segment_distances(qx, qy, ids)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @given(random_networks(max_subsegments=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_project_ratios_bytes(self, net, data):
+        """The HMM candidates' one-pass ratios ≡ :meth:`project` per
+        segment, byte for byte, straight and bent polylines mixed."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x0, y0, x1, y1 = net.bounds()
+        ids = rng.integers(0, net.num_segments, size=rng.integers(1, 9))
+        vertex = net.segments[int(ids[0])].polyline[-1]
+        for x, y in (rng.uniform([x0 - 50.0, y0 - 50.0], [x1 + 50.0, y1 + 50.0]),
+                     vertex, np.round(vertex)):
+            want = np.array([net.project(x, y, int(sid))[1] for sid in ids])
+            assert net.project_ratios(x, y, ids).tobytes() == want.tobytes()
+
     def test_empty_candidate_list(self):
         net = tiny_network()
         assert net.segment_distances(1.0, 2.0, np.zeros(0, np.int64)).shape == (0,)

@@ -396,6 +396,36 @@ class TestStreamingService:
         assert response.session_id == sid
         assert response.shard == "cd"
 
+    def test_appends_build_each_fix_subgraph_once(self, data, model, streaming,
+                                                  monkeypatch):
+        """Every append re-encodes the session's fixes, and the sub-graph
+        memo serves the earlier ones: 32 one-fix appends and the finalize
+        build each fix's sub-graph once, even with the memo flipping its
+        generations after every batch."""
+        from repro import profile
+        from repro.core import subgraph_gen
+        from repro.trajectory import TrajectorySimulator
+
+        monkeypatch.setattr(subgraph_gen, "GENERATION_BATCHES", 1)
+        simulation = replace(data.spec.simulation, target_points=48)
+        raw, _ = TrajectorySimulator(data.network, simulation).simulate(1)[0]
+        xy, times = raw.xy[:32], raw.times[:32]
+        assert len(xy) == 32
+        service = streaming(model, data)
+        model.encoder.subgraph_generator.clear_cache()
+        profile.reset()
+        profile.enable()
+        try:
+            sid = service.open()
+            for j in range(32):
+                service.append(sid, xy[j:j + 1], times[j:j + 1])
+            service.finalize(sid)
+            builds = profile.stats()["counters"]["subgraph.build"]
+        finally:
+            profile.disable()
+            profile.reset()
+        assert builds == len(np.unique(np.round(xy), axis=0))
+
     def test_telemetry_splits_streaming_from_oneshot(self, data, model,
                                                      streaming):
         service = streaming(model, data)

@@ -331,6 +331,31 @@ class TestCallbacks:
         assert len(seen) == 1 and isinstance(seen[0], EpochStats)
 
 
+class TestSubGraphMemo:
+    def test_later_epochs_rebuild_no_subgraph(self, city, samples, monkeypatch):
+        """An epoch of no more batches than a memo generation lives re-uses
+        every sub-graph the epoch before built, across generation flips."""
+        from repro import profile
+        from repro.core import subgraph_gen
+
+        config = train_config(epochs=3)
+        batches = -(-len(samples) // config.batch_size)
+        monkeypatch.setattr(subgraph_gen, "GENERATION_BATCHES", batches)
+        builds = []
+
+        def snapshot(stats):
+            builds.append(profile.stats()["counters"].get("subgraph.build", 0))
+
+        profile.reset()
+        profile.enable()
+        try:
+            Trainer(fresh_model(city), config).fit(samples, progress=snapshot)
+        finally:
+            profile.disable()
+            profile.reset()
+        assert builds[0] > 0 and builds == [builds[0]] * 3
+
+
 class TestGradientAccumulation:
     def test_accumulated_training_converges(self, city, samples):
         model = fresh_model(city)

@@ -520,7 +520,8 @@ class TestSubGraphGeneration:
         gen = SubGraphGenerator(city, CFG)
         gen.batch(batch.input_xy)
         gen.clear_cache()
-        assert gen._num_slots == 0 and len(gen._known_keys) == 0
+        assert gen._current.num_slots == 0 and len(gen._current.keys) == 0
+        assert gen._previous.num_slots == 0
         ref = reference.ReferenceSubGraphGenerator(city, CFG)
         _graphs_equal(ref.batch(batch.input_xy), gen.batch(batch.input_xy))
 

@@ -4,7 +4,8 @@ Reproduces the paper's headline table: all nine methods on Chengdu (ε_τ =
 8×ε_ρ and 16×ε_ρ), Porto (8×) and Shanghai-L (16×), reporting Recall /
 Precision / F1 / Accuracy / MAE / RMSE.
 
-Shape expectations (not absolute numbers — see DESIGN.md):
+Shape expectations (not absolute numbers: these models train at d=32 on a
+few hundred simulated trajectories on CPU, far below the paper's scale):
 * RNTrajRec is the best end-to-end method on F1;
 * end-to-end learned methods beat the naive Transformer baseline;
 * Linear+HMM degrades from ×8 to ×16 sampling.

@@ -139,7 +139,7 @@ def main() -> None:
     out.append("trajectories per city for 30 epochs on an RTX 3090; this")
     out.append("reproduction trains d=32 models on a few hundred *synthetic*")
     out.append("trajectories on CPU (the environment has no GPU, no PyTorch and")
-    out.append("no access to the proprietary corpora — see DESIGN.md).  Absolute")
+    out.append("no access to the proprietary corpora).  Absolute")
     out.append("metrics are therefore far below the paper's; the reproduction")
     out.append("target is the *shape* of each experiment: orderings, degradation")
     out.append("trends and robustness curves.  Where a shape does not fully hold")

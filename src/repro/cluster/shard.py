@@ -195,7 +195,7 @@ class Shard:
         weights, zero-copy views), else the spec's bundle, else the
         model factory's."""
         registry = ModelRegistry(network, artifacts=artifacts)
-        if artifacts is not None and artifacts.has_model():
+        if artifacts is not None and artifacts.model_snapshot() is not None:
             registry.register_artifact_model("default", activate=True)
         elif self.spec.bundle is not None:
             registry.register("default", self.spec.bundle, activate=True)

@@ -48,16 +48,13 @@ import time
 import traceback
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing as mp
 
 import numpy as np
 
-from ..core.config import RNTrajRecConfig
-from ..core.model import RNTrajRec
-from ..nn.tensor import Tensor
+from ..core.model import ModelSnapshot
 from ..profile import proc_rss_mb
 from ..roadnet.artifacts import CityArtifacts
 from ..serve.registry import ModelRegistry
@@ -199,34 +196,12 @@ def _encode_ack(seq: int, result: Dict[str, Any]) -> bytes:
 # ----------------------------------------------------------------------
 def _model_payload(name: str, model_or_prefix, activate: bool) -> Dict[str, Any]:
     """What crosses the process boundary for one model generation: a
-    bundle path (workers load from disk), or the model's arrays + config
-    (workers rebuild the object shell around them).  Never the network or
-    grid."""
-    if isinstance(model_or_prefix, str):
-        return {"name": name, "activate": activate, "prefix": model_or_prefix}
-    road_cache = getattr(model_or_prefix.encoder, "_road_cache", None)
-    return {"name": name, "activate": activate,
-            "config": asdict(model_or_prefix.config),
-            "state": model_or_prefix.state_dict(),
-            "x_road": road_cache.data if road_cache is not None else None}
-
-
-def _install(registry: ModelRegistry, payload: Dict[str, Any]) -> None:
-    """Apply one :func:`_model_payload` to a worker's registry.  The
-    parent runs the same registry ops in lockstep (without loading), so
-    generation tags agree on both sides."""
-    if "prefix" in payload:
-        deploy_generation(registry, payload["name"], payload["prefix"],
-                          payload["activate"])
-        return
-    config = RNTrajRecConfig(**payload["config"])
-    model = RNTrajRec(registry.network, config)
-    model.load_state_dict(payload["state"], copy=False)
-    deploy_generation(registry, payload["name"], model, payload["activate"])
-    if payload["x_road"] is not None:
-        # Installed after add_loaded's eval() — mode flips clear the memo
-        # (see ModelRegistry.register_artifact_model).
-        model.encoder._road_cache = Tensor(payload["x_road"])
+    bundle prefix (workers read it from disk) or the model's
+    :class:`ModelSnapshot` (workers rebuild the model around its arrays).
+    Never the network or grid."""
+    source = (model_or_prefix if isinstance(model_or_prefix, str)
+              else ModelSnapshot.of(model_or_prefix))
+    return {"name": name, "activate": activate, "source": source}
 
 
 def _service_factory(label: str, registry: ModelRegistry, config: ServeConfig,
@@ -237,7 +212,7 @@ def _service_factory(label: str, registry: ModelRegistry, config: ServeConfig,
     With an artifact path the child is fully independent: it mmap-loads
     the same frozen city, so N workers share one physical copy via the
     page cache.  Without one, the closure captures the parent's warmed
-    network and the active model's arrays — fork shares those pages
+    network and a snapshot of the active model — fork shares those pages
     copy-on-write, and the child only rebuilds the cheap object shell
     around them.
     """
@@ -252,11 +227,11 @@ def _service_factory(label: str, registry: ModelRegistry, config: ServeConfig,
         return factory
 
     network = registry.network
-    payload = _model_payload("default", registry.active_ref()[2], True)
+    snapshot = ModelSnapshot.of(registry.active_ref()[2])
 
     def factory() -> RecoveryService:
         worker_registry = ModelRegistry(network)
-        _install(worker_registry, payload)
+        worker_registry.add_loaded("default", snapshot.build(network), activate=True)
         return RecoveryService(worker_registry, config, shard=label)
 
     return factory
@@ -302,7 +277,13 @@ def _worker_main(conn, factory: WorkerFactory) -> None:
                     if op == "ping":
                         result = {"pid": os.getpid()}
                     elif op == "deploy":
-                        _install(service.registry, payload)
+                        # The parent runs the same registry ops in lockstep
+                        # (without loading), so generation tags agree.
+                        source = payload["source"]
+                        if isinstance(source, ModelSnapshot):
+                            source = source.build(service.registry.network)
+                        deploy_generation(service.registry, payload["name"],
+                                          source, payload["activate"])
                         result = {}
                     elif op == "swap":
                         service.swap_model(payload)

@@ -13,7 +13,7 @@ from .graph_refinement import (
 )
 from .grid_gnn import GridGNN, PlainRoadEncoder, build_road_encoder
 from .loss import LossBreakdown, graph_classification_loss, rate_loss, segment_id_loss, total_loss
-from .model import RNTrajRec
+from .model import ModelSnapshot, RNTrajRec
 from .subgraph_gen import PointSubGraph, SubGraphBatch, SubGraphGenerator
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "segment_id_loss",
     "total_loss",
     "RNTrajRec",
+    "ModelSnapshot",
     "PointSubGraph",
     "SubGraphBatch",
     "SubGraphGenerator",

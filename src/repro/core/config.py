@@ -11,7 +11,7 @@ benchmark harness compares methods at matched capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class RNTrajRecConfig:
     # mask by exp(-d²/scale²) where d is the segment's distance to the
     # linearly interpolated position.  A Bayesian combination of the
     # learned logits with the uniform-speed prior; shared by all learned
-    # methods (see DESIGN.md).  0 disables.
+    # methods so the comparison isolates the encoders.  0 disables.
     decode_prior_scale: float = 150.0
     decode_prior_floor: float = 0.005
 
@@ -67,6 +67,14 @@ class RNTrajRecConfig:
         if not 0.0 <= self.decode_prior_floor <= 1.0:
             raise ValueError(
                 f"decode_prior_floor must be in [0, 1], got {self.decode_prior_floor}")
+
+    @classmethod
+    def from_dict(cls, fields: Dict[str, Any]) -> "RNTrajRecConfig":
+        """The config a saved ``asdict`` form describes (a bundle sidecar,
+        an artifact manifest); keys this version does not know are
+        ignored, so a newer writer's extra fields never break a reader."""
+        return cls(**{k: v for k, v in fields.items()
+                      if k in cls.__dataclass_fields__})
 
     def variant(self, **overrides) -> "RNTrajRecConfig":
         """A copy with some fields replaced (ablation helper)."""

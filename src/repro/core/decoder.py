@@ -633,7 +633,7 @@ class ReachabilityMask:
     with the observed-step constraint mask keeps greedy decoding spatially
     consistent — the motivation the paper gives for road-network awareness
     (§I); the original MTrajRec decoder omits it and relies on massive
-    training data instead (see DESIGN.md).
+    training data instead.
     """
 
     def __init__(self, network, hops: int = 2,

@@ -53,7 +53,7 @@ def point_context_features(batch: Batch, grid: Grid, delta_scale: float = 1000.0
     the paper's 150k-trajectory corpora heading is learnable from context
     alone, at this reproduction's data scale it must be given.  Every
     encoder (RNTrajRec and all baselines) receives the same features, so
-    comparisons stay fair (see DESIGN.md).
+    comparisons stay fair.
     """
     duration = np.maximum(batch.input_times[:, -1:], 1e-9)
     t_norm = (batch.input_times / duration)[:, :, None]
@@ -170,17 +170,22 @@ class GPSFormer(nn.Module):
         return context
 
     # ------------------------------------------------------------------
-    def clear_road_cache(self) -> None:
+    def clear_road_features(self) -> None:
         """Drop the memoized X_road (call after mutating parameters in-place
         while staying in eval mode; train()/load_state_dict clear it too)."""
         self._road_cache = None
         self._road_cache_generation += 1
 
+    def install_road_features(self, x_road: np.ndarray) -> None:
+        """Adopt a precomputed eval-mode X_road (a frozen snapshot's) as
+        the memo, so the road encoder never runs for this model."""
+        self._road_cache = Tensor(x_road)
+
     def load_state_dict(self, state, strict: bool = True, copy: bool = True) -> None:
         # Note: Module.load_state_dict on a *parent* assigns parameters
         # directly and never calls this override — RNTrajRec.load_state_dict
         # clears the cache for that path; this covers direct encoder loads.
-        self.clear_road_cache()
+        self.clear_road_features()
         super().load_state_dict(state, strict=strict, copy=copy)
 
     def _road_features(self) -> Tensor:

@@ -8,11 +8,16 @@ constraint masks and multi-task heads.  The public surface is:
 * :meth:`RNTrajRec.recover` — greedy recovery of the ε_ρ trajectory grid;
 * :meth:`RNTrajRec.recover_trajectories` — the same, packaged as
   :class:`~repro.trajectory.trajectory.MatchedTrajectory` objects.
+
+A served model ships as a :class:`ModelSnapshot` — (config, state,
+X_road) — whatever it ships in: a bundle, a city artifact or a worker
+deploy; :meth:`ModelSnapshot.build` is the one way back to a model.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +49,10 @@ class RNTrajRec(nn.Module):
 
     def train(self, mode: bool = True) -> "RNTrajRec":
         # Any train/eval flip may precede in-place parameter updates, so the
-        # encoder's memoized X_road must not survive the transition.
-        self.encoder.clear_road_cache()
+        # encoder's memoized X_road must not survive the transition; an
+        # eval() of an eval model is no transition and keeps it.
+        if mode != self.training:
+            self.encoder.clear_road_features()
         return super().train(mode)
 
     def load_state_dict(self, state, strict: bool = True, copy: bool = True) -> None:
@@ -53,7 +60,7 @@ class RNTrajRec(nn.Module):
         # named_parameters() (it never recurses into submodule overrides),
         # so the encoder's memoized X_road must be dropped here — this is
         # the path load_checkpoint and the serving registry go through.
-        self.encoder.clear_road_cache()
+        self.encoder.clear_road_features()
         super().load_state_dict(state, strict=strict, copy=copy)
 
     @property
@@ -121,3 +128,40 @@ class RNTrajRec(nn.Module):
             MatchedTrajectory(segments[i], rates[i], batch.target_times[i])
             for i in range(batch.size)
         ]
+
+
+@dataclass(frozen=True, eq=False)
+class ModelSnapshot:
+    """A frozen model as it ships: the config, the state dict and the
+    eval-mode X_road (GridGNN's road-segment embeddings, §IV-B — a pure
+    function of the frozen weights, so ``None`` just means "compute on the
+    first request").  Bundles, city artifacts and worker deploys all read
+    back as one; the network never travels with it."""
+
+    config: RNTrajRecConfig
+    state: Dict[str, np.ndarray]
+    x_road: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, model: RNTrajRec) -> "ModelSnapshot":
+        """Freeze ``model``: a copy of its state and its X_road, computed
+        under eval + ``no_grad`` (the model's own mode is restored)."""
+        was_training = model.training
+        model.eval()
+        with no_grad():
+            x_road = np.asarray(model.encoder._road_features().data)
+        if was_training:
+            model.train()
+        return cls(model.config, model.state_dict(), x_road)
+
+    def build(self, network: RoadNetwork) -> RNTrajRec:
+        """The eval model over ``network``: the state adopted without a
+        copy (read-only views stay read-only, so the model is frozen), the
+        network's k-hop closure warmed and X_road installed."""
+        model = RNTrajRec(network, self.config)
+        model.load_state_dict(self.state, copy=False)
+        model.eval()
+        _ = model.reachability
+        if self.x_road is not None:
+            model.encoder.install_road_features(self.x_road)
+        return model

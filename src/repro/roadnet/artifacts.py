@@ -35,6 +35,11 @@ Layout inside the archive, format 2 (flat names, dotted namespaces):
 * ``cache.x_road`` — the eval-mode road-encoder output, a pure function
   of the frozen weights, precomputed once at build time.
 
+The ``model.*`` arrays, ``cache.x_road`` and the manifest's model config
+are one :class:`~repro.core.model.ModelSnapshot` packed flat:
+:meth:`CityArtifacts.build` packs ``ModelSnapshot.of(model)`` and
+:meth:`CityArtifacts.model_snapshot` hands it back as views.
+
 ``manifest.json`` carries the format version, a sha256 content hash
 over every array, and the non-array metadata (model config, hop count)
 needed to rebuild live objects.  There is one format: a bundle written
@@ -50,13 +55,13 @@ import logging
 import os
 import shutil
 import tempfile
+from dataclasses import asdict
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..geo.grid import Grid
 from ..nn.serialization import load_archive, save_archive
-from ..nn.tensor import no_grad
 from .network import RoadNetwork
 
 # repro.core imports live inside the functions that need them:
@@ -90,8 +95,7 @@ class CityArtifacts:
     :meth:`network` is memoized, so every consumer holding the same
     ``CityArtifacts`` shares one :class:`RoadNetwork` — identity, not
     equality — and with it the grid sequences and k-hop closure preloaded
-    into it; :meth:`model_state` and :meth:`road_features` hand out views
-    of the packed arrays.
+    into it; :meth:`model_snapshot` hands out views of the packed arrays.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray], manifest: Dict,
@@ -100,7 +104,6 @@ class CityArtifacts:
         self.manifest = manifest
         self.directory = directory
         self._network: Optional[RoadNetwork] = None
-        self._config: Optional[RNTrajRecConfig] = None
 
     # ------------------------------------------------------------------
     # Build / save / load
@@ -111,9 +114,10 @@ class CityArtifacts:
         into an artifact bundle.
 
         With ``model`` given, the network's cell sequences for the model's
-        grid and its k-hop closure are packed beside the state dict
-        (``model.*``), and the eval-mode X_road is computed once and packed
-        under ``cache.x_road`` so no replica ever reruns the road encoder.
+        grid and its k-hop closure are packed beside its snapshot: the
+        state dict (``model.*``), the config (manifest) and the eval-mode
+        X_road, computed once (``cache.x_road``) so no replica ever reruns
+        the road encoder.
         """
         arrays: Dict[str, np.ndarray] = {}
         for name, value in network.export_arrays().items():
@@ -131,18 +135,12 @@ class CityArtifacts:
                 arrays["reach.indptr"], arrays["reach.indices"] = (
                     network.khop_closure(hops))
                 manifest["reachability"] = {"hops": hops}
-            for name, value in model.state_dict().items():
+            from ..core.model import ModelSnapshot
+            snapshot = ModelSnapshot.of(model)
+            for name, value in snapshot.state.items():
                 arrays["model." + name] = value
-            from dataclasses import asdict
-            manifest["model_config"] = asdict(model.config)
-            was_training = model.training
-            if was_training:
-                model.eval()
-            with no_grad():
-                arrays["cache.x_road"] = np.asarray(
-                    model.encoder._road_features().data)
-            if was_training:
-                model.train()
+            manifest["model_config"] = asdict(snapshot.config)
+            arrays["cache.x_road"] = snapshot.x_road
         manifest["content_hash"] = content_hash(arrays)
         return cls(arrays, manifest)
 
@@ -263,24 +261,15 @@ class CityArtifacts:
         params = self.arrays.get("grid.params")
         return None if params is None else Grid.from_array(params)
 
-    def has_model(self) -> bool:
-        return any(name.startswith("model.") for name in self.arrays)
-
-    def model_state(self) -> Dict[str, np.ndarray]:
-        """The packed state dict as raw (possibly read-only) views — pair
-        with ``load_state_dict(..., copy=False)`` for zero-copy adoption."""
-        return {name[6:]: value for name, value in self.arrays.items()
-                if name.startswith("model.")}
-
-    def model_config(self) -> Optional["RNTrajRecConfig"]:
-        if self._config is None and "model_config" in self.manifest:
-            from ..core.config import RNTrajRecConfig
-            fields = self.manifest["model_config"]
-            known = set(RNTrajRecConfig.__dataclass_fields__)
-            self._config = RNTrajRecConfig(
-                **{k: v for k, v in fields.items() if k in known})
-        return self._config
-
-    def road_features(self) -> Optional[np.ndarray]:
-        """The precomputed eval-mode X_road matrix, if packed."""
-        return self.arrays.get("cache.x_road")
+    def model_snapshot(self) -> Optional["ModelSnapshot"]:
+        """The packed model as a snapshot of raw (possibly read-only)
+        views — ``build`` adopts them without a copy — or None when the
+        bundle froze only a network."""
+        if "model_config" not in self.manifest:
+            return None
+        from ..core.config import RNTrajRecConfig
+        from ..core.model import ModelSnapshot
+        state = {name[6:]: value for name, value in self.arrays.items()
+                 if name.startswith("model.")}
+        return ModelSnapshot(RNTrajRecConfig.from_dict(self.manifest["model_config"]),
+                             state, self.arrays.get("cache.x_road"))

@@ -18,9 +18,8 @@ from .engine import (
     DecodeResult,
     EngineError,
     build_job,
-    run_to_completion,
 )
-from .registry import ModelRegistry, bundle_paths, load_bundle_config, save_model_bundle
+from .registry import ModelRegistry, bundle_paths, save_model_bundle
 from .request import (
     IngestConfig,
     RecoveryRequest,
@@ -40,12 +39,10 @@ __all__ = [
     "DecodeResult",
     "EngineError",
     "build_job",
-    "run_to_completion",
     "LRUCache",
     "quantize_key",
     "ModelRegistry",
     "bundle_paths",
-    "load_bundle_config",
     "save_model_bundle",
     "IngestConfig",
     "RecoveryRequest",

@@ -283,32 +283,3 @@ class ContinuousEngine:
             "admitted": self.admitted,
             "retired": self.retired,
         }
-
-
-def run_to_completion(engine: ContinuousEngine,
-                      jobs: List[DecodeJob]) -> List[DecodeResult]:
-    """Admit what fits, step until drained, admitting as slots free up.
-
-    A synchronous convenience for tests and offline use — the serving
-    path drives the engine from :class:`~repro.serve.batching.\
-ContinuousScheduler` instead.  Results come back in ``jobs`` order.
-    """
-    results: List[Optional[DecodeResult]] = [None] * len(jobs)
-    slot_to_index: Dict[int, int] = {}
-    pending = list(enumerate(jobs))
-    pending.reverse()  # pop() from the front of the original order
-
-    def _admit_available() -> None:
-        while pending and engine.free_slots > 0:
-            index, job = pending.pop()
-            slot_to_index[engine.admit(job)] = index
-
-    _admit_available()
-    while slot_to_index:
-        for retirement in engine.step():
-            index = slot_to_index.pop(retirement.slot)
-            if retirement.error is not None:
-                raise retirement.error
-            results[index] = retirement.result
-        _admit_available()
-    return [result for result in results if result is not None]

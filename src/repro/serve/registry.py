@@ -1,26 +1,27 @@
-"""Model registry: named checkpoints and hot-swap over one road network.
+"""Model registry: named models and hot-swap over one road network.
 
 A bundle is a checkpoint (``<prefix>.npz`` via ``nn.serialization``) plus a
-JSON sidecar (``<prefix>.json``) holding the ``RNTrajRecConfig`` the model
-was trained with, so a registry can rebuild the exact architecture without
-out-of-band knowledge.  Every model it loads is built over the registry's
-one :class:`RoadNetwork`, which owns (memoizes) the scan index, grid
-sequences and k-hop closure — so hot-swapping checkpoints never rebuilds
-them and there is nothing for the registry to pin.
+required JSON sidecar (``<prefix>.json``) holding the ``RNTrajRecConfig``
+the model was trained with, so a prefix reads back as a
+:class:`~repro.core.model.ModelSnapshot` without out-of-band knowledge
+(its X_road is computed on the first request).  Bundles and a packed
+city artifact's model alike become served models through
+``ModelSnapshot.build`` over the registry's one :class:`RoadNetwork`,
+which owns (memoizes) the scan index, grid sequences and k-hop closure —
+so hot-swapping checkpoints never rebuilds them and there is nothing for
+the registry to pin.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import asdict
 from typing import Dict, Optional, Tuple
 
 from ..core.config import RNTrajRecConfig
-from ..core.model import RNTrajRec
-from ..nn.serialization import load_checkpoint, save_checkpoint
-from ..nn.tensor import Tensor
+from ..core.model import ModelSnapshot, RNTrajRec
+from ..nn.serialization import load_archive, save_checkpoint
 from ..roadnet.artifacts import CityArtifacts
 from ..roadnet.network import RoadNetwork
 
@@ -31,32 +32,33 @@ def bundle_paths(prefix: str) -> Tuple[str, str]:
     return stem + ".npz", stem + ".json"
 
 
-def save_model_bundle(model: RNTrajRec, prefix: str) -> Tuple[str, str]:
-    """Write ``<prefix>.npz`` + ``<prefix>.json`` and return both paths."""
+def save_model_bundle(model: RNTrajRec, prefix: str,
+                      train: Optional[dict] = None) -> Tuple[str, str]:
+    """Write ``<prefix>.npz`` + ``<prefix>.json`` and return both paths;
+    ``train`` (provenance, see ``fit_and_bundle``) becomes the sidecar's
+    ``train`` section, which readers ignore."""
     ckpt_path, config_path = bundle_paths(prefix)
     save_checkpoint(model, ckpt_path)
+    sidecar = {"model": "rntrajrec", "config": asdict(model.config)}
+    if train is not None:
+        sidecar["train"] = train
     with open(config_path, "w") as handle:
-        json.dump({"model": "rntrajrec", "config": asdict(model.config)}, handle, indent=1)
+        json.dump(sidecar, handle, indent=1)
     return ckpt_path, config_path
 
 
-def load_bundle_config(prefix: str) -> Optional[RNTrajRecConfig]:
-    """The config sidecar of a bundle, or None if it has none."""
-    _, config_path = bundle_paths(prefix)
-    if not os.path.exists(config_path):
-        return None
+def _read_bundle(prefix: str) -> ModelSnapshot:
+    """A bundle prefix as a snapshot; a missing sidecar raises."""
+    ckpt_path, config_path = bundle_paths(prefix)
     with open(config_path) as handle:
-        payload = json.load(handle)
-    fields = payload.get("config", payload)
-    known = set(RNTrajRecConfig.__dataclass_fields__)
-    return RNTrajRecConfig(**{k: v for k, v in fields.items() if k in known})
+        config = RNTrajRecConfig.from_dict(json.load(handle)["config"])
+    return ModelSnapshot(config, load_archive(ckpt_path))
 
 
 class ModelRegistry:
     """Named RNTrajRec checkpoints over one pinned road network."""
 
     def __init__(self, network: Optional[RoadNetwork] = None,
-                 default_config: Optional[RNTrajRecConfig] = None,
                  artifacts: Optional[CityArtifacts] = None) -> None:
         """``network`` may be omitted when ``artifacts`` is given: the
         registry then serves over the bundle's shared zero-copy network —
@@ -68,7 +70,6 @@ class ModelRegistry:
             network = artifacts.network()
         self.network = network
         self.artifacts = artifacts
-        self.default_config = default_config
         self._lock = threading.RLock()
         self._prefixes: Dict[str, str] = {}
         self._loaded: Dict[str, RNTrajRec] = {}
@@ -89,25 +90,21 @@ class ModelRegistry:
                 self._active = name
 
     def add_loaded(self, name: str, model: RNTrajRec, activate: bool = False) -> None:
-        """Register an already-built model (in-memory hot-swap, tests)."""
-        self._ready(model)
+        """Register an already-built model (in-memory hot-swap, tests): in
+        eval mode, its network's k-hop closure memo filled now — before
+        any worker fork and not on the first request."""
+        model.eval()
+        _ = model.reachability
         with self._lock:
             self._loaded[name] = model
             self._generations[name] = self._generations.get(name, 0) + 1
             if activate or self._active is None:
                 self._active = name
 
-    @staticmethod
-    def _ready(model: RNTrajRec) -> None:
-        """Eval mode, and the network's k-hop closure memo filled at load
-        time — before any worker fork and not on the first request."""
-        model.eval()
-        _ = model.reachability
-
     def load(self, name: str) -> RNTrajRec:
         """The named model, loading it on first use.
 
-        The expensive work (model construction, checkpoint read, the
+        The expensive work (checkpoint read, model construction, the
         network's k-hop closure if this is its first model) happens
         outside the lock so serving threads calling
         :meth:`active` are never stalled by a hot-swap load; concurrent
@@ -120,10 +117,7 @@ class ModelRegistry:
                 raise KeyError(f"unknown model {name!r}; registered: {self.names()}")
             prefix = self._prefixes[name]
             generation = self._generations.get(name, 0)
-        config = load_bundle_config(prefix) or self.default_config or RNTrajRecConfig()
-        model = RNTrajRec(self.network, config)
-        load_checkpoint(model, bundle_paths(prefix)[0])
-        self._ready(model)
+        model = _read_bundle(prefix).build(self.network)
         with self._lock:
             if self._generations.get(name, 0) == generation:
                 return self._loaded.setdefault(name, model)
@@ -219,24 +213,16 @@ class ModelRegistry:
         """Build and register the frozen model packed in the pinned
         :class:`CityArtifacts` bundle.
 
-        The model's parameters and buffers are adopted as read-only views
-        of the artifact arrays (``load_state_dict(copy=False)``) and the
-        precomputed X_road is installed directly, so loading N models from
-        one bundle costs O(1) array memory per model and never reruns the
-        road encoder.  The model is eval-only by construction: any
-        in-place weight write raises on the protected views.
+        ``ModelSnapshot.build`` adopts the parameters and buffers as
+        read-only views of the artifact arrays and installs the packed
+        X_road, so loading N models from one bundle costs O(1) array
+        memory per model and never reruns the road encoder.  The model is
+        eval-only by construction: any in-place weight write raises on the
+        protected views.
         """
-        if self.artifacts is None or not self.artifacts.has_model():
+        snapshot = None if self.artifacts is None else self.artifacts.model_snapshot()
+        if snapshot is None:
             raise ValueError("registry has no artifact bundle with a packed model")
-        config = (self.artifacts.model_config() or self.default_config
-                  or RNTrajRecConfig())
-        model = RNTrajRec(self.network, config)
-        model.load_state_dict(self.artifacts.model_state(), copy=False)
+        model = snapshot.build(self.network)
         self.add_loaded(name, model, activate=activate)
-        x_road = self.artifacts.road_features()
-        if x_road is not None:
-            # The memo is a pure function of the frozen weights; install
-            # the packed copy after add_loaded's eval() (train-mode flips
-            # clear the cache, so this must be the last touch).
-            model.encoder._road_cache = Tensor(x_road)
         return model

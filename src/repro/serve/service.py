@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .. import profile
-from ..core.config import RNTrajRecConfig
 from ..core.model import RNTrajRec
 from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import RecoverySample
@@ -111,10 +110,9 @@ class RecoveryService:
     @classmethod
     def from_checkpoint(cls, prefix: str, network: RoadNetwork,
                         config: Optional[ServeConfig] = None,
-                        model_config: Optional[RNTrajRecConfig] = None,
                         name: str = "default", shard: str = "") -> "RecoveryService":
         """A service over a single saved bundle (see ``save_model_bundle``)."""
-        registry = ModelRegistry(network, default_config=model_config)
+        registry = ModelRegistry(network)
         registry.register(name, prefix, activate=True)
         registry.load(name)  # fail fast and warm the pinned structures
         return cls(registry, config, shard=shard)
@@ -123,7 +121,7 @@ class RecoveryService:
     def from_model(cls, model: RNTrajRec, config: Optional[ServeConfig] = None,
                    name: str = "default", shard: str = "") -> "RecoveryService":
         """A service over an in-memory model (tests, notebooks)."""
-        registry = ModelRegistry(model.network, default_config=model.config)
+        registry = ModelRegistry(model.network)
         registry.add_loaded(name, model, activate=True)
         return cls(registry, config, shard=shard)
 

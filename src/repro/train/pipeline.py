@@ -3,10 +3,11 @@
 :func:`fit_and_bundle` trains a model, then writes the ``<prefix>.npz`` +
 ``<prefix>.json`` bundle that :class:`repro.serve.ModelRegistry` and the
 cluster's ``/register`` + ``/swap`` endpoints consume directly.  The JSON
-sidecar gains a ``train`` section — content-hash version, epochs, final
-loss, best validation accuracy, schedule — so a deployed bundle carries
-its own provenance; the registry reads only the ``config`` section and
-ignores the rest, so older bundles and tooling are unaffected.
+sidecar, written once, carries a ``train`` section — content-hash
+version, epochs, final loss, best validation accuracy, schedule — so a
+deployed bundle carries its own provenance; a bundle reads back as a
+:class:`~repro.core.model.ModelSnapshot` from the ``config`` section
+alone, so the rest never matters to serving.
 
 :func:`register_bundle` completes the "train a city, roll it into the
 cluster" path: it POSTs the bundle to a running cluster front door
@@ -69,11 +70,7 @@ def fit_and_bundle(
     trainer = Trainer(model, config)
     result = trainer.fit(train_samples, val_samples, checkpoint=checkpoint)
     model.eval()
-    ckpt_path, config_path = save_model_bundle(model, out_prefix)
-
     version = model_version(model)
-    with open(config_path) as handle:
-        sidecar = json.load(handle)
     train_meta = {
         "version": version,
         "epochs": trainer.epochs_completed,
@@ -83,9 +80,8 @@ def fit_and_bundle(
         "created_unix": round(time.time(), 3),
     }
     train_meta.update(metadata or {})
-    sidecar["train"] = _jsonable(train_meta)
-    with open(config_path, "w") as handle:
-        json.dump(sidecar, handle, indent=1)
+    ckpt_path, config_path = save_model_bundle(model, out_prefix,
+                                               train=_jsonable(train_meta))
     return BundleReport(result=result, checkpoint_path=ckpt_path,
                         config_path=config_path, version=version)
 

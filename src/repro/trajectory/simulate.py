@@ -14,7 +14,7 @@ For each trajectory the simulator
 The output pairs (RawTrajectory, MatchedTrajectory) are exact: the matched
 trajectory is the true vehicle state, not an HMM estimate, which removes
 label noise relative to the paper but affects every compared method
-identically (see DESIGN.md).
+identically.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ They exist for the equivalence guarantees:
 ``tests/test_vectorized_equivalence.py`` asserts on randomized inputs that
 each vectorized implementation produces bit-identical (or allclose, where
 autograd bookkeeping differs by design) outputs to its reference twin.
-The module lives beside the tests because only they import it.
+The module lives beside the tests because only they import it, as does
+:func:`run_to_completion`, the synchronous engine driver the equivalence
+tests decode through.
 """
 
 from __future__ import annotations
@@ -712,6 +714,36 @@ def reference_constraint_tensor(batch: Batch, num_segments: int,
 # ----------------------------------------------------------------------
 # Pre-continuous-batching scheduler path (run-to-completion draining)
 # ----------------------------------------------------------------------
+
+
+def run_to_completion(engine, jobs) -> list:
+    """Admit what fits, step until drained, admitting as slots free up.
+
+    A synchronous driver of a :class:`repro.serve.engine.ContinuousEngine`
+    for the equivalence tests — the serving path drives the engine from
+    :class:`~repro.serve.batching.ContinuousScheduler` instead.  Results
+    (``DecodeResult``) come back in ``jobs`` order; a retirement's error
+    is raised.
+    """
+    results: list = [None] * len(jobs)
+    slot_to_index: Dict[int, int] = {}
+    pending = list(enumerate(jobs))
+    pending.reverse()  # pop() from the front of the original order
+
+    def _admit_available() -> None:
+        while pending and engine.free_slots > 0:
+            index, job = pending.pop()
+            slot_to_index[engine.admit(job)] = index
+
+    _admit_available()
+    while slot_to_index:
+        for retirement in engine.step():
+            index = slot_to_index.pop(retirement.slot)
+            if retirement.error is not None:
+                raise retirement.error
+            results[index] = retirement.result
+        _admit_available()
+    return [result for result in results if result is not None]
 
 
 def reference_run_to_completion(model, samples) -> List[Tuple[np.ndarray, np.ndarray]]:

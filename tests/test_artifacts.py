@@ -269,7 +269,7 @@ class TestCityArtifacts:
     def test_round_trip_with_verification(self, artifact_dir):
         loaded = CityArtifacts.load(artifact_dir, mmap=True, verify=True)
         assert loaded.content_digest
-        assert loaded.has_model()
+        assert loaded.model_snapshot() is not None
         with open(os.path.join(artifact_dir, "manifest.json")) as handle:
             manifest = json.load(handle)
         assert manifest["content_hash"] == loaded.content_digest
@@ -316,7 +316,7 @@ class TestCityArtifacts:
             assert np.shares_memory(ours, theirs), name
             assert np.shares_memory(
                 ours, artifacts.arrays["reach." + name.lstrip("_")]), name
-        state = artifacts.model_state()
+        state = artifacts.model_snapshot().state
         for name, param in model_a.named_parameters():
             assert np.shares_memory(param.data, state[name]), name
         for name, param in model_b.named_parameters():
@@ -338,7 +338,7 @@ class TestCityArtifacts:
                                                         activate=True)
         cache = packed_model.encoder._road_cache
         assert cache is not None
-        assert np.shares_memory(cache.data, artifacts.road_features())
+        assert np.shares_memory(cache.data, artifacts.arrays["cache.x_road"])
 
 
 class TestSaveOverAPublishedBundle:
@@ -468,7 +468,7 @@ class TestShardArtifacts:
         assert "artifact cache miss" in caplog.text
         reloaded = CityArtifacts.load(str(city_dir), mmap=True, verify=True)
         assert reloaded.manifest["format"] == FORMAT_VERSION
-        assert reloaded.has_model()
+        assert reloaded.model_snapshot() is not None
 
     def test_replicas_share_the_loaded_artifact_network(self, data, tmp_path):
         seed = Shard(self._spec(), model_factory=self._factory(data),

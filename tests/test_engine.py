@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import run_to_completion
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.core.decoder import DecodeConstraint, GreedyWeights
 from repro.nn.tensor import no_grad
@@ -36,7 +37,6 @@ from repro.serve import (
     RecoveryRequest,
     RecoveryService,
     ServeConfig,
-    run_to_completion,
 )
 from repro.stream import StreamingRecoveryService
 from repro.trajectory import (

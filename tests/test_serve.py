@@ -1,6 +1,7 @@
 """Tests for the ``repro.serve`` online recovery subsystem."""
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 import reference
 from repro.cluster import RecoveryCluster, Shard, ShardSpec, side_by_side
+from repro.cluster.workers import _model_payload
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import get_spec, load_dataset
-from repro.roadnet import generate_city
+from repro.roadnet import CityArtifacts, generate_city
 from repro.stream import StreamingCluster
 from repro.serve import (
     LRUCache,
@@ -278,20 +280,42 @@ class TestClosedOwnerIsFreed:
 # ---------------------------------------------------------------------------
 # Model registry: bundles, hot-swap, pinned structures
 # ---------------------------------------------------------------------------
-class TestModelRegistry:
-    def test_bundle_round_trip_reproduces_outputs(self, data, model, tmp_path):
-        prefix = str(tmp_path / "bundle")
-        save_model_bundle(model, prefix)
-        registry = ModelRegistry(data.network)
-        registry.register("v1", prefix, activate=True)
-        loaded = registry.load("v1")
+def _bundle_model(data, model, tmp_path):
+    prefix = str(tmp_path / "bundle")
+    save_model_bundle(model, prefix)
+    registry = ModelRegistry(data.network)
+    registry.register("v1", prefix, activate=True)
+    return registry.load("v1")
 
-        assert loaded.config == model.config  # sidecar restored the config
-        batch = make_batch(data.test[:2])
+
+def _artifact_model(data, model, tmp_path):
+    CityArtifacts.build(data.network, model=model).save(str(tmp_path / "city"))
+    return ModelRegistry(artifacts=CityArtifacts.load(
+        str(tmp_path / "city"), mmap=True)).register_artifact_model()
+
+
+def _deploy_model(data, model, tmp_path):
+    # The payload crosses a worker's pipe pickled; the worker builds it.
+    payload = pickle.loads(pickle.dumps(_model_payload("v1", model, True)))
+    return payload["source"].build(data.network)
+
+
+class TestModelRegistry:
+    @pytest.mark.parametrize("source", [_bundle_model, _artifact_model, _deploy_model],
+                             ids=["bundle", "artifact", "deploy"])
+    def test_bundle_round_trip_reproduces_outputs(self, data, model, tmp_path, source):
+        """Every form a served model ships in rebuilds, through
+        ``ModelSnapshot.build``, a model whose recoveries are byte-equal
+        to the source model's."""
+        loaded = source(data, model, tmp_path)
+
+        assert loaded is not model
+        assert loaded.config == model.config  # the snapshot carried the config
+        batch = make_batch(data.test[:4])
         expected_segments, expected_rates = model.recover(batch)
         got_segments, got_rates = loaded.recover(batch)
         assert np.array_equal(expected_segments, got_segments)
-        assert np.allclose(expected_rates, got_rates)
+        assert np.array_equal(expected_rates, got_rates)
 
     def test_pinned_structures_shared_across_models(self, data, model, tmp_path):
         save_model_bundle(model, str(tmp_path / "a"))

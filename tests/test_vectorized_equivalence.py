@@ -661,8 +661,7 @@ class TestContinuousEngineEquivalence:
 
     def test_engine_matches_run_to_completion_twin(self, city, mixed_samples):
         from repro.core.decoder import GreedyWeights
-        from repro.serve.engine import (ContinuousEngine, DecodeJob,
-                                        run_to_completion)
+        from repro.serve.engine import ContinuousEngine, DecodeJob
 
         model = RNTrajRec(city, CFG)
         model.eval()
@@ -686,7 +685,7 @@ class TestContinuousEngineEquivalence:
         # capacity < job count forces mid-flight splicing — the maximally
         # different execution order from the twin's group-at-a-time drain.
         engine = ContinuousEngine(capacity=3)
-        results = run_to_completion(engine, jobs)
+        results = reference.run_to_completion(engine, jobs)
 
         assert len(results) == len(twin)
         for result, (seg_twin, rate_twin) in zip(results, twin):
@@ -700,8 +699,7 @@ class TestContinuousEngineEquivalence:
         """Strictly stronger than the twin pin: against the batch-of-1
         one-shot path the engine is bit-identical, rates included."""
         from repro.core.decoder import GreedyWeights
-        from repro.serve.engine import (ContinuousEngine, DecodeJob,
-                                        run_to_completion)
+        from repro.serve.engine import ContinuousEngine, DecodeJob
 
         model = RNTrajRec(city, CFG)
         model.eval()
@@ -721,7 +719,7 @@ class TestContinuousEngineEquivalence:
                     weights=weights,
                     reachability=model.reachability,
                 ))
-        results = run_to_completion(ContinuousEngine(capacity=2), jobs)
+        results = reference.run_to_completion(ContinuousEngine(capacity=2), jobs)
         for sample, result in zip(chosen, results):
             seg, rate = model.recover(make_batch([sample]))
             assert np.array_equal(result.segments, seg[0])

@@ -8,6 +8,8 @@ experiment fingerprint, so figures that reuse Table III's models (Fig. 4
 robustness, Fig. 6 efficiency) do not retrain, and re-running a benchmark
 is instant.  The fingerprint includes :func:`code_identity`, a digest of
 the ``repro`` source, so a cell computed before a code change is a miss.
+A cell is a pure function of its arguments: the model's initial weights
+are drawn from ``train_config.seed``, whatever ran earlier in the process.
 
 Budget knobs come from the environment:
 
@@ -31,6 +33,7 @@ from ..baselines import BASELINE_NAMES, build_baseline
 from ..core.config import RNTrajRecConfig
 from ..core.model import RNTrajRec
 from ..datasets.registry import LoadedDataset, load_dataset
+from ..nn.init import seed_everything
 from ..train import TrainConfig, Trainer
 from ..eval.evaluate import evaluate_model, evaluate_sr_at_k
 from ..roadnet.shortest_path import ShortestPathEngine
@@ -206,6 +209,8 @@ def run_experiment(
 
     data = get_dataset(dataset, trajectories, keep_every)
     engine = get_engine(data)
+    # The seed rides in ``train_config``, so the fingerprint covers it.
+    seed_everything(train_config.seed)
     model = build_method(method, data, model_config)
 
     train_seconds = 0.0

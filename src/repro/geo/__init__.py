@@ -3,8 +3,6 @@
 from .distance import (
     EARTH_RADIUS_M,
     LocalProjection,
-    bearing,
-    euclidean,
     gaussian_weight,
     haversine,
     point_along_polyline,
@@ -17,8 +15,6 @@ from .rtree import RTree
 __all__ = [
     "EARTH_RADIUS_M",
     "LocalProjection",
-    "bearing",
-    "euclidean",
     "gaussian_weight",
     "haversine",
     "point_along_polyline",

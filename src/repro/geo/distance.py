@@ -59,13 +59,6 @@ class LocalProjection:
         return lat, lon
 
 
-def euclidean(p: np.ndarray, q: np.ndarray) -> float:
-    """Planar distance between two (x, y) points in meters."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    return float(np.hypot(*(p - q))) if p.ndim == 1 else np.linalg.norm(p - q, axis=-1)
-
-
 def project_point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> Tuple[float, float, np.ndarray]:
     """Project ``point`` onto a polyline of shape ``(k, 2)``.
 
@@ -154,13 +147,6 @@ def measure_polylines(points: np.ndarray, indptr: np.ndarray) -> PolylineMeasure
         total[members] = piece_lengths.sum(axis=1)
         reached[starts + 1] = np.cumsum(piece_lengths, axis=1)
     return PolylineMeasures(vectors, lengths, reached, total, groups)
-
-
-def bearing(p: np.ndarray, q: np.ndarray) -> float:
-    """Heading in degrees (0 = east, counter-clockwise) from p to q."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    return float(np.degrees(np.arctan2(q[1] - p[1], q[0] - p[0])))
 
 
 def gaussian_weight(distance, scale: float) -> np.ndarray:

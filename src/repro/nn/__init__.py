@@ -18,7 +18,6 @@ from .graph import (
     GraphStack,
     add_self_loops,
     edge_targets,
-    graph_mean_pool,
     ragged_positions,
 )
 from .layers import BatchNorm, Dropout, Embedding, FeedForward, LayerNorm, Linear
@@ -84,7 +83,6 @@ __all__ = [
     "GraphStack",
     "add_self_loops",
     "edge_targets",
-    "graph_mean_pool",
     "ragged_positions",
     "SGD",
     "Adam",

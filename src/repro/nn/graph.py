@@ -22,7 +22,7 @@ import numpy as np
 from . import functional as F, init
 from .layers import Linear
 from .module import Module, ModuleList, Parameter
-from .tensor import Segments, Tensor, gather_rows, segment_mean, segment_softmax, segment_sum
+from .tensor import Segments, Tensor, gather_rows, segment_softmax, segment_sum
 
 
 def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -240,8 +240,3 @@ class GraphStack(Module):
         for layer in self.layers:
             x = layer(x, edge_index, targets)
         return x
-
-
-def graph_mean_pool(x: Tensor, graph_ids, num_graphs: Optional[int] = None) -> Tensor:
-    """Mean-pool node features per graph (paper Eq. 8 / GraphReadout)."""
-    return segment_mean(x, graph_ids, num_graphs)

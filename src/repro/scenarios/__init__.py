@@ -1,34 +1,23 @@
 """``repro.scenarios`` — the robustness scenario suite.
 
 The paper evaluates recovery on fixed keep-every-k regimes; deployed
-services see variable rates, GPS outages, noise bursts, and new cities.
-This package makes those regimes first-class:
+services see variable rates, GPS outages and noise bursts.  This package
+makes those regimes first-class:
 
 * :mod:`~repro.scenarios.transforms` — composable seeded trace degraders
   (:class:`FixedRate`, :class:`VariableRate`, :class:`Outage`,
   :class:`NoiseBurst`) composed into named :class:`Scenario` rows, with
   the identity law: no transforms → bit-identical to ``build_samples``;
-* :mod:`~repro.scenarios.matrix` — the scenario × metric evaluation
-  matrix: Table-III batch metrics plus streaming replay telemetry
-  (revision rates, finalize exactness) per scenario;
 * :mod:`~repro.scenarios.curriculum` — sampling-rate curriculum training
-  over the PR 5 trainer (phased ``fit(until_epoch=...)``, cumulative
-  easy→hard stride mixtures);
-* :mod:`~repro.scenarios.transfer` — cross-city warm starts by
-  name+shape-matched state transfer.
+  over the trainer (phased ``fit(until_epoch=...)``, cumulative
+  easy→hard stride mixtures).
 
-``benchmarks/bench_scenarios.py`` wires all four into the
+``benchmarks/bench_scenarios.py`` scores a fixed-rate and a curriculum
+model under every :func:`standard_scenarios` row into the
 ``BENCH_scenarios.json`` gate artifact; see ``docs/scenarios.md``.
 """
 
 from .curriculum import CurriculumPhase, RateCurriculum, fit_rate_curriculum
-from .matrix import (
-    ScenarioCell,
-    StreamingReplay,
-    evaluate_matrix,
-    replay_streaming,
-)
-from .transfer import TransferReport, transfer_model, transfer_state
 from .transforms import (
     DegradedTrace,
     FixedRate,
@@ -49,16 +38,9 @@ __all__ = [
     "Outage",
     "RateCurriculum",
     "Scenario",
-    "ScenarioCell",
-    "StreamingReplay",
     "TraceTransform",
-    "TransferReport",
     "VariableRate",
     "build_scenario_samples",
-    "evaluate_matrix",
     "fit_rate_curriculum",
-    "replay_streaming",
     "standard_scenarios",
-    "transfer_model",
-    "transfer_state",
 ]

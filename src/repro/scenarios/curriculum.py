@@ -4,17 +4,16 @@ The paper trains one model per keep-every rate; a deployed service sees
 *all* rates at once, and a model trained at a single rate degrades on
 regimes it never saw.  The curriculum trains one model through phases of
 increasing sparsity — dense strides first, then cumulative mixtures that
-keep the easy rates while adding harder ones — reusing the PR 5
+keep the easy rates while adding harder ones — reusing the
 :class:`~repro.train.Trainer` machinery: one trainer, one config, phases
-bounded by ``fit(until_epoch=...)`` so LR schedules stay pure functions
-of the global epoch, and the epoch → phase mapping itself is a
-:class:`~repro.train.PiecewiseConstant` step schedule.
+bounded by ``fit(until_epoch=...)`` at :meth:`RateCurriculum.boundaries`
+so LR schedules stay pure functions of the global epoch.
 
 Each phase's training set is built by :func:`build_scenario_samples`
 under a :class:`~repro.scenarios.transforms.VariableRate` (or
 :class:`~repro.scenarios.transforms.FixedRate` for singleton mixtures)
-scenario, so phase data is exactly as deterministic as the scenario
-matrix: same pairs + same curriculum → bit-identical training stream.
+scenario, so phase data is exactly as deterministic as any scenario's
+samples: same pairs + same curriculum → bit-identical training stream.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..roadnet.network import RoadNetwork
-from ..train import PiecewiseConstant, TrainConfig, Trainer, TrainResult
+from ..train import TrainConfig, Trainer, TrainResult
 from ..trajectory.dataset import DatasetConfig, RecoverySample
 from ..trajectory.trajectory import MatchedTrajectory, RawTrajectory
 from .transforms import FixedRate, Scenario, VariableRate, build_scenario_samples
@@ -105,10 +104,6 @@ class RateCurriculum:
             acc += phase.epochs
             out.append(acc)
         return out
-
-    def schedule(self) -> PiecewiseConstant:
-        """Epoch → :class:`CurriculumPhase` as a pure step function."""
-        return PiecewiseConstant(self.boundaries()[:-1], list(self.phases))
 
 
 def fit_rate_curriculum(

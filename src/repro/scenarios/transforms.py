@@ -26,7 +26,7 @@ The taxonomy (see ``docs/scenarios.md``):
 
 The **identity law**: a scenario with no transforms reproduces
 :func:`repro.trajectory.dataset.build_samples` bit-for-bit (asserted by
-``benchmarks/bench_scenarios.py``'s identity gate), because both paths
+``tests/test_scenarios.py``), because both paths
 build samples through the shared
 :func:`~repro.trajectory.dataset.sample_from_fixes` constructor.
 """
@@ -237,7 +237,7 @@ def build_scenario_samples(
 
 
 def standard_scenarios(keep_every: int = 8, seed: int = 0) -> List[Scenario]:
-    """The default scenario matrix rows (identity first).
+    """The default scenario rows (identity first).
 
     Floors are calibrated against the deterministic ``bench_scenarios``
     default budget (160 trajectories / 15 epochs on the Chengdu recipe,

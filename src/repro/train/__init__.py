@@ -32,7 +32,6 @@ from .schedules import (
     ConstantLR,
     CosineLR,
     LRSchedule,
-    PiecewiseConstant,
     StepDecayLR,
     build_schedule,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "CosineLR",
     "EpochStats",
     "LRSchedule",
-    "PiecewiseConstant",
     "RecoveryModel",
     "SCHEDULE_NAMES",
     "StepDecayLR",

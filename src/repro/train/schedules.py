@@ -75,40 +75,6 @@ class CosineLR(LRSchedule):
             1.0 + math.cos(math.pi * progress))
 
 
-class PiecewiseConstant:
-    """A generic epoch → value step function.
-
-    ``boundaries`` are the epochs at which the value *changes*; segment i
-    (epochs ``boundaries[i-1]..boundaries[i]-1``) yields ``values[i]``,
-    so ``len(values) == len(boundaries) + 1``.  Pure function of the
-    epoch like every :class:`LRSchedule` — the scenario curriculum uses
-    it to map epochs to phases, and it composes as a custom LR shape too
-    (values are opaque: floats, tuples, phase objects).
-    """
-
-    def __init__(self, boundaries, values) -> None:
-        boundaries = [int(b) for b in boundaries]
-        values = list(values)
-        if len(values) != len(boundaries) + 1:
-            raise ValueError("need exactly one more value than boundary")
-        if any(b <= 0 for b in boundaries) or sorted(boundaries) != boundaries \
-                or len(set(boundaries)) != len(boundaries):
-            raise ValueError("boundaries must be positive and strictly increasing")
-        self.boundaries = boundaries
-        self.values = values
-
-    def value_at(self, epoch: int):
-        if epoch < 0:
-            raise ValueError("epoch must be non-negative")
-        for i, boundary in enumerate(self.boundaries):
-            if epoch < boundary:
-                return self.values[i]
-        return self.values[-1]
-
-    def __call__(self, epoch: int):
-        return self.value_at(epoch)
-
-
 def build_schedule(config: TrainConfig) -> LRSchedule:
     """The schedule a :class:`TrainConfig` describes."""
     if config.schedule == "constant":

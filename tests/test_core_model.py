@@ -291,15 +291,6 @@ class TestScreeningHeadFreshness:
         model.load_state_dict(self._scrambled(city, 4).state_dict())
         self._assert_fresh(model.decoder)
 
-    def test_transfer_model(self, city):
-        from repro.scenarios import transfer_model
-        from repro.scenarios.transfer import transfer_state
-
-        model, _ = transfer_model(self._scrambled(city, 1), city)
-        self._assert_fresh(model.eval().decoder)
-        transfer_state(self._scrambled(city, 2), model)
-        self._assert_fresh(model.decoder)
-
     def test_register_artifact_model(self, city):
         from repro.roadnet import CityArtifacts
         from repro.serve.registry import ModelRegistry

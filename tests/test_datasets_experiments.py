@@ -1,13 +1,27 @@
 """Tests for the dataset registry and the cached experiment harness."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import RNTrajRecConfig
 from repro.datasets import dataset_names, get_spec, load_dataset
-from repro.experiments import METHOD_NAMES, format_table, harness, run_experiment
+from repro.experiments import (
+    METHOD_NAMES,
+    format_table,
+    harness,
+    quick_train_config,
+    run_experiment,
+)
 from repro.experiments.harness import ExperimentResult, load_cached
 from repro.train import TrainConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestRegistry:
@@ -112,6 +126,31 @@ class TestHarness:
                            cache_dir=tmp_path, variant_tag="other")
         assert a.method == "linear_hmm"
         assert b.method == "linear_hmm[other]"
+
+    @staticmethod
+    def _tiny_row(method, cache_dir):
+        """One learned row at a tiny budget, computed afresh
+        (``use_cache=False`` still writes the cell into ``cache_dir``)."""
+        result = run_experiment("chengdu", method, trajectories=24,
+                                train_config=quick_train_config(1),
+                                cache_dir=Path(cache_dir), use_cache=False)
+        return [result.metrics, result.sr_at_k, result.num_parameters]
+
+    def test_a_row_does_not_depend_on_the_methods_before_it(self, tmp_path):
+        """Transformer after MTrajRec in this process equals Transformer
+        alone in a fresh one: the harness seeds the weights itself."""
+        self._tiny_row("mtrajrec", tmp_path)
+        after = self._tiny_row("transformer", tmp_path)
+        script = ("import json, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from test_datasets_experiments import TestHarness\n"
+                  "print(json.dumps(TestHarness._tiny_row('transformer', sys.argv[2])))\n")
+        alone = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent),
+             str(tmp_path)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert after == json.loads(alone.stdout)
 
     def test_format_table_contains_rows(self):
         result = ExperimentResult(

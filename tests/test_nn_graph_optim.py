@@ -81,7 +81,7 @@ class TestGCNAndGIN:
 class TestGraphPooling:
     def test_mean_pool_per_graph(self):
         x = Tensor(np.array([[2.0], [4.0], [6.0]]))
-        out = nn.graph_mean_pool(x, np.array([0, 0, 1]), 2)
+        out = nn.segment_mean(x, np.array([0, 0, 1]), 2)
         assert np.allclose(out.data, [[3.0], [6.0]])
 
 

@@ -184,6 +184,20 @@ class TestCheckDocs:
         assert out.returncode == 1
         assert f"ci.yml: env knob '{self.UNREAD}'" in out.stdout
 
+    FUTURE = "Commit `BENCH_future.json` and `src/repro/gone.py`.\n"
+
+    def test_only_the_plan_may_name_an_artifact_nothing_writes_yet(self, tmp_path):
+        plan, docs = tmp_path / "plan", tmp_path / "docs"
+        plan.mkdir()
+        (plan / "ROADMAP.md").write_text(self.FUTURE)
+        out = self._tree(plan)
+        assert out.returncode == 1  # the plan's paths are still checked
+        assert "ROADMAP.md: names missing path 'src/repro/gone.py'" in out.stdout
+        assert "BENCH_future.json" not in out.stdout
+        docs.mkdir()
+        out = self._tree(docs, doc=self.FUTURE)
+        assert "docs/api.md: artifact 'BENCH_future.json' is not produced" in out.stdout
+
     INIT = "from .engine import Engine, build as make\nLIMIT = 3\n"
 
     def test_api_names_the_package_binds_pass(self, tmp_path):

@@ -23,6 +23,13 @@ import repro.stream.engine as stream_engine
 from repro.cluster import RecoveryCluster, RouteError, side_by_side
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
+from repro.scenarios import (
+    Outage,
+    Scenario,
+    VariableRate,
+    build_scenario_samples,
+    standard_scenarios,
+)
 from repro.serve import (
     RecoveryRequest,
     RecoveryService,
@@ -41,7 +48,7 @@ from repro.stream import (
     StreamingRecoveryService,
     UnknownSession,
 )
-from repro.trajectory import make_batch
+from repro.trajectory import TrajectorySimulator, make_batch
 
 TINY = RNTrajRecConfig(hidden_dim=16, num_heads=2, dropout=0.0,
                        receptive_delta=300.0, max_subgraph_nodes=24)
@@ -404,7 +411,6 @@ class TestStreamingService:
         generations after every batch."""
         from repro import profile
         from repro.core import subgraph_gen
-        from repro.trajectory import TrajectorySimulator
 
         monkeypatch.setattr(subgraph_gen, "GENERATION_BATCHES", 1)
         simulation = replace(data.spec.simulation, target_points=48)
@@ -708,14 +714,14 @@ class TestStreamingCluster:
 # ---------------------------------------------------------------------------
 class TestDegradedStreaming:
     @pytest.fixture(scope="class")
-    def outage_samples(self, data):
+    def pairs(self, data):
+        return TrajectorySimulator(data.network,
+                                   data.spec.simulation).simulate(6)
+
+    @pytest.fixture(scope="class")
+    def outage_samples(self, data, pairs):
         """Recovery samples whose fixes carry contiguous observation gaps
         (the repro.scenarios Outage degrader over the same city/recipe)."""
-        from repro.scenarios import Outage, Scenario, build_scenario_samples
-        from repro.trajectory import TrajectorySimulator
-
-        simulator = TrajectorySimulator(data.network, data.spec.simulation)
-        pairs = simulator.simulate(6)
         scenario = Scenario(name="outage",
                             transforms=(Outage(gaps=2, min_span=4,
                                                max_span=10),),
@@ -741,13 +747,19 @@ class TestDegradedStreaming:
                 validate_append_times(times[:1], last_time=last)
         assert saw_gap  # the scenario really produced outage-scale gaps
 
+    # The chengdu recipe keeps every 8th fix, standard_scenarios' default.
+    @pytest.mark.parametrize("scenario", standard_scenarios(),
+                             ids=lambda scenario: scenario.name)
     def test_outage_sessions_finalize_exactly(self, data, model, streaming,
-                                              outage_samples):
-        """finalize() == one-shot recovery for gap-degraded fix patterns:
-        the commit-horizon machinery must not drift when appends land far
-        past the committed frontier."""
+                                              pairs, scenario):
+        """finalize() == one-shot recovery under every standard scenario's
+        fix pattern (mixed strides, outage gaps, noise bursts): the
+        commit-horizon machinery must not drift when appends land far past
+        the committed frontier."""
+        samples = build_scenario_samples(pairs, data.network, scenario,
+                                         data.spec.dataset)
         service = streaming(model, data, commit_horizon=2)
-        for sample in outage_samples[:3]:
+        for sample in samples[:3]:
             sid, _, response = _drive(service, sample, chunk=1)
             segments, rates = model.recover(make_batch([sample]))
             assert np.array_equal(response.trajectory.segments, segments[0])
@@ -793,9 +805,6 @@ class TestDegradedStreaming:
         """Clean traces plus Outage and VariableRate ones: irregular gaps
         between fixes, where session ingest and one-shot assembly must
         agree most."""
-        from repro.scenarios import Scenario, VariableRate, build_scenario_samples
-        from repro.trajectory import TrajectorySimulator
-
         pairs = TrajectorySimulator(data.network,
                                     data.spec.simulation).simulate(4)
         variable = build_scenario_samples(

@@ -4,9 +4,10 @@ The router answers one question per request: *which shard owns every fix
 of this trace?*  It reuses :class:`repro.geo.grid.Grid` as the spatial
 key: a coarse grid over the union of all shard bounding boxes, with each
 cell pre-assigned to the shard whose bbox contains its center.  Routing a
-trace is then one vectorized cell lookup; the candidate answer is
-confirmed with an exact bbox containment check so boundary cells (whose
-centers may sit on the wrong side of a shard edge) can never misroute.
+trace is then one pass over its fixes in plain Python — a cell lookup per
+fix, no per-request numpy — and the candidate answer is confirmed with an
+exact bbox containment check so boundary cells (whose centers may sit on
+the wrong side of a shard edge) can never misroute.
 
 Traces the grid cannot place are classified exactly:
 
@@ -54,8 +55,6 @@ class ShardRouter:
             raise ValueError("router needs at least one shard bbox")
         self.boxes = [tuple(float(v) for v in box) for box in boxes]
         arr = np.asarray(self.boxes, dtype=np.float64)  # (n, 4)
-        self._x0, self._y0 = arr[:, 0], arr[:, 1]
-        self._x1, self._y1 = arr[:, 2], arr[:, 3]
 
         x0, y0 = float(arr[:, 0].min()), float(arr[:, 1].min())
         x1, y1 = float(arr[:, 2].max()), float(arr[:, 3].max())
@@ -72,51 +71,66 @@ class ShardRouter:
                                  np.arange(self.grid.cols), indexing="ij")
         cx = self.grid.x0 + (cols.ravel() + 0.5) * self.grid.cell_size
         cy = self.grid.y0 + (rows.ravel() + 0.5) * self.grid.cell_size
-        inside = self._containment(cx, cy)           # (n_shards, n_cells)
-        owner = np.where(inside.any(axis=0), inside.argmax(axis=0), -1)
-        self._owner = owner.astype(np.int64)
+        inside = ((cx >= arr[:, 0, None]) & (cx <= arr[:, 2, None])
+                  & (cy >= arr[:, 1, None]) & (cy <= arr[:, 3, None]))
+        self._owner: List[int] = np.where(
+            inside.any(axis=0), inside.argmax(axis=0), -1).tolist()
+        grid = self.grid
+        self._frame = (grid.x0, grid.y0, grid.x1, grid.y1, grid.cell_size,
+                       grid.cols, grid.cols - 1, grid.rows - 1)
 
     # ------------------------------------------------------------------
-    def _containment(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(n_shards, n_points) exact bbox membership (edges inclusive)."""
-        return ((x >= self._x0[:, None]) & (x <= self._x1[:, None])
-                & (y >= self._y0[:, None]) & (y <= self._y1[:, None]))
+    def shard_of_points(self, xy) -> int:
+        """The single shard index owning every point, else RouteError.
 
-    def shard_of_points(self, xy: np.ndarray) -> int:
-        """The single shard index owning every point, else RouteError."""
-        xy = np.asarray(xy, dtype=np.float64)
-        if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) == 0:
-            raise ValueError(f"expected (n, 2) points, got shape {xy.shape}")
-        x, y = xy[:, 0], xy[:, 1]
+        ``xy`` is an (n, 2) array or a sequence of (x, y) number pairs; any
+        other shape is a ``ValueError``.  Bbox edges are inclusive.
+        """
+        if isinstance(xy, np.ndarray):
+            xy = xy.tolist()
+        try:
+            # ``- 0.0``: numbers only, ints as the floats numpy would make.
+            points = [(x - 0.0, y - 0.0) for x, y in xy]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"expected (n, 2) points ({exc})") from None
+        if not points:
+            raise ValueError("expected (n, 2) points, got none")
 
-        # Fast path: one vectorized cell lookup.  Points outside the union
-        # rectangle clamp onto border cells, so guard with the union bounds.
-        in_union = ((x >= self.grid.x0) & (x <= self.grid.x1)
-                    & (y >= self.grid.y0) & (y <= self.grid.y1))
-        if bool(in_union.all()):
-            owners = self._owner[self.grid.flat_cell_of(x, y)]
-            candidate = int(owners[0])
-            if candidate >= 0 and bool((owners == candidate).all()):
-                inside = self._containment(x, y)[candidate]
-                if bool(inside.all()):  # confirm: cell centers approximate
+        # Fast path: every fix inside the union rectangle (points outside
+        # it would clamp onto border cells), in a cell of the first fix's
+        # shard, and inside that shard's box.
+        gx0, gy0, gx1, gy1, cell, cols, last_col, last_row = self._frame
+        owners = self._owner
+        owned = []
+        for x, y in points:
+            if not (gx0 <= x <= gx1 and gy0 <= y <= gy1):
+                break
+            owned.append(owners[min(int((y - gy0) // cell), last_row) * cols
+                                + min(int((x - gx0) // cell), last_col)])
+        else:
+            candidate = owned[0]
+            if candidate >= 0 and owned.count(candidate) == len(owned):
+                bx0, by0, bx1, by1 = self.boxes[candidate]
+                if all(bx0 <= x <= bx1 and by0 <= y <= by1 for x, y in points):
                     return candidate
 
         # Slow path (boundary cells, rejections): exact containment per
         # shard, also used to classify the failure reason precisely.
-        inside = self._containment(x, y)             # (n_shards, n_points)
-        full = np.flatnonzero(inside.all(axis=1))
+        inside = [[bx0 <= x <= bx1 and by0 <= y <= by1 for x, y in points]
+                  for bx0, by0, bx1, by1 in self.boxes]
+        full = [index for index, row in enumerate(inside) if all(row)]
         if len(full) == 1:
-            return int(full[0])
-        covered = inside.any(axis=0)
-        if not bool(covered.all()):
-            missing = np.flatnonzero(~covered)
-            fix = xy[missing[0]]
+            return full[0]
+        covered = [any(column) for column in zip(*inside)]
+        if not all(covered):
+            missing = [index for index, hit in enumerate(covered) if not hit]
+            fix = points[missing[0]]
             raise RouteError(
                 "outside",
-                f"{len(missing)}/{len(xy)} fixes outside every shard "
+                f"{len(missing)}/{len(points)} fixes outside every shard "
                 f"(first: ({fix[0]:.1f}, {fix[1]:.1f}))",
             )
-        touched = sorted(int(i) for i in np.flatnonzero(inside.any(axis=1)))
+        touched = [index for index, row in enumerate(inside) if any(row)]
         raise RouteError(
             "straddle",
             f"trace spans shards {touched}; recovery cannot cross shard "
@@ -125,4 +139,4 @@ class ShardRouter:
 
     def coverage(self) -> Tuple[int, int]:
         """(cells owned by some shard, total cells) — telemetry/debugging."""
-        return int((self._owner >= 0).sum()), int(self._owner.size)
+        return sum(owner >= 0 for owner in self._owner), len(self._owner)

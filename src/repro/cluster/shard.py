@@ -13,7 +13,9 @@ because a single service cannot express them:
   A 30-city map doesn't pay 30 city builds at boot.
 * **Result cache** — one LRU per shard, in the front-door process and
   consulted before a replica is picked: a hit is answered on the calling
-  thread, never admitted, so never shed.
+  thread, never admitted, so never shed.  The lookup is one pass each
+  over the client's floats (validate and localize, grid steps, key) and
+  the answer is the entry's stored copy and wire lists, rebased.
 * **Backpressure** — each replica admits at most ``max_inflight``
   outstanding requests.  When every replica is saturated the shard sheds
   the request with :class:`ShardOverloaded` (the HTTP layer maps it to
@@ -25,9 +27,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+from array import array
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Union
 
 import numpy as np
 
@@ -42,7 +45,9 @@ from ..serve.request import (
     RecoveryRequest,
     RecoveryResponse,
     RequestError,
-    grid_alignment,
+    grid_steps,
+    trace_floats,
+    wire_arrays,
 )
 from ..serve.service import RecoveryService, ServeConfig
 from ..serve.telemetry import ServingTelemetry, rollup
@@ -67,6 +72,56 @@ class ShardOverloaded(RuntimeError):
         self.shard = shard
         self.limit = limit
         self.replicas = replicas
+
+
+class _Filed:
+    """A recovered trajectory as the shard's result cache keeps it: private
+    copies of its three arrays — held directly, so a filed result is as
+    few small objects as it can be — and, once hit, the hit-invariant part
+    of its wire form."""
+
+    __slots__ = ("segments", "ratios", "times", "_wire")
+
+    def __init__(self, trajectory: MatchedTrajectory) -> None:
+        self.segments = trajectory.segments.copy()
+        self.ratios = trajectory.ratios.copy()
+        self.times = trajectory.times.copy()
+        self._wire = None
+
+    def answer(self, first_time: float) -> MatchedTrajectory:
+        """The filed grid rebased onto a request whose first fix is at
+        ``first_time`` (times ``filed + shift``), in fresh arrays."""
+        shift = first_time - self.times.item(0)
+        return MatchedTrajectory.from_checked(
+            self.segments.copy(), self.ratios.copy(), self.times + shift)
+
+    def wire(self):
+        """:func:`~repro.serve.request.wire_arrays` of the filed result,
+        built by its first hit — a result never hit pays nothing for it —
+        and shared by every later one (racing first hits build equal
+        forms)."""
+        if self._wire is None:
+            self._wire = wire_arrays(self)
+        return self._wire
+
+
+def request_key(local: RecoveryRequest, config: ServeConfig) -> Hashable:
+    """The result-cache key of a request :meth:`Shard.localize` returned
+    (float lists in the shard's frame): one pass over its times for the ε_ρ
+    grid (:func:`~repro.serve.request.grid_steps`), one over each of its
+    coordinates and times to quantize (:func:`quantize_key`)."""
+    if len(local.times) < 2:
+        raise RequestError("a recovery request needs at least two GPS fixes")
+    # The key folds in the derived ε_ρ grid length and the step each fix
+    # snaps to: two traces whose quantized times agree but that would
+    # decode on different grids or alignments (e.g. durations straddling a
+    # rounding boundary) must never collide.
+    count, steps = grid_steps(local.times, config.interval)
+    return quantize_key(
+        local.xy, local.times, xy_precision=config.xy_precision,
+        time_precision=config.time_precision,
+        extra=(int(local.hour) % 24, bool(local.holiday), count,
+               array("q", steps).tobytes()))
 
 
 def _default_network_factory(spec: ShardSpec) -> RoadNetwork:
@@ -219,17 +274,20 @@ class Shard:
     # ------------------------------------------------------------------
     def to_local(self, xy) -> np.ndarray:
         """Global-frame points in this city's local frame (shard origin ↦
-        the network's own coordinates): the one translation one-shot
-        requests and streaming appends both go through."""
+        the network's own coordinates), as an array: streaming appends'
+        translation.  One-shot requests get the same subtraction inside
+        :func:`~repro.serve.request.trace_floats`' pass."""
         points = np.asarray(xy, dtype=np.float64)
         origin = self.spec.origin
         return points - np.array(origin) if any(origin) else points
 
     def localize(self, request: RecoveryRequest) -> RecoveryRequest:
-        """The request with its fixes translated by :meth:`to_local`."""
-        if not any(self.spec.origin):
-            return request
-        return replace(request, xy=self.to_local(request.xy))
+        """The request with its fixes validated and translated into this
+        city's frame: :func:`~repro.serve.request.trace_floats` over the
+        client's values, one pass, float lists out.  What a replica
+        receives on a miss, and what :func:`request_key` keys."""
+        xy, times = trace_floats(request.xy, request.times, self.spec.origin)
+        return replace(request, xy=xy, times=times)
 
     def submit(self, request: RecoveryRequest) -> "Future[RecoveryResponse]":
         """Answer from the result cache, else admit onto the
@@ -242,43 +300,28 @@ class Shard:
         outer.set_running_or_notify_cancel()
         try:
             local = self.localize(request)
-            raw = local.raw()
-            if len(raw) < 2:
-                raise RequestError("a recovery request needs at least two GPS fixes")
+            key = request_key(local, self._config)
             model_name, model_tag = self._registry.active_tag()
-            # The key folds in the derived ε_ρ grid length and the step each
-            # fix snaps to: two traces whose quantized times agree but that
-            # would decode on different grids or alignments (e.g. durations
-            # straddling a rounding boundary) must never collide.
-            grid_times, steps = grid_alignment(local.times, self._config.interval)
-            key = quantize_key(
-                local.xy, local.times,
-                xy_precision=self._config.xy_precision,
-                time_precision=self._config.time_precision,
-                extra=(int(local.hour) % 24, bool(local.holiday),
-                       len(grid_times), steps.tobytes()),
-            )
         except Exception as exc:
             self.telemetry.record_error()
             outer.set_exception(exc)
             return outer
 
-        cached = self._cache.get((model_tag, key))
-        if cached is not None:
+        filed = self._cache.get((model_tag, key))
+        if filed is not None:
             # Keys quantize times relative to the first fix, so a
-            # time-shifted duplicate hits: rebase the cached grid onto this
-            # request's origin.  Arrays are copied in and out, so a caller
-            # mutating a response can never poison the entry.
-            shift = float(raw.times[0]) - float(cached.times[0])
-            trajectory = MatchedTrajectory(
-                cached.segments.copy(), cached.ratios.copy(), cached.times + shift)
+            # time-shifted duplicate hits: rebase the filed grid onto this
+            # request's origin.  The arrays are copied out, and the wire
+            # form is read-only, so a caller mutating a response can never
+            # poison the entry.
+            trajectory = filed.answer(local.times[0])
             latency = time.perf_counter() - start
             self.telemetry.record_request(latency, cache_hit=True,
                                           model_tag=model_tag)
             outer.set_result(RecoveryResponse(
                 request_id=request.request_id, trajectory=trajectory,
                 cached=True, latency_ms=1000.0 * latency, model=model_name,
-                model_tag=model_tag, shard=self.name,
+                model_tag=model_tag, shard=self.name, wire=filed.wire(),
             ))
             return outer
 
@@ -300,10 +343,8 @@ class Shard:
             # caller's future resolves, so a resend after it always hits.
             try:
                 response = done.result()
-                trajectory = response.trajectory
-                self._cache.put((response.model_tag, key), MatchedTrajectory(
-                    trajectory.segments.copy(), trajectory.ratios.copy(),
-                    trajectory.times.copy()))
+                self._cache.put((response.model_tag, key),
+                                _Filed(response.trajectory))
                 self.telemetry.record_request(response.latency_ms / 1000.0,
                                               cache_hit=False,
                                               model_tag=response.model_tag)

@@ -185,7 +185,10 @@ def run_experiment(
     cache_dir: Path = DEFAULT_CACHE_DIR,
     use_cache: bool = True,
 ) -> ExperimentResult:
-    """Train ``method`` on ``dataset`` and evaluate on its test split."""
+    """Train ``method`` on ``dataset`` and evaluate on its test split.
+
+    ``use_cache=False`` computes the row afresh and leaves ``cache_dir``
+    untouched: it neither reads nor writes the cell."""
     budget = bench_budget()
     trajectories = trajectories or budget["trajectories"]
     model_config = model_config or small_model_config(budget["hidden"])
@@ -233,7 +236,8 @@ def run_experiment(
         config={"trajectories": trajectories, "keep_every": keep_every,
                 "epochs": train_config.epochs, "hidden": model_config.hidden_dim},
     )
-    store_cached(cache_dir, key, result)
+    if use_cache:
+        store_cached(cache_dir, key, result)
     return result
 
 

@@ -10,25 +10,37 @@ and the active model name, so a hot-swap never serves stale recoveries.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Any, Hashable, Optional, Tuple
 
 import numpy as np
 
 
-def quantize_key(xy: np.ndarray, times: np.ndarray, xy_precision: float = 0.1,
+def quantize_key(xy, times, xy_precision: float = 0.1,
                  time_precision: float = 0.1, extra: Tuple = ()) -> Hashable:
     """A hashable key for a raw trace, quantized to the given precisions.
 
     Times are keyed relative to the first fix: the model only sees relative
     times plus the hour-of-day context, so two traces offset by whole
     seconds are equivalent requests.
+
+    ``xy`` is an array or a sequence of (x, y) pairs, ``times`` an array or
+    a sequence of floats; the key is ``(extra, shape, positions, times)``
+    with each quantum rounded half to even and packed as native int64
+    bytes, one pass over each.  A quantum past int64 raises
+    ``OverflowError``.
     """
-    xy = np.asarray(xy, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    qxy = np.round(xy / xy_precision).astype(np.int64)
-    qt = np.round((times - times[0]) / time_precision).astype(np.int64)
-    return (extra, qxy.shape, qxy.tobytes(), qt.tobytes())
+    if isinstance(xy, np.ndarray):
+        shape, values = xy.shape, xy.ravel().tolist()
+    else:
+        shape, values = (len(xy), 2), [v for point in xy for v in point]
+    if isinstance(times, np.ndarray):
+        times = times.tolist()
+    t0 = float(times[0])
+    qxy = array("q", [round(v / xy_precision) for v in values])
+    qt = array("q", [round((t - t0) / time_precision) for t in times])
+    return (extra, shape, qxy.tobytes(), qt.tobytes())
 
 
 class LRUCache:

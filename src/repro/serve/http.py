@@ -30,7 +30,7 @@ import threading
 from http import HTTPStatus
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .request import RecoveryRequest, RecoveryResponse
+from .request import RecoveryRequest, RecoveryResponse, wire_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +70,8 @@ class HttpError(Exception):
 # Wire shapes of the front door's replies
 # ----------------------------------------------------------------------
 def parse_request(payload: Dict[str, Any]) -> RecoveryRequest:
+    """The body as a request; ``points`` / ``times`` stay the parsed lists
+    (the router and the shard check them in their own passes)."""
     return RecoveryRequest(
         xy=payload["points"], times=payload["times"],
         hour=int(payload.get("hour", 12)),
@@ -79,10 +81,14 @@ def parse_request(payload: Dict[str, Any]) -> RecoveryRequest:
 
 
 def response_payload(response: RecoveryResponse) -> Dict[str, Any]:
+    """The response body.  Segment ids and 6-decimal ratios come from the
+    shard cache entry's stored wire form when the response carries one,
+    else from :func:`wire_arrays` of its trajectory."""
+    segments, ratios = response.wire or wire_arrays(response.trajectory)
     return {
         "request_id": response.request_id,
-        "segments": response.trajectory.segments.tolist(),
-        "ratios": [round(float(r), 6) for r in response.trajectory.ratios],
+        "segments": segments.tolist(),
+        "ratios": ratios.tolist(),
         "times": response.trajectory.times.tolist(),
         "cached": response.cached,
         "latency_ms": round(response.latency_ms, 3),
@@ -109,11 +115,9 @@ def update_payload(update) -> Dict[str, Any]:
         "shard": update.shard,
     }
     if update.trajectory is not None:
-        payload.update({
-            "segments": update.trajectory.segments.tolist(),
-            "ratios": [round(float(r), 6) for r in update.trajectory.ratios],
-            "times": update.trajectory.times.tolist(),
-        })
+        segments, ratios = wire_arrays(update.trajectory)
+        payload.update({"segments": segments.tolist(), "ratios": ratios.tolist(),
+                        "times": update.trajectory.times.tolist()})
     return payload
 
 

@@ -11,19 +11,67 @@ constraint masks — with a dummy all-zeros target, so the trained model's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+import math
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..roadnet.network import RoadNetwork
 from ..trajectory.dataset import RecoverySample, SparseMask, constraint_for_fix
-from ..trajectory.resample import epsilon_grid
+from ..trajectory.resample import epsilon_grid, grid_length
 from ..trajectory.trajectory import MatchedTrajectory, RawTrajectory
+
+#: Most ε_ρ steps one request may span (a 4 095-interval trace: 13.65 h at
+#: a 12 s interval).  :func:`grid_steps` counts a trace's grid from its
+#: first and last fix and refuses it past this bound before anything is
+#: built, so a client's ``[0, 1e12]`` is a 400 and not a 621 GiB
+#: allocation.  The longest traces this tree sends are a 32-fix streaming
+#: session (249 steps) and a 1 025-step long-trace test.
+MAX_GRID_STEPS = 4096
 
 
 class RequestError(ValueError):
     """A request that cannot be turned into a valid recovery sample."""
+
+
+def trace_floats(xy, times, origin: Tuple[float, float] = (0.0, 0.0)
+                 ) -> Tuple[List[Tuple[float, float]], List[float]]:
+    """The one request validator: ``(points, times)`` as Python floats,
+    each point less ``origin``, in one pass over the client's values.
+
+    ``xy`` is an (n, 2) array or a sequence of n (x, y) number pairs (a
+    JSON body's nested lists), ``times`` n numbers.  Raises
+    :class:`RequestError` unless the shapes agree, the times strictly
+    increase and every value is finite.  Values must be numbers: the
+    subtraction that translates them refuses strings.
+    """
+    ox, oy = origin
+    try:
+        if isinstance(xy, np.ndarray):
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise ValueError(f"got shape {xy.shape}")
+            xy = xy.tolist()
+        elif len(xy) == 0:
+            raise ValueError("got no fixes")
+        # ``- 0.0`` keeps a -0.0 and turns an int into the float numpy would.
+        points = [(x - ox, y - oy) for x, y in xy]
+        times = [t - 0.0 for t in (
+            times.tolist() if isinstance(times, np.ndarray) else times)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RequestError(
+            f"xy must be (n, 2) numbers and times n numbers ({exc})") from None
+    if len(times) != len(points):
+        raise RequestError("times length must match xy")
+    if any(after - before <= 0 for before, after in zip(times, times[1:])):
+        raise RequestError("timestamps must be strictly increasing")
+    # JSON happily carries NaN/Infinity literals; they pass the shape
+    # and monotonicity checks but poison constraint assembly downstream.
+    isfinite = math.isfinite
+    if not (all(map(isfinite, times))
+            and all(isfinite(x) and isfinite(y) for x, y in points)):
+        raise RequestError("GPS positions and times must be finite")
+    return points, times
 
 
 @dataclass(frozen=True)
@@ -32,7 +80,11 @@ class RecoveryRequest:
 
     ``xy`` is (n, 2) planar meters, ``times`` (n,) seconds (strictly
     increasing); ``hour``/``holiday`` are the environmental context features
-    of §IV-E (defaulting to a weekday noon).
+    of §IV-E (defaulting to a weekday noon).  Both are kept as given — an
+    array, or a JSON body's nested lists — and checked by
+    :func:`trace_floats` where they are used (:meth:`raw`, the shard's
+    cache key), so a parsed body is never converted to arrays just to be
+    looked up.
     """
 
     xy: np.ndarray
@@ -41,10 +93,6 @@ class RecoveryRequest:
     holiday: bool = False
     request_id: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xy", np.asarray(self.xy, dtype=np.float64))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-
     @classmethod
     def from_raw(cls, raw: RawTrajectory, hour: int = 12, holiday: bool = False,
                  request_id: str = "") -> "RecoveryRequest":
@@ -52,16 +100,11 @@ class RecoveryRequest:
                    request_id=request_id)
 
     def raw(self) -> RawTrajectory:
-        """Validated raw-trajectory view (raises on malformed input)."""
-        try:
-            raw = RawTrajectory(self.xy, self.times)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from exc
-        # JSON happily carries NaN/Infinity literals; they pass the shape
-        # and monotonicity checks but poison constraint assembly downstream.
-        if not (np.all(np.isfinite(raw.xy)) and np.all(np.isfinite(raw.times))):
-            raise RequestError("GPS positions and times must be finite")
-        return raw
+        """Validated raw-trajectory view (:class:`RequestError` on malformed
+        input, see :func:`trace_floats`).  Arrays are viewed, not copied."""
+        trace_floats(self.xy, self.times)
+        return RawTrajectory(np.asarray(self.xy, dtype=np.float64),
+                             np.asarray(self.times, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -92,6 +135,23 @@ class RecoveryResponse:
     shard: str = ""
     session_id: str = ""
     revised_from: int = -1
+    #: :func:`wire_arrays` of ``trajectory`` when a shard's cache entry
+    #: answered: built by the entry's first hit and shared, read-only, by
+    #: every later one.  ``None`` elsewhere.
+    wire: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
+
+
+def wire_arrays(trajectory) -> Tuple[np.ndarray, np.ndarray]:
+    """A trajectory's (anything with ``segments`` and ``ratios`` arrays)
+    segment ids and its moving ratios rounded to 6 decimals (Python's
+    ``round``), as read-only arrays whose ``tolist()`` is what a response
+    body carries."""
+    segments = trajectory.segments.copy()
+    ratios = np.array([round(ratio, 6) for ratio in trajectory.ratios.tolist()],
+                      dtype=np.float64)
+    segments.flags.writeable = ratios.flags.writeable = False
+    return segments, ratios
 
 
 @dataclass(frozen=True)
@@ -141,21 +201,41 @@ def validate_append_times(times: np.ndarray,
     return times
 
 
-def grid_alignment(times: np.ndarray, interval: float) -> tuple:
-    """(grid times, snapped step indices) for a raw trace on the ε_ρ grid.
+def grid_steps(times: Sequence[float], interval: float) -> Tuple[int, List[int]]:
+    """(grid length, snapped step of each fix) for a trace on the ε_ρ grid,
+    in one pass over its times and with nothing allocated but the list.
+
+    The grid is counted from the first and last fix before anything is
+    built; past :data:`MAX_GRID_STEPS` the trace is a
+    :class:`RequestError`.  Each fix snaps to the nearest step (halves to
+    even), clamped onto the grid.
+    """
+    if isinstance(times, np.ndarray):
+        times = times.tolist()
+    t0 = float(times[0])
+    count = grid_length(t0, float(times[-1]), interval)
+    if count > MAX_GRID_STEPS:
+        raise RequestError(
+            f"the trace spans {count} ε_ρ steps of {interval:g} s; at most "
+            f"{MAX_GRID_STEPS} are served")
+    last = count - 1
+    return count, [min(max(round((t - t0) / interval), 0), last) for t in times]
+
+
+def grid_alignment(times, interval: float) -> tuple:
+    """(grid times, snapped step indices) for a raw trace on the ε_ρ grid:
+    :func:`grid_steps` as arrays.
 
     Single source of truth for how a trace maps onto its output grid — the
-    decoder (via :func:`assemble_sample`) and the result-cache key derive
-    from this one function, so they can never disagree about grid length or
-    fix-to-step alignment.
+    decoder (via :func:`assemble_sample`) reads it here and the shard's
+    result-cache key reads :func:`grid_steps` underneath it, so they can
+    never disagree about grid length or fix-to-step alignment.
     """
-    times = np.asarray(times, dtype=np.float64)
-    grid_times = epsilon_grid(float(times[0]), float(times[-1]), interval)
-    steps = np.clip(
-        np.round((times - times[0]) / interval).astype(np.int64),
-        0, len(grid_times) - 1,
-    )
-    return grid_times, steps
+    if isinstance(times, np.ndarray):
+        times = times.tolist()
+    _, steps = grid_steps(times, interval)
+    return (epsilon_grid(float(times[0]), float(times[-1]), interval),
+            np.array(steps, dtype=np.int64))
 
 
 def fix_entries(network: RoadNetwork, xy: np.ndarray,

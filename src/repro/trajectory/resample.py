@@ -45,9 +45,14 @@ def linear_interpolate(low: RawTrajectory, target_times: Sequence[float]) -> Raw
     return RawTrajectory(np.stack([xs, ys], axis=1), target_times)
 
 
-def epsilon_grid(t0: float, t1: float, interval: float) -> np.ndarray:
-    """The ε_ρ-spaced time grid [t0, t0+ε, ..., t1] (inclusive, Def. 3)."""
+def grid_length(t0: float, t1: float, interval: float) -> int:
+    """How many points :func:`epsilon_grid` puts on [t0, t1], counted
+    without building the grid."""
     if interval <= 0:
         raise ValueError("interval must be positive")
-    count = int(round((t1 - t0) / interval)) + 1
-    return t0 + interval * np.arange(count)
+    return int(round((t1 - t0) / interval)) + 1
+
+
+def epsilon_grid(t0: float, t1: float, interval: float) -> np.ndarray:
+    """The ε_ρ-spaced time grid [t0, t0+ε, ..., t1] (inclusive, Def. 3)."""
+    return t0 + interval * np.arange(grid_length(t0, t1, interval))

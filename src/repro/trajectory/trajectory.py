@@ -106,6 +106,18 @@ class MatchedTrajectory:
         idx = np.asarray(indices, dtype=np.int64)
         return MatchedTrajectory(self.segments[idx], self.ratios[idx], self.times[idx])
 
+    @classmethod
+    def from_checked(cls, segments: np.ndarray, ratios: np.ndarray,
+                     times: np.ndarray) -> "MatchedTrajectory":
+        """Wrap arrays that already hold a checked trajectory's dtypes,
+        shapes and ratio range (copies of one, say) without checking them
+        again."""
+        trajectory = object.__new__(cls)
+        object.__setattr__(trajectory, "segments", segments)
+        object.__setattr__(trajectory, "ratios", ratios)
+        object.__setattr__(trajectory, "times", times)
+        return trajectory
+
     def to_raw(self, network: RoadNetwork, noise_std: float = 0.0,
                rng: Optional[np.random.Generator] = None) -> RawTrajectory:
         """Materialize as raw GPS points, optionally with additive noise."""

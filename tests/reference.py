@@ -1,14 +1,19 @@
-"""Pre-vectorization reference implementations of the recovery hot path.
+"""Reference implementations of the recovery hot path and the serving door.
 
-Every function/class here is a faithful copy of the per-step / per-node
-Python-loop code that shipped before the hot path was vectorized (PR 2).
-They exist for the equivalence guarantees:
+Most functions/classes here are faithful copies of the per-step /
+per-node Python-loop code that shipped before the hot path was
+vectorized (PR 2).  They exist for the equivalence guarantees:
 ``tests/test_vectorized_equivalence.py`` asserts on randomized inputs that
 each vectorized implementation produces bit-identical (or allclose, where
 autograd bookkeeping differs by design) outputs to its reference twin.
 The module lives beside the tests because only they import it, as does
 :func:`run_to_completion`, the synchronous engine driver the equivalence
 tests decode through.
+
+The last section goes the other way: the numpy versions of the door's
+per-request helpers (router, request validation, ε_ρ grid alignment,
+cache key, response body) that the one-pass plain-Python versions
+replaced; ``tests/test_door_equivalence.py`` holds the new ones to them.
 """
 
 from __future__ import annotations
@@ -26,8 +31,12 @@ from repro.geo.grid import Grid
 from repro.nn.graph import ragged_positions
 from repro.nn.tensor import Tensor
 from repro.roadnet.generator import CityConfig
+from repro.cluster.router import RouteError
 from repro.roadnet.network import RoadNetwork, RoadSegment
+from repro.serve.request import RequestError
 from repro.trajectory.dataset import Batch, make_padded_batch
+from repro.trajectory.resample import epsilon_grid
+from repro.trajectory.trajectory import RawTrajectory
 
 
 # ----------------------------------------------------------------------
@@ -766,3 +775,139 @@ def reference_run_to_completion(model, samples) -> List[Tuple[np.ndarray, np.nda
         for row, (i, length) in enumerate(zip(indices, lengths)):
             results[i] = (segments[row, :length], rates[row, :length])
     return [result for result in results if result is not None]
+
+
+# ----------------------------------------------------------------------
+# The serving door's per-request helpers, as numpy
+# ----------------------------------------------------------------------
+class ReferenceShardRouter:
+    """``ShardRouter`` with the vectorized cell lookup and containment."""
+
+    def __init__(self, boxes, cell_size: float = 200.0,
+                 max_grid_cells: int = 1 << 18) -> None:
+        self.boxes = [tuple(float(v) for v in box) for box in boxes]
+        arr = np.asarray(self.boxes, dtype=np.float64)
+        self._x0, self._y0 = arr[:, 0], arr[:, 1]
+        self._x1, self._y1 = arr[:, 2], arr[:, 3]
+        x0, y0 = float(arr[:, 0].min()), float(arr[:, 1].min())
+        x1, y1 = float(arr[:, 2].max()), float(arr[:, 3].max())
+        cell = float(cell_size)
+        while (max(1, np.ceil((x1 - x0) / cell))
+               * max(1, np.ceil((y1 - y0) / cell))) > max_grid_cells:
+            cell *= 2.0
+        self.grid = Grid(x0=x0, y0=y0, x1=x1, y1=y1, cell_size=cell)
+        rows, cols = np.meshgrid(np.arange(self.grid.rows),
+                                 np.arange(self.grid.cols), indexing="ij")
+        cx = self.grid.x0 + (cols.ravel() + 0.5) * self.grid.cell_size
+        cy = self.grid.y0 + (rows.ravel() + 0.5) * self.grid.cell_size
+        inside = self._containment(cx, cy)
+        self._owner = np.where(inside.any(axis=0), inside.argmax(axis=0),
+                               -1).astype(np.int64)
+
+    def _containment(self, x, y):
+        return ((x >= self._x0[:, None]) & (x <= self._x1[:, None])
+                & (y >= self._y0[:, None]) & (y <= self._y1[:, None]))
+
+    def shard_of_points(self, xy) -> int:
+        xy = np.asarray(xy, dtype=np.float64)
+        if xy.ndim != 2 or xy.shape[1] != 2 or len(xy) == 0:
+            raise ValueError(f"expected (n, 2) points, got shape {xy.shape}")
+        x, y = xy[:, 0], xy[:, 1]
+        in_union = ((x >= self.grid.x0) & (x <= self.grid.x1)
+                    & (y >= self.grid.y0) & (y <= self.grid.y1))
+        if bool(in_union.all()):
+            owners = self._owner[self.grid.flat_cell_of(x, y)]
+            candidate = int(owners[0])
+            if candidate >= 0 and bool((owners == candidate).all()):
+                if bool(self._containment(x, y)[candidate].all()):
+                    return candidate
+        inside = self._containment(x, y)
+        full = np.flatnonzero(inside.all(axis=1))
+        if len(full) == 1:
+            return int(full[0])
+        covered = inside.any(axis=0)
+        if not bool(covered.all()):
+            missing = np.flatnonzero(~covered)
+            fix = xy[missing[0]]
+            raise RouteError(
+                "outside",
+                f"{len(missing)}/{len(xy)} fixes outside every shard "
+                f"(first: ({fix[0]:.1f}, {fix[1]:.1f}))",
+            )
+        touched = sorted(int(i) for i in np.flatnonzero(inside.any(axis=1)))
+        raise RouteError(
+            "straddle",
+            f"trace spans shards {touched}; recovery cannot cross shard "
+            "boundaries",
+        )
+
+    def coverage(self) -> Tuple[int, int]:
+        return int((self._owner >= 0).sum()), int(self._owner.size)
+
+
+def reference_raw(xy, times) -> RawTrajectory:
+    """``RecoveryRequest(xy, times).raw()``: the arrays made at
+    construction, then ``RawTrajectory``'s checks and the finite check."""
+    xy = np.asarray(xy, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    try:
+        raw = RawTrajectory(xy, times)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
+    if not (np.all(np.isfinite(raw.xy)) and np.all(np.isfinite(raw.times))):
+        raise RequestError("GPS positions and times must be finite")
+    return raw
+
+
+def reference_grid_alignment(times, interval: float):
+    """(grid times, snapped steps), the whole grid built to be counted."""
+    times = np.asarray(times, dtype=np.float64)
+    grid_times = epsilon_grid(float(times[0]), float(times[-1]), interval)
+    steps = np.clip(
+        np.round((times - times[0]) / interval).astype(np.int64),
+        0, len(grid_times) - 1,
+    )
+    return grid_times, steps
+
+
+def reference_quantize_key(xy, times, xy_precision: float = 0.1,
+                           time_precision: float = 0.1, extra: Tuple = ()):
+    xy = np.asarray(xy, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    qxy = np.round(xy / xy_precision).astype(np.int64)
+    qt = np.round((times - times[0]) / time_precision).astype(np.int64)
+    return (extra, qxy.shape, qxy.tobytes(), qt.tobytes())
+
+
+def reference_shard_key(xy, times, interval: float, hour: int = 12,
+                        holiday: bool = False, origin=(0.0, 0.0),
+                        xy_precision: float = 0.1, time_precision: float = 0.1):
+    """The shard's cache key as numpy built it: localize, validate, align,
+    quantize."""
+    points = np.asarray(xy, dtype=np.float64)
+    if any(origin):
+        points = points - np.array(origin)
+    raw = reference_raw(points, times)
+    if len(raw) < 2:
+        raise RequestError("a recovery request needs at least two GPS fixes")
+    grid_times, steps = reference_grid_alignment(raw.times, interval)
+    return reference_quantize_key(
+        raw.xy, raw.times, xy_precision=xy_precision,
+        time_precision=time_precision,
+        extra=(int(hour) % 24, bool(holiday), len(grid_times), steps.tobytes()))
+
+
+def reference_response_payload(response) -> Dict:
+    return {
+        "request_id": response.request_id,
+        "segments": response.trajectory.segments.tolist(),
+        "ratios": [round(float(r), 6) for r in response.trajectory.ratios],
+        "times": response.trajectory.times.tolist(),
+        "cached": response.cached,
+        "latency_ms": round(response.latency_ms, 3),
+        "model": response.model,
+        "model_tag": response.model_tag,
+        "shard": response.shard,
+        "session_id": response.session_id,
+        "revised_from": response.revised_from,
+    }

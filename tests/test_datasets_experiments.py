@@ -127,10 +127,14 @@ class TestHarness:
         assert a.method == "linear_hmm"
         assert b.method == "linear_hmm[other]"
 
+    def test_an_uncached_run_neither_reads_nor_writes_the_cache(self, tmp_path):
+        run_experiment(dataset="chengdu", method="linear_hmm", trajectories=20,
+                       cache_dir=tmp_path, use_cache=False)
+        assert list(tmp_path.iterdir()) == []
+
     @staticmethod
     def _tiny_row(method, cache_dir):
-        """One learned row at a tiny budget, computed afresh
-        (``use_cache=False`` still writes the cell into ``cache_dir``)."""
+        """One learned row at a tiny budget, computed afresh."""
         result = run_experiment("chengdu", method, trajectories=24,
                                 train_config=quick_train_config(1),
                                 cache_dir=Path(cache_dir), use_cache=False)

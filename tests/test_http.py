@@ -12,6 +12,7 @@ import importlib.util
 import json
 import logging
 import os
+import re
 import signal
 import socket
 import struct
@@ -174,6 +175,14 @@ class TestClusterRoutes:
         reversed_times = trace(data.train[0])
         reversed_times["times"] = reversed_times["times"][::-1]
         assert front.post("/recover", reversed_times)[0] == 400
+
+    def test_a_trace_spanning_too_many_grid_steps_is_400(self, front, data):
+        """Counted before the grid is built: ``[0, 1e12]`` would be a
+        621 GiB allocation."""
+        body = trace(data.train[0])
+        body["points"], body["times"] = body["points"][:2], [0.0, 1e12]
+        status, reply = front.post("/recover", body)
+        assert status == 400 and "ε_ρ steps" in reply["error"]
 
     def test_unknown_path_shard_and_model_are_404(self, front):
         assert front.get("/nope") == (404, {"error": "unknown path /nope"})
@@ -479,6 +488,23 @@ class TestServiceRoutes:
         # Finalized sessions are gone.
         assert client.post("/session/finalize", {"session_id": sid})[0] == 404
 
+    def test_an_append_past_the_grid_bound_is_400_and_keeps_the_session(
+            self, city, data):
+        client, _ = city
+        points = data.train[0].raw_low.xy[:2].tolist()
+        sid = client.post("/session/open", {})[1]["session_id"]
+
+        def append(point, stamp):
+            return client.post("/session/append", {
+                "session_id": sid, "points": [point], "times": [stamp]})
+
+        assert append(points[0], 0.0)[0] == 200
+        status, reply = append(points[1], 1e6)
+        assert status == 400 and "ε_ρ steps" in reply["error"]
+        status, update = append(points[1], 96.0)
+        assert status == 200 and update["grid_length"] == 9
+        assert client.post("/session/finalize", {"session_id": sid})[0] == 200
+
     def test_session_status_map(self, city):
         client, _ = city
         assert client.post("/session/append", {"points": [], "times": []}) == (
@@ -558,6 +584,100 @@ class TestTwoCityDoor:
     def test_open_without_a_point_is_400(self, two_cities):
         status, reply = two_cities[0].post("/session/open", {"hour": 9})
         assert status == 400 and "point" in reply["error"]
+
+
+# ---------------------------------------------------------------------------
+# Cache hits over the wire: the miss's body, rebased
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def hot(cli, data):
+    """Two cached shards, the second at a nonzero origin, and the miss body
+    of every trace sent so far."""
+    porto = load_dataset("porto", num_trajectories=12)
+    with RecoveryCluster(
+            side_by_side(["chengdu", "porto"]),
+            model_factory=lambda spec, network: RNTrajRec(network, TINY).eval(),
+    ) as cluster:
+        client = serve(cli, cluster)
+        yield client, cluster, {"chengdu": data, "porto": porto}, {}
+        client.stop()
+
+
+def _wire(client, payload):
+    """One ``POST /recover``: (status, the body's bytes)."""
+    body = json.dumps(payload).encode()
+    with socket.create_connection(("127.0.0.1", client.port), 10.0) as conn:
+        conn.sendall(b"POST /recover HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+                     % (len(body), body))
+        raw = b"".join(iter(lambda: conn.recv(65536), b""))
+    head, _, reply = raw.partition(b"\r\n\r\n")
+    return int(head[9:12]), reply
+
+
+def _sans_latency(body: bytes) -> bytes:
+    return re.sub(rb'"latency_ms": [-+.e0-9]+, ', b"", body)
+
+
+class TestCacheHitsOverTheWire:
+    @settings(max_examples=40, deadline=None)
+    @given(city=st.sampled_from(["chengdu", "porto"]), index=st.integers(0, 5),
+           shift=st.one_of(st.integers(-10**6, 10**6).map(float),
+                           st.floats(-1e6, 1e6, allow_nan=False),
+                           st.sampled_from([0.5, -0.25, 1e-7, 7.3])))
+    def test_a_hit_is_the_miss_rebased_byte_for_byte(self, cli, hot, city, index,
+                                                     shift):
+        client, cluster, datasets, misses = hot
+        sample = datasets[city].train[index]
+        origin = np.asarray(cluster.shard(city).spec.origin)
+        body = trace(sample, request_id="q")
+        body["points"] = (sample.raw_low.xy + origin).tolist()
+        # The filed grid starts just below 4096 s, so it crosses a binade
+        # and rebasing rounds: the hit's times must be the filed grid plus
+        # the shift, not a grid rebuilt from the new origin.
+        body["times"] = (sample.raw_low.times + 4090.987654321).tolist()
+        if (city, index) not in misses:
+            status, miss = _wire(client, body)
+            assert status == 200 and json.loads(miss)["cached"] is False
+            misses[city, index] = miss
+        miss = misses[city, index]
+
+        # The same trace: the miss's bytes with ``cached`` flipped.
+        status, hit = _wire(client, body)
+        assert status == 200
+        assert _sans_latency(hit) == _sans_latency(miss).replace(
+            b'"cached": false', b'"cached": true')
+
+        # Shifted: the filed grid plus the shift, in the float arithmetic of
+        # ``cached.times + shift``; everything else is the miss's.
+        shifted = {**body, "request_id": "q-shifted",
+                   "times": [t + shift for t in body["times"]]}
+        expected = json.loads(miss)
+        rebase = shifted["times"][0] - expected["times"][0]
+        expected.update(request_id="q-shifted", cached=True,
+                        times=(np.asarray(expected["times"]) + rebase).tolist())
+        status, hit = _wire(client, shifted)
+        assert status == 200
+        assert _sans_latency(hit) == _sans_latency(json.dumps(expected).encode())
+
+        # Neither the returned arrays nor the response's payload nor the
+        # parsed request (whose lists the request holds) reaches the entry.
+        parsed = json.loads(json.dumps(shifted))
+        response = cluster.recover(cli._parse_request(parsed), timeout=60.0)
+        assert response.cached
+        for array in (response.trajectory.segments, response.trajectory.ratios,
+                      response.trajectory.times):
+            array[:] = 0
+        for array in response.wire:  # the entry's own, shared by every hit
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        payload = cli._response_payload(response)
+        payload["segments"].append(-1)
+        payload["ratios"][0] = 0.5
+        payload["times"].clear()
+        parsed["points"][0][0] = 1e9
+        parsed["times"][-1] += 50.0
+        status, again = _wire(client, shifted)
+        assert status == 200 and _sans_latency(again) == _sans_latency(hit)
 
 
 # ---------------------------------------------------------------------------

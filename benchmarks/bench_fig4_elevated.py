@@ -2,33 +2,17 @@
 
 SR%k is the fraction of elevated-road sub-trajectories whose F1 exceeds k.
 The harness already computes SR%k for every experiment, so this figure
-reuses Table III's cached runs.  Paper finding: RNTrajRec dominates every
-baseline across thresholds, and learning-based methods beat HMM two-stage
-methods.
+reuses Table III's cached runs (the plan's ``fig4`` section).  Paper
+finding: RNTrajRec dominates every baseline across thresholds, and
+learning-based methods beat HMM two-stage methods.
 """
 
-import pytest
-
-from repro.experiments import SR_THRESHOLDS, run_experiment
-
-METHODS = [
-    "linear_hmm",
-    "dhtr_hmm",
-    "t2vec",
-    "transformer",
-    "mtrajrec",
-    "t3s",
-    "gts",
-    "neutraj",
-    "rntrajrec",
-]
+from repro.experiments import SR_THRESHOLDS, experiment_plan, run_experiment
 
 
-def test_fig4_sr_curves(benchmark):
-    results = {
-        method: run_experiment(dataset="chengdu", method=method, keep_every=8)
-        for method in METHODS
-    }
+def test_fig4_sr_curves(benchmark, budget):
+    results = {method: run_experiment(**run)
+               for method, run in experiment_plan(budget)["fig4"].items()}
 
     header = f"{'Method':<22}" + "".join(f"{f'SR%{k}':>10}" for k in SR_THRESHOLDS)
     print("\nFig. 4 — elevated road recovery, Chengdu (ε_τ = ε_ρ × 8)")

@@ -3,18 +3,14 @@
 The paper visualizes one low-sample elevated-road trajectory recovered by
 MTrajRec, GTS+Decoder and RNTrajRec.  Offline we print the per-step
 segment comparison and spatial-consistency statistics instead of a map.
-The case-study script ``examples/case_study_elevated.py`` produces the
-same artifact interactively.
+The three models are the plan's ``fig5`` runs, trained here and kept in
+memory.  The case-study script ``examples/case_study_elevated.py``
+produces the same artifact interactively.
 """
 
-import numpy as np
-import pytest
-
-from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.train import TrainConfig, Trainer
-from repro.baselines import build_baseline
+from repro.train import Trainer
 from repro.eval.metrics import elevated_window, f1_score, path_precision_recall
-from repro.experiments import get_dataset
+from repro.experiments import build_method, experiment_plan, get_dataset
 from repro.trajectory import make_batch
 
 
@@ -26,24 +22,18 @@ def _pick_elevated_sample(data):
 
 
 def test_fig5_case_study(benchmark, budget):
-    data = get_dataset("chengdu", max(120, budget["trajectories"] // 2), 8)
-    config = RNTrajRecConfig(hidden_dim=budget["hidden"], num_heads=4, dropout=0.0,
-                             receptive_delta=300.0, max_subgraph_nodes=32)
-    train_config = TrainConfig(epochs=max(6, budget["epochs"] // 2), batch_size=16,
-                               learning_rate=5e-3, clip_norm=10.0,
-                               teacher_forcing_ratio=0.2, validate=False)
+    runs = experiment_plan(budget)["fig5"]
+    shared = runs["rntrajrec"]  # the three runs share one dataset
+    data = get_dataset(shared["dataset"], shared["trajectories"], shared["keep_every"])
 
     sample = _pick_elevated_sample(data)
     batch = make_batch([sample])
     truth = sample.target
 
     rows = {}
-    for name in ("mtrajrec", "gts", "rntrajrec"):
-        if name == "rntrajrec":
-            model = RNTrajRec(data.network, config)
-        else:
-            model = build_baseline(name, data.network, config)
-        Trainer(model, train_config).fit(data.train)
+    for name, run in runs.items():
+        model = build_method(name, data, run["model_config"])
+        Trainer(model, run["train_config"]).fit(data.train)
         model.eval()
         rows[name] = model.recover_trajectories(batch)[0]
 

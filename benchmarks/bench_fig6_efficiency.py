@@ -2,60 +2,33 @@
 
 The paper plots accuracy vs inference time per trajectory, annotated with
 parameter counts, for every baseline plus RNTrajRec at N ∈ {1, 2} with and
-without GRL.  Inference times and parameter counts come from the cached
-Table III runs plus dedicated RNTrajRec-variant runs; the pytest benchmark
-times each model family's forward inference directly.
+without GRL.  Inference times and parameter counts come from the plan's
+``fig6`` runs — Table III's cached baselines plus dedicated RNTrajRec
+variants; the pytest benchmark times each model family's forward
+inference directly.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.baselines import build_baseline
-from repro.experiments import bench_budget, get_dataset, run_experiment
+from repro.experiments import build_method, experiment_plan, get_dataset, run_experiment
 from repro.trajectory import make_batch
 
-BASELINE_METHODS = [
-    "linear_hmm",
-    "dhtr_hmm",
-    "t2vec",
-    "transformer",
-    "mtrajrec",
-    "t3s",
-    "gts",
-    "neutraj",
-]
 
-
-def _variant_config(n_layers: int, use_grl: bool) -> RNTrajRecConfig:
-    budget = bench_budget()
-    return RNTrajRecConfig(
-        hidden_dim=budget["hidden"], num_heads=4, dropout=0.0,
-        receptive_delta=300.0, max_subgraph_nodes=32,
-        num_gpsformer_layers=n_layers, use_grl=use_grl,
-        use_graph_loss=use_grl,  # GCL requires the graph path
-    )
+def _time_inference(benchmark, run, method, model_config):
+    """Greedy inference of an untrained ``method`` on 8 of ``run``'s test
+    trajectories."""
+    data = get_dataset(run["dataset"], run["trajectories"], run["keep_every"])
+    model = build_method(method, data, model_config)
+    model.eval()
+    batch = make_batch(data.test[:8])
+    benchmark(lambda: model.recover(batch))
 
 
 def test_fig6_efficiency_table(benchmark, budget):
+    runs = experiment_plan(budget)["fig6"]
     rows = []
-    for method in BASELINE_METHODS:
-        result = run_experiment(dataset="chengdu", method=method, keep_every=8)
-        rows.append((method, result.metrics["Accuracy"],
-                     result.inference_ms_per_trajectory, result.num_parameters))
-
-    reduced = max(120, budget["trajectories"] // 2)
-    for n_layers, use_grl, label in [
-        (1, False, "rntrajrec* (N=1)"),
-        (2, False, "rntrajrec* (N=2)"),
-        (1, True, "rntrajrec (N=1)"),
-        (2, True, "rntrajrec (N=2)"),
-    ]:
-        result = run_experiment(
-            dataset="chengdu", method="rntrajrec", keep_every=8,
-            trajectories=reduced, model_config=_variant_config(n_layers, use_grl),
-            variant_tag=label,
-        )
+    for label, run in runs.items():
+        result = run_experiment(**run)
         rows.append((label, result.metrics["Accuracy"],
                      result.inference_ms_per_trajectory, result.num_parameters))
 
@@ -73,21 +46,13 @@ def test_fig6_efficiency_table(benchmark, budget):
     # Linear+HMM has zero learnable parameters.
     assert by_name["linear_hmm"][3] == 0
 
-    # Benchmark: RNTrajRec (N=2) greedy inference on a single batch.
-    data = get_dataset("chengdu", budget["trajectories"], 8)
-    model = RNTrajRec(data.network, _variant_config(2, True))
-    model.eval()
-    batch = make_batch(data.test[:8])
-    benchmark(lambda: model.recover(batch))
+    # Benchmark: RNTrajRec (N=2) on the baselines' full-budget test split.
+    _time_inference(benchmark, runs["transformer"], "rntrajrec",
+                    runs["rntrajrec (N=2)"]["model_config"])
 
 
 @pytest.mark.parametrize("method", ["mtrajrec", "transformer", "gts"])
 def test_fig6_baseline_inference_speed(method, benchmark, budget):
     """Per-method inference timing (the x-axis of Fig. 6)."""
-    data = get_dataset("chengdu", budget["trajectories"], 8)
-    config = RNTrajRecConfig(hidden_dim=budget["hidden"], num_heads=4, dropout=0.0,
-                             receptive_delta=300.0, max_subgraph_nodes=32)
-    model = build_baseline(method, data.network, config)
-    model.eval()
-    batch = make_batch(data.test[:8])
-    benchmark(lambda: model.recover(batch))
+    run = experiment_plan(budget)["fig6"][method]
+    _time_inference(benchmark, run, method, run["model_config"])

@@ -7,95 +7,47 @@
 
 Paper findings mirrored as soft shape checks: GridGNN is the best road
 encoder; performance is insensitive to γ; larger δ helps up to a point.
-Sweeps run at a reduced budget — the relative ordering is the target.
+The sweeps are the plan's ``fig7a``–``fig7d`` sections, at a reduced
+budget — the relative ordering is the target.
 """
 
-import numpy as np
-import pytest
-
-from repro.core import RNTrajRecConfig
-from repro.experiments import bench_budget, run_experiment
+from repro.experiments import experiment_plan, run_experiment
 
 
-def _config(**overrides) -> RNTrajRecConfig:
-    budget = bench_budget()
-    return RNTrajRecConfig(
-        hidden_dim=budget["hidden"], num_heads=4, dropout=0.0,
-        receptive_delta=300.0, max_subgraph_nodes=32,
-    ).variant(**overrides)
-
-
-def _sweep_budget(budget):
-    return max(100, budget["trajectories"] // 3)
-
-
-def _run(tag, budget, **overrides):
-    return run_experiment(
-        dataset="chengdu", method="rntrajrec", keep_every=8,
-        trajectories=_sweep_budget(budget),
-        model_config=_config(**overrides), variant_tag=tag,
-    )
+def _sweep(section, budget, title):
+    results = {tag: run_experiment(**run)
+               for tag, run in experiment_plan(budget)[section].items()}
+    print(f"\n{title}")
+    for tag, result in results.items():
+        print(f"  {tag:<14} F1={result.metrics['F1 Score']:.4f} "
+              f"ACC={result.metrics['Accuracy']:.4f}")
+    return {tag: result.metrics["F1 Score"] for tag, result in results.items()}
 
 
 def test_fig7a_road_encoders(benchmark, budget):
-    results = {}
-    for kind in ("gridgnn", "gcn", "gin", "gat"):
-        results[kind] = _run(f"enc={kind}", budget, road_encoder=kind)
-
-    print("\nFig. 7(a) — road network representation")
-    for kind, result in results.items():
-        print(f"  {kind:<10} F1={result.metrics['F1 Score']:.4f} "
-              f"ACC={result.metrics['Accuracy']:.4f}")
-
-    best = max(results.values(), key=lambda r: r.metrics["F1 Score"])
+    f1 = _sweep("fig7a", budget, "Fig. 7(a) — road network representation")
     # GridGNN should be at or near the best (small-budget noise tolerance).
-    assert results["gridgnn"].metrics["F1 Score"] >= best.metrics["F1 Score"] - 0.04
-    benchmark(lambda: {k: r.metrics for k, r in results.items()})
+    assert f1["enc=gridgnn"] >= max(f1.values()) - 0.04
+    benchmark(lambda: dict(f1))
 
 
 def test_fig7b_gpsformer_depth(benchmark, budget):
-    results = {}
-    for n in (1, 2, 3):
-        results[n] = _run(f"N={n}", budget, num_gpsformer_layers=n)
-
-    print("\nFig. 7(b) — number of GPSFormer blocks")
-    for n, result in results.items():
-        print(f"  N={n}  F1={result.metrics['F1 Score']:.4f} "
-              f"ACC={result.metrics['Accuracy']:.4f}")
-
-    for result in results.values():
-        assert result.metrics["F1 Score"] > 0.0
-    benchmark(lambda: {n: r.metrics for n, r in results.items()})
+    f1 = _sweep("fig7b", budget, "Fig. 7(b) — number of GPSFormer blocks")
+    assert all(value > 0.0 for value in f1.values())
+    benchmark(lambda: dict(f1))
 
 
 def test_fig7c_receptive_field(benchmark, budget):
-    results = {}
-    for delta in (100.0, 300.0, 600.0):
-        results[delta] = _run(f"delta={delta:.0f}", budget, receptive_delta=delta)
-
-    print("\nFig. 7(c) — receptive field δ")
-    for delta, result in results.items():
-        print(f"  δ={delta:>5.0f}m  F1={result.metrics['F1 Score']:.4f} "
-              f"ACC={result.metrics['Accuracy']:.4f}")
-
+    f1 = _sweep("fig7c", budget, "Fig. 7(c) — receptive field δ")
     # A tiny receptive field throws away context: δ=300 should not be
     # dramatically worse than δ=100.
-    assert results[300.0].metrics["F1 Score"] >= results[100.0].metrics["F1 Score"] - 0.05
-    benchmark(lambda: {d: r.metrics for d, r in results.items()})
+    assert f1["delta=300"] >= f1["delta=100"] - 0.05
+    benchmark(lambda: dict(f1))
 
 
 def test_fig7d_gamma_insensitivity(benchmark, budget):
-    results = {}
-    for gamma in (10.0, 30.0, 50.0):
-        results[gamma] = _run(f"gamma={gamma:.0f}", budget, influence_gamma=gamma)
-
-    print("\nFig. 7(d) — influence scale γ")
-    for gamma, result in results.items():
-        print(f"  γ={gamma:>4.0f}m  F1={result.metrics['F1 Score']:.4f} "
-              f"ACC={result.metrics['Accuracy']:.4f}")
-
+    f1 = _sweep("fig7d", budget, "Fig. 7(d) — influence scale γ")
     # Paper: performance varies little with γ (GPSFormer reweights nodes
     # dynamically).  Check the spread is modest.
-    f1s = [r.metrics["F1 Score"] for r in results.values()]
-    assert max(f1s) - min(f1s) < 0.12
-    benchmark(lambda: {g: r.metrics for g, r in results.items()})
+    assert max(f1.values()) - min(f1.values()) < 0.12
+    benchmark(lambda: dict(f1))

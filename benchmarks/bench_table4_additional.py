@@ -3,37 +3,19 @@
 Shanghai probes a different data distribution; Chengdu-Few (20 % of the
 Chengdu corpus, same network/area) probes low-data robustness.  Paper
 finding: RNTrajRec still wins both, but its margin over the best baseline
-shrinks on Chengdu-Few because transformers are data-hungry (§VI-C).
+shrinks on Chengdu-Few because transformers are data-hungry (§VI-C).  The
+runs are the ``table4/*`` sections of ``repro.experiments.experiment_plan``.
 """
 
 import pytest
 
-from repro.experiments import format_table, run_experiment
-
-ROW_ORDER = [
-    "linear_hmm",
-    "dhtr_hmm",
-    "t2vec",
-    "transformer",
-    "mtrajrec",
-    "t3s",
-    "gts",
-    "neutraj",
-    "rntrajrec",
-]
+from repro.experiments import experiment_plan, format_table, run_experiment
 
 
 @pytest.mark.parametrize("dataset", ["shanghai", "chengdu_few"])
 def test_table4_rows(dataset, benchmark, budget):
-    # Chengdu-Few deliberately uses ~20% of the default trajectory budget.
-    trajectories = budget["trajectories"] if dataset == "shanghai" else max(
-        60, budget["trajectories"] // 5
-    )
-    results = [
-        run_experiment(dataset=dataset, method=method, keep_every=8,
-                       trajectories=trajectories)
-        for method in ROW_ORDER
-    ]
+    results = [run_experiment(**run)
+               for run in experiment_plan(budget)[f"table4/{dataset}_x8"].values()]
     print("\n" + format_table(results, f"Table IV — {dataset} (ε_τ = ε_ρ × 8)"))
 
     by_name = {r.method: r for r in results}
@@ -46,13 +28,11 @@ def test_table4_rows(dataset, benchmark, budget):
 
 def test_table4_few_shot_margin_shrinks(benchmark, budget):
     """RNTrajRec's margin over MTrajRec is smaller with 20% of the data."""
-    few = max(60, budget["trajectories"] // 5)
-    full_rn = run_experiment(dataset="chengdu", method="rntrajrec", keep_every=8)
-    full_mt = run_experiment(dataset="chengdu", method="mtrajrec", keep_every=8)
-    few_rn = run_experiment(dataset="chengdu_few", method="rntrajrec", keep_every=8,
-                            trajectories=few)
-    few_mt = run_experiment(dataset="chengdu_few", method="mtrajrec", keep_every=8,
-                            trajectories=few)
+    plan = experiment_plan(budget)
+    full, few = plan["table3/chengdu_x8"], plan["table4/chengdu_few_x8"]
+    full_rn, full_mt, few_rn, few_mt = (
+        run_experiment(**runs[method])
+        for runs in (full, few) for method in ("rntrajrec", "mtrajrec"))
     full_margin = full_rn.metrics["F1 Score"] - full_mt.metrics["F1 Score"]
     few_margin = few_rn.metrics["F1 Score"] - few_mt.metrics["F1 Score"]
     print(f"\nF1 margin over MTrajRec: full-data {full_margin:+.4f}, few-shot {few_margin:+.4f}")

@@ -3,45 +3,20 @@
 Variants (§VI-G): w/o GRL (plain transformer blocks), w/o GF (concat+FFN
 fusion), w/o GAT (feed-forward graph update), w/o GN (layer norm), w/o GCL
 (no graph classification loss).  Paper finding: the full model wins on F1;
-removing GRL costs the most.
+removing GRL costs the most.  The runs are the ``table5/*`` sections of
+``repro.experiments.experiment_plan``, at a reduced budget: relative
+ordering is the target.
 """
-
-import os
 
 import pytest
 
-from repro.core import RNTrajRecConfig
-from repro.experiments import bench_budget, format_table, run_experiment
-
-ABLATIONS = ["grl", "gf", "gat", "gn", "gcl"]
-
-
-def _config(**overrides) -> RNTrajRecConfig:
-    budget = bench_budget()
-    return RNTrajRecConfig(
-        hidden_dim=budget["hidden"], num_heads=4, dropout=0.0,
-        receptive_delta=300.0, max_subgraph_nodes=32,
-    ).variant(**overrides)
+from repro.experiments import experiment_plan, format_table, run_experiment
 
 
 @pytest.mark.parametrize("dataset", ["chengdu", "porto"])
 def test_table5_ablations(dataset, benchmark, budget):
-    # Ablations run at a reduced budget: relative ordering is the target.
-    trajectories = max(120, budget["trajectories"] // 2)
-
-    results = [
-        run_experiment(dataset=dataset, method="rntrajrec", keep_every=8,
-                       trajectories=trajectories, model_config=_config())
-    ]
-    for name in ABLATIONS:
-        results.append(
-            run_experiment(
-                dataset=dataset, method="rntrajrec", keep_every=8,
-                trajectories=trajectories,
-                model_config=_config().ablation(name),
-                variant_tag=f"w/o {name.upper()}",
-            )
-        )
+    results = [run_experiment(**run)
+               for run in experiment_plan(budget)[f"table5/{dataset}_x8"].values()]
     print("\n" + format_table(results, f"Table V — ablations on {dataset} (ε_τ = ε_ρ × 8)"))
 
     full = results[0]

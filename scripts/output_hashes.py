@@ -32,7 +32,9 @@ takes still moves a line.  One ``fit`` line per ``http-cold`` city hashes
 two epochs of ``Trainer.fit`` (loss history and every parameter) on
 simulated samples, and its ``resumed`` twin the same run stopped after
 one epoch with a ``checkpoint=`` archive, which a fresh trainer and model
-load and finish through ``fit(checkpoint=...)``.
+load and finish through ``fit(checkpoint=...)``; ``fit/chengdu/<baseline>``
+hashes the same two straight epochs of the learned baselines in
+``FIT_BASELINES``, whose training path is not RNTrajRec's.
 One ``dataset`` line per distinct city recipe (plus chengdu with every
 trajectory started on the elevated deck) hashes a few simulated (raw,
 matched) pairs and the recovery samples built from them, and its ``eval``
@@ -84,6 +86,7 @@ SECONDS = 3.0  # past 48 requests each; traces are drawn in send order,
                # so a shorter window's requests are a prefix of the ledger's
 VARIANT_REQUESTS = 3  # http-cold requests each variant model encodes and recovers
 FIT_SAMPLES = 16  # simulated trajectories each city's `fit` lines train on
+FIT_BASELINES = ("mtrajrec", "transformer")  # trained for chengdu's `fit` lines too
 DATASET_PAIRS = 8  # simulated trajectories each `dataset` / `eval` line covers
 HISTORY_FIELDS = ("loss", "id_loss", "rate_loss", "graph_loss", "grad_norm", "lr")
 
@@ -238,7 +241,8 @@ def fit_lines(workload, seed: int):
     """Per city, two epochs of ``Trainer.fit`` (cosine schedule, two
     accumulated micro-batches per step) run straight through, and again
     stopped after epoch 1 with a ``checkpoint=`` archive that a fresh
-    trainer's ``fit(checkpoint=...)`` resumes from."""
+    trainer's ``fit(checkpoint=...)`` resumes from; on chengdu, each of
+    ``FIT_BASELINES`` straight through too."""
     config = quick_train_config(2, batch_size=4, accumulate_steps=2, schedule="cosine")
     lines = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -256,6 +260,13 @@ def fit_lines(workload, seed: int):
             resumed.fit(samples, checkpoint=f"{scratch}/{city.name}")
             lines += [f"fit/{city.name} {_fit_hash(straight)}",
                       f"fit/{city.name}/resumed {_fit_hash(resumed)}"]
+            if city.name != "chengdu":
+                continue
+            for name in FIT_BASELINES:
+                nn.init.seed_everything(seed)
+                baseline = Trainer(build_baseline(name, network, small_model_config(32)), config)
+                baseline.fit(samples)
+                lines.append(f"fit/chengdu/{name} {_fit_hash(baseline)}")
     return lines
 
 

@@ -2,9 +2,10 @@
 
     python scripts/populate_cache.py <job>
 
-Jobs partition the full benchmark workload so several workers can run in
-parallel (results land in the shared disk cache keyed by experiment
-fingerprint):
+Jobs partition the runs of ``repro.experiments.experiment_plan`` so
+several workers can run in parallel (results land in the shared disk cache
+keyed by experiment fingerprint, ``REPRO_CACHE_DIR``, default
+``benchmarks/_cache``):
 
   t3a   Table III rows for chengdu x8
   t3b   Table III rows for chengdu x16
@@ -17,94 +18,35 @@ fingerprint):
 """
 
 import sys
+from pathlib import Path
 
-from repro.core import RNTrajRecConfig
-from repro.experiments import bench_budget, run_experiment
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-METHODS = ["linear_hmm", "dhtr_hmm", "t2vec", "transformer", "mtrajrec",
-           "t3s", "gts", "neutraj", "rntrajrec"]
-
-
-def _config(**overrides) -> RNTrajRecConfig:
-    budget = bench_budget()
-    return RNTrajRecConfig(
-        hidden_dim=budget["hidden"], num_heads=4, dropout=0.0,
-        receptive_delta=300.0, max_subgraph_nodes=32,
-    ).variant(**overrides)
+from repro.experiments import experiment_plan, run_experiment  # noqa: E402
 
 
-def run_rows(dataset: str, ratio: int, trajectories=None) -> None:
-    for method in METHODS:
-        result = run_experiment(dataset=dataset, method=method, keep_every=ratio,
-                                trajectories=trajectories)
-        print(f"[{dataset} x{ratio}] {method}: F1={result.metrics['F1 Score']:.4f} "
-              f"ACC={result.metrics['Accuracy']:.4f}", flush=True)
-
-
-def run_table5() -> None:
-    budget = bench_budget()
-    trajectories = max(120, budget["trajectories"] // 2)
-    for dataset in ("chengdu", "porto"):
-        run_experiment(dataset=dataset, method="rntrajrec", keep_every=8,
-                       trajectories=trajectories, model_config=_config())
-        print(f"[t5 {dataset}] full done", flush=True)
-        for name in ("grl", "gf", "gat", "gn", "gcl"):
-            run_experiment(dataset=dataset, method="rntrajrec", keep_every=8,
-                           trajectories=trajectories,
-                           model_config=_config().ablation(name),
-                           variant_tag=f"w/o {name.upper()}")
-            print(f"[t5 {dataset}] w/o {name} done", flush=True)
-
-
-def run_fig6() -> None:
-    budget = bench_budget()
-    reduced = max(120, budget["trajectories"] // 2)
-    for n_layers, use_grl, label in [
-        (1, False, "rntrajrec* (N=1)"), (2, False, "rntrajrec* (N=2)"),
-        (1, True, "rntrajrec (N=1)"), (2, True, "rntrajrec (N=2)"),
-    ]:
-        run_experiment(dataset="chengdu", method="rntrajrec", keep_every=8,
-                       trajectories=reduced,
-                       model_config=_config(num_gpsformer_layers=n_layers,
-                                            use_grl=use_grl, use_graph_loss=use_grl),
-                       variant_tag=label)
-        print(f"[f6] {label} done", flush=True)
-
-
-def run_fig7() -> None:
-    budget = bench_budget()
-    trajectories = max(100, budget["trajectories"] // 3)
-
-    def sweep(tag, **overrides):
-        run_experiment(dataset="chengdu", method="rntrajrec", keep_every=8,
-                       trajectories=trajectories, model_config=_config(**overrides),
-                       variant_tag=tag)
-        print(f"[f7] {tag} done", flush=True)
-
-    for kind in ("gridgnn", "gcn", "gin", "gat"):
-        sweep(f"enc={kind}", road_encoder=kind)
-    for n in (1, 2, 3):
-        sweep(f"N={n}", num_gpsformer_layers=n)
-    for delta in (100.0, 300.0, 600.0):
-        sweep(f"delta={delta:.0f}", receptive_delta=delta)
-    for gamma in (10.0, 30.0, 50.0):
-        sweep(f"gamma={gamma:.0f}", influence_gamma=gamma)
+def _sections(*names):
+    return lambda plan: [run for name in names for run in plan[name].values()]
 
 
 JOBS = {
-    "t3a": lambda: run_rows("chengdu", 8),
-    "t3b": lambda: run_rows("chengdu", 16),
-    "t3c": lambda: run_rows("porto", 8),
-    "t3d": lambda: run_rows("shanghai_l", 16),
-    "t4": lambda: (run_rows("shanghai", 8),
-                   run_rows("chengdu_few", 8, trajectories=max(60, bench_budget()["trajectories"] // 5))),
-    "t5": run_table5,
-    "f6": run_fig6,
-    "f7": run_fig7,
+    "t3a": _sections("table3/chengdu_x8"),
+    "t3b": _sections("table3/chengdu_x16"),
+    "t3c": _sections("table3/porto_x8"),
+    "t3d": _sections("table3/shanghai_l_x16"),
+    "t4": _sections("table4/shanghai_x8", "table4/chengdu_few_x8"),
+    "t5": _sections("table5/chengdu_x8", "table5/porto_x8"),
+    # Fig. 6's baselines are t3a's runs.
+    "f6": lambda plan: [run for run in plan["fig6"].values() if run["variant_tag"]],
+    "f7": _sections("fig7a", "fig7b", "fig7c", "fig7d"),
 }
 
 
 if __name__ == "__main__":
     job = sys.argv[1]
-    JOBS[job]()
+    for run in JOBS[job](experiment_plan()):
+        result = run_experiment(**run)
+        print(f"[{job}] {result.dataset} {result.method}: "
+              f"F1={result.metrics['F1 Score']:.4f} ACC={result.metrics['Accuracy']:.4f}",
+              flush=True)
     print(f"JOB {job} COMPLETE", flush=True)

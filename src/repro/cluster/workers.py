@@ -46,6 +46,7 @@ import struct
 import threading
 import time
 import traceback
+from array import array
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -114,10 +115,18 @@ _REQ_HEADER = struct.Struct("<BQIiBH")      # kind, seq, n, hour, holiday, rid_l
 _RESP_HEADER = struct.Struct("<BQIBHHH")    # kind, seq, n, cached, rid/model/tag lens
 
 
+def _float64s(values, pairs: bool):
+    """``values`` as native float64s with ``tobytes()``: an array as one,
+    the shard's float lists (pairs of floats for ``xy``) packed directly."""
+    if isinstance(values, np.ndarray):
+        return np.ascontiguousarray(values, dtype=np.float64)
+    return array("d", itertools.chain.from_iterable(values) if pairs else values)
+
+
 def encode_request(seq: int, request: RecoveryRequest) -> bytes:
     """seq + request as one raw frame (no pickle on the hot path)."""
-    xy = np.ascontiguousarray(request.xy, dtype=np.float64)
-    times = np.ascontiguousarray(request.times, dtype=np.float64)
+    xy = _float64s(request.xy, pairs=True)
+    times = _float64s(request.times, pairs=False)
     rid = request.request_id.encode("utf-8")
     header = _REQ_HEADER.pack(_REQUEST, seq, len(times), int(request.hour),
                               1 if request.holiday else 0, len(rid))

@@ -57,11 +57,6 @@ class GridGNN(nn.Module):
         # The looped index is memoized on the network and shared.
         self._edge_index = network.edge_index_loops()
 
-    def grid_sequence(self, segment_id: int) -> np.ndarray:
-        """The (unpadded) grid-cell index sequence of one segment."""
-        length = int(self._grid_mask[segment_id].sum())
-        return self._grid_seq[segment_id, :length]
-
     def forward(self) -> Tensor:
         """Compute X_road for the whole network in one pass."""
         d = self.config.hidden_dim

@@ -1,4 +1,5 @@
-"""Experiment harness used by the per-table/figure benchmarks."""
+"""Experiment harness and the paper's experiment plan, read by the
+per-table/figure benchmarks and the cache and report scripts."""
 
 from .harness import (
     METHOD_NAMES,
@@ -7,6 +8,7 @@ from .harness import (
     bench_budget,
     bench_environment,
     build_method,
+    experiment_key,
     format_table,
     get_dataset,
     get_engine,
@@ -14,6 +16,7 @@ from .harness import (
     run_experiment,
     small_model_config,
 )
+from .plan import experiment_plan
 
 __all__ = [
     "METHOD_NAMES",
@@ -22,6 +25,8 @@ __all__ = [
     "bench_budget",
     "bench_environment",
     "build_method",
+    "experiment_key",
+    "experiment_plan",
     "format_table",
     "get_dataset",
     "get_engine",

@@ -174,6 +174,42 @@ def build_method(name: str, data: LoadedDataset, model_config: RNTrajRecConfig):
     return build_baseline(name, data.network, model_config)
 
 
+def _resolve(trajectories, model_config, train_config):
+    """An unset run argument's :func:`bench_budget` default."""
+    budget = bench_budget()
+    return (trajectories or budget["trajectories"],
+            model_config or small_model_config(budget["hidden"]),
+            train_config or quick_train_config(budget["epochs"]))
+
+
+def experiment_key(
+    dataset: str,
+    method: str,
+    keep_every: Optional[int] = None,
+    model_config: Optional[RNTrajRecConfig] = None,
+    train_config: Optional[TrainConfig] = None,
+    trajectories: Optional[int] = None,
+    variant_tag: str = "",
+) -> str:
+    """The cache key :func:`run_experiment` files these arguments' result
+    under: every argument, resolved, and :func:`code_identity`.  Computing
+    it trains nothing."""
+    trajectories, model_config, train_config = _resolve(
+        trajectories, model_config, train_config)
+    return _fingerprint(
+        {
+            "dataset": dataset,
+            "method": method,
+            "keep_every": keep_every,
+            "trajectories": trajectories,
+            "variant": variant_tag,
+            "model": asdict(model_config) if hasattr(model_config, "__dataclass_fields__") else vars(model_config),
+            "train": vars(train_config),
+            "code": code_identity(),
+        }
+    )
+
+
 def run_experiment(
     dataset: str,
     method: str,
@@ -189,22 +225,10 @@ def run_experiment(
 
     ``use_cache=False`` computes the row afresh and leaves ``cache_dir``
     untouched: it neither reads nor writes the cell."""
-    budget = bench_budget()
-    trajectories = trajectories or budget["trajectories"]
-    model_config = model_config or small_model_config(budget["hidden"])
-    train_config = train_config or quick_train_config(budget["epochs"])
-    key = _fingerprint(
-        {
-            "dataset": dataset,
-            "method": method,
-            "keep_every": keep_every,
-            "trajectories": trajectories,
-            "variant": variant_tag,
-            "model": asdict(model_config) if hasattr(model_config, "__dataclass_fields__") else vars(model_config),
-            "train": vars(train_config),
-            "code": code_identity(),
-        }
-    )
+    trajectories, model_config, train_config = _resolve(
+        trajectories, model_config, train_config)
+    key = experiment_key(dataset, method, keep_every, model_config, train_config,
+                         trajectories, variant_tag)
     if use_cache:
         cached = load_cached(cache_dir, key)
         if cached is not None:

@@ -1,10 +1,8 @@
-"""Geographic primitives: haversine, local projections, point↔segment math.
+"""Geographic primitives: point↔segment math in the planar frame.
 
-Internally the whole system works in a local metric frame (meters east/
-north of a reference point) because every paper quantity — GPS error radii,
-the δ receptive field, γ/β weight scales, grid cells — is specified in
-meters.  :class:`LocalProjection` converts to and from WGS-84 so real
-lat/lon data could be plugged in unchanged.
+The whole system works in a local metric frame (meters east/north of a
+reference point) because every paper quantity — GPS error radii, the δ
+receptive field, γ/β weight scales, grid cells — is specified in meters.
 """
 
 from __future__ import annotations
@@ -15,48 +13,6 @@ from typing import List, Tuple
 import numpy as np
 
 from ..nn.graph import sort_unique
-
-EARTH_RADIUS_M = 6_371_008.8
-
-
-def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Great-circle distance in meters between WGS-84 coordinates.
-
-    Accepts scalars or numpy arrays (broadcasting applies).
-    """
-    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(v, dtype=np.float64)) for v in (lat1, lon1, lat2, lon2))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-@dataclass(frozen=True)
-class LocalProjection:
-    """Equirectangular projection around a reference latitude/longitude.
-
-    Accurate to well under a meter over city-scale extents, which is all the
-    trajectory-recovery pipeline requires.
-    """
-
-    ref_lat: float
-    ref_lon: float
-
-    def to_xy(self, lat, lon) -> Tuple[np.ndarray, np.ndarray]:
-        lat = np.asarray(lat, dtype=np.float64)
-        lon = np.asarray(lon, dtype=np.float64)
-        kx = EARTH_RADIUS_M * np.cos(np.radians(self.ref_lat))
-        x = np.radians(lon - self.ref_lon) * kx
-        y = np.radians(lat - self.ref_lat) * EARTH_RADIUS_M
-        return x, y
-
-    def to_latlon(self, x, y) -> Tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        kx = EARTH_RADIUS_M * np.cos(np.radians(self.ref_lat))
-        lon = self.ref_lon + np.degrees(x / kx)
-        lat = self.ref_lat + np.degrees(y / EARTH_RADIUS_M)
-        return lat, lon
 
 
 def project_point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> Tuple[float, float, np.ndarray]:

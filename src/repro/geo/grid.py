@@ -70,11 +70,6 @@ class Grid:
         row, col = self.cell_of(x, y)
         return self.flat_index(row, col)
 
-    def cell_center(self, row: int, col: int) -> Tuple[float, float]:
-        cx = self.x0 + (col + 0.5) * self.cell_size
-        cy = self.y0 + (row + 0.5) * self.cell_size
-        return cx, cy
-
     def traverse_polyline(self, polyline: np.ndarray, step: float | None = None) -> List[Tuple[int, int]]:
         """Ordered, deduplicated cells a polyline passes through.
 

@@ -230,10 +230,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """A view of this tensor cut off from the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------
     # Graph construction helpers
     # ------------------------------------------------------------------

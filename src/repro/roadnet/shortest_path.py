@@ -18,7 +18,7 @@ heap-driven search indexes per pop.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -143,7 +143,3 @@ class ShortestPathEngine:
         pa = self.network.position(seg_a, ratio_a)
         pb = self.network.position(seg_b, ratio_b)
         return float(np.hypot(*(pa - pb)))
-
-    def route_length(self, path: Sequence[int]) -> float:
-        """Total length of a segment sequence (including the first)."""
-        return float(sum(self._lengths[s] for s in path))

@@ -45,13 +45,6 @@ class RawTrajectory:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0]) if len(self) > 1 else 0.0
 
-    @property
-    def mean_interval(self) -> float:
-        """Average sample interval ε_τ (Def. 2)."""
-        if len(self) < 2:
-            return 0.0
-        return float(np.mean(np.diff(self.times)))
-
     def slice(self, indices: Sequence[int]) -> "RawTrajectory":
         idx = np.asarray(indices, dtype=np.int64)
         return RawTrajectory(self.xy[idx], self.times[idx])

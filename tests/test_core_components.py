@@ -72,10 +72,11 @@ class TestGridGNN:
         assert out.shape == (city.num_segments, CFG.hidden_dim)
 
     def test_grid_sequences_nonempty_and_valid(self, city):
+        """The padded grid-cell sequences GridGNN's GRU reads (Eq. 1)."""
         grid = city.make_grid(CFG.grid_cell_size)
-        model = GridGNN(city, grid, CFG)
+        sequences, mask = city.grid_sequences(grid)
         for sid in range(0, city.num_segments, 17):
-            seq = model.grid_sequence(sid)
+            seq = sequences[sid, :int(mask[sid].sum())]
             assert len(seq) >= 1
             assert np.all(seq >= 0) and np.all(seq < grid.num_cells)
 

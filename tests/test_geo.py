@@ -1,4 +1,4 @@
-"""Tests for geographic primitives: distances, projections, grid, R-tree."""
+"""Tests for geographic primitives: projections, grid, R-tree."""
 
 import numpy as np
 import pytest
@@ -6,53 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geo import (
     Grid,
-    LocalProjection,
     RTree,
     gaussian_weight,
-    haversine,
     point_along_polyline,
     polyline_length,
     project_point_to_polyline,
 )
 
 RNG = np.random.default_rng(23)
-
-
-class TestHaversine:
-    def test_zero_distance(self):
-        assert haversine(31.2, 121.5, 31.2, 121.5) == 0.0
-
-    def test_known_distance_equator_degree(self):
-        # One degree of longitude at the equator ≈ 111.19 km.
-        d = haversine(0.0, 0.0, 0.0, 1.0)
-        assert abs(d - 111_195) < 200
-
-    def test_symmetry(self):
-        a, b = (31.0, 121.0), (31.4, 121.8)
-        assert np.isclose(haversine(*a, *b), haversine(*b, *a))
-
-    def test_vectorized(self):
-        lats = np.array([0.0, 10.0])
-        out = haversine(lats, 0.0, lats, 1.0)
-        assert out.shape == (2,)
-        assert out[1] < out[0]  # longitude degrees shrink with latitude
-
-
-class TestLocalProjection:
-    def test_roundtrip(self):
-        proj = LocalProjection(31.2, 121.5)
-        lat, lon = 31.25, 121.56
-        x, y = proj.to_xy(lat, lon)
-        lat2, lon2 = proj.to_latlon(x, y)
-        assert np.isclose(lat, lat2, atol=1e-9)
-        assert np.isclose(lon, lon2, atol=1e-9)
-
-    def test_metric_consistency_with_haversine(self):
-        proj = LocalProjection(31.2, 121.5)
-        x, y = proj.to_xy(31.21, 121.51)
-        planar = float(np.hypot(x, y))
-        true = float(haversine(31.2, 121.5, 31.21, 121.51))
-        assert abs(planar - true) / true < 0.01
 
 
 class TestProjection:
@@ -144,12 +105,6 @@ class TestGrid:
             for c in range(grid.cols):
                 seen.add(int(grid.flat_index(r, c)))
         assert len(seen) == grid.num_cells
-
-    def test_cell_center_inside_cell(self):
-        grid = Grid(0.0, 0.0, 100.0, 100.0, cell_size=50.0)
-        cx, cy = grid.cell_center(1, 0)
-        row, col = grid.cell_of(cx, cy)
-        assert (row, col) == (1, 0)
 
     def test_traverse_straight_line(self):
         grid = Grid(0.0, 0.0, 500.0, 500.0, cell_size=50.0)

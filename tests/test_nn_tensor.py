@@ -359,11 +359,6 @@ class TestBackwardMechanics:
         (a * 2.0).sum().backward()
         assert np.allclose(first, a.grad)
 
-    def test_detach_cuts_graph(self):
-        a = Tensor(np.array([1.0]), requires_grad=True)
-        d = a.detach()
-        assert not d.requires_grad
-
 
 class TestUnbroadcast:
     @given(

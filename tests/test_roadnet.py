@@ -354,9 +354,3 @@ class TestShortestPath:
         a = engine.distances_from(0)
         b = engine.distances_from(0)
         assert a is b
-
-    def test_route_length(self):
-        net = tiny_network()
-        engine = ShortestPathEngine(net)
-        total = engine.route_length([0, 1])
-        assert np.isclose(total, net.lengths()[0] + net.lengths()[1])

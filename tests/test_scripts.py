@@ -12,23 +12,85 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 class TestRenderExperiments:
-    def test_renders_without_error(self):
-        out = subprocess.run(
+    @staticmethod
+    def _render(cache_dir=None):
+        env = dict(os.environ)
+        if cache_dir is not None:
+            env["REPRO_CACHE_DIR"] = str(cache_dir)
+        return subprocess.run(
             [sys.executable, str(REPO / "scripts" / "render_experiments.py")],
-            capture_output=True, text=True, check=True,
-        )
-        assert "# EXPERIMENTS — paper vs. measured" in out.stdout
-        assert "Table III" in out.stdout
-        assert "Fig. 7" in out.stdout
+            capture_output=True, text=True, check=True, env=env).stdout
+
+    @staticmethod
+    def _sections(out):
+        """{section title: {row label: {column: cell}}} of the report."""
+        sections = {}
+        for chunk in out.split("\n## ")[1:]:
+            title, *lines = chunk.splitlines()
+            rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                    for line in lines if line.startswith("|")]
+            sections[title] = {row[0]: dict(zip(rows[0], row)) for row in rows[2:]}
+        return sections
+
+    @staticmethod
+    def _cell(method="rntrajrec", f1=0.1234):
+        from repro.experiments import ExperimentResult, SR_THRESHOLDS
+
+        return ExperimentResult(
+            dataset="chengdu_x8", method=method,
+            metrics={"Recall": 0.5, "Precision": 0.5, "F1 Score": f1,
+                     "Accuracy": 0.4321, "MAE": 123.4, "RMSE": 234.5},
+            sr_at_k={str(float(k)): 0.5 for k in SR_THRESHOLDS},
+            inference_ms_per_trajectory=1.0, num_parameters=10,
+            train_seconds=0.0, config={})
+
+    CHENGDU_X8 = "Table III — Chengdu (ε_τ = ε_ρ × 8)"
+
+    def test_renders_without_error(self):
+        out = self._render()
+        assert "# EXPERIMENTS — paper vs. measured" in out
+        assert "Table III" in out
+        assert "Fig. 7" in out
 
     def test_paper_reference_numbers_present(self):
-        out = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "render_experiments.py")],
-            capture_output=True, text=True, check=True,
-        )
+        out = self._render()
         # Spot-check two published values from the paper's Table III.
-        assert "0.8272" in out.stdout  # RNTrajRec F1, Chengdu x8
-        assert "0.4916" in out.stdout  # Linear+HMM ACC, Chengdu x8
+        assert "0.8272" in out  # RNTrajRec F1, Chengdu x8
+        assert "0.4916" in out  # Linear+HMM ACC, Chengdu x8
+
+    def test_a_cell_under_its_plan_key_is_rendered(self, tmp_path):
+        from repro.experiments import experiment_key, experiment_plan
+        from repro.experiments.harness import store_cached
+
+        run = experiment_plan()["table3/chengdu_x8"]["rntrajrec"]
+        store_cached(tmp_path, experiment_key(**run), self._cell())
+        row = self._sections(self._render(tmp_path))[self.CHENGDU_X8]["rntrajrec"]
+        assert (row["paper F1"], row["ours F1"], row["ours ACC"]) == ("0.8272", "0.1234", "0.4321")
+
+    def test_a_cell_under_any_other_key_is_not_rendered(self, tmp_path):
+        """Only the plan's own key is read: neither a stray file with the
+        same dataset and method nor the cell of a larger budget shows."""
+        from repro.experiments import experiment_key, experiment_plan
+        from repro.experiments.harness import store_cached
+
+        run = experiment_plan()["table3/chengdu_x8"]["rntrajrec"]
+        store_cached(tmp_path, "0123456789abcdef", self._cell(f1=0.9876))
+        store_cached(tmp_path, experiment_key(**{**run, "trajectories": 2 * run["trajectories"]}),
+                     self._cell(f1=0.8765))
+        out = self._render(tmp_path)
+        assert "0.9876" not in out and "0.8765" not in out
+        assert self._sections(out)[self.CHENGDU_X8]["rntrajrec"]["ours F1"] == "—"
+
+    def test_an_empty_cache_renders_no_measured_number(self, tmp_path):
+        out = self._render(tmp_path)
+        sections = self._sections(out)
+        assert self.CHENGDU_X8 in sections
+        for rows in sections.values():
+            for row in rows.values():
+                assert all(cell == "—" for column, cell in row.items()
+                           if column.startswith("ours")), row
+        for claim in ("Findings", "best F1", "+0.047", "Reproduced"):
+            assert claim not in out
 
 
 class TestStreamDemo:
@@ -58,7 +120,8 @@ class TestOutputHashes:
         ``compute_loss`` per city), one ``artifact`` content hash per city,
         one ``network`` hash per dataset recipe plus the 125 m metro, a
         ``fit`` line and its ``resumed`` twin per ``http-cold`` city, equal
-        (resume through ``fit(checkpoint=...)`` ≡ uninterrupted), a
+        (resume through ``fit(checkpoint=...)`` ≡ uninterrupted), and
+        chengdu's MTrajRec and Transformer ``fit`` lines, a
         ``dataset`` line and its Linear+HMM ``eval`` line per distinct
         city recipe plus chengdu's elevated run, and a model built in
         memory hashes like the same weights mapped read-only — after the
@@ -71,7 +134,7 @@ class TestOutputHashes:
         assert [line.split()[1] for line in header] == ["blas", "numpy", "python", "simd"]
         lines = out.stdout.splitlines()[len(header):]
         assert lines == sorted(lines) and len(lines) == \
-            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3 + 6 + 4 + 2 * 5
+            2 * 2 * 2 * 6 + 3 * 3 + 2 * (4 + 1) + 2 * 3 + 14 * (2 * 2 + 2) + 3 + 6 + 6 + 2 * 5
         hashes = dict(line.split() for line in lines)
         assert all(len(digest) == 64 for digest in hashes.values())
         variants = {name for name in hashes if "/variant/" in name}
@@ -90,7 +153,8 @@ class TestOutputHashes:
             "network/chengdu", "network/chengdu_few", "network/metro@125",
             "network/porto", "network/shanghai", "network/shanghai_l"]
         assert sorted(name for name in hashes if name.startswith("fit/")) == [
-            "fit/chengdu", "fit/chengdu/resumed", "fit/porto", "fit/porto/resumed"]
+            "fit/chengdu", "fit/chengdu/mtrajrec", "fit/chengdu/resumed",
+            "fit/chengdu/transformer", "fit/porto", "fit/porto/resumed"]
         for city in ("chengdu", "porto"):
             assert hashes[f"fit/{city}"] == hashes[f"fit/{city}/resumed"]
         runs = ["chengdu", "chengdu/elevated", "porto", "shanghai", "shanghai_l"]
@@ -104,7 +168,7 @@ class TestOutputHashes:
     COMMITTED_KINDS = {
         "assemble": 192, "subgraph": 192, "encode": 192, "prior": 192,
         "constraint": 192, "recover": 192, "compute_loss": 9, "artifact": 3,
-        "stream": 240, "cache": 144, "variant": 112, "network": 6, "fit": 4,
+        "stream": 240, "cache": 144, "variant": 112, "network": 6, "fit": 6,
         "dataset": 5, "eval": 5}
 
     @staticmethod
@@ -269,6 +333,8 @@ class TestCheckDocs:
 
 class TestPopulateCacheScript:
     def test_job_table_lists_all_jobs(self):
+        from repro.experiments import METHOD_NAMES, experiment_plan
+
         sys.path.insert(0, str(REPO / "scripts"))
         try:
             import populate_cache
@@ -276,7 +342,9 @@ class TestPopulateCacheScript:
             assert set(populate_cache.JOBS) == {
                 "t3a", "t3b", "t3c", "t3d", "t4", "t5", "f6", "f7"
             }
-            assert len(populate_cache.METHODS) == 9
+            runs = populate_cache.JOBS["t3a"](experiment_plan())
+            assert [run["method"] for run in runs] == list(METHOD_NAMES)
+            assert {(run["dataset"], run["keep_every"]) for run in runs} == {("chengdu", 8)}
         finally:
             sys.path.pop(0)
 
@@ -285,8 +353,7 @@ class TestCacheFormat:
     def test_cached_results_shape(self):
         cache = REPO / "benchmarks" / "_cache"
         # Experiment rows only — the cache also holds standalone benchmark
-        # artifacts with their own schema.  Use the same key-based predicate
-        # as scripts/render_experiments.py's load_results().
+        # artifacts with their own schema.
         rows = []
         for path in cache.glob("*.json"):
             with open(path) as handle:

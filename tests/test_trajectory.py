@@ -41,9 +41,8 @@ class TestRawTrajectory:
         with pytest.raises(ValueError):
             RawTrajectory(np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
 
-    def test_mean_interval(self):
+    def test_duration(self):
         traj = RawTrajectory(np.zeros((3, 2)), np.array([0.0, 10.0, 30.0]))
-        assert np.isclose(traj.mean_interval, 15.0)
         assert np.isclose(traj.duration, 30.0)
 
     def test_slice(self):

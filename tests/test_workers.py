@@ -50,6 +50,7 @@ from repro.serve import (
     RecoveryService,
     ServeConfig,
 )
+from repro.serve.request import trace_floats
 from repro.serve.telemetry import rollup
 from repro.stream import StreamingCluster
 from repro.trajectory import MatchedTrajectory
@@ -134,6 +135,20 @@ class TestFrameCodec:
         np.testing.assert_array_equal(decoded.times, request.times)
         assert (decoded.hour, decoded.holiday, decoded.request_id) == (
             23, True, "req/样本-1")
+
+    def test_float_lists_encode_like_arrays(self):
+        """A shard hands a miss its validated float lists; they frame to the
+        same bytes as the same request given as arrays."""
+        xy, times = trace_floats([[1.5, -2.25], [1e6, 0.125], [-0.0, 3]],
+                                 [0, 17.5, 33.25], origin=(0.5, -1.0))
+        as_lists = RecoveryRequest(xy=xy, times=times, hour=7, request_id="r1")
+        as_arrays = RecoveryRequest(xy=np.array(xy), times=np.array(times),
+                                    hour=7, request_id="r1")
+        frame = encode_request(5, as_lists)
+        assert frame == encode_request(5, as_arrays)
+        _, decoded = decode_request(frame)
+        np.testing.assert_array_equal(decoded.xy, as_arrays.xy)
+        np.testing.assert_array_equal(decoded.times, as_arrays.times)
 
     def test_response_roundtrip(self):
         response = RecoveryResponse(

@@ -21,8 +21,8 @@ Tier-1 tests pin the rest: the identity scenario rebuilds
 scenario's streamed sessions finalize equal to one-shot recovery
 (``tests/test_stream.py``).
 
-Writes ``BENCH_scenarios.json`` into ``REPRO_CACHE_DIR`` (default
-``benchmarks/_cache``) next to the other artifacts.
+Writes ``BENCH_scenarios.json`` into ``REPRO_CACHE_DIR`` (default: the
+repository's ``benchmarks/_cache``).
 
 Run with::
 
@@ -36,7 +36,6 @@ Budget knobs: ``REPRO_BENCH_SCEN_TRAJECTORIES`` (default 160),
 
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from repro.experiments import (
     quick_train_config,
     small_model_config,
 )
+from repro.experiments.harness import DEFAULT_CACHE_DIR
 from repro.roadnet import generate_city
 from repro.roadnet.shortest_path import ShortestPathEngine
 from repro.scenarios import (
@@ -185,11 +185,10 @@ def test_scenario_matrix():
     artifact["floor_scale"] = budget["floor_scale"]
     print_artifact(artifact)
 
-    cache_dir = Path(os.environ.get("REPRO_CACHE_DIR", "benchmarks/_cache"))
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    with open(cache_dir / ARTIFACT_NAME, "w") as handle:
+    DEFAULT_CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    with open(DEFAULT_CACHE_DIR / ARTIFACT_NAME, "w") as handle:
         json.dump(artifact, handle, indent=1)
-    print(f"wrote {cache_dir / ARTIFACT_NAME}")
+    print(f"wrote {DEFAULT_CACHE_DIR / ARTIFACT_NAME}")
 
     # Env-scaled gates: degradation floors and the curriculum advantage.
     for cell in artifact["matrix"]["curriculum"]:

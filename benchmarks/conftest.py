@@ -9,15 +9,7 @@ experiment (inference, a training step, HMM matching) so
 alongside the printed paper tables.
 """
 
-import os
-import sys
-from pathlib import Path
-
 import pytest
-
-# Keep every bench run reproducible regardless of invocation directory.
-REPO_ROOT = Path(__file__).resolve().parent.parent
-os.environ.setdefault("REPRO_CACHE_DIR", str(REPO_ROOT / "benchmarks" / "_cache"))
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import build_baseline
-from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.train import TrainConfig, Trainer
+from repro.core import RNTrajRec
+from repro.train import Trainer
 from repro.datasets import load_dataset
 from repro.eval.metrics import elevated_window, f1_score, path_precision_recall
+from repro.experiments import quick_train_config, small_model_config
 from repro.trajectory import make_batch
 
 
@@ -33,11 +34,8 @@ def main() -> None:
     data = load_dataset("chengdu", num_trajectories=160)
     network = data.network
 
-    config = RNTrajRecConfig(hidden_dim=32, num_heads=4, dropout=0.0,
-                             receptive_delta=300.0, max_subgraph_nodes=32)
-    train_config = TrainConfig(epochs=8, batch_size=16, learning_rate=5e-3,
-                               teacher_forcing_ratio=0.2, clip_norm=10.0,
-                               validate=False)
+    config = small_model_config(32)
+    train_config = quick_train_config(8)
 
     sample = next(
         (s for s in data.test if elevated_window(s.target, network) is not None),

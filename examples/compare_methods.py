@@ -11,11 +11,11 @@ side by side.  Use a larger trajectory/epoch budget to sharpen the gaps
 import sys
 
 from repro.baselines import build_baseline
-from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.train import TrainConfig, Trainer
+from repro.core import RNTrajRec
+from repro.train import Trainer
 from repro.datasets import load_dataset
 from repro.eval import evaluate_model
-from repro.experiments import get_engine
+from repro.experiments import get_engine, quick_train_config, small_model_config
 
 METHODS = ["linear_hmm", "mtrajrec", "gts", "rntrajrec"]
 
@@ -28,11 +28,8 @@ def main() -> None:
     print(f"Dataset: {dataset} ({trajectories} trajectories, {epochs} epochs)")
     data = load_dataset(dataset, num_trajectories=trajectories)
     engine = get_engine(data)
-    config = RNTrajRecConfig(hidden_dim=32, num_heads=4, dropout=0.0,
-                             receptive_delta=300.0, max_subgraph_nodes=32)
-    train_config = TrainConfig(epochs=epochs, batch_size=16, learning_rate=5e-3,
-                               teacher_forcing_ratio=0.2, clip_norm=10.0,
-                               validate=False)
+    config = small_model_config(32)
+    train_config = quick_train_config(epochs)
 
     rows = {}
     for name in METHODS:

@@ -12,11 +12,11 @@ Steps
 3. Recover the test trajectories and report the paper's metrics.
 """
 
-from repro.core import RNTrajRec, RNTrajRecConfig
+from repro.core import RNTrajRec
 from repro.datasets import load_dataset
 from repro.eval import evaluate_model
-from repro.experiments import get_engine
-from repro.train import TrainConfig, Trainer
+from repro.experiments import get_engine, quick_train_config, small_model_config
+from repro.train import Trainer
 
 
 def main() -> None:
@@ -25,15 +25,11 @@ def main() -> None:
     print(f"  road segments : {data.network.num_segments}")
     print(f"  train/val/test: {len(data.train)}/{len(data.val)}/{len(data.test)}")
 
-    config = RNTrajRecConfig(hidden_dim=32, num_heads=4, dropout=0.0,
-                             receptive_delta=300.0, max_subgraph_nodes=32)
+    config = small_model_config(32)
     model = RNTrajRec(data.network, config)
     print(f"RNTrajRec parameters: {model.num_parameters():,}")
 
-    trainer = Trainer(model, TrainConfig(
-        epochs=8, batch_size=16, learning_rate=5e-3,
-        teacher_forcing_ratio=0.2, clip_norm=10.0, validate=True,
-    ))
+    trainer = Trainer(model, quick_train_config(8, validate=True))
     print("Training ...")
     trainer.fit(
         data.train, data.val,

@@ -15,9 +15,10 @@ to road-network-aware representations:
 
 import numpy as np
 
-from repro.core import RNTrajRec, RNTrajRecConfig
-from repro.train import TrainConfig, Trainer
+from repro.core import RNTrajRec
+from repro.train import Trainer
 from repro.datasets import load_dataset
+from repro.experiments import quick_train_config, small_model_config
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -28,12 +29,10 @@ def main() -> None:
     data = load_dataset("chengdu", num_trajectories=120)
     network = data.network
 
-    config = RNTrajRecConfig(hidden_dim=32, num_heads=4, dropout=0.0,
-                             receptive_delta=300.0, max_subgraph_nodes=32)
+    config = small_model_config(32)
     model = RNTrajRec(network, config)
     print("Training briefly so embeddings absorb trajectory supervision ...")
-    Trainer(model, TrainConfig(epochs=5, batch_size=16, learning_rate=5e-3,
-                               teacher_forcing_ratio=0.2, validate=False)).fit(data.train)
+    Trainer(model, quick_train_config(5, clip_norm=5.0)).fit(data.train)
 
     embeddings = model.encoder.road_encoder().data  # (V, d)
     rng = np.random.default_rng(0)

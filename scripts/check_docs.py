@@ -18,7 +18,7 @@ Eight checks over every tracked ``*.md`` file:
    ``.github/workflows/ci.yml`` must appear in some ``*.py`` under
    ``src/``, ``benchmarks/``, ``tests/`` or ``scripts/`` (catches docs and
    CI steps setting knobs nothing reads; prefix mentions such as
-   ``REPRO_BENCH_STREAM_*`` are skipped);
+   ``REPRO_BENCH_*`` are skipped);
 6. **API names** — every ```pkg.Name``` code span in ``docs/api.md`` whose
    ``pkg`` is a package under ``src/repro/`` must name something
    ``src/repro/<pkg>/__init__.py`` binds (import, ``def``, ``class``,

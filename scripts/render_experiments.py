@@ -4,18 +4,16 @@
 
 Each cell of ``repro.experiments.experiment_plan`` at the ``REPRO_BENCH_*``
 budget is loaded by its ``experiment_key`` from ``REPRO_CACHE_DIR``
-(default ``benchmarks/_cache``) and laid beside the paper's published
-numbers.  A cell that this source has not computed at this budget reads
-"—"; ``scripts/populate_cache.py`` computes them.
+(default: the repository's ``benchmarks/_cache``) and laid beside the
+paper's published numbers.  A cell that this source has not computed at
+this budget reads "—"; ``scripts/populate_cache.py`` computes them.
 """
 
-import os
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
-os.environ.setdefault("REPRO_CACHE_DIR", str(REPO / "benchmarks" / "_cache"))
 
 from repro.experiments import SR_THRESHOLDS, bench_budget, experiment_key, experiment_plan  # noqa: E402
 from repro.experiments.harness import DEFAULT_CACHE_DIR, load_cached  # noqa: E402

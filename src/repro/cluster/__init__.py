@@ -13,8 +13,8 @@ hot-swapped without touching siblings.  Topologies come from a
 
 See ``docs/cluster.md`` for topology, shard-map format and the operator
 runbook; ``scripts/serve.py cluster`` and ``examples/cluster_demo.py``
-are the runnable entries, and ``benchmarks/bench_cluster.py`` measures
-sharded vs monolithic serving.
+are the runnable entries, and the perf ledger (``benchmarks/ledger/``)
+measures a cluster's serving cost end to end.
 """
 
 from .cluster import ClusterResult, RecoveryCluster

@@ -19,9 +19,8 @@ replicas into long-lived **worker processes**:
 * requests and responses cross a ``multiprocessing`` pipe as
   **raw-numpy frames** — a one-byte kind tag, a fixed ``struct`` header
   and the arrays' own bytes; city state never crosses the pipe.
-  Control traffic (ping / deploy / swap / close) is pickled, measured
-  ~2-4x slower per message than the raw codec (see the ``ipc`` section
-  of ``BENCH_cluster.json``) but runs off the hot path.
+  Control traffic (ping / deploy / swap / close) is pickled, slower per
+  message than the raw codec but off the hot path.
 
 Lifecycle is the point, not an afterthought: a worker that dies
 mid-request fails or retries exactly the futures it owned (typed

@@ -40,7 +40,12 @@ from ..roadnet.shortest_path import ShortestPathEngine
 
 METHOD_NAMES = BASELINE_NAMES + ("rntrajrec",)
 
-DEFAULT_CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", "benchmarks/_cache"))
+#: ``REPRO_CACHE_DIR``, else the repository's ``benchmarks/_cache`` wherever
+#: the process runs from: the benches, the cache jobs and the renderer all
+#: read and write the one cache.
+DEFAULT_CACHE_DIR = Path(os.environ.get(
+    "REPRO_CACHE_DIR",
+    Path(__file__).resolve().parents[3] / "benchmarks" / "_cache"))
 
 SR_THRESHOLDS = (0.4, 0.5, 0.6, 0.7, 0.8)
 

@@ -37,7 +37,6 @@ __all__ = [
     "enable",
     "disable",
     "memory_snapshot",
-    "proc_pss_mb",
     "proc_rss_mb",
     "reset",
     "stats",
@@ -234,15 +233,6 @@ def proc_rss_mb(pid) -> float:
     return round(_read_status_mb(pid)["rss_mb"], 3)
 
 
-def proc_pss_mb(pid) -> Optional[float]:
-    """One process's proportional set size in MiB (None where the kernel
-    hides ``smaps_rollup``).  The memory-scaling benchmark sums this over
-    worker pids: pages N workers share — the mmap'd city artifacts, the
-    fork-shared model — are charged once across the tree, so the figure
-    answers "what do N replicas actually cost" instead of N x VmRSS."""
-    return _read_pss_mb(pid)
-
-
 def _read_pss_mb(pid) -> Optional[float]:
     """Proportional set size of one pid (``/proc/<pid>/smaps_rollup``),
     or None where the kernel doesn't expose it.  PSS divides each shared
@@ -264,8 +254,8 @@ def memory_snapshot(pids=()) -> Dict[str, float]:
     worker children — in MiB.
 
     Memory joins latency/throughput as a first-class tracked metric: the
-    cluster stats rollup, serving telemetry, and the ``bench_cluster``
-    memory-scaling section all sample it at measurement boundaries.
+    cluster stats rollup, serving telemetry and the ledger's ``rss_mb``
+    all sample it at measurement boundaries.
     Reads ``/proc/self/status`` (``VmRSS`` / ``VmHWM``); where /proc is
     unavailable it falls back to ``resource.getrusage`` peak RSS and
     reports 0.0 for the current value.

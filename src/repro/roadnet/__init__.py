@@ -1,7 +1,7 @@
 """Road network substrate: model, generator, shortest paths, artifacts."""
 
 from .generator import CityConfig, generate_city
-from .network import NUM_ROAD_LEVELS, RoadNetwork, RoadSegment, merge_networks
+from .network import NUM_ROAD_LEVELS, RoadNetwork, RoadSegment
 from .shortest_path import ShortestPathEngine
 # Imported last: artifacts reaches into repro.core submodules, which in
 # turn import repro.roadnet.network — every name above must already be
@@ -12,7 +12,6 @@ __all__ = [
     "CityArtifacts",
     "CityConfig",
     "generate_city",
-    "merge_networks",
     "NUM_ROAD_LEVELS",
     "RoadNetwork",
     "RoadSegment",

@@ -185,9 +185,9 @@ class CityArtifacts:
 
         ``mmap=True`` (the default, and the point of the module) maps
         every array as a read-only page-cache-backed view; ``mmap=False``
-        materializes private writable copies — the in-memory baseline the
-        benchmarks compare against.  ``verify=True`` re-hashes the arrays
-        against the manifest (reads every byte; off by default).
+        materializes private writable copies, one set per load.
+        ``verify=True`` re-hashes the arrays against the manifest (reads
+        every byte; off by default).
         """
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         with open(manifest_path) as handle:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -95,8 +95,8 @@ class RoadNetwork:
 
         The snapshot is :meth:`export_arrays`' or any subset of it that
         holds the base arrays ``poly_indptr``, ``poly_points``, ``levels``,
-        ``elevated`` and ``edge_index`` (what :func:`generate_city` and
-        :func:`merge_networks` pass).  The arrays may be externally owned —
+        ``elevated`` and ``edge_index`` (what :func:`generate_city`
+        passes).  The arrays may be externally owned —
         memory-mapped, write-protected, shared across processes (see
         :mod:`repro.roadnet.artifacts`).  They seed the memo slots the
         snapshot carries and no others; every other slot (CSR neighbors,
@@ -620,43 +620,6 @@ class RoadNetwork:
     def position(self, segment_id: int, ratio: float) -> np.ndarray:
         """(x, y) of the point at ``ratio`` along ``segment_id``."""
         return point_along_polyline(self._polyline(segment_id), ratio)
-
-
-def merge_networks(networks: Sequence[RoadNetwork],
-                   origins: Optional[Sequence[Tuple[float, float]]] = None,
-                   ) -> RoadNetwork:
-    """One network containing every input network, each translated to its
-    origin.
-
-    The result is the *monolithic* alternative to per-region sharding: one
-    graph spanning all regions, segment ids renumbered region by region in
-    input order, with no inter-region edges (the regions are disjoint road
-    systems).  ``benchmarks/bench_cluster.py`` uses it as the single-shard
-    baseline a ``repro.cluster`` deployment is measured against.
-    """
-    if not networks:
-        raise ValueError("merge_networks needs at least one network")
-    if origins is None:
-        origins = [(0.0, 0.0)] * len(networks)
-    if len(origins) != len(networks):
-        raise ValueError(f"{len(networks)} networks but {len(origins)} origins")
-
-    indptrs, points, edges = [], [], []
-    segments = vertices = 0
-    for network, (ox, oy) in zip(networks, origins):
-        indptr, table = network._polylines()
-        indptrs.append(indptr[:-1] + vertices)
-        points.append(table + np.array([float(ox), float(oy)]))
-        edges.append(network.edge_index() + segments)
-        segments += network.num_segments
-        vertices += len(table)
-    return RoadNetwork({
-        "poly_indptr": np.concatenate([*indptrs, [vertices]]),
-        "poly_points": np.concatenate(points),
-        "levels": np.concatenate([network.levels() for network in networks]),
-        "elevated": np.concatenate([network.elevated() for network in networks]),
-        "edge_index": np.concatenate(edges, axis=1),
-    })
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ time while the trip is still underway:
 
 Correctness anchor (``tests/test_stream.py``): ``finalize()`` after N
 appends returns exactly what one-shot ``recover()`` returns for the same
-N points.  See ``docs/streaming.md`` for the session model and operator
-runbook, and ``benchmarks/bench_streaming.py`` for the per-append speedup
-over re-decoding from scratch: 2.1–2.3x at 32-fix sessions on a 2-vCPU
-Xeon guest, short of that bench's local 3x bar (CI gates 1.5x).
+N points, and an append re-decodes at most the commit horizon plus the
+grid steps its fixes added.  See ``docs/streaming.md`` for the session
+model and operator runbook; the perf ledger's ``stream-mixed`` workload
+measures what an append costs.
 """
 
 from .engine import DecodeOutcome

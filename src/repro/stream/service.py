@@ -49,7 +49,7 @@ class StreamUpdate:
     fixes a grid needs.  ``revised_from`` is the first grid step whose
     segment changed relative to the previous update (−1: pure extension).
     ``decoded_steps``/``skipped_steps`` expose the split the engine ran,
-    which is what the streaming benchmark measures.
+    which the ledger's ``stream-mixed`` workload reports.
     """
 
     session_id: str

@@ -19,7 +19,6 @@ from repro.cluster import (
 )
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import load_dataset
-from repro.roadnet import generate_city, merge_networks
 from repro.serve import RecoveryRequest
 from repro.trajectory import make_batch
 
@@ -408,20 +407,3 @@ class TestStatsRollup:
             assert engine[key] == max(row[key] for row in rows)
         for key in set(engine) - {"queue_wait_ms_p50", "queue_wait_ms_p95"}:
             assert engine[key] == sum(row[key] for row in rows), key
-
-    def test_merge_networks_offsets_and_renumbers(self, data):
-        merged = merge_networks([data.network, data.network],
-                                [(0.0, 0.0), (5000.0, 0.0)])
-        n = data.network.num_segments
-        assert merged.num_segments == 2 * n
-        edges = data.network.edge_index()
-        assert np.array_equal(merged.edge_index(),
-                              np.concatenate([edges, edges + n], axis=1))
-        for array in ("levels", "elevated"):
-            one = getattr(data.network, array)()
-            assert np.array_equal(getattr(merged, array)(), np.concatenate([one, one]))
-        assert np.allclose(merged.lengths(), np.tile(data.network.lengths(), 2))
-        assert np.allclose(merged.position(n + 3, 0.5),
-                           data.network.position(3, 0.5) + np.array([5000.0, 0.0]))
-        x0, _, x1, _ = merged.bounds()
-        assert x1 - x0 > 5000.0

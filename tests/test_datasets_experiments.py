@@ -156,6 +156,19 @@ class TestHarness:
             env={**os.environ, "PYTHONPATH": str(SRC)})
         assert after == json.loads(alone.stdout)
 
+    def test_default_cache_dir_does_not_follow_the_working_directory(
+            self, tmp_path):
+        """Without ``REPRO_CACHE_DIR`` every process reads and writes the
+        repository's ``benchmarks/_cache``, wherever it was started."""
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
+        env["PYTHONPATH"] = str(SRC)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.experiments.harness import DEFAULT_CACHE_DIR\n"
+             "print(DEFAULT_CACHE_DIR.resolve())"],
+            capture_output=True, text=True, check=True, cwd=tmp_path, env=env)
+        assert Path(out.stdout.strip()) == SRC.parent / "benchmarks" / "_cache"
+
     def test_format_table_contains_rows(self):
         result = ExperimentResult(
             dataset="chengdu", method="demo",

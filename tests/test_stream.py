@@ -386,7 +386,8 @@ class TestStreamingEquivalence:
 # ---------------------------------------------------------------------------
 class TestStreamingService:
     def test_update_bookkeeping(self, data, model, streaming):
-        service = streaming(model, data, commit_horizon=2, shard="cd")
+        horizon = 2
+        service = streaming(model, data, commit_horizon=horizon, shard="cd")
         sample = data.test[0]
         sid, updates, response = _drive(service, sample, chunk=1)
         assert updates[0].trajectory is None  # one fix cannot decode yet
@@ -398,7 +399,12 @@ class TestStreamingService:
                 update.grid_length
             assert update.committed_steps <= update.grid_length
             assert update.shard == "cd" and update.model == "default"
-        # Later appends resume from the checkpoint instead of step 0.
+        # Later appends resume from the checkpoint instead of step 0: each
+        # re-decodes at most the horizon plus the steps its fix added.
+        assert len(updates) > 2
+        for previous, update in zip(updates[1:], updates[2:]):
+            assert update.decoded_steps <= horizon + (
+                update.grid_length - previous.grid_length)
         assert updates[-1].skipped_steps > 0
         assert response.session_id == sid
         assert response.shard == "cd"

@@ -36,6 +36,7 @@ from repro.cluster.workers import (
     _RESPONSE,
     _Pending,
     _Worker,
+    _service_factory,
     decode_request,
     decode_response,
     encode_request,
@@ -43,6 +44,7 @@ from repro.cluster.workers import (
 )
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import get_spec, load_dataset
+from repro.roadnet import CityArtifacts
 from repro.serve import (
     ModelRegistry,
     RecoveryRequest,
@@ -227,6 +229,32 @@ class TestProcessBackend:
             assert ref.ok and out.ok
             assert_same_trajectory(ref.response.trajectory,
                                    out.response.trajectory)
+
+    def test_artifact_worker_serves_from_the_mapped_archive(self, data, model,
+                                                            tmp_path):
+        """What a worker builds post-fork over an artifact directory holds
+        the city in page-cache-backed maps: its model's parameters and its
+        network's geometry are views of them, so N workers share one copy
+        instead of each loading its own."""
+        city = CityArtifacts.build(data.network, model=model).save(
+            str(tmp_path / "city"))
+        config = ServeConfig.for_spec(get_spec("chengdu"))
+        # The artifact branch never reads the parent's registry.
+        service = _service_factory("chengdu", None, config, city)()
+        try:
+            arrays = service.registry.artifacts.arrays
+            for name, array in arrays.items():
+                if array.size:
+                    assert isinstance(array, np.memmap), name
+            served = service.registry.active_ref()[2]
+            for name, param in served.named_parameters():
+                assert np.shares_memory(param.data, arrays["model." + name]), name
+            indptr, *columns = service.registry.network._geometry_columns()
+            assert np.shares_memory(indptr, arrays["net.geom_indptr"])
+            for column in columns:
+                assert np.shares_memory(column, arrays["net.geom_columns"])
+        finally:
+            service.close()
 
     def test_request_errors_stay_typed(self, data, model):
         with build_cluster(data, model, replicas=1) as cluster:

@@ -60,7 +60,7 @@ def main() -> None:
         print("Starting RecoveryService from the saved checkpoint ...")
         service = RecoveryService.from_checkpoint(
             prefix, data.network,
-            ServeConfig.for_dataset(data, max_batch_size=16),
+            ServeConfig.for_dataset(data),
         )
         _, served_model = service.registry.active()
 

@@ -28,7 +28,7 @@ Four subcommands:
              ``--artifact-dir DIR`` gives each shard a frozen-city cache
              (``DIR/<shard>``): first warm builds and saves it, later
              boots mmap-load it (the startup log says which), so N
-             replicas share one copy of every immutable structure.
+             worker processes share one copy of every immutable structure.
 
              Endpoints (points are global-frame; docs/cluster.md and
              docs/streaming.md have the bodies and status codes):
@@ -155,15 +155,14 @@ def build_cluster(args) -> RecoveryCluster:
                                  gap=args.gap, bundle=args.bundle)
     else:
         raise SystemExit("cluster needs --shard-map or --datasets")
-    # CLI slot/cache knobs are defaults; a shard-map [serve] section wins.
-    serve = dict(max_batch_size=args.max_batch_size,
-                 cache_capacity=args.cache_capacity)
+    # The CLI cache knob is a default; a shard-map [serve] section wins.
+    serve = dict(cache_capacity=args.cache_capacity)
     serve.update(shard_map.serve)
     shard_map = replace(shard_map, serve=serve)
     if args.backend:
         # The CLI flag overrides every shard: one switch turns a map's
-        # thread replicas into forked worker processes (docs/cluster.md,
-        # "Execution backends").
+        # in-process services into forked worker processes
+        # (docs/cluster.md, "Execution backends").
         shard_map = replace(shard_map, shards=tuple(
             replace(spec, backend=args.backend) for spec in shard_map))
 
@@ -346,7 +345,6 @@ def main(argv=None) -> None:
 
     def serve_flags(p):
         model_flags(p)
-        p.add_argument("--max-batch-size", type=int, default=16)
         p.add_argument("--cache-capacity", type=int, default=1024)
 
     def door_flags(p, port):
@@ -361,7 +359,7 @@ def main(argv=None) -> None:
         p.add_argument("--artifact-dir", default=None, metavar="DIR",
                        help="city-artifact cache: each shard freezes its city "
                             "into DIR/<shard> on first warm and mmap-loads it "
-                            "on later boots (replicas share the mapping)")
+                            "on later boots (workers share the mapping)")
 
     t = sub.add_parser("train", help="train a model and save a serving bundle")
     t.set_defaults(run=train_bundle)
@@ -410,7 +408,7 @@ def main(argv=None) -> None:
     c.set_defaults(bundle=None, run=run)
     serve_flags(c)
     c.add_argument("--backend", default=None, choices=("inproc", "process"),
-                   help="replica execution backend for every shard: threads in "
+                   help="execution backend for every shard: one service in "
                         "this process or forked worker processes (overrides "
                         "the shard map; see docs/cluster.md)")
     c.add_argument("--warm", action="store_true",

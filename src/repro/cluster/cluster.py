@@ -16,7 +16,7 @@ Cluster-only semantics:
   heavy traffic with a few shed or unroutable requests is the normal
   case, not an exception;
 * ``stats()`` rolls routing counters, per-shard serving telemetry (true
-  percentiles across replicas) and — when enabled — the process-wide
+  percentiles across shards) and — when enabled — the process-wide
   :mod:`repro.profile` section registry into one JSON-ready snapshot;
 * one city's model can be re-deployed (``deploy_model`` /
   ``swap_model``) without touching sibling shards, their caches, or
@@ -66,7 +66,6 @@ class RecoveryCluster:
     def __init__(self, shard_map: ShardMap,
                  model_factory: Optional[ModelFactory] = None,
                  network_factory: Optional[NetworkFactory] = None,
-                 eager: bool = False,
                  artifact_dir: Optional[str] = None) -> None:
         self.shard_map = shard_map
         self.artifact_dir = artifact_dir
@@ -78,14 +77,9 @@ class RecoveryCluster:
             for spec in shard_map
         ]
         self._by_name: Dict[str, Shard] = {s.name: s for s in self.shards}
-        self.router = ShardRouter(
-            [spec.resolved_bbox() for spec in shard_map],
-            cell_size=shard_map.cell_size,
-        )
-        self.telemetry = ClusterTelemetry(shard_map.dead_letter_capacity)
+        self.router = ShardRouter([spec.resolved_bbox() for spec in shard_map])
+        self.telemetry = ClusterTelemetry()
         self._closed = False
-        if eager:
-            self.warm()
 
     # ------------------------------------------------------------------
     # Request surface (global coordinate frame)

@@ -1,11 +1,12 @@
 """The replica surface a shard serves through, and its in-process form.
 
 A :class:`~repro.cluster.shard.Shard` owns placement (round-robin,
-admission, shedding) and talks to its N replicas through one surface —
+admission, shedding) and talks to its replicas through one surface —
 ``submit_to(index, request)``, ``session_service()``, ``deploy``,
 ``swap``, ``stats()``, ``pids``, ``close`` — with two
-implementations: :class:`ThreadReplicas` here (``backend="inproc"``) and
-:class:`~repro.cluster.workers.ProcessReplicas` (``backend="process"``).
+implementations: :class:`ThreadReplicas` here (``backend="inproc"``, one
+service) and :class:`~repro.cluster.workers.ProcessReplicas`
+(``backend="process"``, N worker processes).
 """
 
 from __future__ import annotations
@@ -45,23 +46,23 @@ def deploy_generation(registry: ModelRegistry, name: str, model_or_prefix,
 
 
 class ThreadReplicas:
-    """N :class:`~repro.serve.RecoveryService` replicas in this process,
-    all over one shared registry — a deploy or swap reaches every replica
-    at once."""
+    """The in-process replica surface: one
+    :class:`~repro.serve.RecoveryService` over the shard's registry.  Its
+    one scheduler steps decodes in earliest-solo-finish order; a second
+    scheduler thread under the same GIL would only interleave them."""
 
     def __init__(self, registry: ModelRegistry, config: ServeConfig,
                  spec: ShardSpec) -> None:
         self._registry = registry
-        self.services = [RecoveryService(registry, config, shard=spec.name)
-                         for _ in range(spec.replicas)]
+        self.service = RecoveryService(registry, config, shard=spec.name)
 
     def submit_to(self, index: int,
                   request: RecoveryRequest) -> "Future[RecoveryResponse]":
-        return self.services[index].submit(request)
+        return self.service.submit(request)
 
     def session_service(self) -> RecoveryService:
-        """Replica 0 — the service streaming sessions run on."""
-        return self.services[0]
+        """The shard's service — the one streaming sessions run on."""
+        return self.service
 
     def deploy(self, name: str, model_or_prefix, activate: bool) -> None:
         deploy_generation(self._registry, name, model_or_prefix, activate)
@@ -70,19 +71,10 @@ class ThreadReplicas:
         self._registry.activate(name)
 
     def stats(self) -> Dict[str, Any]:
-        rows = [service.stats() for service in self.services]
-        engine: Dict[str, Any] = {}
-        for row in rows:
-            for gauge, value in row["engine"].items():
-                # Counters and occupancy gauges add up across replicas; a
-                # wait percentile does not — report the worst replica's.
-                merge = max if gauge.startswith("queue_wait_ms_") else sum
-                engine[gauge] = merge((engine.get(gauge, 0), value))
-        return {"engine": engine, "replica_stats": rows}
+        return {"engine": self.service.scheduler.stats()}
 
     def pids(self) -> List[int]:
         return []
 
     def close(self) -> None:
-        for service in self.services:
-            service.close()
+        self.service.close()

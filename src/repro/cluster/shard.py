@@ -1,11 +1,11 @@
 """One shard: a city's recovery stack behind admission control.
 
 A :class:`Shard` owns everything needed to serve one region: the road
-network, a shared :class:`~repro.serve.ModelRegistry` (so a hot swap
-reaches every replica at once), and N replicas drained round-robin
-through one surface (:mod:`repro.cluster.replicas`) whether they are
-threads or worker processes.  Two cluster-level concerns live here
-because a single service cannot express them:
+network, a :class:`~repro.serve.ModelRegistry`, and its replicas behind
+one surface (:mod:`repro.cluster.replicas`) — one in-process
+:class:`~repro.serve.RecoveryService`, or N worker processes drained
+round-robin.  Three cluster-level concerns live here because a single
+service cannot express them:
 
 * **Lazy warm-up** — a shard starts *spec-only*: routing works against
   its declared bbox immediately, but the network, registry and replicas
@@ -364,9 +364,9 @@ class Shard:
         return outer
 
     def session_service(self) -> RecoveryService:
-        """Replica 0's :class:`~repro.serve.RecoveryService`, which this
-        shard's streaming sessions run on — its registry, ingest grid and
-        slot table, so one shard's streaming and one-shot traffic share a
+        """The shard's :class:`~repro.serve.RecoveryService`, which its
+        streaming sessions run on — its registry, ingest grid and slot
+        table, so one shard's streaming and one-shot traffic share a
         ragged batch.
 
         Raises :class:`~repro.cluster.workers.StreamingUnsupported` on a
@@ -390,8 +390,8 @@ class Shard:
     # ------------------------------------------------------------------
     def deploy(self, name: str, model_or_prefix, activate: bool = True) -> None:
         """Register a new model generation on this shard — a bundle prefix
-        (str) or an in-memory eval model — optionally activating it.  All
-        replicas share the registry, so one deploy reaches every replica;
+        (str) or an in-memory eval model — optionally activating it.  One
+        deploy reaches every replica (a process shard's workers ack it);
         sibling shards are untouched.
 
         On activation, loaded generations other than the new one and its
@@ -428,7 +428,7 @@ class Shard:
     def stats(self) -> Dict[str, Any]:
         """Shard gauge snapshot: the counters of every request the shard
         answered (cache hits included), cache gauges, and the replicas'
-        own block (``engine`` + ``replica_stats``, or the worker pool's)."""
+        own block (the service's ``engine``, or the worker pool's)."""
         with self._lock:
             replicas = self._replicas
             payload: Dict[str, Any] = {

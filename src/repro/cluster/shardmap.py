@@ -3,11 +3,12 @@
 A cluster serves several road networks behind one front door.  Each
 :class:`ShardSpec` places one city (a `repro.datasets` recipe or an
 explicitly bounded custom network) at an ``origin`` in a shared global
-coordinate frame and says how it is served: which model bundle, how many
-replicas, how much in-flight work it admits before shedding.  A
-:class:`ShardMap` is the full topology plus cluster-wide knobs, and is
-what the ``scripts/serve.py cluster`` entrypoint loads from a TOML or
-JSON file — see ``docs/cluster.md`` for the file format.
+coordinate frame and says how it is served: which model bundle, which
+backend (one in-process service or N worker processes), how much
+in-flight work it admits before shedding.  A :class:`ShardMap` is the
+full topology plus the serving overrides every shard shares, and is what
+the ``scripts/serve.py cluster`` entrypoint loads from a TOML or JSON
+file — see ``docs/cluster.md`` for the file format.
 
 Shard bounding boxes must be disjoint: the router resolves a trace to at
 most one shard, and an ambiguous map is a configuration error, not a
@@ -51,11 +52,11 @@ class ShardSpec:
     dataset: Optional[str] = None
     origin: Tuple[float, float] = (0.0, 0.0)
     bundle: Optional[str] = None      # checkpoint prefix (see save_model_bundle)
-    replicas: int = 1
+    replicas: int = 1                 # worker processes; 1 for "inproc"
     max_inflight: int = 32            # per-replica admission bound
     margin: float = DEFAULT_MARGIN    # bbox slack around the city rectangle
     bbox: Optional[BBox] = None       # explicit global bbox (overrides derived)
-    # "inproc": replicas are RecoveryService threads in this process.
+    # "inproc": one RecoveryService (one scheduler thread) in this process.
     # "process": replicas are forked worker processes (repro.cluster.workers)
     # — true multi-core decode throughput; see docs/cluster.md.
     backend: str = "inproc"
@@ -75,6 +76,14 @@ class ShardSpec:
             raise ValueError(
                 f"shard {self.name!r}: backend must be 'inproc' or "
                 f"'process'; got {self.backend!r}")
+        if self.backend == "inproc" and self.replicas != 1:
+            # A second scheduler thread under one GIL interleaves decodes
+            # side by side, which is slower than one scheduler stepping
+            # them in earliest-solo-finish order.
+            raise ValueError(
+                f"shard {self.name!r}: an in-process shard is one service "
+                f"(replicas=1); got replicas={self.replicas}, use "
+                "backend='process' for more replicas")
         if self.worker_timeout < 0:
             raise ValueError(
                 f"shard {self.name!r}: worker_timeout must be >= 0")
@@ -110,25 +119,22 @@ def _boxes_overlap(a: BBox, b: BBox) -> bool:
 
 @dataclass(frozen=True)
 class ShardMap:
-    """The full cluster topology plus cluster-wide serving knobs.
+    """The full cluster topology plus the serving overrides every shard
+    shares.
 
     ``serve`` holds :class:`~repro.serve.ServeConfig` overrides applied to
-    every shard (e.g. ``max_batch_size``, ``cache_capacity``); per-dataset
-    ingest parameters (ε_ρ interval, β, GPS error radius) still come from
-    each shard's own dataset spec.
+    every shard (e.g. ``cache_capacity``); per-dataset ingest parameters
+    (ε_ρ interval, β, GPS error radius) still come from each shard's own
+    dataset spec.
     """
 
     shards: Tuple[ShardSpec, ...]
-    cell_size: float = 200.0          # router grid resolution (meters)
-    dead_letter_capacity: int = 256
     serve: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shards", tuple(self.shards))
         if not self.shards:
             raise ValueError("a shard map needs at least one shard")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
         names = [shard.name for shard in self.shards]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names in map: {sorted(names)}")
@@ -177,7 +183,10 @@ def side_by_side(datasets: Sequence[str], gap: float = 500.0,
 
 
 def _parse_payload(payload: Dict[str, Any], source: str) -> ShardMap:
-    cluster = dict(payload.get("cluster", {}))
+    unknown = set(payload) - {"serve", "shard", "shards"}
+    if unknown:
+        raise ValueError(f"{source}: unknown top-level keys {sorted(unknown)}; "
+                         "valid: ['serve', 'shard', 'shards']")
     serve = dict(payload.get("serve", {}))
     raw_shards = payload.get("shard", payload.get("shards"))
     if not raw_shards:
@@ -194,12 +203,7 @@ def _parse_payload(payload: Dict[str, Any], source: str) -> ShardMap:
         if "bbox" in entry and entry["bbox"] is not None:
             entry["bbox"] = tuple(entry["bbox"])
         shards.append(ShardSpec(**entry))
-    return ShardMap(
-        shards=tuple(shards),
-        cell_size=float(cluster.get("cell_size", 200.0)),
-        dead_letter_capacity=int(cluster.get("dead_letter_capacity", 256)),
-        serve=serve,
-    )
+    return ShardMap(shards=tuple(shards), serve=serve)
 
 
 def load_shard_map(path: str) -> ShardMap:

@@ -2,10 +2,10 @@
 
 Per-shard serving metrics (latency reservoirs, cache hits,
 per-model-generation request counts) live in each shard's
-:class:`repro.serve.ServingTelemetry`, batch occupancy in its replicas';
-this module only tracks what no shard can see — routing decisions,
-overload sheds, and the bounded dead-letter ring of traces the cluster
-refused.
+:class:`repro.serve.ServingTelemetry`, slot-table occupancy in its
+service's scheduler; this module only tracks what no shard can see —
+routing decisions, overload sheds, and the bounded dead-letter ring of
+traces the cluster refused.
 """
 
 from __future__ import annotations
@@ -15,18 +15,21 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List
 
+#: Refused traces ``dead_letters()`` keeps, newest last.
+DEAD_LETTER_CAPACITY = 256
+
 
 class ClusterTelemetry:
     """Counters behind ``RecoveryCluster.stats()`` and ``dead_letters()``."""
 
-    def __init__(self, dead_letter_capacity: int = 256) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._start = time.perf_counter()
         self.routed: Dict[str, int] = {}
         self.shed: Dict[str, int] = {}
         self.unroutable: Dict[str, int] = {"outside": 0, "straddle": 0}
         self.errors = 0
-        self._dead: Deque[Dict[str, Any]] = deque(maxlen=max(0, dead_letter_capacity))
+        self._dead: Deque[Dict[str, Any]] = deque(maxlen=DEAD_LETTER_CAPACITY)
 
     # ------------------------------------------------------------------
     def record_routed(self, shard: str) -> None:

@@ -1,10 +1,10 @@
 """Process-based replica workers: decode throughput past the GIL.
 
-An in-process shard scales *latency overlap* with replica threads but
-never *decode throughput*: every replica's kernel sweep runs under one
-interpreter lock, and the PR 9 memory benchmark measured 4 thread
-replicas at 0.91x the QPS of one (a GIL convoy).  This module moves the
-replicas into long-lived **worker processes**:
+An in-process shard is one :class:`~repro.serve.RecoveryService`: its
+kernel sweep runs under one interpreter lock, and more scheduler threads
+would only interleave decodes (4 thread replicas once measured 0.91x the
+QPS of one — a GIL convoy).  This module runs a shard's replicas as
+long-lived **worker processes** instead:
 
 * each worker builds its serving stack (registry, continuous scheduler)
   *fresh after fork*, so no thread or lock state crosses the process
@@ -95,7 +95,7 @@ class BackendDegraded(WorkerError):
 class StreamingUnsupported(WorkerError):
     """Streaming sessions were asked of a process-backed shard.
 
-    A session runs on its shard's replica-0 ``RecoveryService``, and a
+    A session runs on its shard's in-process ``RecoveryService``, and a
     process backend's services live in its workers — so sessions need
     ``backend="inproc"``; there is no solo-decode fallback.
     """

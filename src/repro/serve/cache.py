@@ -4,7 +4,9 @@ GPS devices re-report near-identical traces (stopped vehicles, retries,
 duplicated uploads); quantizing positions and timestamps before hashing
 turns those into cache hits without ever returning a result for a
 meaningfully different input.  Keys also fold in the environmental context
-and the active model name, so a hot-swap never serves stale recoveries.
+and the ε_ρ grid, and the shard files each entry under the model generation
+tag that computed it, so a hot-swap never serves stale recoveries.  Hits are
+counted by the shard's :class:`~repro.serve.ServingTelemetry`, not here.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def quantize_key(xy, times, xy_precision: float = 0.1,
 
 
 class LRUCache:
-    """A thread-safe LRU mapping with hit/miss accounting."""
+    """A thread-safe LRU mapping."""
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 0:
@@ -52,16 +54,12 @@ class LRUCache:
         self.capacity = capacity
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:
             if key in self._store:
                 self._store.move_to_end(key)
-                self.hits += 1
                 return self._store[key]
-            self.misses += 1
             return None
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -76,8 +74,3 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._store)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

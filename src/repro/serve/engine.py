@@ -158,10 +158,10 @@ class ContinuousEngine:
     """Admit / step / retire over ``capacity`` decode slots.
 
     Single-threaded by design: one engine belongs to one scheduler worker
-    (one per :class:`~repro.serve.RecoveryService`, so one per shard
-    replica).  Slots share nothing, so a job of any hidden width is seated
-    next to whatever is in flight (a hot swap to a differently-sized
-    architecture needs no drain).
+    (one per :class:`~repro.serve.RecoveryService`, so one per
+    in-process shard or worker process).  Slots share nothing, so a job
+    of any hidden width is seated next to whatever is in flight (a hot
+    swap to a differently-sized architecture needs no drain).
     """
 
     def __init__(self, capacity: int) -> None:

@@ -46,13 +46,13 @@ from .telemetry import ServingTelemetry
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Serving-layer knobs: ingest grid, decode slots, and the sizing and
-    key precisions of the shard's result cache."""
+    """Serving-layer knobs: the ingest grid, and the sizing and key
+    precisions of the shard's result cache.  The slot table keeps
+    :class:`~repro.serve.batching.ContinuousScheduler`'s default size."""
 
     interval: float = 12.0         # ε_ρ output grid spacing (seconds)
     beta: float = 15.0             # constraint kernel scale (meters)
     max_gps_error: float = 100.0   # constraint search radius (meters)
-    max_batch_size: int = 16       # decode slots in the engine's slot table
     cache_capacity: int = 1024
     xy_precision: float = 0.1      # cache-key quantization (meters)
     time_precision: float = 0.1    # cache-key quantization (seconds)
@@ -97,11 +97,8 @@ class RecoveryService:
         # hot-swap or re-register mid-window never mixes models within a
         # batch, and the response names the generation that computed it.
         # Streaming services join this scheduler's slot table.
-        self.scheduler = ContinuousScheduler(
-            self._prepare_job,
-            self._finish_job,
-            max_slots=self.config.max_batch_size,
-        )
+        self.scheduler = ContinuousScheduler(self._prepare_job,
+                                             self._finish_job)
         self._closed = False
 
     # ------------------------------------------------------------------

@@ -75,15 +75,15 @@ class ServingTelemetry:
     # ------------------------------------------------------------------
     def latencies(self) -> List[float]:
         """Snapshot of the latency reservoir (seconds) — lets a cluster
-        roll true percentiles up across replicas instead of averaging
-        per-replica percentiles."""
+        roll true percentiles up across shards instead of averaging
+        per-shard percentiles."""
         with self._lock:
             return list(self._latencies)
 
     def stats(self) -> Dict[str, float]:
         # Sampled outside the lock: a /proc read, not a counter.  Memory
-        # is process-wide (replicas share one process), so every replica
-        # reports the same figure — the cluster rollup reads one copy.
+        # is process-wide, so every telemetry in one process reports the
+        # same figure; a cluster's own ``memory`` block is the one to read.
         memory = profile.memory_snapshot()
         with self._lock:
             elapsed = max(time.perf_counter() - self._start, 1e-9)
@@ -116,11 +116,11 @@ class ServingTelemetry:
 
 def rollup(rows: Iterable[Dict[str, Any]],
            latencies: Iterable[float]) -> Dict[str, Any]:
-    """One aggregate block over per-replica :meth:`ServingTelemetry.stats`
+    """One aggregate block over per-shard :meth:`ServingTelemetry.stats`
     rows and their pooled latency observations (seconds).
 
     The percentiles are taken over the pooled observations, not averaged
-    across replicas; rows without counters (a shard that never warmed)
+    across rows; rows without counters (a shard that never warmed)
     contribute zeros.
     """
     requests = cache_hits = errors = 0

@@ -11,7 +11,7 @@ translated into that city's frame by the one-shot path's own
 session a store expired or evicted is gone here too.
 
 Per-shard :class:`~repro.stream.StreamingRecoveryService` instances are
-built lazily on the shard's replica-0 :class:`~repro.serve.RecoveryService`
+built lazily on the shard's :class:`~repro.serve.RecoveryService`
 (``shard.session_service()``: its registry, its dataset-derived ingest
 grid and its decode slots; the caller sets only the commit horizon and
 the store bounds), so a 30-city map pays for streaming state only on

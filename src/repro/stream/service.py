@@ -12,7 +12,7 @@ suffix may be revised later) → ``finalize`` (the exact one-shot answer;
 the session is then gone).
 
 A streaming service runs on a one-shot service it borrows (a shard's
-replica 0, or one built for the purpose) and never closes it: that
+service, or one built for the purpose) and never closes it: that
 service's registry resolves the model, its ``ServeConfig`` is the ingest
 grid — the only place a session's grid can come from — and its scheduler
 decodes every append suffix and finalize next to its one-shot traffic.

@@ -412,7 +412,7 @@ class TestSaveOverAPublishedBundle:
 # ---------------------------------------------------------------------------
 class TestShardArtifacts:
     def _spec(self):
-        return ShardSpec(name="chengdu", dataset="chengdu", replicas=2)
+        return ShardSpec(name="chengdu", dataset="chengdu")
 
     def _factory(self, data):
         def factory(spec, network):
@@ -420,7 +420,7 @@ class TestShardArtifacts:
         return factory
 
     def test_first_warm_builds_then_loads(self, data, tmp_path):
-        serve = {"max_batch_size": 4}
+        serve = {"cache_capacity": 4}
         first = Shard(self._spec(), model_factory=self._factory(data),
                       network_factory=lambda spec: data.network,
                       serve_overrides=serve, artifact_dir=str(tmp_path))
@@ -480,10 +480,9 @@ class TestShardArtifacts:
                       network_factory=lambda spec: data.network,
                       artifact_dir=str(tmp_path))
         shard.warm()
-        # Every replica serves off ONE registry pinning ONE mmap network.
-        services = shard._replicas.services
-        assert len(services) == 2
-        assert services[0].registry is services[1].registry
+        # The shard's service serves off its registry, which pins the
+        # mapped city.
+        assert shard.session_service().registry is shard.registry
         assert shard.registry.artifacts is not None
         shard.close()
 
@@ -499,7 +498,7 @@ class TestMemoryTelemetry:
 
     def test_serving_stats_report_rss(self, data, model):
         service = RecoveryService.from_model(
-            model, ServeConfig.for_dataset(data, max_batch_size=4))
+            model, ServeConfig.for_dataset(data))
         try:
             stats = service.stats()
         finally:

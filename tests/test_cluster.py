@@ -1,8 +1,10 @@
 """Tests for the ``repro.cluster`` sharded multi-city serving layer."""
 
 import json
+import re
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.cluster import (
     RecoveryCluster,
     RouteError,
+    Shard,
     ShardMap,
     ShardOverloaded,
     ShardRouter,
@@ -94,11 +97,10 @@ class TestShardMap:
 
     def test_json_round_trip(self, tmp_path):
         payload = {
-            "cluster": {"cell_size": 123.0, "dead_letter_capacity": 9},
-            "serve": {"max_batch_size": 4, "cache_capacity": 64},
+            "serve": {"cache_capacity": 64},
             "shards": [
                 {"name": "cd", "dataset": "chengdu", "origin": [0.0, 0.0],
-                 "replicas": 2, "max_inflight": 3},
+                 "backend": "process", "replicas": 2, "max_inflight": 3},
                 {"name": "pt", "dataset": "porto", "origin": [2500.0, 0.0],
                  "bundle": "runs/porto_model"},
             ],
@@ -106,9 +108,7 @@ class TestShardMap:
         path = tmp_path / "map.json"
         path.write_text(json.dumps(payload))
         smap = load_shard_map(str(path))
-        assert smap.cell_size == 123.0
-        assert smap.dead_letter_capacity == 9
-        assert smap.serve == {"max_batch_size": 4, "cache_capacity": 64}
+        assert smap.serve == {"cache_capacity": 64}
         assert smap.names() == ["cd", "pt"]
         assert smap.shards[0].replicas == 2
         assert smap.shards[0].max_inflight == 3
@@ -118,17 +118,47 @@ class TestShardMap:
         tomllib = pytest.importorskip("tomllib")  # noqa: F841  (py >= 3.11)
         path = tmp_path / "map.toml"
         path.write_text(
-            "[cluster]\ncell_size = 150.0\n\n"
-            "[serve]\nmax_batch_size = 8\n\n"
+            "[serve]\ncache_capacity = 8\n\n"
             "[[shard]]\nname = \"cd\"\ndataset = \"chengdu\"\n"
             "origin = [0.0, 0.0]\n\n"
             "[[shard]]\nname = \"sh\"\ndataset = \"shanghai\"\n"
-            "origin = [3000.0, 0.0]\nreplicas = 2\n"
+            "origin = [3000.0, 0.0]\nbackend = \"process\"\nreplicas = 2\n"
         )
         smap = load_shard_map(str(path))
         assert smap.names() == ["cd", "sh"]
-        assert smap.cell_size == 150.0
+        assert smap.serve == {"cache_capacity": 8}
         assert smap.shards[1].replicas == 2
+
+    def test_unknown_top_level_keys_rejected(self, tmp_path):
+        """A misspelled section, or a retired ``[cluster]`` one, is a
+        load error that names it — never silently default settings."""
+        path = tmp_path / "map.json"
+        shards = [{"name": "cd", "dataset": "chengdu"}]
+        for extra in ({"server": {"cache_capacity": 8}},
+                      {"cluster": {"cell_size": 5.0}}):
+            path.write_text(json.dumps({**extra, "shards": shards}))
+            with pytest.raises(ValueError, match=repr(next(iter(extra)))):
+                load_shard_map(str(path))
+
+    def test_doc_shard_maps_parse(self, tmp_path):
+        """Every TOML/JSON shard-map block in docs/cluster.md loads, so
+        the guide cannot drift from the schema."""
+        pytest.importorskip("tomllib")  # py >= 3.11
+        guide = Path(__file__).resolve().parents[1] / "docs" / "cluster.md"
+        blocks = re.findall(r"```(toml|json)\n(.*?)```",
+                            guide.read_text(encoding="utf-8"), re.S)
+        assert {kind for kind, _ in blocks} == {"toml", "json"}
+        for i, (kind, text) in enumerate(blocks):
+            path = tmp_path / f"map{i}.{kind}"
+            path.write_text(text)
+            assert load_shard_map(str(path)).names()
+
+    def test_inproc_shard_is_one_service(self):
+        with pytest.raises(ValueError, match="backend='process'"):
+            ShardSpec(name="x", dataset="chengdu", replicas=2)
+        spec = ShardSpec(name="x", dataset="chengdu", replicas=2,
+                         backend="process")
+        assert spec.replicas == 2
 
     def test_unknown_shard_keys_rejected(self, tmp_path):
         path = tmp_path / "map.json"
@@ -244,25 +274,20 @@ class TestClusterRouting:
 # Backpressure: bounded admission, round-robin replicas, shedding
 # ---------------------------------------------------------------------------
 class TestShedding:
-    def _slow_cluster(self, data, replicas=1, max_inflight=1):
-        smap = ShardMap(shards=(
-            ShardSpec(name="cd", dataset="chengdu", replicas=replicas,
-                      max_inflight=max_inflight),
-        ), serve={"max_batch_size": 1})
-        return RecoveryCluster(smap, model_factory=tiny_factory,
-                               network_factory=lambda spec: data.network)
-
     def test_all_replicas_saturated_sheds(self, data):
-        """With every replica at its admission bound, further submits shed
+        """With the shard at its admission bound, further submits shed
         with ShardOverloaded instead of queueing; draining re-opens
         admission."""
-        cluster = self._slow_cluster(data, replicas=2, max_inflight=1)
+        cluster = RecoveryCluster(
+            ShardMap(shards=(ShardSpec(name="cd", dataset="chengdu",
+                                       max_inflight=1),)),
+            model_factory=tiny_factory,
+            network_factory=lambda spec: data.network)
         try:
             sample = data.test[0]
-            # Two admitted, one per replica; each replica is now busy
-            # decoding (a single decode takes tens of ms) ...
-            admitted = [cluster.submit(_request(sample, f"a{i}"))
-                        for i in range(2)]
+            # One admitted; the service is now busy decoding (a single
+            # decode takes tens of ms) ...
+            admitted = cluster.submit(_request(sample, "a0"))
             # ... so the rest of the burst must shed, synchronously.
             results = cluster.recover_many(
                 [_request(sample, f"s{i}") for i in range(4)], timeout=0.5)
@@ -270,28 +295,27 @@ class TestShedding:
             assert all(r.shard == "cd" for r in results)
             stats = cluster.stats()
             assert stats["shards"]["cd"]["shed"] == 4
-            assert stats["shards"]["cd"]["inflight"] <= 2  # bounded, not queued
+            assert stats["shards"]["cd"]["inflight"] <= 1  # bounded, not queued
             assert stats["router"]["shed_by_shard"] == {"cd": 4}
             sheds = [l for l in cluster.dead_letters() if l["reason"] == "shed"]
             assert len(sheds) == 4
 
-            for future in admitted:  # the admitted pair still completes
-                future.result(timeout=300.0)
+            admitted.result(timeout=300.0)  # the admitted one still completes
             # Admission re-opens once in-flight work drains.
             reopened = cluster.recover(_request(sample, "again"), timeout=300.0)
             assert reopened.shard == "cd"
         finally:
             cluster.close()
 
-    def test_replicas_drain_round_robin(self, data):
-        cluster = self._slow_cluster(data, replicas=2, max_inflight=4)
-        try:
-            shard = cluster.shard("cd")
-            shard.warm()
-            picks = [shard._pick_replica() for _ in range(4)]
-            assert picks == [0, 1, 0, 1]
-        finally:
-            cluster.close()
+    def test_replicas_drain_round_robin(self):
+        # Placement reads only the in-flight counts, so a cold process
+        # shard (no workers forked) is enough.
+        shard = Shard(ShardSpec(name="cd", dataset="chengdu",
+                                backend="process", replicas=2,
+                                max_inflight=4))
+        picks = [shard._pick_replica() for _ in range(4)]
+        assert picks == [0, 1, 0, 1]
+        assert not shard.materialized
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +399,7 @@ class TestStatsRollup:
         assert stats["router"]["routed_by_shard"] == {"chengdu": 1}
         shard = stats["shards"]["chengdu"]
         assert shard["requests_by_model"] == {"default#1": 1}
-        assert len(shard["replica_stats"]) == shard["replicas"]
+        assert "replica_stats" not in shard
         # profile.enable() makes the rollup carry the section registry.
         # The continuous scheduler admits (encode + constraint) and sweeps
         # the slot table under its own sections.
@@ -383,27 +407,19 @@ class TestStatsRollup:
         assert "engine.step" in stats["profile"]["sections"]
         json.dumps(stats)  # the whole snapshot must be JSON-serializable
 
-    def test_shard_engine_block_sums_counters_but_not_percentiles(self, data):
-        """Two replicas waiting 10 ms and 12 ms did not wait 22 ms: the
-        shard's ``engine`` block adds the counters up and reports the
-        queue-wait percentiles of its worst replica."""
+    def test_shard_engine_block_is_its_services_scheduler_stats(self, data):
+        """An in-process shard is one service: its ``engine`` block is
+        that service's ``scheduler.stats()`` verbatim, nothing merged."""
         cluster = RecoveryCluster(
-            ShardMap(shards=(ShardSpec(name="cd", dataset="chengdu",
-                                       replicas=2, max_inflight=4),)),
+            ShardMap(shards=(ShardSpec(name="cd", dataset="chengdu"),)),
             model_factory=tiny_factory,
             network_factory=lambda spec: data.network)
         try:
-            for i, sample in enumerate(data.test[:4]):  # round-robin: 2 + 2
+            for i, sample in enumerate(data.test[:4]):
                 cluster.recover(_request(sample, f"q{i}"), timeout=300.0)
-            shard = cluster.stats()["shards"]["cd"]
+            shard = cluster.shard("cd")
+            engine = cluster.stats()["shards"]["cd"]["engine"]
+            assert engine == shard.session_service().scheduler.stats()
         finally:
             cluster.close()
-        engine = shard["engine"]
-        rows = [row["engine"] for row in shard["replica_stats"]]
-        assert [row["admitted"] for row in rows] == [2, 2]
-        assert set(engine) == set(rows[0])
-        for key in ("queue_wait_ms_p50", "queue_wait_ms_p95"):
-            assert all(row[key] > 0 for row in rows)
-            assert engine[key] == max(row[key] for row in rows)
-        for key in set(engine) - {"queue_wait_ms_p50", "queue_wait_ms_p95"}:
-            assert engine[key] == sum(row[key] for row in rows), key
+        assert engine["admitted"] == 4

@@ -788,8 +788,7 @@ class TestServiceEquivalence:
         the solo one-shot recover of its own request."""
         samples = pick_mix(pools, "short_long", 6)
         service = RecoveryService.from_model(
-            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
-                               max_batch_size=4))
+            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0))
         try:
             requests = [_request(s, f"r{i}") for i, s in enumerate(samples)]
             responses = service.recover_many(requests, timeout=300.0)
@@ -814,8 +813,7 @@ class TestStreamingJoin:
         service streams — while one-shot traffic shares the busy one's
         slot table."""
         serve = RecoveryService.from_model(
-            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0,
-                               max_batch_size=8))
+            model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0))
         idle = RecoveryService.from_model(
             model, ServeConfig(interval=12.0, beta=15.0, max_gps_error=100.0))
         joined = StreamingRecoveryService(serve, commit_horizon=4)

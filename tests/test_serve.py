@@ -43,14 +43,6 @@ class TestLRUCache:
         assert cache.get("c") == 3
         assert len(cache) == 2
 
-    def test_hit_rate(self):
-        cache = LRUCache(capacity=4)
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.get("missing") is None
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
     def test_quantized_keys_absorb_jitter(self):
         xy = np.array([[100.0, 200.0], [150.0, 260.0]])
         times = np.array([0.0, 96.0])
@@ -89,19 +81,12 @@ def _request(sample, request_id=""):
                            request_id=request_id)
 
 
-def _serve_config(data, **overrides):
-    defaults = dict(max_batch_size=8)
-    defaults.update(overrides)
-    return ServeConfig.for_dataset(data, **defaults)
-
-
 def _shard(data, model):
-    """A one-replica shard over ``model``: the result cache lives in front
-    of the replica's service, so the cache tests go through here."""
+    """An in-process shard over ``model``: the result cache lives in front
+    of the shard's service, so the cache tests go through here."""
     return Shard(ShardSpec(name="chengdu", dataset="chengdu"),
                  model_factory=lambda spec, network: model,
-                 network_factory=lambda spec: data.network,
-                 serve_overrides=dict(max_batch_size=8))
+                 network_factory=lambda spec: data.network)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +96,7 @@ class TestAssembleSample:
     def test_matches_offline_pipeline(self, data):
         offline = data.test[0]
         serving = assemble_sample(_request(offline), data.network,
-                                  _serve_config(data).ingest())
+                                  ServeConfig.for_dataset(data).ingest())
         assert serving.target_length == offline.target_length
         assert np.array_equal(serving.observed_steps, offline.observed_steps)
         assert np.array_equal(serving.target.times, offline.target.times)
@@ -123,7 +108,7 @@ class TestAssembleSample:
                                                   num_segments))
 
     def test_rejects_degenerate_requests(self, data):
-        config = _serve_config(data).ingest()
+        config = ServeConfig.for_dataset(data).ingest()
         with pytest.raises(RequestError):
             assemble_sample(RecoveryRequest(np.zeros((1, 2)), np.zeros(1)),
                             data.network, config)
@@ -158,7 +143,7 @@ class TestPaddedRecovery:
 # ---------------------------------------------------------------------------
 class TestRecoveryService:
     def test_batched_results_equal_per_request_recover(self, data, model):
-        service = RecoveryService.from_model(model, _serve_config(data))
+        service = RecoveryService.from_model(model, ServeConfig.for_dataset(data))
         samples = (data.test + data.val)[:6]
         responses = service.recover_many(
             [_request(s, f"r{i}") for i, s in enumerate(samples)], timeout=120.0)
@@ -203,7 +188,7 @@ class TestRecoveryService:
 
     def test_bad_request_fails_future_and_counts_error(self, data, model):
         service = RecoveryService.from_model(
-            model, _serve_config(data))
+            model, ServeConfig.for_dataset(data))
         futures = [
             service.submit(RecoveryRequest(np.zeros((1, 2)), np.zeros(1))),
             service.submit(RecoveryRequest(np.zeros((0, 2)), np.zeros(0))),
@@ -215,7 +200,7 @@ class TestRecoveryService:
         service.close()
 
     def test_stats_shape(self, data, model):
-        service = RecoveryService.from_model(model, _serve_config(data))
+        service = RecoveryService.from_model(model, ServeConfig.for_dataset(data))
         stats = service.stats()
         service.close()
         for key in ("requests", "qps", "latency_ms_p50", "latency_ms_p95",
@@ -354,7 +339,7 @@ class TestModelRegistry:
     def test_in_flight_requests_finish_on_submit_time_model(self, data, model):
         registry = ModelRegistry(data.network)
         registry.add_loaded("v1", model, activate=True)
-        service = RecoveryService(registry, _serve_config(data))
+        service = RecoveryService(registry, ServeConfig.for_dataset(data))
 
         # Submit while v1 is active, then hot-swap while it is in flight.
         future = service.submit(_request(data.test[0], "inflight"))

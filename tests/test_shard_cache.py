@@ -5,14 +5,14 @@ that runs the front door:
 
 1. **one cache per shard** — a repeat hits whichever replica round-robin
    would pick next, on either backend, and never reaches a replica;
-2. **hits are never shed** — a cached trace is answered while every
-   replica is at ``max_inflight``;
+2. **hits are never shed** — a cached trace is answered while the shard
+   is at ``max_inflight``;
 3. **generation safety** — a result is filed under the tag of the
    generation that computed it, never the tag its lookup used;
 4. **no hang** — a failure inside the chained completion fails the
    caller's future.
 
-Replicas are held busy with a gated ``prepare``, never with ``sleep``.
+The service is held busy with a gated ``prepare``, never with ``sleep``.
 """
 
 import threading
@@ -46,7 +46,12 @@ def requests(data):
             for i, s in enumerate(data.train[:4])]
 
 
-def build_cluster(data, model, replicas=2, backend="inproc", max_inflight=32):
+def build_cluster(data, model, backend="inproc", replicas=None,
+                  max_inflight=32):
+    """A one-shard cluster: one service in-process, two workers (unless
+    ``replicas`` says otherwise) as processes."""
+    if replicas is None:
+        replicas = 2 if backend == "process" else 1
     return RecoveryCluster(
         ShardMap(shards=(ShardSpec(name="chengdu", dataset="chengdu",
                                    replicas=replicas, backend=backend,
@@ -56,23 +61,25 @@ def build_cluster(data, model, replicas=2, backend="inproc", max_inflight=32):
 
 
 def gate_prepares(shard, monkeypatch):
-    """Hold every replica's scheduler inside ``prepare`` until the
-    returned event is set (in-process replicas only)."""
+    """Hold the in-process shard's scheduler inside ``prepare`` until the
+    returned event is set."""
     gate = threading.Event()
-    for service in shard.warm()._replicas.services:
-        prepare = service.scheduler._prepare
+    scheduler = shard.warm().session_service().scheduler
+    prepare = scheduler._prepare
 
-        def gated(item, prepare=prepare):
-            gate.wait(timeout=60.0)
-            return prepare(item)
+    def gated(item):
+        gate.wait(timeout=60.0)
+        return prepare(item)
 
-        monkeypatch.setattr(service.scheduler, "_prepare", gated)
+    monkeypatch.setattr(scheduler, "_prepare", gated)
     return gate
 
 
 def replica_requests(stats):
-    rows = stats.get("replica_stats") or stats["worker_stats"]
-    return sum(row["requests"] for row in rows)
+    """Requests that reached the service or the workers (misses only)."""
+    if "engine" in stats:
+        return stats["engine"]["admitted"]
+    return sum(row["requests"] for row in stats["worker_stats"])
 
 
 def same_trajectory(a, b):
@@ -88,8 +95,8 @@ class TestOneCachePerShard:
         with build_cluster(data, model, backend=backend) as cluster:
             shard = cluster.shard("chengdu")
             first = shard.submit(requests[0]).result(timeout=120)
-            # Round-robin would hand the repeat to replica 1, which has
-            # never seen the trace.
+            # On the process backend round-robin would hand the repeat to
+            # worker 1, which has never seen the trace.
             second = shard.submit(requests[0]).result(timeout=120)
             stats = shard.stats()
         assert not first.cached and second.cached
@@ -107,19 +114,18 @@ class TestOneCachePerShard:
             warm = shard.submit(requests[0]).result(timeout=120)
             gate = gate_prepares(shard, monkeypatch)
             try:
-                busy = [shard.submit(r) for r in requests[1:3]]  # one each
+                busy = shard.submit(requests[1])
                 with pytest.raises(ShardOverloaded):
-                    shard.submit(requests[3])
+                    shard.submit(requests[2])
                 hit = shard.submit(requests[0])
                 assert hit.done()  # answered on the calling thread
                 assert hit.result().cached
                 assert same_trajectory(hit.result().trajectory, warm.trajectory)
             finally:
                 gate.set()
-            for future in busy:
-                assert not future.result(timeout=120).cached
+            assert not busy.result(timeout=120).cached
             stats = shard.stats()
-        assert (stats["shed"], stats["requests"], stats["cache_hits"]) == (1, 4, 1)
+        assert (stats["shed"], stats["requests"], stats["cache_hits"]) == (1, 3, 1)
 
 
 class TestGenerationSafety:
@@ -128,7 +134,7 @@ class TestGenerationSafety:
         """A miss looked up and computed under generation A, whose door
         swaps to B before it resolves, is filed under A: a lookup under B
         misses, and swapping back to A hits it."""
-        with build_cluster(data, model, replicas=1) as cluster:
+        with build_cluster(data, model) as cluster:
             shard = cluster.shard("chengdu")
             gate = gate_prepares(shard, monkeypatch)
             pending = shard.submit(requests[0])
@@ -174,7 +180,7 @@ class TestGenerationSafety:
 
 def test_failure_in_the_chained_completion_fails_the_future(
         data, model, requests, monkeypatch):
-    with build_cluster(data, model, replicas=1) as cluster:
+    with build_cluster(data, model) as cluster:
         shard = cluster.shard("chengdu")
         shard.warm()
 

@@ -78,7 +78,11 @@ def requests(data):
             for i, s in enumerate(data.train[:6])]
 
 
-def one_shard_map(replicas=2, backend="process", **kwargs):
+def one_shard_map(replicas=None, backend="process", **kwargs):
+    """One chengdu shard: two workers as processes (unless ``replicas``
+    says otherwise), the one service in-process."""
+    if replicas is None:
+        replicas = 2 if backend == "process" else 1
     return ShardMap(shards=(ShardSpec(name="chengdu", dataset="chengdu",
                                       replicas=replicas, backend=backend,
                                       **kwargs),))
@@ -502,7 +506,7 @@ SHARED_STATS = {
     "latency_ms_p99", "cache_size", "cache_capacity",
 }
 BACKEND_STATS = {
-    "inproc": {"engine", "replica_stats"},
+    "inproc": {"engine"},
     "process": {"crashes", "respawns", "degraded", "worker_stats"},
 }
 
@@ -511,7 +515,7 @@ class TestReplicaSurface:
     @pytest.mark.parametrize("backend", ["inproc", "process"])
     def test_shard_behaves_the_same_on_either_backend(self, data, model,
                                                       requests, backend):
-        cluster = build_cluster(data, model, replicas=2, backend=backend)
+        cluster = build_cluster(data, model, backend=backend)
         shard = cluster.shard("chengdu")
         try:
             first = [shard.submit(r).result(timeout=120) for r in requests[:3]]
@@ -550,8 +554,7 @@ class TestReplicaSurface:
         counters, and the function itself is checked on fixed rows."""
         blocks = {}
         for backend in ("inproc", "process"):
-            with build_cluster(data, model, replicas=2,
-                               backend=backend) as cluster:
+            with build_cluster(data, model, backend=backend) as cluster:
                 for _ in range(2):  # round two lands on the same replicas
                     assert all(r.ok for r in cluster.recover_many(requests))
                 stats = cluster.stats()["shards"]["chengdu"]

@@ -10,9 +10,9 @@ the in-flight slot with the smallest key.  A preempted decode simply
 stays in its slot — carry, keys and output buffers — while a shorter one
 runs.
 
-The worker thread owns all scheduling state; callers interact only through
-``submit`` / ``submit_job`` (each returns a ``concurrent.futures.Future``),
-``flush`` and ``close``.
+The worker thread owns all scheduling state and builds every decode job;
+callers interact only through ``submit`` (returns a
+``concurrent.futures.Future``), ``flush`` and ``close``.
 """
 
 from __future__ import annotations
@@ -25,20 +25,20 @@ from collections import deque
 from concurrent.futures import CancelledError, Future
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from .. import profile
 from .telemetry import percentile
 
 
 class _Entry:
-    """One outstanding decode: its fixed ``(due, arrival)`` key, payload,
-    future and enqueue time."""
+    """One outstanding decode: its fixed ``(due, arrival)`` key, the
+    closure that builds its job, future and enqueue time."""
 
-    __slots__ = ("key", "is_job", "payload", "future", "enqueued")
+    __slots__ = ("key", "prepare", "future", "enqueued")
 
-    def __init__(self, key: Tuple[int, int], is_job: bool,
-                 payload: Any) -> None:
+    def __init__(self, key: Tuple[int, int],
+                 prepare: Callable[[], Any]) -> None:
         self.key = key
-        self.is_job = is_job
-        self.payload = payload
+        self.prepare: Optional[Callable[[], Any]] = prepare
         self.future: Future = Future()
         self.enqueued = time.perf_counter()
 
@@ -70,35 +70,29 @@ class ContinuousScheduler:
     still replays the exact op sequence of a solo decode; only the order
     of steps across slots changes.
 
-    Two front doors share the same slot table:
-
-    * ``submit(item, steps)`` — the one-shot path; ``steps`` is the
-      request's grid length, ``prepare(item)`` builds the
-      :class:`DecodeJob` on the worker thread (encode + constraint), and
-      ``finish(item, result)`` shapes the resolved value.
-    * ``submit_job(job)`` — the streaming path; a session has already
-      built its job (:func:`~repro.serve.engine.build_job` from a carry
-      checkpoint for an append's suffix, from step 0 for ``finalize``), so
-      it is keyed by ``job.num_steps`` and the future resolves to the raw
-      :class:`DecodeResult`.
+    One front door, ``submit(steps, prepare)``: ``steps`` is the
+    decode's grid length, known before anything is built, and
+    ``prepare()`` builds its :class:`DecodeJob` at admission, on the
+    worker thread (:func:`~repro.serve.engine.build_job` — encode,
+    constraint and, for a one-shot request, the Eq. 16 assembly).  The
+    future resolves to the raw :class:`DecodeResult`.  A one-shot request
+    and a streaming session's suffix decode or ``finalize`` differ only
+    in the closure they pass.
 
     Everything — admission, prepare, steps, resolution — runs on the one
-    worker thread by design.  A disaggregated-admission variant (prepare
-    on its own thread, vLLM prefill/decode style) was measured and
-    rejected: at this model scale both threads are GIL-bound, so overlap
-    buys nothing.
+    worker thread by design, so a caller only validates and enqueues and
+    never competes with the running decode for the interpreter lock:
+    building the constraint on the callers' threads made the perf
+    ledger's ``metro-burst`` load generator run late (traced
+    ``client.lateness_p95_ms`` 13.8 ms on 2 vCPUs, against 1.8 ms once
+    the work moved here).  A disaggregated-admission variant (prepare on its own
+    thread, vLLM prefill/decode style) was measured and rejected: at this
+    model scale both threads are GIL-bound, so overlap buys nothing.
     """
 
-    def __init__(
-        self,
-        prepare: Callable[[Any], "DecodeJob"],
-        finish: Optional[Callable[[Any, "DecodeResult"], Any]] = None,
-        max_slots: int = 16,
-    ) -> None:
+    def __init__(self, max_slots: int = 16) -> None:
         from .engine import ContinuousEngine  # avoid import cycle at module load
 
-        self._prepare = prepare
-        self._finish = finish or (lambda item, result: result)
         self.engine = ContinuousEngine(max_slots)
         self._cond = threading.Condition()
         self._arrivals = itertools.count()
@@ -116,22 +110,15 @@ class ContinuousScheduler:
         self._worker.start()
 
     # ------------------------------------------------------------------
-    def submit(self, item: Any, steps: int) -> Future:
-        """Enqueue one request of ``steps`` grid steps; resolves to
-        ``finish(item, result)``."""
-        return self._enqueue(False, item, steps)
-
-    def submit_job(self, job: Any) -> Future:
-        """Enqueue a pre-built :class:`DecodeJob` (streaming session
-        decodes join here); resolves to its :class:`DecodeResult`."""
-        return self._enqueue(True, job, job.num_steps)
-
-    def _enqueue(self, is_job: bool, payload: Any, steps: int) -> Future:
+    def submit(self, steps: int, prepare: Callable[[], Any]) -> Future:
+        """Enqueue one decode of ``steps`` grid steps whose job
+        ``prepare()`` builds on the worker at admission; resolves to its
+        :class:`DecodeResult`."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("ContinuousScheduler is closed")
             entry = _Entry((self.engine.slot_steps + int(steps),
-                            next(self._arrivals)), is_job, payload)
+                            next(self._arrivals)), prepare)
             heapq.heappush(self._queue, entry)
             self._cond.notify_all()
         return entry.future
@@ -191,16 +178,6 @@ class ContinuousScheduler:
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
-        try:
-            self._rounds()
-        finally:
-            # The owner's bound prepare/finish hooks close a reference
-            # cycle (owner -> scheduler -> owner): dropping them once the
-            # worker is gone lets reference counting free a closed owner,
-            # its models and road network, without a cyclic-GC pass.
-            self._prepare = self._finish = None
-
-    def _rounds(self) -> None:
         while True:
             with self._cond:
                 while (not self._queue and not self._inflight
@@ -240,9 +217,12 @@ class ContinuousScheduler:
         future = entry.future
         if not future.set_running_or_notify_cancel():
             return
+        # The closure holds the request and its model; the slot holds the
+        # built job from here on.
+        prepare, entry.prepare = entry.prepare, None
         try:
-            job = (entry.payload if entry.is_job
-                   else self._prepare(entry.payload))
+            with profile.section("serve.admit"):
+                job = prepare()
             slot = self.engine.admit(job)
         except BaseException as exc:
             future.set_exception(exc)
@@ -263,17 +243,10 @@ class ContinuousScheduler:
         for entry, retirement in entries:
             if entry is None:
                 continue
-            future = entry.future
             if retirement.error is not None:
-                future.set_exception(retirement.error)
-                continue
-            try:
-                value = (retirement.result if entry.is_job
-                         else self._finish(entry.payload, retirement.result))
-            except BaseException as exc:
-                future.set_exception(exc)
-                continue
-            future.set_result(value)
+                entry.future.set_exception(retirement.error)
+            else:
+                entry.future.set_result(retirement.result)
 
     def _abandon_inflight(self) -> None:
         """Caller holds the lock; fail every in-flight future and exit."""

@@ -245,32 +245,44 @@ def fix_entries(network: RoadNetwork, xy: np.ndarray,
             for x, y in xy]
 
 
+def request_alignment(request: RecoveryRequest, interval: float,
+                      alignment=None) -> Tuple[RawTrajectory, tuple]:
+    """``(raw, (grid times, snapped steps))`` of a request that can be
+    decoded, or :class:`RequestError`: :meth:`RecoveryRequest.raw`'s
+    checks, at least two fixes, at most :data:`MAX_GRID_STEPS` grid steps
+    (:func:`grid_alignment`), and every fix on its own, later step.  The
+    one home of these rules; none reads the network, so
+    ``RecoveryService.submit`` runs them before queueing anything."""
+    raw = request.raw()
+    if len(raw) < 2:
+        raise RequestError("a recovery request needs at least two GPS fixes")
+    grid_times, steps = alignment if alignment is not None else grid_alignment(
+        raw.times, interval)
+    if np.any(np.diff(steps) <= 0):
+        raise RequestError(
+            "input fixes must map to distinct increasing ε_ρ steps; "
+            f"got {steps.tolist()} for interval {interval}"
+        )
+    return raw, (grid_times, steps)
+
+
 def assemble_sample(request: RecoveryRequest, network: RoadNetwork,
                     config: Optional[IngestConfig] = None,
                     alignment=None, entries=None) -> RecoverySample:
     """Build a target-less :class:`RecoverySample` from a raw request.
 
     The output grid spans [t0, t_end] at ``config.interval``; each input fix
-    snaps to its nearest grid step (they must map to distinct, increasing
-    steps) and contributes an Eq. 16 constraint row, exactly as the offline
+    snaps to its nearest grid step (:func:`request_alignment`'s rules) and
+    contributes an Eq. 16 constraint row, exactly as the offline
     dataset builder does.  The target arrays are placeholders — only their
     length and time grid drive decoding.  ``alignment`` lets a caller that
-    already ran :func:`grid_alignment` (the serving cache key path) pass the
-    result in instead of recomputing it; ``entries`` likewise passes in the
-    fixes' :func:`fix_entries` (a streaming session's per-fix memo).
+    already ran :func:`grid_alignment` (``RecoveryService.submit``) pass
+    the result in instead of recomputing it; ``entries`` likewise passes in
+    the fixes' :func:`fix_entries` (a streaming session's per-fix memo).
     """
     config = config or IngestConfig()
-    raw = request.raw()
-    if len(raw) < 2:
-        raise RequestError("a recovery request needs at least two GPS fixes")
-    grid_times, steps = alignment if alignment is not None else grid_alignment(
-        raw.times, config.interval)
-    if np.any(np.diff(steps) <= 0):
-        raise RequestError(
-            "input fixes must map to distinct increasing ε_ρ steps; "
-            f"got {steps.tolist()} for interval {config.interval}"
-        )
-
+    raw, (grid_times, steps) = request_alignment(request, config.interval,
+                                                 alignment)
     constraints: list[SparseMask] = [None] * len(grid_times)
     for step, entry in zip(steps, entries if entries is not None
                            else fix_entries(network, raw.xy, config)):

@@ -3,12 +3,18 @@
 Raw GPS requests come in; recovered ε_ρ trajectories come out.  The
 pipeline per request:
 
-1. **assembly** — :func:`~repro.serve.request.assemble_sample` turns the
-   raw fixes into the same sample structure the offline pipeline builds;
+1. **validation**, on the caller's thread —
+   :func:`~repro.serve.request.request_alignment` checks the fixes and
+   aligns them on the ε_ρ grid, and the registry resolves the model; a
+   bad request fails its future before anything is queued;
 2. **scheduling** — the decode scheduler (:mod:`repro.serve.batching`)
-   keys the request by its own grid length, admits it into a decode slot
-   (:mod:`repro.serve.engine`) when it is the outstanding decode with the
-   earliest solo finish, and steps it until its own grid ends;
+   keys the request by its own grid length, and when it is the
+   outstanding decode with the earliest solo finish its worker thread
+   runs the request's closure —
+   :func:`~repro.serve.request.assemble_sample` (one Eq. 16 candidate
+   search per fix), then :func:`~repro.serve.engine.build_job` (encode +
+   constraint) — admits the job into a decode slot
+   (:mod:`repro.serve.engine`) and steps it until its own grid ends;
 3. **telemetry** — latency, QPS and slot-table counters behind
    :meth:`RecoveryService.stats`.
 
@@ -25,21 +31,20 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .. import profile
 from ..core.model import RNTrajRec
 from ..roadnet.network import RoadNetwork
-from ..trajectory.dataset import RecoverySample
 from ..trajectory.trajectory import MatchedTrajectory
 from .batching import ContinuousScheduler
-from .engine import DecodeJob, DecodeResult, build_job
+from .engine import DecodeJob, build_job
 from .registry import ModelRegistry
 from .request import (
     IngestConfig,
     RecoveryRequest,
     RecoveryResponse,
     assemble_sample,
+    request_alignment,
 )
 from .telemetry import ServingTelemetry
 
@@ -92,13 +97,8 @@ class RecoveryService:
         self.config = config or ServeConfig()
         self.shard = shard  # cluster shard label; stamped on every response
         self.telemetry = ServingTelemetry()
-        # Work items are (sample, model_tag, model): the model is resolved
-        # once at submit time, and the tag travels with the item, so a
-        # hot-swap or re-register mid-window never mixes models within a
-        # batch, and the response names the generation that computed it.
         # Streaming services join this scheduler's slot table.
-        self.scheduler = ContinuousScheduler(self._prepare_job,
-                                             self._finish_job)
+        self.scheduler = ContinuousScheduler()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -133,14 +133,23 @@ class RecoveryService:
         outer: "Future[RecoveryResponse]" = Future()
         outer.set_running_or_notify_cancel()
 
+        ingest = self.config.ingest()
         try:
+            _, alignment = request_alignment(request, ingest.interval)
+            # The model is resolved here and bound into the closure, so a
+            # hot swap while the request queues never changes the model
+            # that decodes it, and the response names that generation.
             model_name, model_tag, model = self.registry.active_ref()
-            sample = assemble_sample(request, self.registry.network,
-                                     self.config.ingest())
+            network = self.registry.network
+
+            def prepare() -> DecodeJob:
+                sample = assemble_sample(request, network, ingest,
+                                         alignment=alignment)
+                return build_job(model, sample, model_tag)
+
             # close() may race us past the _closed check at entry; the
             # scheduler's own refusal must fail the future, not submit().
-            inner = self.scheduler.submit((sample, model_tag, model),
-                                          sample.target_length)
+            inner = self.scheduler.submit(len(alignment[0]), prepare)
         except Exception as exc:
             self.telemetry.record_error()
             outer.set_exception(exc)
@@ -152,11 +161,14 @@ class RecoveryService:
                 self.telemetry.record_error()
                 outer.set_exception(exc)
                 return
+            result = done.result()
             latency = time.perf_counter() - start
             self.telemetry.record_request(latency, cache_hit=False,
                                           model_tag=model_tag)
             outer.set_result(RecoveryResponse(
-                request_id=request.request_id, trajectory=done.result(),
+                request_id=request.request_id,
+                trajectory=MatchedTrajectory(result.segments, result.rates,
+                                             alignment[0]),
                 cached=False, latency_ms=1000.0 * latency, model=model_name,
                 model_tag=model_tag, shard=self.shard,
             ))
@@ -208,18 +220,3 @@ class RecoveryService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Continuous-batching hooks (scheduler-worker thread only)
-    # ------------------------------------------------------------------
-    def _prepare_job(self, item: Tuple[RecoverySample, str, RNTrajRec]) -> DecodeJob:
-        """Admission: the request's whole grid as one decode job."""
-        sample, tag, model = item
-        with profile.section("serve.admit"):
-            return build_job(model, sample, tag)
-
-    def _finish_job(self, item: Tuple[RecoverySample, str, RNTrajRec],
-                    result: DecodeResult) -> MatchedTrajectory:
-        sample = item[0]
-        return MatchedTrajectory(result.segments, result.rates,
-                                 sample.target.times)

@@ -40,11 +40,14 @@ bit-identical to it), giving the exact guarantee: finalize after N
 appends ≡ one-shot recovery of the same N points.
 ``tests/test_stream.py`` asserts both halves.
 
-Every built job joins the slot table of the
+Every decode joins the slot table of the
 :class:`~repro.serve.ContinuousScheduler` the caller passes — a session's
 :class:`~repro.serve.RecoveryService`'s, so a shard's one-shot traffic
-decodes next to it.  Ingest has no second path either: a session keeps
-one Eq. 16 entry per fix, and its decode sample is
+decodes next to it — as a ``build_job`` closure over the session's
+values, which that scheduler's worker runs at admission while the caller
+waits, holding the session lock.  Ingest stays on the caller's thread
+and has no second path: a session keeps one Eq. 16 entry per fix,
+computed for the new fixes only, and its decode sample is
 :func:`~repro.serve.request.assemble_sample` over the fixes so far with
 those entries passed in — one-shot assembly, memoized.
 """
@@ -153,11 +156,13 @@ def decode(model: RNTrajRec, session: SessionState, sample: RecoverySample,
              if session.carry is not None else 0)
     commit = max(start, length - max(int(commit_horizon), 0))
 
+    # The session's values are bound now; the worker encodes and builds
+    # the constraint at admission while the caller waits.
+    tag, carry = session.model_tag, session.carry if start else None
     with profile.section("stream.decode"):
-        job = build_job(model, sample, session.model_tag, start=start,
-                        carry=session.carry if start else None,
-                        checkpoint_at=commit - start)
-        result = scheduler.submit_job(job).result()
+        result = scheduler.submit(length - start, lambda: build_job(
+            model, sample, tag, start=start, carry=carry,
+            checkpoint_at=commit - start)).result()
 
     segments = np.concatenate([session.segments[:start], result.segments])
     rates = np.concatenate([session.rates[:start], result.rates])
@@ -197,8 +202,9 @@ def finalize(model: RNTrajRec, session: SessionState, sample: RecoverySample,
         decoded = not (session.full_decode
                        and len(session.segments) == sample.target_length)
         if decoded:
-            result = scheduler.submit_job(
-                build_job(model, sample, session.model_tag)).result()
+            tag = session.model_tag
+            result = scheduler.submit(sample.target_length, lambda: build_job(
+                model, sample, tag)).result()
             segments, rates = result.segments, result.rates
         else:
             segments, rates = session.segments, session.rates

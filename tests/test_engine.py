@@ -17,7 +17,6 @@ import dataclasses
 import gc
 import os
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -110,7 +109,7 @@ def solo(model):
 
 def job_for(model, sample, weights=None, checkpoint_at=-1):
     """The engine admission of one sample — exactly the ops the service's
-    ``_prepare_job`` hook runs."""
+    queued closure runs through ``build_job``."""
     batch = make_batch([sample])
     with no_grad():
         encoded = model.encode(batch)
@@ -495,17 +494,13 @@ class TestContinuousScheduler:
         first — with the right result on each."""
         long_sample, short_sample = pools["long"][0], pools["short"][0]
         order = []
-        scheduler = ContinuousScheduler(
-            prepare=lambda sample: job_for(model, sample),
-            finish=lambda sample, result: (sample, result),
-            max_slots=4,
-        )
+        scheduler = ContinuousScheduler(max_slots=4)
         try:
             futures = {
-                "long": scheduler.submit(long_sample,
-                                         long_sample.target_length),
-                "short": scheduler.submit(short_sample,
-                                          short_sample.target_length),
+                "long": scheduler.submit(long_sample.target_length,
+                                         lambda: job_for(model, long_sample)),
+                "short": scheduler.submit(short_sample.target_length,
+                                          lambda: job_for(model, short_sample)),
             }
             for name, future in futures.items():
                 future.add_done_callback(
@@ -516,8 +511,7 @@ class TestContinuousScheduler:
             scheduler.close()
         assert order == ["short", "long"]
         for name, sample in (("long", long_sample), ("short", short_sample)):
-            got_sample, result = resolved[name]
-            assert got_sample is sample
+            result = resolved[name]
             seg_solo, rate_solo = solo(sample)
             assert np.array_equal(result.segments, seg_solo)
             assert np.array_equal(result.rates, rate_solo)
@@ -549,9 +543,10 @@ class TestContinuousScheduler:
             gate.wait(timeout=60.0)
             return jobs[index]
 
-        scheduler = ContinuousScheduler(prepare=prepare, max_slots=8)
+        scheduler = ContinuousScheduler(max_slots=8)
         try:
-            futures = [scheduler.submit(i, n) for i, n in enumerate(lengths)]
+            futures = [scheduler.submit(n, lambda i=i: prepare(i))
+                       for i, n in enumerate(lengths)]
             for i, future in enumerate(futures):
                 future.add_done_callback(lambda _, i=i: order.append(i))
             gate.set()
@@ -575,15 +570,16 @@ class TestContinuousScheduler:
 
         def on_step(admitted):
             if scheduler.engine.slot_steps == 5:  # long is 5 steps in
-                watch("short", scheduler.submit(short_sample,
-                                                short_sample.target_length))
+                watch("short", scheduler.submit(
+                    short_sample.target_length,
+                    lambda: job_for(model, short_sample)))
 
-        scheduler = ContinuousScheduler(
-            prepare=lambda sample: job_for(model, sample), max_slots=4)
+        scheduler = ContinuousScheduler(max_slots=4)
         on_each_step(scheduler, on_step)
         try:
-            watch("long", scheduler.submit(long_sample,
-                                           long_sample.target_length))
+            watch("long", scheduler.submit(
+                long_sample.target_length,
+                lambda: job_for(model, long_sample)))
             long_result = futures["long"].result(timeout=120.0)
             short_result = futures["short"].result(timeout=120.0)
             stats = scheduler.stats()
@@ -614,14 +610,15 @@ class TestContinuousScheduler:
         def on_step(admitted):
             clock = scheduler.engine.slot_steps
             if clock % every == 0 and clock < until:
-                arrivals[clock] = scheduler.submit_job(short_job)
+                arrivals[clock] = scheduler.submit(short_steps,
+                                                   lambda: short_job)
                 arrivals[clock].add_done_callback(
                     lambda _, clock=clock: order.append(clock))
 
-        scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=8)
+        scheduler = ContinuousScheduler(max_slots=8)
         on_each_step(scheduler, on_step)
         try:
-            long_future = scheduler.submit_job(long_job)
+            long_future = scheduler.submit(long_steps, lambda: long_job)
             long_future.add_done_callback(lambda _: order.append("long"))
             long_future.result(timeout=120.0)
             while scheduler.pending:  # the hook enqueues while we flush
@@ -638,9 +635,9 @@ class TestContinuousScheduler:
         assert stats["slot_steps"] == long_steps + short_steps * len(arrivals)
 
     def test_flush_close_and_pending(self, model, pools):
-        scheduler = ContinuousScheduler(
-            prepare=lambda sample: job_for(model, sample), max_slots=2)
-        futures = [scheduler.submit(s, s.target_length)
+        scheduler = ContinuousScheduler(max_slots=2)
+        futures = [scheduler.submit(s.target_length,
+                                    lambda s=s: job_for(model, s))
                    for s in pools["short"][:4]]
         scheduler.flush()
         assert all(f.done() for f in futures)
@@ -649,19 +646,21 @@ class TestContinuousScheduler:
         assert stats["admitted"] == 4 and stats["retired"] == 4
         scheduler.close()
         with pytest.raises(RuntimeError):
-            scheduler.submit(pools["short"][0], 1)
+            scheduler.submit(1, lambda: job_for(model, pools["short"][0]))
 
     def test_close_without_drain_fails_pending_futures(self, model, pools):
-        release = threading.Event()
+        entered, release = threading.Event(), threading.Event()
 
         def slow_prepare(sample):
+            entered.set()
             release.wait(timeout=60.0)
             return job_for(model, sample)
 
-        scheduler = ContinuousScheduler(prepare=slow_prepare, max_slots=2)
-        futures = [scheduler.submit(s, s.target_length)
+        scheduler = ContinuousScheduler(max_slots=2)
+        futures = [scheduler.submit(s.target_length,
+                                    lambda s=s: slow_prepare(s))
                    for s in pools["short"][:3]]
-        time.sleep(0.05)  # let the worker block inside slow_prepare
+        assert entered.wait(timeout=60.0)  # the worker is inside slow_prepare
         release.set()
         scheduler.close(drain=False)
         for future in futures:
@@ -684,17 +683,20 @@ class TestContinuousScheduler:
             gate.wait(timeout=60.0)
             return job_for(model, sample)
 
-        scheduler = ContinuousScheduler(prepare=prepare, max_slots=4)
+        scheduler = ContinuousScheduler(max_slots=4)
         on_each_step(scheduler, occupancy.append)
         try:
             # The gate holds the worker inside the long job's prepare, so
             # the other two are queued by the time it is seated.
             futures = {"first": scheduler.submit(
-                pools["long"][0], pools["long"][0].target_length)}
+                pools["long"][0].target_length,
+                lambda: prepare(pools["long"][0]))}
             assert entered.wait(timeout=60.0)
-            futures["wide"] = scheduler.submit_job(wide_job)
+            futures["wide"] = scheduler.submit(wide_job.num_steps,
+                                               lambda: wide_job)
             futures["behind"] = scheduler.submit(
-                pools["short"][1], pools["short"][1].target_length)
+                pools["short"][1].target_length,
+                lambda: prepare(pools["short"][1]))
             for name, future in futures.items():
                 future.add_done_callback(
                     lambda _, name=name: order.append(name))
@@ -731,16 +733,17 @@ class TestContinuousScheduler:
                 base, num_steps=num_steps, constraint=DecodeConstraint(
                     np.ones((1, rows)), nothing, nothing, nothing[0, :0],
                     np.zeros(0), model.network.num_segments))
-            return scheduler.submit_job(job), weakref.ref(job.constraint)
+            return (scheduler.submit(num_steps, lambda: job),
+                    weakref.ref(job.constraint))
 
-        scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=2)
+        scheduler = ContinuousScheduler(max_slots=2)
         done, finished = submit(scheduler, 4, 4)
         assert len(done.result(timeout=60.0).segments) == 4
         error, failed = submit(scheduler, 4, 2)  # step 2 has no row
         assert isinstance(error.exception(timeout=60.0), IndexError)
         scheduler.close()
 
-        scheduler = ContinuousScheduler(prepare=lambda job: job, max_slots=2)
+        scheduler = ContinuousScheduler(max_slots=2)
         on_each_step(scheduler, lambda admitted: stepping.set())
         dropped, abandoned = submit(scheduler, 50_000, 50_000)
         assert stepping.wait(timeout=60.0)
@@ -758,12 +761,12 @@ class TestContinuousScheduler:
                 raise ValueError("boom")
             return job_for(model, sample)
 
-        scheduler = ContinuousScheduler(prepare=prepare, max_slots=4)
+        scheduler = ContinuousScheduler(max_slots=4)
         try:
-            good = scheduler.submit(pools["short"][0],
-                                    pools["short"][0].target_length)
-            bad = scheduler.submit(pools["short"][1],
-                                   pools["short"][1].target_length)
+            good = scheduler.submit(pools["short"][0].target_length,
+                                    lambda: prepare(pools["short"][0]))
+            bad = scheduler.submit(pools["short"][1].target_length,
+                                   lambda: prepare(pools["short"][1]))
             assert good.result(timeout=120.0) is not None
             with pytest.raises(ValueError):
                 bad.result(timeout=120.0)

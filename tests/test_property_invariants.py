@@ -408,7 +408,8 @@ class TestSlotTableProperties:
         def submit_due():
             while waiting and arrivals[waiting[0]] <= scheduler.engine.slot_steps:
                 i = waiting.pop(0)
-                futures[i] = scheduler.submit(i, jobs[i].num_steps)
+                futures[i] = scheduler.submit(jobs[i].num_steps,
+                                              lambda i=i: prepare(i))
                 futures[i].add_done_callback(lambda _, i=i: done.setdefault(
                     i, scheduler.engine.slot_steps))
 
@@ -416,7 +417,7 @@ class TestSlotTableProperties:
             gate.wait(timeout=60.0)
             return jobs[i]
 
-        scheduler = ContinuousScheduler(prepare=prepare, max_slots=capacity)
+        scheduler = ContinuousScheduler(max_slots=capacity)
         step = scheduler.engine.step
 
         def stepped(slots=None):

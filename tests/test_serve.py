@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import threading
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.cluster.workers import _model_payload
 from repro.core import RNTrajRec, RNTrajRecConfig
 from repro.datasets import get_spec, load_dataset
 from repro.roadnet import CityArtifacts, generate_city
-from repro.stream import StreamingCluster
+from repro.stream import StreamingCluster, StreamingRecoveryService
 from repro.serve import (
     LRUCache,
     ModelRegistry,
@@ -25,6 +26,7 @@ from repro.serve import (
     quantize_key,
     save_model_bundle,
 )
+from repro.serve.engine import build_job
 from repro.trajectory import make_batch, pad_sample_target
 
 
@@ -215,6 +217,134 @@ class TestRecoveryService:
         gauges = shard.stats()
         shard.close()
         assert (gauges["cache_size"], gauges["cache_capacity"]) == (0, 1024)
+
+
+# ---------------------------------------------------------------------------
+# Where the work runs: submit validates and enqueues, the worker builds
+# ---------------------------------------------------------------------------
+WORKER = "continuous-scheduler"
+
+
+def hold_worker(service, sample):
+    """Park the service's scheduler worker inside a gated ``prepare`` (whose
+    job, ``sample``'s, is built up front) and return the gate."""
+    job = build_job(service.registry.active_ref()[2], sample, "held")
+    entered, gate = threading.Event(), threading.Event()
+
+    def held():
+        entered.set()
+        gate.wait(timeout=60.0)
+        return job
+
+    service.scheduler.submit(job.num_steps, held)
+    assert entered.wait(timeout=60.0)
+    return gate
+
+
+def spy_on_builds(monkeypatch):
+    """``(function, thread name)`` of every one-shot Eq. 16 assembly and
+    every job build, one-shot or streaming, from here on."""
+    import repro.serve.request
+    import repro.serve.service
+    import repro.stream.engine
+
+    calls = []
+    for module, name in ((repro.serve.request, "fix_entries"),
+                         (repro.serve.service, "build_job"),
+                         (repro.stream.engine, "build_job")):
+        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, threading.current_thread().name))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestWorkPlacement:
+    def test_submit_only_enqueues_and_the_worker_builds_by_grid_length(
+            self, data, model, monkeypatch):
+        # Prefixes of 4-fix traces: grids of 25, 9, 17, 9, 17 steps, so
+        # every length is tied once and arrival breaks the tie.
+        config = ServeConfig.for_dataset(data)
+        requests = [RecoveryRequest(s.raw_low.xy[:n], s.raw_low.times[:n],
+                                    request_id=f"r{i}")
+                    for i, (s, n) in enumerate(zip(data.test, (4, 2, 3, 2)))]
+        requests.append(RecoveryRequest(data.test[0].raw_low.xy[:3],
+                                        data.test[0].raw_low.times[:3]))
+        samples = [assemble_sample(r, data.network, config.ingest())
+                   for r in requests]
+        service = RecoveryService.from_model(model, config)
+        try:
+            gate = hold_worker(service, data.test[0])
+            calls = spy_on_builds(monkeypatch)
+            order = []
+            futures = [service.submit(request) for request in requests]
+            assert calls == []  # every submit returned before any build
+            assert service.scheduler.pending == len(samples)
+            for i, future in enumerate(futures):
+                future.add_done_callback(lambda _, i=i: order.append(i))
+            gate.set()
+            responses = [future.result(timeout=120.0) for future in futures]
+        finally:
+            service.close()
+        assert [s.target_length for s in samples] == [25, 9, 17, 9, 17]
+        assert order == sorted(range(len(samples)),
+                               key=lambda i: (samples[i].target_length, i))
+        assert sorted(calls) == sorted(
+            [("build_job", WORKER), ("fix_entries", WORKER)] * len(samples))
+        for sample, response in zip(samples, responses):
+            direct = model.recover_trajectories(make_batch([sample]))[0]
+            assert np.array_equal(direct.segments, response.trajectory.segments)
+            assert np.array_equal(direct.times, response.trajectory.times)
+
+    def test_streaming_appends_and_finalize_build_on_the_worker(
+            self, data, model, monkeypatch):
+        sample = data.test[0]
+        xy, times = sample.raw_low.xy, sample.raw_low.times
+        assert len(times) >= 3  # the last append does not decode from 0
+        service = RecoveryService.from_model(model, ServeConfig.for_dataset(data))
+        streaming = StreamingRecoveryService(service, commit_horizon=0)
+        try:
+            calls = spy_on_builds(monkeypatch)
+            session = streaming.open(hour=sample.hour)
+            for point, time in zip(xy, times):
+                streaming.append(session, point, [time])
+            assert calls == [("build_job", WORKER)] * (len(times) - 1)
+            final = streaming.finalize(session)
+        finally:
+            streaming.close()
+            service.close()
+        assert calls == [("build_job", WORKER)] * len(times)
+        direct = model.recover_trajectories(make_batch([sample]))[0]
+        assert np.array_equal(direct.segments, final.trajectory.segments)
+
+    @pytest.mark.parametrize("xy, times", [
+        pytest.param([[700.0, 700.0]], [0.0], id="one-fix"),
+        pytest.param([[700.0, 700.0], [780.0, 760.0]], [0.0, 1.0],
+                     id="one-grid-step"),
+        pytest.param([[700.0, 700.0], [780.0, 760.0]], [0.0, 1e9],
+                     id="past-max-grid-steps"),
+        pytest.param([[700.0, np.nan], [780.0, 760.0]], [0.0, 96.0],
+                     id="non-finite"),
+        pytest.param([[700.0, 700.0], [740.0, 730.0], [780.0, 760.0]],
+                     [0.0, 96.0, 96.0], id="times-not-increasing"),
+    ])
+    def test_a_bad_request_fails_before_anything_is_queued(
+            self, data, model, xy, times):
+        service = RecoveryService.from_model(model, ServeConfig.for_dataset(data))
+        gate = hold_worker(service, data.test[0])
+        try:
+            admitted = service.scheduler.engine.admitted
+            future = service.submit(RecoveryRequest(np.array(xy),
+                                                    np.array(times)))
+            assert future.done()
+            assert service.scheduler.pending == 0
+            assert service.scheduler.engine.admitted == admitted
+            with pytest.raises(RequestError):
+                future.result(timeout=0)
+        finally:
+            gate.set()
+            service.close()
+        assert service.stats()["errors"] == 1
 
 
 class TestClosedOwnerIsFreed:

@@ -61,17 +61,19 @@ def build_cluster(data, model, backend="inproc", replicas=None,
 
 
 def gate_prepares(shard, monkeypatch):
-    """Hold the in-process shard's scheduler inside ``prepare`` until the
-    returned event is set."""
+    """Hold the in-process shard's scheduler inside each ``prepare`` until
+    the returned event is set."""
     gate = threading.Event()
     scheduler = shard.warm().session_service().scheduler
-    prepare = scheduler._prepare
+    submit = scheduler.submit
 
-    def gated(item):
-        gate.wait(timeout=60.0)
-        return prepare(item)
+    def gated(steps, prepare):
+        def held():
+            gate.wait(timeout=60.0)
+            return prepare()
+        return submit(steps, held)
 
-    monkeypatch.setattr(scheduler, "_prepare", gated)
+    monkeypatch.setattr(scheduler, "submit", gated)
     return gate
 
 

@@ -23,10 +23,10 @@ from repro.serve import (
     RequestError,
     ServeConfig,
     assemble_sample,
+    build_job,
     quantize_key,
     save_model_bundle,
 )
-from repro.serve.engine import build_job
 from repro.trajectory import make_batch, pad_sample_target
 
 

@@ -92,13 +92,11 @@ HISTORY_FIELDS = ("loss", "id_loss", "rate_loss", "graph_loss", "grad_norm", "lr
 
 
 def _dense(constraint: DecodeConstraint) -> np.ndarray:
-    """The (b, T, |V|) mask tensor a sparse constraint stands for, built
-    from its dataclass fields alone."""
-    out = np.repeat(constraint.base[..., None], constraint.num_segments, -1)
-    for (i, j), lo in np.ndenumerate(constraint.lo):
-        hits = slice(lo, constraint.hi[i, j])
-        out[i, j, constraint.ids[hits]] = constraint.weights[hits]
-    return out
+    """The (b, T, |V|) mask tensor a sparse constraint stands for, one
+    :meth:`DecodeConstraint.row` per step — deferred prior steps
+    included, built as the decode would build them."""
+    return np.stack([constraint.row(j)
+                     for j in range(constraint.base.shape[1])], 1)
 
 
 def _sha(*arrays) -> str:

@@ -20,9 +20,9 @@ greedily with the same constraint masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,15 +53,70 @@ class DecoderOutput:
     rates: Tensor               # (b, l_ρ)
 
 
+@dataclass
+class DeferredPrior:
+    """The interpolation prior of a wide constraint's unobserved steps,
+    kept as their interpolated positions until a step needs it.
+
+    A row at least ``_SCREEN_WIDTH`` segments wide is screened, and the
+    screen needs exact prior weights only on the columns that can win
+    (:func:`_screened_argmax`): :meth:`column_weights` scores those, and
+    :meth:`support` builds a whole step through the eager kernel."""
+
+    network: Any
+    scale: float
+    floor: float
+    positions: np.ndarray   # (b, T, 2) each step's interpolated position
+    free: np.ndarray        # (b, T) steps whose prior is deferred
+    _built: dict = field(default_factory=dict, repr=False)
+
+    def support(self, i: int, j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Step ``(i, j)``'s prior support (ids, weights), built once:
+        :func:`_prior_support` at that one position, byte-equal to the
+        slice the eager prior holds for it."""
+        built = self._built.get((i, j))
+        if built is None:
+            profile.count("decode.prior_rows")
+            _, _, ids, weights = _prior_support(
+                self.positions[i, j][None], self.network, self.scale, self.floor)
+            built = self._built[i, j] = (ids, weights)
+        return built
+
+    def column_weights(self, i: int, j: int,
+                       segment_ids: np.ndarray) -> Optional[np.ndarray]:
+        """Step ``(i, j)``'s prior weight on each of ``segment_ids``: the
+        eager prior's distance kernel and ``dists <= radius`` rule, in one
+        call.  ``None`` when a distance lies within 1e-9 of the radius,
+        where a box test and a computed distance could round apart."""
+        x, y = self.positions[i, j].tolist()
+        dists = self.network.segment_distances(x, y, segment_ids)
+        radius = self.radius
+        if np.abs(dists - radius).min(initial=np.inf) <= 1e-9 * radius:
+            return None
+        return _weights_within(dists, radius, self.scale, self.floor)
+
+    @cached_property
+    def radius(self) -> float:
+        """:func:`_prior_radius` of this prior's kernel."""
+        return _prior_radius(self.scale, self.floor)
+
+    @cached_property
+    def any_free(self) -> List[bool]:
+        """Per step, whether any row's prior is deferred there."""
+        return self.free.any(axis=0).tolist()
+
+
 @dataclass(frozen=True)
 class DecodeConstraint:
     """The constraint mask of a (b, T) span of grid steps, the only form
     training and decoding hold it in, sparse: row ``(i, j)`` is
     ``base[i, j]`` except on ``ids[lo[i, j]:hi[i, j]]``, where it is the
-    matching ``weights``.  Steps may share a slice (rows that interpolate
-    to one position do), so this is O(b·T + support) numbers; nothing
-    |V|-wide exists until :meth:`row` builds one step's rows
-    (``tests/reference.py`` keeps the full dense tensor for tests)."""
+    matching ``weights`` — or, where ``prior`` defers the step, on the
+    support :meth:`DeferredPrior.support` builds for it.  Steps may share
+    a slice (rows that interpolate to one position do), so this is
+    O(b·T + support) numbers; nothing |V|-wide exists until :meth:`row`
+    builds one step's rows (``tests/reference.py`` keeps the full dense
+    tensor for tests)."""
 
     base: np.ndarray       # (b, T) mask value off the step's support
     lo: np.ndarray         # (b, T) support slice start into ids / weights
@@ -69,16 +124,21 @@ class DecodeConstraint:
     ids: np.ndarray        # pooled support segment ids
     weights: np.ndarray    # pooled support mask values
     num_segments: int
+    prior: Optional[DeferredPrior] = None  # unobserved steps built on demand
 
     @cached_property
     def log_span(self) -> float:
         """Width of the range of ``log max(m, 1e-12)`` over this mask's
-        values m, down-weighted by an escape weight ≤ 1 or not."""
+        values m, down-weighted by an escape weight ≤ 1 or not.  A deferred
+        step's prior weights lie in [floor, max(1, floor)], and its base
+        is that floor: they cannot widen it."""
         peak = max(self.base.max(initial=1.0), self.weights.max(initial=1.0))
         return float(np.log(peak)) - _LOG_FLOOR
 
     def support(self, i: int, j: int) -> Tuple[float, np.ndarray, np.ndarray]:
         """Row ``i``, step ``j``: (base, support ids, their mask values)."""
+        if self.prior is not None and self.prior.free[i, j]:
+            return (self.base[i, j], *self.prior.support(i, j))
         hits = slice(self.lo[i, j], self.hi[i, j])
         return self.base[i, j], self.ids[hits], self.weights[hits]
 
@@ -202,7 +262,11 @@ def greedy_step(
     certified k is therefore what ``np.argmax`` returns on *any* float64
     evaluation of the row, uniquely.  Anything else — a near-tie, a NaN, an
     overflow — runs the defining row itself and bumps
-    ``profile.count("decode.full_row")``.  δ only errs toward that, and
+    ``profile.count("decode.full_row")``.  A step whose prior is deferred
+    (:class:`DeferredPrior`) and that has a previous segment is screened
+    first against a bound on every unreachable column, with exact prior
+    weights on the reachable ones; one that bound cannot certify builds
+    its row and screens it in full.  δ only errs toward that, and
     state, rates and carry never see float32: outputs cannot depend on
     which path picked the index.
     """
@@ -257,28 +321,91 @@ def _screened_argmax(weights: GreedyWeights, state: np.ndarray,
                      reachability: Optional["ReachabilityMask"],
                      previous: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """:func:`greedy_step`'s float32 screen: the (b,) leaders if every row's
-    is certified, else ``None``."""
+    is certified, else ``None``.  A step with a deferred prior and a
+    previous segment tries :func:`_bounded_screen` first; if that cannot
+    certify it, the full screen builds the step's row
+    (``docs/serving.md`` derives the bound)."""
     screen = state.astype(np.float32) @ weights.head32
     escape = reachability.escape_weight if previous is not None else 1.0
-    span = 0.0
-    if constraint is not None or previous is not None:
-        span = -_LOG_FLOOR if constraint is None else constraint.log_span
-        for i, row in enumerate(screen):
-            base, ids, mask = (constraint.support(i, j) if constraint is not None
-                               else (1.0, _NO_IDS, _NO_WEIGHTS))
-            if previous is not None:
-                # A reachable column keeps its raw mask value: the base, or
-                # the support weight scattered over it.  Listed after the
-                # support, its term is the one the (gather, add, scatter)
-                # below lets stand.
-                reach = reachability.reachable(previous[i])
-                raw = np.empty(len(row))
-                raw[reach] = base
-                raw[ids] = mask
-                ids = np.concatenate((ids, reach))
-                mask = np.concatenate((mask * escape, raw[reach]))
-            row[ids] += (np.log(np.maximum(mask, 1e-12))
-                         - math.log(max(base * escape, 1e-12))).astype(np.float32)
+    if constraint is None and previous is None:
+        return _certified(weights, state, screen, 0.0)
+    span = -_LOG_FLOOR if constraint is None else constraint.log_span
+    prior = constraint.prior if constraint is not None else None
+    if previous is not None and prior is not None and prior.any_free[j]:
+        predicted = _bounded_screen(weights, state, screen, span, constraint,
+                                    j, reachability, previous)
+        if predicted is not None:
+            return predicted
+    for i, row in enumerate(screen):
+        _mask_screen_row(row, constraint, i, j, reachability, previous, escape)
+    return _certified(weights, state, screen, span)
+
+
+def _mask_screen_row(row: np.ndarray, constraint: Optional[DecodeConstraint],
+                     i: int, j: int, reachability: Optional["ReachabilityMask"],
+                     previous: Optional[np.ndarray], escape: float) -> None:
+    """Add row ``i``'s log-mask offsets to its screen, in place: ``fl32(log
+    max(m_j, 1e-12) − c)`` on every column whose mask value m_j is not the
+    row's off-support, unreachable value (whose log is c)."""
+    base, ids, mask = (constraint.support(i, j) if constraint is not None
+                       else (1.0, _NO_IDS, _NO_WEIGHTS))
+    if previous is not None:
+        # A reachable column keeps its raw mask value: the base, or the
+        # support weight scattered over it.  Listed after the support, its
+        # term is the one the (gather, add, scatter) below lets stand.
+        reach = reachability.reachable(previous[i])
+        raw = np.empty(len(row))
+        raw[reach] = base
+        raw[ids] = mask
+        ids = np.concatenate((ids, reach))
+        mask = np.concatenate((mask * escape, raw[reach]))
+    row[ids] += (np.log(np.maximum(mask, 1e-12))
+                 - math.log(max(base * escape, 1e-12))).astype(np.float32)
+
+
+def _bounded_screen(weights: GreedyWeights, state: np.ndarray,
+                    screen: np.ndarray, span: float,
+                    constraint: DecodeConstraint, j: int,
+                    reachability: "ReachabilityMask",
+                    previous: np.ndarray) -> Optional[np.ndarray]:
+    """The screen with the deferred rows' prior evaluated only where it can
+    win: a reachable column gets the exact offset the full screen would
+    add, every other column its upper bound ``fl32(ŝ_j + fl32(U))`` with U
+    the offset of the largest mask value such a column can hold.  The
+    leaders if each is certified against the bounds and, in a deferred
+    row, reachable; else ``None``."""
+    escape, prior = reachability.escape_weight, constraint.prior
+    bounded, reaches = np.empty_like(screen), []
+    for i, row in enumerate(screen):
+        if not prior.free[i, j]:
+            bounded[i] = row
+            _mask_screen_row(bounded[i], constraint, i, j, reachability,
+                             previous, escape)
+            continue
+        reach = reachability.reachable(previous[i])
+        exact = prior.column_weights(i, j, reach)
+        if exact is None:
+            return None
+        base = constraint.base[i, j]
+        shift = math.log(max(base * escape, 1e-12))
+        # Off the reachable set a prior weight w ∈ [floor, max(1, floor)]
+        # is down-weighted to w·escape.
+        np.add(row, np.float32(math.log(max(max(base, 1.0) * escape, 1e-12))
+                               - shift), out=bounded[i])
+        bounded[i, reach] = row[reach] + (np.log(np.maximum(exact, 1e-12))
+                                          - shift).astype(np.float32)
+        reaches.append((i, reach))
+    predicted = _certified(weights, state, bounded, span)
+    if predicted is None or not all((reach == predicted[i]).any()
+                                    for i, reach in reaches):
+        return None
+    return predicted
+
+
+def _certified(weights: GreedyWeights, state: np.ndarray, screen: np.ndarray,
+               span: float) -> Optional[np.ndarray]:
+    """The (b,) leaders of a masked screen if each clears every other
+    column of its row by 2δ, else ``None``; overwrites each leader."""
     predicted = screen.argmax(axis=-1)
     tops = []
     for i, k in enumerate(predicted.tolist()):
@@ -530,6 +657,13 @@ def _prior_weights(dists: np.ndarray, scale: float, floor: float) -> np.ndarray:
     return np.maximum(np.exp(-(dists / scale) ** 2), floor)
 
 
+def _weights_within(dists: np.ndarray, radius: float, scale: float,
+                    floor: float) -> np.ndarray:
+    """The prior's weight at each distance: the kernel within ``radius``,
+    ``floor`` past it, as off the prior's own support."""
+    return np.where(dists <= radius, _prior_weights(dists, scale, floor), floor)
+
+
 def _grid_positions(batch: Batch, start: int) -> np.ndarray:
     """(b, l_ρ − start, 2): each sample's low-sample fixes linearly
     interpolated at grid steps ``[start:]``."""
@@ -595,18 +729,28 @@ def decode_constraint(batch: Batch, network, scale: float, floor: float,
     it: base 0 and the entry's few segments as support, the prior there
     from the distance kernel, radius and clamp the prior's own support
     uses — so the prior is queried at the unobserved steps only.
+
+    On a network at least ``_SCREEN_WIDTH`` segments wide, whose rows the
+    decode step screens, the unobserved steps keep their interpolated
+    positions instead (:class:`DeferredPrior`): the screen scores the
+    prior on the columns that can win, and :meth:`DecodeConstraint.support`
+    / :meth:`DecodeConstraint.row` build a step on demand, byte-equal to
+    the eager row.  Narrower networks build the prior here.
     """
     shape = (batch.size, batch.target_length - start)
     base = np.full(shape, floor if scale > 0 else 1.0)
     lo, hi = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
     ids, weights, free = _NO_IDS, _NO_WEIGHTS, np.ones(shape, dtype=bool)
+    prior = None
     observed = batch.observed_entries(start)
     if observed is not None:
         rows_i, rows_j, counts, entry_ids, entry_weights = observed
         free[rows_i, rows_j] = False
     if scale > 0:
         positions = _grid_positions(batch, start)
-        if free.any():
+        if network.num_segments >= _SCREEN_WIDTH:
+            prior = DeferredPrior(network, scale, floor, positions, free)
+        elif free.any():
             with profile.section("decode.prior"):
                 lo[free], hi[free], ids, weights = _prior_support(
                     positions[free], network, scale, floor)
@@ -614,15 +758,15 @@ def decode_constraint(batch: Batch, network, scale: float, floor: float,
         if scale > 0:
             at = positions[rows_i, rows_j].repeat(counts, axis=0)
             dists = network.segment_distances(at[:, 0], at[:, 1], entry_ids)
-            entry_weights = entry_weights * np.where(
-                dists <= _prior_radius(scale, floor),
-                _prior_weights(dists, scale, floor), floor)
+            entry_weights = entry_weights * _weights_within(
+                dists, _prior_radius(scale, floor), scale, floor)
         stops = len(ids) + np.cumsum(counts)
         base[rows_i, rows_j] = 0.0
         lo[rows_i, rows_j], hi[rows_i, rows_j] = stops - counts, stops
         ids = np.concatenate([ids, entry_ids])
         weights = np.concatenate([weights, entry_weights])
-    return DecodeConstraint(base, lo, hi, ids, weights, network.num_segments)
+    return DecodeConstraint(base, lo, hi, ids, weights, network.num_segments,
+                            prior)
 
 
 class ReachabilityMask:

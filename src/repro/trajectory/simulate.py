@@ -33,6 +33,13 @@ from .trajectory import MatchedTrajectory, RawTrajectory
 _LEVEL_SPEED = {0: 22.0, 1: 12.0, 2: 11.0, 3: 10.0, 4: 7.0, 5: 6.0, 6: 5.0, 7: 5.0}
 
 
+def _clamp_speed(speed: float) -> float:
+    """The speed process's clamp to [1, 35] m/s: ``float(np.clip(speed,
+    1.0, 35.0))`` in plain floats, for a loop that runs once per simulated
+    second."""
+    return min(max(speed, 1.0), 35.0)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Knobs of the trajectory simulator."""
@@ -133,7 +140,7 @@ class TrajectorySimulator:
             seg_idx = min(seg_idx, len(route) - 1)
             mean_speed = _LEVEL_SPEED[self._levels[route[seg_idx]]]
             speed += 0.5 * (mean_speed - speed) + self.rng.normal(0.0, cfg.speed_jitter * mean_speed)
-            speed = float(np.clip(speed, 1.0, 35.0))
+            speed = _clamp_speed(speed)
             position += speed
             time += 1.0
             positions.append(min(position, total))

@@ -215,12 +215,18 @@ def _cold_queries(network, config, points, monkeypatch):
     return np.array(log)
 
 
-def test_subgraph_query_is_bounded(monkeypatch):
+@pytest.fixture(scope="module")
+def metro():
+    """The chengdu recipe at 40 m blocks: an ~11.9k-segment metro."""
+    metro = generate_city(replace(get_spec("chengdu").city, block=40.0))
+    assert metro.num_segments >= 10_000
+    return metro
+
+
+def test_subgraph_query_is_bounded(metro, monkeypatch):
     """At city scale the search is as wide as the sub-graph it returns: a
     cold point's distance kernel sees a few hundred candidates, not the
     ~1.6k inside δ = 300 m."""
-    metro = generate_city(replace(get_spec("chengdu").city, block=40.0))
-    assert metro.num_segments >= 10_000
     config = small_model_config(16)
     rng = np.random.default_rng(3)
     points = np.round(rng.uniform(100.0, 1400.0, size=(40, 2)))
@@ -343,3 +349,105 @@ class TestGPSFormer:
         batch.hours[:] = (batch.hours + 12) % 24
         out2 = encoder(batch).trajectory_feature.data
         assert not np.allclose(out1, out2)
+
+
+class TestDeferredPrior:
+    """On a network at least ``_SCREEN_WIDTH`` segments wide the decode
+    constraint defers its unobserved steps' interpolation prior: every step
+    it builds on demand is byte-equal to the eager build, and a decode
+    over it — solo, in the engine, or a checkpointed suffix — is the
+    decode over the eager constraint."""
+
+    @pytest.fixture(scope="class")
+    def samples(self, metro):
+        sim = TrajectorySimulator(metro, SimulationConfig(target_points=17, seed=2))
+        return build_samples(sim.simulate(3), metro, DatasetConfig(keep_every=8))
+
+    @pytest.fixture(scope="class")
+    def model(self, metro):
+        from repro.core import RNTrajRec
+
+        return RNTrajRec(metro, small_model_config(16)).eval()
+
+    @staticmethod
+    def _eager(monkeypatch, *args):
+        """``decode_constraint(*args)`` built as on a narrow network."""
+        from repro.core import decoder
+
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "_SCREEN_WIDTH", 1 << 62)
+            constraint = decoder.decode_constraint(*args)
+        assert constraint.prior is None
+        return constraint
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_rows_equal_the_eager_build(self, metro, samples, model, monkeypatch,
+                                        start, b):
+        from repro.core.decoder import decode_constraint
+
+        batch = make_batch(samples[:b])
+        args = (batch, metro, 150.0, 0.005, start)
+        deferred, eager = decode_constraint(*args), self._eager(monkeypatch, *args)
+        assert deferred.prior is not None and deferred.prior.free.any()
+        assert deferred.log_span == eager.log_span
+        reachability = model.reachability
+        for j in range(batch.target_length - start):
+            for i in range(b):
+                got, want = deferred.support(i, j), eager.support(i, j)
+                assert [np.asarray(a).tobytes() for a in got] == \
+                    [np.asarray(a).tobytes() for a in want], (i, j)
+                if deferred.prior.free[i, j]:
+                    # The screen's reachable-column weights are the row's.
+                    reach = reachability.reachable(int(batch.target_segments[i, j]))
+                    weights = deferred.prior.column_weights(i, j, reach)
+                    assert weights.tobytes() == eager.row(j)[i, reach].tobytes()
+            assert deferred.row(j).tobytes() == eager.row(j).tobytes()
+
+    def test_decode_equals_the_eager_constraint(self, samples, model, monkeypatch):
+        """``recover`` over the deferred constraint is the decode over the
+        eager one, and most deferred steps are certified unbuilt."""
+        batch = make_batch(samples)
+        with nn.no_grad():
+            encoded = model.encode(batch)
+        eager = self._eager(monkeypatch, batch, model.network,
+                            model.config.decode_prior_scale,
+                            model.config.decode_prior_floor)
+        want = model.decoder.decode_greedy(
+            encoded.point_features, encoded.trajectory_feature,
+            batch.target_length, eager, reachability=model.reachability)
+        profile.reset()
+        profile.enable()
+        try:
+            got = model.recover(batch)
+            built = profile.stats()["counters"].get("decode.prior_rows", 0)
+        finally:
+            profile.disable()
+            profile.reset()
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        deferred = int(model.decode_constraint(batch).prior.free.sum())
+        assert built < deferred // 2
+
+    def test_engine_equals_solo_decode(self, samples, model):
+        """Engine ≡ solo decode on the metro: a one-shot request, and a
+        streaming suffix resumed from the carry the engine checkpointed."""
+        from reference import run_to_completion
+        from repro.serve import ContinuousEngine
+        from repro.serve.engine import build_job
+
+        sample = samples[0]
+        segments, rates = model.recover(make_batch([sample]))
+        boundary = 5
+        engine = ContinuousEngine(capacity=2)
+        oneshot = run_to_completion(
+            engine, [build_job(model, sample, "m", checkpoint_at=boundary)])[0]
+        assert oneshot.segments.tobytes() == segments[0].tobytes()
+        assert oneshot.rates.tobytes() == rates[0].tobytes()
+        suffix = run_to_completion(engine, [build_job(
+            model, sample, "m", start=boundary, carry=oneshot.checkpoint)])[0]
+        assert suffix.segments.tobytes() == segments[0, boundary:].tobytes()
+        assert suffix.rates.tobytes() == rates[0, boundary:].tobytes()
+        for field in ("state", "prev_embed", "prev_rate", "prev_segments"):
+            assert (getattr(suffix.carry, field).tobytes()
+                    == getattr(oneshot.carry, field).tobytes()), field

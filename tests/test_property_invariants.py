@@ -1,5 +1,7 @@
 """Cross-cutting property-based tests on core invariants (hypothesis)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -449,17 +451,36 @@ class TestSlotTableProperties:
                         assert done[a] < done[b], (keys, arrivals, done)
 
 
-def counted_full_rows(step):
-    """(what ``step()`` returns, how often ``decode.full_row`` was bumped)."""
+def counted_full_rows(step, counter="decode.full_row"):
+    """(what ``step()`` returns, how often ``counter`` was bumped)."""
     from repro import profile
 
     profile.reset()
     profile.enable()
     try:
-        return step(), profile.stats()["counters"].get("decode.full_row", 0)
+        return step(), profile.stats()["counters"].get(counter, 0)
     finally:
         profile.disable()
         profile.reset()
+
+
+class PointSegments:
+    """A stub network of point "segments" 10 m apart on the x axis: the
+    two queries the interpolation prior makes, through one distance
+    formula."""
+
+    def __init__(self, num_segments):
+        self.num_segments = num_segments
+        self.xs = 10.0 * np.arange(num_segments)
+
+    def segment_distances(self, x, y, segment_ids):
+        return np.hypot(x - self.xs[segment_ids], y)
+
+    def segments_within_batch(self, points, radius):
+        dists = np.hypot(points[:, :1] - self.xs, points[:, 1:])
+        rows, ids = np.nonzero(dists <= radius)
+        return (np.searchsorted(rows, np.arange(len(points) + 1)), ids,
+                dists[rows, ids])
 
 
 class TestCertifiedArgmax:
@@ -470,6 +491,7 @@ class TestCertifiedArgmax:
     exactly when the certificate says it must be."""
 
     FLOOR = 0.005
+    SCALE = 30.0  # the deferred prior's kernel scale over 10 m-spaced segments
 
     @staticmethod
     def _delta(state, head_bound, dense, masked):
@@ -485,13 +507,15 @@ class TestCertifiedArgmax:
         return (1.01 * 2.0 ** -24 * ((state.shape[-1] + 3) * norm * head_bound
                                      + 2.0 * span) + 2.0 ** -36)
 
-    def _reachability(self, rng, num_segments):
-        """The same random 1-hop sets as a loop-built reference mask and
-        as a ``ReachabilityMask`` over a stub network's CSR closure."""
+    def _reachability(self, rng, num_segments, neighbors=None):
+        """The same 1-hop sets — random unless ``neighbors`` are given — as
+        a loop-built reference mask and as a ``ReachabilityMask`` over a
+        stub network's CSR closure."""
         from repro.core.decoder import ReachabilityMask
 
-        neighbors = [rng.choice(num_segments, size=int(rng.integers(0, 4)))
-                     .tolist() for _ in range(num_segments)]
+        if neighbors is None:
+            neighbors = [rng.choice(num_segments, size=int(rng.integers(0, 4)))
+                         .tolist() for _ in range(num_segments)]
         ref = reference.ReferenceReachability(neighbors, hops=1)
 
         class Stub:
@@ -535,11 +559,35 @@ class TestCertifiedArgmax:
             reference.dense(reference.constraint_from_dense(dense)), dense)
         return dense, constraint
 
+    def _deferred(self, rng, b, num_segments, positions=None):
+        """(dense (b, 1, |V|) mask, the same mask as a constraint whose
+        step holds a deferred interpolation prior over a stub network of
+        point segments) — the dense one built from a second, equal
+        constraint, so the returned one has built nothing yet."""
+        from repro.core.decoder import DecodeConstraint, DeferredPrior
+
+        network = PointSegments(num_segments)
+        if positions is None:
+            positions = np.stack([rng.uniform(0.0, network.xs[-1], size=b),
+                                  rng.uniform(-40.0, 40.0, size=b)], axis=-1)
+        positions = np.asarray(positions, dtype=np.float64).reshape(b, 1, 2)
+
+        def constraint():
+            empty = np.zeros((b, 1), np.int64)
+            prior = DeferredPrior(network, self.SCALE, self.FLOOR, positions,
+                                  np.ones((b, 1), dtype=bool))
+            return DecodeConstraint(np.full((b, 1), self.FLOOR), empty, empty,
+                                    np.zeros(0, np.int64), np.zeros(0),
+                                    num_segments, prior)
+
+        return reference.dense(constraint()), constraint()
+
     @given(seed=st.integers(0, 2 ** 31), d=st.integers(4, 64),
            num_segments=st.one_of(st.integers(2, 64), st.integers(65, 4096)),
            log_scale=st.floats(-3.0, 3.0), b=st.sampled_from([1, 3]),
            reach=st.booleans(),
-           mask_kind=st.sampled_from(["none", "uniform", "duplicates", "zeros"]),
+           mask_kind=st.sampled_from(["none", "uniform", "duplicates", "zeros",
+                                      "deferred"]),
            plant=st.sampled_from(["nothing", "tie", 0.1, 1.0, 10.0,
                                   "nan-state", "nan-head"]))
     @settings(max_examples=150, deadline=None)
@@ -561,8 +609,11 @@ class TestCertifiedArgmax:
             rng.integers(num_segments, size=b) if reach else None)
         reach_ref, reach_new = (self._reachability(rng, num_segments)
                                 if reach else (None, None))
-        dense, constraint = (self._mask(rng, b, num_segments, mask_kind)
-                             if mask_kind != "none" else (None, None))
+        dense, constraint = None, None
+        if mask_kind == "deferred":
+            dense, constraint = self._deferred(rng, b, num_segments)
+        elif mask_kind != "none":
+            dense, constraint = self._mask(rng, b, num_segments, mask_kind)
         mask_row = dense[:, 0, :] if dense is not None else None
 
         def logits_row(head):
@@ -664,3 +715,74 @@ class TestCertifiedArgmax:
             assert got[0].tobytes() == expected[0].tobytes()
             assert got[2].state.tobytes() == expected[2].state.tobytes()
             assert full_rows == counted
+
+    # Screened log-mask offsets at floor 0.005, escape 0.02: a reachable
+    # column at the step's position (prior weight 1) gets −log(floor ·
+    # escape) = 9.21, an unreachable one at most −log(floor) = 5.30.
+    LEAD, BOUND = -math.log(0.005 * 0.02), -math.log(0.005)
+
+    @pytest.mark.parametrize("case, plants, leader, built", [
+        # Reachable segment 10 sits at the step's position: its 9.21 clears
+        # every unreachable column's bound and its reachable rivals 11, 12
+        # (10 m and 20 m away) by more than 2δ.
+        ("leader clears every bound", {}, 10, 0),
+        # Unreachable segment 40 is far (weight floor, offset 0): logit
+        # 9.21 − 5.30 puts its bound level with the leader, its true value
+        # 5.30 below.  The step builds its row and still keeps 10.
+        ("bound within 2δ", {40: LEAD - BOUND}, 10, 1),
+        # Unreachable segment 9 is 10 m away (weight 0.895, offset 5.19):
+        # 0.5 more logit makes it the row's true argmax, which only the
+        # built row can certify.
+        ("bounded column wins", {9: LEAD - BOUND + 0.5}, 9, 1),
+        # No previous segment, no reachable set: the step builds its row.
+        ("first step", {}, None, 1),
+    ])
+    def test_deferred_prior_planted_cases(self, case, plants, leader, built):
+        """A deferred step screens its reachable columns exactly and bounds
+        the rest; it builds its row (``decode.prior_rows``) exactly when
+        that bound cannot certify the leader, and every case matches
+        ``reference_greedy_step`` on the dense row."""
+        import dataclasses
+        from unittest import mock
+
+        from repro.core import decoder
+        from repro.core.decoder import GreedyCarry, greedy_step, screening_head
+
+        rng = np.random.default_rng(7)
+        d, num_segments = 8, 64
+        weights = random_greedy_weights(rng, d, num_segments)
+        enc = rng.normal(size=(1, 5, d))
+        keys = weights.project_keys(enc)
+        first = case == "first step"
+        carry = GreedyCarry(rng.normal(size=(1, d)), rng.normal(size=(1, d)),
+                            rng.uniform(size=(1, 1)),
+                            None if first else np.array([0]))
+        neighbors = [[] for _ in range(num_segments)]
+        neighbors[0] = [10, 11, 12]
+        reach_ref, reach_new = self._reachability(rng, num_segments, neighbors)
+        dense, constraint = self._deferred(rng, 1, num_segments, [100.0, 0.0])
+
+        # Plant each logit x·h_j exactly where the case needs it: column j
+        # of the head along the post-GRU state x, every other column 0.
+        x = reference.reference_greedy_step(
+            weights, enc, keys, carry, dense[:, 0], reach_ref)[2].state[0]
+        head = np.zeros((d, num_segments))
+        for j, logit in plants.items():
+            head[:, j] = x * (logit / (x @ x))
+        weights = dataclasses.replace(
+            weights, head=head,
+            **dict(zip(("head32", "head_bound"), screening_head(head))))
+
+        expected = reference.reference_greedy_step(
+            weights, enc, keys, carry, dense[:, 0], reach_ref)
+        with mock.patch.object(decoder, "_SCREEN_WIDTH", 0):
+            got, rows = counted_full_rows(lambda: greedy_step(
+                weights, enc, keys, carry, constraint, 0, reach_new),
+                counter="decode.prior_rows")
+        assert got[0].tobytes() == expected[0].tobytes()
+        for field in ("state", "prev_embed", "prev_rate", "prev_segments"):
+            assert (getattr(got[2], field).tobytes()
+                    == getattr(expected[2], field).tobytes()), field
+        if leader is not None:
+            assert got[0].tolist() == [leader]
+        assert rows == built

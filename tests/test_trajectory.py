@@ -151,6 +151,20 @@ class TestSimulator:
         sim = TrajectorySimulator(city, SimulationConfig(target_points=17, seed=6))
         assert sim.simulate(2, prefer_elevated=True)
 
+    @given(speed=st.one_of(
+        st.floats(allow_nan=False),  # finite floats and ±inf
+        st.sampled_from([1.0, 35.0, -0.0, *(float(np.nextafter(bound, toward))
+                                            for bound in (1.0, 35.0)
+                                            for toward in (0.0, 36.0))])))
+    def test_speed_clamp_is_np_clip(self, speed):
+        """The plain-float speed clamp returns ``np.clip``'s value, so the
+        simulated traces stay bit-identical."""
+        from repro.trajectory.simulate import _clamp_speed
+
+        clamped = _clamp_speed(speed)
+        assert type(clamped) is float
+        assert clamped == float(np.clip(speed, 1.0, 35.0))
+
 
 class TestResample:
     def test_downsample_indices_keep_first_last(self):
